@@ -7,7 +7,10 @@
   sympdiv inflate --verify-only PLAN                 replay a plan file
   sympdiv check FILE             re-verify a certificate or plan document
 
-Exit codes: 0 clean, 1 failed checks, 2 malformed input.
+Exit codes: 0 clean, 1 failed checks, 2 malformed input (a document or an
+option value that cannot be parsed), 3 internal error (a ValueError or
+ZeroDivisionError raised by the program on input it accepted; a defect to
+report, printed as "internal error: ...").
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .documents import DocumentError
 from .exceptional import DEFAULT_COEFF_BOUND
 from .inflation import NormalizedVector, PlanError, plan_kahler, verify_plan
 
+EXIT_INPUT = 2
+EXIT_INTERNAL = 3
+
 
 def _load_json(path: str):
     try:
@@ -34,6 +40,13 @@ def _load_json(path: str):
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _fraction_option(option: str, value: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(f"malformed {option} {value!r}: {exc}") from exc
 
 
 def _emit(doc) -> None:
@@ -64,7 +77,7 @@ def cmd_certify(args) -> int:
     config, w = documents.parse_config(_load_json(args.path))
     if w is None:
         raise DocumentError("certification needs an 'areas' entry")
-    area_bound = Fraction(args.area_bound) if args.area_bound else None
+    area_bound = _fraction_option("--area-bound", args.area_bound) if args.area_bound else None
     try:
         cert = certify_affine_ruled(
             config, w, coeff_bound=args.coeff_bound, area_bound=area_bound
@@ -85,7 +98,7 @@ def cmd_cusp(args) -> int:
         ws = weight_sequence(args.p, args.q)
     except CuspError as exc:
         print(str(exc), file=sys.stderr)
-        return 2
+        return EXIT_INPUT
     print(" ".join(str(m) for m in ws.weights))
     sq = sum(m * m for m in ws.weights)
     sm = sum(ws.weights)
@@ -105,11 +118,8 @@ def cmd_inflate(args) -> int:
         return 0 if all_passed(checks) else 1
     if args.target is None:
         print("--target is required unless --verify-only is given", file=sys.stderr)
-        return 2
-    try:
-        entries = [Fraction(x) for x in args.target.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"malformed target: {exc}") from exc
+        return EXIT_INPUT
+    entries = [_fraction_option("--target entry", x) for x in args.target.split(",")]
     if args.n is not None and len(entries) != args.n + 1:
         raise DocumentError(f"target needs n+1 = {args.n + 1} entries")
     try:
@@ -136,12 +146,16 @@ def cmd_check(args) -> int:
         print("plan ok" if ok else "plan rejected")
         return 0 if ok else 1
     if schema == documents.CERTIFICATE_SCHEMA:
+        if "input" not in doc:
+            raise DocumentError("certificate lacks its 'input' configuration")
         config, w = documents.parse_config(doc["input"])
         if w is None:
             raise DocumentError("certificate input lacks areas")
         bounds = doc.get("bounds") or {}
+        if not isinstance(bounds, dict) or not isinstance(bounds.get("coeff_bound", 0), int):
+            raise DocumentError("bounds: expected an object with an integer coeff_bound")
         area_bound = (
-            Fraction(bounds["area_bound"]) if bounds.get("area_bound") else None
+            documents.parse_fraction(bounds["area_bound"]) if bounds.get("area_bound") else None
         )
         coeff_bound = bounds.get("coeff_bound") or DEFAULT_COEFF_BOUND
         try:
@@ -197,10 +211,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_INPUT
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

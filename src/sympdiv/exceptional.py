@@ -12,6 +12,7 @@ than silently truncated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,13 +48,11 @@ class NormalizeError(ValueError):
 class ExceptionalSet:
     ambient: AmbientLattice
     w: AreaVector
-    classes: tuple[HomologyClass, ...]
+    classes: tuple[HomologyClass, ...]  # sorted by (area, coeffs)
+    areas: tuple[Fraction, ...]  # areas[i] is the area of classes[i]
     area_bound: Fraction
     coeff_bound: int
     incomplete: bool
-
-    def areas(self) -> list[Fraction]:
-        return [area(c, self.w) for c in self.classes]
 
 
 def enumerate_exceptional(
@@ -64,44 +63,60 @@ def enumerate_exceptional(
 ) -> ExceptionalSet:
     """All classes with e.e = K.e = -1 and 0 < area(e) <= area_bound,
     coefficients bounded by coeff_bound.  area_bound defaults to the
-    cheapest exceptional basis generator (an upper bound for the minimum)."""
+    cheapest exceptional basis generator (an upper bound for the minimum).
+
+    Each class is priced once, on w's integer form: with areas nums/den and
+    area_bound = bn/bd, a class with area numerator num is kept exactly when
+    0 < num and num*bd <= bn*den."""
     if ambient != w.ambient:
         raise LatticeError("ambient mismatch")
     if area_bound is None:
         m = w.min_exc_area()
         area_bound = m if m is not None else Fraction(0)
+    nums, den = w.integer_form
+    bd = area_bound.denominator
+    cap = area_bound.numerator * den
 
-    found: list[HomologyClass] = []
+    found: list[tuple[int, HomologyClass]] = []  # (area numerator, class)
     incomplete = False
 
     if ambient.kind == KIND_RULED:
         # Degree over the base is 0 for sphere classes, so the solutions of
         # e.e = K.e = -1, e.F = 0 are exactly E_i and F - E_i.
+        f, f_num = ambient.basis_class("F"), nums[ambient.fiber_index]
         for i in ambient.exc_indices:
             ei = ambient.basis_class(ambient.names[i])
-            fmei = ambient.basis_class("F") - ei
-            for c in (ei, fmei):
-                a = area(c, w)
-                if 0 < a <= area_bound:
-                    found.append(c)
+            for num, c in ((nums[i], ei), (f_num - nums[i], f - ei)):
+                if 0 < num and num * bd <= cap:
+                    found.append((num, c))
     elif ambient.kind == KIND_RATIONAL:
-        incomplete = _enumerate_rational(ambient, w, area_bound, coeff_bound, found)
+        incomplete = _enumerate_rational(ambient, nums, bd, cap, coeff_bound, found)
     # minimal kinds (CP2, S2xS2, twisted bundle) have no exceptional classes
 
-    found.sort(key=lambda c: (area(c, w), c.coeffs))
-    return ExceptionalSet(ambient, w, tuple(found), area_bound, coeff_bound, incomplete)
+    found.sort(key=lambda t: (t[0], t[1].coeffs))
+    return ExceptionalSet(
+        ambient,
+        w,
+        tuple(c for _, c in found),
+        tuple(Fraction(num, den) for num, _ in found),
+        area_bound,
+        coeff_bound,
+        incomplete,
+    )
 
 
-def _enumerate_rational(ambient, w, area_bound, coeff_bound, out) -> bool:
+def _enumerate_rational(ambient, nums, bd, cap, coeff_bound, out) -> bool:
     """Branch and bound over (a; c_1..c_n) with a^2 + 1 = sum c_i^2 and
-    sum c_i = 1 - 3a.  Returns the incomplete flag."""
+    sum c_i = 1 - 3a.  Areas are the numerators nums over a common den and
+    the bound is cap / (bd * den).  Appends (area numerator, class) pairs to
+    out; returns the incomplete flag."""
     n = ambient.n_exc
-    w_h = w.areas[0]
-    w_exc = [w.areas[i] for i in ambient.exc_indices]
-    sq_sum = sum(v * v for v in w_exc)
+    h_num = nums[0]
+    exc_nums = nums[1:]
+    sq_num = sum(v * v for v in exc_nums)  # den^2 * sum w_i^2
     incomplete = False
 
-    if w.square() <= 0:
+    if h_num * h_num <= sq_num:  # den^2 * w.square() <= 0
         raise EnumerationError(
             "area vector has non-positive square; enumeration cannot terminate"
         )
@@ -111,22 +126,23 @@ def _enumerate_rational(ambient, w, area_bound, coeff_bound, out) -> bool:
         if a > coeff_bound:
             incomplete = True
             break
-        # smallest possible area at degree a: a*w_H - sqrt((a^2+1) * sum w_i^2)
-        margin = a * w_h - area_bound
-        if margin > 0 and margin * margin > (a * a + 1) * sq_sum:
+        # smallest possible area at degree a: a*w_H - sqrt((a^2+1) * sum w_i^2);
+        # margin is (a*w_H - area_bound) * den * bd
+        margin = a * h_num * bd - cap
+        if margin > 0 and margin * margin > (a * a + 1) * sq_num * bd * bd:
             break
         square_budget = a * a + 1
         linear_budget = 1 - 3 * a
         vec = [0] * n
+        deg_num = a * h_num
 
         def rec(i, sq, lin):
             nonlocal incomplete
             if i == n:
                 if sq == 0 and lin == 0:
-                    e = ambient.from_coeffs((a,) + tuple(vec))
-                    ar = area(e, w)
-                    if 0 < ar <= area_bound:
-                        out.append(e)
+                    num = deg_num + sum(map(operator.mul, vec, exc_nums))
+                    if 0 < num and num * bd <= cap:
+                        out.append((num, ambient.from_coeffs((a,) + tuple(vec))))
                 return
             slots = n - i
             lo_sq = -math.isqrt(sq)
@@ -157,8 +173,8 @@ def minimal_area(es: ExceptionalSet) -> list[HomologyClass]:
         raise EnumerationError(
             "enumeration hit its bounds; minimum within bounds is not certified"
         )
-    best = min(area(c, es.w) for c in es.classes)
-    return [c for c in es.classes if area(c, es.w) == best]
+    best = es.areas[0]  # the classes are sorted by area
+    return [c for c, a in zip(es.classes, es.areas) if a == best]
 
 
 # -- secondary chains ---------------------------------------------------------
@@ -201,19 +217,18 @@ def _secondary_chain_bounded(ambient, w, bound, coeff_bound) -> SecondaryChain:
         raise EnumerationError("enumeration bound exhausted while building secondary chain")
     selected: list[HomologyClass] = []
     for _ in range(n - 1):
+        # es.classes is sorted by (area, coeffs), and so is every filtered list
         cands = [
             c for c in es.classes
             if all(pair(c, s) == 0 for s in selected)
         ]
         if not cands:
             raise EnumerationError("no orthogonal exceptional class available")
-        cands.sort(key=lambda c: (area(c, w), c.coeffs))
         selected.append(cands[0])
     # selected = (E_n, E_{n-1}, ..., E_2)
     e2 = selected[-1]
     rest = selected[:-1]
     pool = [c for c in es.classes if all(pair(c, s) == 0 for s in rest)]
-    pool.sort(key=lambda c: (area(c, w), c.coeffs))
     for x in pool:
         for y in pool:
             if x == y:

@@ -11,12 +11,19 @@ intersection form and canonical class:
 
 Generator names are data: blowdowns may drop a middle generator and the
 surviving names keep their identity (E7 stays E7 after E5 is gone).
-All arithmetic is exact: integers for classes, Fractions for areas.
+All arithmetic is exact: integers for classes, Fractions for areas.  An
+area vector also keeps an integer form, its areas as numerators over the
+lcm of their denominators, computed once on first use; areas of classes,
+the square of the area vector and areas pulled back along lattice maps are
+integer dot products on it, with a single division at the end.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 
@@ -287,6 +294,9 @@ class AreaVector:
     def __post_init__(self):
         if len(self.areas) != self.ambient.dim:
             raise LatticeError("area length does not match basis")
+        for v in self.areas:
+            if not isinstance(v, (int, Fraction)):
+                raise LatticeError(f"area {v!r} is not exact: use an int or a Fraction")
         for i in self.ambient.exc_indices:
             if self.areas[i] <= 0:
                 raise LatticeError(f"area of {self.ambient.names[i]} must be > 0")
@@ -307,6 +317,14 @@ class AreaVector:
             vec.append(Fraction(named[name]))
         return AreaVector(ambient, tuple(vec))
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den) with areas[i] == nums[i] / den and den the lcm of the
+        denominators.  Cached on the instance; not a field, so equality,
+        hashing and repr are unaffected."""
+        den = math.lcm(*(v.denominator for v in self.areas))
+        return tuple(v.numerator * (den // v.denominator) for v in self.areas), den
+
     def of(self, name: str) -> Fraction:
         return self.areas[self.ambient.index_of(name)]
 
@@ -317,25 +335,31 @@ class AreaVector:
         return min(self.areas[i] for i in idx)
 
     def square(self) -> Fraction:
-        """Self-pairing of the area functional; > 0 on the symplectic cone."""
-        amb = self.ambient
-        x = self.areas
-        if amb.kind == KIND_PP:
-            return x[0] * x[0]
-        if amb.kind == KIND_S2S2:
-            return 2 * x[0] * x[1]
-        if amb.kind == KIND_RATIONAL:
-            return x[0] * x[0] - sum(x[i] * x[i] for i in amb.exc_indices)
-        if amb.kind == KIND_RULED:
-            return 2 * x[0] * x[1] - sum(x[i] * x[i] for i in amb.exc_indices)
-        return x[0] * x[0] + 2 * x[0] * x[1]
+        """Self-pairing of the area functional; > 0 on the symplectic cone.
+        The numerators are paired as an integer vector under the ambient's
+        form and divided by den^2."""
+        nums, den = self.integer_form
+        v = HomologyClass(self.ambient, nums)
+        return Fraction(pair(v, v), den * den)
+
+    def pull_back(self, ambient: AmbientLattice, rows) -> "AreaVector":
+        """The area vector on `ambient` giving each class y the area this
+        vector gives to M y, where M (given by its rows) maps classes of
+        `ambient` to classes of self.ambient."""
+        nums, den = self.integer_form
+        return AreaVector(
+            ambient,
+            tuple(Fraction(sum(map(operator.mul, col, nums)), den) for col in zip(*rows)),
+        )
 
 
 def area(a: HomologyClass, w: AreaVector) -> Fraction:
-    """Linear extension of the generator areas."""
+    """Linear extension of the generator areas: an integer dot product with
+    the numerators of w's integer form, divided once by its denominator."""
     if a.ambient != w.ambient:
         raise LatticeError("ambient mismatch")
-    return sum((c * v for c, v in zip(a.coeffs, w.areas)), Fraction(0))
+    nums, den = w.integer_form
+    return Fraction(sum(map(operator.mul, a.coeffs, nums)), den)
 
 
 # -- lattice self-maps -------------------------------------------------------
@@ -392,12 +416,9 @@ class LatticeMap:
 
     def transport_area(self, w: AreaVector) -> AreaVector:
         """Area vector w' with w'(T x) = w(x) for all classes x."""
-        amb = self.ambient
-        out = []
-        for i in range(amb.dim):
-            basis = amb.from_coeffs(tuple(1 if j == i else 0 for j in range(amb.dim)))
-            out.append(area(self.apply_inverse(basis), w))
-        return AreaVector(amb, tuple(out))
+        if w.ambient != self.ambient:
+            raise LatticeError("ambient mismatch")
+        return w.pull_back(self.ambient, self.inv)
 
     def preserves_form(self) -> bool:
         amb = self.ambient

@@ -379,14 +379,7 @@ def blowdown(
             for cb in items[i:]:
                 if pair(post_classes[ca], post_classes[cb]) != pair(classes[ca], classes[cb]):
                     raise MoveError("basis bridge failed to preserve the form")
-        new_area = None
-        if w is not None:
-            dim = bridge.post.dim
-            vals = []
-            for i in range(dim):
-                basis = bridge.post.from_coeffs(tuple(1 if j == i else 0 for j in range(dim)))
-                vals.append(area(bridge.backward(basis), w))
-            new_area = AreaVector(bridge.post, tuple(vals))
+        new_area = w.pull_back(bridge.post, bridge.back) if w is not None else None
         out = DivisorConfig.build(bridge.post, list(post_classes.items()), edges)
         require_valid(out)
         return BlowdownStep(

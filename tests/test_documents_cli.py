@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -114,6 +115,67 @@ def test_cli_certify_byte_identical(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+# sha256 of `certify` stdout, pinned so that output drift between versions
+# shows; a change of any of them is a change of the certificate format
+GOLDEN_CERTIFY_SHA256 = [
+    (("cp2_13_cusp.json",),
+     "4c28480cafdaa3dfa15fe970e5c26af69228a218cf4587dd0a78814368c169e1"),
+    (("cp2_13_cusp.json", "--area-bound", "3"),
+     "f130f63d7f15ac306f7286291e1f0cf61affbdcafc3524480d766efff56ab769"),
+    (("ruled_comb_genus2.json",),
+     "3c6ec0a5740abcfa6761e892663ddeb9a9ec27a86743adf1094baf82d9c1c178"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_CERTIFY_SHA256)
+def test_cli_certify_golden_bytes(args, digest, capsys):
+    rc = main(["certify", str(FIXTURES / args[0]), *args[1:]])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_cli_certify_malformed_input_exits_2(capsys):
+    rc = main(["certify", str(FIXTURES / "bad_rational.json")])
+    assert rc == 2 and "input error" in capsys.readouterr().err
+    for bound in ("abc", "1/0"):
+        rc = main(["certify", str(FIXTURES / "cp2_13_cusp.json"), "--area-bound", bound])
+        err = capsys.readouterr().err
+        assert rc == 2 and "input error" in err and "--area-bound" in err
+    rc = main(["inflate", "--n", "2", "--target", "3/4,x,1/5"])
+    assert rc == 2 and "input error" in capsys.readouterr().err
+
+
+def test_cli_check_malformed_certificate_exits_2(tmp_path, capsys):
+    main(["certify", str(FIXTURES / "cp2_13_cusp.json")])
+    good = json.loads(capsys.readouterr().out)
+    path = tmp_path / "cert.json"
+    for broken in (
+        {k: v for k, v in good.items() if k != "input"},
+        dict(good, bounds=5),
+        dict(good, bounds={"coeff_bound": "12"}),
+        dict(good, bounds={"area_bound": "x"}),
+    ):
+        path.write_text(json.dumps(broken))
+        rc = main(["check", str(path)])
+        assert rc == 2 and "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, ZeroDivisionError])
+def test_cli_internal_error_is_not_an_input_error(exc_type, monkeypatch, capsys):
+    import sympdiv.cli
+
+    def broken(*args, **kwargs):
+        raise exc_type("defect inside the pipeline")
+
+    monkeypatch.setattr(sympdiv.cli, "certify_affine_ruled", broken)
+    rc = main(["certify", str(FIXTURES / "cp2_13_cusp.json")])
+    err = capsys.readouterr().err
+    assert rc == sympdiv.cli.EXIT_INTERNAL == 3
+    assert err.startswith("internal error: ") and "defect inside the pipeline" in err
+    assert "input error" not in err
 
 
 def test_cli_certify_hypothesis_failure(capsys):
