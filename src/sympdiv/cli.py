@@ -26,7 +26,7 @@ from .cusp import CertifyError, CuspError, certify_affine_ruled, weight_sequence
 from .divisor import check_hypothesis, check_tree_of_spheres, validate
 from .documents import DocumentError
 from .exceptional import DEFAULT_COEFF_BOUND
-from .inflation import NormalizedVector, PlanError, plan_kahler, verify_plan
+from .inflation import NormalizedVector, PlanError, _verified_plan, verify_plan
 
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
@@ -124,12 +124,12 @@ def cmd_inflate(args) -> int:
         raise DocumentError(f"target needs n+1 = {args.n + 1} entries")
     try:
         target = NormalizedVector(args.g, tuple(entries))
-        plan = plan_kahler(target)
+        plan, checks = _verified_plan(target)
     except PlanError as exc:
         print(f"inflation planning failed: {exc}", file=sys.stderr)
         return 1
     doc = documents.plan_to_doc(plan)
-    doc["verification"] = [c.as_dict() for c in verify_plan(plan)]
+    doc["verification"] = [c.as_dict() for c in checks]
     _emit(doc)
     return 0
 

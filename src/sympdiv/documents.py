@@ -359,43 +359,67 @@ def plan_to_doc(plan: InflationPlan) -> dict:
     }
 
 
+def _plan_int(v, where: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise DocumentError(f"{where}: expected an integer, got {v!r}")
+    return v
+
+
+def _plan_list(v, length: int, where: str) -> list:
+    if not isinstance(v, list) or len(v) != length:
+        raise DocumentError(f"{where}: expected a list of {length} entries, got {v!r}")
+    return v
+
+
 def doc_to_plan(doc) -> InflationPlan:
     if not isinstance(doc, dict) or doc.get("schema") != PLAN_SCHEMA:
         raise DocumentError("not an inflation plan document")
     try:
-        g = int(doc["g"])
-        n = int(doc["n"])
-        target = tuple(parse_fraction(v) for v in doc["target"])
+        g = _plan_int(doc["g"], "g")
+        n = _plan_int(doc["n"], "n")
+        if g < 1 or n < 0:
+            raise DocumentError(f"a plan needs g >= 1 and n >= 0, got g = {g}, n = {n}")
+        target = tuple(parse_fraction(v) for v in _plan_list(doc["target"], n + 1, "target"))
+
+        def cls(v, where):
+            return tuple(_plan_int(c, where) for c in _plan_list(v, n + 2, where))
+
         nodes = []
         for i, nd in enumerate(doc["nodes"]):
             t = nd["type"]
+            where = f"nodes[{i}]"
             if t == "seed":
                 base = doc_to_plan(nd["base"]) if nd.get("base") is not None else None
                 eps = parse_fraction(nd["epsilon"]) if nd.get("epsilon") is not None else None
+                vector = _plan_list(nd["vector"], n + 1, f"{where}.vector")
                 nodes.append(
                     SeedNode(
                         base,
                         eps,
-                        tuple(parse_fraction(v) for v in nd["vector"]),
+                        tuple(parse_fraction(v) for v in vector),
                         nd.get("assumption", ""),
                     )
                 )
             elif t == "inflate":
                 nodes.append(
-                    InflateNode(tuple(nd["class"]), nd.get("label", ""), parse_fraction(nd["t"]))
+                    InflateNode(
+                        cls(nd["class"], f"{where}.class"),
+                        nd.get("label", ""),
+                        parse_fraction(nd["t"]),
+                    )
                 )
             elif t == "zigzag":
                 nodes.append(
                     ZigZagNode(
-                        tuple(nd["diag"]),
-                        tuple(nd["down"]),
+                        cls(nd["diag"], f"{where}.diag"),
+                        cls(nd["down"], f"{where}.down"),
                         nd.get("label", ""),
                         parse_fraction(nd["total"]),
-                        int(nd["substeps"]),
+                        _plan_int(nd["substeps"], f"{where}.substeps"),
                     )
                 )
             else:
-                raise DocumentError(f"nodes[{i}]: unknown node type {t!r}")
+                raise DocumentError(f"{where}: unknown node type {t!r}")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, DocumentError):
             raise

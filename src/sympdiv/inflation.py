@@ -14,11 +14,13 @@ substeps so every intermediate stays inside the area constraints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import Check, all_passed
 from .lattice import (
+    KIND_RULED,
     AmbientLattice,
     AreaVector,
     HomologyClass,
@@ -29,6 +31,10 @@ from .lattice import (
 
 class PlanError(ValueError):
     pass
+
+
+# the most substeps a zig-zag node may take, in the planner and in a replay
+MAX_SUBSTEPS = 2**20
 
 
 @dataclass(frozen=True)
@@ -121,23 +127,28 @@ def lam_bound(a: AreaVector, z: HomologyClass) -> Fraction | None:
 
 def inflate_step(a: AreaVector, z: HomologyClass, t: Fraction) -> AreaVector:
     """New areas x -> area(x) + t * (z . x); t must respect the bound and
-    every generator area must stay positive."""
+    every generator area must stay positive.  Only the generators that z
+    pairs with change: z . (B, F, E_i) = (z_F, z_B, -z_Ei)."""
     t = Fraction(t)
     if t < 0:
         raise PlanError("negative inflation parameter")
-    if area(z, a) <= 0:
+    if a.ambient.kind != KIND_RULED:
+        raise PlanError("inflation steps run on trivial ruled ambients")
+    az = area(z, a)
+    if az <= 0:
         raise PlanError(f"class {z} has non-positive area")
-    lam = lam_bound(a, z)
-    if lam is not None and t >= lam:
+    c = z.coeffs
+    row = (c[1], c[0]) + tuple(-x for x in c[2:])
+    sq = sum(x * y for x, y in zip(c, row))
+    if sq < 0 and t >= (lam := az / -sq):
         raise PlanError(f"t = {t} exceeds the inflation bound {lam} along {z}")
-    amb = a.ambient
-    out = []
-    for i, name in enumerate(amb.names):
-        gen = amb.basis_class(name)
-        out.append(a.areas[i] + t * pair(z, gen))
+    out = list(a.areas)
+    for i, r in enumerate(row):
+        if r:
+            out[i] += t * r
     if any(v <= 0 for v in out):
         raise PlanError("inflation made a generator area non-positive")
-    return AreaVector(amb, tuple(out))
+    return AreaVector(a.ambient, tuple(out))
 
 
 def normalize(a: AreaVector) -> NormalizedVector:
@@ -260,11 +271,10 @@ def _replay(plan: InflationPlan, checks: list[Check], prefix: str) -> AreaVector
         elif isinstance(node, ZigZagNode):
             zd = amb.from_coeffs(node.z_diag)
             ze = amb.from_coeffs(node.z_down)
-            if node.substeps < 1 or node.total < 0:
+            if not 1 <= node.substeps <= MAX_SUBSTEPS or node.total < 0:
                 checks.append(Check(f"{prefix}zigzag {node.label}", False, "bad substep data"))
                 return None
             s = node.total / node.substeps
-            ok = True
             for i in range(node.substeps):
                 state, c1 = _checked_step(state, zd, s, f"{prefix}zigzag {node.label} diag {i}")
                 if state is None:
@@ -277,7 +287,7 @@ def _replay(plan: InflationPlan, checks: list[Check], prefix: str) -> AreaVector
             checks.append(
                 Check(
                     f"{prefix}zigzag {node.label} ({node.substeps} substeps)",
-                    ok,
+                    True,
                     f"total {node.total}",
                 )
             )
@@ -301,6 +311,12 @@ def _checked_step(state, z, t, name):
 def plan_kahler(target: NormalizedVector) -> InflationPlan:
     """Recursive realization of a vector in the negative-pairing region;
     the emitted plan replays exactly onto the target."""
+    return _verified_plan(target)[0]
+
+
+def _verified_plan(target: NormalizedVector) -> tuple[InflationPlan, list[Check]]:
+    """The plan for `target` with the checks of the replay that accepted
+    it; the step sizes shrink on each retry."""
     if not in_region(NormalizedVector(1, target.entries), "P_g"):
         raise PlanError(f"target {tuple(map(str, target.entries))} is outside the region")
     last = None
@@ -309,9 +325,29 @@ def plan_kahler(target: NormalizedVector) -> InflationPlan:
         plan = _build(target.g, target.entries, shrink)
         checks = verify_plan(plan)
         if all_passed(checks):
-            return plan
+            return plan, checks
         last = [c for c in checks if not c.passed]
     raise PlanError(f"planner failed after retries: {last}")
+
+
+def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational of least denominator in (lo, hi], for 0 <= lo < hi.
+
+    A Stern-Brocot descent by continued fractions: while no integer lies in
+    the interval, take its common integer part n and pass to the reciprocal
+    interval of x - n, whose ends swap (and swap between open and closed).
+    (p1, q1, p0, q0) carry x = (p1*y + p0) / (q1*y + q0) in the current
+    variable y; hi None means +infinity."""
+    p1, q1, p0, q0 = 1, 0, 0, 1
+    lo_open, hi_open = True, False
+    while True:
+        n = math.floor(lo)
+        k = n if (n == lo and not lo_open) else n + 1
+        if hi is None or k < hi or (k == hi and not hi_open):
+            return Fraction(p1 * k + p0, q1 * k + q0)
+        p1, q1, p0, q0 = p1 * n + p0, q1 * n + q0, p1, q1
+        lo, hi = 1 / (hi - n), (None if lo == n else 1 / (lo - n))
+        lo_open, hi_open = hi_open, lo_open
 
 
 def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
@@ -327,8 +363,8 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
     if n == 1:
         db, d1 = d
         s = db / d1 - Fraction(1, 2)
-        cap = min(1 - d1, s / (s + Fraction(1, 2)))
-        eps = cap * shrink / 4
+        cap = min(1 - d1, s / (s + Fraction(1, 2))) * shrink / 4
+        eps = simplest_in(cap / 2, cap)
         y = 1 - eps
         t = y / d1 - 1
         x = db * (1 + t)
@@ -340,7 +376,8 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
         return InflationPlan(g, 1, d, (seed, InflateNode(b.coeffs, "B", t)))
 
     if n % 2 == 0:
-        eps = min(d[n], region_slack(NormalizedVector(1, d))) * shrink / 4
+        cap = min(d[n], region_slack(NormalizedVector(1, d))) * shrink / 4
+        eps = simplest_in(cap / 2, cap)
         t = d[n] - eps
         sub = list(d[:-1])
         sub[0] = d[0] - t
@@ -355,7 +392,8 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
 
     # odd n = 2k - 1 >= 3
     k = (n + 1) // 2
-    t = Fraction(3, 4) * shrink * d[n] / (1 - d[n])
+    cap = Fraction(3, 4) * shrink * d[n] / (1 - d[n])
+    t = simplest_in(cap / 2, cap)
     eps = (1 + t) * d[n] - t
     sub = [(1 + t) * d[0] - (k - 1) * t, (1 + t) * d[1]]
     for j in range(2, n):
@@ -412,7 +450,7 @@ def _zigzag_substeps(state, z_diag, z_down, total):
     end = attempt(n)
     while end is None:
         n *= 2
-        if n > 2**20:
+        if n > MAX_SUBSTEPS:
             raise PlanError("zig-zag substep search exhausted")
         end = attempt(n)
     lo, hi = max(1, n // 2), n

@@ -246,3 +246,34 @@ def test_cli_inflate_region_rejection(capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "region" in err
+
+
+def _shorten_class(doc):
+    doc["nodes"][1]["class"].pop()
+
+
+def _set_g_zero(doc):
+    doc["g"] = 0
+
+
+def _disagreeing_n(doc):
+    doc["n"] = 3
+
+
+def _non_integer_coefficient(doc):
+    doc["nodes"][1]["class"][2] = 0.5
+
+
+@pytest.mark.parametrize(
+    "mutate", [_shorten_class, _set_g_zero, _disagreeing_n, _non_integer_coefficient]
+)
+def test_cli_check_malformed_plan_exits_2(mutate, tmp_path, capsys):
+    rc = main(["inflate", "--n", "2", "--g", "1", "--target", "3/4,1/3,1/5"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    mutate(doc)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("input error: ")
