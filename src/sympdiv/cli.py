@@ -40,6 +40,8 @@ def _load_json(path: str):
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{path} is nested too deeply to parse") from exc
 
 
 def _fraction_option(option: str, value: str) -> Fraction:

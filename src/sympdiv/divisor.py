@@ -9,6 +9,7 @@ components are embedded surfaces.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,19 +141,17 @@ def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
                 problems.append(f"edge references unknown component {cid!r}")
                 return problems
 
-    comps = list(config.components)
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            p = pair(comps[i].cls, comps[j].cls)
-            m = config.edge_multiplicity(comps[i].id, comps[j].id)
+    # keyed like edge_multiplicity: stored edges against the sorted id pair
+    counts = Counter(config.edges)
+    comps = config.components
+    for i, ci in enumerate(comps):
+        for cj in comps[i + 1:]:
+            p = pair(ci.cls, cj.cls)
+            m = counts[tuple(sorted((ci.id, cj.id)))]
             if p < 0:
-                problems.append(
-                    f"components {comps[i].id},{comps[j].id}: negative pairing {p}"
-                )
+                problems.append(f"components {ci.id},{cj.id}: negative pairing {p}")
             elif m != p:
-                problems.append(
-                    f"components {comps[i].id},{comps[j].id}: {m} edges but pairing {p}"
-                )
+                problems.append(f"components {ci.id},{cj.id}: {m} edges but pairing {p}")
     return problems
 
 

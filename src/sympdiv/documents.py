@@ -35,6 +35,12 @@ class DocumentError(ValueError):
 # -- primitives ---------------------------------------------------------------
 
 
+def _doc_int(v, where: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise DocumentError(f"{where}: expected an integer, got {v!r}")
+    return v
+
+
 def parse_fraction(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
@@ -86,15 +92,15 @@ def doc_to_ambient(doc) -> AmbientLattice:
         if kind == KIND_S2S2:
             return AmbientLattice.product_of_spheres()
         if kind == KIND_RATIONAL:
-            n = int(doc["n"])
+            n = _doc_int(doc["n"], "n")
             names = tuple(doc["names"]) if "names" in doc else None
             return AmbientLattice.rational_blowup(n, names)
         if kind == KIND_RULED:
-            n = int(doc["n"])
+            n = _doc_int(doc["n"], "n")
             names = tuple(doc["names"]) if "names" in doc else None
-            return AmbientLattice.ruled_trivial(int(doc["g"]), n, names)
+            return AmbientLattice.ruled_trivial(_doc_int(doc["g"], "g"), n, names)
         if kind == KIND_TWISTED:
-            return AmbientLattice.ruled_twisted(int(doc["g"]))
+            return AmbientLattice.ruled_twisted(_doc_int(doc["g"], "g"))
     except (KeyError, TypeError, ValueError, LatticeError) as exc:
         raise DocumentError(f"ambient: {exc}") from exc
     raise DocumentError(f"ambient: unknown kind {kind!r}")
@@ -114,9 +120,7 @@ def doc_to_class(doc, amb: AmbientLattice, where: str) -> HomologyClass:
     for name, c in doc.items():
         if name not in amb.names:
             raise DocumentError(f"{where}: unknown generator {name!r}")
-        if not isinstance(c, int):
-            raise DocumentError(f"{where}: coefficient of {name} must be an integer")
-        vec[amb.index_of(name)] = c
+        vec[amb.index_of(name)] = _doc_int(c, f"{where}: coefficient of {name}")
     return amb.from_coeffs(vec)
 
 
@@ -148,7 +152,7 @@ def parse_config(doc) -> tuple[DivisorConfig, AreaVector | None]:
             raise DocumentError(f"components[{i}]: need 'id' and 'class'")
         cls = doc_to_class(c["class"], amb, f"components[{i}]")
         if "genus" in c:
-            comps.append((c["id"], cls, int(c["genus"])))
+            comps.append((c["id"], cls, _doc_int(c["genus"], f"components[{i}].genus")))
         else:
             comps.append((c["id"], cls))
     edges = []
@@ -359,12 +363,6 @@ def plan_to_doc(plan: InflationPlan) -> dict:
     }
 
 
-def _plan_int(v, where: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise DocumentError(f"{where}: expected an integer, got {v!r}")
-    return v
-
-
 def _plan_list(v, length: int, where: str) -> list:
     if not isinstance(v, list) or len(v) != length:
         raise DocumentError(f"{where}: expected a list of {length} entries, got {v!r}")
@@ -375,14 +373,14 @@ def doc_to_plan(doc) -> InflationPlan:
     if not isinstance(doc, dict) or doc.get("schema") != PLAN_SCHEMA:
         raise DocumentError("not an inflation plan document")
     try:
-        g = _plan_int(doc["g"], "g")
-        n = _plan_int(doc["n"], "n")
+        g = _doc_int(doc["g"], "g")
+        n = _doc_int(doc["n"], "n")
         if g < 1 or n < 0:
             raise DocumentError(f"a plan needs g >= 1 and n >= 0, got g = {g}, n = {n}")
         target = tuple(parse_fraction(v) for v in _plan_list(doc["target"], n + 1, "target"))
 
         def cls(v, where):
-            return tuple(_plan_int(c, where) for c in _plan_list(v, n + 2, where))
+            return tuple(_doc_int(c, where) for c in _plan_list(v, n + 2, where))
 
         nodes = []
         for i, nd in enumerate(doc["nodes"]):
@@ -415,7 +413,7 @@ def doc_to_plan(doc) -> InflationPlan:
                         cls(nd["down"], f"{where}.down"),
                         nd.get("label", ""),
                         parse_fraction(nd["total"]),
-                        _plan_int(nd["substeps"], f"{where}.substeps"),
+                        _doc_int(nd["substeps"], f"{where}.substeps"),
                     )
                 )
             else:

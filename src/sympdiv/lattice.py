@@ -9,6 +9,15 @@ intersection form and canonical class:
   ruled_trivial(g, n)   (B, F, E1..En)   B.F = 1, Ei.Ei = -1, K = -2B + (2g-2)F + sum(Ei)
   ruled_twisted(g)      (B1, F)          B1.B1 = B1.F = 1, K = -2B1 + (2g-1)F
 
+Each form is a head block on the first `exc_start` generators and -1 on
+every exceptional generator after them, and each K is a head and +1 on every
+exceptional generator.  So pair(x, y) = h(x, y) - x.y, with x.y the dot
+product of the whole vectors and h the head block plus the identity:
+2 x0 y0 (CP2, CP2#n), (x0+x1)(y0+y1) (S2xS2, ruled_trivial) and
+(x0+x1)(y0+y1) + x0 y0 (ruled_twisted).  `_FORMS` holds h and the head of K
+for each kind; the canonical class is built once per ambient instance and
+cached on it.
+
 Generator names are data: blowdowns may drop a middle generator and the
 surviving names keep their identity (E7 stays E7 after E5 is gone).
 All arithmetic is exact: integers for classes, Fractions for areas.  An
@@ -41,11 +50,38 @@ RULED_KINDS = (KIND_RULED, KIND_TWISTED)
 RATIONAL_KINDS = (KIND_PP, KIND_S2S2, KIND_RATIONAL)
 
 
+def _h_plane(x, y):
+    return 2 * x[0] * y[0]
+
+
+def _h_hyperbolic(x, y):
+    return (x[0] + x[1]) * (y[0] + y[1])
+
+
+def _h_twisted(x, y):
+    return (x[0] + x[1]) * (y[0] + y[1]) + x[0] * y[0]
+
+
+# kind -> (head term h, head of K as a function of g (its length is
+# exc_start), name template for describe)
+_FORMS = {
+    KIND_PP: (_h_plane, lambda g: (-3,), "CP2"),
+    KIND_S2S2: (_h_hyperbolic, lambda g: (-2, -2), "S2xS2"),
+    KIND_RATIONAL: (_h_plane, lambda g: (-3,), "CP2#{n}"),
+    KIND_RULED: (_h_hyperbolic, lambda g: (-2, 2 * g - 2), "(S2xSigma_{g})#{n}"),
+    KIND_TWISTED: (_h_twisted, lambda g: (-2, 2 * g - 1), "S2x~Sigma_{g}"),
+}
+
+
 @dataclass(frozen=True)
 class AmbientLattice:
     kind: str
     g: int
     names: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.kind not in _FORMS:
+            raise LatticeError(f"unknown kind {self.kind}")
 
     # -- constructors ------------------------------------------------------
 
@@ -93,14 +129,16 @@ class AmbientLattice:
     def b2(self) -> int:
         return len(self.names)
 
-    @property
+    @cached_property
     def exc_start(self) -> int:
         """Index of the first exceptional generator (== dim when none)."""
-        if self.kind == KIND_RATIONAL:
-            return 1
-        if self.kind == KIND_RULED:
-            return 2
-        return self.dim
+        return len(_FORMS[self.kind][1](self.g))
+
+    @cached_property
+    def canonical_class(self) -> "HomologyClass":
+        """The canonical class, built on first use and cached on the
+        instance; not a field, so equality, hashing and repr are unaffected."""
+        return self.from_coeffs(_FORMS[self.kind][1](self.g) + (1,) * self.n_exc)
 
     @property
     def exc_indices(self) -> range:
@@ -158,15 +196,7 @@ class AmbientLattice:
         return f"E{top + 1}"
 
     def describe(self) -> str:
-        if self.kind == KIND_PP:
-            return "CP2"
-        if self.kind == KIND_S2S2:
-            return "S2xS2"
-        if self.kind == KIND_RATIONAL:
-            return f"CP2#{self.n_exc}"
-        if self.kind == KIND_RULED:
-            return f"(S2xSigma_{self.g})#{self.n_exc}"
-        return f"S2x~Sigma_{self.g}"
+        return _FORMS[self.kind][2].format(g=self.g, n=self.n_exc)
 
 
 @dataclass(frozen=True)
@@ -216,42 +246,21 @@ class HomologyClass:
 
 
 def _same_ambient(a: HomologyClass, b: HomologyClass) -> None:
-    if a.ambient != b.ambient:
+    if a.ambient is not b.ambient and a.ambient != b.ambient:
         raise LatticeError("ambient mismatch")
 
 
 def pair(a: HomologyClass, b: HomologyClass) -> int:
-    """Intersection pairing under the ambient's fixed bilinear form."""
+    """Intersection pairing under the ambient's fixed bilinear form: the
+    kind's head term minus the dot product of the coefficient vectors."""
     _same_ambient(a, b)
     x, y = a.coeffs, b.coeffs
-    kind = a.ambient.kind
-    if kind == KIND_PP:
-        return x[0] * y[0]
-    if kind == KIND_S2S2:
-        return x[0] * y[1] + x[1] * y[0]
-    if kind == KIND_RATIONAL:
-        return x[0] * y[0] - sum(x[i] * y[i] for i in range(1, len(x)))
-    if kind == KIND_RULED:
-        return x[0] * y[1] + x[1] * y[0] - sum(x[i] * y[i] for i in range(2, len(x)))
-    if kind == KIND_TWISTED:
-        return x[0] * y[0] + x[0] * y[1] + x[1] * y[0]
-    raise LatticeError(f"unknown kind {kind}")
+    return _FORMS[a.ambient.kind][0](x, y) - sum(map(operator.mul, x, y))
 
 
 def canonical(ambient: AmbientLattice) -> HomologyClass:
     """The standard canonical class of the ambient kind."""
-    kind = ambient.kind
-    if kind == KIND_PP:
-        return ambient.from_coeffs((-3,))
-    if kind == KIND_S2S2:
-        return ambient.from_coeffs((-2, -2))
-    if kind == KIND_RATIONAL:
-        return ambient.from_coeffs((-3,) + (1,) * ambient.n_exc)
-    if kind == KIND_RULED:
-        return ambient.from_coeffs((-2, 2 * ambient.g - 2) + (1,) * ambient.n_exc)
-    if kind == KIND_TWISTED:
-        return ambient.from_coeffs((-2, 2 * ambient.g - 1))
-    raise LatticeError(f"unknown kind {kind}")
+    return ambient.canonical_class
 
 
 def adjunction_genus(a: HomologyClass) -> int | None:
@@ -307,15 +316,6 @@ class AreaVector:
     @staticmethod
     def from_values(ambient: AmbientLattice, values) -> "AreaVector":
         return AreaVector(ambient, tuple(Fraction(v) for v in values))
-
-    @staticmethod
-    def from_named(ambient: AmbientLattice, named: dict) -> "AreaVector":
-        vec = []
-        for name in ambient.names:
-            if name not in named:
-                raise LatticeError(f"missing area for generator {name}")
-            vec.append(Fraction(named[name]))
-        return AreaVector(ambient, tuple(vec))
 
     @cached_property
     def integer_form(self) -> tuple[tuple[int, ...], int]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -269,3 +271,56 @@ def test_certify_transport_through_toric_cusp_edge():
         wu = area_after_blowup(cfg, up, w, min(w.areas) / 9)
         cert1 = certify_affine_ruled(up, wu)
         assert all_passed(cert1.all_checks())
+
+
+def _resolution_length(p, q):
+    """Blowups resolving a (p, q)-cusp: the subtractive Euclid steps to (1, 1)."""
+    steps = 1
+    while p != q:
+        p, q = abs(p - q), min(p, q)
+        steps += 1
+    return steps
+
+
+def _golden_chains():
+    """Up to three distinct admissible sequences for each resolution length
+    1..15, drawn from a fixed seed."""
+    rng = random.Random(5)
+    chains = {n: [] for n in range(1, 16)}
+    for _ in range(2000):
+        a = sample_admissible(rng)
+        adm = admissible_check(a)
+        found = chains.get(_resolution_length(adm.p, adm.q))
+        if found is not None and len(found) < 3 and a not in found:
+            found.append(a)
+    assert all(chains.values())
+    return [a for n in sorted(chains) for a in chains[n]]
+
+
+# sha256 over resolve_pattern results on _golden_chains(), pinned so that any
+# change of multiplicities, proper transforms, names or classes shows
+GOLDEN_RESOLUTION_SHA256 = "86a8bce545e751fe4daee205fdc4811e5480542fb0753806b6bd843a6cea6100"
+
+
+def test_resolve_pattern_golden_digest():
+    records = []
+    for a in _golden_chains():
+        cfg, ids = synthetic_chain(a)
+        cusp = cusp_class(cfg, ids, len(a))
+        res = resolve_pattern(cfg, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls)
+        amb = res.config.ambient
+        records.append({
+            "a": list(a),
+            "pq": [res.p, res.q],
+            "multiplicities": list(res.multiplicities),
+            "exc": [list(res.exc_names), list(res.exc_ids)],
+            "a_tilde": [list(res.a_tilde.ambient.names), list(res.a_tilde.coeffs)],
+            "transverse": res.transverse_id,
+            "ambient": [amb.kind, amb.g, list(amb.names)],
+            "components": [[c.id, list(c.cls.ambient.names), list(c.cls.coeffs), c.genus]
+                           for c in res.config.components],
+            "edges": [list(e) for e in res.config.edges],
+            "checks": [[c.name, c.passed] for c in res.checks],
+        })
+    blob = json.dumps(records, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_RESOLUTION_SHA256

@@ -277,3 +277,56 @@ def test_cli_check_malformed_plan_exits_2(mutate, tmp_path, capsys):
     rc = main(["check", str(path)])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("command", ["check", "certify"])
+def test_cli_deeply_nested_document_exits_2(command, tmp_path, capsys):
+    # deeper than the json decoder's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text('{"schema": "sympdiv/plan/v1", "nodes": ' + "[" * 5000 + "]" * 5000 + "}")
+    rc = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("input error: ") and "nested too deeply" in err
+
+
+def _set_genus(value):
+    def mutate(doc):
+        doc["components"][0]["genus"] = value
+    return mutate
+
+
+def _set_first_coefficient(value):
+    def mutate(doc):
+        cls = doc["components"][0]["class"]
+        cls[next(iter(cls))] = value
+    return mutate
+
+
+def _set_ambient(field, value):
+    def mutate(doc):
+        doc["ambient"][field] = value
+    return mutate
+
+
+@pytest.mark.parametrize("fixture,mutate", [
+    ("cp2_13_cusp.json", _set_genus("abc")),
+    ("cp2_13_cusp.json", _set_genus(None)),
+    ("cp2_13_cusp.json", _set_genus(1.5)),
+    ("cp2_13_cusp.json", _set_genus(True)),
+    ("cp2_13_cusp.json", _set_first_coefficient(True)),
+    ("cp2_13_cusp.json", _set_first_coefficient(1.0)),
+    ("cp2_13_cusp.json", _set_ambient("n", 13.5)),
+    ("cp2_13_cusp.json", _set_ambient("n", "13")),
+    ("ruled_comb_genus2.json", _set_ambient("g", 2.7)),
+    ("ruled_comb_genus2.json", _set_ambient("g", True)),
+    ("ruled_comb_genus2.json", _set_ambient("n", 11.0)),
+])
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_cli_non_integer_config_field_exits_2(fixture, mutate, command, tmp_path, capsys):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    mutate(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("input error: ") and "expected an integer" in err
