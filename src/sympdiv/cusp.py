@@ -759,13 +759,7 @@ def _transport_to_original(config, traces, cusp) -> OriginalTransport:
     notes = []
     for st in reversed(steps):
         bd = st.blowdown
-        pre_amb = bd.pre_config.ambient
-        if bd.bridge is not None:
-            lifted = bd.bridge.backward(a_cur)
-        else:
-            idx = bd.dropped_index
-            coeffs = a_cur.coeffs[:idx] + (0,) + a_cur.coeffs[idx:]
-            lifted = bd.transform.apply_inverse(pre_amb.from_coeffs(coeffs))
+        lifted = bd.contraction.section(a_cur)
         move = bd.move
         if (
             isinstance(move, ToricBlowup)

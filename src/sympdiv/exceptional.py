@@ -309,8 +309,9 @@ def d_good(
 
 
 def normalize_to_basis(e: HomologyClass, step_bound: int = 400) -> tuple[LatticeMap, int]:
-    """A composition of canonical-class-preserving reflections taking the
+    """A word of canonical-class-preserving reflections taking the
     exceptional class e to a basis generator; returns (map, generator index).
+    Each Cremona or ruled step appends one reflection to the word.
 
     Rational ambients use reflections in H - Ei - Ej - Ek (needs n >= 3 unless
     e is already a generator); trivial ruled ambients use F - Ei - Ej."""
@@ -369,8 +370,11 @@ def normalize_to_basis(e: HomologyClass, step_bound: int = 400) -> tuple[Lattice
 
 
 def _generator_index(e: HomologyClass) -> int | None:
-    amb = e.ambient
-    for i in amb.exc_indices:
-        if all(c == (1 if j == i else 0) for j, c in enumerate(e.coeffs)):
-            return i
-    return None
+    """Index of the exceptional generator e is, if any: a single 1 at or
+    after exc_start and zeros elsewhere."""
+    v = e.coeffs
+    try:
+        i = v.index(1, e.ambient.exc_start)
+    except ValueError:
+        return None
+    return i if v.count(0) == len(v) - 1 else None

@@ -25,6 +25,13 @@ area vector also keeps an integer form, its areas as numerators over the
 lcm of their denominators, computed once on first use; areas of classes,
 the square of the area vector and areas pulled back along lattice maps are
 integer dot products on it, with a single division at the end.
+
+Lattice self-maps are words of reflections r_c(x) = x + (x.c) c in classes
+of square -2, applied in order; r_c is an involution, so a word's inverse is
+the reversed word, composition is concatenation and the identity is the
+empty word.  Applying a word of length k costs O(n k).  Areas move along a
+map T as w o T^-1, pulled back one reflection at a time in word order by
+w o r_c = w + w(c) q_c, where q_c is the pairing row of c (q_c . x = x.c).
 """
 
 from __future__ import annotations
@@ -82,6 +89,9 @@ class AmbientLattice:
     def __post_init__(self):
         if self.kind not in _FORMS:
             raise LatticeError(f"unknown kind {self.kind}")
+        if len(set(self.names)) != len(self.names):
+            name = next(n for i, n in enumerate(self.names) if n in self.names[:i])
+            raise LatticeError(f"repeated generator name {name!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -367,58 +377,54 @@ def area(a: HomologyClass, w: AreaVector) -> Fraction:
 
 @dataclass(frozen=True)
 class LatticeMap:
-    """Unimodular self-map of an ambient, stored with its inverse."""
+    """Self-map of an ambient as a word of reflections: x -> x + (x.c) c for
+    each class c of the word in turn (each c.c = -2).  Every reflection is an
+    involution, so the inverse is the reversed word; the identity is the
+    empty word."""
 
     ambient: AmbientLattice
-    rows: tuple[tuple[int, ...], ...]
-    inv: tuple[tuple[int, ...], ...]
+    word: tuple[HomologyClass, ...] = ()
 
     @staticmethod
     def identity(ambient: AmbientLattice) -> "LatticeMap":
-        n = ambient.dim
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return LatticeMap(ambient, rows, rows)
+        return LatticeMap(ambient)
 
     @staticmethod
     def reflection(c: HomologyClass) -> "LatticeMap":
         """x -> x + (x.c) c; an involution exactly when c.c = -2."""
         if pair(c, c) != -2:
             raise LatticeError("reflection class must have square -2")
-        amb = c.ambient
-        n = amb.dim
-        qc = tuple(pair(c, amb.from_coeffs(tuple(1 if j == k else 0 for j in range(n))))
-                   for k in range(n))
-        rows = tuple(
-            tuple((1 if i == j else 0) + c.coeffs[i] * qc[j] for j in range(n))
-            for i in range(n)
-        )
-        return LatticeMap(amb, rows, rows)
+        return LatticeMap(c.ambient, (c,))
 
     @staticmethod
     def swap(ambient: AmbientLattice, i: int, j: int) -> "LatticeMap":
-        n = ambient.dim
-        perm = list(range(n))
-        perm[i], perm[j] = perm[j], perm[i]
-        rows = tuple(tuple(1 if perm[r] == cidx else 0 for cidx in range(n)) for r in range(n))
-        return LatticeMap(ambient, rows, rows)
+        """Exchange two exceptional generators: the reflection in Ei - Ej."""
+        if i == j or not {i, j} <= set(ambient.exc_indices):
+            raise LatticeError(f"swap needs two distinct exceptional generators, got {i}, {j}")
+        units = [ambient.basis_class(ambient.names[k]) for k in (i, j)]
+        return LatticeMap.reflection(units[0] - units[1])
 
     def then(self, second: "LatticeMap") -> "LatticeMap":
         """Composite applying self first, then second."""
-        rows = _matmul(second.rows, self.rows)
-        inv = _matmul(self.inv, second.inv)
-        return LatticeMap(self.ambient, rows, inv)
+        return LatticeMap(self.ambient, self.word + second.word)
 
     def apply(self, x: HomologyClass) -> HomologyClass:
-        return x.ambient.from_coeffs(_matvec(self.rows, x.coeffs))
+        return _reflect(self.word, x)
 
     def apply_inverse(self, x: HomologyClass) -> HomologyClass:
-        return x.ambient.from_coeffs(_matvec(self.inv, x.coeffs))
+        return _reflect(reversed(self.word), x)
 
     def transport_area(self, w: AreaVector) -> AreaVector:
-        """Area vector w' with w'(T x) = w(x) for all classes x."""
+        """Area vector w' with w'(T x) = w(x) for all classes x, that is
+        w o T^-1: pulled back along one reflection at a time, in word order,
+        by w o r_c = w + w(c) (pairing row of c) on the integer form."""
         if w.ambient != self.ambient:
             raise LatticeError("ambient mismatch")
-        return w.pull_back(self.ambient, self.inv)
+        nums, den = w.integer_form
+        for c in self.word:
+            wc = sum(map(operator.mul, c.coeffs, nums))
+            nums = tuple(a + wc * b for a, b in zip(nums, _pairing_row(c)))
+        return AreaVector(self.ambient, tuple(Fraction(v, den) for v in nums))
 
     def preserves_form(self) -> bool:
         amb = self.ambient
@@ -431,6 +437,21 @@ class LatticeMap:
         return True
 
 
+def _reflect(word, x: HomologyClass) -> HomologyClass:
+    """Fold the reflections of `word` over x, in the order given."""
+    for c in word:
+        x = x + pair(x, c) * c
+    return x
+
+
+def _pairing_row(c: HomologyClass) -> tuple[int, ...]:
+    """The row r with pair(x, c) = r . x: the head term of c against each
+    head generator (h vanishes on the exceptional ones), minus c."""
+    h = _FORMS[c.ambient.kind][0]
+    head = tuple(h(c.coeffs, unit) for unit in ((1, 0), (0, 1))[: c.ambient.exc_start])
+    return tuple(a - b for a, b in zip(head + (0,) * c.ambient.n_exc, c.coeffs))
+
+
 def embed_by_names(cls: HomologyClass, ambient: AmbientLattice) -> HomologyClass:
     """Re-express a class in another ambient by matching generator names;
     every nonzero coefficient must have a home."""
@@ -441,17 +462,3 @@ def embed_by_names(cls: HomologyClass, ambient: AmbientLattice) -> HomologyClass
         if c != 0 and name not in ambient.names:
             raise LatticeError(f"coefficient on {name} has no home in the target basis")
     return ambient.from_coeffs(vec)
-
-
-def _matmul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def _matvec(rows, vec):
-    return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in rows)

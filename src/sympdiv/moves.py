@@ -10,15 +10,23 @@ exceptional generator:
   non-toric  ball centered on one component, sphere not added
   half-toric ball centered on one component, sphere added with one edge
 
-Blowdown inverts these.  A general exceptional class is first normalized
-to a basis generator by reflections (exceptional.normalize_to_basis) and
-the generator slot is dropped.  Two terminal cases change the basis kind
-outright: contracting H-E1-E2 in CP2#2 lands in S2xS2, and contracting
-F-E1 over an irrational base lands in the twisted bundle.
+Blowdown inverts these.  Its lattice side is one `Contraction` record:
+the pre and post ambients, `forward` on classes orthogonal to the
+contracted class e, its `section` back, and `pull_back` of areas along the
+section.  A general exceptional class is normalized to a basis generator by
+a word of reflections (exceptional.normalize_to_basis) and that generator's
+slot is dropped: forward applies the word and drops the slot, section puts
+a zero back in the slot and applies the reversed word.  Two terminal cases
+change the basis kind outright and carry explicit 3x2 coordinates and an
+empty word instead: contracting H-E1-E2 in CP2#2 lands in S2xS2, and
+contracting F-E1 over an irrational base lands in the twisted bundle.
+Replaying a blowdown applies the blowup move to the sections of the
+post classes, with e as the new sphere.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -219,23 +227,48 @@ def area_after_blowup(
 
 
 @dataclass(frozen=True)
-class BasisBridge:
-    """Explicit coordinates for the two kind-changing terminal contractions."""
+class Contraction:
+    """The lattice side of one blowdown, from pre to post.
+
+    On the drop path `word` normalizes the contracted class to the generator
+    at `slot`, which is then dropped.  On a kind-changing bridge the word is
+    empty, `slot` is None and `fwd`/`back` give explicit coordinates."""
 
     pre: AmbientLattice
     post: AmbientLattice
-    fwd: tuple[tuple[int, ...], ...]  # post coords of an e-orthogonal pre class
-    back: tuple[tuple[int, ...], ...]  # pre coords of a post basis expression
+    word: LatticeMap
+    slot: int | None
+    fwd: tuple[tuple[int, ...], ...] = ()  # post coords of an e-orthogonal pre class
+    back: tuple[tuple[int, ...], ...] = ()  # pre coords of a post class
 
     def forward(self, x: HomologyClass) -> HomologyClass:
-        return self.post.from_coeffs(
-            tuple(sum(r[j] * x.coeffs[j] for j in range(len(x.coeffs))) for r in self.fwd)
-        )
+        """Image of a pre class orthogonal to the contracted class."""
+        v = self.word.apply(x).coeffs
+        if self.slot is None:
+            return self.post.from_coeffs(_matvec(self.fwd, v))
+        if v[self.slot] != 0:
+            raise MoveError(f"{x} still meets the contracted generator")
+        return HomologyClass(self.post, v[: self.slot] + v[self.slot + 1 :])
 
-    def backward(self, y: HomologyClass) -> HomologyClass:
-        return self.pre.from_coeffs(
-            tuple(sum(r[j] * y.coeffs[j] for j in range(len(y.coeffs))) for r in self.back)
-        )
+    def section(self, y: HomologyClass) -> HomologyClass:
+        """The pre class orthogonal to the contracted class mapping to y."""
+        v = y.coeffs
+        if self.slot is None:
+            v = _matvec(self.back, v)
+        else:
+            v = v[: self.slot] + (0,) + v[self.slot :]
+        return self.word.apply_inverse(HomologyClass(self.pre, v))
+
+    def pull_back(self, w: AreaVector) -> AreaVector:
+        """Areas on post giving y the area w gives section(y)."""
+        tw = self.word.transport_area(w)
+        if self.slot is None:
+            return tw.pull_back(self.post, self.back)
+        return AreaVector(self.post, tw.areas[: self.slot] + tw.areas[self.slot + 1 :])
+
+
+def _matvec(rows, vec):
+    return tuple(sum(map(operator.mul, r, vec)) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -245,10 +278,7 @@ class BlowdownStep:
     kind: str
     move: BlowupMove
     target: HomologyClass  # the contracted class, in pre coordinates
-    transform: LatticeMap | None  # normalization self-map (None on bridge path)
-    dropped_index: int | None
-    dropped_name: str | None
-    bridge: BasisBridge | None
+    contraction: Contraction
     removed_component: str | None
     new_area: AreaVector | None
 
@@ -300,20 +330,27 @@ def _drop_ambient(ambient: AmbientLattice, idx: int) -> AmbientLattice:
     raise MoveError("cannot drop a generator from this ambient kind")
 
 
-def _bridge_for(e: HomologyClass) -> BasisBridge:
+def _contraction_for(e: HomologyClass) -> Contraction:
+    """Normalize e to a generator and drop it; where no normalization exists,
+    one of the two kind-changing bridges."""
     amb = e.ambient
+    try:
+        t, idx = normalize_to_basis(e)
+        return Contraction(amb, _drop_ambient(amb, idx), t, idx)
+    except NormalizeError:
+        pass
     if amb.kind == KIND_RATIONAL and amb.n_exc == 2 and e.coeffs == (1, -1, -1):
         post = AmbientLattice.product_of_spheres()
         # f1 = H - E_second, f2 = H - E_first
         fwd = ((1, 1, 0), (1, 0, 1))
         back = ((1, 1), (0, -1), (-1, 0))
-        return BasisBridge(amb, post, fwd, back)
+        return Contraction(amb, post, LatticeMap.identity(amb), None, fwd, back)
     if amb.kind == KIND_RULED and amb.n_exc == 1 and e.coeffs == (0, 1, -1):
         post = AmbientLattice.ruled_twisted(amb.g)
         # B1 = B + F - E1, F = F; coords are (x.F, x.B1 - x.F)
         fwd = ((1, 0, 0), (0, 1, 1))
         back = ((1, 0), (1, 1), (-1, 0))
-        return BasisBridge(amb, post, fwd, back)
+        return Contraction(amb, post, LatticeMap.identity(amb), None, fwd, back)
     raise NormalizeError(f"no contraction available for {e} in {amb.describe()}")
 
 
@@ -343,80 +380,30 @@ def blowdown(
         if pair(cls, e) != 0:
             raise MoveError(f"component {cid} not orthogonal after adjustment")
 
-    try:
-        t, idx = normalize_to_basis(e)
-        post_amb = _drop_ambient(config.ambient, idx)
-        post_classes = {}
-        for cid, cls in classes.items():
-            img = t.apply(cls)
-            if img.coeffs[idx] != 0:
-                raise MoveError(f"component {cid} still meets the contracted generator")
-            post_classes[cid] = post_amb.from_coeffs(img.coeffs[:idx] + img.coeffs[idx + 1 :])
-        new_area = None
-        if w is not None:
-            tw = t.transport_area(w)
-            new_area = AreaVector(post_amb, tw.areas[:idx] + tw.areas[idx + 1 :])
-        out = DivisorConfig.build(post_amb, list(post_classes.items()), edges)
-        require_valid(out)
-        return BlowdownStep(
-            pre_config=config,
-            config=out,
-            kind=kind,
-            move=move,
-            target=e,
-            transform=t,
-            dropped_index=idx,
-            dropped_name=config.ambient.names[idx],
-            bridge=None,
-            removed_component=removed,
-            new_area=new_area,
-        )
-    except NormalizeError:
-        bridge = _bridge_for(e)
-        post_classes = {cid: bridge.forward(cls) for cid, cls in classes.items()}
+    con = _contraction_for(e)
+    post_classes = {cid: con.forward(cls) for cid, cls in classes.items()}
+    if con.slot is None:
         items = sorted(classes)
         for i, ca in enumerate(items):
             for cb in items[i:]:
                 if pair(post_classes[ca], post_classes[cb]) != pair(classes[ca], classes[cb]):
                     raise MoveError("basis bridge failed to preserve the form")
-        new_area = w.pull_back(bridge.post, bridge.back) if w is not None else None
-        out = DivisorConfig.build(bridge.post, list(post_classes.items()), edges)
-        require_valid(out)
-        return BlowdownStep(
-            pre_config=config,
-            config=out,
-            kind=kind,
-            move=move,
-            target=e,
-            transform=None,
-            dropped_index=None,
-            dropped_name=None,
-            bridge=bridge,
-            removed_component=removed,
-            new_area=new_area,
-        )
+    new_area = con.pull_back(w) if w is not None else None
+    out = DivisorConfig.build(con.post, list(post_classes.items()), edges)
+    require_valid(out)
+    return BlowdownStep(config, out, kind, move, e, con, removed, new_area)
 
 
 def replay_blowdown(step: BlowdownStep) -> DivisorConfig:
     """Reconstruct the pre-configuration by blowing the step back up.  Used
-    to certify reduction traces: the result must equal step.pre_config."""
-    pre_amb = step.pre_config.ambient
+    to certify reduction traces: the result must equal step.pre_config.
+
+    The move is linear in the classes, so it is applied on the sections of
+    the post classes with the contracted class itself as the new sphere."""
+    con = step.contraction
+    classes = {c.id: con.section(c.cls) for c in step.config.components}
     new_id = step.removed_component or "replayed"
-    if step.bridge is None:
-        idx = step.dropped_index
-        classes = {
-            c.id: _embed(c.cls, pre_amb, idx) for c in step.config.components
-        }
-        normalized_e = pre_amb.basis_class(pre_amb.names[idx])
-        edges = list(step.config.edges)
-        cfg = _apply_move(pre_amb, classes, edges, step.move, normalized_e, new_id)
-        t = step.transform
-        comps = [(c.id, t.apply_inverse(c.cls)) for c in cfg.components]
-        out = DivisorConfig.build(pre_amb, comps, cfg.edges)
-    else:
-        classes = {c.id: step.bridge.backward(c.cls) for c in step.config.components}
-        edges = list(step.config.edges)
-        out = _apply_move(pre_amb, classes, edges, step.move, step.target, new_id)
+    out = _apply_move(con.pre, classes, list(step.config.edges), step.move, step.target, new_id)
     require_valid(out)
     return out
 

@@ -30,6 +30,7 @@ from .divisor import (
 )
 from .exceptional import (
     DEFAULT_COEFF_BOUND,
+    ExceptionalSet,
     NormalizeError,
     enumerate_exceptional,
     minimal_area,
@@ -149,7 +150,7 @@ def quasi_minimal_reduce(
         mins = minimal_area(es)
         d = total_class(cur)
         if any(pair(m, d) >= 2 for m in mins):
-            info = classify_kind(cur, curw, coeff_bound)
+            info = classify_kind(cur, es)
             terminal = (
                 "QuasiMinimalFirstKind" if info.kind == "first" else "QuasiMinimalSecondKind"
             )
@@ -178,21 +179,17 @@ class KindInfo:
     carrier: str | None
 
 
-def classify_kind(
-    config: DivisorConfig,
-    w: AreaVector,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-) -> KindInfo:
+def classify_kind(config: DivisorConfig, es: ExceptionalSet) -> KindInfo:
     """Certify -[D]-K as the unique minimal-area exceptional class meeting
-    [D] twice, and split by whether a component carries it."""
-    amb = config.ambient
+    [D] twice, and split by whether a component carries it.  es is the
+    enumeration of config's ambient at its areas under the default area
+    bound, which the caller has already made."""
     d = total_class(config)
-    cand = -(d + canonical(amb))
+    cand = -(d + canonical(config.ambient))
     if not is_exceptional_class(cand):
         raise ClassifyError(f"-[D]-K = {cand} is not an exceptional class")
-    if area(cand, w) <= 0:
+    if area(cand, es.w) <= 0:
         raise ClassifyError(f"-[D]-K = {cand} has non-positive area")
-    es = enumerate_exceptional(amb, w, coeff_bound=coeff_bound)
     mins = minimal_area(es)
     if mins != [cand]:
         raise ClassifyError(
@@ -226,7 +223,7 @@ def partially_minimal_reduce(
     enumeration would keep contracting through basis changes past every
     terminal the chain construction needs, and basis moves suffice for the
     reduction to reach an admissible subchain."""
-    info = classify_kind(config, w, coeff_bound)
+    info = classify_kind(config, enumerate_exceptional(config.ambient, w, coeff_bound=coeff_bound))
     if info.kind != "first":
         raise ReductionError("partially minimal reduction expects a first-kind pair")
     steps: list[TraceStep] = []
@@ -235,9 +232,12 @@ def partially_minimal_reduce(
         if cur.ambient.b2 <= 2:
             terminal = "SmallB2"
             break
-        info = classify_kind(cur, curw, coeff_bound)
-        if info.kind != "first":
-            raise ReductionError("pair left the first-kind regime during reduction")
+        if steps:  # every pass after the first follows one blowdown
+            info = classify_kind(
+                cur, enumerate_exceptional(cur.ambient, curw, coeff_bound=coeff_bound)
+            )
+            if info.kind != "first":
+                raise ReductionError("pair left the first-kind regime during reduction")
         emin = info.e_min
         d = total_class(cur)
 
@@ -353,7 +353,7 @@ def second_kind_reduce(
     steps: list[TraceStep] = []
     if config.ambient.b2 <= 2:
         return config, w, ReductionTrace("second_kind", (), "SmallB2")
-    info = classify_kind(config, w, coeff_bound)
+    info = classify_kind(config, enumerate_exceptional(config.ambient, w, coeff_bound=coeff_bound))
     if info.kind != "second":
         raise ReductionError("second-kind reduction expects a second-kind pair")
     cur, curw = config, w

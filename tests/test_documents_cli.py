@@ -126,6 +126,16 @@ GOLDEN_CERTIFY_SHA256 = [
      "f130f63d7f15ac306f7286291e1f0cf61affbdcafc3524480d766efff56ab769"),
     (("ruled_comb_genus2.json",),
      "3c6ec0a5740abcfa6761e892663ddeb9a9ec27a86743adf1094baf82d9c1c178"),
+    # second-kind trident: its greedy reduction tries classes that need a
+    # nontrivial reflection word
+    (("trident_cp2_4.json",),
+     "d2d294ad3f6386b0676da1ffb8eee70c6b45d39de9cad8fa6c5c5e8074077683"),
+    # the last blowdown of the trace is the CP2#2 -> S2xS2 bridge
+    (("product_spheres_5.json",),
+     "444013cb97914d02ae61658177616c513b370fe4968c55ed10cb448fc3e33448"),
+    # the first blowdown contracts 2H-E1-...-E5 through a word of length 2
+    (("conic_cremona_cp2_6.json",),
+     "3fc6a14c6a451257d10a5caae6bf76dec966ec096c9fc9cf75468d3249e0e3d9"),
 ]
 
 
@@ -330,3 +340,20 @@ def test_cli_non_integer_config_field_exits_2(fixture, mutate, command, tmp_path
     rc = main([command, str(path)])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("input error: ") and "expected an integer" in err
+
+
+@pytest.mark.parametrize("names", [["E1", "E1"], ["H", "E2"]])
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_cli_repeated_generator_name_exits_2(names, command, tmp_path, capsys):
+    doc = {
+        "schema": "sympdiv/config/v1",
+        "ambient": {"kind": "rational_blowup", "n": 2, "names": names},
+        "components": [{"id": "A", "class": {"H": 1}}],
+        "edges": [],
+        "areas": {"H": "1", names[1]: "1/4"},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("input error: ") and "repeated generator name" in err

@@ -166,3 +166,15 @@ def test_class_formatting():
     rb = AmbientLattice.rational_blowup(2)
     assert str(rb.cls(H=3, E1=-1, E2=-2)) == "3H-E1-2E2"
     assert str(rb.zero()) == "0"
+
+
+def test_repeated_generator_names_refused():
+    with pytest.raises(LatticeError, match="repeated generator name 'E1'"):
+        AmbientLattice.rational_blowup(2, ("E1", "E1"))
+    # a clash with a head generator
+    with pytest.raises(LatticeError, match="repeated generator name 'H'"):
+        AmbientLattice.rational_blowup(2, ("H", "E2"))
+    for clash in ("B", "F"):
+        with pytest.raises(LatticeError, match="repeated generator name"):
+            AmbientLattice.ruled_trivial(1, 1, (clash,))
+    assert AmbientLattice.rational_blowup(2, ("E2", "E1")).names == ("H", "E2", "E1")

@@ -14,6 +14,7 @@ from conftest import (
 )
 from sympdiv.checks import all_passed
 from sympdiv.divisor import DivisorConfig, total_class, validate
+from sympdiv.exceptional import enumerate_exceptional
 from sympdiv.lattice import AmbientLattice, AreaVector, canonical
 from sympdiv.reduction import (
     ClassifyError,
@@ -74,13 +75,13 @@ def test_input_validation_rejects_bad_hypothesis():
 
 def test_classify_kind():
     cfg, w = first_kind_cp2_8()
-    info = classify_kind(cfg, w)
+    info = classify_kind(cfg, enumerate_exceptional(cfg.ambient, w))
     assert info.kind == "first"
     assert info.e_min == cfg.ambient.cls(E8=1)
     assert info.e_min == -(total_class(cfg) + canonical(cfg.ambient))
 
     cfg2, w2 = second_kind_cp2_4()
-    info2 = classify_kind(cfg2, w2)
+    info2 = classify_kind(cfg2, enumerate_exceptional(cfg2.ambient, w2))
     assert info2.kind == "second" and info2.carrier == "D0"
 
 
@@ -90,7 +91,7 @@ def test_classify_kind_negative_control():
     cfg = DivisorConfig.build(rb, [("A", rb.cls(H=1)), ("B", rb.cls(H=1))], [("A", "B")])
     w = decreasing_areas(rb)
     with pytest.raises(ClassifyError):
-        classify_kind(cfg, w)
+        classify_kind(cfg, enumerate_exceptional(rb, w))
 
 
 def test_partially_minimal_cp2_13():
