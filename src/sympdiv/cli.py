@@ -8,7 +8,8 @@
   sympdiv check FILE             re-verify a certificate or plan document
 
 Exit codes: 0 clean, 1 failed checks, 2 malformed input (a document or an
-option value that cannot be parsed), 3 internal error (a ValueError or
+option value that cannot be parsed, or a search bound under which nothing
+is searched), 3 internal error (a ValueError or
 ZeroDivisionError raised by the program on input it accepted; a defect to
 report, printed as "internal error: ...").
 """
@@ -51,6 +52,15 @@ def _fraction_option(option: str, value: str) -> Fraction:
         raise DocumentError(f"malformed {option} {value!r}: {exc}") from exc
 
 
+def _search_bounds(coeff_bound: int, area_bound: Fraction | None) -> None:
+    """Refuse bounds under which the exceptional-class search finds nothing,
+    so that goodness would pass vacuously or the reduction could not start."""
+    if coeff_bound < 1:
+        raise DocumentError(f"coeff bound must be at least 1, got {coeff_bound}")
+    if area_bound is not None and area_bound <= 0:
+        raise DocumentError(f"area bound must be positive, got {area_bound}")
+
+
 def _emit(doc) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
@@ -80,6 +90,7 @@ def cmd_certify(args) -> int:
     if w is None:
         raise DocumentError("certification needs an 'areas' entry")
     area_bound = _fraction_option("--area-bound", args.area_bound) if args.area_bound else None
+    _search_bounds(args.coeff_bound, area_bound)
     try:
         cert = certify_affine_ruled(
             config, w, coeff_bound=args.coeff_bound, area_bound=area_bound
@@ -154,12 +165,15 @@ def cmd_check(args) -> int:
         if w is None:
             raise DocumentError("certificate input lacks areas")
         bounds = doc.get("bounds") or {}
-        if not isinstance(bounds, dict) or not isinstance(bounds.get("coeff_bound", 0), int):
-            raise DocumentError("bounds: expected an object with an integer coeff_bound")
-        area_bound = (
-            documents.parse_fraction(bounds["area_bound"]) if bounds.get("area_bound") else None
+        if not isinstance(bounds, dict):
+            raise DocumentError("bounds: expected an object")
+        coeff_bound = documents._doc_int(
+            bounds.get("coeff_bound", DEFAULT_COEFF_BOUND), "bounds.coeff_bound"
         )
-        coeff_bound = bounds.get("coeff_bound") or DEFAULT_COEFF_BOUND
+        area_bound = bounds.get("area_bound")
+        if area_bound is not None:
+            area_bound = documents.parse_fraction(area_bound)
+        _search_bounds(coeff_bound, area_bound)
         try:
             cert = certify_affine_ruled(config, w, coeff_bound=coeff_bound, area_bound=area_bound)
         except CertifyError as exc:

@@ -7,9 +7,12 @@ of a sphere chain produces a class A = sum(c_i [D_i]) with A.A = pq and
 A.K = -p-q-1, meeting only the two components at the cusp; resolving at
 that point yields a square-zero class checked against the total transform.
 
-certify_affine_ruled drives the blowdown pipelines to a terminal model,
-builds the cusp data there, resolves, checks goodness of the resolution
-class, and transports everything back to the input coordinates.
+certify_affine_ruled is the one entry point: it reduces a rational pair to
+a terminal model (a ruled comb is its own), takes the route that model
+allows and transports the cusp back to the input.  Every route returns one
+`Route` record, from which the certificate is built once.  Resolution
+blowups record the `Contraction` undoing each; total transforms are read
+off those records, whatever the ambient kind.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .divisor import (
     is_connected,
     validate,
 )
-from .exceptional import DEFAULT_COEFF_BOUND, d_good, enumerate_exceptional
+from .exceptional import DEFAULT_COEFF_BOUND, EnumerationError, d_good, enumerate_exceptional
 from .lattice import (
     KIND_RATIONAL,
     KIND_S2S2,
@@ -33,10 +36,9 @@ from .lattice import (
     HomologyClass,
     area,
     canonical,
-    embed_by_names,
     pair,
 )
-from .moves import HalfToricBlowup, ToricBlowup, blowup
+from .moves import Contraction, HalfToricBlowup, ToricBlowup, blowup, new_sphere_id, undo_blowup
 from .reduction import (
     ReductionError,
     ReductionTrace,
@@ -46,6 +48,7 @@ from .reduction import (
     quasi_minimal_reduce,
     ruled_validate,
     second_kind_reduce,
+    small_b2_reduce,
     verify_trace,
 )
 
@@ -164,9 +167,7 @@ def cusp_class(config: DivisorConfig, chain_ids, k: int) -> CuspData:
     adm = admissible_check(a)
     if not adm.accepted:
         raise CuspError(f"subchain {a} not admissible: {adm.reason}")
-    A = config.ambient.zero()
-    for ci, comp in zip(adm.c, comps[:k]):
-        A = A + ci * comp.cls
+    A = _combination_class(config, dict(zip(order[:k], adm.c)))
 
     checks = [
         Check("A.D_k = p", pair(A, comps[k - 1].cls) == adm.p,
@@ -191,6 +192,14 @@ def cusp_class(config: DivisorConfig, chain_ids, k: int) -> CuspData:
                     comps[k - 1].id, comps[k].id, tuple(checks))
 
 
+def _combination_class(config: DivisorConfig, coeffs: dict) -> HomologyClass:
+    """The class sum(coeffs[id] [D_id]) over components of config."""
+    total = config.ambient.zero()
+    for cid, c in coeffs.items():
+        total = total + c * config.component(cid).cls
+    return total
+
+
 # -- normal crossing resolution ----------------------------------------------------
 
 
@@ -208,6 +217,27 @@ class ResolutionResult:
     transverse_id: str
     checks: tuple[Check, ...]
     pc: dict
+    contractions: tuple[Contraction, ...] = ()  # one per blowup, each undoing it
+
+
+def _resolution_blowup(cur, move, contractions):
+    """One blowup of a resolution: the sphere takes its default id,
+    suffixed with x when a component already has it; the contraction
+    undoing it, on the blown-up ambient, is recorded."""
+    xid = new_sphere_id(cur.ambient)
+    if cur.has_component(xid):
+        xid += "x"
+    out = blowup(cur, move, new_id=xid)
+    contractions.append(undo_blowup(out.ambient, cur.ambient))
+    return out, xid
+
+
+def _total_transform(contractions, x, weights):
+    """The total transform of x through the blowups that `contractions`
+    undo, less weights[i] times the i-th exceptional class."""
+    for con, m in zip(contractions, weights, strict=True):
+        x = con.section(x) - m * con.e
+    return x
 
 
 def resolve_pattern(
@@ -228,7 +258,7 @@ def resolve_pattern(
         tr = da if p == 1 else db
         if tr is None:
             raise CuspError("degenerate cusp needs a designated component")
-        checks = _a_tilde_checks(config, A, tr, ())
+        checks = _a_tilde_checks(config, A, tr)
         _require_all(checks, "degenerate resolution")
         return ResolutionResult(config, da, db, p, q, (), (), (), A, tr, tuple(checks), {})
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
@@ -240,20 +270,12 @@ def resolve_pattern(
     u, v, cp, cq = da, db, p, q
     pc_contact, pc_mu = p, q
     mult: list[int] = []
-    names: list[str] = []
     ids: list[str] = []
+    cons: list[Contraction] = []
     pc: dict[str, int] = {}
     while True:
         mult.append(min(cp, cq))
-        if cur.ambient.kind == KIND_S2S2:
-            name = "H-E1-E2"
-            xid = "e" if not cur.has_component("e") else "e0"
-            cur = blowup(cur, ToricBlowup(u, v), new_id=xid)
-        else:
-            name = cur.ambient.fresh_exc_name()
-            xid = name if not cur.has_component(name) else f"{name}x"
-            cur = blowup(cur, ToricBlowup(u, v), new_id=xid, new_name=name)
-        names.append(name)
+        cur, xid = _resolution_blowup(cur, ToricBlowup(u, v), cons)
         ids.append(xid)
         if pc_contact < pc_mu:
             pc[xid] = pc.get(xid, 0) + (pc_mu - pc_contact)
@@ -268,10 +290,7 @@ def resolve_pattern(
         else:
             break
 
-    amb = cur.ambient
-    a_tilde = _lift(A, amb)
-    for nm, m in zip(names, mult):
-        a_tilde = a_tilde - m * _exc_class(nm, amb)
+    a_tilde = _total_transform(cons, A, mult)
     ws = weight_sequence(p, q)
     checks = [
         Check("multiplicities are the weight sequence", tuple(mult) == ws.weights,
@@ -279,31 +298,15 @@ def resolve_pattern(
         Check("sum m_i^2 = pq", sum(m * m for m in mult) == p * q, ""),
         Check("sum m_i = p+q-1", sum(mult) == p + q - 1, ""),
     ]
-    checks.extend(_a_tilde_checks(cur, a_tilde, ids[-1], names))
+    checks.extend(_a_tilde_checks(cur, a_tilde, ids[-1]))
     _require_all(checks, "resolution")
     return ResolutionResult(
-        cur, da, db, p, q, tuple(mult), tuple(names), tuple(ids),
-        a_tilde, ids[-1], tuple(checks), pc,
+        cur, da, db, p, q, tuple(mult), tuple(str(c.e) for c in cons), tuple(ids),
+        a_tilde, ids[-1], tuple(checks), pc, tuple(cons),
     )
 
 
-def _lift(cls: HomologyClass, amb) -> HomologyClass:
-    """Embed a class into a resolution ambient, converting through the
-    one-point blowup of the product of spheres when needed."""
-    if cls.ambient.kind == KIND_S2S2 and "H" in amb.names:
-        from .moves import product_to_blowup_coords
-
-        return product_to_blowup_coords(cls, amb)
-    return embed_by_names(cls, amb)
-
-
-def _exc_class(label: str, amb) -> HomologyClass:
-    if label == "H-E1-E2":
-        return amb.basis_class("H") - amb.basis_class("E1") - amb.basis_class("E2")
-    return amb.basis_class(label)
-
-
-def _a_tilde_checks(config, a_tilde, transverse_id, new_names) -> list[Check]:
+def _a_tilde_checks(config, a_tilde, transverse_id) -> list[Check]:
     amb = config.ambient
     out = [
         Check("Atilde^2 = 0", pair(a_tilde, a_tilde) == 0, str(pair(a_tilde, a_tilde))),
@@ -340,19 +343,15 @@ def positive_combination(
     q([D_a] - [proper transform of D_a]) - sum(m_i E_i), all non-negative."""
     if not res.multiplicities:
         return {}, Check("positive combination", True, "empty weight sequence, zero class")
-    amb = res.config.ambient
     target = (
-        res.q * (_lift(config_before.component(res.da).cls, amb)
-                 - res.config.component(res.da).cls)
+        _total_transform(res.contractions, res.q * config_before.component(res.da).cls,
+                         res.multiplicities)
+        - res.q * res.config.component(res.da).cls
     )
-    for nm, m in zip(res.exc_names, res.multiplicities):
-        target = target - m * _exc_class(nm, amb)
-    total = amb.zero()
-    for cid, coeff in res.pc.items():
-        if coeff < 0:
-            raise CuspError(f"negative combination coefficient on {cid}")
-        total = total + coeff * res.config.component(cid).cls
-    ok = total == target
+    neg = [cid for cid, coeff in res.pc.items() if coeff < 0]
+    if neg:
+        raise CuspError(f"negative combination coefficient on {neg[0]}")
+    ok = _combination_class(res.config, res.pc) == target
     check = Check("positive combination", ok,
                   f"{ {k: v for k, v in sorted(res.pc.items())} }")
     if not ok:
@@ -375,6 +374,21 @@ class OriginalTransport:
 
 
 @dataclass(frozen=True)
+class Route:
+    """What a route establishes on the terminal model; its notes join the
+    certificate's assumptions."""
+
+    tag: str
+    cusp: CuspData | None
+    resolution: ResolutionResult | None
+    resolution_area: AreaVector | None
+    dgood: tuple[Check, ...]
+    combination: dict | None = None
+    combination_check: Check | None = None
+    notes: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
 class AffineRuledCertificate:
     route: str
     route_tag: str
@@ -384,7 +398,6 @@ class AffineRuledCertificate:
     terminal_config: DivisorConfig
     terminal_area: AreaVector
     cusp: CuspData | None
-    weights: tuple[int, ...]
     resolution: ResolutionResult | None
     resolution_area: AreaVector | None
     dgood: tuple[Check, ...]
@@ -395,6 +408,10 @@ class AffineRuledCertificate:
     input_config: DivisorConfig
     input_area: AreaVector
     bounds: dict
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        return self.resolution.multiplicities if self.resolution else ()
 
     def all_checks(self) -> list[Check]:
         out = [self.hypothesis]
@@ -427,8 +444,8 @@ def certify_affine_ruled(
     coeff_bound: int = DEFAULT_COEFF_BOUND,
     area_bound: Fraction | None = None,
 ) -> AffineRuledCertificate:
-    """Full pipeline: validate, reduce, build cusp data, resolve, check
-    goodness, and transport back to the input coordinates."""
+    """Full pipeline: validate, reduce to a terminal model, take the route
+    it allows, and transport the cusp back to the input coordinates."""
     problems = validate(config, w)
     if problems:
         raise CertifyError("validate", "; ".join(problems))
@@ -436,151 +453,109 @@ def certify_affine_ruled(
     hypothesis = Check("adjoint area negative", hyp_val < 0, str(hyp_val))
     if not hypothesis.passed:
         raise CertifyError("hypothesis", f"area(K + [D]) = {hyp_val} is not negative")
-    bounds = {"coeff_bound": coeff_bound, "area_bound": area_bound}
 
-    if config.ambient.is_ruled:
-        return _certify_ruled(config, w, hypothesis, coeff_bound, area_bound, bounds)
-    if not is_connected(config):
-        raise CertifyError("validate", "rational pipelines need a connected divisor")
-    return _certify_rational(config, w, hypothesis, coeff_bound, area_bound, bounds)
-
-
-def _stage(stage, fn):
-    try:
-        return fn()
-    except CertifyError:
-        raise
-    except (CuspError, ReductionError, ValueError) as exc:
-        raise CertifyError(stage, str(exc)) from exc
-
-
-def _certify_rational(config, w, hypothesis, coeff_bound, area_bound, bounds):
+    ruled = config.ambient.is_ruled
+    if ruled:
+        traces, term, wt = [], config, w
+        route = _comb_route(config, w, coeff_bound, area_bound)
+    else:
+        traces, term, wt, route = _rational_route(config, w, coeff_bound, area_bound)
     assumptions = list(_BASE_ASSUMPTIONS)
-    term, wt, tr1 = _stage("quasi_minimal", lambda: quasi_minimal_reduce(config, w, coeff_bound))
-    traces = [tr1]
-    if any(s.kind in ("half_toric", "exterior") and s.blowdown.removed_component is not None
-           for s in tr1.steps):
+    if traces and any(s.kind in ("half_toric", "exterior") and s.blowdown.removed_component
+                      is not None for s in traces[0].steps):
         assumptions.append(
             "minimal-class components with fewer than two neighbours are "
             "contracted as half-toric or exterior spheres"
         )
-
-    if tr1.terminal == "QuasiMinimalFirstKind":
-        term, wt, tr2 = _stage(
-            "partially_minimal", lambda: partially_minimal_reduce(term, wt, coeff_bound)
-        )
-        traces.append(tr2)
-        if tr2.terminal != "SmallB2":
-            cert = _chain_route(term, wt, "admissible-subchain", coeff_bound, area_bound)
-        else:
-            term, wt = _small_cleanup(term, wt, traces, coeff_bound)
-            cert = _b2_route(term, wt, coeff_bound, area_bound, assumptions)
-    elif tr1.terminal == "QuasiMinimalSecondKind":
-        term, wt, tr3 = _stage("second_kind", lambda: second_kind_reduce(term, wt, coeff_bound))
-        traces.append(tr3)
-        term, wt = _small_cleanup(term, wt, traces, coeff_bound)
-        cert = _b2_route(term, wt, coeff_bound, area_bound, assumptions)
-    else:
-        term, wt = _small_cleanup(term, wt, traces, coeff_bound)
-        cert = _b2_route(term, wt, coeff_bound, area_bound, assumptions)
-
-    route_tag, cusp, weights, res, res_area, dgood, comb, comb_check, extra_notes = cert
-    assumptions.extend(extra_notes)
+    assumptions.extend(route.notes)
 
     trace_checks = []
     cur = config
     for tr in traces:
         trace_checks.extend(verify_trace(tr, cur))
         cur = tr.steps[-1].blowdown.config if tr.steps else cur
-
-    original = _transport_to_original(config, traces, cusp) if cusp else None
+    original = _transport_to_original(config, traces, route.cusp) if route.cusp and not ruled else None
 
     return AffineRuledCertificate(
-        route="rational",
-        route_tag=route_tag,
+        route="ruled" if ruled else "rational",
+        route_tag=route.tag,
         hypothesis=hypothesis,
         traces=tuple(traces),
         trace_checks=tuple(trace_checks),
         terminal_config=term,
         terminal_area=wt,
-        cusp=cusp,
-        weights=weights,
-        resolution=res,
-        resolution_area=res_area,
-        dgood=tuple(dgood),
-        combination=comb,
-        combination_check=comb_check,
+        cusp=route.cusp,
+        resolution=route.resolution,
+        resolution_area=route.resolution_area,
+        dgood=route.dgood,
+        combination=route.combination,
+        combination_check=route.combination_check,
         original=original,
         assumptions=tuple(dict.fromkeys(assumptions)),
         input_config=config,
         input_area=w,
-        bounds=bounds,
+        bounds={"coeff_bound": coeff_bound, "area_bound": area_bound},
     )
 
 
-def _small_cleanup(term, wt, traces, coeff_bound):
-    """A b2 <= 2 terminal outside the model tables (a lone fiber sphere in
-    the one-point blowup) contracts further; keep going until a table case
-    appears or nothing moves."""
-    from .moves import blowdown
-    from .reduction import ReductionTrace, TraceStep
-    from .divisor import check_hypothesis as _hyp
+def _stage(stage, fn):
+    """Run one stage, reporting its domain failures (a cusp, reduction or
+    search-bound failure) as a failed certification at that stage; any other
+    error is a defect and propagates."""
+    try:
+        return fn()
+    except (CuspError, ReductionError, EnumerationError) as exc:
+        raise CertifyError(stage, str(exc)) from exc
 
-    steps = []
-    while term.ambient.b2 > 1 and classify_minimal_model(term) is None:
-        es = enumerate_exceptional(term.ambient, wt, coeff_bound=coeff_bound)
-        performed = None
-        for e in es.classes:
-            try:
-                performed = blowdown(term, e, wt)
-                break
-            except ValueError:
-                continue
-        if performed is None:
-            break
-        steps.append(
-            TraceStep(
-                performed,
-                term.ambient.b2,
-                performed.config.ambient.b2,
-                _hyp(term, wt),
-                _hyp(performed.config, performed.new_area),
-            )
+
+def _rational_route(config, w, coeff_bound, area_bound):
+    """Reduce to a quasi-minimal pair, then to a chain (first kind) or to
+    b2 <= 2; returns the traces, the terminal model and its route."""
+    if not is_connected(config):
+        raise CertifyError("validate", "rational pipelines need a connected divisor")
+    term, wt, tr = _stage("quasi_minimal", lambda: quasi_minimal_reduce(config, w, coeff_bound))
+    traces = [tr]
+    if tr.terminal == "QuasiMinimalFirstKind":
+        term, wt, tr = _stage(
+            "partially_minimal", lambda: partially_minimal_reduce(term, wt, coeff_bound)
         )
-        term, wt = performed.config, performed.new_area
-    if steps:
-        traces.append(ReductionTrace("small_b2", tuple(steps), "SmallB2"))
-    return term, wt
+        traces.append(tr)
+    elif tr.terminal == "QuasiMinimalSecondKind":
+        term, wt, tr = _stage("second_kind", lambda: second_kind_reduce(term, wt, coeff_bound))
+        traces.append(tr)
+    if tr.terminal != "SmallB2":
+        route = _chain_route(term, wt, "admissible-subchain", coeff_bound, area_bound)
+        return traces, term, wt, route
+    term, wt, tr = _stage("small_b2", lambda: small_b2_reduce(term, wt, coeff_bound))
+    if tr.steps:
+        traces.append(tr)
+    return traces, term, wt, _b2_route(term, wt, coeff_bound, area_bound)
+
+
+def _dgood(cls, config, w, coeff_bound, area_bound):
+    """Goodness of cls against the exceptional classes of config's ambient
+    within the bounds."""
+    es = _stage(
+        "enumerate",
+        lambda: enumerate_exceptional(config.ambient, w, area_bound, coeff_bound),
+    )
+    return tuple(_stage("dgood", lambda: d_good(cls, config, w, es)))
 
 
 def _resolution_areas(term_config, wt, res, cusp_area_hint) -> AreaVector:
     """Tiny decreasing areas for the resolution generators, keeping the
-    canonical area negative and the resolution class area positive."""
-    if not res.exc_names:
-        return wt
-    amb = res.config.ambient
+    canonical area negative and the resolution class area positive: the
+    i-th exceptional sphere gets base / ((p + q) 4^i)."""
     neg_k = -area(canonical(term_config.ambient), wt)
     base = min([neg_k, cusp_area_hint] + list(wt.areas)) / 2
-    s = res.p + res.q
-    if term_config.ambient.kind == KIND_S2S2:
-        # the first blowup changed the basis: f1 = H - E2, f2 = H - E1
-        a1, a2 = wt.areas
-        eps = base / (s * 4)
-        values = {"H": a1 + a2 - eps, "E1": a2 - eps, "E2": a1 - eps}
-        rest = res.exc_names[1:]
-        start = 2
-    else:
-        values = dict(zip(term_config.ambient.names, wt.areas))
-        rest = res.exc_names
-        start = 1
-    for i, nm in enumerate(rest, start=start):
-        values[nm] = base / (s * 4**i)
-    return AreaVector(amb, tuple(values[n] for n in amb.names))
+    for i, con in enumerate(res.contractions, start=1):
+        wt = con.extend(wt, base / ((res.p + res.q) * 4**i))
+    return wt
 
 
-def _chain_route(term, wt, tag, coeff_bound, area_bound):
+def _chain_route(term, wt, tag, coeff_bound, area_bound, notes=()):
     """Good chain -> admissible subchain -> cusp class -> resolution ->
-    goodness of the resolution class."""
+    goodness of the resolution class -> non-negative combination."""
     candidates = _stage("good_chain", lambda: good_chain_candidates(term))
     if not candidates:
         raise CertifyError("good_chain", "no good-chain labeling exists")
@@ -597,41 +572,25 @@ def _chain_route(term, wt, tag, coeff_bound, area_bound):
             lambda: resolve_pattern(term, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls),
         )
         res_area = _resolution_areas(term, wt, res, area(cusp.cls, wt))
-        comb_map, comb_check, dgood = _finish_resolution(
-            term, wt, cusp, res, res_area, coeff_bound, area_bound
+        dgood = _dgood(res.a_tilde, res.config, res_area, coeff_bound, area_bound)
+        pc_map, _ = _stage("combination", lambda: positive_combination(res, term))
+        comb = dict(zip(cusp.chain_ids[: cusp.k], cusp.c))
+        for cid, v in pc_map.items():
+            comb[cid] = comb.get(cid, 0) + v
+        ok = (_combination_class(res.config, comb) == res.a_tilde
+              and all(v >= 0 for v in comb.values()))
+        comb_check = Check(
+            "Atilde is a non-negative combination of total-transform components",
+            ok,
+            str({k: v for k, v in sorted(comb.items()) if v}),
         )
-        return (tag, cusp, res.multiplicities, res, res_area, dgood,
-                comb_map, comb_check, [])
+        if not ok:
+            raise CertifyError("combination", "resolution class combination failed")
+        return Route(tag, cusp, res, res_area, dgood, comb, comb_check, notes)
     raise CertifyError("admissible", f"no admissible subchain labeling: {last_err}")
 
 
-def _finish_resolution(term, wt, cusp, res, res_area, coeff_bound, area_bound):
-    es = _stage(
-        "enumerate",
-        lambda: enumerate_exceptional(res.config.ambient, res_area, area_bound, coeff_bound),
-    )
-    dgood = _stage("dgood", lambda: d_good(res.a_tilde, res.config, res_area, es))
-    pc_map, pc_check = _stage("combination", lambda: positive_combination(res, term))
-    comb = {}
-    for cid, ci in zip(cusp.chain_ids[: cusp.k], cusp.c):
-        comb[cid] = comb.get(cid, 0) + ci
-    for cid, v in pc_map.items():
-        comb[cid] = comb.get(cid, 0) + v
-    total = res.config.ambient.zero()
-    for cid, coeff in comb.items():
-        total = total + coeff * res.config.component(cid).cls
-    ok = total == res.a_tilde and all(v >= 0 for v in comb.values())
-    comb_check = Check(
-        "Atilde is a non-negative combination of total-transform components",
-        ok,
-        str({k: v for k, v in sorted(comb.items()) if v}),
-    )
-    if not ok:
-        raise CertifyError("combination", "resolution class combination failed")
-    return comb, comb_check, dgood
-
-
-def _b2_route(term, wt, coeff_bound, area_bound, assumptions):
+def _b2_route(term, wt, coeff_bound, area_bound):
     """Terminal models with b2 <= 2: combs ride the fiber class, chains
     reuse the cusp machinery, the degree-two sphere in the plane gets its
     dedicated four-blowup pattern."""
@@ -639,7 +598,7 @@ def _b2_route(term, wt, coeff_bound, area_bound, assumptions):
     if tag is None:
         raise CertifyError("minimal_model", f"no minimal-model case matches {term.ambient.describe()}")
     name = tag.case
-    notes = [f"terminal minimal model: {name} {tag.params}"]
+    notes = (f"terminal minimal model: {name} {tag.params}",)
 
     if name == "A3p":
         return _a3_route(term, wt, coeff_bound, area_bound, notes)
@@ -653,17 +612,15 @@ def _b2_route(term, wt, coeff_bound, area_bound, assumptions):
             [(c.id, c.cls) for c in term.components] + [(aux_id, h)],
             list(term.edges) + [(d1.id, aux_id)],
         )
-        notes.append(
+        notes += (
             "an auxiliary line through a point of the divisor completes the "
-            "single-line case; its data is marked auxiliary"
+            "single-line case; its data is marked auxiliary",
         )
-        out = _chain_route(augmented, wt, f"minimal-model:{name}", coeff_bound, area_bound)
-        return out[:-1] + (notes,)
+        return _chain_route(augmented, wt, f"minimal-model:{name}", coeff_bound, area_bound, notes)
 
     if len(term.components) >= 2:
         try:
-            out = _chain_route(term, wt, f"minimal-model:{name}", coeff_bound, area_bound)
-            return out[:-1] + (notes,)
+            return _chain_route(term, wt, f"minimal-model:{name}", coeff_bound, area_bound, notes)
         except (CertifyError, ReductionError):
             pass
     return _fiber_route(term, wt, name, coeff_bound, area_bound, notes)
@@ -677,6 +634,21 @@ def _fiber_candidates(amb):
     return []
 
 
+def _fiber_cusp(config, f, da, label):
+    """The degenerate (1, 0) cusp of a square-zero class f (named `label` in
+    the checks) meeting the section da once, its companion the first
+    neighbour of da, and its empty resolution."""
+    teeth = sorted(config.neighbors(da))
+    db = teeth[0] if teeth else None
+    checks = (
+        Check(f"{label}.{label} = 0", pair(f, f) == 0, ""),
+        Check(f"{label}.K = -2", pair(f, canonical(config.ambient)) == -2, ""),
+        Check(f"{label} meets the section once", pair(f, config.component(da).cls) == 1, da),
+    )
+    cusp = CuspData((), 0, (), (), 1, 0, f, da, db, checks)
+    return cusp, _stage("resolution", lambda: resolve_pattern(config, da, db, 1, 0, f))
+
+
 def _fiber_route(term, wt, name, coeff_bound, area_bound, notes):
     """(p, q) = (1, 0): a square-zero class meeting exactly one component
     once foliates the complement."""
@@ -684,70 +656,73 @@ def _fiber_route(term, wt, name, coeff_bound, area_bound, notes):
         hot = [c.id for c in term.components if pair(f, c.cls) != 0]
         if len(hot) != 1 or pair(f, term.component(hot[0]).cls) != 1:
             continue
-        da = hot[0]
-        teeth = sorted(term.neighbors(da))
-        db = teeth[0] if teeth else None
-        checks = [
-            Check("A.A = 0", pair(f, f) == 0, ""),
-            Check("A.K = -2", pair(f, canonical(term.ambient)) == -2, ""),
-            Check("A meets the section once", pair(f, term.component(da).cls) == 1, da),
-        ]
-        cusp = CuspData((), 0, (), (), 1, 0, f, da, db, tuple(checks))
-        notes.append(
-            f"degenerate cusp designation: contact component {da}, "
-            f"companion {db if db else 'none'}"
+        cusp, res = _fiber_cusp(term, f, hot[0], "A")
+        notes += (
+            f"degenerate cusp designation: contact component {cusp.da}, "
+            f"companion {cusp.db if cusp.db else 'none'}",
         )
-        res = _stage("resolution", lambda: resolve_pattern(term, da, db, 1, 0, f))
-        res_area = wt
-        es = _stage(
-            "enumerate",
-            lambda: enumerate_exceptional(term.ambient, wt, area_bound, coeff_bound),
-        )
-        dgood = _stage("dgood", lambda: d_good(f, term, wt, es))
-        return (f"minimal-model:{name}", cusp, (), res, res_area, dgood, None, None, notes)
+        dgood = _dgood(f, term, wt, coeff_bound, area_bound)
+        return Route(f"minimal-model:{name}", cusp, res, wt, dgood, notes=notes)
     raise CertifyError("fiber_route", f"no fiber class foliates case {name}")
 
 
-def _a3_route(term, wt, coeff_bound, area_bound, notes):
-    """Half-toric plus three toric blowups on the degree-two sphere; the
-    foliating class is 2h - e1 - e2 - e3 - e4 with a (4, 1) tangency."""
-    d1 = term.components[0].id
-    cur = term
-    ids = []
-    for i in range(4):
-        name = cur.ambient.fresh_exc_name()
-        move = HalfToricBlowup(d1) if i == 0 else ToricBlowup(d1, ids[-1])
-        cur = blowup(cur, move, new_id=name, new_name=name)
-        ids.append(name)
-    amb = cur.ambient
-    a_cls = embed_by_names(term.components[0].cls, amb)
-    for nm in ids:
-        a_cls = a_cls - amb.basis_class(nm)
-    checks = _a_tilde_checks(cur, a_cls, ids[-1], ids)
-    _require_all(checks, "a3-pattern")
-    cusp = CuspData((), 0, (), (), 4, 1, term.components[0].cls, d1, None,
-                    (Check("A.A = pq", pair(term.components[0].cls, term.components[0].cls) == 4, ""),
-                     Check("A.K = -p-q-1",
-                           pair(term.components[0].cls, canonical(term.ambient)) == -6, "")))
-    res = ResolutionResult(cur, d1, None, 4, 1, (1, 1, 1, 1), tuple(ids), tuple(ids),
-                           a_cls, ids[-1], tuple(checks), {d1: 1})
-    res_area = _resolution_areas(term, wt, res, area(term.components[0].cls, wt))
-    es = _stage(
-        "enumerate",
-        lambda: enumerate_exceptional(amb, res_area, area_bound, coeff_bound),
+def _comb_route(config, w, coeff_bound, area_bound):
+    """Ruled ambients: the fiber class foliates the complement of a comb,
+    with a degenerate cusp at the section when there is one."""
+    problems = ruled_validate(config)
+    if problems:
+        raise CertifyError("ruled_validate", "; ".join(problems))
+    notes = (
+        "the fiber class of the ruling is realizable through any adapted "
+        "almost complex structure",
     )
-    dgood = _stage("dgood", lambda: d_good(a_cls, cur, res_area, es))
-    comb = {d1: 1}
+    f = config.ambient.basis_class("F")
+    sections = [c.id for c in config.components if pair(f, c.cls) == 1]
+    cusp = res = None
+    if sections:
+        cusp, res = _fiber_cusp(config, f, sections[0], "F")
+    else:
+        notes += ("an auxiliary section of the ruling closes up the fibration",)
+    dgood = _dgood(f, config, w, coeff_bound, area_bound)
+    return Route("comb", cusp, res, w if res else None, dgood, notes=notes)
+
+
+def _a3_resolution(term) -> ResolutionResult:
+    """Half-toric plus three toric blowups on the degree-two sphere; the
+    foliating class 2h - e1 - e2 - e3 - e4 has a (4, 1) tangency."""
+    d1 = term.components[0].id
+    cur, ids, cons = term, [], []
+    for i in range(4):
+        move = HalfToricBlowup(d1) if i == 0 else ToricBlowup(d1, ids[-1])
+        cur, xid = _resolution_blowup(cur, move, cons)
+        ids.append(xid)
+    a_cls = _total_transform(cons, term.components[0].cls, (1, 1, 1, 1))
+    checks = _a_tilde_checks(cur, a_cls, ids[-1])
+    _require_all(checks, "a3-pattern")
+    return ResolutionResult(cur, d1, None, 4, 1, (1, 1, 1, 1), tuple(str(c.e) for c in cons),
+                            tuple(ids), a_cls, ids[-1], tuple(checks), {d1: 1}, tuple(cons))
+
+
+def _a3_route(term, wt, coeff_bound, area_bound, notes):
+    """The degree-two sphere in the plane: its (4, 1) resolution, goodness
+    of the proper transform, which is the foliating class itself."""
+    d1 = term.components[0]
+    res = _stage("resolution", lambda: _a3_resolution(term))
+    cusp = CuspData((), 0, (), (), 4, 1, d1.cls, d1.id, None,
+                    (Check("A.A = pq", pair(d1.cls, d1.cls) == 4, ""),
+                     Check("A.K = -p-q-1", pair(d1.cls, canonical(term.ambient)) == -6, "")))
+    res_area = _resolution_areas(term, wt, res, area(d1.cls, wt))
+    dgood = _dgood(res.a_tilde, res.config, res_area, coeff_bound, area_bound)
     comb_check = Check(
         "Atilde is the proper transform of the degree-two sphere",
-        cur.component(d1).cls == a_cls,
+        res.config.component(d1.id).cls == res.a_tilde,
         "",
     )
-    notes.append(
+    notes += (
         "the cusp degenerates to a fourth-order tangency at an interior "
-        "point of the single component; blowup centers are chosen there"
+        "point of the single component; blowup centers are chosen there",
     )
-    return ("a3-special", cusp, (1, 1, 1, 1), res, res_area, dgood, comb, comb_check, notes)
+    return Route("a3-special", cusp, res, res_area, dgood, {d1.id: 1}, comb_check, notes)
 
 
 def _transport_to_original(config, traces, cusp) -> OriginalTransport:
@@ -807,59 +782,6 @@ def _transport_to_original(config, traces, cusp) -> OriginalTransport:
     return OriginalTransport(a_cur, p, q, da, db, tuple(checks), tuple(notes))
 
 
-def _certify_ruled(config, w, hypothesis, coeff_bound, area_bound, bounds):
-    problems = ruled_validate(config)
-    if problems:
-        raise CertifyError("ruled_validate", "; ".join(problems))
-    assumptions = list(_BASE_ASSUMPTIONS) + [
-        "the fiber class of the ruling is realizable through any adapted "
-        "almost complex structure",
-    ]
-    amb = config.ambient
-    f = amb.basis_class("F")
-    sections = [c for c in config.components if pair(f, c.cls) == 1]
-    cusp = None
-    notes = []
-    if sections:
-        da = sections[0].id
-        teeth = sorted(config.neighbors(da))
-        db = teeth[0] if teeth else None
-        checks = [
-            Check("F.F = 0", pair(f, f) == 0, ""),
-            Check("F.K = -2", pair(f, canonical(amb)) == -2, ""),
-            Check("F meets the section once", pair(f, config.component(da).cls) == 1, da),
-        ]
-        cusp = CuspData((), 0, (), (), 1, 0, f, da, db, tuple(checks))
-        res = resolve_pattern(config, da, db, 1, 0, f)
-        resolution = res
-    else:
-        assumptions.append("an auxiliary section of the ruling closes up the fibration")
-        resolution = None
-    es = enumerate_exceptional(amb, w, area_bound, coeff_bound)
-    dgood = d_good(f, config, w, es)
-    return AffineRuledCertificate(
-        route="ruled",
-        route_tag="comb",
-        hypothesis=hypothesis,
-        traces=(),
-        trace_checks=(),
-        terminal_config=config,
-        terminal_area=w,
-        cusp=cusp,
-        weights=(),
-        resolution=resolution,
-        resolution_area=w if resolution else None,
-        dgood=tuple(dgood),
-        combination=None,
-        combination_check=None,
-        original=None,
-        assumptions=tuple(dict.fromkeys(assumptions + notes)),
-        input_config=config,
-        input_area=w,
-        bounds=bounds,
-    )
-
-
 def verify_certificate(cert: AffineRuledCertificate) -> list[Check]:
     """Re-verify every numeric identity in the certificate from raw data."""
     out = []
@@ -889,7 +811,7 @@ def verify_certificate(cert: AffineRuledCertificate) -> list[Check]:
             out.append(Check("cusp identities re-verified", ok, "auxiliary chain"))
     if cert.resolution is not None:
         res = cert.resolution
-        out.extend(_a_tilde_checks(res.config, res.a_tilde, res.transverse_id, res.exc_names))
+        out.extend(_a_tilde_checks(res.config, res.a_tilde, res.transverse_id))
         if res.multiplicities:
             out.append(Check(
                 "weights re-verified",
@@ -898,9 +820,7 @@ def verify_certificate(cert: AffineRuledCertificate) -> list[Check]:
                 "",
             ))
     if cert.combination is not None and cert.resolution is not None:
-        total = cert.resolution.config.ambient.zero()
-        for cid, coeff in cert.combination.items():
-            total = total + coeff * cert.resolution.config.component(cid).cls
+        total = _combination_class(cert.resolution.config, cert.combination)
         out.append(Check("combination re-verified", total == cert.resolution.a_tilde, ""))
     if cert.original is not None:
         out.extend(cert.original.checks)

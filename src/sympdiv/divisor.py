@@ -87,23 +87,6 @@ class DivisorConfig:
                 out.append(a)
         return out
 
-    def replace_class(self, cid: str, cls: HomologyClass, genus: int | None = None) -> "DivisorConfig":
-        comps = []
-        for c in self.components:
-            if c.id == cid:
-                g = genus if genus is not None else adjunction_genus(cls)
-                if g is None:
-                    raise DivisorError(f"component {cid}: class admits no embedded genus")
-                comps.append(DivisorComponent(cid, cls, g))
-            else:
-                comps.append(c)
-        return DivisorConfig(self.ambient, tuple(comps), self.edges)
-
-    def without_component(self, cid: str) -> "DivisorConfig":
-        comps = tuple(c for c in self.components if c.id != cid)
-        edges = tuple(e for e in self.edges if cid not in e)
-        return DivisorConfig(self.ambient, comps, edges)
-
 
 # -- validation --------------------------------------------------------------
 

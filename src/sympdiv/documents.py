@@ -21,6 +21,7 @@ from .lattice import (
     AreaVector,
     HomologyClass,
     LatticeError,
+    pair,
 )
 
 CONFIG_SCHEMA = "sympdiv/config/v1"
@@ -191,9 +192,7 @@ def area_to_doc(w: AreaVector) -> dict:
 def config_to_dot(config: DivisorConfig, title: str = "divisor") -> str:
     lines = [f'graph "{title}" {{']
     for c in config.components:
-        from .lattice import pair as _pair
-
-        sq = _pair(c.cls, c.cls)
+        sq = pair(c.cls, c.cls)
         lines.append(f'  "{c.id}" [label="{c.id}: {c.cls} (sq {sq}, g {c.genus})"];')
     for a, b in config.edges:
         lines.append(f'  "{a}" -- "{b}";')

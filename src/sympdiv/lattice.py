@@ -198,6 +198,7 @@ class AmbientLattice:
             raise LatticeError("coefficient length does not match basis")
         return HomologyClass(self, vec)
 
+    @cached_property
     def fresh_exc_name(self) -> str:
         top = 0
         for name in self.names:
@@ -420,6 +421,8 @@ class LatticeMap:
         by w o r_c = w + w(c) (pairing row of c) on the integer form."""
         if w.ambient != self.ambient:
             raise LatticeError("ambient mismatch")
+        if not self.word:
+            return w
         nums, den = w.integer_form
         for c in self.word:
             wc = sum(map(operator.mul, c.coeffs, nums))
@@ -450,15 +453,3 @@ def _pairing_row(c: HomologyClass) -> tuple[int, ...]:
     h = _FORMS[c.ambient.kind][0]
     head = tuple(h(c.coeffs, unit) for unit in ((1, 0), (0, 1))[: c.ambient.exc_start])
     return tuple(a - b for a, b in zip(head + (0,) * c.ambient.n_exc, c.coeffs))
-
-
-def embed_by_names(cls: HomologyClass, ambient: AmbientLattice) -> HomologyClass:
-    """Re-express a class in another ambient by matching generator names;
-    every nonzero coefficient must have a home."""
-    vec = []
-    for name in ambient.names:
-        vec.append(cls.coeffs[cls.ambient.names.index(name)] if name in cls.ambient.names else 0)
-    for name, c in zip(cls.ambient.names, cls.coeffs):
-        if c != 0 and name not in ambient.names:
-            raise LatticeError(f"coefficient on {name} has no home in the target basis")
-    return ambient.from_coeffs(vec)

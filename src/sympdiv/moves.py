@@ -1,27 +1,31 @@
 """Blowup and blowdown moves on divisor configurations.
 
 The four blowup types act on a configuration by adjoining a fresh
-exceptional generator:
+exceptional sphere e:
 
   exterior   ball disjoint from the divisor; classes unchanged, the
              exceptional sphere is optionally added as a new component
   toric      ball centered at an intersection point: both incident classes
-             lose E, the edge is replaced by a length-two chain through E
+             lose e, the edge is replaced by a length-two chain through e
   non-toric  ball centered on one component, sphere not added
   half-toric ball centered on one component, sphere added with one edge
 
-Blowdown inverts these.  Its lattice side is one `Contraction` record:
-the pre and post ambients, `forward` on classes orthogonal to the
-contracted class e, its `section` back, and `pull_back` of areas along the
-section.  A general exceptional class is normalized to a basis generator by
-a word of reflections (exceptional.normalize_to_basis) and that generator's
-slot is dropped: forward applies the word and drops the slot, section puts
-a zero back in the slot and applies the reversed word.  Two terminal cases
-change the basis kind outright and carry explicit 3x2 coordinates and an
-empty word instead: contracting H-E1-E2 in CP2#2 lands in S2xS2, and
-contracting F-E1 over an irrational base lands in the twisted bundle.
-Replaying a blowdown applies the blowup move to the sections of the
-post classes, with e as the new sphere.
+Both directions share one lattice record, the `Contraction` from the
+blown-up ambient (pre) to the other (post): the contracted class e,
+`forward` on classes orthogonal to e, its `section` back (the total
+transform), `pull_back` of areas along the section and `extend`, which
+gives e an area and every other class the area of its image.  Blowdown
+normalizes a general exceptional class to a basis generator by a word of
+reflections (exceptional.normalize_to_basis) and drops that generator's
+slot.  A blowup is the section of a contraction built directly for a fresh
+generator, with an empty word; `undo_blowup` builds that contraction on a
+given pair of ambients, for callers that already hold the blown-up one
+(area transport, the cusp resolution).  Two bridges change the basis kind
+and carry explicit coordinates instead, defined once in `_BRIDGES`: CP2#2
+-> S2xS2 contracting H-E1-E2, which is also the blowup of S2xS2, and F-E1
+over an irrational base -> the twisted bundle.  Blowup and the replay of a
+blowdown run one core: lift every class along the section, then apply the
+move with e as the new sphere.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .lattice import (
     KIND_PP,
     KIND_RATIONAL,
     KIND_RULED,
+    KIND_S2S2,
+    KIND_TWISTED,
     AmbientLattice,
     AreaVector,
     HomologyClass,
@@ -85,44 +91,163 @@ class HalfToricBlowup:
 BlowupMove = ExteriorBlowup | ToricBlowup | NonToricBlowup | HalfToricBlowup
 
 
+# -- the lattice side: contractions -------------------------------------------
+
+
+@dataclass(frozen=True)
+class Contraction:
+    """The lattice side of one blowdown, from pre to post, and so of the
+    blowup it undoes.
+
+    On the drop path `word` normalizes the contracted class e to the
+    generator at `slot`, which is then dropped.  On a kind-changing bridge
+    the word is empty, `slot` is None and `fwd`/`back` give explicit
+    coordinates."""
+
+    pre: AmbientLattice
+    post: AmbientLattice
+    e: HomologyClass  # the contracted class, in pre coordinates
+    word: LatticeMap
+    slot: int | None
+    fwd: tuple[tuple[int, ...], ...] = ()  # post coords of an e-orthogonal pre class
+    back: tuple[tuple[int, ...], ...] = ()  # pre coords of a post class
+
+    def forward(self, x: HomologyClass) -> HomologyClass:
+        """Image of a pre class orthogonal to the contracted class."""
+        v = self.word.apply(x).coeffs
+        if self.slot is None:
+            return self.post.from_coeffs(_matvec(self.fwd, v))
+        if v[self.slot] != 0:
+            raise MoveError(f"{x} still meets the contracted generator")
+        return HomologyClass(self.post, v[: self.slot] + v[self.slot + 1 :])
+
+    def section(self, y: HomologyClass) -> HomologyClass:
+        """The pre class orthogonal to the contracted class mapping to y:
+        the total transform of y under the blowup."""
+        v = y.coeffs
+        if self.slot is None:
+            v = _matvec(self.back, v)
+        else:
+            v = v[: self.slot] + (0,) + v[self.slot :]
+        return self.word.apply_inverse(HomologyClass(self.pre, v))
+
+    def pull_back(self, w: AreaVector) -> AreaVector:
+        """Areas on post giving y the area w gives section(y)."""
+        tw = self.word.transport_area(w)
+        if self.slot is None:
+            return tw.pull_back(self.post, self.back)
+        return AreaVector(self.post, tw.areas[: self.slot] + tw.areas[self.slot + 1 :])
+
+    def extend(self, w: AreaVector, value: Fraction) -> AreaVector:
+        """Areas on pre giving e the area `value` and every class orthogonal
+        to e the area w gives its image, so pull_back(extend(w, v)) == w: a
+        pre class x gets w(forward(x + (x.e) e)) - (x.e) value."""
+        if self.slot is None:
+            # fwd extends forward to all of pre and kills e
+            wf = w.pull_back(self.pre, self.fwd).areas
+            row = (pair(self.pre.basis_class(n), self.e) for n in self.pre.names)
+            return AreaVector(self.pre, tuple(a - k * value for a, k in zip(wf, row)))
+        # the word takes e to the generator at slot, which gets `value`
+        u = AreaVector(self.pre, w.areas[: self.slot] + (value,) + w.areas[self.slot :])
+        return LatticeMap(self.pre, self.word.word[::-1]).transport_area(u)
+
+
+def _matvec(rows, vec):
+    return tuple(sum(map(operator.mul, r, vec)) for r in rows)
+
+
+# The two kind-changing bridges, by the kind they land in: the pre kind, the
+# contracted class there, the post generator names, and the `fwd` and `back`
+# coordinates of the Contraction.
+_BRIDGES = {
+    # CP2#2 -> S2xS2 contracts H-E1-E2: f1 = H - E2, f2 = H - E1
+    KIND_S2S2: (KIND_RATIONAL, (1, -1, -1), ("f1", "f2"),
+                ((1, 1, 0), (1, 0, 1)), ((1, 1), (0, -1), (-1, 0))),
+    # ruled#1 -> twisted contracts F-E1: B1 = B + F - E1, F = F;
+    # coords are (x.F, x.B1 - x.F)
+    KIND_TWISTED: (KIND_RULED, (0, 1, -1), ("B1", "F"),
+                   ((1, 0, 0), (0, 1, 1)), ((1, 0), (1, 1), (-1, 0))),
+}
+
+
+def _bridge(e: HomologyClass) -> Contraction | None:
+    """The kind-changing bridge contracting e, if e is a bridge's class."""
+    amb = e.ambient
+    for post_kind, (kind, coeffs, names, fwd, back) in _BRIDGES.items():
+        if amb.kind == kind and e.coeffs == coeffs:
+            post = AmbientLattice(post_kind, amb.g, names)
+            return Contraction(amb, post, e, LatticeMap.identity(amb), None, fwd, back)
+    return None
+
+
+def _contraction_for(e: HomologyClass) -> Contraction:
+    """Normalize e to a generator and drop it; where no normalization exists,
+    one of the two kind-changing bridges."""
+    amb = e.ambient
+    try:
+        t, idx = normalize_to_basis(e)
+        return Contraction(amb, _drop_ambient(amb, idx), e, t, idx)
+    except NormalizeError:
+        pass
+    con = _bridge(e)
+    if con is None:
+        raise NormalizeError(f"no contraction available for {e} in {amb.describe()}")
+    return con
+
+
+def new_sphere_id(ambient: AmbientLattice) -> str:
+    """The default component id of the sphere a blowup of `ambient` adds:
+    the fresh generator's name, or "e" for H-E1-E2 out of S2xS2."""
+    return "e" if ambient.kind == KIND_S2S2 else ambient.fresh_exc_name
+
+
+def blowup_contraction(ambient: AmbientLattice) -> tuple[Contraction, str]:
+    """The contraction undoing a one-point blowup of `ambient`, built
+    directly, with the default component id of the new sphere: out of
+    S2xS2 the bridge from CP2#2, elsewhere a fresh generator appended."""
+    name = new_sphere_id(ambient)
+    if ambient.kind == KIND_S2S2:
+        return undo_blowup(AmbientLattice.rational_blowup(2), ambient), name
+    if ambient.kind not in (KIND_PP, KIND_RATIONAL, KIND_RULED):
+        raise MoveError(f"blowup is not supported on ambient kind {ambient.kind}")
+    kind = KIND_RATIONAL if ambient.kind == KIND_PP else ambient.kind
+    pre = AmbientLattice(kind, ambient.g, ambient.names + (name,))
+    con = Contraction(pre, ambient, pre.basis_class(name), LatticeMap.identity(pre), ambient.dim)
+    return con, name
+
+
+def undo_blowup(pre: AmbientLattice, post: AmbientLattice) -> Contraction:
+    """The contraction from `pre`, a one-point blowup of `post`, onto
+    `post`, on the two given ambients: the bridge onto S2xS2, elsewhere the
+    drop of the one exceptional generator of pre that post lacks."""
+    con = None
+    if post.kind == KIND_S2S2 and pre.dim == 3:
+        con = _bridge(pre.from_coeffs(_BRIDGES[KIND_S2S2][1]))
+    elif post.kind != KIND_S2S2 and pre.dim == post.dim + 1:
+        slot = next((i for i, n in enumerate(post.names) if pre.names[i] != n), post.dim)
+        if slot >= pre.exc_start and _drop_ambient(pre, slot) == post:
+            con = Contraction(pre, post, pre.basis_class(pre.names[slot]),
+                              LatticeMap.identity(pre), slot)
+    if con is None or con.post != post:
+        raise MoveError(f"{pre.describe()} is not a one-point blowup of {post.describe()}")
+    return con
+
+
 # -- blowup ---------------------------------------------------------------------
 
 
-def _extended_ambient(ambient: AmbientLattice, name: str | None, position: int | None):
-    """Ambient with one more exceptional generator inserted at position
-    (default: appended)."""
-    new_name = name or ambient.fresh_exc_name()
-    if new_name in ambient.names:
-        raise MoveError(f"generator name {new_name!r} already in use")
-    if ambient.kind == KIND_PP:
-        names = ("H", new_name)
-        out = AmbientLattice(KIND_RATIONAL, 0, names)
-        return out, 1, new_name
-    if ambient.kind in (KIND_RATIONAL, KIND_RULED):
-        pos = position if position is not None else ambient.dim
-        if pos <= ambient.exc_start - 1:
-            raise MoveError("exceptional generator cannot precede the fixed part")
-        names = ambient.names[:pos] + (new_name,) + ambient.names[pos:]
-        out = AmbientLattice(ambient.kind, ambient.g, names)
-        return out, pos, new_name
-    raise MoveError(f"blowup is not supported on ambient kind {ambient.kind}")
-
-
-def _embed(cls: HomologyClass, ambient: AmbientLattice, position: int) -> HomologyClass:
-    coeffs = cls.coeffs[:position] + (0,) + cls.coeffs[position:]
-    return ambient.from_coeffs(coeffs)
-
-
 def _apply_move(
-    ambient: AmbientLattice,
-    classes: dict[str, HomologyClass],
-    edges: list[tuple[str, str]],
+    con: Contraction,
+    config: DivisorConfig,
     move: BlowupMove,
-    ecls: HomologyClass,
     new_id: str,
 ) -> DivisorConfig:
-    """Shared rewrite core: classes are already in the target ambient and
-    ecls is the class of the new exceptional sphere therein."""
+    """Shared core of blowup and replay_blowdown: lift every class of the
+    post configuration along the section of con, then rewrite the lifted
+    classes and edges by the move, con.e being the new exceptional sphere."""
+    classes = {c.id: con.section(c.cls) for c in config.components}
+    edges = list(config.edges)
+    ecls = con.e
     if isinstance(move, ToricBlowup):
         key = tuple(sorted((move.a, move.b)))
         if key not in edges:
@@ -148,32 +273,7 @@ def _apply_move(
             classes[new_id] = ecls
     else:
         raise MoveError(f"unknown move {move!r}")
-    comps = [(cid, cls) for cid, cls in classes.items()]
-    return DivisorConfig.build(ambient, comps, edges)
-
-
-def product_to_blowup_coords(x: HomologyClass, target: AmbientLattice) -> HomologyClass:
-    """Coordinates of a product-of-spheres class after one blowup:
-    f1 = H - E2, f2 = H - E1, so alpha f1 + beta f2 = (a+b)H - bE1 - aE2."""
-    a, b = x.coeffs
-    base = (a + b, -b, -a)
-    from .lattice import embed_by_names
-
-    two = AmbientLattice.rational_blowup(2)
-    return embed_by_names(two.from_coeffs(base), target)
-
-
-def _blowup_product(config: DivisorConfig, move: BlowupMove, new_id: str | None) -> DivisorConfig:
-    """Blowup of the product of spheres: the lattice becomes CP2#2 and the
-    exceptional class is H - E1 - E2."""
-    amb = AmbientLattice.rational_blowup(2)
-    classes = {c.id: product_to_blowup_coords(c.cls, amb) for c in config.components}
-    edges = list(config.edges)
-    ecls = amb.from_coeffs((1, -1, -1))
-    cid = new_id or "e"
-    if config.has_component(cid):
-        raise MoveError(f"component id {cid!r} already in use")
-    out = _apply_move(amb, classes, edges, move, ecls, cid)
+    out = DivisorConfig.build(con.pre, list(classes.items()), edges)
     require_valid(out)
     return out
 
@@ -182,22 +282,14 @@ def blowup(
     config: DivisorConfig,
     move: BlowupMove,
     new_id: str | None = None,
-    new_name: str | None = None,
-    position: int | None = None,
 ) -> DivisorConfig:
-    """Perform a blowup move; the result validates by construction."""
-    if config.ambient.kind == "product_of_spheres":
-        return _blowup_product(config, move, new_id)
-    amb, pos, name = _extended_ambient(config.ambient, new_name, position)
-    cid = new_id or name
+    """Perform a blowup move on the section of the contraction undoing it;
+    the result validates by construction."""
+    con, default_id = blowup_contraction(config.ambient)
+    cid = new_id or default_id
     if config.has_component(cid):
         raise MoveError(f"component id {cid!r} already in use")
-    classes = {c.id: _embed(c.cls, amb, pos) for c in config.components}
-    edges = list(config.edges)
-    ecls = amb.basis_class(name)
-    out = _apply_move(amb, classes, edges, move, ecls, cid)
-    require_valid(out)
-    return out
+    return _apply_move(con, config, move, cid)
 
 
 def area_after_blowup(
@@ -207,68 +299,13 @@ def area_after_blowup(
     value: Fraction,
 ) -> AreaVector:
     """Transport an area vector through a blowup, giving area `value` to the
-    new exceptional sphere."""
-    before, after = config_before.ambient, config_after.ambient
-    value = Fraction(value)
-    if before.kind == "product_of_spheres":
-        a1, a2 = w.areas
-        if value >= min(a1, a2):
-            raise MoveError("blowup area must be smaller than both fiber areas")
-        return AreaVector(after, (a1 + a2 - value, a2 - value, a1 - value))
-    new = [n for n in after.names if n not in before.names]
-    if len(new) != 1:
-        raise MoveError("ambiguous new generator")
-    pos = after.index_of(new[0])
-    areas = w.areas[:pos] + (value,) + w.areas[pos:]
-    return AreaVector(after, areas)
+    new exceptional sphere: Contraction.extend on the contraction undoing
+    it."""
+    con = undo_blowup(config_after.ambient, config_before.ambient)
+    return con.extend(w, Fraction(value))
 
 
 # -- blowdown -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Contraction:
-    """The lattice side of one blowdown, from pre to post.
-
-    On the drop path `word` normalizes the contracted class to the generator
-    at `slot`, which is then dropped.  On a kind-changing bridge the word is
-    empty, `slot` is None and `fwd`/`back` give explicit coordinates."""
-
-    pre: AmbientLattice
-    post: AmbientLattice
-    word: LatticeMap
-    slot: int | None
-    fwd: tuple[tuple[int, ...], ...] = ()  # post coords of an e-orthogonal pre class
-    back: tuple[tuple[int, ...], ...] = ()  # pre coords of a post class
-
-    def forward(self, x: HomologyClass) -> HomologyClass:
-        """Image of a pre class orthogonal to the contracted class."""
-        v = self.word.apply(x).coeffs
-        if self.slot is None:
-            return self.post.from_coeffs(_matvec(self.fwd, v))
-        if v[self.slot] != 0:
-            raise MoveError(f"{x} still meets the contracted generator")
-        return HomologyClass(self.post, v[: self.slot] + v[self.slot + 1 :])
-
-    def section(self, y: HomologyClass) -> HomologyClass:
-        """The pre class orthogonal to the contracted class mapping to y."""
-        v = y.coeffs
-        if self.slot is None:
-            v = _matvec(self.back, v)
-        else:
-            v = v[: self.slot] + (0,) + v[self.slot :]
-        return self.word.apply_inverse(HomologyClass(self.pre, v))
-
-    def pull_back(self, w: AreaVector) -> AreaVector:
-        """Areas on post giving y the area w gives section(y)."""
-        tw = self.word.transport_area(w)
-        if self.slot is None:
-            return tw.pull_back(self.post, self.back)
-        return AreaVector(self.post, tw.areas[: self.slot] + tw.areas[self.slot + 1 :])
-
-
-def _matvec(rows, vec):
-    return tuple(sum(map(operator.mul, r, vec)) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -277,10 +314,14 @@ class BlowdownStep:
     config: DivisorConfig
     kind: str
     move: BlowupMove
-    target: HomologyClass  # the contracted class, in pre coordinates
     contraction: Contraction
     removed_component: str | None
     new_area: AreaVector | None
+
+    @property
+    def target(self) -> HomologyClass:
+        """The contracted class, in pre coordinates."""
+        return self.contraction.e
 
 
 def _detect_pattern(config: DivisorConfig, e: HomologyClass):
@@ -330,30 +371,6 @@ def _drop_ambient(ambient: AmbientLattice, idx: int) -> AmbientLattice:
     raise MoveError("cannot drop a generator from this ambient kind")
 
 
-def _contraction_for(e: HomologyClass) -> Contraction:
-    """Normalize e to a generator and drop it; where no normalization exists,
-    one of the two kind-changing bridges."""
-    amb = e.ambient
-    try:
-        t, idx = normalize_to_basis(e)
-        return Contraction(amb, _drop_ambient(amb, idx), t, idx)
-    except NormalizeError:
-        pass
-    if amb.kind == KIND_RATIONAL and amb.n_exc == 2 and e.coeffs == (1, -1, -1):
-        post = AmbientLattice.product_of_spheres()
-        # f1 = H - E_second, f2 = H - E_first
-        fwd = ((1, 1, 0), (1, 0, 1))
-        back = ((1, 1), (0, -1), (-1, 0))
-        return Contraction(amb, post, LatticeMap.identity(amb), None, fwd, back)
-    if amb.kind == KIND_RULED and amb.n_exc == 1 and e.coeffs == (0, 1, -1):
-        post = AmbientLattice.ruled_twisted(amb.g)
-        # B1 = B + F - E1, F = F; coords are (x.F, x.B1 - x.F)
-        fwd = ((1, 0, 0), (0, 1, 1))
-        back = ((1, 0), (1, 1), (-1, 0))
-        return Contraction(amb, post, LatticeMap.identity(amb), None, fwd, back)
-    raise NormalizeError(f"no contraction available for {e} in {amb.describe()}")
-
-
 def blowdown(
     config: DivisorConfig,
     e: HomologyClass,
@@ -391,7 +408,7 @@ def blowdown(
     new_area = con.pull_back(w) if w is not None else None
     out = DivisorConfig.build(con.post, list(post_classes.items()), edges)
     require_valid(out)
-    return BlowdownStep(config, out, kind, move, e, con, removed, new_area)
+    return BlowdownStep(config, out, kind, move, con, removed, new_area)
 
 
 def replay_blowdown(step: BlowdownStep) -> DivisorConfig:
@@ -400,12 +417,8 @@ def replay_blowdown(step: BlowdownStep) -> DivisorConfig:
 
     The move is linear in the classes, so it is applied on the sections of
     the post classes with the contracted class itself as the new sphere."""
-    con = step.contraction
-    classes = {c.id: con.section(c.cls) for c in step.config.components}
     new_id = step.removed_component or "replayed"
-    out = _apply_move(con.pre, classes, list(step.config.edges), step.move, step.target, new_id)
-    require_valid(out)
-    return out
+    return _apply_move(step.contraction, step.config, step.move, new_id)
 
 
 # -- toric blowup sequences -----------------------------------------------------

@@ -109,15 +109,15 @@ def verify_trace(trace: ReductionTrace, initial: DivisorConfig) -> list[Check]:
     return out
 
 
-def _do_step(cur, curw, target, steps) -> tuple[DivisorConfig, AreaVector]:
-    hyp_before = check_hypothesis(cur, curw)
-    bd = blowdown(cur, target, curw)
+def _do_step(cur, curw, bd: BlowdownStep, steps) -> tuple[DivisorConfig, AreaVector]:
+    """Record the blowdown bd of (cur, curw) as a trace step and return its
+    result; every step keeps the adjoint-area hypothesis."""
     hyp_after = check_hypothesis(bd.config, bd.new_area)
-    steps.append(
-        TraceStep(bd, cur.ambient.b2, bd.config.ambient.b2, hyp_before, hyp_after)
-    )
+    steps.append(TraceStep(
+        bd, cur.ambient.b2, bd.config.ambient.b2, check_hypothesis(cur, curw), hyp_after
+    ))
     if not hyp_after:
-        raise ReductionError(f"blowdown of {target} lost the adjoint-area hypothesis")
+        raise ReductionError(f"blowdown of {bd.target} lost the adjoint-area hypothesis")
     return bd.config, bd.new_area
 
 
@@ -163,7 +163,7 @@ def _attempt_candidates(cur, curw, candidates, steps, stage):
     errors = []
     for cand in candidates:
         try:
-            return _do_step(cur, curw, cand, steps)
+            return _do_step(cur, curw, blowdown(cur, cand, curw), steps)
         except (MoveError, NormalizeError, DivisorError) as exc:
             errors.append(f"{cand}: {exc}")
     raise ReductionError(
@@ -369,7 +369,7 @@ def second_kind_reduce(
                 bd = blowdown(cur, e, curw)
             except (MoveError, NormalizeError, DivisorError):
                 continue
-            ranked.append((area(e, curw), _TYPE_RANK[bd.kind], e.coeffs, e, bd))
+            ranked.append((area(e, curw), _TYPE_RANK[bd.kind], e.coeffs, bd))
         if not ranked:
             raise ReductionError(
                 "stuck in second-kind reduction; no exceptional class matches a "
@@ -377,14 +377,27 @@ def second_kind_reduce(
                 + ", ".join(f"{c.id}={c.cls}" for c in cur.components)
             )
         ranked.sort(key=lambda t: t[:3])
-        _, _, _, e, bd = ranked[0]
-        hyp_before = check_hypothesis(cur, curw)
-        hyp_after = check_hypothesis(bd.config, bd.new_area)
-        steps.append(TraceStep(bd, cur.ambient.b2, bd.config.ambient.b2, hyp_before, hyp_after))
-        if not hyp_after:
-            raise ReductionError("hypothesis lost during second-kind reduction")
-        cur, curw = bd.config, bd.new_area
+        cur, curw = _do_step(cur, curw, ranked[0][-1], steps)
     return cur, curw, ReductionTrace("second_kind", tuple(steps), "SmallB2")
+
+
+def small_b2_reduce(
+    config: DivisorConfig,
+    w: AreaVector,
+    coeff_bound: int = DEFAULT_COEFF_BOUND,
+) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
+    """A b2 <= 2 terminal outside the minimal-model table (a lone fiber
+    sphere in the one-point blowup) contracts further: the first class that
+    blows down, until a table case appears or none does."""
+    steps: list[TraceStep] = []
+    cur, curw = config, w
+    while cur.ambient.b2 > 1 and classify_minimal_model(cur) is None:
+        es = enumerate_exceptional(cur.ambient, curw, coeff_bound=coeff_bound)
+        try:
+            cur, curw = _attempt_candidates(cur, curw, es.classes, steps, "small-b2")
+        except ReductionError:
+            break
+    return cur, curw, ReductionTrace("small_b2", tuple(steps), "SmallB2")
 
 
 # -- minimal model classification ----------------------------------------------------
@@ -581,7 +594,7 @@ def ruled_reduce(
         for i in gens:
             e = cur.ambient.basis_class(cur.ambient.names[i])
             try:
-                cur, curw = _do_step(cur, curw, e, steps)
+                cur, curw = _do_step(cur, curw, blowdown(cur, e, curw), steps)
                 performed = True
                 break
             except (MoveError, NormalizeError, DivisorError):

@@ -23,6 +23,7 @@ from sympdiv.lattice import (
     AreaVector,
     LatticeError,
     LatticeMap,
+    area,
     is_exceptional_class,
     pair,
 )
@@ -249,6 +250,9 @@ def check_every_blowdown(cfg, w, area_bound):
         assert step.new_area.areas == areas
         for c in step.config.components:
             assert step.contraction.forward(step.contraction.section(c.cls)) == c.cls
+        # the areas on the blown-up side are the only extension of the post
+        # areas giving e its own area
+        assert step.contraction.extend(step.new_area, area(e, w)) == w
         made.append(step.contraction)
     return made
 

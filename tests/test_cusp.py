@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    FIXTURES,
     cp2_13_cusp,
     first_kind_cp2_8,
     ruled_comb,
@@ -30,6 +31,7 @@ from sympdiv.cusp import (
     weight_sequence,
 )
 from sympdiv.divisor import DivisorConfig
+from sympdiv.documents import parse_config
 from sympdiv.lattice import AmbientLattice, AreaVector, canonical, pair
 
 
@@ -324,3 +326,80 @@ def test_resolve_pattern_golden_digest():
         })
     blob = json.dumps(records, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_RESOLUTION_SHA256
+
+
+def _product_chain(k):
+    """The chain A = f1 + k f2, B = f2 in S2xS2: one edge, a (2k, 1) cusp."""
+    amb = AmbientLattice.product_of_spheres()
+    cfg = DivisorConfig.build(
+        amb, [("A", amb.cls(f1=1, f2=k)), ("B", amb.cls(f2=1))], [("A", "B")]
+    )
+    return cfg, ["A", "B"]
+
+
+def test_resolution_sphere_id_taken_gets_suffix():
+    """A component already named like the new sphere's default id (e out of
+    S2xS2, the fresh generator's name elsewhere) makes the sphere's id take
+    an x suffix; the recorded exceptional name stays the class."""
+    amb = AmbientLattice.product_of_spheres()
+    cfg = DivisorConfig.build(
+        amb, [("e", amb.cls(f1=1, f2=2)), ("B", amb.cls(f2=1))], [("B", "e")]
+    )
+    cusp = cusp_class(cfg, ["e", "B"], 1)
+    res = resolve_pattern(cfg, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls)
+    assert res.exc_ids[0] == "ex" and res.exc_names[0] == "H-E1-E2"
+    rb = AmbientLattice.rational_blowup(1)
+    cfg = DivisorConfig.build(
+        rb, [("E2", rb.cls(H=1)), ("B", rb.cls(H=1, E1=-1))], [("B", "E2")]
+    )
+    cusp = cusp_class(cfg, ["E2", "B"], 1)
+    res = resolve_pattern(cfg, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls)
+    assert res.exc_ids[0] == "E2x" and res.exc_names[0] == "E2"
+
+
+# sha256 over resolve_pattern and positive_combination results on the S2xS2
+# chains of _product_chain(k), k = 1..6, whose first blowup changes the basis
+GOLDEN_PRODUCT_RESOLUTION_SHA256 = "893f52e173f361046269b5890cf82ea492bf3dd8c672de4e0ef7892479066503"
+
+
+def test_resolve_pattern_product_of_spheres_golden_digest():
+    records = []
+    for k in range(1, 7):
+        cfg, ids = _product_chain(k)
+        cusp = cusp_class(cfg, ids, 1)
+        assert (cusp.p, cusp.q) == (2 * k, 1)
+        res = resolve_pattern(cfg, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls)
+        comb, check = positive_combination(res, cfg)
+        assert all_passed(res.checks) and check.passed
+        amb = res.config.ambient
+        records.append({
+            "k": k,
+            "pq": [res.p, res.q],
+            "multiplicities": list(res.multiplicities),
+            "exc": [list(res.exc_names), list(res.exc_ids)],
+            "a_tilde": [list(res.a_tilde.ambient.names), list(res.a_tilde.coeffs)],
+            "transverse": res.transverse_id,
+            "ambient": [amb.kind, amb.g, list(amb.names)],
+            "components": [[c.id, list(c.cls.ambient.names), list(c.cls.coeffs), c.genus]
+                           for c in res.config.components],
+            "edges": [list(e) for e in res.config.edges],
+            "checks": [[c.name, c.passed, c.detail] for c in res.checks],
+            "combination": [sorted(comb.items()), check.name, check.passed, check.detail],
+        })
+    blob = json.dumps(records, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_PRODUCT_RESOLUTION_SHA256
+
+
+@pytest.mark.parametrize(
+    "fixture", ["product_spheres_chain.json", "cp2_13_cusp.json", "cp2_conic.json"]
+)
+def test_resolution_areas_extend_terminal_areas(fixture):
+    """Each resolution blowup keeps the area of every class it does not
+    touch: pulled back through the contractions, the resolution areas are
+    the terminal areas, also out of S2xS2 with unequal fiber areas."""
+    cfg, w = parse_config(json.loads((FIXTURES / fixture).read_text()))
+    cert = certify_affine_ruled(cfg, w)
+    back = cert.resolution_area
+    for con in reversed(cert.resolution.contractions):
+        back = con.pull_back(back)
+    assert back == cert.terminal_area

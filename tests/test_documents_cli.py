@@ -11,7 +11,10 @@ from sympdiv import documents
 from sympdiv.cli import main
 from sympdiv.cusp import certify_affine_ruled
 from sympdiv.documents import DocumentError, parse_config
+from sympdiv.exceptional import EnumerationError
 from sympdiv.inflation import NormalizedVector, plan_kahler, verify_plan
+from sympdiv.lattice import LatticeError
+from sympdiv.moves import MoveError
 from sympdiv.checks import all_passed
 
 
@@ -136,6 +139,22 @@ GOLDEN_CERTIFY_SHA256 = [
     # the first blowdown contracts 2H-E1-...-E5 through a word of length 2
     (("conic_cremona_cp2_6.json",),
      "3fc6a14c6a451257d10a5caae6bf76dec966ec096c9fc9cf75468d3249e0e3d9"),
+    # S2xS2 chain, route minimal-model:B1p: the resolution's first blowup
+    # goes through H-E1-E2 with the new component id e.  Before blowups
+    # became sections of the bridge, its resolution areas gave E1 the area
+    # f2 - eps and E2 the area f1 - eps, which with f1 = H - E2 swaps the two
+    # fiber areas; the digest of that output was ffc9f62a...1e31309b20f85
+    (("product_spheres_chain.json",),
+     "1895e5be373a8e6f3dc907062aaa557e4785ea36408c09b3f1319ca6774c3997"),
+    # a single line in CP2, route A1p: the auxiliary-line chain
+    (("cp2_line.json",),
+     "1f19527524f5bc9b5619a64ea4199d9d1c403e9f02262fab1a2b0775fa2842f6"),
+    # a single conic in CP2, route a3-special
+    (("cp2_conic.json",),
+     "1fd27e344bd7b67ce9e639e4d67f39146a43f47fed83239c9814aa54de97613b"),
+    # a ruled comb without a section: route comb with no resolution
+    (("ruled_comb_sectionless.json",),
+     "136b7a9ece44a0c09abfc0bf4e733cbe9f3cba7f0282c6e67b636a6fd1e25ae6"),
 ]
 
 
@@ -173,6 +192,35 @@ def test_cli_check_malformed_certificate_exits_2(tmp_path, capsys):
         assert rc == 2 and "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--area-bound", "0"), ("--area-bound", "-1"), ("--area-bound", "-1/2"),
+    ("--coeff-bound", "0"), ("--coeff-bound", "-1"),
+])
+def test_cli_certify_refuses_empty_search_bounds(option, value, capsys):
+    """A bound under which no exceptional class is searched would make
+    goodness pass vacuously (area) or leave the reduction nothing (coeff)."""
+    rc = main(["certify", str(FIXTURES / "cp2_13_cusp.json"), f"{option}={value}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and "input error" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("bounds", [
+    {"coeff_bound": 0, "area_bound": None},
+    {"coeff_bound": -1, "area_bound": None},
+    {"coeff_bound": True, "area_bound": None},
+    {"coeff_bound": 12, "area_bound": "0"},
+    {"coeff_bound": 12, "area_bound": "-3"},
+    {"coeff_bound": 12, "area_bound": 0},
+])
+def test_cli_check_refuses_empty_search_bounds(bounds, tmp_path, capsys):
+    main(["certify", str(FIXTURES / "cp2_13_cusp.json")])
+    good = json.loads(capsys.readouterr().out)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(good, bounds=bounds)))
+    rc = main(["check", str(path)])
+    assert rc == 2 and "input error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exc_type", [ValueError, ZeroDivisionError])
 def test_cli_internal_error_is_not_an_input_error(exc_type, monkeypatch, capsys):
     import sympdiv.cli
@@ -186,6 +234,25 @@ def test_cli_internal_error_is_not_an_input_error(exc_type, monkeypatch, capsys)
     assert rc == sympdiv.cli.EXIT_INTERNAL == 3
     assert err.startswith("internal error: ") and "defect inside the pipeline" in err
     assert "input error" not in err
+
+
+@pytest.mark.parametrize("exc_type, rc, head", [
+    (EnumerationError, 1, "certification failed at stage 'dgood'"),
+    (LatticeError, 3, "internal error: LatticeError"),
+    (MoveError, 3, "internal error: MoveError"),
+])
+def test_cli_stage_failure_or_defect(exc_type, rc, head, monkeypatch, capsys):
+    # inside a stage, only domain failures fail the certification; an
+    # arithmetic or move error is a defect
+    import sympdiv.cusp
+
+    def broken(*args, **kwargs):
+        raise exc_type("raised inside a stage")
+
+    monkeypatch.setattr(sympdiv.cusp, "d_good", broken)
+    assert main(["certify", str(FIXTURES / "cp2_13_cusp.json")]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(head) and "raised inside a stage" in err
 
 
 def test_cli_certify_hypothesis_failure(capsys):

@@ -13,7 +13,6 @@ from sympdiv.lattice import (
     adjunction_genus,
     area,
     canonical,
-    embed_by_names,
     is_exceptional_class,
     pair,
     sw_index,
@@ -150,16 +149,6 @@ def test_reflection_map_preserves_structure():
     w = AreaVector.from_values(rb, [1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
     tw = t.transport_area(w)
     assert area(t.apply(x), tw) == area(x, w)
-
-
-def test_embed_by_names():
-    small = AmbientLattice.rational_blowup(2)
-    big = AmbientLattice.rational_blowup(4)
-    x = small.cls(H=2, E2=-1)
-    y = embed_by_names(x, big)
-    assert y == big.cls(H=2, E2=-1)
-    with pytest.raises(LatticeError):
-        embed_by_names(big.cls(E4=1), small)
 
 
 def test_class_formatting():

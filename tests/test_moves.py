@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_blowup_config
 from sympdiv.divisor import DivisorConfig, adjoint_area
-from sympdiv.lattice import AmbientLattice, AreaVector, pair
+from sympdiv.lattice import AmbientLattice, AreaVector, area, pair
 from sympdiv.moves import (
     ExteriorBlowup,
     HalfToricBlowup,
@@ -17,10 +17,12 @@ from sympdiv.moves import (
     area_after_blowup,
     blowdown,
     blowup,
+    blowup_contraction,
     is_toric_blowup_seq,
     replay_blowdown,
     replay_toric_witness,
     toric_seq_blowup,
+    undo_blowup,
 )
 
 
@@ -153,6 +155,24 @@ def test_product_blowup_and_bridge_roundtrip():
     assert replay_blowdown(step) == up
 
 
+def test_product_blowup_keeps_fiber_areas():
+    """With unequal fiber areas, blowing up S2xS2 keeps the area of every
+    component (f1 = H - E2 keeps w(f1)) and blows back down to w."""
+    ps = AmbientLattice.product_of_spheres()
+    cfg = DivisorConfig.build(
+        ps, [("A", ps.cls(f1=1, f2=1)), ("B", ps.cls(f2=1))], [("A", "B")]
+    )
+    w = AreaVector.from_values(ps, [1, 2])
+    up = blowup(cfg, ExteriorBlowup(add_component=True))
+    wu = area_after_blowup(cfg, up, w, Fraction(1, 4))
+    assert wu.areas == (Fraction(11, 4), Fraction(3, 4), Fraction(7, 4))
+    for c in cfg.components:
+        assert area(up.component(c.id).cls, wu) == area(c.cls, w)
+    assert area(up.component("e").cls, wu) == Fraction(1, 4)
+    step = blowdown(up, up.component("e").cls, wu)
+    assert step.config == cfg and step.new_area == w
+
+
 def test_twisted_bridge_blowdown():
     rt = AmbientLattice.ruled_trivial(2, 1)
     cfg = DivisorConfig.build(
@@ -188,6 +208,28 @@ def test_blowup_hypothesis_threshold():
     assert adjoint_area(up, small) < 0
     big = area_after_blowup(cfg, up, w, slack * 2)
     assert adjoint_area(up, big) >= 0
+
+
+def test_undo_blowup_matches_blowup_contraction():
+    ambients = [
+        AmbientLattice.projective_plane(),
+        AmbientLattice.rational_blowup(2),
+        AmbientLattice.ruled_trivial(1, 1),
+        AmbientLattice.product_of_spheres(),
+    ]
+    for amb in ambients:
+        con, _ = blowup_contraction(amb)
+        assert undo_blowup(con.pre, amb) == con
+    con = undo_blowup(AmbientLattice("rational_blowup", 0, ("H", "X", "E1", "E2")), ambients[1])
+    assert con.slot == 1 and str(con.e) == "X"
+    cp2_3 = AmbientLattice.rational_blowup(3)
+    with pytest.raises(MoveError):  # two new generators
+        undo_blowup(cp2_3, AmbientLattice.projective_plane())
+    with pytest.raises(MoveError):  # the new generator precedes the fixed part
+        undo_blowup(AmbientLattice("rational_blowup", 0, ("X", "H")),
+                    AmbientLattice.projective_plane())
+    with pytest.raises(MoveError):  # S2xS2 is a blowdown of CP2#2 only
+        undo_blowup(cp2_3, AmbientLattice.product_of_spheres())
 
 
 # -- toric blowup sequences -----------------------------------------------------
