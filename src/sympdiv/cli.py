@@ -8,8 +8,8 @@
   sympdiv check FILE             re-verify a certificate or plan document
 
 Exit codes: 0 clean, 1 failed checks, 2 malformed input (a document or an
-option value that cannot be parsed, or a search bound under which nothing
-is searched), 3 internal error (a ValueError or
+option value that cannot be parsed, a search bound under which nothing is
+searched, or a base genus below 1), 3 internal error (a ValueError or
 ZeroDivisionError raised by the program on input it accepted; a defect to
 report, printed as "internal error: ...").
 """
@@ -135,6 +135,8 @@ def cmd_inflate(args) -> int:
     entries = [_fraction_option("--target entry", x) for x in args.target.split(",")]
     if args.n is not None and len(entries) != args.n + 1:
         raise DocumentError(f"target needs n+1 = {args.n + 1} entries")
+    if args.g < 1:
+        raise DocumentError(f"base genus --g must be at least 1, got {args.g}")
     try:
         target = NormalizedVector(args.g, tuple(entries))
         plan, checks = _verified_plan(target)

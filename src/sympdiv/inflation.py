@@ -15,6 +15,7 @@ substeps so every intermediate stays inside the area constraints.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +25,9 @@ from .lattice import (
     AmbientLattice,
     AreaVector,
     HomologyClass,
+    LatticeError,
     area,
+    integer_form_of,
     pair,
 )
 
@@ -125,40 +128,73 @@ def lam_bound(a: AreaVector, z: HomologyClass) -> Fraction | None:
     return area(z, a) / (-sq)
 
 
-def inflate_step(a: AreaVector, z: HomologyClass, t: Fraction) -> AreaVector:
-    """New areas x -> area(x) + t * (z . x); t must respect the bound and
-    every generator area must stay positive.  Only the generators that z
-    pairs with change: z . (B, F, E_i) = (z_F, z_B, -z_Ei)."""
-    t = Fraction(t)
-    if t < 0:
+# A kernel state (ambient, nums, den) is the integer form of an area vector:
+# area i is nums[i] / den with gcd(den, *nums) == 1, as in
+# AreaVector.integer_form.  Planner and replay step on states; AreaVector
+# objects are built only for callers of the public inflate_step.
+
+
+def _seed_state(g: int, entries, amb: AmbientLattice):
+    """The kernel state of state_from_vector(g, entries) for positive
+    entries, on amb itself when the lengths agree, so that the per-step
+    ambient test is an identity test."""
+    entries = [Fraction(e) for e in entries]
+    if len(entries) != amb.dim - 1:
+        amb = plan_ambient(g, len(entries) - 1)
+    return amb, *integer_form_of((entries[0], Fraction(1), *entries[1:]))
+
+
+def _step(state, z: HomologyClass, t: Fraction):
+    """One inflation step x -> area(x) + t * (z . x) on a kernel state.
+
+    z . (B, F, E_i) = (z_F, z_B, -z_Ei), so with t = p/q the new numerators
+    over den*q are nums[i]*q + p*den*row[i]; the bound t < area(z) / -z.z
+    is tested by cross-multiplying, and one gcd reduces the result back to
+    the integer form of its areas."""
+    amb, nums, den = state
+    p, q = t.numerator, t.denominator
+    if p < 0:
         raise PlanError("negative inflation parameter")
-    if a.ambient.kind != KIND_RULED:
+    if amb.kind != KIND_RULED:
         raise PlanError("inflation steps run on trivial ruled ambients")
-    az = area(z, a)
+    if z.ambient is not amb and z.ambient != amb:
+        raise LatticeError("ambient mismatch")
+    c = z.coeffs
+    az = sum(map(operator.mul, c, nums))
     if az <= 0:
         raise PlanError(f"class {z} has non-positive area")
-    c = z.coeffs
-    row = (c[1], c[0]) + tuple(-x for x in c[2:])
-    sq = sum(x * y for x, y in zip(c, row))
-    if sq < 0 and t >= (lam := az / -sq):
+    row = (c[1], c[0], *map(operator.neg, c[2:]))
+    sq = sum(map(operator.mul, c, row))
+    pd = p * den
+    if sq < 0 and pd * -sq >= az * q:
+        lam = Fraction(az, den * -sq)
         raise PlanError(f"t = {t} exceeds the inflation bound {lam} along {z}")
-    out = list(a.areas)
-    for i, r in enumerate(row):
-        if r:
-            out[i] += t * r
-    if any(v <= 0 for v in out):
+    out = [x * q + pd * r for x, r in zip(nums, row)]
+    if min(out) <= 0:
         raise PlanError("inflation made a generator area non-positive")
-    return AreaVector(a.ambient, tuple(out))
+    den *= q
+    d = math.gcd(den, *out)
+    return amb, tuple(x // d for x in out), den // d
+
+
+def inflate_step(a: AreaVector, z: HomologyClass, t: Fraction) -> AreaVector:
+    """New areas x -> area(x) + t * (z . x); t must respect the bound and
+    every generator area must stay positive."""
+    _, nums, den = _step((a.ambient, *a.integer_form), z, Fraction(t))
+    return AreaVector(a.ambient, tuple(Fraction(x, den) for x in nums))
+
+
+def _normalized(state) -> NormalizedVector:
+    amb, nums, _ = state
+    f = nums[1]
+    if f <= 0:
+        raise PlanError("fiber area must be positive")
+    return NormalizedVector(amb.g, (Fraction(nums[0], f), *(Fraction(x, f) for x in nums[2:])))
 
 
 def normalize(a: AreaVector) -> NormalizedVector:
     """Divide by the fiber area; only meaningful on ruled ambients."""
-    amb = a.ambient
-    f = a.areas[1]
-    if f <= 0:
-        raise PlanError("fiber area must be positive")
-    entries = (a.areas[0] / f,) + tuple(v / f for v in a.areas[2:])
-    return NormalizedVector(amb.g, entries)
+    return _normalized((a.ambient, *a.integer_form))
 
 
 # -- plans -------------------------------------------------------------------------
@@ -215,7 +251,7 @@ def verify_plan(plan: InflationPlan) -> list[Check]:
     state = _replay(plan, checks, prefix="")
     if state is None:
         return checks
-    end = normalize(state)
+    end = _normalized(state)
     checks.append(
         Check(
             "endpoint equals target exactly",
@@ -226,7 +262,9 @@ def verify_plan(plan: InflationPlan) -> list[Check]:
     return checks
 
 
-def _replay(plan: InflationPlan, checks: list[Check], prefix: str) -> AreaVector | None:
+def _replay(plan: InflationPlan, checks: list[Check], prefix: str):
+    """The kernel state the plan ends in, or None after appending the
+    failed check that stopped the replay."""
     amb = plan_ambient(plan.g, plan.n)
     if not plan.nodes or not isinstance(plan.nodes[0], SeedNode):
         checks.append(Check(f"{prefix}seed first", False, "plan must start with a seed node"))
@@ -238,7 +276,7 @@ def _replay(plan: InflationPlan, checks: list[Check], prefix: str) -> AreaVector
         checks.extend(sub_checks)
         if sub_state is None:
             return None
-        sub_end = normalize(sub_state)
+        sub_end = _normalized(sub_state)
         ok = (
             seed.epsilon is not None
             and seed.epsilon > 0
@@ -259,50 +297,42 @@ def _replay(plan: InflationPlan, checks: list[Check], prefix: str) -> AreaVector
         checks.append(Check(f"{prefix}primitive seed is positive", ok, seed.assumption))
         if not ok:
             return None
-    state = state_from_vector(plan.g, seed.vector)
+    state = _seed_state(plan.g, seed.vector, amb)
 
-    for node in plan.nodes[1:]:
-        if isinstance(node, InflateNode):
-            z = amb.from_coeffs(node.z)
-            state, check = _checked_step(state, z, node.t, f"{prefix}inflate {node.label}")
-            checks.append(check)
-            if state is None:
-                return None
-        elif isinstance(node, ZigZagNode):
-            zd = amb.from_coeffs(node.z_diag)
-            ze = amb.from_coeffs(node.z_down)
-            if not 1 <= node.substeps <= MAX_SUBSTEPS or node.total < 0:
-                checks.append(Check(f"{prefix}zigzag {node.label}", False, "bad substep data"))
-                return None
-            s = node.total / node.substeps
-            for i in range(node.substeps):
-                state, c1 = _checked_step(state, zd, s, f"{prefix}zigzag {node.label} diag {i}")
-                if state is None:
-                    checks.append(c1)
-                    return None
-                state, c2 = _checked_step(state, ze, s, f"{prefix}zigzag {node.label} down {i}")
-                if state is None:
-                    checks.append(c2)
-                    return None
-            checks.append(
-                Check(
-                    f"{prefix}zigzag {node.label} ({node.substeps} substeps)",
-                    True,
-                    f"total {node.total}",
-                )
-            )
-        else:
-            checks.append(Check(f"{prefix}node", False, f"unexpected node {node!r}"))
-            return None
-    return state
-
-
-def _checked_step(state, z, t, name):
     try:
-        nxt = inflate_step(state, z, t)
-        return nxt, Check(name, True, f"t = {t}")
+        for node in plan.nodes[1:]:
+            if isinstance(node, InflateNode):
+                name = f"{prefix}inflate {node.label}"
+                z = amb.from_coeffs(node.z)
+                t = Fraction(node.t)
+                state = _step(state, z, t)
+                checks.append(Check(name, True, f"t = {t}"))
+            elif isinstance(node, ZigZagNode):
+                zd = amb.from_coeffs(node.z_diag)
+                ze = amb.from_coeffs(node.z_down)
+                if not 1 <= node.substeps <= MAX_SUBSTEPS or node.total < 0:
+                    checks.append(Check(f"{prefix}zigzag {node.label}", False, "bad substep data"))
+                    return None
+                s = Fraction(node.total) / node.substeps
+                for i in range(node.substeps):
+                    name = f"{prefix}zigzag {node.label} diag {i}"
+                    state = _step(state, zd, s)
+                    name = f"{prefix}zigzag {node.label} down {i}"
+                    state = _step(state, ze, s)
+                checks.append(
+                    Check(
+                        f"{prefix}zigzag {node.label} ({node.substeps} substeps)",
+                        True,
+                        f"total {node.total}",
+                    )
+                )
+            else:
+                checks.append(Check(f"{prefix}node", False, f"unexpected node {node!r}"))
+                return None
     except PlanError as exc:
-        return None, Check(name, False, str(exc))
+        checks.append(Check(name, False, str(exc)))
+        return None
+    return state
 
 
 # -- the planner --------------------------------------------------------------------
@@ -404,11 +434,11 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
         "a sufficiently small blowup of a Kahler class stays Kahler",
     )
     nodes: list[PlanNode] = [seed]
-    state = state_from_vector(g, seed.vector)
+    state = _seed_state(g, seed.vector, amb)
 
     z1 = amb.basis_class("F") - amb.basis_class(f"E{n}")
     nodes.append(InflateNode(z1.coeffs, str(z1), t))
-    state = inflate_step(state, z1, t)
+    state = _step(state, z1, t)
 
     for el in range(2, k):
         z_diag = (
@@ -430,8 +460,11 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
 
 
 def _zigzag_substeps(state, z_diag, z_down, total):
-    """Smallest substep count whose alternating replay stays in bounds,
-    found by doubling then bisecting."""
+    """A substep count whose alternating replay from the kernel state stays
+    in bounds, with the state that replay ends in.  The count is found by
+    doubling, then bisecting below the first feasible power of two; that
+    finds the smallest count only if feasibility is monotone in the count,
+    which is not proven, and verify_plan replays every substep again."""
     if total == 0:
         return 1, state
 
@@ -440,8 +473,8 @@ def _zigzag_substeps(state, z_diag, z_down, total):
         s = total / nsub
         try:
             for _ in range(nsub):
-                cur = inflate_step(cur, z_diag, s)
-                cur = inflate_step(cur, z_down, s)
+                cur = _step(cur, z_diag, s)
+                cur = _step(cur, z_down, s)
         except PlanError:
             return None
         return cur
@@ -456,8 +489,9 @@ def _zigzag_substeps(state, z_diag, z_down, total):
     lo, hi = max(1, n // 2), n
     while lo < hi:
         mid = (lo + hi) // 2
-        if attempt(mid) is not None:
-            hi = mid
+        mid_end = attempt(mid)
+        if mid_end is not None:
+            hi, end = mid, mid_end
         else:
             lo = mid + 1
-    return hi, attempt(hi)
+    return hi, end

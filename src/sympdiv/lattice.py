@@ -306,6 +306,13 @@ def is_exceptional_class(e: HomologyClass) -> bool:
 # -- areas -----------------------------------------------------------------
 
 
+def integer_form_of(values) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with values[i] == nums[i] / den and den the lcm of the
+    denominators of the exact rationals in `values`."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 @dataclass(frozen=True)
 class AreaVector:
     ambient: AmbientLattice
@@ -333,8 +340,7 @@ class AreaVector:
         """(nums, den) with areas[i] == nums[i] / den and den the lcm of the
         denominators.  Cached on the instance; not a field, so equality,
         hashing and repr are unaffected."""
-        den = math.lcm(*(v.denominator for v in self.areas))
-        return tuple(v.numerator * (den // v.denominator) for v in self.areas), den
+        return integer_form_of(self.areas)
 
     def of(self, name: str) -> Fraction:
         return self.areas[self.ambient.index_of(name)]

@@ -325,6 +325,105 @@ def test_cli_inflate_region_rejection(capsys):
     assert "region" in err
 
 
+@pytest.mark.parametrize("g", ["0", "-1"])
+def test_cli_inflate_genus_below_one_exits_2(g, capsys):
+    rc = main(["inflate", "--n", "2", "--g", g, "--target", "3/4,1/3,1/5"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("input error: ")
+
+
+def test_cli_inflate_target_outside_region_at_higher_genus_exits_1(capsys):
+    rc = main(["inflate", "--n", "2", "--g", "2", "--target", "1/10,1/2,1/3"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("inflation planning failed: ")
+
+
+def _golden_target(n, g):
+    # d_i = (2/5)(9/10)^(i-1) with d_B half a unit inside P_g
+    d = [Fraction(2, 5) * Fraction(9, 10) ** (i - 1) for i in range(1, n + 1)]
+    return ",".join(map(str, [(sum(d) + 2 * g - 2) / 2 + Fraction(1, 2)] + d))
+
+
+# sha256 of `inflate` stdout, pinned like the certify digests above
+GOLDEN_INFLATE_SHA256 = {
+    (1, 1): "02ac0173d2ff6f5af6abe411ce5056e23673f865e30e4c7275671c4f8a2d8600",
+    (1, 2): "3f8a31b1c2c6df0d9e6a06dcfc0451a93a71af881789de082f36093852d76399",
+    (1, 3): "662314b38de406bf88f512a437efca5b23b292e1afced14176e26d4cf69be0da",
+    (2, 1): "a1853689468d758846c95517607dbf02b43be2ea28fb7f2c400214d2770f6723",
+    (2, 2): "7feaa1f4300eb2982def7c3cd2f7afd73a622789bae153a638321df2fd976153",
+    (2, 3): "65c1d05b54bc60d42cc4d42a25bad00060d5602892e946c0c3c8f7913681ec2e",
+    (9, 1): "4e8106de57add7fa78a98ab4167ec0188f27484cc3e95abc4e956efe2ac74c93",
+    (9, 2): "b74af92e5473f6d850f9be306ad428c18e0c177ab1317a976314f6682e583ab0",
+    (9, 3): "a005cd9158be4c3377b6602a333adaaa21cfd7fed164c7f6b577f928a2bcaac6",
+    (16, 1): "a2901b8abbe18094a93e007e82e6899cba38c71ac9eaaca70b121289cac9fd95",
+    (16, 2): "182ea37d0df01867d97804105da4332898fa4f6b53a581c8429aadca530e993f",
+    (16, 3): "d52f0106a5bfe0945c000401ac58f1b4a01b5b5980e5b23e60cc6550ed10e4d6",
+    (17, 1): "c84d8e1ada88d3482b995a71f7f901617b7a76483a8d2f1797fee5db358a7ab3",
+    (17, 2): "c1b0423f0bc3b9cd85b3b044f3334b78ec875306ddac14ffd2ea262183e0e6ab",
+    (17, 3): "99d431a1b5d6e57061c9ae88402a11e6110a242a9369ee3847dfec1089c2e51e",
+    (31, 1): "3b55ca021a734ae427a1032bd69601b0e3a95c5e3ba476335d0247eaab0b7cc3",
+    (31, 2): "aa403bc961f84a25c67fc6ec2d06988f942bc517c489499cb9dcfba0c17ddad8",
+    (31, 3): "cae541bdb25f6029984621ed710820417d85a4a407bc15ba021211cc249c41d7",
+}
+
+
+@pytest.mark.parametrize("n,g", sorted(GOLDEN_INFLATE_SHA256))
+def test_cli_inflate_golden_bytes(n, g, capsys):
+    rc = main(["inflate", "--n", str(n), "--g", str(g), "--target", _golden_target(n, g)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_INFLATE_SHA256[n, g]
+
+
+def _last_t_doubled(doc):
+    doc["nodes"][-1]["t"] = str(Fraction(doc["nodes"][-1]["t"]) * 2)
+
+
+def _zigzag_total_times_four(doc):
+    zigzag = next(nd for nd in doc["nodes"] if nd["type"] == "zigzag")
+    zigzag["total"] = str(Fraction(zigzag["total"]) * 4)
+
+
+def _zigzag_down_class_negative(doc):
+    zigzag = next(nd for nd in doc["nodes"] if nd["type"] == "zigzag")
+    zigzag["down"] = [0, 0] + [-1] * (len(zigzag["down"]) - 2)
+
+
+_PLAN_OK = "9f1d34ead660a340ad42a07c4a121634a61ed70140219ece61fc2b45ee1c4634"
+_PLAN_REJECTED = "47bfffcf2d31f28fd3a23d9ccf92b3039f7420bbeaf034c7eb7c6b08317129ba"
+
+
+# sha256 of `inflate --verify-only` and `check` stdout on the n = 9, g = 2
+# plan above and on three tampered copies, so that the `failed:` lines (the
+# endpoint, a zig-zag diag substep over its bound, a zig-zag down substep
+# along a class of negative area) are pinned
+@pytest.mark.parametrize(
+    "mutate,verify_digest,check_digest",
+    [
+        (None, _PLAN_OK, _PLAN_OK),
+        (_last_t_doubled,
+         "eb4070301c4f6c6840703a84d553fbb892cacf4894e0cf69bf8121e96db12c04", _PLAN_REJECTED),
+        (_zigzag_total_times_four,
+         "7feea168415582a35a5b8ae4b58c87b28ebf3cc1a62e78c5cd6b83864e5124cc", _PLAN_REJECTED),
+        (_zigzag_down_class_negative,
+         "e586b94c71c66627638487ecf430853da8a22a243fad572c229a9d23dd23df4a", _PLAN_REJECTED),
+    ],
+)
+def test_cli_plan_verification_golden_bytes(mutate, verify_digest, check_digest, tmp_path,
+                                            capsys):
+    assert main(["inflate", "--n", "9", "--g", "2", "--target", _golden_target(9, 2)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if mutate is not None:
+        mutate(doc)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    rc = 0 if mutate is None else 1
+    for argv, digest in ((["inflate", "--verify-only"], verify_digest), (["check"], check_digest)):
+        assert main([*argv, str(path)]) == rc
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def _shorten_class(doc):
     doc["nodes"][1]["class"].pop()
 

@@ -1,0 +1,283 @@
+"""The integer inflation kernel against the Fraction replay it replaced.
+
+`ref_inflate_step` and `ref_verify_plan` are copies of the step and the
+replay as they were written on Fraction area vectors.  On random planner
+targets and on tampered copies of their plans, `verify_plan` must return the
+same checks (name, passed, detail) or raise the same error, and every kernel
+step taken on the way must end in the integer form of the area vector the
+Fraction step gives."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sympdiv import inflation
+from sympdiv.checks import Check
+from sympdiv.inflation import (
+    MAX_SUBSTEPS,
+    InflateNode,
+    InflationPlan,
+    NormalizedVector,
+    PlanError,
+    SeedNode,
+    ZigZagNode,
+    inflate_step,
+    plan_ambient,
+    plan_kahler,
+    state_from_vector,
+    verify_plan,
+)
+from sympdiv.lattice import KIND_RULED, AreaVector, LatticeError, area
+
+PROPERTY = settings(max_examples=60, deadline=None, report_multiple_bugs=False)
+
+
+# -- the Fraction replay, as it was ------------------------------------------------
+
+
+def ref_inflate_step(a: AreaVector, z, t) -> AreaVector:
+    t = Fraction(t)
+    if t < 0:
+        raise PlanError("negative inflation parameter")
+    if a.ambient.kind != KIND_RULED:
+        raise PlanError("inflation steps run on trivial ruled ambients")
+    az = area(z, a)
+    if az <= 0:
+        raise PlanError(f"class {z} has non-positive area")
+    c = z.coeffs
+    row = (c[1], c[0]) + tuple(-x for x in c[2:])
+    sq = sum(x * y for x, y in zip(c, row))
+    if sq < 0 and t >= (lam := az / -sq):
+        raise PlanError(f"t = {t} exceeds the inflation bound {lam} along {z}")
+    out = list(a.areas)
+    for i, r in enumerate(row):
+        if r:
+            out[i] += t * r
+    if any(v <= 0 for v in out):
+        raise PlanError("inflation made a generator area non-positive")
+    return AreaVector(a.ambient, tuple(out))
+
+
+def ref_normalize(a: AreaVector) -> NormalizedVector:
+    f = a.areas[1]
+    if f <= 0:
+        raise PlanError("fiber area must be positive")
+    return NormalizedVector(a.ambient.g, (a.areas[0] / f,) + tuple(v / f for v in a.areas[2:]))
+
+
+def ref_verify_plan(plan: InflationPlan) -> list[Check]:
+    checks: list[Check] = []
+    state = _ref_replay(plan, checks, prefix="")
+    if state is None:
+        return checks
+    end = ref_normalize(state)
+    checks.append(
+        Check("endpoint equals target exactly", end.entries == plan.target,
+              f"{[str(e) for e in end.entries]}")
+    )
+    return checks
+
+
+def _ref_replay(plan, checks, prefix):
+    amb = plan_ambient(plan.g, plan.n)
+    if not plan.nodes or not isinstance(plan.nodes[0], SeedNode):
+        checks.append(Check(f"{prefix}seed first", False, "plan must start with a seed node"))
+        return None
+    seed = plan.nodes[0]
+    if seed.base is not None:
+        sub_checks: list[Check] = []
+        sub_state = _ref_replay(seed.base, sub_checks, prefix=prefix + "  ")
+        checks.extend(sub_checks)
+        if sub_state is None:
+            return None
+        sub_end = ref_normalize(sub_state)
+        ok = (
+            seed.epsilon is not None
+            and seed.epsilon > 0
+            and seed.vector == sub_end.entries + (seed.epsilon,)
+            and sub_end.entries == seed.base.target
+        )
+        checks.append(Check(f"{prefix}seed extends the base plan by a positive area",
+                            bool(ok), f"epsilon = {seed.epsilon}"))
+        if not ok:
+            return None
+    else:
+        ok = all(v > 0 for v in seed.vector)
+        checks.append(Check(f"{prefix}primitive seed is positive", ok, seed.assumption))
+        if not ok:
+            return None
+    state = state_from_vector(plan.g, seed.vector)
+    for node in plan.nodes[1:]:
+        if isinstance(node, InflateNode):
+            z = amb.from_coeffs(node.z)
+            state, check = _ref_checked_step(state, z, node.t, f"{prefix}inflate {node.label}")
+            checks.append(check)
+            if state is None:
+                return None
+        elif isinstance(node, ZigZagNode):
+            zd = amb.from_coeffs(node.z_diag)
+            ze = amb.from_coeffs(node.z_down)
+            if not 1 <= node.substeps <= MAX_SUBSTEPS or node.total < 0:
+                checks.append(Check(f"{prefix}zigzag {node.label}", False, "bad substep data"))
+                return None
+            s = node.total / node.substeps
+            for i in range(node.substeps):
+                state, c1 = _ref_checked_step(state, zd, s, f"{prefix}zigzag {node.label} diag {i}")
+                if state is None:
+                    checks.append(c1)
+                    return None
+                state, c2 = _ref_checked_step(state, ze, s, f"{prefix}zigzag {node.label} down {i}")
+                if state is None:
+                    checks.append(c2)
+                    return None
+            checks.append(Check(f"{prefix}zigzag {node.label} ({node.substeps} substeps)",
+                                True, f"total {node.total}"))
+        else:
+            checks.append(Check(f"{prefix}node", False, f"unexpected node {node!r}"))
+            return None
+    return state
+
+
+def _ref_checked_step(state, z, t, name):
+    try:
+        return ref_inflate_step(state, z, t), Check(name, True, f"t = {t}")
+    except PlanError as exc:
+        return None, Check(name, False, str(exc))
+
+
+# -- every kernel step against the Fraction step -----------------------------------
+
+_kernel_step = inflation._step
+
+
+def _checked_kernel_step(state, z, t):
+    """The kernel step, asserting that its input and output states are the
+    integer forms of the Fraction area vectors of the reference step."""
+    amb, nums, den = state
+    before = AreaVector(amb, tuple(Fraction(x, den) for x in nums))
+    assert before.integer_form == (nums, den)
+    try:
+        want = ref_inflate_step(before, z, t)
+    except (PlanError, LatticeError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _kernel_step(state, z, t)
+        assert str(got.value) == str(exc)
+        raise
+    try:
+        out = _kernel_step(state, z, t)
+    except (PlanError, LatticeError) as exc:
+        raise AssertionError(f"the kernel refuses a step the Fraction step takes: {exc}")
+    assert out[0] is amb and out[1:] == want.integer_form
+    return out
+
+
+def _outcome(verify, plan):
+    try:
+        return [(c.name, c.passed, c.detail) for c in verify(plan)]
+    except (PlanError, LatticeError) as exc:
+        return type(exc), str(exc)
+
+
+# -- random targets and tampered plans ---------------------------------------------
+
+
+@st.composite
+def targets(draw):
+    g = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 20))
+    entry = st.fractions(min_value=Fraction(1, 60), max_value=Fraction(29, 60),
+                         max_denominator=60)
+    d = sorted((draw(entry) for _ in range(n)), reverse=True)
+    margin = draw(st.fractions(min_value=Fraction(1, 20), max_value=3, max_denominator=20))
+    # inside P_g: d_B > g when n = 0, else 2 - 2g + 2 d_B - sum(d) > 0
+    return NormalizedVector(g, ((sum(d) + 2 * g - 2) / 2 + margin + (n == 0), *d))
+
+
+def _levels(plan):
+    """The plan and every base plan below it, outermost first."""
+    out = [plan]
+    while out[-1].nodes and isinstance(out[-1].nodes[0], SeedNode) and out[-1].nodes[0].base:
+        out.append(out[-1].nodes[0].base)
+    return out
+
+
+def _rebuild(levels, depth, level):
+    """The outer plan with the base plan at `depth` replaced by `level`."""
+    for outer in reversed(levels[:depth]):
+        seed = replace(outer.nodes[0], base=level)
+        level = replace(outer, nodes=(seed, *outer.nodes[1:]))
+    return level
+
+
+def _tamper(plan, draw):
+    """One change to one node of one level of the plan, or none."""
+    kind = draw(st.sampled_from(("none", "t", "substeps", "class", "ambient")))
+    levels = _levels(plan)
+    depth = draw(st.integers(0, len(levels) - 1))
+    level = levels[depth]
+    steps = [i for i, nd in enumerate(level.nodes) if not isinstance(nd, SeedNode)]
+    if kind == "none" or not steps:
+        return plan
+    i = draw(st.sampled_from(steps))
+    node = level.nodes[i]
+    if kind == "t":
+        scale = draw(st.sampled_from((Fraction(101, 100), Fraction(3, 2), 2, 10, 1000)))
+        node = (replace(node, t=node.t * scale) if isinstance(node, InflateNode)
+                else replace(node, total=node.total * scale))
+    elif kind == "substeps":
+        if not isinstance(node, ZigZagNode):
+            return plan
+        node = replace(node, substeps=draw(st.sampled_from((0, 1, 2, 3, 2 * node.substeps))))
+    else:
+        field = "z" if isinstance(node, InflateNode) else draw(st.sampled_from(("z_diag",
+                                                                               "z_down")))
+        coeffs = list(getattr(node, field))
+        if kind == "class":
+            j = draw(st.integers(0, len(coeffs) - 1))
+            coeffs[j] += draw(st.sampled_from((-2, -1, 1, 2)))
+        else:
+            coeffs.append(0)  # a class of the ambient with one more blowup
+        node = replace(node, **{field: tuple(coeffs)})
+    nodes = list(level.nodes)
+    nodes[i] = node
+    return _rebuild(levels, depth, replace(level, nodes=tuple(nodes)))
+
+
+@PROPERTY
+@given(targets(), st.data())
+def test_verify_plan_matches_the_fraction_replay(target, data):
+    with mock.patch.object(inflation, "_step", _checked_kernel_step):
+        plan = plan_kahler(target)
+        tampered = _tamper(plan, data.draw)
+        want = _outcome(ref_verify_plan, tampered)
+        assert _outcome(verify_plan, tampered) == want
+    if tampered is plan:
+        assert all(passed for _, passed, _ in want)
+
+
+@pytest.mark.parametrize("g,n", [(1, 3), (2, 2)])
+def test_step_refuses_a_class_of_another_ambient(g, n):
+    a = state_from_vector(1, [3, Fraction(1, 3), Fraction(1, 4)])
+    z = plan_ambient(g, n).cls(F=1, E1=-1)
+    for step in (ref_inflate_step, inflate_step):
+        with pytest.raises(LatticeError, match="ambient mismatch"):
+            step(a, z, Fraction(1, 10))
+
+
+def test_zigzag_search_ends_where_its_count_replays():
+    st_ = state_from_vector(1, [3, Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 6)])
+    amb = st_.ambient
+    zd, ze = amb.cls(F=1, E3=-1, E4=-1), amb.cls(E4=1)
+    total = Fraction(3, 5)  # doubling stops at 32, bisecting at 19
+    substeps, end = inflation._zigzag_substeps((amb, *st_.integer_form), zd, ze, total)
+    assert substeps == 19
+    cur = st_
+    for _ in range(substeps):
+        cur = inflate_step(inflate_step(cur, zd, total / substeps), ze, total / substeps)
+    assert end == (amb, *cur.integer_form)
