@@ -781,47 +781,3 @@ def _transport_to_original(config, traces, cusp) -> OriginalTransport:
                         not stray, ", ".join(stray)))
     return OriginalTransport(a_cur, p, q, da, db, tuple(checks), tuple(notes))
 
-
-def verify_certificate(cert: AffineRuledCertificate) -> list[Check]:
-    """Re-verify every numeric identity in the certificate from raw data."""
-    out = []
-    hyp = adjoint_area(cert.input_config, cert.input_area)
-    out.append(Check("hypothesis re-verified", hyp < 0, str(hyp)))
-    cur = cert.input_config
-    for tr in cert.traces:
-        out.extend(verify_trace(tr, cur))
-        cur = tr.steps[-1].blowdown.config if tr.steps else cur
-    out.append(Check("terminal matches trace", cur == cert.terminal_config, ""))
-    if cert.cusp and cert.cusp.chain_ids:
-        if sorted(cert.cusp.chain_ids) == sorted(cert.terminal_config.ids()):
-            redone = cusp_class(cert.terminal_config, cert.cusp.chain_ids, cert.cusp.k)
-            out.append(Check(
-                "cusp data re-verified",
-                (redone.p, redone.q, redone.cls)
-                == (cert.cusp.p, cert.cusp.q, cert.cusp.cls),
-                f"({redone.p}, {redone.q})",
-            ))
-        else:
-            # auxiliary-augmented chain: re-check the closed identities only
-            c = cert.cusp
-            ok = (
-                pair(c.cls, c.cls) == c.p * c.q
-                and pair(c.cls, canonical(c.cls.ambient)) == -c.p - c.q - 1
-            )
-            out.append(Check("cusp identities re-verified", ok, "auxiliary chain"))
-    if cert.resolution is not None:
-        res = cert.resolution
-        out.extend(_a_tilde_checks(res.config, res.a_tilde, res.transverse_id))
-        if res.multiplicities:
-            out.append(Check(
-                "weights re-verified",
-                sum(m * m for m in res.multiplicities) == res.p * res.q
-                and sum(res.multiplicities) == res.p + res.q - 1,
-                "",
-            ))
-    if cert.combination is not None and cert.resolution is not None:
-        total = _combination_class(cert.resolution.config, cert.combination)
-        out.append(Check("combination re-verified", total == cert.resolution.a_tilde, ""))
-    if cert.original is not None:
-        out.extend(cert.original.checks)
-    return out

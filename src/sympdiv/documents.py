@@ -151,15 +151,20 @@ def parse_config(doc) -> tuple[DivisorConfig, AreaVector | None]:
     for i, c in enumerate(raw):
         if not isinstance(c, dict) or "id" not in c or "class" not in c:
             raise DocumentError(f"components[{i}]: need 'id' and 'class'")
+        if not isinstance(c["id"], str):
+            raise DocumentError(f"components[{i}].id: expected a string, got {c['id']!r}")
         cls = doc_to_class(c["class"], amb, f"components[{i}]")
         if "genus" in c:
             comps.append((c["id"], cls, _doc_int(c["genus"], f"components[{i}].genus")))
         else:
             comps.append((c["id"], cls))
+    raw_edges = doc.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise DocumentError(f"edges: expected a list of id string pairs, got {raw_edges!r}")
     edges = []
-    for i, e in enumerate(doc.get("edges", [])):
-        if not isinstance(e, list) or len(e) != 2:
-            raise DocumentError(f"edges[{i}]: expected a pair of component ids")
+    for i, e in enumerate(raw_edges):
+        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
+            raise DocumentError(f"edges[{i}]: expected a pair of component id strings, got {e!r}")
         edges.append((e[0], e[1]))
     try:
         config = DivisorConfig.build(amb, comps, edges)

@@ -324,7 +324,7 @@ class BlowdownStep:
         return self.contraction.e
 
 
-def _detect_pattern(config: DivisorConfig, e: HomologyClass):
+def detect_pattern(config: DivisorConfig, e: HomologyClass):
     """Classify the contraction type from incidence with e.
 
     Returns (kind, move, removed_id, incident_ids)."""
@@ -381,7 +381,7 @@ def blowdown(
         raise MoveError(f"{e} is not an exceptional class")
     if w is not None and area(e, w) <= 0:
         raise MoveError(f"{e} has non-positive area {area(e, w)}")
-    kind, move, removed, incident = _detect_pattern(config, e)
+    kind, move, removed, incident = detect_pattern(config, e)
 
     classes = {c.id: c.cls for c in config.components}
     edges = list(config.edges)

@@ -7,8 +7,11 @@ second kind by whether the minimal class occurs among the components; the
 first kind admits a further partially-minimal reduction to a chain, the
 second kind a greedy reduction to b2 <= 2.
 
-Irrational ruled ambients have their own loop contracting the cheapest
-exceptional generator according to its incidence pattern.
+Irrational ruled ambients contract exceptional generators cheapest first.
+
+Every stage but the small-b2 cleanup runs one contraction loop: the stage
+names its ordered candidates, or the terminal that ends it, and the first
+candidate that blows down is contracted.  No class is blown down to rank it.
 
 Every trace step stores the full blowdown data so that replaying the trace
 as blowups from the terminal configuration reproduces the input exactly.
@@ -48,7 +51,7 @@ from .lattice import (
     is_exceptional_class,
     pair,
 )
-from .moves import BlowdownStep, MoveError, blowdown, replay_blowdown
+from .moves import BlowdownStep, MoveError, blowdown, detect_pattern, replay_blowdown
 
 
 class ReductionError(ValueError):
@@ -109,16 +112,42 @@ def verify_trace(trace: ReductionTrace, initial: DivisorConfig) -> list[Check]:
     return out
 
 
-def _do_step(cur, curw, bd: BlowdownStep, steps) -> tuple[DivisorConfig, AreaVector]:
-    """Record the blowdown bd of (cur, curw) as a trace step and return its
-    result; every step keeps the adjoint-area hypothesis."""
-    hyp_after = check_hypothesis(bd.config, bd.new_area)
-    steps.append(TraceStep(
-        bd, cur.ambient.b2, bd.config.ambient.b2, check_hypothesis(cur, curw), hyp_after
-    ))
-    if not hyp_after:
-        raise ReductionError(f"blowdown of {bd.target} lost the adjoint-area hypothesis")
-    return bd.config, bd.new_area
+def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step):
+    """The contraction loop of every stage but small-b2.  next_step(cur, curw)
+    returns the terminal name that ends the stage, or the ordered candidates
+    with the label naming them in the error; the first candidate that blows
+    down is contracted."""
+    steps: list[TraceStep] = []
+    cur, curw = config, w
+    while True:
+        nxt = next_step(cur, curw)
+        if isinstance(nxt, str):
+            return cur, curw, ReductionTrace(stage, tuple(steps), nxt)
+        candidates, label = nxt
+        cur, curw = _attempt_candidates(cur, curw, candidates, steps, label)
+
+
+def _attempt_candidates(cur, curw, candidates, steps, stage):
+    """Contract the first candidate that blows down and record it as a trace
+    step; every step keeps the adjoint-area hypothesis."""
+    errors = []
+    for cand in candidates:
+        try:
+            bd = blowdown(cur, cand, curw)
+        except (MoveError, NormalizeError, DivisorError) as exc:
+            errors.append(f"{cand}: {exc}")
+            continue
+        hyp_after = check_hypothesis(bd.config, bd.new_area)
+        steps.append(TraceStep(
+            bd, cur.ambient.b2, bd.config.ambient.b2, check_hypothesis(cur, curw), hyp_after
+        ))
+        if not hyp_after:
+            raise ReductionError(f"blowdown of {bd.target} lost the adjoint-area hypothesis")
+        return bd.config, bd.new_area
+    raise ReductionError(
+        f"stuck in {stage} reduction on {cur.ambient.describe()}; "
+        f"tried {len(candidates)} candidates: " + " | ".join(errors)
+    )
 
 
 # -- quasi-minimal reduction ----------------------------------------------------
@@ -140,36 +169,19 @@ def quasi_minimal_reduce(
     coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
     _require_pipeline_input(config, w)
-    steps: list[TraceStep] = []
-    cur, curw = config, w
-    while True:
+
+    def next_step(cur, curw):
         if cur.ambient.b2 <= 2:
-            terminal = "SmallB2"
-            break
+            return "SmallB2"
         es = enumerate_exceptional(cur.ambient, curw, coeff_bound=coeff_bound)
         mins = minimal_area(es)
         d = total_class(cur)
         if any(pair(m, d) >= 2 for m in mins):
             info = classify_kind(cur, es)
-            terminal = (
-                "QuasiMinimalFirstKind" if info.kind == "first" else "QuasiMinimalSecondKind"
-            )
-            break
-        cur, curw = _attempt_candidates(cur, curw, mins, steps, "quasi-minimal")
-    return cur, curw, ReductionTrace("quasi_minimal", tuple(steps), terminal)
+            return "QuasiMinimalFirstKind" if info.kind == "first" else "QuasiMinimalSecondKind"
+        return mins, "quasi-minimal"
 
-
-def _attempt_candidates(cur, curw, candidates, steps, stage):
-    errors = []
-    for cand in candidates:
-        try:
-            return _do_step(cur, curw, blowdown(cur, cand, curw), steps)
-        except (MoveError, NormalizeError, DivisorError) as exc:
-            errors.append(f"{cand}: {exc}")
-    raise ReductionError(
-        f"stuck in {stage} reduction on {cur.ambient.describe()}; "
-        f"tried {len(candidates)} candidates: " + " | ".join(errors)
-    )
+    return _reduce("quasi_minimal", config, w, next_step)
 
 
 @dataclass(frozen=True)
@@ -226,13 +238,12 @@ def partially_minimal_reduce(
     info = classify_kind(config, enumerate_exceptional(config.ambient, w, coeff_bound=coeff_bound))
     if info.kind != "first":
         raise ReductionError("partially minimal reduction expects a first-kind pair")
-    steps: list[TraceStep] = []
-    cur, curw = config, w
-    while True:
+
+    def next_step(cur, curw):
+        nonlocal info
         if cur.ambient.b2 <= 2:
-            terminal = "SmallB2"
-            break
-        if steps:  # every pass after the first follows one blowdown
+            return "SmallB2"
+        if cur is not config:  # every pass after the first follows one blowdown
             info = classify_kind(
                 cur, enumerate_exceptional(cur.ambient, curw, coeff_bound=coeff_bound)
             )
@@ -252,10 +263,7 @@ def partially_minimal_reduce(
                 )
         toric.sort(key=lambda c: (area(c.cls, curw), c.id))
         if toric:
-            cur, curw = _attempt_candidates(
-                cur, curw, [c.cls for c in toric], steps, "partially-minimal(toric)"
-            )
-            continue
+            return [c.cls for c in toric], "partially-minimal(toric)"
 
         gens = [
             cur.ambient.basis_class(cur.ambient.names[i]) for i in cur.ambient.exc_indices
@@ -271,14 +279,10 @@ def partially_minimal_reduce(
                 raise ClassifyError(f"non-toric candidate {g} pairs {pair(g, d)} with [D]")
         nontoric.sort(key=lambda g: (area(g, curw), g.coeffs))
         if nontoric:
-            cur, curw = _attempt_candidates(
-                cur, curw, nontoric, steps, "partially-minimal(non-toric)"
-            )
-            continue
+            return nontoric, "partially-minimal(non-toric)"
+        return "QuasiMinimalFirstKind"
 
-        terminal = "QuasiMinimalFirstKind"
-        break
-    return cur, curw, ReductionTrace("partially_minimal", tuple(steps), terminal)
+    return _reduce("partially_minimal", config, w, next_step)
 
 
 # -- good chains ------------------------------------------------------------------
@@ -349,36 +353,31 @@ def second_kind_reduce(
     coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
     """Greedy blowdowns (cheapest class first, toric before half-toric
-    before non-toric before exterior) until b2 <= 2."""
-    steps: list[TraceStep] = []
-    if config.ambient.b2 <= 2:
-        return config, w, ReductionTrace("second_kind", (), "SmallB2")
-    info = classify_kind(config, enumerate_exceptional(config.ambient, w, coeff_bound=coeff_bound))
-    if info.kind != "second":
-        raise ReductionError("second-kind reduction expects a second-kind pair")
-    cur, curw = config, w
-    while cur.ambient.b2 > 2:
-        bound = 4 * max(
-            area(cur.ambient.basis_class(cur.ambient.names[i]), curw)
-            for i in cur.ambient.exc_indices
-        )
-        es = enumerate_exceptional(cur.ambient, curw, area_bound=bound, coeff_bound=coeff_bound)
+    before non-toric before exterior) until b2 <= 2.  The incidence pattern
+    ranks a class without blowing it down; a class no pattern matches is
+    dropped, and since (area, rank, coefficients) is a total order the
+    first class that blows down is the least one that does."""
+    if config.ambient.b2 > 2:
+        es = enumerate_exceptional(config.ambient, w, coeff_bound=coeff_bound)
+        if classify_kind(config, es).kind != "second":
+            raise ReductionError("second-kind reduction expects a second-kind pair")
+
+    def next_step(cur, curw):
+        amb = cur.ambient
+        if amb.b2 <= 2:
+            return "SmallB2"
+        bound = 4 * max(area(amb.basis_class(amb.names[i]), curw) for i in amb.exc_indices)
+        es = enumerate_exceptional(amb, curw, area_bound=bound, coeff_bound=coeff_bound)
         ranked = []
         for e in es.classes:
             try:
-                bd = blowdown(cur, e, curw)
-            except (MoveError, NormalizeError, DivisorError):
+                kind = detect_pattern(cur, e)[0]
+            except MoveError:
                 continue
-            ranked.append((area(e, curw), _TYPE_RANK[bd.kind], e.coeffs, bd))
-        if not ranked:
-            raise ReductionError(
-                "stuck in second-kind reduction; no exceptional class matches a "
-                f"blowdown pattern on {cur.ambient.describe()} with components "
-                + ", ".join(f"{c.id}={c.cls}" for c in cur.components)
-            )
-        ranked.sort(key=lambda t: t[:3])
-        cur, curw = _do_step(cur, curw, ranked[0][-1], steps)
-    return cur, curw, ReductionTrace("second_kind", tuple(steps), "SmallB2")
+            ranked.append((area(e, curw), _TYPE_RANK[kind], e.coeffs, e))
+        return [t[-1] for t in sorted(ranked)], "second-kind"
+
+    return _reduce("second_kind", config, w, next_step)
 
 
 def small_b2_reduce(
@@ -586,36 +585,19 @@ def ruled_reduce(
     if problems:
         raise ReductionError("ruled shape validation failed: " + "; ".join(problems))
 
-    steps: list[TraceStep] = []
-    cur, curw = config, w
-    while cur.ambient.kind == KIND_RULED and cur.ambient.n_exc > 0:
-        gens = sorted(cur.ambient.exc_indices, key=lambda i: curw.areas[i])
-        performed = False
-        for i in gens:
-            e = cur.ambient.basis_class(cur.ambient.names[i])
-            try:
-                cur, curw = _do_step(cur, curw, blowdown(cur, e, curw), steps)
-                performed = True
-                break
-            except (MoveError, NormalizeError, DivisorError):
-                continue
-        if performed:
-            continue
-        fib = cur.ambient.basis_class("F")
-        cands = []
-        for c in cur.components:
-            diff = fib - c.cls
-            if (
-                cur.degree(c.id) == 0
-                and is_exceptional_class(c.cls)
-                and sum(1 for x in diff.coeffs if x != 0) == 1
-            ):
-                cands.append(c.cls)
-        cands.sort(key=lambda x: area(x, curw))
-        if not cands:
-            raise ReductionError(
-                "stuck in ruled reduction: every generator is blocked and no "
-                "edge-free fiber-type exceptional component exists"
-            )
-        cur, curw = _attempt_candidates(cur, curw, cands, steps, "ruled")
-    return cur, curw, ReductionTrace("ruled", tuple(steps), "MinimalRuled")
+    def next_step(cur, curw):
+        amb = cur.ambient
+        if amb.kind != KIND_RULED or amb.n_exc == 0:
+            return "MinimalRuled"
+        gens = sorted(amb.exc_indices, key=lambda i: curw.areas[i])
+        fib = amb.basis_class("F")
+        fibers = [
+            c.cls for c in cur.components
+            if cur.degree(c.id) == 0
+            and is_exceptional_class(c.cls)
+            and sum(1 for x in (fib - c.cls).coeffs if x != 0) == 1
+        ]
+        fibers.sort(key=lambda x: area(x, curw))
+        return [amb.basis_class(amb.names[i]) for i in gens] + fibers, "ruled"
+
+    return _reduce("ruled", config, w, next_step)

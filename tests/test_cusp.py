@@ -17,6 +17,7 @@ from conftest import (
     second_kind_cp2_4,
     synthetic_chain,
 )
+from sympdiv import cli
 from sympdiv.checks import all_passed
 from sympdiv.cusp import (
     CertifyError,
@@ -27,12 +28,18 @@ from sympdiv.cusp import (
     cusp_class,
     positive_combination,
     resolve_pattern,
-    verify_certificate,
     weight_sequence,
 )
 from sympdiv.divisor import DivisorConfig
-from sympdiv.documents import parse_config
+from sympdiv.documents import certificate_to_doc, parse_config
 from sympdiv.lattice import AmbientLattice, AreaVector, canonical, pair
+
+
+def _check_round_trip(cert, tmp_path) -> int:
+    """Exit code of `sympdiv check` on the certificate's document."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(certificate_to_doc(cert)), encoding="utf-8")
+    return cli.main(["check", str(path)])
 
 
 def test_weight_sequence_examples():
@@ -167,14 +174,14 @@ def test_synthetic_chain_properties():
         assert check.passed and all(v >= 0 for v in pc.values())
 
 
-def test_certify_cp2_13_summary():
+def test_certify_cp2_13_summary(tmp_path):
     cfg, w = cp2_13_cusp()
     cert = certify_affine_ruled(cfg, w)
     assert cert.route_tag == "admissible-subchain"
     assert (cert.cusp.p, cert.cusp.q) == (8, 3)
     assert cert.weights == (3, 3, 2, 1, 1)
     assert all_passed(cert.all_checks())
-    assert all_passed(verify_certificate(cert))
+    assert _check_round_trip(cert, tmp_path) == 0
     assert cert.original.cls == cfg.ambient.cls(H=6, E1=-3, E2=-1, E3=-1, E7=-1)
 
 
@@ -194,28 +201,28 @@ def test_cp2_13_goodness_against_wide_enumeration():
     assert all_passed(checks)
 
 
-def test_certify_first_kind_cp2_8():
+def test_certify_first_kind_cp2_8(tmp_path):
     cfg, w = first_kind_cp2_8()
     cert = certify_affine_ruled(cfg, w)
     assert all_passed(cert.all_checks())
-    assert all_passed(verify_certificate(cert))
+    assert _check_round_trip(cert, tmp_path) == 0
 
 
-def test_certify_second_kind():
+def test_certify_second_kind(tmp_path):
     cfg, w = second_kind_cp2_4()
     cert = certify_affine_ruled(cfg, w)
     assert cert.route_tag.startswith("minimal-model:")
     assert all_passed(cert.all_checks())
-    assert all_passed(verify_certificate(cert))
+    assert _check_round_trip(cert, tmp_path) == 0
 
 
-def test_certify_ruled_comb():
+def test_certify_ruled_comb(tmp_path):
     cfg, w = ruled_comb()
     cert = certify_affine_ruled(cfg, w)
     assert cert.route == "ruled"
     assert cert.cusp is not None and (cert.cusp.p, cert.cusp.q) == (1, 0)
     assert all_passed(cert.all_checks())
-    assert all_passed(verify_certificate(cert))
+    assert _check_round_trip(cert, tmp_path) == 0
 
 
 def test_certify_a3_special():
@@ -229,7 +236,7 @@ def test_certify_a3_special():
     assert all_passed(cert.all_checks())
 
 
-def test_certify_lone_fiber_cleanup():
+def test_certify_lone_fiber_cleanup(tmp_path):
     # a lone fiber sphere in the one-point blowup is outside the model
     # tables; certification contracts once more and lands on a single line
     rb = AmbientLattice.rational_blowup(2)
@@ -241,7 +248,7 @@ def test_certify_lone_fiber_cleanup():
     assert any(tr.stage == "small_b2" for tr in cert.traces)
     assert cert.terminal_config.ambient.describe() == "CP2"
     assert all_passed(cert.all_checks())
-    assert all_passed(verify_certificate(cert))
+    assert _check_round_trip(cert, tmp_path) == 0
 
 
 def test_certify_rejects_log_cy():

@@ -523,3 +523,41 @@ def test_cli_repeated_generator_name_exits_2(names, command, tmp_path, capsys):
     rc = main([command, str(path)])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("input error: ") and "repeated generator name" in err
+
+
+def _set_id(value):
+    def mutate(doc):
+        doc["components"][0]["id"] = value
+    return mutate
+
+
+def _ids_one_and_string_one(doc):
+    doc["components"][0]["id"] = 1
+    doc["components"][1]["id"] = "1"
+
+
+def _set_edge_end(value):
+    def mutate(doc):
+        doc["edges"][0][0] = value
+    return mutate
+
+
+def _edges_not_a_list(doc):
+    doc["edges"] = 5
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_id(7), _set_id(None), _set_id(True), _ids_one_and_string_one,
+    _set_edge_end(7), _set_edge_end(None), _set_edge_end(["P1"]), _edges_not_a_list,
+], ids=["id-7", "id-null", "id-true", "ids-1-and-str-1", "edge-7", "edge-null", "edge-list",
+        "edges-5"])
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_cli_non_string_component_id_exits_2(mutate, command, tmp_path, capsys):
+    # ids are JSON strings; nothing turns 7 into "7" or lets 1 clash with "1"
+    doc = json.loads((FIXTURES / "cp2_13_cusp.json").read_text())
+    mutate(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("input error: ") and "string" in err

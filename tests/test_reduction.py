@@ -1,21 +1,28 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    FIXTURES,
     decreasing_areas,
     cp2_13_cusp,
     first_kind_cp2_8,
+    random_move,
     ruled_comb,
     second_kind_cp2_4,
 )
+from sympdiv import reduction
 from sympdiv.checks import all_passed
-from sympdiv.divisor import DivisorConfig, total_class, validate
-from sympdiv.exceptional import enumerate_exceptional
-from sympdiv.lattice import AmbientLattice, AreaVector, canonical
+from sympdiv.cli import main
+from sympdiv.divisor import DivisorConfig, DivisorError, adjoint_area, total_class, validate
+from sympdiv.documents import parse_config
+from sympdiv.exceptional import NormalizeError, enumerate_exceptional
+from sympdiv.lattice import AmbientLattice, AreaVector, area, canonical, is_exceptional_class
+from sympdiv.moves import MoveError, area_after_blowup, blowdown, blowup
 from sympdiv.reduction import (
     ClassifyError,
     ReductionError,
@@ -370,12 +377,11 @@ def test_ruled_reduce_trivial_terminal():
     assert [s.kind for s in tr.steps] == ["exterior"]
 
 
-def test_ruled_reduce_random_combs():
+def _random_combs():
+    """Seeded sections-plus-fiber combs blown up at random, those that pass
+    ruled_validate."""
     rng = random.Random(55)
-    from sympdiv.moves import area_after_blowup, blowup
-    from conftest import random_move
-    from sympdiv.divisor import adjoint_area
-
+    out = []
     for _ in range(40):
         g = rng.randint(1, 3)
         amb = AmbientLattice.ruled_trivial(g, 0)
@@ -388,8 +394,13 @@ def test_ruled_reduce_random_combs():
             nxt = blowup(cfg, move)
             w = area_after_blowup(cfg, nxt, w, min(min(w.areas), -adjoint_area(cfg, w)) / 8)
             cfg = nxt
-        if ruled_validate(cfg):
-            continue
+        if not ruled_validate(cfg):
+            out.append((cfg, w))
+    return out
+
+
+def test_ruled_reduce_random_combs():
+    for cfg, w in _random_combs():
         term, wt, tr = ruled_reduce(cfg, w)
         assert tr.terminal == "MinimalRuled"
         assert term.ambient.kind in ("ruled_trivial", "ruled_twisted")
@@ -405,3 +416,120 @@ def test_ruled_reduce_empty_trace_on_minimal():
     w = AreaVector.from_values(rt, [9, 1])
     term, wt, tr = ruled_reduce(cfg, w)
     assert tr.steps == ()
+
+
+# -- candidate order against the trial-blowdown loops it replaced -------------------
+
+_RANK = {"toric": 0, "half_toric": 1, "non_toric": 2, "exterior": 3}
+_MOVE_ERRORS = (MoveError, NormalizeError, DivisorError)
+
+
+def _trial_second_kind(config, w):
+    """Reference second-kind loop: blow down every enumerated class and
+    contract the least (area, pattern rank, coefficients) among those that
+    blow down.  Returns the (class, kind) steps and the terminal."""
+    steps = []
+    cur, curw = config, w
+    while cur.ambient.b2 > 2:
+        amb = cur.ambient
+        bound = 4 * max(area(amb.basis_class(amb.names[i]), curw) for i in amb.exc_indices)
+        ranked = []
+        for e in enumerate_exceptional(amb, curw, area_bound=bound).classes:
+            try:
+                bd = blowdown(cur, e, curw)
+            except _MOVE_ERRORS:
+                continue
+            ranked.append((area(e, curw), _RANK[bd.kind], e.coeffs, bd))
+        bd = min(ranked, key=lambda t: t[:3])[-1]
+        steps.append((bd.target, bd.kind))
+        cur, curw = bd.config, bd.new_area
+    return steps, "SmallB2"
+
+
+def _trial_ruled(config, w):
+    """Reference ruled loop: the cheapest exceptional generator that blows
+    down; only when none does, the cheapest edge-free fiber-type
+    exceptional component that does."""
+    steps = []
+    cur, curw = config, w
+    while cur.ambient.kind == "ruled_trivial" and cur.ambient.n_exc > 0:
+        amb = cur.ambient
+        gens = [amb.basis_class(amb.names[i])
+                for i in sorted(amb.exc_indices, key=lambda i: curw.areas[i])]
+        fib = amb.basis_class("F")
+        fibers = sorted(
+            (c.cls for c in cur.components
+             if cur.degree(c.id) == 0 and is_exceptional_class(c.cls)
+             and sum(1 for x in (fib - c.cls).coeffs if x != 0) == 1),
+            key=lambda x: area(x, curw),
+        )
+        for group in (gens, fibers):
+            bd = None
+            for e in group:
+                try:
+                    bd = blowdown(cur, e, curw)
+                    break
+                except _MOVE_ERRORS:
+                    continue
+            if bd is not None:
+                break
+        steps.append((bd.target, bd.kind))
+        cur, curw = bd.config, bd.new_area
+    return steps, "MinimalRuled"
+
+
+def _trace_steps(trace):
+    return [(s.target, s.kind) for s in trace.steps], trace.terminal
+
+
+def _trident_fixture():
+    return parse_config(json.loads((FIXTURES / "trident_cp2_4.json").read_text()))
+
+
+def _trident_rank_tie():
+    # at the last step a half-toric and a non-toric class tie in area, so
+    # the pattern rank decides which one is contracted
+    cfg, _ = second_kind_cp2_4()
+    areas = [1, Fraction(1, 10), Fraction(1, 8), Fraction(5, 11), Fraction(1, 11)]
+    return cfg, AreaVector.from_values(cfg.ambient, areas)
+
+
+@pytest.mark.parametrize("make", [second_kind_cp2_4, _trident_fixture, _trident_rank_tie])
+def test_second_kind_order_matches_trial_blowdowns(make):
+    cfg, w = make()
+    t1, w1, tr1 = quasi_minimal_reduce(cfg, w)
+    assert tr1.terminal == "QuasiMinimalSecondKind"
+    _, _, tr = second_kind_reduce(t1, w1)
+    assert tr.steps and _trace_steps(tr) == _trial_second_kind(t1, w1)
+
+
+def _comb_with_cheap_fiber():
+    # generators come before fiber components whatever the areas: E2 is
+    # contracted although the edge-free F - E1 is cheaper (E1 meets both)
+    amb = AmbientLattice.ruled_trivial(1, 2)
+    cfg = DivisorConfig.build(
+        amb, [("S", amb.cls(B=1, E1=-1)), ("X", amb.cls(F=1, E1=-1))], []
+    )
+    return cfg, AreaVector.from_values(amb, [9, 1, Fraction(9, 10), Fraction(1, 2)])
+
+
+def test_ruled_order_matches_trial_blowdowns():
+    combs = _random_combs() + [_comb_with_cheap_fiber()]
+    for cfg, w in combs:
+        _, _, tr = ruled_reduce(cfg, w)
+        assert _trace_steps(tr) == _trial_ruled(cfg, w)
+
+
+def test_certify_trident_blows_down_once_per_step(monkeypatch, capsys):
+    # the second-kind ranking reads incidence patterns; the only blowdowns
+    # are the three that the trace records
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return blowdown(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "blowdown", counted)
+    assert main(["certify", str(FIXTURES / "trident_cp2_4.json")]) == 0
+    assert "second_kind" in capsys.readouterr().out
+    assert len(calls) == 3
