@@ -509,19 +509,22 @@ def _stage(stage, fn):
 
 
 def _rational_route(config, w, coeff_bound, area_bound):
-    """Reduce to a quasi-minimal pair, then to a chain (first kind) or to
-    b2 <= 2; returns the traces, the terminal model and its route."""
+    """Reduce to a quasi-minimal pair, then, from the classification its
+    trace carries, to a chain (first kind) or to b2 <= 2; returns the
+    traces, the terminal model and its route."""
     if not is_connected(config):
         raise CertifyError("validate", "rational pipelines need a connected divisor")
     term, wt, tr = _stage("quasi_minimal", lambda: quasi_minimal_reduce(config, w, coeff_bound))
-    traces = [tr]
+    traces, info = [tr], tr.classification
     if tr.terminal == "QuasiMinimalFirstKind":
         term, wt, tr = _stage(
-            "partially_minimal", lambda: partially_minimal_reduce(term, wt, coeff_bound)
+            "partially_minimal", lambda: partially_minimal_reduce(term, wt, info, coeff_bound)
         )
         traces.append(tr)
     elif tr.terminal == "QuasiMinimalSecondKind":
-        term, wt, tr = _stage("second_kind", lambda: second_kind_reduce(term, wt, coeff_bound))
+        term, wt, tr = _stage(
+            "second_kind", lambda: second_kind_reduce(term, wt, info, coeff_bound)
+        )
         traces.append(tr)
     if tr.terminal != "SmallB2":
         route = _chain_route(term, wt, "admissible-subchain", coeff_bound, area_bound)

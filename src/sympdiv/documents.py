@@ -42,6 +42,15 @@ def _doc_int(v, where: str) -> int:
     return v
 
 
+def _doc_names(doc) -> tuple[str, ...] | None:
+    if "names" not in doc:
+        return None
+    names = doc["names"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise DocumentError(f"names: expected a list of strings, got {names!r}")
+    return tuple(names)
+
+
 def parse_fraction(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
@@ -94,12 +103,10 @@ def doc_to_ambient(doc) -> AmbientLattice:
             return AmbientLattice.product_of_spheres()
         if kind == KIND_RATIONAL:
             n = _doc_int(doc["n"], "n")
-            names = tuple(doc["names"]) if "names" in doc else None
-            return AmbientLattice.rational_blowup(n, names)
+            return AmbientLattice.rational_blowup(n, _doc_names(doc))
         if kind == KIND_RULED:
             n = _doc_int(doc["n"], "n")
-            names = tuple(doc["names"]) if "names" in doc else None
-            return AmbientLattice.ruled_trivial(_doc_int(doc["g"], "g"), n, names)
+            return AmbientLattice.ruled_trivial(_doc_int(doc["g"], "g"), n, _doc_names(doc))
         if kind == KIND_TWISTED:
             return AmbientLattice.ruled_twisted(_doc_int(doc["g"], "g"))
     except (KeyError, TypeError, ValueError, LatticeError) as exc:

@@ -177,73 +177,6 @@ def minimal_area(es: ExceptionalSet) -> list[HomologyClass]:
     return [c for c, a in zip(es.classes, es.areas) if a == best]
 
 
-# -- secondary chains ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SecondaryChain:
-    chain: tuple[HomologyClass, ...]  # (E_2, ..., E_n); E_n has minimal area
-    pair_first: HomologyClass  # E_1
-    pair_second: HomologyClass  # E_1'
-    case: str  # "S2xS2" or "CP2#1"
-
-
-def secondary_chain(
-    ambient: AmbientLattice,
-    w: AreaVector,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-) -> SecondaryChain:
-    """Greedy chain of secondary minimal-area classes plus the terminal pair."""
-    if ambient.kind != KIND_RATIONAL or ambient.n_exc < 2:
-        raise EnumerationError("secondary chains need a rational ambient with b2- >= 2")
-    n = ambient.n_exc
-    # the terminal pair can cost far more than the cheapest generator, so
-    # enumerate generously and widen on failure
-    bound = 2 * max(w.areas)
-    last = None
-    for _ in range(6):
-        try:
-            return _secondary_chain_bounded(ambient, w, bound, coeff_bound)
-        except EnumerationError as exc:
-            last = exc
-            bound = bound * 4
-    raise EnumerationError(f"secondary chain search exhausted its bounds: {last}")
-
-
-def _secondary_chain_bounded(ambient, w, bound, coeff_bound) -> SecondaryChain:
-    n = ambient.n_exc
-    es = enumerate_exceptional(ambient, w, area_bound=bound, coeff_bound=coeff_bound)
-    if es.incomplete:
-        raise EnumerationError("enumeration bound exhausted while building secondary chain")
-    selected: list[HomologyClass] = []
-    for _ in range(n - 1):
-        # es.classes is sorted by (area, coeffs), and so is every filtered list
-        cands = [
-            c for c in es.classes
-            if all(pair(c, s) == 0 for s in selected)
-        ]
-        if not cands:
-            raise EnumerationError("no orthogonal exceptional class available")
-        selected.append(cands[0])
-    # selected = (E_n, E_{n-1}, ..., E_2)
-    e2 = selected[-1]
-    rest = selected[:-1]
-    pool = [c for c in es.classes if all(pair(c, s) == 0 for s in rest)]
-    for x in pool:
-        for y in pool:
-            if x == y:
-                continue
-            if pair(x, y) == 0 and pair(x, e2) == 1 and pair(y, e2) == 1:
-                return SecondaryChain(tuple(reversed(selected)), x, y, "S2xS2")
-    for x in pool:
-        for y in pool:
-            if x == y:
-                continue
-            if pair(x, y) == 1 and pair(y, e2) == 1 and pair(x, e2) == 0:
-                return SecondaryChain(tuple(reversed(selected)), x, y, "CP2#1")
-    raise EnumerationError("no terminal pair matches either intersection pattern")
-
-
 # -- numerical SW predicate and D-goodness -----------------------------------
 
 

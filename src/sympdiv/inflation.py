@@ -347,7 +347,7 @@ def plan_kahler(target: NormalizedVector) -> InflationPlan:
 def _verified_plan(target: NormalizedVector) -> tuple[InflationPlan, list[Check]]:
     """The plan for `target` with the checks of the replay that accepted
     it; the step sizes shrink on each retry."""
-    if not in_region(NormalizedVector(1, target.entries), "P_g"):
+    if not in_region(target, "P_g"):
         raise PlanError(f"target {tuple(map(str, target.entries))} is outside the region")
     last = None
     for attempt in range(6):

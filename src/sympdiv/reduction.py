@@ -5,7 +5,8 @@ until the pair is quasi-minimal (the minimal class meets the total divisor
 class at least twice) or b2 <= 2.  Quasi-minimal pairs split into first and
 second kind by whether the minimal class occurs among the components; the
 first kind admits a further partially-minimal reduction to a chain, the
-second kind a greedy reduction to b2 <= 2.
+second kind a greedy reduction to b2 <= 2.  Both start from the
+classification the quasi-minimal stage hands over on its trace.
 
 Irrational ruled ambients contract exceptional generators cheapest first.
 
@@ -19,7 +20,7 @@ as blowups from the terminal configuration reproduces the input exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .checks import Check
 from .divisor import (
@@ -84,6 +85,8 @@ class ReductionTrace:
     stage: str
     steps: tuple[TraceStep, ...]
     terminal: str
+    # how a quasi-minimal terminal was classified; None on every other trace
+    classification: KindInfo | None = None
 
 
 def verify_trace(trace: ReductionTrace, initial: DivisorConfig) -> list[Check]:
@@ -168,9 +171,14 @@ def quasi_minimal_reduce(
     w: AreaVector,
     coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
+    """Contract minimal-area classes until the pair is quasi-minimal or
+    b2 <= 2.  A quasi-minimal terminal's trace carries the KindInfo it was
+    classified with, which the next stage starts from."""
     _require_pipeline_input(config, w)
+    info = None
 
     def next_step(cur, curw):
+        nonlocal info
         if cur.ambient.b2 <= 2:
             return "SmallB2"
         es = enumerate_exceptional(cur.ambient, curw, coeff_bound=coeff_bound)
@@ -181,7 +189,8 @@ def quasi_minimal_reduce(
             return "QuasiMinimalFirstKind" if info.kind == "first" else "QuasiMinimalSecondKind"
         return mins, "quasi-minimal"
 
-    return _reduce("quasi_minimal", config, w, next_step)
+    cur, curw, trace = _reduce("quasi_minimal", config, w, next_step)
+    return cur, curw, replace(trace, classification=info)
 
 
 @dataclass(frozen=True)
@@ -226,16 +235,17 @@ def classify_kind(config: DivisorConfig, es: ExceptionalSet) -> KindInfo:
 def partially_minimal_reduce(
     config: DivisorConfig,
     w: AreaVector,
+    info: KindInfo,
     coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
     """Remove toric (-1)-components and non-toric exceptional generators
-    orthogonal to E_min until none remain.
+    orthogonal to E_min until none remain.  info classifies config (the
+    quasi-minimal trace carries it); every later pass reclassifies.
 
     Non-toric candidates are restricted to basis generators: the general
     enumeration would keep contracting through basis changes past every
     terminal the chain construction needs, and basis moves suffice for the
     reduction to reach an admissible subchain."""
-    info = classify_kind(config, enumerate_exceptional(config.ambient, w, coeff_bound=coeff_bound))
     if info.kind != "first":
         raise ReductionError("partially minimal reduction expects a first-kind pair")
 
@@ -350,17 +360,17 @@ _TYPE_RANK = {"toric": 0, "half_toric": 1, "non_toric": 2, "exterior": 3}
 def second_kind_reduce(
     config: DivisorConfig,
     w: AreaVector,
+    info: KindInfo,
     coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
     """Greedy blowdowns (cheapest class first, toric before half-toric
-    before non-toric before exterior) until b2 <= 2.  The incidence pattern
+    before non-toric before exterior) until b2 <= 2; info classifies config
+    (the quasi-minimal trace carries it).  The incidence pattern
     ranks a class without blowing it down; a class no pattern matches is
     dropped, and since (area, rank, coefficients) is a total order the
     first class that blows down is the least one that does."""
-    if config.ambient.b2 > 2:
-        es = enumerate_exceptional(config.ambient, w, coeff_bound=coeff_bound)
-        if classify_kind(config, es).kind != "second":
-            raise ReductionError("second-kind reduction expects a second-kind pair")
+    if info.kind != "second":
+        raise ReductionError("second-kind reduction expects a second-kind pair")
 
     def next_step(cur, curw):
         amb = cur.ambient

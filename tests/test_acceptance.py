@@ -41,6 +41,7 @@ from sympdiv.inflation import (
     InflateNode,
     InflationPlan,
     NormalizedVector,
+    PlanError,
     in_region,
     plan_kahler,
     verify_plan,
@@ -324,7 +325,7 @@ def test_criterion_8_inflation():
     assert all_passed(verify_plan(plan))
 
     rng = random.Random(808)
-    done = 0
+    done = rejected = 0
     while done < 200:
         n = rng.randint(0, 6)
         vals = sorted(
@@ -336,10 +337,17 @@ def test_criterion_8_inflation():
         target = NormalizedVector(rng.randint(1, 3), (db,) + tuple(vals))
         if not in_region(NormalizedVector(1, target.entries), "P_g"):
             continue
+        if not in_region(target, "P_g"):
+            # inside P_1 but outside its own P_g: the planner refuses it
+            with pytest.raises(PlanError):
+                plan_kahler(target)
+            rejected += 1
+            continue
         plan = plan_kahler(target)
         checks = verify_plan(plan)
         assert all_passed(checks), failures(checks)
         done += 1
+    assert rejected > 0
 
     # tampered plans are rejected
     plan = plan_kahler(NormalizedVector.of(1, ["3/4", "1/3", "1/5"]))
@@ -352,7 +360,8 @@ def test_criterion_8_inflation():
         1, 2, plan.target[:-1] + (plan.target[-1] + 1,), plan.nodes
     )
     assert not all_passed(verify_plan(wrong))
-    _report(8, f"textbook plan, {done} random targets, tamper rejection",
+    _report(8, f"textbook plan, {done} random targets, {rejected} outside their P_g "
+            "refused, tamper rejection",
             time.monotonic() - t0, 30.0)
 
 

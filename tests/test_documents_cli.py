@@ -332,6 +332,13 @@ def test_cli_inflate_genus_below_one_exits_2(g, capsys):
     assert rc == 2 and err.startswith("input error: ")
 
 
+def test_cli_inflate_target_in_p1_outside_its_own_p_g_exits_1(capsys):
+    # (1, 3/10) lies in P_1 but not in P_2: the gate uses the target's genus
+    rc = main(["inflate", "--n", "1", "--g", "2", "--target", "1,3/10"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("inflation planning failed: ") and "region" in err
+
+
 def test_cli_inflate_target_outside_region_at_higher_genus_exits_1(capsys):
     rc = main(["inflate", "--n", "2", "--g", "2", "--target", "1/10,1/2,1/3"])
     err = capsys.readouterr().err
@@ -523,6 +530,29 @@ def test_cli_repeated_generator_name_exits_2(names, command, tmp_path, capsys):
     rc = main([command, str(path)])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("input error: ") and "repeated generator name" in err
+
+
+@pytest.mark.parametrize("command,ambient,areas", [
+    # a string is not split into one generator per character
+    ("certify", {"kind": "rational_blowup", "n": 2, "names": "PQ"},
+     {"H": "1", "P": "1/4", "Q": "1/5"}),
+    ("validate", {"kind": "rational_blowup", "n": 1, "names": [7]}, None),
+    ("validate", {"kind": "ruled_trivial", "g": 2, "n": 1, "names": "P"}, None),
+], ids=["certify-string", "validate-integer", "validate-ruled-string"])
+def test_cli_names_not_a_list_of_strings_exits_2(command, ambient, areas, tmp_path, capsys):
+    doc = {
+        "schema": "sympdiv/config/v1",
+        "ambient": ambient,
+        "components": [{"id": "A", "class": {"H": 1} if "g" not in ambient else {"B": 1}}],
+        "edges": [],
+    }
+    if areas is not None:
+        doc["areas"] = areas
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("input error: ") and "list of strings" in err
 
 
 def _set_id(value):

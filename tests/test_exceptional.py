@@ -14,7 +14,6 @@ from sympdiv.exceptional import (
     enumerate_exceptional,
     minimal_area,
     normalize_to_basis,
-    secondary_chain,
     sw_nonzero,
 )
 from sympdiv.lattice import (
@@ -110,41 +109,6 @@ def test_minimal_area_order_invariance():
     assert minimal_area(es) == minimal_area(
         enumerate_exceptional(rb, w, area_bound=Fraction(1))
     )
-
-
-def test_secondary_chain_cp2_2():
-    rb, w = cp2_2_areas()
-    chain = secondary_chain(rb, w)
-    assert len(chain.chain) == 1
-    assert str(chain.chain[0]) == "E2"
-    names = {str(chain.pair_first), str(chain.pair_second)}
-    assert names == {"E1", "H-E1-E2"}
-    assert chain.case == "CP2#1"
-    # the returned pair always matches one of the two patterns
-    e2 = chain.chain[-1]
-    x, y = chain.pair_first, chain.pair_second
-    pat1 = pair(x, y) == 0 and pair(x, e2) == 1 and pair(y, e2) == 1
-    pat2 = pair(x, y) == 1 and pair(y, e2) == 1 and pair(x, e2) == 0
-    assert pat1 or pat2
-
-
-def test_secondary_chain_random_patterns():
-    import random
-
-    rng = random.Random(3)
-    for n in (2, 3, 4):
-        for _ in range(5):
-            rb = AmbientLattice.rational_blowup(n)
-            denoms = sorted(rng.sample(range(3, 40), n))
-            w = AreaVector.from_values(rb, [1] + [Fraction(1, d) for d in denoms])
-            if w.square() <= 0:
-                continue
-            chain = secondary_chain(rb, w)
-            assert len(chain.chain) == n - 1
-            for i, e in enumerate(chain.chain):
-                for later in chain.chain[i + 1 :]:
-                    assert pair(e, later) == 0
-            assert chain.case in ("S2xS2", "CP2#1")
 
 
 def test_sw_nonzero():

@@ -181,7 +181,7 @@ def test_plan_outside_region_rejected():
 
 def test_random_targets_all_n(capsys):
     rng = random.Random(20240809)
-    done = 0
+    done = rejected = 0
     while done < 60:
         n = rng.randint(0, 6)
         vals = sorted(
@@ -193,9 +193,16 @@ def test_random_targets_all_n(capsys):
         target = NormalizedVector(rng.randint(1, 3), (db,) + tuple(vals))
         if not in_region(NormalizedVector(1, target.entries), "P_g"):
             continue
+        if not in_region(target, "P_g"):
+            # inside P_1 but outside its own P_g: the planner refuses it
+            with pytest.raises(PlanError):
+                plan_kahler(target)
+            rejected += 1
+            continue
         plan = plan_kahler(target)
         checks = verify_plan(plan)
         assert all_passed(checks), failures(checks)
         end = plan.target
         assert end == target.entries
         done += 1
+    assert rejected > 0

@@ -104,7 +104,7 @@ def test_classify_kind_negative_control():
 def test_partially_minimal_cp2_13():
     cfg, w = cp2_13_cusp()
     t1, w1, tr1 = quasi_minimal_reduce(cfg, w)
-    t2, w2, tr2 = partially_minimal_reduce(t1, w1)
+    t2, w2, tr2 = partially_minimal_reduce(t1, w1, tr1.classification)
     assert [(s.kind, str(s.target)) for s in tr2.steps] == [
         ("toric", "E6"),
         ("toric", "E5"),
@@ -124,7 +124,8 @@ def test_partially_minimal_cp2_13():
 
 def test_partially_minimal_first_kind_example_terminal():
     cfg, w = first_kind_cp2_8()
-    term, wt, tr = partially_minimal_reduce(cfg, w)
+    info = classify_kind(cfg, enumerate_exceptional(cfg.ambient, w))
+    term, wt, tr = partially_minimal_reduce(cfg, w, info)
     assert tr.terminal == "SmallB2"
     assert term.ambient.describe() == "CP2#1"
     got = sorted(str(c.cls) for c in term.components)
@@ -134,8 +135,8 @@ def test_partially_minimal_first_kind_example_terminal():
 
 def test_good_chain_cp2_13():
     cfg, w = cp2_13_cusp()
-    t1, w1, _ = quasi_minimal_reduce(cfg, w)
-    t2, _, _ = partially_minimal_reduce(t1, w1)
+    t1, w1, tr1 = quasi_minimal_reduce(cfg, w)
+    t2, _, _ = partially_minimal_reduce(t1, w1, tr1.classification)
     gc = good_chain(t2)
     assert gc.ids == ("P1", "P2", "P3", "P4", "P5")
     assert gc.k == 3 and gc.bullet == 1
@@ -159,7 +160,7 @@ def test_second_kind_reduce():
     cfg, w = second_kind_cp2_4()
     t1, w1, tr1 = quasi_minimal_reduce(cfg, w)
     assert tr1.terminal == "QuasiMinimalSecondKind"
-    t2, w2, tr2 = second_kind_reduce(t1, w1)
+    t2, w2, tr2 = second_kind_reduce(t1, w1, tr1.classification)
     assert t2.ambient.b2 <= 2
     assert all(s.kind == "non_toric" for s in tr2.steps)
     assert all_passed(verify_trace(tr2, t1))
@@ -169,9 +170,9 @@ def test_second_kind_reduce():
 
 def test_second_kind_already_small():
     cfg, w = second_kind_cp2_4()
-    t1, w1, _ = quasi_minimal_reduce(cfg, w)
-    t2, w2, _ = second_kind_reduce(t1, w1)
-    t3, w3, tr = second_kind_reduce(t2, w2)
+    t1, w1, tr1 = quasi_minimal_reduce(cfg, w)
+    t2, w2, _ = second_kind_reduce(t1, w1, tr1.classification)
+    t3, w3, tr = second_kind_reduce(t2, w2, tr1.classification)
     assert tr.steps == () and t3 == t2
 
 
@@ -499,7 +500,7 @@ def test_second_kind_order_matches_trial_blowdowns(make):
     cfg, w = make()
     t1, w1, tr1 = quasi_minimal_reduce(cfg, w)
     assert tr1.terminal == "QuasiMinimalSecondKind"
-    _, _, tr = second_kind_reduce(t1, w1)
+    _, _, tr = second_kind_reduce(t1, w1, tr1.classification)
     assert tr.steps and _trace_steps(tr) == _trial_second_kind(t1, w1)
 
 
@@ -533,3 +534,36 @@ def test_certify_trident_blows_down_once_per_step(monkeypatch, capsys):
     assert main(["certify", str(FIXTURES / "trident_cp2_4.json")]) == 0
     assert "second_kind" in capsys.readouterr().out
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("fixture,stage", [
+    ("cp2_13_cusp.json", "partially_minimal"),
+    ("trident_cp2_4.json", "second_kind"),
+])
+def test_certify_enumerates_each_pair_once(fixture, stage, monkeypatch, capsys):
+    # the stage after quasi-minimality starts from the classification the
+    # quasi-minimal trace carries instead of enumerating its input again
+    seen = []
+
+    def counted(*args, **kwargs):
+        es = enumerate_exceptional(*args, **kwargs)
+        seen.append((es.ambient, es.w.areas, es.area_bound, es.coeff_bound))
+        return es
+
+    monkeypatch.setattr(reduction, "enumerate_exceptional", counted)
+    assert main(["certify", str(FIXTURES / fixture)]) == 0
+    assert stage in capsys.readouterr().out
+    assert seen and len(set(seen)) == len(seen)
+
+
+def test_stages_refuse_the_wrong_kind():
+    cfg, w = cp2_13_cusp()
+    t1, w1, tr1 = quasi_minimal_reduce(cfg, w)
+    assert tr1.classification.kind == "first"
+    with pytest.raises(ReductionError, match="expects a second-kind pair"):
+        second_kind_reduce(t1, w1, tr1.classification)
+    cfg, w = second_kind_cp2_4()
+    t1, w1, tr1 = quasi_minimal_reduce(cfg, w)
+    assert tr1.classification.kind == "second"
+    with pytest.raises(ReductionError, match="expects a first-kind pair"):
+        partially_minimal_reduce(t1, w1, tr1.classification)

@@ -56,7 +56,8 @@ def test_certificates_match_the_certificate_schema(path, capsys):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 9])
 def test_inflation_plans_match_the_plan_schema(n, capsys):
     d = [Fraction(2, 5) * Fraction(9, 10) ** (i - 1) for i in range(1, n + 1)]
-    target = ",".join(map(str, [sum(d) / 2 + Fraction(3, 2)] + d))
+    # inside P_2 at every n, n = 0 included (there P_2 asks d_B > 2)
+    target = ",".join(map(str, [sum(d) / 2 + Fraction(5, 2)] + d))
     rc = main(["inflate", "--n", str(n), "--g", "2", "--target", target])
     assert rc == 0
     _validator(documents.PLAN_SCHEMA).validate(json.loads(capsys.readouterr().out))
