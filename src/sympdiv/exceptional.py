@@ -53,6 +53,7 @@ class ExceptionalSet:
     area_bound: Fraction
     coeff_bound: int
     incomplete: bool
+    nodes: int  # search nodes visited: a work counter, never serialized
 
 
 def enumerate_exceptional(
@@ -78,7 +79,7 @@ def enumerate_exceptional(
     cap = area_bound.numerator * den
 
     found: list[tuple[int, HomologyClass]] = []  # (area numerator, class)
-    incomplete = False
+    incomplete, nodes = False, 0
 
     if ambient.kind == KIND_RULED:
         # Degree over the base is 0 for sphere classes, so the solutions of
@@ -90,7 +91,7 @@ def enumerate_exceptional(
                 if 0 < num and num * bd <= cap:
                     found.append((num, c))
     elif ambient.kind == KIND_RATIONAL:
-        incomplete = _enumerate_rational(ambient, nums, bd, cap, coeff_bound, found)
+        incomplete, nodes = _enumerate_rational(ambient, nums, bd, cap, coeff_bound, found)
     # minimal kinds (CP2, S2xS2, twisted bundle) have no exceptional classes
 
     found.sort(key=lambda t: (t[0], t[1].coeffs))
@@ -102,24 +103,66 @@ def enumerate_exceptional(
         area_bound,
         coeff_bound,
         incomplete,
+        nodes,
     )
 
 
-def _enumerate_rational(ambient, nums, bd, cap, coeff_bound, out) -> bool:
+def _enumerate_rational(ambient, nums, bd, cap, coeff_bound, out) -> tuple[bool, int]:
     """Branch and bound over (a; c_1..c_n) with a^2 + 1 = sum c_i^2 and
     sum c_i = 1 - 3a.  Areas are the numerators nums over a common den and
-    the bound is cap / (bd * den).  Appends (area numerator, class) pairs to
-    out; returns the incomplete flag."""
+    the bound is cap / (bd * den).  A node with area numerator num so far and
+    square budget sq left is cut when no completion can come down to the
+    bound: by Cauchy-Schwarz the slots i.. lower num by at most
+    sqrt(sq * suf[i]), with suf[i] the sum of their nums squared.  The last
+    one or two slots are solved in closed form.  Appends (area numerator,
+    class) pairs to out; returns (incomplete flag, nodes visited)."""
     n = ambient.n_exc
     h_num = nums[0]
     exc_nums = nums[1:]
-    sq_num = sum(v * v for v in exc_nums)  # den^2 * sum w_i^2
+    suf = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suf[i] = suf[i + 1] + exc_nums[i] * exc_nums[i]
+    bd2 = bd * bd
     incomplete = False
+    nodes = 0
 
-    if h_num * h_num <= sq_num:  # den^2 * w.square() <= 0
+    if h_num * h_num <= suf[0]:  # den^2 * w.square() <= 0
         raise EnumerationError(
             "area vector has non-positive square; enumeration cannot terminate"
         )
+
+    def rec(i, sq, lin, num, head):
+        nonlocal incomplete, nodes
+        nodes += 1
+        m = num * bd - cap
+        if m > 0 and m * m > sq * bd2 * suf[i]:
+            return
+        r = math.isqrt(sq)
+        if r > coeff_bound:
+            incomplete = True
+            r = coeff_bound
+        if i >= n - 2:
+            if i == n - 1:
+                tails = [(lin,)] if lin * lin == sq else []
+            else:
+                # c + d = lin and c^2 + d^2 = sq: (c - d)^2 = 2 sq - lin^2, a
+                # square that has lin's parity whenever it is a square
+                t = 2 * sq - lin * lin
+                s = math.isqrt(t) if t >= 0 else 0
+                if s * s != t:
+                    return
+                tails = {((lin - s) // 2, (lin + s) // 2), ((lin + s) // 2, (lin - s) // 2)}
+            for tail in tails:
+                leaf = num + sum(map(operator.mul, tail, exc_nums[i:]))
+                if max(map(abs, tail)) <= r and 0 < leaf and leaf * bd <= cap:
+                    out.append((leaf, HomologyClass(ambient, head + tail)))
+            return
+        for c in range(-r, r + 1):
+            rem_sq = sq - c * c
+            rem_lin = lin - c
+            if rem_lin * rem_lin > (n - i - 1) * rem_sq:
+                continue
+            rec(i + 1, rem_sq, rem_lin, num + c * exc_nums[i], head + (c,))
 
     a = 0
     while True:
@@ -129,40 +172,11 @@ def _enumerate_rational(ambient, nums, bd, cap, coeff_bound, out) -> bool:
         # smallest possible area at degree a: a*w_H - sqrt((a^2+1) * sum w_i^2);
         # margin is (a*w_H - area_bound) * den * bd
         margin = a * h_num * bd - cap
-        if margin > 0 and margin * margin > (a * a + 1) * sq_num * bd * bd:
+        if margin > 0 and margin * margin > (a * a + 1) * suf[0] * bd2:
             break
-        square_budget = a * a + 1
-        linear_budget = 1 - 3 * a
-        vec = [0] * n
-        deg_num = a * h_num
-
-        def rec(i, sq, lin):
-            nonlocal incomplete
-            if i == n:
-                if sq == 0 and lin == 0:
-                    num = deg_num + sum(map(operator.mul, vec, exc_nums))
-                    if 0 < num and num * bd <= cap:
-                        out.append((num, ambient.from_coeffs((a,) + tuple(vec))))
-                return
-            slots = n - i
-            lo_sq = -math.isqrt(sq)
-            hi_sq = math.isqrt(sq)
-            if lo_sq < -coeff_bound or hi_sq > coeff_bound:
-                incomplete = True
-            lo = max(lo_sq, -coeff_bound)
-            hi = min(hi_sq, coeff_bound)
-            for c in range(lo, hi + 1):
-                rem_sq = sq - c * c
-                rem_lin = lin - c
-                if rem_lin * rem_lin > (slots - 1) * rem_sq if slots > 1 else (rem_sq or rem_lin):
-                    continue
-                vec[i] = c
-                rec(i + 1, rem_sq, rem_lin)
-            vec[i] = 0
-
-        rec(0, square_budget, linear_budget)
+        rec(0, a * a + 1, 1 - 3 * a, a * h_num, (a,))
         a += 1
-    return incomplete
+    return incomplete, nodes
 
 
 def minimal_area(es: ExceptionalSet) -> list[HomologyClass]:

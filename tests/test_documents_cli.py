@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,38 @@ def test_cli_certify_byte_identical(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def _fresh_process(argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "sympdiv.cli", *argv], capture_output=True, env=env, check=False
+    )
+
+
+def test_cli_one_process_prints_what_fresh_processes_print(tmp_path, capsys):
+    fixture = str(FIXTURES / "trident_cp2_4.json")
+    cert = tmp_path / "cert.json"
+    assert main(["certify", fixture]) == 0
+    certified = capsys.readouterr().out
+    cert.write_text(certified)
+    assert main(["check", str(cert)]) == 0
+    checked = capsys.readouterr().out
+    for argv, out in ((["certify", fixture], certified), (["check", str(cert)], checked)):
+        fresh = _fresh_process(argv)
+        assert (fresh.returncode, fresh.stdout) == (0, out.encode())
+
+
+def test_cli_parser_survives_usage_errors(capsys):
+    assert main(["cusp", "8", "3"]) == 0
+    before = capsys.readouterr().out
+    for argv in (["certify"], ["cusp", "8", "three"], ["nowhere"], ["inflate", "--n"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+    capsys.readouterr()
+    assert main(["cusp", "8", "3"]) == 0
+    assert capsys.readouterr().out == before
 
 
 # sha256 of `certify` stdout, pinned so that output drift between versions

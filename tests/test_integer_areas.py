@@ -254,10 +254,20 @@ ZERO_AREA_CLASS = (  # H - E1 - E2 has area 0 here and is no exceptional sphere
     12,
 )
 
+# at coeff_bound = 0 the per-slot clamp is what keeps E1 out: E1 fits the area
+# bound, but its coefficient 1 exceeds the coefficient bound
+E1_OVER_COEFF_BOUND = (
+    AmbientLattice.rational_blowup(1),
+    AreaVector.from_values(AmbientLattice.rational_blowup(1), [1, Fraction(1, 97)]),
+    Fraction(1, 97),
+    0,
+)
+
 
 @PROPERTY
 @given(cp2_blowups())
 @example(ZERO_AREA_CLASS)
+@example(E1_OVER_COEFF_BOUND)
 def test_enumeration_matches_fraction_leaf_test(case):
     amb, w, bound, coeff_bound = case
     if textbook_square(w) <= 0:
@@ -267,6 +277,12 @@ def test_enumeration_matches_fraction_leaf_test(case):
     assert [c.coeffs for c in es.classes] == expected
     assert es.incomplete == incomplete
     assert list(es.areas) == [area(c, w) for c in es.classes]
+
+
+def test_coeff_bound_zero_finds_nothing_and_says_so():
+    amb, w, bound, coeff_bound = E1_OVER_COEFF_BOUND
+    es = enumerate_exceptional(amb, w, area_bound=bound, coeff_bound=coeff_bound)
+    assert es.classes == () and es.incomplete
 
 
 def test_exceptional_set_areas_on_ruled_ambient():
