@@ -7,6 +7,16 @@
   sympdiv inflate --verify-only PLAN                 replay a plan file
   sympdiv check FILE             re-verify a certificate or plan document
 
+`certify` and `inflate` print their document as canonical JSON (sorted keys,
+no whitespace) and a newline.  `check` replays a certificate without the
+producer's search (see `checker`): it never re-runs the reduction's selection
+rules, and checks the legality of each recorded contraction and a witness
+search per step instead.  It prints a `failed:` line per failed check and
+"certificate rejected", or "certificate verified (re-derived identically)",
+the wording of the first certificate version, which scripts compare; it still
+holds, as the replay rebuilds the whole document and compares it
+canonically.  A plan is replayed step by step.
+
 Exit codes: 0 clean, 1 failed checks, 2 malformed input (a document or an
 option value that cannot be parsed, a search bound under which nothing is
 searched, or a base genus below 1), 3 internal error (a ValueError or
@@ -22,10 +32,11 @@ import sys
 from fractions import Fraction
 
 from . import documents
-from .checks import all_passed
+from .checker import check_certificate
+from .checks import all_passed, failures
 from .cusp import CertifyError, CuspError, certify_affine_ruled, weight_sequence
 from .divisor import check_hypothesis, check_tree_of_spheres, validate
-from .documents import DocumentError
+from .documents import DocumentError, search_bounds
 from .exceptional import DEFAULT_COEFF_BOUND
 from .inflation import NormalizedVector, PlanError, _verified_plan, verify_plan
 
@@ -52,17 +63,8 @@ def _fraction_option(option: str, value: str) -> Fraction:
         raise DocumentError(f"malformed {option} {value!r}: {exc}") from exc
 
 
-def _search_bounds(coeff_bound: int, area_bound: Fraction | None) -> None:
-    """Refuse bounds under which the exceptional-class search finds nothing,
-    so that goodness would pass vacuously or the reduction could not start."""
-    if coeff_bound < 1:
-        raise DocumentError(f"coeff bound must be at least 1, got {coeff_bound}")
-    if area_bound is not None and area_bound <= 0:
-        raise DocumentError(f"area bound must be positive, got {area_bound}")
-
-
 def _emit(doc) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(documents.canonical_json(doc))
 
 
 def cmd_validate(args) -> int:
@@ -90,7 +92,7 @@ def cmd_certify(args) -> int:
     if w is None:
         raise DocumentError("certification needs an 'areas' entry")
     area_bound = _fraction_option("--area-bound", args.area_bound) if args.area_bound else None
-    _search_bounds(args.coeff_bound, area_bound)
+    search_bounds(args.coeff_bound, area_bound)
     try:
         cert = certify_affine_ruled(
             config, w, coeff_bound=args.coeff_bound, area_bound=area_bound
@@ -151,42 +153,16 @@ def cmd_inflate(args) -> int:
 
 def cmd_check(args) -> int:
     doc = _load_json(args.path)
-    if not isinstance(doc, dict):
-        raise DocumentError("expected a JSON object")
-    schema = doc.get("schema")
-    if schema == documents.PLAN_SCHEMA:
-        plan = documents.doc_to_plan(doc)
-        checks = verify_plan(plan)
-        ok = all_passed(checks)
+    if isinstance(doc, dict) and doc.get("schema") == documents.PLAN_SCHEMA:
+        ok = all_passed(verify_plan(documents.doc_to_plan(doc)))
         print("plan ok" if ok else "plan rejected")
         return 0 if ok else 1
-    if schema == documents.CERTIFICATE_SCHEMA:
-        if "input" not in doc:
-            raise DocumentError("certificate lacks its 'input' configuration")
-        config, w = documents.parse_config(doc["input"])
-        if w is None:
-            raise DocumentError("certificate input lacks areas")
-        bounds = doc.get("bounds") or {}
-        if not isinstance(bounds, dict):
-            raise DocumentError("bounds: expected an object")
-        coeff_bound = documents._doc_int(
-            bounds.get("coeff_bound", DEFAULT_COEFF_BOUND), "bounds.coeff_bound"
-        )
-        area_bound = bounds.get("area_bound")
-        if area_bound is not None:
-            area_bound = documents.parse_fraction(area_bound)
-        _search_bounds(coeff_bound, area_bound)
-        try:
-            cert = certify_affine_ruled(config, w, coeff_bound=coeff_bound, area_bound=area_bound)
-        except CertifyError as exc:
-            print(f"re-certification failed: {exc}", file=sys.stderr)
-            return 1
-        regenerated = documents.certificate_to_doc(cert)
-        supplied = dict(doc)
-        same = documents.canonical_json(regenerated) == documents.canonical_json(supplied)
-        print("certificate verified (re-derived identically)" if same else "certificate mismatch")
-        return 0 if same else 1
-    raise DocumentError(f"unknown document schema {schema!r}")
+    checks = check_certificate(doc)
+    for c in failures(checks):
+        print(f"failed: {c.name}: {c.detail}")
+    ok = all_passed(checks)
+    print("certificate verified (re-derived identically)" if ok else "certificate rejected")
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

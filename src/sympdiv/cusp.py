@@ -38,7 +38,15 @@ from .lattice import (
     canonical,
     pair,
 )
-from .moves import Contraction, HalfToricBlowup, ToricBlowup, blowup, new_sphere_id, undo_blowup
+from .moves import (
+    BlowupMove,
+    Contraction,
+    HalfToricBlowup,
+    ToricBlowup,
+    blowup,
+    new_sphere_id,
+    undo_blowup,
+)
 from .reduction import (
     ReductionError,
     ReductionTrace,
@@ -167,7 +175,7 @@ def cusp_class(config: DivisorConfig, chain_ids, k: int) -> CuspData:
     adm = admissible_check(a)
     if not adm.accepted:
         raise CuspError(f"subchain {a} not admissible: {adm.reason}")
-    A = _combination_class(config, dict(zip(order[:k], adm.c)))
+    A = combination_class(config, dict(zip(order[:k], adm.c)))
 
     checks = [
         Check("A.D_k = p", pair(A, comps[k - 1].cls) == adm.p,
@@ -192,7 +200,7 @@ def cusp_class(config: DivisorConfig, chain_ids, k: int) -> CuspData:
                     comps[k - 1].id, comps[k].id, tuple(checks))
 
 
-def _combination_class(config: DivisorConfig, coeffs: dict) -> HomologyClass:
+def combination_class(config: DivisorConfig, coeffs: dict) -> HomologyClass:
     """The class sum(coeffs[id] [D_id]) over components of config."""
     total = config.ambient.zero()
     for cid, c in coeffs.items():
@@ -218,21 +226,23 @@ class ResolutionResult:
     checks: tuple[Check, ...]
     pc: dict
     contractions: tuple[Contraction, ...] = ()  # one per blowup, each undoing it
+    moves: tuple[BlowupMove, ...] = ()  # the blowups, their spheres being exc_ids
 
 
-def _resolution_blowup(cur, move, contractions):
+def _resolution_blowup(cur, move, contractions, moves):
     """One blowup of a resolution: the sphere takes its default id,
-    suffixed with x when a component already has it; the contraction
-    undoing it, on the blown-up ambient, is recorded."""
+    suffixed with x when a component already has it; the move and the
+    contraction undoing it, on the blown-up ambient, are recorded."""
     xid = new_sphere_id(cur.ambient)
     if cur.has_component(xid):
         xid += "x"
     out = blowup(cur, move, new_id=xid)
     contractions.append(undo_blowup(out.ambient, cur.ambient))
+    moves.append(move)
     return out, xid
 
 
-def _total_transform(contractions, x, weights):
+def total_transform(contractions, x, weights):
     """The total transform of x through the blowups that `contractions`
     undo, less weights[i] times the i-th exceptional class."""
     for con, m in zip(contractions, weights, strict=True):
@@ -258,7 +268,7 @@ def resolve_pattern(
         tr = da if p == 1 else db
         if tr is None:
             raise CuspError("degenerate cusp needs a designated component")
-        checks = _a_tilde_checks(config, A, tr)
+        checks = a_tilde_checks(config, A, tr)
         _require_all(checks, "degenerate resolution")
         return ResolutionResult(config, da, db, p, q, (), (), (), A, tr, tuple(checks), {})
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
@@ -272,10 +282,11 @@ def resolve_pattern(
     mult: list[int] = []
     ids: list[str] = []
     cons: list[Contraction] = []
+    moves: list[BlowupMove] = []
     pc: dict[str, int] = {}
     while True:
         mult.append(min(cp, cq))
-        cur, xid = _resolution_blowup(cur, ToricBlowup(u, v), cons)
+        cur, xid = _resolution_blowup(cur, ToricBlowup(u, v), cons, moves)
         ids.append(xid)
         if pc_contact < pc_mu:
             pc[xid] = pc.get(xid, 0) + (pc_mu - pc_contact)
@@ -290,23 +301,29 @@ def resolve_pattern(
         else:
             break
 
-    a_tilde = _total_transform(cons, A, mult)
-    ws = weight_sequence(p, q)
-    checks = [
-        Check("multiplicities are the weight sequence", tuple(mult) == ws.weights,
-              f"{tuple(mult)} vs {ws.weights}"),
-        Check("sum m_i^2 = pq", sum(m * m for m in mult) == p * q, ""),
-        Check("sum m_i = p+q-1", sum(mult) == p + q - 1, ""),
-    ]
-    checks.extend(_a_tilde_checks(cur, a_tilde, ids[-1]))
+    a_tilde = total_transform(cons, A, mult)
+    checks = resolution_checks(cur, a_tilde, ids[-1], tuple(mult), p, q)
     _require_all(checks, "resolution")
     return ResolutionResult(
         cur, da, db, p, q, tuple(mult), tuple(str(c.e) for c in cons), tuple(ids),
-        a_tilde, ids[-1], tuple(checks), pc, tuple(cons),
+        a_tilde, ids[-1], tuple(checks), pc, tuple(cons), tuple(moves),
     )
 
 
-def _a_tilde_checks(config, a_tilde, transverse_id) -> list[Check]:
+def resolution_checks(config, a_tilde, transverse_id, mult, p, q) -> list[Check]:
+    """The multiplicities against the weight sequence of (p, q), and the
+    resolution class against the total transform."""
+    ws = weight_sequence(p, q)
+    checks = [
+        Check("multiplicities are the weight sequence", mult == ws.weights,
+              f"{mult} vs {ws.weights}"),
+        Check("sum m_i^2 = pq", sum(m * m for m in mult) == p * q, ""),
+        Check("sum m_i = p+q-1", sum(mult) == p + q - 1, ""),
+    ]
+    return checks + a_tilde_checks(config, a_tilde, transverse_id)
+
+
+def a_tilde_checks(config, a_tilde, transverse_id) -> list[Check]:
     amb = config.ambient
     out = [
         Check("Atilde^2 = 0", pair(a_tilde, a_tilde) == 0, str(pair(a_tilde, a_tilde))),
@@ -344,14 +361,14 @@ def positive_combination(
     if not res.multiplicities:
         return {}, Check("positive combination", True, "empty weight sequence, zero class")
     target = (
-        _total_transform(res.contractions, res.q * config_before.component(res.da).cls,
+        total_transform(res.contractions, res.q * config_before.component(res.da).cls,
                          res.multiplicities)
         - res.q * res.config.component(res.da).cls
     )
     neg = [cid for cid, coeff in res.pc.items() if coeff < 0]
     if neg:
         raise CuspError(f"negative combination coefficient on {neg[0]}")
-    ok = _combination_class(res.config, res.pc) == target
+    ok = combination_class(res.config, res.pc) == target
     check = Check("positive combination", ok,
                   f"{ {k: v for k, v in sorted(res.pc.items())} }")
     if not ok:
@@ -375,8 +392,7 @@ class OriginalTransport:
 
 @dataclass(frozen=True)
 class Route:
-    """What a route establishes on the terminal model; its notes join the
-    certificate's assumptions."""
+    """What a route establishes on the terminal model."""
 
     tag: str
     cusp: CuspData | None
@@ -385,7 +401,6 @@ class Route:
     dgood: tuple[Check, ...]
     combination: dict | None = None
     combination_check: Check | None = None
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -436,6 +451,41 @@ _BASE_ASSUMPTIONS = (
     "the moduli space of the resolution class is identified with the last "
     "exceptional sphere",
 )
+# the assumptions a terminal minimal model adds to its route
+_MODEL_NOTES = {
+    "A1p": "an auxiliary line through a point of the divisor completes the "
+           "single-line case; its data is marked auxiliary",
+    "A3p": "the cusp degenerates to a fourth-order tangency at an interior "
+           "point of the single component; blowup centers are chosen there",
+}
+
+
+def certificate_assumptions(traces, route: Route, term: DivisorConfig) -> tuple[str, ...]:
+    """The named assumptions of a certificate: those every one rests on, the
+    contraction of minimal-class components with fewer than two neighbours
+    when the first trace makes one, and those of the route taken on the
+    terminal model."""
+    out = list(_BASE_ASSUMPTIONS)
+    if traces and any(s.kind in ("half_toric", "exterior") and s.blowdown.removed_component
+                      is not None for s in traces[0].steps):
+        out.append(
+            "minimal-class components with fewer than two neighbours are "
+            "contracted as half-toric or exterior spheres"
+        )
+    if route.tag == "comb":
+        out.append("the fiber class of the ruling is realizable through any adapted "
+                   "almost complex structure")
+        if route.cusp is None:
+            out.append("an auxiliary section of the ruling closes up the fibration")
+    elif route.tag != "admissible-subchain":
+        model = classify_minimal_model(term)
+        out.append(f"terminal minimal model: {model.case} {model.params}")
+        if model.case in _MODEL_NOTES:
+            out.append(_MODEL_NOTES[model.case])
+        elif route.cusp.k == 0:
+            out.append(f"degenerate cusp designation: contact component {route.cusp.da}, "
+                       f"companion {route.cusp.db if route.cusp.db else 'none'}")
+    return tuple(dict.fromkeys(out))
 
 
 def certify_affine_ruled(
@@ -454,27 +504,23 @@ def certify_affine_ruled(
     if not hypothesis.passed:
         raise CertifyError("hypothesis", f"area(K + [D]) = {hyp_val} is not negative")
 
+    def goodness(cls, cfg, wa):
+        es = _stage("enumerate", lambda: enumerate_exceptional(cfg.ambient, wa, area_bound,
+                                                                coeff_bound))
+        return tuple(_stage("dgood", lambda: d_good(cls, cfg, wa, es)))
+
     ruled = config.ambient.is_ruled
     if ruled:
         traces, term, wt = [], config, w
-        route = _comb_route(config, w, coeff_bound, area_bound)
+        route = comb_route(config, w, goodness)
     else:
-        traces, term, wt, route = _rational_route(config, w, coeff_bound, area_bound)
-    assumptions = list(_BASE_ASSUMPTIONS)
-    if traces and any(s.kind in ("half_toric", "exterior") and s.blowdown.removed_component
-                      is not None for s in traces[0].steps):
-        assumptions.append(
-            "minimal-class components with fewer than two neighbours are "
-            "contracted as half-toric or exterior spheres"
-        )
-    assumptions.extend(route.notes)
-
+        traces, term, wt, route = _rational_route(config, w, coeff_bound, goodness)
     trace_checks = []
     cur = config
     for tr in traces:
         trace_checks.extend(verify_trace(tr, cur))
         cur = tr.steps[-1].blowdown.config if tr.steps else cur
-    original = _transport_to_original(config, traces, route.cusp) if route.cusp and not ruled else None
+    original = transport_to_original(config, traces, route.cusp) if route.cusp and not ruled else None
 
     return AffineRuledCertificate(
         route="ruled" if ruled else "rational",
@@ -491,7 +537,7 @@ def certify_affine_ruled(
         combination=route.combination,
         combination_check=route.combination_check,
         original=original,
-        assumptions=tuple(dict.fromkeys(assumptions)),
+        assumptions=certificate_assumptions(traces, route, term),
         input_config=config,
         input_area=w,
         bounds={"coeff_bound": coeff_bound, "area_bound": area_bound},
@@ -508,7 +554,7 @@ def _stage(stage, fn):
         raise CertifyError(stage, str(exc)) from exc
 
 
-def _rational_route(config, w, coeff_bound, area_bound):
+def _rational_route(config, w, coeff_bound, goodness):
     """Reduce to a quasi-minimal pair, then, from the classification its
     trace carries, to a chain (first kind) or to b2 <= 2; returns the
     traces, the terminal model and its route."""
@@ -527,25 +573,15 @@ def _rational_route(config, w, coeff_bound, area_bound):
         )
         traces.append(tr)
     if tr.terminal != "SmallB2":
-        route = _chain_route(term, wt, "admissible-subchain", coeff_bound, area_bound)
+        route = _chain_route(term, wt, "admissible-subchain", goodness)
         return traces, term, wt, route
     term, wt, tr = _stage("small_b2", lambda: small_b2_reduce(term, wt, coeff_bound))
     if tr.steps:
         traces.append(tr)
-    return traces, term, wt, _b2_route(term, wt, coeff_bound, area_bound)
+    return traces, term, wt, _b2_route(term, wt, goodness)
 
 
-def _dgood(cls, config, w, coeff_bound, area_bound):
-    """Goodness of cls against the exceptional classes of config's ambient
-    within the bounds."""
-    es = _stage(
-        "enumerate",
-        lambda: enumerate_exceptional(config.ambient, w, area_bound, coeff_bound),
-    )
-    return tuple(_stage("dgood", lambda: d_good(cls, config, w, es)))
-
-
-def _resolution_areas(term_config, wt, res, cusp_area_hint) -> AreaVector:
+def resolution_areas(term_config, wt, res, cusp_area_hint) -> AreaVector:
     """Tiny decreasing areas for the resolution generators, keeping the
     canonical area negative and the resolution class area positive: the
     i-th exceptional sphere gets base / ((p + q) 4^i)."""
@@ -556,7 +592,7 @@ def _resolution_areas(term_config, wt, res, cusp_area_hint) -> AreaVector:
     return wt
 
 
-def _chain_route(term, wt, tag, coeff_bound, area_bound, notes=()):
+def _chain_route(term, wt, tag, goodness):
     """Good chain -> admissible subchain -> cusp class -> resolution ->
     goodness of the resolution class -> non-negative combination."""
     candidates = _stage("good_chain", lambda: good_chain_candidates(term))
@@ -574,26 +610,50 @@ def _chain_route(term, wt, tag, coeff_bound, area_bound, notes=()):
             "resolution",
             lambda: resolve_pattern(term, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls),
         )
-        res_area = _resolution_areas(term, wt, res, area(cusp.cls, wt))
-        dgood = _dgood(res.a_tilde, res.config, res_area, coeff_bound, area_bound)
         pc_map, _ = _stage("combination", lambda: positive_combination(res, term))
         comb = dict(zip(cusp.chain_ids[: cusp.k], cusp.c))
         for cid, v in pc_map.items():
             comb[cid] = comb.get(cid, 0) + v
-        ok = (_combination_class(res.config, comb) == res.a_tilde
-              and all(v >= 0 for v in comb.values()))
-        comb_check = Check(
-            "Atilde is a non-negative combination of total-transform components",
-            ok,
-            str({k: v for k, v in sorted(comb.items()) if v}),
-        )
-        if not ok:
+        route = resolved_route(tag, term, wt, cusp, res, comb, goodness)
+        if not route.combination_check.passed:
             raise CertifyError("combination", "resolution class combination failed")
-        return Route(tag, cusp, res, res_area, dgood, comb, comb_check, notes)
+        return route
     raise CertifyError("admissible", f"no admissible subchain labeling: {last_err}")
 
 
-def _b2_route(term, wt, coeff_bound, area_bound):
+def resolved_route(tag, base, wt, cusp, res, comb, goodness) -> Route:
+    """A route through a resolved cusp of base: the resolution's areas, the
+    goodness of its class, and the class as the combination comb of
+    total-transform components (as the proper transform of the sphere on the
+    a3-special route)."""
+    res_area = resolution_areas(base, wt, res, area(cusp.cls, wt))
+    if tag == "a3-special":
+        check = Check("Atilde is the proper transform of the degree-two sphere",
+                      res.config.component(res.da).cls == res.a_tilde, "")
+    else:
+        check = Check(
+            "Atilde is a non-negative combination of total-transform components",
+            combination_class(res.config, comb) == res.a_tilde
+            and all(v >= 0 for v in comb.values()),
+            str({k: v for k, v in sorted(comb.items()) if v}),
+        )
+    return Route(tag, cusp, res, res_area, goodness(res.a_tilde, res.config, res_area), comb,
+                 check)
+
+
+def a1p_augmented(term: DivisorConfig) -> DivisorConfig:
+    """A single line in the plane with an auxiliary line through a point of
+    it, which makes it a chain."""
+    h = term.ambient.basis_class("H")
+    d1 = term.components[0]
+    return DivisorConfig.build(
+        term.ambient,
+        [(c.id, c.cls) for c in term.components] + [("aux_line", h)],
+        list(term.edges) + [(d1.id, "aux_line")],
+    )
+
+
+def _b2_route(term, wt, goodness):
     """Terminal models with b2 <= 2: combs ride the fiber class, chains
     reuse the cusp machinery, the degree-two sphere in the plane gets its
     dedicated four-blowup pattern."""
@@ -601,35 +661,21 @@ def _b2_route(term, wt, coeff_bound, area_bound):
     if tag is None:
         raise CertifyError("minimal_model", f"no minimal-model case matches {term.ambient.describe()}")
     name = tag.case
-    notes = (f"terminal minimal model: {name} {tag.params}",)
-
     if name == "A3p":
-        return _a3_route(term, wt, coeff_bound, area_bound, notes)
-
+        res = _stage("resolution", lambda: _a3_resolution(term))
+        return resolved_route("a3-special", term, wt, a3_cusp(term), res,
+                              {term.components[0].id: 1}, goodness)
     if name == "A1p":
-        aux_id = "aux_line"
-        h = term.ambient.basis_class("H")
-        d1 = term.components[0]
-        augmented = DivisorConfig.build(
-            term.ambient,
-            [(c.id, c.cls) for c in term.components] + [(aux_id, h)],
-            list(term.edges) + [(d1.id, aux_id)],
-        )
-        notes += (
-            "an auxiliary line through a point of the divisor completes the "
-            "single-line case; its data is marked auxiliary",
-        )
-        return _chain_route(augmented, wt, f"minimal-model:{name}", coeff_bound, area_bound, notes)
-
+        return _chain_route(a1p_augmented(term), wt, f"minimal-model:{name}", goodness)
     if len(term.components) >= 2:
         try:
-            return _chain_route(term, wt, f"minimal-model:{name}", coeff_bound, area_bound, notes)
+            return _chain_route(term, wt, f"minimal-model:{name}", goodness)
         except (CertifyError, ReductionError):
             pass
-    return _fiber_route(term, wt, name, coeff_bound, area_bound, notes)
+    return fiber_route(term, wt, name, goodness)
 
 
-def _fiber_candidates(amb):
+def fiber_candidates(amb):
     if amb.kind == KIND_S2S2:
         return [amb.basis_class("f1"), amb.basis_class("f2")]
     if amb.kind == KIND_RATIONAL and amb.n_exc == 1:
@@ -637,7 +683,7 @@ def _fiber_candidates(amb):
     return []
 
 
-def _fiber_cusp(config, f, da, label):
+def fiber_cusp(config, f, da, label):
     """The degenerate (1, 0) cusp of a square-zero class f (named `label` in
     the checks) meeting the section da once, its companion the first
     neighbour of da, and its empty resolution."""
@@ -652,83 +698,60 @@ def _fiber_cusp(config, f, da, label):
     return cusp, _stage("resolution", lambda: resolve_pattern(config, da, db, 1, 0, f))
 
 
-def _fiber_route(term, wt, name, coeff_bound, area_bound, notes):
+def fiber_route(term, wt, name, goodness):
     """(p, q) = (1, 0): a square-zero class meeting exactly one component
     once foliates the complement."""
-    for f in _fiber_candidates(term.ambient):
+    for f in fiber_candidates(term.ambient):
         hot = [c.id for c in term.components if pair(f, c.cls) != 0]
         if len(hot) != 1 or pair(f, term.component(hot[0]).cls) != 1:
             continue
-        cusp, res = _fiber_cusp(term, f, hot[0], "A")
-        notes += (
-            f"degenerate cusp designation: contact component {cusp.da}, "
-            f"companion {cusp.db if cusp.db else 'none'}",
-        )
-        dgood = _dgood(f, term, wt, coeff_bound, area_bound)
-        return Route(f"minimal-model:{name}", cusp, res, wt, dgood, notes=notes)
+        cusp, res = fiber_cusp(term, f, hot[0], "A")
+        return Route(f"minimal-model:{name}", cusp, res, wt, goodness(f, term, wt))
     raise CertifyError("fiber_route", f"no fiber class foliates case {name}")
 
 
-def _comb_route(config, w, coeff_bound, area_bound):
+def comb_route(config, w, goodness):
     """Ruled ambients: the fiber class foliates the complement of a comb,
     with a degenerate cusp at the section when there is one."""
     problems = ruled_validate(config)
     if problems:
         raise CertifyError("ruled_validate", "; ".join(problems))
-    notes = (
-        "the fiber class of the ruling is realizable through any adapted "
-        "almost complex structure",
-    )
     f = config.ambient.basis_class("F")
     sections = [c.id for c in config.components if pair(f, c.cls) == 1]
     cusp = res = None
     if sections:
-        cusp, res = _fiber_cusp(config, f, sections[0], "F")
-    else:
-        notes += ("an auxiliary section of the ruling closes up the fibration",)
-    dgood = _dgood(f, config, w, coeff_bound, area_bound)
-    return Route("comb", cusp, res, w if res else None, dgood, notes=notes)
+        cusp, res = fiber_cusp(config, f, sections[0], "F")
+    return Route("comb", cusp, res, w if res else None, goodness(f, config, w))
 
 
 def _a3_resolution(term) -> ResolutionResult:
     """Half-toric plus three toric blowups on the degree-two sphere; the
     foliating class 2h - e1 - e2 - e3 - e4 has a (4, 1) tangency."""
     d1 = term.components[0].id
-    cur, ids, cons = term, [], []
+    cur, ids, cons, moves = term, [], [], []
     for i in range(4):
         move = HalfToricBlowup(d1) if i == 0 else ToricBlowup(d1, ids[-1])
-        cur, xid = _resolution_blowup(cur, move, cons)
+        cur, xid = _resolution_blowup(cur, move, cons, moves)
         ids.append(xid)
-    a_cls = _total_transform(cons, term.components[0].cls, (1, 1, 1, 1))
-    checks = _a_tilde_checks(cur, a_cls, ids[-1])
+    a_cls = total_transform(cons, term.components[0].cls, (1, 1, 1, 1))
+    checks = a_tilde_checks(cur, a_cls, ids[-1])
     _require_all(checks, "a3-pattern")
     return ResolutionResult(cur, d1, None, 4, 1, (1, 1, 1, 1), tuple(str(c.e) for c in cons),
-                            tuple(ids), a_cls, ids[-1], tuple(checks), {d1: 1}, tuple(cons))
+                            tuple(ids), a_cls, ids[-1], tuple(checks), {d1: 1}, tuple(cons),
+                            tuple(moves))
 
 
-def _a3_route(term, wt, coeff_bound, area_bound, notes):
-    """The degree-two sphere in the plane: its (4, 1) resolution, goodness
-    of the proper transform, which is the foliating class itself."""
+def a3_cusp(term: DivisorConfig) -> CuspData:
+    """The (4, 1) cusp of the degree-two sphere in the plane."""
     d1 = term.components[0]
-    res = _stage("resolution", lambda: _a3_resolution(term))
-    cusp = CuspData((), 0, (), (), 4, 1, d1.cls, d1.id, None,
+    return CuspData((), 0, (), (), 4, 1, d1.cls, d1.id, None,
                     (Check("A.A = pq", pair(d1.cls, d1.cls) == 4, ""),
                      Check("A.K = -p-q-1", pair(d1.cls, canonical(term.ambient)) == -6, "")))
-    res_area = _resolution_areas(term, wt, res, area(d1.cls, wt))
-    dgood = _dgood(res.a_tilde, res.config, res_area, coeff_bound, area_bound)
-    comb_check = Check(
-        "Atilde is the proper transform of the degree-two sphere",
-        res.config.component(d1.id).cls == res.a_tilde,
-        "",
-    )
-    notes += (
-        "the cusp degenerates to a fourth-order tangency at an interior "
-        "point of the single component; blowup centers are chosen there",
-    )
-    return Route("a3-special", cusp, res, res_area, dgood, {d1.id: 1}, comb_check, notes)
 
 
-def _transport_to_original(config, traces, cusp) -> OriginalTransport:
+
+
+def transport_to_original(config, traces, cusp) -> OriginalTransport:
     """Walk the reduction backwards, lifting A through each blowup; a toric
     blowup at the cusp corner shortens the cusp by one Euclid step."""
     steps = [s for tr in traces for s in tr.steps]

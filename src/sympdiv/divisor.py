@@ -9,6 +9,7 @@ components are embedded surfaces.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,7 @@ from .lattice import (
     AmbientLattice,
     AreaVector,
     HomologyClass,
+    LatticeError,
     adjunction_genus,
     area,
     canonical,
@@ -130,7 +132,7 @@ def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
     for i, ci in enumerate(comps):
         for cj in comps[i + 1:]:
             p = pair(ci.cls, cj.cls)
-            m = counts[tuple(sorted((ci.id, cj.id)))]
+            m = counts[(ci.id, cj.id) if ci.id <= cj.id else (cj.id, ci.id)]
             if p < 0:
                 problems.append(f"components {ci.id},{cj.id}: negative pairing {p}")
             elif m != p:
@@ -244,7 +246,13 @@ def smooth_all(config: DivisorConfig) -> list[SmoothedSurface]:
 
 
 def adjoint_area(config: DivisorConfig, w: AreaVector) -> Fraction:
-    return area(canonical(config.ambient) + total_class(config), w)
+    """area(K + [D]), summed on w's integer form with one division."""
+    amb = w.ambient
+    if config.ambient != amb or any(c.cls.ambient != amb for c in config.components):
+        raise LatticeError("ambient mismatch")
+    nums, den = w.integer_form
+    vecs = [canonical(amb).coeffs] + [c.cls.coeffs for c in config.components]
+    return Fraction(sum(sum(map(operator.mul, v, nums)) for v in vecs), den)
 
 
 def check_hypothesis(config: DivisorConfig, w: AreaVector) -> bool:

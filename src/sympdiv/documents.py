@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from .cusp import AffineRuledCertificate
 from .divisor import DivisorConfig
+from .exceptional import DEFAULT_COEFF_BOUND
 from .inflation import InflateNode, InflationPlan, SeedNode, ZigZagNode
 from .lattice import (
     KIND_PP,
@@ -21,11 +22,22 @@ from .lattice import (
     AreaVector,
     HomologyClass,
     LatticeError,
+    LatticeMap,
     pair,
+)
+from .moves import (
+    BlowupMove,
+    Contraction,
+    ExteriorBlowup,
+    HalfToricBlowup,
+    NonToricBlowup,
+    ToricBlowup,
+    recorded_contraction,
 )
 
 CONFIG_SCHEMA = "sympdiv/config/v1"
-CERTIFICATE_SCHEMA = "sympdiv/certificate/v1"
+CERTIFICATE_SCHEMA = "sympdiv/certificate/v2"
+CERTIFICATE_SCHEMA_V1 = "sympdiv/certificate/v1"
 PLAN_SCHEMA = "sympdiv/plan/v1"
 
 
@@ -61,6 +73,29 @@ def parse_fraction(s) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"malformed rational {s!r}: {exc}") from exc
     return f
+
+
+def search_bounds(coeff_bound: int, area_bound: Fraction | None) -> None:
+    """Refuse bounds under which the exceptional-class search finds nothing,
+    so that goodness would pass vacuously or the reduction could not start."""
+    if coeff_bound < 1:
+        raise DocumentError(f"coeff bound must be at least 1, got {coeff_bound}")
+    if area_bound is not None and area_bound <= 0:
+        raise DocumentError(f"area bound must be positive, got {area_bound}")
+
+
+def doc_bounds(doc) -> tuple[int, Fraction | None]:
+    """The search bounds a certificate records: (coeff bound, area bound or
+    None for the default)."""
+    bounds = doc.get("bounds") or {}
+    if not isinstance(bounds, dict):
+        raise DocumentError("bounds: expected an object")
+    coeff_bound = _doc_int(bounds.get("coeff_bound", DEFAULT_COEFF_BOUND), "bounds.coeff_bound")
+    area_bound = bounds.get("area_bound")
+    if area_bound is not None:
+        area_bound = parse_fraction(area_bound)
+    search_bounds(coeff_bound, area_bound)
+    return coeff_bound, area_bound
 
 
 def frac_str(f: Fraction) -> str:
@@ -212,6 +247,68 @@ def config_to_dot(config: DivisorConfig, title: str = "divisor") -> str:
     return "\n".join(lines)
 
 
+# -- moves and contractions -------------------------------------------------------
+
+# type -> (move class, its fields, whether it adds a sphere: None when an
+# exterior blowup may or may not)
+_MOVE_TYPES = {
+    "toric": (ToricBlowup, ("a", "b"), True),
+    "half_toric": (HalfToricBlowup, ("comp",), True),
+    "non_toric": (NonToricBlowup, ("comp",), False),
+    "exterior": (ExteriorBlowup, (), None),
+}
+
+
+def move_to_doc(move: BlowupMove, sphere: str | None) -> dict:
+    """A blowup move with the id of the sphere it adds (None when it adds
+    none)."""
+    doc = {"type": move.kind, "sphere": sphere}
+    for field in _MOVE_TYPES[move.kind][1]:
+        doc[field] = getattr(move, field)
+    return doc
+
+
+def doc_to_move(doc) -> tuple[BlowupMove, str | None]:
+    """The move and the id of the sphere it adds."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("type"), str) \
+            or doc["type"] not in _MOVE_TYPES:
+        raise DocumentError(f"move: expected an object with a known 'type', got {doc!r}")
+    cls, fields, adds = _MOVE_TYPES[doc["type"]]
+    args = [doc.get(f) for f in fields]
+    sphere = doc.get("sphere")
+    if not all(isinstance(a, str) for a in args) or not (sphere is None or isinstance(sphere, str)):
+        raise DocumentError(f"move: component ids must be strings, got {doc!r}")
+    if adds is not None and adds != (sphere is not None):
+        raise DocumentError(f"move: a {doc['type']} blowup adds {'a' if adds else 'no'} sphere")
+    if cls is ExteriorBlowup:
+        return ExteriorBlowup(add_component=sphere is not None), sphere
+    return cls(*args), sphere
+
+
+def contraction_to_doc(con: Contraction) -> dict:
+    """The reflection word with the generator it drops, or the bridge."""
+    doc = {"word": [class_to_doc(c) for c in con.word.word]}
+    if con.slot is None:
+        doc["bridge"] = con.post.kind
+    else:
+        doc["drop"] = con.pre.names[con.slot]
+    return doc
+
+
+def doc_to_contraction(doc, e: HomologyClass) -> Contraction:
+    """The recorded contraction of e; the word is taken as written."""
+    amb = e.ambient
+    if not isinstance(doc, dict) or not isinstance(doc.get("word"), list):
+        raise DocumentError(f"contraction: expected an object with a 'word' list, got {doc!r}")
+    word = tuple(doc_to_class(c, amb, "contraction word") for c in doc["word"])
+    if "bridge" in doc:
+        return recorded_contraction(e, LatticeMap(amb, word), None)
+    drop = doc.get("drop")
+    if drop not in amb.names[amb.exc_start:]:
+        raise DocumentError(f"contraction: {drop!r} is no exceptional generator of {amb.describe()}")
+    return recorded_contraction(e, LatticeMap(amb, word), amb.index_of(drop))
+
+
 # -- checks, traces, certificates --------------------------------------------------
 
 
@@ -248,6 +345,8 @@ def certificate_to_doc(cert: AffineRuledCertificate) -> dict:
                         "b2_after": s.b2_after,
                         "hypothesis_before": s.hyp_before,
                         "hypothesis_after": s.hyp_after,
+                        "contraction": contraction_to_doc(s.blowdown.contraction),
+                        "move": move_to_doc(s.blowdown.move, s.blowdown.removed_component),
                     }
                     for s in tr.steps
                 ],
@@ -285,6 +384,7 @@ def certificate_to_doc(cert: AffineRuledCertificate) -> dict:
             "class": class_to_doc(r.a_tilde),
             "multiplicities": list(r.multiplicities),
             "exceptional": list(r.exc_names),
+            "moves": [move_to_doc(m, x) for m, x in zip(r.moves, r.exc_ids)],
             "transverse": r.transverse_id,
             "checks": _checks_doc(r.checks),
         }

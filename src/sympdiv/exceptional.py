@@ -56,6 +56,13 @@ class ExceptionalSet:
     nodes: int  # search nodes visited: a work counter, never serialized
 
 
+def default_area_bound(w: AreaVector) -> Fraction:
+    """The area of the cheapest exceptional basis generator (0 when there is
+    none): an upper bound for the least exceptional area."""
+    m = w.min_exc_area()
+    return m if m is not None else Fraction(0)
+
+
 def enumerate_exceptional(
     ambient: AmbientLattice,
     w: AreaVector,
@@ -72,8 +79,7 @@ def enumerate_exceptional(
     if ambient != w.ambient:
         raise LatticeError("ambient mismatch")
     if area_bound is None:
-        m = w.min_exc_area()
-        area_bound = m if m is not None else Fraction(0)
+        area_bound = default_area_bound(w)
     nums, den = w.integer_form
     bd = area_bound.denominator
     cap = area_bound.numerator * den
@@ -217,7 +223,25 @@ def d_good(
     w: AreaVector,
     es: ExceptionalSet,
 ) -> list[Check]:
-    """The four-condition goodness checklist for a class against a divisor."""
+    """The four-condition goodness checklist for a class against a divisor,
+    the exceptional classes being those of an enumeration."""
+    bad = next((e for e in es.classes if e != a and pair(a, e) < 0), None)
+    return goodness_checks(a, config, w, es.area_bound, es.coeff_bound, bad, es.incomplete)
+
+
+def goodness_checks(
+    a: HomologyClass,
+    config: DivisorConfig,
+    w: AreaVector,
+    area_bound: Fraction,
+    coeff_bound: int,
+    witness: HomologyClass | None,
+    incomplete: bool,
+) -> list[Check]:
+    """The four-condition goodness checklist, given the outcome of a search
+    for an exceptional class E != a with 0 < area(E) <= area_bound and
+    E.a < 0: the witness found (None when there is none) and whether the
+    coefficient bound cut the search short."""
     if a.is_zero():
         raise EnumerationError("the zero class is never good")
     out = [Check("sw-nonzero", sw_nonzero(a, w), f"I={sw_index(a)}")]
@@ -230,16 +254,11 @@ def d_good(
     else:
         out.append(Check("primitive-if-null", True, "square nonzero"))
 
-    bad = [e for e in es.classes if e != a and pair(a, e) < 0]
-    detail = (
-        f"checked {len(es.classes)} classes with area <= {es.area_bound}, "
-        f"|coeff| <= {es.coeff_bound}"
-    )
-    if es.incomplete:
-        detail += "; enumeration incomplete (conditional pass within bounds)"
-    if bad:
-        detail = f"negative pairing with {bad[0]}; " + detail
-    out.append(Check("nonneg-on-exceptional", not bad, detail))
+    verdict = f"negative pairing with {witness}" if witness else "no negative pairing"
+    detail = f"area <= {area_bound}, |coeff| <= {coeff_bound}: {verdict}"
+    if incomplete:
+        detail += "; search incomplete (conditional pass within bounds)"
+    out.append(Check("nonneg-on-exceptional", witness is None, detail))
 
     neg = [c.id for c in config.components if pair(a, c.cls) < 0]
     out.append(

@@ -245,9 +245,14 @@ class InflationPlan:
 
 
 def verify_plan(plan: InflationPlan) -> list[Check]:
-    """Replay the plan: seed arithmetic, every bound, every positivity,
-    and exact equality of the normalized endpoint with the target."""
-    checks: list[Check] = []
+    """Replay the plan: the target in the region P_g of the plan's own genus,
+    seed arithmetic, every bound, every positivity, and exact equality of the
+    normalized endpoint with the target."""
+    try:
+        inside = in_region(NormalizedVector(plan.g, plan.target), "P_g")
+    except PlanError:  # a genus below 1 or a non-positive entry
+        inside = False
+    checks = [Check("target lies in P_g", inside, f"g = {plan.g}")]
     state = _replay(plan, checks, prefix="")
     if state is None:
         return checks

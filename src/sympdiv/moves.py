@@ -195,6 +195,19 @@ def _contraction_for(e: HomologyClass) -> Contraction:
     return con
 
 
+def recorded_contraction(e: HomologyClass, word: LatticeMap, slot: int | None) -> Contraction:
+    """The contraction of e as a certificate records it: the word and the
+    slot it drops, or, with slot None, the bridge whose class e is.  Nothing
+    is searched; that the word takes e to the generator at slot is left to
+    the caller to check."""
+    if slot is None:
+        con = _bridge(e)
+        if con is None:
+            raise MoveError(f"{e} is not the class of a bridge")
+        return con
+    return Contraction(e.ambient, _drop_ambient(e.ambient, slot), e, word, slot)
+
+
 def new_sphere_id(ambient: AmbientLattice) -> str:
     """The default component id of the sphere a blowup of `ambient` adds:
     the fresh generator's name, or "e" for H-E1-E2 out of S2xS2."""
@@ -246,6 +259,8 @@ def _apply_move(
     post configuration along the section of con, then rewrite the lifted
     classes and edges by the move, con.e being the new exceptional sphere."""
     classes = {c.id: con.section(c.cls) for c in config.components}
+    genus = {c.id: c.genus for c in config.components}  # a blowup keeps every genus
+    genus[new_id] = 0
     edges = list(config.edges)
     ecls = con.e
     if isinstance(move, ToricBlowup):
@@ -273,7 +288,7 @@ def _apply_move(
             classes[new_id] = ecls
     else:
         raise MoveError(f"unknown move {move!r}")
-    out = DivisorConfig.build(con.pre, list(classes.items()), edges)
+    out = DivisorConfig.build(con.pre, [(i, c, genus[i]) for i, c in classes.items()], edges)
     require_valid(out)
     return out
 

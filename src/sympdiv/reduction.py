@@ -94,25 +94,24 @@ def verify_trace(trace: ReductionTrace, initial: DivisorConfig) -> list[Check]:
     out = []
     cur = initial
     for i, ts in enumerate(trace.steps):
-        ok = ts.blowdown.pre_config == cur
-        out.append(Check(f"{trace.stage}[{i}] chains", ok, f"step {ts.kind} {ts.target}"))
         replayed = replay_blowdown(ts.blowdown)
-        out.append(
-            Check(
-                f"{trace.stage}[{i}] replay",
-                replayed == ts.blowdown.pre_config,
-                "blowup of the contracted configuration reproduces the input",
-            )
-        )
-        out.append(
-            Check(
-                f"{trace.stage}[{i}] hypothesis",
-                ts.hyp_before and ts.hyp_after,
-                "adjoint area stays negative",
-            )
-        )
+        out.extend(step_checks(trace.stage, i, ts, ts.blowdown.pre_config == cur,
+                               replayed == ts.blowdown.pre_config))
         cur = ts.blowdown.config
     return out
+
+
+def step_checks(stage: str, i: int, ts: TraceStep, chains: bool, replays: bool) -> list[Check]:
+    """The three checks of the i-th step of a trace: it starts where the
+    previous step ended, its blowup reproduces its input, and the adjoint
+    area is negative on both sides."""
+    return [
+        Check(f"{stage}[{i}] chains", chains, f"step {ts.kind} {ts.target}"),
+        Check(f"{stage}[{i}] replay", replays,
+              "blowup of the contracted configuration reproduces the input"),
+        Check(f"{stage}[{i}] hypothesis", ts.hyp_before and ts.hyp_after,
+              "adjoint area stays negative"),
+    ]
 
 
 def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step):

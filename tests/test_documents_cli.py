@@ -157,40 +157,42 @@ def test_cli_parser_survives_usage_errors(capsys):
 
 
 # sha256 of `certify` stdout, pinned so that output drift between versions
-# shows; a change of any of them is a change of the certificate format
+# shows; a change of any of them is a change of the certificate format.  The
+# digests are those of certificate v2 printed as canonical JSON; CHANGES.md
+# records the v1 digests they replaced.
 GOLDEN_CERTIFY_SHA256 = [
     (("cp2_13_cusp.json",),
-     "4c28480cafdaa3dfa15fe970e5c26af69228a218cf4587dd0a78814368c169e1"),
+     "85fe1d831c978e3cf46ce016afaca88f3f487f5d0794ac59266257f9e7710602"),
     (("cp2_13_cusp.json", "--area-bound", "3"),
-     "f130f63d7f15ac306f7286291e1f0cf61affbdcafc3524480d766efff56ab769"),
+     "d664adad95b81ad39e8460202131454b1be1f05c7e8bfe003fb36410abf32ac3"),
     (("ruled_comb_genus2.json",),
-     "3c6ec0a5740abcfa6761e892663ddeb9a9ec27a86743adf1094baf82d9c1c178"),
+     "7af6a2b646d015bf319d4da7414c2fdcb1799ab590a6cbc43daa3321058ad8ac"),
     # second-kind trident: its greedy reduction tries classes that need a
     # nontrivial reflection word
     (("trident_cp2_4.json",),
-     "d2d294ad3f6386b0676da1ffb8eee70c6b45d39de9cad8fa6c5c5e8074077683"),
+     "eef46364a11fb9c7da4b207d2ce6f0fcbca3a32e340e047907e3918e4f8c193b"),
     # the last blowdown of the trace is the CP2#2 -> S2xS2 bridge
     (("product_spheres_5.json",),
-     "444013cb97914d02ae61658177616c513b370fe4968c55ed10cb448fc3e33448"),
+     "3121f484cd028ebc65630e421a96ef31fdfe99ef8c4f366813884827f46bfd69"),
     # the first blowdown contracts 2H-E1-...-E5 through a word of length 2
     (("conic_cremona_cp2_6.json",),
-     "3fc6a14c6a451257d10a5caae6bf76dec966ec096c9fc9cf75468d3249e0e3d9"),
+     "1c8cda3783db8c455f67a07d30ac4486d72b58c7e1b97f3b6b5ec60db416e218"),
     # S2xS2 chain, route minimal-model:B1p: the resolution's first blowup
     # goes through H-E1-E2 with the new component id e.  Before blowups
     # became sections of the bridge, its resolution areas gave E1 the area
     # f2 - eps and E2 the area f1 - eps, which with f1 = H - E2 swaps the two
     # fiber areas; the digest of that output was ffc9f62a...1e31309b20f85
     (("product_spheres_chain.json",),
-     "1895e5be373a8e6f3dc907062aaa557e4785ea36408c09b3f1319ca6774c3997"),
+     "c92d5472bb0ac078dfcb27a015c15a28a1339b4fb6cc1592d878acd9835c2740"),
     # a single line in CP2, route A1p: the auxiliary-line chain
     (("cp2_line.json",),
-     "1f19527524f5bc9b5619a64ea4199d9d1c403e9f02262fab1a2b0775fa2842f6"),
+     "fd1b0f0a78fcfcc5b1bd943cafa9e1e2512a9157899fc708187206e412f10318"),
     # a single conic in CP2, route a3-special
     (("cp2_conic.json",),
-     "1fd27e344bd7b67ce9e639e4d67f39146a43f47fed83239c9814aa54de97613b"),
+     "7f8fa28c8da1b9a53a85657e1e6b6fbe0238c3e7002786b21469d27e5e08de15"),
     # a ruled comb without a section: route comb with no resolution
     (("ruled_comb_sectionless.json",),
-     "136b7a9ece44a0c09abfc0bf4e733cbe9f3cba7f0282c6e67b636a6fd1e25ae6"),
+     "387b070517c13062565aabe35386b4d061256921209f234c6bd841cebf8b1110"),
 ]
 
 
@@ -375,6 +377,22 @@ def test_cli_inflate_target_in_p1_outside_its_own_p_g_exits_1(capsys):
     assert rc == 1 and err.startswith("inflation planning failed: ") and "region" in err
 
 
+def test_plan_outside_its_own_p_g_is_rejected_on_replay(tmp_path, capsys):
+    # the planner refuses (1, 3/10) at g = 2, but builds it; the replay of
+    # the built plan must refuse it too
+    from sympdiv.inflation import _build
+
+    plan = _build(2, (Fraction(1), Fraction(3, 10)), Fraction(1))
+    checks = verify_plan(plan)
+    assert [c.name for c in checks if not c.passed] == ["target lies in P_g"]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(documents.plan_to_doc(plan)))
+    assert main(["inflate", "--verify-only", str(path)]) == 1
+    assert capsys.readouterr().out == "failed: target lies in P_g: g = 2\nplan rejected\n"
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == "plan rejected\n"
+
+
 def test_cli_inflate_target_outside_region_at_higher_genus_exits_1(capsys):
     rc = main(["inflate", "--n", "2", "--g", "2", "--target", "1/10,1/2,1/3"])
     err = capsys.readouterr().err
@@ -387,26 +405,27 @@ def _golden_target(n, g):
     return ",".join(map(str, [(sum(d) + 2 * g - 2) / 2 + Fraction(1, 2)] + d))
 
 
-# sha256 of `inflate` stdout, pinned like the certify digests above
+# sha256 of `inflate` stdout, pinned like the certify digests above: canonical
+# JSON, whose `verification` list opens with the target's region check
 GOLDEN_INFLATE_SHA256 = {
-    (1, 1): "02ac0173d2ff6f5af6abe411ce5056e23673f865e30e4c7275671c4f8a2d8600",
-    (1, 2): "3f8a31b1c2c6df0d9e6a06dcfc0451a93a71af881789de082f36093852d76399",
-    (1, 3): "662314b38de406bf88f512a437efca5b23b292e1afced14176e26d4cf69be0da",
-    (2, 1): "a1853689468d758846c95517607dbf02b43be2ea28fb7f2c400214d2770f6723",
-    (2, 2): "7feaa1f4300eb2982def7c3cd2f7afd73a622789bae153a638321df2fd976153",
-    (2, 3): "65c1d05b54bc60d42cc4d42a25bad00060d5602892e946c0c3c8f7913681ec2e",
-    (9, 1): "4e8106de57add7fa78a98ab4167ec0188f27484cc3e95abc4e956efe2ac74c93",
-    (9, 2): "b74af92e5473f6d850f9be306ad428c18e0c177ab1317a976314f6682e583ab0",
-    (9, 3): "a005cd9158be4c3377b6602a333adaaa21cfd7fed164c7f6b577f928a2bcaac6",
-    (16, 1): "a2901b8abbe18094a93e007e82e6899cba38c71ac9eaaca70b121289cac9fd95",
-    (16, 2): "182ea37d0df01867d97804105da4332898fa4f6b53a581c8429aadca530e993f",
-    (16, 3): "d52f0106a5bfe0945c000401ac58f1b4a01b5b5980e5b23e60cc6550ed10e4d6",
-    (17, 1): "c84d8e1ada88d3482b995a71f7f901617b7a76483a8d2f1797fee5db358a7ab3",
-    (17, 2): "c1b0423f0bc3b9cd85b3b044f3334b78ec875306ddac14ffd2ea262183e0e6ab",
-    (17, 3): "99d431a1b5d6e57061c9ae88402a11e6110a242a9369ee3847dfec1089c2e51e",
-    (31, 1): "3b55ca021a734ae427a1032bd69601b0e3a95c5e3ba476335d0247eaab0b7cc3",
-    (31, 2): "aa403bc961f84a25c67fc6ec2d06988f942bc517c489499cb9dcfba0c17ddad8",
-    (31, 3): "cae541bdb25f6029984621ed710820417d85a4a407bc15ba021211cc249c41d7",
+    (1, 1): "063a317d6c7185e3f7b86398a1fbe8ba3fca115db440b1c78f829a69d70e123f",
+    (1, 2): "ed40d3182433c125d8d3d9279db29f4a3fdecd2260971242cdfe95a2b7396424",
+    (1, 3): "7a4fbb2f93701f62ed31a01cf0c762449bb4b5ff3782e958039d4127ce229831",
+    (2, 1): "84e5a3057c8dce734e0bb9d98efd7d97c00bd783ee3bf58a60162cb0a407ccce",
+    (2, 2): "bdbba2cf7a066a255096ed345b765a7e2ca6a3406b121577f9dfe4c5a012ed92",
+    (2, 3): "3eade6adb3fb51a91ef63443c201eb02057223b62bc40b1e645992fc8cdf0eca",
+    (9, 1): "71a3562eb07eaf0ef9750db6d5f63175345f8a71daa275955443929a5a314617",
+    (9, 2): "c2365838d6b3591a24a2a7f13a493748a7f11acdcb03021c682904f521f011a9",
+    (9, 3): "a9308733f7377acecb526d7eb4224b037633484c09d5ece23c45a098c6a4228d",
+    (16, 1): "858fe7bbc828de0746a0b4a5c8f80726df17d836da2e9cd51e6fac605f74b109",
+    (16, 2): "96836bb72aac9ede138abe1706dd74ab43fe8043869751d3fe3cc73c544637fd",
+    (16, 3): "a746221ead8cc2c756ea032e25a8d07e084edf80f8d28206670e814419275456",
+    (17, 1): "97497137e501da6207be6f0228706e30fef5ad43b09ee5840609cb652dd07e5c",
+    (17, 2): "ccc4f16061d3196c8098f12151e897748f11fa589b94eb38a7b75572bcf79766",
+    (17, 3): "6192d1e339de835292222a4a5f6501e11fd775c710358cc3df47c891fc3687c2",
+    (31, 1): "0f2c167be47e60358e4453470a29a0f04e7c732fef66f1f4c40d07358e7f1a63",
+    (31, 2): "8118e24f20fe87ad90aa6a8704db6a9e9fa64e40ec3329b4c6e7784d04c45f84",
+    (31, 3): "308566d9db6db0553523cd80dd145efaba868103ada6eedc1d93d7e6816ccdd6",
 }
 
 

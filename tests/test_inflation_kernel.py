@@ -27,6 +27,7 @@ from sympdiv.inflation import (
     PlanError,
     SeedNode,
     ZigZagNode,
+    in_region,
     inflate_step,
     plan_ambient,
     plan_kahler,
@@ -72,7 +73,11 @@ def ref_normalize(a: AreaVector) -> NormalizedVector:
 
 
 def ref_verify_plan(plan: InflationPlan) -> list[Check]:
-    checks: list[Check] = []
+    try:
+        inside = in_region(NormalizedVector(plan.g, plan.target), "P_g")
+    except PlanError:
+        inside = False
+    checks = [Check("target lies in P_g", inside, f"g = {plan.g}")]
     state = _ref_replay(plan, checks, prefix="")
     if state is None:
         return checks

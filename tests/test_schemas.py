@@ -68,3 +68,15 @@ def test_certificate_schema_rejects_a_non_string_input_id(capsys):
     doc["input"]["components"][0]["id"] = 7
     with pytest.raises(jsonschema.ValidationError):
         _validator(documents.CERTIFICATE_SCHEMA).validate(doc)
+
+
+def test_a_v1_certificate_is_refused_with_a_pointer_to_v2(capsys):
+    # the cp2_13 certificate as v1 printed it, before contractions and moves
+    # were recorded
+    path = Path(__file__).parent / "data" / "cp2_13_cusp.v1.cert.json"
+    assert json.loads(path.read_text())["schema"] == "sympdiv/certificate/v1"
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert documents.CERTIFICATE_SCHEMA in captured.err and "re-run `sympdiv certify`" in captured.err
