@@ -54,6 +54,8 @@ def _load_json(path: str):
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DocumentError(f"{path} is nested too deeply to parse") from exc
+    except ValueError as exc:  # an integer past the digit limit, or bytes not UTF-8
+        raise DocumentError(f"{path} cannot be parsed: {exc}") from exc
 
 
 def _fraction_option(option: str, value: str) -> Fraction:

@@ -10,7 +10,6 @@ components are embedded surfaces.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from .lattice import (
     area,
     canonical,
     pair,
+    pairings,
 )
 
 
@@ -94,22 +94,26 @@ class DivisorConfig:
 
 
 def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
-    """Return the list of violated invariants; empty means valid."""
+    """Return the list of violated invariants; empty means valid.  All pairings
+    come from one `pairings` matrix: row 0 holds K.c, the diagonal c.c."""
+    comps, amb = config.components, config.ambient
+    if not comps:
+        return ["configuration is empty"]
     problems: list[str] = []
-    if not config.components:
-        problems.append("configuration is empty")
-        return problems
-
+    k = next((i for i, c in enumerate(comps) if c.cls.ambient is not amb and c.cls.ambient != amb),
+             len(comps))
+    classes = [c.cls for c in comps[:k]]
+    gram = pairings([canonical(amb)] + classes, classes)
     seen = set()
-    for c in config.components:
+    for i, c in enumerate(comps):
         if c.id in seen:
             problems.append(f"duplicate component id {c.id!r}")
         seen.add(c.id)
-        if c.cls.ambient != config.ambient:
+        if i == k:
             problems.append(f"component {c.id}: class lives in a different ambient")
             return problems
-        g = adjunction_genus(c.cls)
-        if g is None:
+        g = (gram[i + 1][i] + gram[0][i]) // 2 + 1
+        if g < 0:
             problems.append(f"component {c.id}: class {c.cls} admits no embedded genus")
         elif g != c.genus:
             problems.append(
@@ -126,17 +130,19 @@ def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
                 problems.append(f"edge references unknown component {cid!r}")
                 return problems
 
-    # keyed like edge_multiplicity: stored edges against the sorted id pair
-    counts = Counter(config.edges)
-    comps = config.components
-    for i, ci in enumerate(comps):
-        for cj in comps[i + 1:]:
-            p = pair(ci.cls, cj.cls)
-            m = counts[(ci.id, cj.id) if ci.id <= cj.id else (cj.id, ci.id)]
-            if p < 0:
-                problems.append(f"components {ci.id},{cj.id}: negative pairing {p}")
-            elif m != p:
-                problems.append(f"components {ci.id},{cj.id}: {m} edges but pairing {p}")
+    # counts keyed like edge_multiplicity; only a row unlike its counts is walked
+    counts = {}
+    for e in config.edges:
+        counts[e] = counts.get(e, 0) + 1
+    ids = [c.id for c in comps]
+    for i, a in enumerate(ids):
+        expected = [counts.get((a, b) if a <= b else (b, a), 0) for b in ids[i + 1:]]
+        if gram[i + 1][i + 1:] != expected:
+            for b, p, m in zip(ids[i + 1:], gram[i + 1][i + 1:], expected):
+                if p < 0:
+                    problems.append(f"components {a},{b}: negative pairing {p}")
+                elif m != p:
+                    problems.append(f"components {a},{b}: {m} edges but pairing {p}")
     return problems
 
 

@@ -16,7 +16,7 @@ product of the whole vectors and h the head block plus the identity:
 2 x0 y0 (CP2, CP2#n), (x0+x1)(y0+y1) (S2xS2, ruled_trivial) and
 (x0+x1)(y0+y1) + x0 y0 (ruled_twisted).  `_FORMS` holds h and the head of K
 for each kind; the canonical class is built once per ambient instance and
-cached on it.
+cached on it.  `pairings` reads a matrix of pairings off a sparse index.
 
 Generator names are data: blowdowns may drop a middle generator and the
 surviving names keep their identity (E7 stays E7 after E5 is gone).
@@ -41,6 +41,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress
 
 
 class LatticeError(ValueError):
@@ -269,6 +270,33 @@ def pair(a: HomologyClass, b: HomologyClass) -> int:
     return _FORMS[a.ambient.kind][0](x, y) - sum(map(operator.mul, x, y))
 
 
+def pairings(left: list[HomologyClass], right: list[HomologyClass]) -> list[list[int]]:
+    """[[pair(a, b) for b in right] for a in left].  One index is built per
+    call: for each generator t, the pairs (j, t.right[j]), left out where zero
+    off the head.  Row a adds each nonzero coefficient of a times its pairs."""
+    if not left:
+        return []
+    amb = left[0].ambient
+    for c in (*left, *right):
+        if c.ambient is not amb:
+            _same_ambient(left[0], c)
+    h, units, gens = _FORMS[amb.kind][0], ((1, 0), (0, 1))[: amb.exc_start], range(amb.dim)
+    columns = [[] for _ in gens]
+    for j, b in enumerate(right):
+        for t in compress(gens, b.coeffs):
+            columns[t].append((j, -b.coeffs[t]))
+    for t, unit in enumerate(units):  # at a head generator t, t.b also has the head term
+        columns[t] = [(j, h(unit, b.coeffs) - b.coeffs[t]) for j, b in enumerate(right)]
+    rows = []
+    for a in left:
+        row = [0] * len(right)
+        for x, column in compress(zip(a.coeffs, columns), a.coeffs):
+            for j, c in column:
+                row[j] += x * c
+        rows.append(row)
+    return rows
+
+
 def canonical(ambient: AmbientLattice) -> HomologyClass:
     """The standard canonical class of the ambient kind."""
     return ambient.canonical_class
@@ -403,14 +431,6 @@ class LatticeMap:
             raise LatticeError("reflection class must have square -2")
         return LatticeMap(c.ambient, (c,))
 
-    @staticmethod
-    def swap(ambient: AmbientLattice, i: int, j: int) -> "LatticeMap":
-        """Exchange two exceptional generators: the reflection in Ei - Ej."""
-        if i == j or not {i, j} <= set(ambient.exc_indices):
-            raise LatticeError(f"swap needs two distinct exceptional generators, got {i}, {j}")
-        units = [ambient.basis_class(ambient.names[k]) for k in (i, j)]
-        return LatticeMap.reflection(units[0] - units[1])
-
     def then(self, second: "LatticeMap") -> "LatticeMap":
         """Composite applying self first, then second."""
         return LatticeMap(self.ambient, self.word + second.word)
@@ -434,16 +454,6 @@ class LatticeMap:
             wc = sum(map(operator.mul, c.coeffs, nums))
             nums = tuple(a + wc * b for a, b in zip(nums, _pairing_row(c)))
         return AreaVector(self.ambient, tuple(Fraction(v, den) for v in nums))
-
-    def preserves_form(self) -> bool:
-        amb = self.ambient
-        n = amb.dim
-        basis = [amb.from_coeffs(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                if pair(self.apply(basis[i]), self.apply(basis[j])) != pair(basis[i], basis[j]):
-                    return False
-        return True
 
 
 def _reflect(word, x: HomologyClass) -> HomologyClass:

@@ -49,6 +49,7 @@ from .lattice import (
     area,
     is_exceptional_class,
     pair,
+    pairings,
 )
 
 
@@ -415,11 +416,9 @@ def blowdown(
     con = _contraction_for(e)
     post_classes = {cid: con.forward(cls) for cid, cls in classes.items()}
     if con.slot is None:
-        items = sorted(classes)
-        for i, ca in enumerate(items):
-            for cb in items[i:]:
-                if pair(post_classes[ca], post_classes[cb]) != pair(classes[ca], classes[cb]):
-                    raise MoveError("basis bridge failed to preserve the form")
+        pre, post = list(classes.values()), list(post_classes.values())
+        if pairings(post, post) != pairings(pre, pre):
+            raise MoveError("basis bridge failed to preserve the form")
     new_area = con.pull_back(w) if w is not None else None
     out = DivisorConfig.build(con.post, list(post_classes.items()), edges)
     require_valid(out)

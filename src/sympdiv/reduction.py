@@ -343,14 +343,6 @@ def good_chain_candidates(config: DivisorConfig) -> list[GoodChain]:
     return [GoodChain(order, squares, k, bullet) for k, bullet, order, squares in candidates]
 
 
-def good_chain(config: DivisorConfig) -> GoodChain:
-    """Label the chain and find k per the two-bullet dichotomy."""
-    candidates = good_chain_candidates(config)
-    if not candidates:
-        raise ReductionError("no good-chain labeling exists; hypotheses violated")
-    return candidates[0]
-
-
 # -- second kind -------------------------------------------------------------------
 
 _TYPE_RANK = {"toric": 0, "half_toric": 1, "non_toric": 2, "exterior": 3}

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from sympdiv.divisor import DivisorConfig, adjoint_area, validate
-from sympdiv.lattice import AmbientLattice, AreaVector
+from sympdiv.lattice import AmbientLattice, AreaVector, LatticeMap, pairings
 from sympdiv.moves import (
     ExteriorBlowup,
     HalfToricBlowup,
@@ -259,3 +259,20 @@ def random_blowup_config(rng: random.Random, max_moves=8):
         w = area_after_blowup(cfg, nxt, w, new_area)
         cfg = nxt
     return cfg, w
+
+
+# -- lattice maps ----------------------------------------------------------------
+
+
+def swap(amb: AmbientLattice, i: int, j: int) -> LatticeMap:
+    """Exchange the exceptional generators at i and j: the reflection in
+    Ei - Ej."""
+    return LatticeMap.reflection(amb.basis_class(amb.names[i]) - amb.basis_class(amb.names[j]))
+
+
+def preserves_form(t: LatticeMap) -> bool:
+    """Whether t keeps the form: the pairings of the images of the basis
+    equal those of the basis."""
+    basis = [t.ambient.basis_class(name) for name in t.ambient.names]
+    images = [t.apply(b) for b in basis]
+    return pairings(images, images) == pairings(basis, basis)

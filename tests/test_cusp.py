@@ -89,12 +89,16 @@ def test_admissible_gcd_always_one():
 
 
 def test_cusp_class_cp2_13_values():
-    from sympdiv.reduction import good_chain, partially_minimal_reduce, quasi_minimal_reduce
+    from sympdiv.reduction import (
+        good_chain_candidates,
+        partially_minimal_reduce,
+        quasi_minimal_reduce,
+    )
 
     cfg, w = cp2_13_cusp()
     t1, w1, tr1 = quasi_minimal_reduce(cfg, w)
     t2, _, _ = partially_minimal_reduce(t1, w1, tr1.classification)
-    gc = good_chain(t2)
+    gc = good_chain_candidates(t2)[0]
     cusp = cusp_class(t2, gc.ids, gc.k)
     assert (cusp.p, cusp.q) == (8, 3)
     amb = t2.ambient

@@ -527,6 +527,33 @@ def test_cli_deeply_nested_document_exits_2(command, tmp_path, capsys):
     assert rc == 2 and err.startswith("input error: ") and "nested too deeply" in err
 
 
+# Python 3.11, and 3.10 from 3.10.7, refuse to parse an int of more digits than
+# sys.get_int_max_str_digits(); an interpreter without that limit, or with it
+# switched off (0), parses such an integer, so there is nothing to test
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="this interpreter has no int digit limit")
+@pytest.mark.parametrize("command", ["validate", "certify", "check"])
+def test_cli_integer_past_the_digit_limit_exits_2(command, tmp_path, capsys):
+    text = (FIXTURES / "cp2_line.json").read_text()
+    huge = text.replace('"H": 1\n', '"H": ' + "1" * (_DIGIT_LIMIT + 1) + "\n", 1)
+    assert huge != text
+    path = tmp_path / "huge.json"
+    path.write_text(huge)
+    rc = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("input error: ") and "digits" in err
+
+
+def test_cli_document_not_in_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "sympdiv/config/v1", "id": "\xe9"}')
+    rc = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("input error: ") and "utf-8" in err
+
+
 def _set_genus(value):
     def mutate(doc):
         doc["components"][0]["genus"] = value

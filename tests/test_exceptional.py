@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ruled_comb
+from conftest import preserves_form, ruled_comb
 from sympdiv.checks import all_passed
 from sympdiv.divisor import DivisorConfig
 from sympdiv.exceptional import (
@@ -161,7 +161,7 @@ def test_normalize_identity_and_examples():
     e = rb.cls(H=1, E1=-1, E2=-1)
     t, idx = normalize_to_basis(e)
     assert t.apply(e) == rb.basis_class(rb.names[idx])
-    assert t.preserves_form()
+    assert preserves_form(t)
     assert t.apply(canonical(rb)) == canonical(rb)
 
     rt = AmbientLattice.ruled_trivial(1, 2)
@@ -178,7 +178,7 @@ def test_normalize_deep_class():
     assert is_exceptional_class(e)
     t, idx = normalize_to_basis(e)
     assert t.apply(e) == rb.basis_class(rb.names[idx])
-    assert t.preserves_form()
+    assert preserves_form(t)
     assert t.apply(canonical(rb)) == canonical(rb)
 
 

@@ -1,8 +1,9 @@
-"""The intersection form as a head term minus a dot product, the cached
-canonical class, and `validate` on one edge count per call.  Each property
-is checked against references written out here from the `lattice` module
-docstring: a Gram matrix per ambient kind, the canonical class from its
-textbook formula, and `validate` as it was written with a per-pair edge scan."""
+"""The intersection form as a head term minus a dot product, the matrix of
+pairings read off a sparse column index, the cached canonical class, and
+`validate` on one matrix of pairings per call.  Each property is checked
+against references written out here from the `lattice` module docstring: a
+Gram matrix per ambient kind, the canonical class from its textbook formula,
+and `validate` as it was written with a per-pair edge scan."""
 
 from __future__ import annotations
 
@@ -22,11 +23,13 @@ from sympdiv.lattice import (
     KIND_S2S2,
     KIND_TWISTED,
     AmbientLattice,
+    AreaVector,
     HomologyClass,
     LatticeError,
     area,
     canonical,
     pair,
+    pairings,
 )
 
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -130,6 +133,43 @@ def test_pair_across_equal_ambients_and_mismatch():
     other = AmbientLattice.rational_blowup(3, ("E1", "E2", "E9"))
     with pytest.raises(LatticeError, match="ambient mismatch"):
         pair(a.cls(H=1), other.cls(H=1))
+
+
+# -- pairings -------------------------------------------------------------------
+
+
+@st.composite
+def class_lists(draw):
+    """Two lists of classes of one ambient, either possibly empty, with zero
+    classes and coefficients past 2**64 among them."""
+    amb = draw(ambients())
+    coeff = st.integers(-20, 20) | st.integers(-2**70, 2**70)
+    vec = st.lists(coeff, min_size=amb.dim, max_size=amb.dim)
+    classes = st.lists(st.builds(amb.from_coeffs, vec) | st.just(amb.zero()), max_size=6)
+    return draw(classes), draw(classes)
+
+
+_BIG = AmbientLattice.ruled_twisted(2)
+
+
+@PROPERTY
+@given(class_lists())
+@example(([], [_BIG.from_coeffs((1, 0))]))
+@example(([_BIG.zero()], []))
+@example(([_BIG.from_coeffs((2**65 + 3, -(2**64)))],
+          [_BIG.zero(), _BIG.from_coeffs((-(2**66), 2**64 + 1))]))
+def test_pairings_equal_the_matrix_of_pair(case):
+    left, right = case
+    assert pairings(left, right) == [[pair(a, b) for b in right] for a in left]
+
+
+def test_pairings_refuse_mixed_ambients():
+    a = AmbientLattice.rational_blowup(2)
+    other = AmbientLattice.rational_blowup(2, ("E1", "E7"))
+    with pytest.raises(LatticeError, match="ambient mismatch"):
+        pairings([a.cls(H=1)], [a.cls(E1=1), other.cls(H=1)])
+    with pytest.raises(LatticeError, match="ambient mismatch"):
+        pairings([a.cls(H=1), other.cls(H=1)], [])
 
 
 # -- the canonical class --------------------------------------------------------
@@ -268,11 +308,27 @@ MUTATIONS = ["none", "drop_edge", "double_edge", "wrong_genus", "duplicate_id", 
              "unknown_id", "negative_pairing", "other_ambient", "unsorted_edge"]
 
 
+@st.composite
+def twisted_bundle_configs(draw):
+    """Sections B1 + kF (at most one of negative square) and fibers F of a
+    twisted bundle, with every edge their pairings ask for, and areas that
+    are positive on each of them."""
+    amb = AmbientLattice.ruled_twisted(draw(st.integers(1, 3)))
+    shifts = [draw(st.integers(-1, 3))] + draw(st.lists(st.integers(0, 3), max_size=2))
+    comps = [(f"S{i}", amb.cls(B1=1, F=k)) for i, k in enumerate(shifts)]
+    comps += [(f"F{i}", amb.cls(F=1)) for i in range(draw(st.integers(0, 3)))]
+    edges = [(a, b) for i, (a, x) in enumerate(comps) for b, y in comps[i + 1:]
+             for _ in range(reference_pair(x, y))]
+    w = AreaVector.from_values(amb, [draw(st.integers(2, 9)), 1])
+    return DivisorConfig.build(amb, comps, edges), w
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(MUTATIONS), st.booleans(), st.booleans())
-def test_validate_matches_reference(seed, how, shuffle, with_areas):
+@given(st.integers(0, 2**32 - 1), st.none() | twisted_bundle_configs(),
+       st.sampled_from(MUTATIONS), st.booleans(), st.booleans())
+def test_validate_matches_reference(seed, twisted, how, shuffle, with_areas):
     rng = random.Random(seed)
-    cfg, w = random_blowup_config(rng)
+    cfg, w = twisted or random_blowup_config(rng)
     w = w if with_areas else None
     assert validate(cfg, w) == [] == reference_validate(cfg, w)
     bad = mutate(cfg, rng, how)
@@ -296,4 +352,20 @@ def test_validate_problem_order_on_a_fixed_case():
         "component A: declared genus 1 but adjunction forces 0",
         "components L,B: 0 edges but pairing 1",
         "components L,A: 2 edges but pairing 1",
+    ]
+
+
+def test_validate_counts_edges_by_id_when_ids_repeat():
+    # both components named A share the one stored edge (A, L): E1 meets L
+    # once, E2 does not, so only the second pair is reported
+    amb = AmbientLattice.rational_blowup(2)
+    cfg = DivisorConfig(
+        amb,
+        (DivisorComponent("A", amb.cls(E1=1), 0), DivisorComponent("A", amb.cls(E2=1), 0),
+         DivisorComponent("L", amb.cls(H=1, E1=-1), 0)),
+        (("A", "L"),),
+    )
+    assert validate(cfg) == reference_validate(cfg) == [
+        "duplicate component id 'A'",
+        "components A,L: 1 edges but pairing 0",
     ]

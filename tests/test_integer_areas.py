@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import swap
 from sympdiv.exceptional import enumerate_exceptional
 from sympdiv.lattice import (
     KIND_PP,
@@ -157,7 +158,7 @@ def maps_and_areas(draw):
     e = [amb.basis_class(amb.names[i]) for i in picked]
     choice = draw(st.sampled_from(["difference", "blowup", "swap"]))
     if choice == "swap":
-        return LatticeMap.swap(amb, picked[0], picked[1]), w
+        return swap(amb, picked[0], picked[1]), w
     if choice == "difference":
         return LatticeMap.reflection(e[0] - e[1]), w
     if ruled:

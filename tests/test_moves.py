@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_blowup_config
+from sympdiv import moves
 from sympdiv.divisor import DivisorConfig, adjoint_area
-from sympdiv.lattice import AmbientLattice, AreaVector, area, pair
+from sympdiv.lattice import KIND_S2S2, AmbientLattice, AreaVector, area, pair
 from sympdiv.moves import (
     ExteriorBlowup,
     HalfToricBlowup,
@@ -153,6 +154,21 @@ def test_product_blowup_and_bridge_roundtrip():
     step = blowdown(up, e)
     assert step.config == cfg
     assert replay_blowdown(step) == up
+
+
+def test_bridge_that_breaks_the_form_is_refused(monkeypatch):
+    # a forward map sending H - E2 to f1 - f2 (square -2, not 0) is caught by
+    # comparing the pairings of the classes before and after the bridge
+    ps = AmbientLattice.product_of_spheres()
+    cfg = DivisorConfig.build(
+        ps, [("A", ps.cls(f1=1)), ("B", ps.cls(f2=1))], [("A", "B")]
+    )
+    up = blowup(cfg, ToricBlowup("A", "B"), new_id="e")
+    kind, coeffs, names, _, back = moves._BRIDGES[KIND_S2S2]
+    monkeypatch.setitem(moves._BRIDGES, KIND_S2S2,
+                        (kind, coeffs, names, ((1, 1, 0), (0, 0, 1)), back))
+    with pytest.raises(MoveError, match="basis bridge failed to preserve the form"):
+        blowdown(up, up.ambient.cls(H=1, E1=-1, E2=-1))
 
 
 def test_product_blowup_keeps_fiber_areas():

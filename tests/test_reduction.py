@@ -28,7 +28,7 @@ from sympdiv.reduction import (
     ReductionError,
     classify_kind,
     classify_minimal_model,
-    good_chain,
+    good_chain_candidates,
     partially_minimal_reduce,
     quasi_minimal_reduce,
     ruled_reduce,
@@ -137,7 +137,7 @@ def test_good_chain_cp2_13():
     cfg, w = cp2_13_cusp()
     t1, w1, tr1 = quasi_minimal_reduce(cfg, w)
     t2, _, _ = partially_minimal_reduce(t1, w1, tr1.classification)
-    gc = good_chain(t2)
+    gc = good_chain_candidates(t2)[0]
     assert gc.ids == ("P1", "P2", "P3", "P4", "P5")
     assert gc.k == 3 and gc.bullet == 1
     assert gc.squares == (-2, -2, 2, 0, -4)
@@ -151,7 +151,7 @@ def test_good_chain_second_bullet():
         [("A", rb.cls(E1=1)), ("B", rb.cls(H=1, E1=-1)), ("C", rb.cls(H=1, E2=-1))],
         [("A", "B"), ("B", "C")],
     )
-    gc = good_chain(cfg)
+    gc = good_chain_candidates(cfg)[0]
     assert (gc.k, gc.bullet) == (2, 2)
     assert gc.squares[:2] == (-1, 0)
 
