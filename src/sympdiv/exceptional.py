@@ -274,13 +274,13 @@ def goodness_checks(
 # -- normalization to a basis generator --------------------------------------
 
 
-def normalize_to_basis(e: HomologyClass, step_bound: int = 400) -> tuple[LatticeMap, int]:
+def normalize_to_basis(e: HomologyClass) -> tuple[LatticeMap, int]:
     """A word of canonical-class-preserving reflections taking the
     exceptional class e to a basis generator; returns (map, generator index).
-    Each Cremona or ruled step appends one reflection to the word.
-
-    Rational ambients use reflections in H - Ei - Ej - Ek (needs n >= 3 unless
-    e is already a generator); trivial ruled ambients use F - Ei - Ej."""
+    On a rational ambient each Cremona step appends a reflection in
+    H - Ei - Ej - Ek (needs n >= 3 unless e is already a generator) and
+    strictly lowers the degree; on other kinds only a generator normalizes,
+    by the empty word."""
     amb = e.ambient
     if not is_exceptional_class(e):
         raise NormalizeError(f"{e} is not an exceptional class")
@@ -288,24 +288,6 @@ def normalize_to_basis(e: HomologyClass, step_bound: int = 400) -> tuple[Lattice
     gi = _generator_index(e)
     if gi is not None:
         return LatticeMap.identity(amb), gi
-
-    if amb.kind == KIND_RULED:
-        # e = F - E_i; reflect in F - E_i - E_j to land on E_j.
-        f = amb.basis_class("F")
-        diff = f - e
-        idxs = [i for i in amb.exc_indices if diff.coeffs[i] == 1]
-        if e - f + sum((amb.basis_class(amb.names[i]) for i in idxs), amb.zero()) != amb.zero() or len(idxs) != 1:
-            raise NormalizeError(f"unrecognized ruled exceptional class {e}")
-        i = idxs[0]
-        others = [j for j in amb.exc_indices if j != i]
-        if not others:
-            raise NormalizeError("no second exceptional generator to reflect through")
-        j = others[-1]
-        c = f - amb.basis_class(amb.names[i]) - amb.basis_class(amb.names[j])
-        t = LatticeMap.reflection(c)
-        if _generator_index(t.apply(e)) != j:
-            raise NormalizeError("ruled reflection did not normalize the class")
-        return t, j
 
     if amb.kind != KIND_RATIONAL:
         raise NormalizeError(f"no normalization moves on ambient kind {amb.kind}")
@@ -316,7 +298,7 @@ def normalize_to_basis(e: HomologyClass, step_bound: int = 400) -> tuple[Lattice
     h = amb.basis_class("H")
     t = LatticeMap.identity(amb)
     cur = e
-    for _ in range(step_bound):
+    while True:
         gi = _generator_index(cur)
         if gi is not None:
             return t, gi
@@ -332,7 +314,6 @@ def normalize_to_basis(e: HomologyClass, step_bound: int = 400) -> tuple[Lattice
             raise NormalizeError(f"Cremona descent failed to reduce degree at {cur}")
         cur = nxt
         t = t.then(refl)
-    raise NormalizeError("step bound exceeded during normalization")
 
 
 def _generator_index(e: HomologyClass) -> int | None:

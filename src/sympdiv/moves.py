@@ -20,10 +20,9 @@ reflections (exceptional.normalize_to_basis) and drops that generator's
 slot.  A blowup is the section of a contraction built directly for a fresh
 generator, with an empty word; `undo_blowup` builds that contraction on a
 given pair of ambients, for callers that already hold the blown-up one
-(area transport, the cusp resolution).  Two bridges change the basis kind
-and carry explicit coordinates instead, defined once in `_BRIDGES`: CP2#2
--> S2xS2 contracting H-E1-E2, which is also the blowup of S2xS2, and F-E1
-over an irrational base -> the twisted bundle.  Blowup and the replay of a
+(area transport, the cusp resolution).  One bridge changes the basis kind
+and carries explicit coordinates instead: CP2#2 -> S2xS2 contracting
+H-E1-E2, which is also the blowup of S2xS2.  Blowup and the replay of a
 blowdown run one core: lift every class along the section, then apply the
 move with e as the new sphere.
 """
@@ -41,7 +40,6 @@ from .lattice import (
     KIND_RATIONAL,
     KIND_RULED,
     KIND_S2S2,
-    KIND_TWISTED,
     AmbientLattice,
     AreaVector,
     HomologyClass,
@@ -157,33 +155,25 @@ def _matvec(rows, vec):
     return tuple(sum(map(operator.mul, r, vec)) for r in rows)
 
 
-# The two kind-changing bridges, by the kind they land in: the pre kind, the
-# contracted class there, the post generator names, and the `fwd` and `back`
-# coordinates of the Contraction.
-_BRIDGES = {
-    # CP2#2 -> S2xS2 contracts H-E1-E2: f1 = H - E2, f2 = H - E1
-    KIND_S2S2: (KIND_RATIONAL, (1, -1, -1), ("f1", "f2"),
-                ((1, 1, 0), (1, 0, 1)), ((1, 1), (0, -1), (-1, 0))),
-    # ruled#1 -> twisted contracts F-E1: B1 = B + F - E1, F = F;
-    # coords are (x.F, x.B1 - x.F)
-    KIND_TWISTED: (KIND_RULED, (0, 1, -1), ("B1", "F"),
-                   ((1, 0, 0), (0, 1, 1)), ((1, 0), (1, 1), (-1, 0))),
-}
+# The kind-changing bridge CP2#2 -> S2xS2 contracts H-E1-E2, with
+# f1 = H - E2 and f2 = H - E1: the contracted class and the `fwd` and `back`
+# coordinates of its Contraction.
+_S2S2_BRIDGE = ((1, -1, -1), ((1, 1, 0), (1, 0, 1)), ((1, 1), (0, -1), (-1, 0)))
 
 
 def _bridge(e: HomologyClass) -> Contraction | None:
-    """The kind-changing bridge contracting e, if e is a bridge's class."""
+    """The bridge onto S2xS2, if e is H-E1-E2 in CP2#2."""
     amb = e.ambient
-    for post_kind, (kind, coeffs, names, fwd, back) in _BRIDGES.items():
-        if amb.kind == kind and e.coeffs == coeffs:
-            post = AmbientLattice(post_kind, amb.g, names)
-            return Contraction(amb, post, e, LatticeMap.identity(amb), None, fwd, back)
-    return None
+    coeffs, fwd, back = _S2S2_BRIDGE
+    if amb.kind != KIND_RATIONAL or e.coeffs != coeffs:
+        return None
+    post = AmbientLattice.product_of_spheres()
+    return Contraction(amb, post, e, LatticeMap.identity(amb), None, fwd, back)
 
 
 def _contraction_for(e: HomologyClass) -> Contraction:
     """Normalize e to a generator and drop it; where no normalization exists,
-    one of the two kind-changing bridges."""
+    the bridge onto S2xS2."""
     amb = e.ambient
     try:
         t, idx = normalize_to_basis(e)
@@ -236,7 +226,7 @@ def undo_blowup(pre: AmbientLattice, post: AmbientLattice) -> Contraction:
     drop of the one exceptional generator of pre that post lacks."""
     con = None
     if post.kind == KIND_S2S2 and pre.dim == 3:
-        con = _bridge(pre.from_coeffs(_BRIDGES[KIND_S2S2][1]))
+        con = _bridge(pre.from_coeffs(_S2S2_BRIDGE[0]))
     elif post.kind != KIND_S2S2 and pre.dim == post.dim + 1:
         slot = next((i for i, n in enumerate(post.names) if pre.names[i] != n), post.dim)
         if slot >= pre.exc_start and _drop_ambient(pre, slot) == post:

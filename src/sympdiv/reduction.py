@@ -8,7 +8,8 @@ first kind admits a further partially-minimal reduction to a chain, the
 second kind a greedy reduction to b2 <= 2.  Both start from the
 classification the quasi-minimal stage hands over on its trace.
 
-Irrational ruled ambients contract exceptional generators cheapest first.
+Irrational ruled ambients are not reduced: `ruled_validate` checks the
+shape of their combs.
 
 Every stage but the small-b2 cleanup runs one contraction loop: the stage
 names its ordered candidates, or the terminal that ends it, and the first
@@ -42,7 +43,6 @@ from .exceptional import (
 from .lattice import (
     KIND_PP,
     KIND_RATIONAL,
-    KIND_RULED,
     KIND_S2S2,
     KIND_TWISTED,
     AreaVector,
@@ -522,7 +522,7 @@ def _classify_one_blowup(config):
     return None
 
 
-# -- irrational ruled validation and reduction -----------------------------------------
+# -- irrational ruled validation -------------------------------------------------------
 
 
 def ruled_validate(config: DivisorConfig) -> list[str]:
@@ -568,37 +568,3 @@ def ruled_validate(config: DivisorConfig) -> list[str]:
     if sections > 1:
         problems.append(f"{sections} section-type components, at most one allowed")
     return problems
-
-
-def ruled_reduce(
-    config: DivisorConfig,
-    w: AreaVector,
-) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
-    """Contract exceptional generators cheapest-first; a generator meeting
-    two components is skipped, and when every generator is blocked the
-    edge-free fiber-type component F - E_j is contracted instead."""
-    require_valid(config, w)
-    if not config.ambient.is_ruled:
-        raise ReductionError("ruled reduction needs a ruled ambient")
-    if not check_hypothesis(config, w):
-        raise ReductionError("adjoint area is not negative; hypothesis rejected up front")
-    problems = ruled_validate(config)
-    if problems:
-        raise ReductionError("ruled shape validation failed: " + "; ".join(problems))
-
-    def next_step(cur, curw):
-        amb = cur.ambient
-        if amb.kind != KIND_RULED or amb.n_exc == 0:
-            return "MinimalRuled"
-        gens = sorted(amb.exc_indices, key=lambda i: curw.areas[i])
-        fib = amb.basis_class("F")
-        fibers = [
-            c.cls for c in cur.components
-            if cur.degree(c.id) == 0
-            and is_exceptional_class(c.cls)
-            and sum(1 for x in (fib - c.cls).coeffs if x != 0) == 1
-        ]
-        fibers.sort(key=lambda x: area(x, curw))
-        return [amb.basis_class(amb.names[i]) for i in gens] + fibers, "ruled"
-
-    return _reduce("ruled", config, w, next_step)

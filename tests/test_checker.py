@@ -69,7 +69,7 @@ def _check_exit(doc, tmp_path) -> int:
 
 
 def test_every_certifying_fixture_is_covered():
-    assert len(CERTIFICATES) == 9
+    assert len(CERTIFICATES) == 10
 
 
 # -- (a) the producer's search never runs ------------------------------------------

@@ -18,7 +18,6 @@ from sympdiv.divisor import DivisorConfig, validate
 from sympdiv.exceptional import enumerate_exceptional
 from sympdiv.lattice import (
     KIND_RATIONAL,
-    KIND_RULED,
     AmbientLattice,
     AreaVector,
     LatticeError,
@@ -102,17 +101,12 @@ def _generator(x):
 
 
 def dense_normalize(e):
-    """The normalization by matrices: a reflection in F - Ei - Ej over a
-    ruled base, Cremona steps in H - Ei - Ej - Ek on the three most negative
-    generator coefficients otherwise."""
+    """The normalization by matrices: Cremona steps in H - Ei - Ej - Ek on
+    the three most negative generator coefficients."""
     amb = e.ambient
     if _generator(e) is not None:
         return DenseMap.identity(amb), _generator(e)
     unit = [amb.basis_class(name) for name in amb.names]
-    if amb.kind == KIND_RULED:
-        i = next(i for i in amb.exc_indices if e.coeffs[i] == -1)
-        j = [k for k in amb.exc_indices if k != i][-1]
-        return DenseMap.reflection(unit[1] - unit[i] - unit[j]), j
     t, cur = DenseMap.identity(amb), e
     while _generator(cur) is None:
         i, j, k = sorted(amb.exc_indices, key=lambda m: cur.coeffs[m])[:3]
@@ -122,10 +116,8 @@ def dense_normalize(e):
 
 
 # (post coordinates of an e-orthogonal class, pre coordinates of a post
-# class) of the two kind-changing contractions: f1 = H - E2, f2 = H - E1 in
-# S2xS2, and B1 = B + F - E1 in the twisted bundle
+# class) of the kind-changing contraction: f1 = H - E2, f2 = H - E1 in S2xS2
 _S2S2_BRIDGE = (((1, 1, 0), (1, 0, 1)), ((1, 1), (0, -1), (-1, 0)))
-_TWISTED_BRIDGE = (((1, 0, 0), (0, 1, 1)), ((1, 0), (1, 1), (-1, 0)))
 
 
 def dense_blowdown(cfg, e, w):
@@ -134,8 +126,6 @@ def dense_blowdown(cfg, e, w):
     adjusted = {c.id: c.cls + pair(c.cls, e) * e for c in cfg.components if c.cls != e}
     if amb.kind == KIND_RATIONAL and amb.n_exc == 2 and e.coeffs == (1, -1, -1):
         fwd, back = _S2S2_BRIDGE
-    elif amb.kind == KIND_RULED and amb.n_exc == 1 and e.coeffs == (0, 1, -1):
-        fwd, back = _TWISTED_BRIDGE
     else:
         t, idx = dense_normalize(e)
         classes = {}
@@ -270,7 +260,6 @@ def test_blowdowns_through_words_and_bridges():
     conic = rb6.cls(H=2, E1=-1, E2=-1, E3=-1, E4=-1, E5=-1)
     assert is_exceptional_class(conic)
     rb2 = AmbientLattice.rational_blowup(2)
-    rt = AmbientLattice.ruled_trivial(2, 1)
     rt3 = AmbientLattice.ruled_trivial(1, 3)
     cases = [
         # the conic through five points, contracted half-toric by a word of
@@ -281,9 +270,7 @@ def test_blowdowns_through_words_and_bridges():
         _config(rb2, [("A", rb2.cls(E1=1)), ("B", rb2.cls(E2=1)),
                       ("e", rb2.cls(H=1, E1=-1, E2=-1))],
                 [("A", "e"), ("B", "e")], [2, Fraction(3, 4), Fraction(1, 2)]),
-        # ruled -> twisted, and F - E1 over a base with more generators
-        _config(rt, [("S", rt.cls(B=1, F=1)), ("X", rt.cls(F=1, E1=-1))], [("S", "X")],
-                [3, 2, Fraction(1, 3)]),
+        # over a ruled base only the generators contract, by dropping a slot
         _config(rt3, [("S", rt3.cls(B=1)), ("X", rt3.cls(F=1, E2=-1))], [("S", "X")],
                 [5, 1, Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)]),
     ]
@@ -292,20 +279,5 @@ def test_blowdowns_through_words_and_bridges():
     lengths = {len(c.word.word) for c in made}
     assert {0, 1, 2} <= lengths
     posts = {c.post.kind for c in made if c.slot is None}
-    assert posts == {"product_of_spheres", "ruled_twisted"}
-
-
-def test_twisted_bridge_blowdown_golden():
-    # taken from the dense implementation
-    rt = AmbientLattice.ruled_trivial(2, 1)
-    cfg = DivisorConfig.build(
-        rt, [("S", rt.cls(B=1, F=1)), ("X", rt.cls(F=1, E1=-1))], [("S", "X")]
-    )
-    w = AreaVector(rt, (Fraction(3), Fraction(2), Fraction(1, 3)))
-    step = blowdown(cfg, rt.cls(F=1, E1=-1), w)
-    tw = AmbientLattice.ruled_twisted(2)
-    assert step.config == DivisorConfig.build(tw, [("S", tw.cls(B1=1, F=1), 2)], [])
-    assert step.new_area == AreaVector(tw, (Fraction(14, 3), Fraction(2)))
-    assert (step.kind, step.removed_component) == ("half_toric", "X")
-    assert step.contraction.section(tw.cls(B1=1, F=1)) == rt.cls(B=1, F=2, E1=-1)
-    assert replay_blowdown(step) == cfg
+    assert posts == {"product_of_spheres"}
+    assert "ruled_trivial" in {c.post.kind for c in made}

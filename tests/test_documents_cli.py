@@ -193,6 +193,9 @@ GOLDEN_CERTIFY_SHA256 = [
     # a ruled comb without a section: route comb with no resolution
     (("ruled_comb_sectionless.json",),
      "387b070517c13062565aabe35386b4d061256921209f234c6bd841cebf8b1110"),
+    # a comb over the twisted bundle: the only fixture on its form
+    (("ruled_comb_twisted.json",),
+     "e7158e76858f144189a0c80cd38089278fd5b80b33af7ff0d61b90026197c9f8"),
 ]
 
 

@@ -204,6 +204,7 @@ FIXTURE_NODES = {
     "product_spheres_chain.json": ((1, 6), (1, 9)),
     "ruled_comb_genus2.json": ((1, 0), (1, 0)),
     "ruled_comb_sectionless.json": ((1, 0), (1, 0)),
+    "ruled_comb_twisted.json": ((1, 0), (1, 0)),
     "trident_cp2_4.json": ((5, 27), (5, 30)),
 }
 

@@ -164,12 +164,6 @@ def test_normalize_identity_and_examples():
     assert preserves_form(t)
     assert t.apply(canonical(rb)) == canonical(rb)
 
-    rt = AmbientLattice.ruled_trivial(1, 2)
-    f = rt.cls(F=1, E1=-1)
-    t, idx = normalize_to_basis(f)
-    assert t.apply(f) == rt.cls(E2=1)
-    assert t.apply(canonical(rt)) == canonical(rt)
-
 
 def test_normalize_deep_class():
     rb = AmbientLattice.rational_blowup(6)

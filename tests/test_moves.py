@@ -8,7 +8,8 @@ import pytest
 from conftest import random_blowup_config
 from sympdiv import moves
 from sympdiv.divisor import DivisorConfig, adjoint_area
-from sympdiv.lattice import KIND_S2S2, AmbientLattice, AreaVector, area, pair
+from sympdiv.exceptional import NormalizeError
+from sympdiv.lattice import AmbientLattice, AreaVector, LatticeMap, area, pair
 from sympdiv.moves import (
     ExteriorBlowup,
     HalfToricBlowup,
@@ -20,6 +21,7 @@ from sympdiv.moves import (
     blowup,
     blowup_contraction,
     is_toric_blowup_seq,
+    recorded_contraction,
     replay_blowdown,
     replay_toric_witness,
     toric_seq_blowup,
@@ -164,9 +166,8 @@ def test_bridge_that_breaks_the_form_is_refused(monkeypatch):
         ps, [("A", ps.cls(f1=1)), ("B", ps.cls(f2=1))], [("A", "B")]
     )
     up = blowup(cfg, ToricBlowup("A", "B"), new_id="e")
-    kind, coeffs, names, _, back = moves._BRIDGES[KIND_S2S2]
-    monkeypatch.setitem(moves._BRIDGES, KIND_S2S2,
-                        (kind, coeffs, names, ((1, 1, 0), (0, 0, 1)), back))
+    coeffs, _, back = moves._S2S2_BRIDGE
+    monkeypatch.setattr(moves, "_S2S2_BRIDGE", (coeffs, ((1, 1, 0), (0, 0, 1)), back))
     with pytest.raises(MoveError, match="basis bridge failed to preserve the form"):
         blowdown(up, up.ambient.cls(H=1, E1=-1, E2=-1))
 
@@ -189,15 +190,19 @@ def test_product_blowup_keeps_fiber_areas():
     assert step.config == cfg and step.new_area == w
 
 
-def test_twisted_bridge_blowdown():
+def test_fiber_class_over_a_ruled_base_is_refused():
+    # F - E1 over an irrational base has no normalizing word and no bridge:
+    # blowdown refuses it, and a certificate recording its contraction fails
+    # the replay check, which catches MoveError
     rt = AmbientLattice.ruled_trivial(2, 1)
     cfg = DivisorConfig.build(
         rt, [("S", rt.cls(B=1, F=1)), ("X", rt.cls(F=1, E1=-1))], [("S", "X")]
     )
     e = rt.cls(F=1, E1=-1)
-    step = blowdown(cfg, e)
-    assert step.config.ambient.kind == "ruled_twisted"
-    assert replay_blowdown(step) == cfg
+    with pytest.raises(NormalizeError, match="no contraction available"):
+        blowdown(cfg, e)
+    with pytest.raises(MoveError, match="not the class of a bridge"):
+        recorded_contraction(e, LatticeMap.identity(rt), None)
 
 
 def test_hypothesis_preserved_by_blowdowns():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,18 +10,17 @@ from conftest import (
     decreasing_areas,
     cp2_13_cusp,
     first_kind_cp2_8,
-    random_move,
     ruled_comb,
     second_kind_cp2_4,
 )
 from sympdiv import reduction
 from sympdiv.checks import all_passed
 from sympdiv.cli import main
-from sympdiv.divisor import DivisorConfig, DivisorError, adjoint_area, total_class, validate
+from sympdiv.divisor import DivisorConfig, DivisorError, total_class, validate
 from sympdiv.documents import parse_config
 from sympdiv.exceptional import NormalizeError, enumerate_exceptional
-from sympdiv.lattice import AmbientLattice, AreaVector, area, canonical, is_exceptional_class
-from sympdiv.moves import MoveError, area_after_blowup, blowdown, blowup
+from sympdiv.lattice import AmbientLattice, AreaVector, area, canonical
+from sympdiv.moves import MoveError, blowdown
 from sympdiv.reduction import (
     ClassifyError,
     ReductionError,
@@ -31,7 +29,6 @@ from sympdiv.reduction import (
     good_chain_candidates,
     partially_minimal_reduce,
     quasi_minimal_reduce,
-    ruled_reduce,
     ruled_validate,
     second_kind_reduce,
     verify_trace,
@@ -356,69 +353,6 @@ def test_ruled_validate_bad_shape():
     assert any("shape" in p or "genus" in p for p in problems)
 
 
-def test_ruled_reduce_comb():
-    cfg, w = ruled_comb()
-    term, wt, tr = ruled_reduce(cfg, w)
-    assert tr.terminal == "MinimalRuled"
-    assert term.ambient.kind == "ruled_twisted"
-    assert all(s.hyp_before and s.hyp_after for s in tr.steps)
-    assert all_passed(verify_trace(tr, cfg))
-    # the genus-2 section survives with its genus
-    assert term.component("S").genus == 2
-
-
-def test_ruled_reduce_trivial_terminal():
-    rt = AmbientLattice.ruled_trivial(1, 1)
-    cfg = DivisorConfig.build(
-        rt, [("S", rt.cls(B=1)), ("X", rt.cls(E1=1))], []
-    )
-    w = AreaVector.from_values(rt, [9, 1, Fraction(1, 4)])
-    term, wt, tr = ruled_reduce(cfg, w)
-    assert term.ambient.n_exc == 0
-    assert [s.kind for s in tr.steps] == ["exterior"]
-
-
-def _random_combs():
-    """Seeded sections-plus-fiber combs blown up at random, those that pass
-    ruled_validate."""
-    rng = random.Random(55)
-    out = []
-    for _ in range(40):
-        g = rng.randint(1, 3)
-        amb = AmbientLattice.ruled_trivial(g, 0)
-        cfg = DivisorConfig.build(
-            amb, [("S", amb.cls(B=1)), ("A", amb.cls(F=1))], [("S", "A")]
-        )
-        w = AreaVector.from_values(amb, [9, 1])
-        for _ in range(rng.randint(0, 8)):
-            move = random_move(rng, cfg)
-            nxt = blowup(cfg, move)
-            w = area_after_blowup(cfg, nxt, w, min(min(w.areas), -adjoint_area(cfg, w)) / 8)
-            cfg = nxt
-        if not ruled_validate(cfg):
-            out.append((cfg, w))
-    return out
-
-
-def test_ruled_reduce_random_combs():
-    for cfg, w in _random_combs():
-        term, wt, tr = ruled_reduce(cfg, w)
-        assert tr.terminal == "MinimalRuled"
-        assert term.ambient.kind in ("ruled_trivial", "ruled_twisted")
-        if term.ambient.kind == "ruled_trivial":
-            assert term.ambient.n_exc == 0
-        assert all(s.hyp_before and s.hyp_after for s in tr.steps)
-        assert all_passed(verify_trace(tr, cfg))
-
-
-def test_ruled_reduce_empty_trace_on_minimal():
-    rt = AmbientLattice.ruled_trivial(1, 0)
-    cfg = DivisorConfig.build(rt, [("S", rt.cls(B=1))], [])
-    w = AreaVector.from_values(rt, [9, 1])
-    term, wt, tr = ruled_reduce(cfg, w)
-    assert tr.steps == ()
-
-
 # -- candidate order against the trial-blowdown loops it replaced -------------------
 
 _RANK = {"toric": 0, "half_toric": 1, "non_toric": 2, "exterior": 3}
@@ -447,38 +381,6 @@ def _trial_second_kind(config, w):
     return steps, "SmallB2"
 
 
-def _trial_ruled(config, w):
-    """Reference ruled loop: the cheapest exceptional generator that blows
-    down; only when none does, the cheapest edge-free fiber-type
-    exceptional component that does."""
-    steps = []
-    cur, curw = config, w
-    while cur.ambient.kind == "ruled_trivial" and cur.ambient.n_exc > 0:
-        amb = cur.ambient
-        gens = [amb.basis_class(amb.names[i])
-                for i in sorted(amb.exc_indices, key=lambda i: curw.areas[i])]
-        fib = amb.basis_class("F")
-        fibers = sorted(
-            (c.cls for c in cur.components
-             if cur.degree(c.id) == 0 and is_exceptional_class(c.cls)
-             and sum(1 for x in (fib - c.cls).coeffs if x != 0) == 1),
-            key=lambda x: area(x, curw),
-        )
-        for group in (gens, fibers):
-            bd = None
-            for e in group:
-                try:
-                    bd = blowdown(cur, e, curw)
-                    break
-                except _MOVE_ERRORS:
-                    continue
-            if bd is not None:
-                break
-        steps.append((bd.target, bd.kind))
-        cur, curw = bd.config, bd.new_area
-    return steps, "MinimalRuled"
-
-
 def _trace_steps(trace):
     return [(s.target, s.kind) for s in trace.steps], trace.terminal
 
@@ -502,23 +404,6 @@ def test_second_kind_order_matches_trial_blowdowns(make):
     assert tr1.terminal == "QuasiMinimalSecondKind"
     _, _, tr = second_kind_reduce(t1, w1, tr1.classification)
     assert tr.steps and _trace_steps(tr) == _trial_second_kind(t1, w1)
-
-
-def _comb_with_cheap_fiber():
-    # generators come before fiber components whatever the areas: E2 is
-    # contracted although the edge-free F - E1 is cheaper (E1 meets both)
-    amb = AmbientLattice.ruled_trivial(1, 2)
-    cfg = DivisorConfig.build(
-        amb, [("S", amb.cls(B=1, E1=-1)), ("X", amb.cls(F=1, E1=-1))], []
-    )
-    return cfg, AreaVector.from_values(amb, [9, 1, Fraction(9, 10), Fraction(1, 2)])
-
-
-def test_ruled_order_matches_trial_blowdowns():
-    combs = _random_combs() + [_comb_with_cheap_fiber()]
-    for cfg, w in combs:
-        _, _, tr = ruled_reduce(cfg, w)
-        assert _trace_steps(tr) == _trial_ruled(cfg, w)
 
 
 def test_certify_trident_blows_down_once_per_step(monkeypatch, capsys):
