@@ -13,29 +13,26 @@ exceptional classes.  From the recorded decisions alone it
     must reproduce every pre-configuration and finally the input, with the
     hypothesis on both sides of every step;
   - searches, for every contracted e, for an exceptional E != e with
-    0 < area(E) <= area(e) and E.e < 0.  An e represented by an embedded
-    sphere has none (positivity of intersections), and this search stands
-    in for re-running the reduction's selection rules;
+    0 < area(E) <= area(e) and E.e < 0 (exceptional.find_witness).  An e
+    represented by an embedded sphere has none (positivity of
+    intersections), and this search stands in for re-running the
+    reduction's selection rules;
   - rebuilds the route from the recorded chain labeling, resolution moves,
     multiplicities and combination: the cusp identities, the resolution and
-    its identities, goodness of the resolution class by the same search at
-    the recorded bounds, the combination and the transport to the input;
-  - serializes all of it and requires the document given, canonically.
-
-`find_witness` is the one bounded search.  It is written apart from
-`exceptional` so that the two can be tested against each other.
+    its identities, goodness of the resolution class by certify's own
+    `goodness_search` at the recorded bounds, the combination and the
+    transport to the input;
+  - assembles the certificate as certify does, serializes it and requires
+    the document given, canonically.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import replace
 
 from . import documents
 from .checks import Check
 from .cusp import (
-    AffineRuledCertificate,
     CertifyError,
     CuspError,
     ResolutionResult,
@@ -43,30 +40,21 @@ from .cusp import (
     a1p_augmented,
     a3_cusp,
     a_tilde_checks,
-    certificate_assumptions,
+    assemble_certificate,
     comb_route,
     cusp_class,
     fiber_route,
+    goodness_search,
+    resolution_blowup,
     resolution_checks,
     resolved_route,
     total_transform,
-    transport_to_original,
 )
 from .divisor import DivisorError, adjoint_area, check_hypothesis, validate
 from .documents import DocumentError
-from .exceptional import EnumerationError, default_area_bound, goodness_checks
-from .lattice import (
-    KIND_RATIONAL,
-    KIND_RULED,
-    AreaVector,
-    HomologyClass,
-    LatticeError,
-    area,
-    canonical,
-    is_exceptional_class,
-    pair,
-)
-from .moves import BlowdownStep, MoveError, blowup, replay_blowdown, undo_blowup
+from .exceptional import EnumerationError, find_witness
+from .lattice import AreaVector, LatticeError, area, canonical, is_exceptional_class, pair
+from .moves import BlowdownStep, MoveError, replay_blowdown
 from .reduction import ReductionTrace, TraceStep, classify_minimal_model, step_checks
 
 # (stage, terminal) of a trace -> the stage certify runs after it: the
@@ -140,13 +128,8 @@ def _check(doc: dict, out: list[Check]) -> None:
     hypothesis = Check("adjoint area negative", hyp < 0, str(hyp))
     _need(out, hypothesis)
 
-    def goodness(a, cfg, wa):
-        bound = area_bound if area_bound is not None else default_area_bound(wa)
-        witness, incomplete = find_witness(a, wa, bound, coeff_bound)
-        return tuple(goodness_checks(a, cfg, wa, bound, coeff_bound, witness, incomplete))
-
-    ruled = config.ambient.is_ruled
-    if ruled:
+    goodness = goodness_search(coeff_bound, area_bound)
+    if config.ambient.is_ruled:
         traces, term, wt = [], config, w
         route = comb_route(config, w, goodness)
     else:
@@ -159,27 +142,8 @@ def _check(doc: dict, out: list[Check]) -> None:
         for i, ts in enumerate(tr.steps):
             trace_checks.extend(step_checks(tr.stage, i, ts, ts.blowdown.pre_config == cur, True))
             cur = ts.blowdown.config
-    cert = AffineRuledCertificate(
-        route="ruled" if ruled else "rational",
-        route_tag=route.tag,
-        hypothesis=hypothesis,
-        traces=tuple(traces),
-        trace_checks=tuple(trace_checks),
-        terminal_config=term,
-        terminal_area=wt,
-        cusp=route.cusp,
-        resolution=route.resolution,
-        resolution_area=route.resolution_area,
-        dgood=route.dgood,
-        combination=route.combination,
-        combination_check=route.combination_check,
-        original=(transport_to_original(config, traces, route.cusp)
-                  if route.cusp and not ruled else None),
-        assumptions=certificate_assumptions(traces, route, term),
-        input_config=config,
-        input_area=w,
-        bounds={"coeff_bound": coeff_bound, "area_bound": area_bound},
-    )
+    cert = assemble_certificate(config, w, hypothesis, traces, trace_checks, term, wt, route,
+                                coeff_bound, area_bound)
     out.extend(cert.all_checks()[1:])  # the hypothesis is already in
     rebuilt = documents.certificate_to_doc(cert)
     same = documents.canonical_json(rebuilt) == documents.canonical_json(doc)
@@ -313,11 +277,7 @@ def _replay_resolution(base, res_doc, da, db, p, q, a_cls, weighted=True) -> Res
         move, sphere = documents.doc_to_move(md)
         if sphere is None:
             raise DocumentError("resolution: every blowup adds a sphere")
-        nxt = blowup(cur, move, new_id=sphere)
-        cons.append(undo_blowup(nxt.ambient, cur.ambient))
-        ids.append(sphere)
-        moves.append(move)
-        cur = nxt
+        cur = resolution_blowup(cur, move, cons, ids, moves, sphere)
     mult = tuple(_get(res_doc, "multiplicities", list, "resolution"))
     if not all(isinstance(m, int) and not isinstance(m, bool) for m in mult):
         raise DocumentError("resolution.multiplicities: expected integers")
@@ -334,102 +294,3 @@ def _replay_resolution(base, res_doc, da, db, p, q, a_cls, weighted=True) -> Res
         checks = a_tilde_checks(cur, a_tilde, transverse)
     return ResolutionResult(cur, da, db, p, q, mult, tuple(str(c.e) for c in cons), tuple(ids),
                             a_tilde, transverse, tuple(checks), {}, tuple(cons), tuple(moves))
-
-
-# -- the witness search ------------------------------------------------------------
-
-
-def find_witness(
-    x: HomologyClass, w: AreaVector, area_bound, coeff_bound: int
-) -> tuple[HomologyClass | None, bool]:
-    """An exceptional class E != x with 0 < area(E) <= area_bound and
-    E.x < 0, its coefficients within coeff_bound as in
-    exceptional.enumerate_exceptional, or None; with the flag that the degree
-    cap was reached before the area bound ended the search (None then proves
-    nothing past the cap).  The flag is that of the enumeration over the
-    same bounds."""
-    amb = x.ambient
-    if amb != w.ambient:
-        raise LatticeError("ambient mismatch")
-    nums, den = w.integer_form
-    bd = area_bound.denominator
-    cap = area_bound.numerator * den
-    if amb.kind == KIND_RULED:
-        # the exceptional classes are E_i and F - E_i
-        f, f_num = amb.basis_class("F"), nums[amb.fiber_index]
-        for i in amb.exc_indices:
-            ei = amb.basis_class(amb.names[i])
-            for num, e in ((nums[i], ei), (f_num - nums[i], f - ei)):
-                if 0 < num and num * bd <= cap and e != x and pair(e, x) < 0:
-                    return e, False
-        return None, False
-    if amb.kind != KIND_RATIONAL:
-        return None, False  # minimal kinds have no exceptional classes
-    return _rational_witness(x, nums, bd, cap, coeff_bound)
-
-
-def _rational_witness(x, nums, bd, cap, coeff_bound):
-    """Branch and bound over E = (a; c_1..c_n) with a^2 + 1 = sum c_i^2 and
-    sum c_i = 1 - 3a, as in the enumeration, with a second cut.  E.x < 0
-    reads sum c_i x_i > a x_0; with `need` = a x_0 less the slots fixed so
-    far, the slots i.. add at most sqrt(sq * xsuf[i]) (Cauchy-Schwarz, sq
-    the square budget left, xsuf[i] the sum of x_j^2 over them), so a node
-    with need >= 0 and need^2 >= sq * xsuf[i] has no witness below it."""
-    amb = x.ambient
-    n = amb.n_exc
-    h_num, exc_nums = nums[0], nums[1:]
-    x0, xs = x.coeffs[0], x.coeffs[1:]
-    suf, xsuf = [0] * (n + 1), [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suf[i] = suf[i + 1] + exc_nums[i] * exc_nums[i]
-        xsuf[i] = xsuf[i + 1] + xs[i] * xs[i]
-    if h_num * h_num <= suf[0]:
-        raise EnumerationError("area vector has non-positive square; the search cannot terminate")
-    bd2 = bd * bd
-
-    def rec(i, sq, lin, num, need, head):
-        m = num * bd - cap
-        if m > 0 and m * m > sq * bd2 * suf[i]:
-            return None
-        if need >= 0 and need * need >= sq * xsuf[i]:
-            return None
-        r = min(math.isqrt(sq), coeff_bound)
-        if i >= n - 2:
-            if i == n - 1:
-                tails = [(lin,)] if lin * lin == sq else []
-            else:
-                t = 2 * sq - lin * lin
-                s = math.isqrt(t) if t >= 0 else 0
-                if s * s != t:
-                    return None
-                tails = [((lin - s) // 2, (lin + s) // 2), ((lin + s) // 2, (lin - s) // 2)]
-            for tail in tails:
-                leaf = num + sum(map(operator.mul, tail, exc_nums[i:]))
-                if (max(map(abs, tail)) <= r and 0 < leaf and leaf * bd <= cap
-                        and sum(map(operator.mul, tail, xs[i:])) > need):
-                    e = HomologyClass(amb, head + tail)
-                    if e != x:
-                        return e
-            return None
-        for c in range(-r, r + 1):
-            rem_sq, rem_lin = sq - c * c, lin - c
-            if rem_lin * rem_lin > (n - i - 1) * rem_sq:
-                continue
-            found = rec(i + 1, rem_sq, rem_lin, num + c * exc_nums[i], need - c * xs[i],
-                        head + (c,))
-            if found is not None:
-                return found
-        return None
-
-    found, incomplete, a = None, False, 0
-    while True:
-        if a > coeff_bound:
-            incomplete = True
-            break
-        margin = a * h_num * bd - cap
-        if margin > 0 and margin * margin > (a * a + 1) * suf[0] * bd2:
-            break
-        if found is None:
-            found = rec(0, a * a + 1, 1 - 3 * a, a * h_num, a * x0, (a,))
-        a += 1
-    return found, incomplete

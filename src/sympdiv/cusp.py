@@ -10,9 +10,10 @@ that point yields a square-zero class checked against the total transform.
 certify_affine_ruled is the one entry point: it reduces a rational pair to
 a terminal model (a ruled comb is its own), takes the route that model
 allows and transports the cusp back to the input.  Every route returns one
-`Route` record, from which the certificate is built once.  Resolution
-blowups record the `Contraction` undoing each; total transforms are read
-off those records, whatever the ambient kind.
+`Route` record and decides goodness by `goodness_search`; certify and the
+checker's replay both build the certificate with `assemble_certificate`.
+Resolution blowups record the `Contraction` undoing each; total transforms
+are read off those records, whatever the ambient kind.
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ from .divisor import (
     is_connected,
     validate,
 )
-from .exceptional import DEFAULT_COEFF_BOUND, EnumerationError, d_good, enumerate_exceptional
+from .exceptional import (
+    DEFAULT_COEFF_BOUND,
+    EnumerationError,
+    default_area_bound,
+    find_witness,
+    goodness_checks,
+)
 from .lattice import (
     KIND_RATIONAL,
     KIND_S2S2,
@@ -44,8 +51,7 @@ from .moves import (
     HalfToricBlowup,
     ToricBlowup,
     blowup,
-    new_sphere_id,
-    undo_blowup,
+    blowup_contraction,
 )
 from .reduction import (
     ReductionError,
@@ -229,17 +235,17 @@ class ResolutionResult:
     moves: tuple[BlowupMove, ...] = ()  # the blowups, their spheres being exc_ids
 
 
-def _resolution_blowup(cur, move, contractions, moves):
-    """One blowup of a resolution: the sphere takes its default id,
-    suffixed with x when a component already has it; the move and the
-    contraction undoing it, on the blown-up ambient, are recorded."""
-    xid = new_sphere_id(cur.ambient)
-    if cur.has_component(xid):
-        xid += "x"
-    out = blowup(cur, move, new_id=xid)
-    contractions.append(undo_blowup(out.ambient, cur.ambient))
+def resolution_blowup(cur, move, contractions, ids, moves, xid=None):
+    """One blowup of a resolution; the contraction undoing it, the sphere
+    and the move are recorded.  The sphere is named xid, by default the id
+    blowup_contraction gives it, suffixed with x when a component has it."""
+    con, default_id = blowup_contraction(cur.ambient)
+    if xid is None:
+        xid = default_id + "x" if cur.has_component(default_id) else default_id
+    contractions.append(con)
+    ids.append(xid)
     moves.append(move)
-    return out, xid
+    return blowup(cur, move, new_id=xid)
 
 
 def total_transform(contractions, x, weights):
@@ -286,8 +292,8 @@ def resolve_pattern(
     pc: dict[str, int] = {}
     while True:
         mult.append(min(cp, cq))
-        cur, xid = _resolution_blowup(cur, ToricBlowup(u, v), cons, moves)
-        ids.append(xid)
+        cur = resolution_blowup(cur, ToricBlowup(u, v), cons, ids, moves)
+        xid = ids[-1]
         if pc_contact < pc_mu:
             pc[xid] = pc.get(xid, 0) + (pc_mu - pc_contact)
             pc_mu = pc_mu - pc_contact
@@ -504,13 +510,8 @@ def certify_affine_ruled(
     if not hypothesis.passed:
         raise CertifyError("hypothesis", f"area(K + [D]) = {hyp_val} is not negative")
 
-    def goodness(cls, cfg, wa):
-        es = _stage("enumerate", lambda: enumerate_exceptional(cfg.ambient, wa, area_bound,
-                                                                coeff_bound))
-        return tuple(_stage("dgood", lambda: d_good(cls, cfg, wa, es)))
-
-    ruled = config.ambient.is_ruled
-    if ruled:
+    goodness = goodness_search(coeff_bound, area_bound)
+    if config.ambient.is_ruled:
         traces, term, wt = [], config, w
         route = comb_route(config, w, goodness)
     else:
@@ -520,8 +521,33 @@ def certify_affine_ruled(
     for tr in traces:
         trace_checks.extend(verify_trace(tr, cur))
         cur = tr.steps[-1].blowdown.config if tr.steps else cur
-    original = transport_to_original(config, traces, route.cusp) if route.cusp and not ruled else None
+    return assemble_certificate(config, w, hypothesis, traces, trace_checks, term, wt, route,
+                                coeff_bound, area_bound)
 
+
+def goodness_search(coeff_bound: int, area_bound: Fraction | None):
+    """Goodness of a class a against cfg on areas w, as the routes take it:
+    one witness search at area_bound (by default the area of the cheapest
+    exceptional generator of w), run as the "enumerate" stage, and its
+    checklist as the "dgood" stage."""
+
+    def goodness(a, cfg, w):
+        bound = area_bound if area_bound is not None else default_area_bound(w)
+        witness, incomplete = _stage("enumerate",
+                                     lambda: find_witness(a, w, bound, coeff_bound))
+        return tuple(_stage("dgood", lambda: goodness_checks(a, cfg, w, bound, coeff_bound,
+                                                             witness, incomplete)))
+
+    return goodness
+
+
+def assemble_certificate(config, w, hypothesis, traces, trace_checks, term, wt, route,
+                         coeff_bound, area_bound) -> AffineRuledCertificate:
+    """The certificate of a route taken on the terminal model term, with
+    areas wt, that traces reach from the input config, with areas w: the
+    route kind, the cusp carried back to the input, the assumptions and the
+    bounds."""
+    ruled = config.ambient.is_ruled
     return AffineRuledCertificate(
         route="ruled" if ruled else "rational",
         route_tag=route.tag,
@@ -536,7 +562,8 @@ def certify_affine_ruled(
         dgood=route.dgood,
         combination=route.combination,
         combination_check=route.combination_check,
-        original=original,
+        original=(transport_to_original(config, traces, route.cusp)
+                  if route.cusp and not ruled else None),
         assumptions=certificate_assumptions(traces, route, term),
         input_config=config,
         input_area=w,
@@ -731,8 +758,7 @@ def _a3_resolution(term) -> ResolutionResult:
     cur, ids, cons, moves = term, [], [], []
     for i in range(4):
         move = HalfToricBlowup(d1) if i == 0 else ToricBlowup(d1, ids[-1])
-        cur, xid = _resolution_blowup(cur, move, cons, moves)
-        ids.append(xid)
+        cur = resolution_blowup(cur, move, cons, ids, moves)
     a_cls = total_transform(cons, term.components[0].cls, (1, 1, 1, 1))
     checks = a_tilde_checks(cur, a_cls, ids[-1])
     _require_all(checks, "a3-pattern")

@@ -1,12 +1,15 @@
-"""Exceptional classes: bounded enumeration, minimal-area selection,
-numerical SW predicates, D-goodness, and normalization of an exceptional
-class to a basis generator by square(-2) reflections.
+"""Exceptional classes: bounded enumeration, the witness search that
+decides goodness, minimal-area selection, numerical SW predicates,
+D-goodness, and normalization of an exceptional class to a basis generator
+by square(-2) reflections.
 
 On a b2+ = 1 ambient an exceptional class is one with e.e = -1 and
-K.e = -1 (plus e.F = 0 over an irrational ruled base).  Enumeration is
-complete within the recorded coefficient and area bounds; when a bound is
-active at the search frontier the result is flagged incomplete rather
-than silently truncated.
+K.e = -1 (plus e.F = 0 over an irrational ruled base).  Enumeration and
+witness search are complete within the recorded coefficient and area
+bounds; when a bound is active at the search frontier the result is
+flagged incomplete rather than silently truncated.  The two searches are
+written apart, and `d_good`, goodness over an enumeration, is the
+reference the witness search is tested against.
 """
 
 from __future__ import annotations
@@ -185,6 +188,102 @@ def _enumerate_rational(ambient, nums, bd, cap, coeff_bound, out) -> tuple[bool,
     return incomplete, nodes
 
 
+def find_witness(
+    x: HomologyClass, w: AreaVector, area_bound, coeff_bound: int
+) -> tuple[HomologyClass | None, bool]:
+    """An exceptional class E != x with 0 < area(E) <= area_bound and
+    E.x < 0, its coefficients within coeff_bound as in
+    enumerate_exceptional, or None; with the flag that the degree
+    cap was reached before the area bound ended the search (None then proves
+    nothing past the cap).  The flag is that of the enumeration over the
+    same bounds."""
+    amb = x.ambient
+    if amb != w.ambient:
+        raise LatticeError("ambient mismatch")
+    nums, den = w.integer_form
+    bd = area_bound.denominator
+    cap = area_bound.numerator * den
+    if amb.kind == KIND_RULED:
+        # the exceptional classes are E_i and F - E_i
+        f, f_num = amb.basis_class("F"), nums[amb.fiber_index]
+        for i in amb.exc_indices:
+            ei = amb.basis_class(amb.names[i])
+            for num, e in ((nums[i], ei), (f_num - nums[i], f - ei)):
+                if 0 < num and num * bd <= cap and e != x and pair(e, x) < 0:
+                    return e, False
+        return None, False
+    if amb.kind != KIND_RATIONAL:
+        return None, False  # minimal kinds have no exceptional classes
+    return _rational_witness(x, nums, bd, cap, coeff_bound)
+
+
+def _rational_witness(x, nums, bd, cap, coeff_bound):
+    """Branch and bound over E = (a; c_1..c_n) with a^2 + 1 = sum c_i^2 and
+    sum c_i = 1 - 3a, as in the enumeration, with a second cut.  E.x < 0
+    reads sum c_i x_i > a x_0; with `need` = a x_0 less the slots fixed so
+    far, the slots i.. add at most sqrt(sq * xsuf[i]) (Cauchy-Schwarz, sq
+    the square budget left, xsuf[i] the sum of x_j^2 over them), so a node
+    with need >= 0 and need^2 >= sq * xsuf[i] has no witness below it."""
+    amb = x.ambient
+    n = amb.n_exc
+    h_num, exc_nums = nums[0], nums[1:]
+    x0, xs = x.coeffs[0], x.coeffs[1:]
+    suf, xsuf = [0] * (n + 1), [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suf[i] = suf[i + 1] + exc_nums[i] * exc_nums[i]
+        xsuf[i] = xsuf[i + 1] + xs[i] * xs[i]
+    if h_num * h_num <= suf[0]:
+        raise EnumerationError("area vector has non-positive square; the search cannot terminate")
+    bd2 = bd * bd
+
+    def rec(i, sq, lin, num, need, head):
+        m = num * bd - cap
+        if m > 0 and m * m > sq * bd2 * suf[i]:
+            return None
+        if need >= 0 and need * need >= sq * xsuf[i]:
+            return None
+        r = min(math.isqrt(sq), coeff_bound)
+        if i >= n - 2:
+            if i == n - 1:
+                tails = [(lin,)] if lin * lin == sq else []
+            else:
+                t = 2 * sq - lin * lin
+                s = math.isqrt(t) if t >= 0 else 0
+                if s * s != t:
+                    return None
+                tails = [((lin - s) // 2, (lin + s) // 2), ((lin + s) // 2, (lin - s) // 2)]
+            for tail in tails:
+                leaf = num + sum(map(operator.mul, tail, exc_nums[i:]))
+                if (max(map(abs, tail)) <= r and 0 < leaf and leaf * bd <= cap
+                        and sum(map(operator.mul, tail, xs[i:])) > need):
+                    e = HomologyClass(amb, head + tail)
+                    if e != x:
+                        return e
+            return None
+        for c in range(-r, r + 1):
+            rem_sq, rem_lin = sq - c * c, lin - c
+            if rem_lin * rem_lin > (n - i - 1) * rem_sq:
+                continue
+            found = rec(i + 1, rem_sq, rem_lin, num + c * exc_nums[i], need - c * xs[i],
+                        head + (c,))
+            if found is not None:
+                return found
+        return None
+
+    found, incomplete, a = None, False, 0
+    while True:
+        if a > coeff_bound:
+            incomplete = True
+            break
+        margin = a * h_num * bd - cap
+        if margin > 0 and margin * margin > (a * a + 1) * suf[0] * bd2:
+            break
+        if found is None:
+            found = rec(0, a * a + 1, 1 - 3 * a, a * h_num, a * x0, (a,))
+        a += 1
+    return found, incomplete
+
+
 def minimal_area(es: ExceptionalSet) -> list[HomologyClass]:
     """All classes of minimal area, deterministically ordered."""
     if not es.classes:
@@ -224,7 +323,8 @@ def d_good(
     es: ExceptionalSet,
 ) -> list[Check]:
     """The four-condition goodness checklist for a class against a divisor,
-    the exceptional classes being those of an enumeration."""
+    the exceptional classes being those of an enumeration: the reference
+    for goodness decided by find_witness."""
     bad = next((e for e in es.classes if e != a and pair(a, e) < 0), None)
     return goodness_checks(a, config, w, es.area_bound, es.coeff_bound, bad, es.incomplete)
 

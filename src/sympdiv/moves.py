@@ -18,11 +18,9 @@ gives e an area and every other class the area of its image.  Blowdown
 normalizes a general exceptional class to a basis generator by a word of
 reflections (exceptional.normalize_to_basis) and drops that generator's
 slot.  A blowup is the section of a contraction built directly for a fresh
-generator, with an empty word; `undo_blowup` builds that contraction on a
-given pair of ambients, for callers that already hold the blown-up one
-(area transport, the cusp resolution).  One bridge changes the basis kind
-and carries explicit coordinates instead: CP2#2 -> S2xS2 contracting
-H-E1-E2, which is also the blowup of S2xS2.  Blowup and the replay of a
+generator, with an empty word (`blowup_contraction`).  One bridge changes
+the basis kind and carries explicit coordinates instead: CP2#2 -> S2xS2
+contracting H-E1-E2, which is also the blowup of S2xS2.  Blowup and the replay of a
 blowdown run one core: lift every class along the section, then apply the
 move with e as the new sphere.
 """
@@ -199,42 +197,20 @@ def recorded_contraction(e: HomologyClass, word: LatticeMap, slot: int | None) -
     return Contraction(e.ambient, _drop_ambient(e.ambient, slot), e, word, slot)
 
 
-def new_sphere_id(ambient: AmbientLattice) -> str:
-    """The default component id of the sphere a blowup of `ambient` adds:
-    the fresh generator's name, or "e" for H-E1-E2 out of S2xS2."""
-    return "e" if ambient.kind == KIND_S2S2 else ambient.fresh_exc_name
-
-
 def blowup_contraction(ambient: AmbientLattice) -> tuple[Contraction, str]:
     """The contraction undoing a one-point blowup of `ambient`, built
     directly, with the default component id of the new sphere: out of
-    S2xS2 the bridge from CP2#2, elsewhere a fresh generator appended."""
-    name = new_sphere_id(ambient)
+    S2xS2 the bridge from CP2#2 (the sphere H-E1-E2, named "e"), elsewhere
+    a fresh generator appended."""
     if ambient.kind == KIND_S2S2:
-        return undo_blowup(AmbientLattice.rational_blowup(2), ambient), name
+        return _bridge(AmbientLattice.rational_blowup(2).from_coeffs(_S2S2_BRIDGE[0])), "e"
     if ambient.kind not in (KIND_PP, KIND_RATIONAL, KIND_RULED):
         raise MoveError(f"blowup is not supported on ambient kind {ambient.kind}")
     kind = KIND_RATIONAL if ambient.kind == KIND_PP else ambient.kind
+    name = ambient.fresh_exc_name
     pre = AmbientLattice(kind, ambient.g, ambient.names + (name,))
     con = Contraction(pre, ambient, pre.basis_class(name), LatticeMap.identity(pre), ambient.dim)
     return con, name
-
-
-def undo_blowup(pre: AmbientLattice, post: AmbientLattice) -> Contraction:
-    """The contraction from `pre`, a one-point blowup of `post`, onto
-    `post`, on the two given ambients: the bridge onto S2xS2, elsewhere the
-    drop of the one exceptional generator of pre that post lacks."""
-    con = None
-    if post.kind == KIND_S2S2 and pre.dim == 3:
-        con = _bridge(pre.from_coeffs(_S2S2_BRIDGE[0]))
-    elif post.kind != KIND_S2S2 and pre.dim == post.dim + 1:
-        slot = next((i for i, n in enumerate(post.names) if pre.names[i] != n), post.dim)
-        if slot >= pre.exc_start and _drop_ambient(pre, slot) == post:
-            con = Contraction(pre, post, pre.basis_class(pre.names[slot]),
-                              LatticeMap.identity(pre), slot)
-    if con is None or con.post != post:
-        raise MoveError(f"{pre.describe()} is not a one-point blowup of {post.describe()}")
-    return con
 
 
 # -- blowup ---------------------------------------------------------------------
@@ -306,8 +282,11 @@ def area_after_blowup(
 ) -> AreaVector:
     """Transport an area vector through a blowup, giving area `value` to the
     new exceptional sphere: Contraction.extend on the contraction undoing
-    it."""
-    con = undo_blowup(config_after.ambient, config_before.ambient)
+    it, which must start on the ambient after."""
+    con, _ = blowup_contraction(config_before.ambient)
+    if con.pre != config_after.ambient:
+        raise MoveError(f"{config_after.ambient.describe()} is not the blowup of "
+                        f"{config_before.ambient.describe()}")
     return con.extend(w, Fraction(value))
 
 

@@ -4,8 +4,10 @@
   the exceptional-class enumeration, goodness over an enumeration and
   `certify_affine_ruled` made to raise, it still accepts every fixture's
   certificate.
-* Its one bounded search, `checker.find_witness`, gives the verdict and the
-  `incomplete` flag of `enumerate_exceptional` followed by the pairing test.
+* Its one bounded search, `exceptional.find_witness`, gives the verdict and
+  the `incomplete` flag of `enumerate_exceptional` followed by the pairing
+  test.  Certify decides goodness by the same search, and on every goodness
+  call it makes the checks equal those of `d_good` over an enumeration.
 * It accepts what `certify` emits on every fixture and on the inputs of the
   two certify workloads of `perfbench/` at seeds 1, 3 and 5, which between
   them take all five routes.
@@ -34,7 +36,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from sympdiv import checker, cli, cusp, exceptional, reduction
 from sympdiv.checks import all_passed, failures
-from sympdiv.exceptional import enumerate_exceptional
+from sympdiv.exceptional import d_good, enumerate_exceptional
 from sympdiv.lattice import AmbientLattice, AreaVector, HomologyClass, pair
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -151,7 +153,7 @@ def _case(values, x, bound, coeff_bound=12):
 def test_witness_search_matches_the_enumeration(case):
     x, w, bound, coeff_bound = case
     witnesses, incomplete = _enumerated_verdict(x, w, bound, coeff_bound)
-    found, flag = checker.find_witness(x, w, bound, coeff_bound)
+    found, flag = exceptional.find_witness(x, w, bound, coeff_bound)
     assert (found is not None, flag) == (bool(witnesses), incomplete)
     if found is not None:
         assert found in witnesses
@@ -163,11 +165,50 @@ def test_witness_search_on_ruled_and_minimal_ambients():
     x = amb.cls(F=1, E1=-1, E2=-1)
     for bound in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)):
         witnesses, incomplete = _enumerated_verdict(x, w, bound, 12)
-        found, flag = checker.find_witness(x, w, bound, 12)
+        found, flag = exceptional.find_witness(x, w, bound, 12)
         assert (found is not None, flag) == (bool(witnesses), incomplete)
     pp = AmbientLattice.projective_plane()
-    assert checker.find_witness(pp.cls(H=1), AreaVector.from_values(pp, [1]), Fraction(5), 12) \
+    assert exceptional.find_witness(pp.cls(H=1), AreaVector.from_values(pp, [1]), Fraction(5), 12) \
         == (None, False)
+
+
+def _goodness_calls(monkeypatch, argvs):
+    """(class, configuration, areas, area bound, coefficient bound, checks)
+    of every goodness decision certify makes on argvs; every argv on which
+    certify succeeds makes at least one."""
+    calls, original = [], cusp.goodness_checks
+
+    def spy(a, cfg, w, bound, coeff_bound, witness, incomplete):
+        checks = original(a, cfg, w, bound, coeff_bound, witness, incomplete)
+        calls.append((a, cfg, w, bound, coeff_bound, tuple(checks)))
+        return checks
+
+    monkeypatch.setattr(cusp, "goodness_checks", spy)
+    for argv in argvs:
+        before = len(calls)
+        assert _run(argv)[0] != 0 or len(calls) > before, argv
+    return calls
+
+
+def test_certify_goodness_matches_d_good(monkeypatch, tmp_path):
+    workloads = _perfbench_module("workloads")
+    bounds = ([], ["--area-bound", "3"], ["--area-bound", "3", "--coeff-bound", "1"])
+    argvs = [["certify", str(FIXTURES / name), *extra]
+             for name, _ in CERTIFICATES for extra in bounds]
+    for r in (3, 4, 5, 6):
+        path = tmp_path / f"cp2_13_r{r}.json"
+        path.write_text(json.dumps(workloads.cp2_13(Fraction(r))), encoding="utf-8")
+        argvs += [["certify", str(path), "--area-bound", b] for b in ("2", "5/2", "3")]
+    calls = _goodness_calls(monkeypatch, argvs)
+    incomplete = orthogonal = 0
+    for a, cfg, w, bound, coeff_bound, checks in calls:
+        es = enumerate_exceptional(cfg.ambient, w, area_bound=bound, coeff_bound=coeff_bound)
+        assert tuple(d_good(a, cfg, w, es)) == checks, (a, bound, coeff_bound)
+        incomplete += es.incomplete
+        orthogonal += any(e != a and pair(e, a) == 0 for e in es.classes)
+    # both boundaries are reached: a search the coefficient bound cuts short,
+    # and exceptional classes orthogonal to the class, which are no witness
+    assert incomplete and orthogonal
 
 
 # -- (c) every producer certificate is accepted ------------------------------------

@@ -290,7 +290,7 @@ def test_cli_stage_failure_or_defect(exc_type, rc, head, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise exc_type("raised inside a stage")
 
-    monkeypatch.setattr(sympdiv.cusp, "d_good", broken)
+    monkeypatch.setattr(sympdiv.cusp, "goodness_checks", broken)
     assert main(["certify", str(FIXTURES / "cp2_13_cusp.json")]) == rc
     err = capsys.readouterr().err
     assert err.startswith(head) and "raised inside a stage" in err

@@ -25,7 +25,6 @@ from sympdiv.moves import (
     replay_blowdown,
     replay_toric_witness,
     toric_seq_blowup,
-    undo_blowup,
 )
 
 
@@ -231,7 +230,7 @@ def test_blowup_hypothesis_threshold():
     assert adjoint_area(up, big) >= 0
 
 
-def test_undo_blowup_matches_blowup_contraction():
+def test_blowup_contraction_starts_on_the_blowup():
     ambients = [
         AmbientLattice.projective_plane(),
         AmbientLattice.rational_blowup(2),
@@ -240,17 +239,22 @@ def test_undo_blowup_matches_blowup_contraction():
     ]
     for amb in ambients:
         con, _ = blowup_contraction(amb)
-        assert undo_blowup(con.pre, amb) == con
-    con = undo_blowup(AmbientLattice("rational_blowup", 0, ("H", "X", "E1", "E2")), ambients[1])
-    assert con.slot == 1 and str(con.e) == "X"
-    cp2_3 = AmbientLattice.rational_blowup(3)
-    with pytest.raises(MoveError):  # two new generators
-        undo_blowup(cp2_3, AmbientLattice.projective_plane())
-    with pytest.raises(MoveError):  # the new generator precedes the fixed part
-        undo_blowup(AmbientLattice("rational_blowup", 0, ("X", "H")),
-                    AmbientLattice.projective_plane())
-    with pytest.raises(MoveError):  # S2xS2 is a blowdown of CP2#2 only
-        undo_blowup(cp2_3, AmbientLattice.product_of_spheres())
+        before = DivisorConfig.build(amb, [], [])
+        after = blowup(before, ExteriorBlowup(add_component=True))
+        assert con.pre == after.ambient and con.post == amb
+        w = AreaVector(amb, (Fraction(5),) * amb.dim)
+        assert con.pull_back(area_after_blowup(before, after, w, Fraction(1, 2))) == w
+    pp, cp2_3 = AmbientLattice.projective_plane(), AmbientLattice.rational_blowup(3)
+    mismatched = [
+        (pp, cp2_3),  # two new generators
+        (pp, AmbientLattice("rational_blowup", 0, ("X", "H"))),  # the new one comes first
+        (AmbientLattice.product_of_spheres(), cp2_3),  # S2xS2 is a blowdown of CP2#2 only
+    ]
+    for post, pre in mismatched:
+        w = AreaVector(post, (Fraction(5),) * post.dim)
+        with pytest.raises(MoveError):
+            area_after_blowup(DivisorConfig.build(post, [], []), DivisorConfig.build(pre, [], []),
+                              w, Fraction(1, 2))
 
 
 # -- toric blowup sequences -----------------------------------------------------
