@@ -20,7 +20,7 @@ exceptional classes.  From the recorded decisions alone it
   - rebuilds the route from the recorded chain labeling, resolution moves,
     multiplicities and combination: the cusp identities, the resolution and
     its identities, goodness of the resolution class by certify's own
-    `goodness_search` at the recorded bounds, the combination and the
+    `goodness_search` at the recorded area bound, the combination and the
     transport to the input;
   - assembles the certificate as certify does, serializes it and requires
     the document given, canonically.
@@ -121,19 +121,19 @@ def _check(doc: dict, out: list[Check]) -> None:
     config, w = documents.parse_config(doc["input"])
     if w is None:
         raise DocumentError("certificate input lacks areas")
-    coeff_bound, area_bound = documents.doc_bounds(doc)
+    area_bound = documents.doc_bounds(doc)
     problems = validate(config, w)
     _need(out, Check("input is valid", not problems, "; ".join(problems)))
     hyp = adjoint_area(config, w)
     hypothesis = Check("adjoint area negative", hyp < 0, str(hyp))
     _need(out, hypothesis)
 
-    goodness = goodness_search(coeff_bound, area_bound)
+    goodness = goodness_search(area_bound)
     if config.ambient.is_ruled:
         traces, term, wt = [], config, w
         route = comb_route(config, w, goodness)
     else:
-        traces, term, wt = _replay_traces(doc, config, w, coeff_bound, out)
+        traces, term, wt = _replay_traces(doc, config, w, out)
         route = _rational_route(doc, term, wt, goodness, out)
 
     trace_checks = []
@@ -143,7 +143,7 @@ def _check(doc: dict, out: list[Check]) -> None:
             trace_checks.extend(step_checks(tr.stage, i, ts, ts.blowdown.pre_config == cur, True))
             cur = ts.blowdown.config
     cert = assemble_certificate(config, w, hypothesis, traces, trace_checks, term, wt, route,
-                                coeff_bound, area_bound)
+                                area_bound)
     out.extend(cert.all_checks()[1:])  # the hypothesis is already in
     rebuilt = documents.certificate_to_doc(cert)
     same = documents.canonical_json(rebuilt) == documents.canonical_json(doc)
@@ -158,7 +158,7 @@ def _check(doc: dict, out: list[Check]) -> None:
 # -- the reduction, replayed -----------------------------------------------------
 
 
-def _replay_traces(doc, config, w, coeff_bound, out):
+def _replay_traces(doc, config, w, out):
     """The traces rebuilt by replay, with the terminal configuration and
     its areas.  Areas go down from the input, configurations up from the
     terminal; the stage and terminal labels must come in the order certify
@@ -214,11 +214,9 @@ def _replay_traces(doc, config, w, coeff_bound, out):
     steps = [(tr.stage, i, ts) for tr in traces for i, ts in enumerate(tr.steps)]
     for (stage, i, ts), pre_w in zip(steps, areas_before):
         e = ts.target
-        witness, incomplete = find_witness(e, pre_w, area(e, pre_w), coeff_bound)
+        witness = find_witness(e, pre_w, area(e, pre_w))
         detail = (f"{witness} pairs negatively with {e} within its area" if witness
                   else f"no other exceptional class within area({e}) pairs negatively with it")
-        if incomplete:
-            detail += "; search incomplete (conditional pass within bounds)"
         _need(out, Check(f"{stage}[{i}] has no witness", witness is None, detail))
     return traces, term, wt
 

@@ -37,7 +37,6 @@ from .checks import all_passed, failures
 from .cusp import CertifyError, CuspError, certify_affine_ruled, weight_sequence
 from .divisor import check_hypothesis, check_tree_of_spheres, validate
 from .documents import DocumentError, search_bounds
-from .exceptional import DEFAULT_COEFF_BOUND
 from .inflation import NormalizedVector, PlanError, _verified_plan, verify_plan
 
 EXIT_INPUT = 2
@@ -94,11 +93,9 @@ def cmd_certify(args) -> int:
     if w is None:
         raise DocumentError("certification needs an 'areas' entry")
     area_bound = _fraction_option("--area-bound", args.area_bound) if args.area_bound else None
-    search_bounds(args.coeff_bound, area_bound)
+    search_bounds(area_bound)
     try:
-        cert = certify_affine_ruled(
-            config, w, coeff_bound=args.coeff_bound, area_bound=area_bound
-        )
+        cert = certify_affine_ruled(config, w, area_bound=area_bound)
     except CertifyError as exc:
         print(f"certification failed at stage '{exc.stage}': {exc}", file=sys.stderr)
         return 1
@@ -178,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="emit an affine-ruledness certificate")
     p.add_argument("path")
     p.add_argument("--dot", help="also write stage dual graphs to this DOT file")
-    p.add_argument("--coeff-bound", type=int, default=DEFAULT_COEFF_BOUND)
     p.add_argument("--area-bound", default=None)
     p.set_defaults(fn=cmd_certify)
 

@@ -30,7 +30,6 @@ from .divisor import (
     validate,
 )
 from .exceptional import (
-    DEFAULT_COEFF_BOUND,
     EnumerationError,
     default_area_bound,
     find_witness,
@@ -428,7 +427,7 @@ class AffineRuledCertificate:
     assumptions: tuple[str, ...]
     input_config: DivisorConfig
     input_area: AreaVector
-    bounds: dict
+    area_bound: Fraction | None  # None: the default of goodness_search
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -497,7 +496,6 @@ def certificate_assumptions(traces, route: Route, term: DivisorConfig) -> tuple[
 def certify_affine_ruled(
     config: DivisorConfig,
     w: AreaVector,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
     area_bound: Fraction | None = None,
 ) -> AffineRuledCertificate:
     """Full pipeline: validate, reduce to a terminal model, take the route
@@ -510,22 +508,22 @@ def certify_affine_ruled(
     if not hypothesis.passed:
         raise CertifyError("hypothesis", f"area(K + [D]) = {hyp_val} is not negative")
 
-    goodness = goodness_search(coeff_bound, area_bound)
+    goodness = goodness_search(area_bound)
     if config.ambient.is_ruled:
         traces, term, wt = [], config, w
         route = comb_route(config, w, goodness)
     else:
-        traces, term, wt, route = _rational_route(config, w, coeff_bound, goodness)
+        traces, term, wt, route = _rational_route(config, w, goodness)
     trace_checks = []
     cur = config
     for tr in traces:
         trace_checks.extend(verify_trace(tr, cur))
         cur = tr.steps[-1].blowdown.config if tr.steps else cur
     return assemble_certificate(config, w, hypothesis, traces, trace_checks, term, wt, route,
-                                coeff_bound, area_bound)
+                                area_bound)
 
 
-def goodness_search(coeff_bound: int, area_bound: Fraction | None):
+def goodness_search(area_bound: Fraction | None):
     """Goodness of a class a against cfg on areas w, as the routes take it:
     one witness search at area_bound (by default the area of the cheapest
     exceptional generator of w), run as the "enumerate" stage, and its
@@ -533,20 +531,18 @@ def goodness_search(coeff_bound: int, area_bound: Fraction | None):
 
     def goodness(a, cfg, w):
         bound = area_bound if area_bound is not None else default_area_bound(w)
-        witness, incomplete = _stage("enumerate",
-                                     lambda: find_witness(a, w, bound, coeff_bound))
-        return tuple(_stage("dgood", lambda: goodness_checks(a, cfg, w, bound, coeff_bound,
-                                                             witness, incomplete)))
+        witness = _stage("enumerate", lambda: find_witness(a, w, bound))
+        return tuple(_stage("dgood", lambda: goodness_checks(a, cfg, w, bound, witness)))
 
     return goodness
 
 
 def assemble_certificate(config, w, hypothesis, traces, trace_checks, term, wt, route,
-                         coeff_bound, area_bound) -> AffineRuledCertificate:
+                         area_bound) -> AffineRuledCertificate:
     """The certificate of a route taken on the terminal model term, with
     areas wt, that traces reach from the input config, with areas w: the
     route kind, the cusp carried back to the input, the assumptions and the
-    bounds."""
+    area bound."""
     ruled = config.ambient.is_ruled
     return AffineRuledCertificate(
         route="ruled" if ruled else "rational",
@@ -567,13 +563,13 @@ def assemble_certificate(config, w, hypothesis, traces, trace_checks, term, wt, 
         assumptions=certificate_assumptions(traces, route, term),
         input_config=config,
         input_area=w,
-        bounds={"coeff_bound": coeff_bound, "area_bound": area_bound},
+        area_bound=area_bound,
     )
 
 
 def _stage(stage, fn):
     """Run one stage, reporting its domain failures (a cusp, reduction or
-    search-bound failure) as a failed certification at that stage; any other
+    search failure) as a failed certification at that stage; any other
     error is a defect and propagates."""
     try:
         return fn()
@@ -581,28 +577,25 @@ def _stage(stage, fn):
         raise CertifyError(stage, str(exc)) from exc
 
 
-def _rational_route(config, w, coeff_bound, goodness):
+def _rational_route(config, w, goodness):
     """Reduce to a quasi-minimal pair, then, from the classification its
     trace carries, to a chain (first kind) or to b2 <= 2; returns the
     traces, the terminal model and its route."""
     if not is_connected(config):
         raise CertifyError("validate", "rational pipelines need a connected divisor")
-    term, wt, tr = _stage("quasi_minimal", lambda: quasi_minimal_reduce(config, w, coeff_bound))
+    term, wt, tr = _stage("quasi_minimal", lambda: quasi_minimal_reduce(config, w))
     traces, info = [tr], tr.classification
     if tr.terminal == "QuasiMinimalFirstKind":
-        term, wt, tr = _stage(
-            "partially_minimal", lambda: partially_minimal_reduce(term, wt, info, coeff_bound)
-        )
+        term, wt, tr = _stage("partially_minimal",
+                              lambda: partially_minimal_reduce(term, wt, info))
         traces.append(tr)
     elif tr.terminal == "QuasiMinimalSecondKind":
-        term, wt, tr = _stage(
-            "second_kind", lambda: second_kind_reduce(term, wt, info, coeff_bound)
-        )
+        term, wt, tr = _stage("second_kind", lambda: second_kind_reduce(term, wt, info))
         traces.append(tr)
     if tr.terminal != "SmallB2":
         route = _chain_route(term, wt, "admissible-subchain", goodness)
         return traces, term, wt, route
-    term, wt, tr = _stage("small_b2", lambda: small_b2_reduce(term, wt, coeff_bound))
+    term, wt, tr = _stage("small_b2", lambda: small_b2_reduce(term, wt))
     if tr.steps:
         traces.append(tr)
     return traces, term, wt, _b2_route(term, wt, goodness)

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from .cusp import AffineRuledCertificate
 from .divisor import DivisorConfig
-from .exceptional import DEFAULT_COEFF_BOUND
 from .inflation import InflateNode, InflationPlan, SeedNode, ZigZagNode
 from .lattice import (
     KIND_PP,
@@ -75,27 +74,27 @@ def parse_fraction(s) -> Fraction:
     return f
 
 
-def search_bounds(coeff_bound: int, area_bound: Fraction | None) -> None:
-    """Refuse bounds under which the exceptional-class search finds nothing,
-    so that goodness would pass vacuously or the reduction could not start."""
-    if coeff_bound < 1:
-        raise DocumentError(f"coeff bound must be at least 1, got {coeff_bound}")
+def search_bounds(area_bound: Fraction | None) -> None:
+    """Refuse an area bound under which the exceptional-class search finds
+    nothing, so that goodness would pass vacuously."""
     if area_bound is not None and area_bound <= 0:
         raise DocumentError(f"area bound must be positive, got {area_bound}")
 
 
-def doc_bounds(doc) -> tuple[int, Fraction | None]:
-    """The search bounds a certificate records: (coeff bound, area bound or
-    None for the default)."""
+def doc_bounds(doc) -> Fraction | None:
+    """The area bound a certificate records, None for the default; its
+    `bounds` holds no other key."""
     bounds = doc.get("bounds") or {}
     if not isinstance(bounds, dict):
         raise DocumentError("bounds: expected an object")
-    coeff_bound = _doc_int(bounds.get("coeff_bound", DEFAULT_COEFF_BOUND), "bounds.coeff_bound")
+    unknown = sorted(set(bounds) - {"area_bound"})
+    if unknown:
+        raise DocumentError(f"bounds: unknown key {unknown[0]!r}")
     area_bound = bounds.get("area_bound")
     if area_bound is not None:
         area_bound = parse_fraction(area_bound)
-    search_bounds(coeff_bound, area_bound)
-    return coeff_bound, area_bound
+    search_bounds(area_bound)
+    return area_bound
 
 
 def frac_str(f: Fraction) -> str:
@@ -325,12 +324,7 @@ def certificate_to_doc(cert: AffineRuledCertificate) -> dict:
         "route": cert.route,
         "route_tag": cert.route_tag,
         "bounds": {
-            "coeff_bound": cert.bounds.get("coeff_bound"),
-            "area_bound": (
-                frac_str(cert.bounds["area_bound"])
-                if cert.bounds.get("area_bound") is not None
-                else None
-            ),
+            "area_bound": None if cert.area_bound is None else frac_str(cert.area_bound),
         },
         "hypothesis": cert.hypothesis.as_dict(),
         "traces": [

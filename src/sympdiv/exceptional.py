@@ -5,11 +5,12 @@ by square(-2) reflections.
 
 On a b2+ = 1 ambient an exceptional class is one with e.e = -1 and
 K.e = -1 (plus e.F = 0 over an irrational ruled base).  Enumeration and
-witness search are complete within the recorded coefficient and area
-bounds; when a bound is active at the search frontier the result is
-flagged incomplete rather than silently truncated.  The two searches are
-written apart, and `d_good`, goodness over an enumeration, is the
-reference the witness search is tested against.
+witness search are complete below the area bound alone: on a rational
+ambient with w.w > 0 the least area an exceptional class of degree a can
+have grows with a, so the area bound implies a degree past which there is
+nothing to search, and at degree a every |c_i| is at most isqrt(a^2 + 1).
+The two searches are written apart, and `d_good`, goodness over an
+enumeration, is the reference the witness search is tested against.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .lattice import (
     sw_index,
 )
 
-DEFAULT_COEFF_BOUND = 12
-
 
 class EnumerationError(ValueError):
     pass
@@ -54,8 +53,6 @@ class ExceptionalSet:
     classes: tuple[HomologyClass, ...]  # sorted by (area, coeffs)
     areas: tuple[Fraction, ...]  # areas[i] is the area of classes[i]
     area_bound: Fraction
-    coeff_bound: int
-    incomplete: bool
     nodes: int  # search nodes visited: a work counter, never serialized
 
 
@@ -66,15 +63,44 @@ def default_area_bound(w: AreaVector) -> Fraction:
     return m if m is not None else Fraction(0)
 
 
+def _degree_bound(nums, bd, cap) -> int:
+    """The least degree a at which no exceptional class (a; c_1..c_n) of a
+    rational ambient has area within the bound, on w's integer form (areas
+    nums/den, bound cap/(bd*den)).  By Cauchy-Schwarz the least area at
+    degree a is a*w_H - sqrt((a^2+1) * sum w_i^2), which grows with a when
+    w.w > 0; so this is the least a with a*w_H - bound > 0 and
+    (a*w_H - bound)^2 > (a^2+1) * sum w_i^2, and no degree past it has a
+    class within the bound either."""
+    h_num, sq = nums[0], sum(v * v for v in nums[1:])
+    if h_num * h_num <= sq:  # den^2 * w.square() <= 0
+        raise EnumerationError("area vector has non-positive square; the search cannot terminate")
+    bd2, a = bd * bd, 0
+    while True:
+        margin = a * h_num * bd - cap  # (a*w_H - bound) * den * bd
+        if margin > 0 and margin * margin > (a * a + 1) * sq * bd2:
+            return a
+        a += 1
+
+
+def _ruled_classes(ambient, nums):
+    """(area numerator, class) of every exceptional class of a ruled
+    ambient.  Degree over the base is 0 for sphere classes, so the solutions
+    of e.e = K.e = -1, e.F = 0 are exactly E_i and F - E_i."""
+    f, f_num = ambient.basis_class("F"), nums[ambient.fiber_index]
+    for i in ambient.exc_indices:
+        ei = ambient.basis_class(ambient.names[i])
+        yield nums[i], ei
+        yield f_num - nums[i], f - ei
+
+
 def enumerate_exceptional(
     ambient: AmbientLattice,
     w: AreaVector,
     area_bound: Fraction | None = None,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> ExceptionalSet:
-    """All classes with e.e = K.e = -1 and 0 < area(e) <= area_bound,
-    coefficients bounded by coeff_bound.  area_bound defaults to the
-    cheapest exceptional basis generator (an upper bound for the minimum).
+    """All classes with e.e = K.e = -1 and 0 < area(e) <= area_bound.
+    area_bound defaults to the cheapest exceptional basis generator (an
+    upper bound for the minimum).
 
     Each class is priced once, on w's integer form: with areas nums/den and
     area_bound = bn/bd, a class with area numerator num is kept exactly when
@@ -88,19 +114,12 @@ def enumerate_exceptional(
     cap = area_bound.numerator * den
 
     found: list[tuple[int, HomologyClass]] = []  # (area numerator, class)
-    incomplete, nodes = False, 0
-
+    nodes = 0
     if ambient.kind == KIND_RULED:
-        # Degree over the base is 0 for sphere classes, so the solutions of
-        # e.e = K.e = -1, e.F = 0 are exactly E_i and F - E_i.
-        f, f_num = ambient.basis_class("F"), nums[ambient.fiber_index]
-        for i in ambient.exc_indices:
-            ei = ambient.basis_class(ambient.names[i])
-            for num, c in ((nums[i], ei), (f_num - nums[i], f - ei)):
-                if 0 < num and num * bd <= cap:
-                    found.append((num, c))
+        found = [(num, c) for num, c in _ruled_classes(ambient, nums)
+                 if 0 < num and num * bd <= cap]
     elif ambient.kind == KIND_RATIONAL:
-        incomplete, nodes = _enumerate_rational(ambient, nums, bd, cap, coeff_bound, found)
+        nodes = _enumerate_rational(ambient, nums, bd, cap, found)
     # minimal kinds (CP2, S2xS2, twisted bundle) have no exceptional classes
 
     found.sort(key=lambda t: (t[0], t[1].coeffs))
@@ -110,21 +129,20 @@ def enumerate_exceptional(
         tuple(c for _, c in found),
         tuple(Fraction(num, den) for num, _ in found),
         area_bound,
-        coeff_bound,
-        incomplete,
         nodes,
     )
 
 
-def _enumerate_rational(ambient, nums, bd, cap, coeff_bound, out) -> tuple[bool, int]:
+def _enumerate_rational(ambient, nums, bd, cap, out) -> int:
     """Branch and bound over (a; c_1..c_n) with a^2 + 1 = sum c_i^2 and
-    sum c_i = 1 - 3a.  Areas are the numerators nums over a common den and
-    the bound is cap / (bd * den).  A node with area numerator num so far and
-    square budget sq left is cut when no completion can come down to the
-    bound: by Cauchy-Schwarz the slots i.. lower num by at most
-    sqrt(sq * suf[i]), with suf[i] the sum of their nums squared.  The last
-    one or two slots are solved in closed form.  Appends (area numerator,
-    class) pairs to out; returns (incomplete flag, nodes visited)."""
+    sum c_i = 1 - 3a, for every degree a below `_degree_bound`.  Areas are
+    the numerators nums over a common den and the bound is cap / (bd * den).
+    A node with area numerator num so far and square budget sq left is cut
+    when no completion can come down to the bound: by Cauchy-Schwarz the
+    slots i.. lower num by at most sqrt(sq * suf[i]), with suf[i] the sum of
+    their nums squared.  The last one or two slots are solved in closed
+    form.  Appends (area numerator, class) pairs to out; returns the nodes
+    visited."""
     n = ambient.n_exc
     h_num = nums[0]
     exc_nums = nums[1:]
@@ -132,24 +150,14 @@ def _enumerate_rational(ambient, nums, bd, cap, coeff_bound, out) -> tuple[bool,
     for i in range(n - 1, -1, -1):
         suf[i] = suf[i + 1] + exc_nums[i] * exc_nums[i]
     bd2 = bd * bd
-    incomplete = False
     nodes = 0
 
-    if h_num * h_num <= suf[0]:  # den^2 * w.square() <= 0
-        raise EnumerationError(
-            "area vector has non-positive square; enumeration cannot terminate"
-        )
-
     def rec(i, sq, lin, num, head):
-        nonlocal incomplete, nodes
+        nonlocal nodes
         nodes += 1
         m = num * bd - cap
         if m > 0 and m * m > sq * bd2 * suf[i]:
             return
-        r = math.isqrt(sq)
-        if r > coeff_bound:
-            incomplete = True
-            r = coeff_bound
         if i >= n - 2:
             if i == n - 1:
                 tails = [(lin,)] if lin * lin == sq else []
@@ -163,9 +171,10 @@ def _enumerate_rational(ambient, nums, bd, cap, coeff_bound, out) -> tuple[bool,
                 tails = {((lin - s) // 2, (lin + s) // 2), ((lin + s) // 2, (lin - s) // 2)}
             for tail in tails:
                 leaf = num + sum(map(operator.mul, tail, exc_nums[i:]))
-                if max(map(abs, tail)) <= r and 0 < leaf and leaf * bd <= cap:
+                if 0 < leaf and leaf * bd <= cap:
                     out.append((leaf, HomologyClass(ambient, head + tail)))
             return
+        r = math.isqrt(sq)
         for c in range(-r, r + 1):
             rem_sq = sq - c * c
             rem_lin = lin - c
@@ -173,30 +182,14 @@ def _enumerate_rational(ambient, nums, bd, cap, coeff_bound, out) -> tuple[bool,
                 continue
             rec(i + 1, rem_sq, rem_lin, num + c * exc_nums[i], head + (c,))
 
-    a = 0
-    while True:
-        if a > coeff_bound:
-            incomplete = True
-            break
-        # smallest possible area at degree a: a*w_H - sqrt((a^2+1) * sum w_i^2);
-        # margin is (a*w_H - area_bound) * den * bd
-        margin = a * h_num * bd - cap
-        if margin > 0 and margin * margin > (a * a + 1) * suf[0] * bd2:
-            break
+    for a in range(_degree_bound(nums, bd, cap)):
         rec(0, a * a + 1, 1 - 3 * a, a * h_num, (a,))
-        a += 1
-    return incomplete, nodes
+    return nodes
 
 
-def find_witness(
-    x: HomologyClass, w: AreaVector, area_bound, coeff_bound: int
-) -> tuple[HomologyClass | None, bool]:
+def find_witness(x: HomologyClass, w: AreaVector, area_bound) -> HomologyClass | None:
     """An exceptional class E != x with 0 < area(E) <= area_bound and
-    E.x < 0, its coefficients within coeff_bound as in
-    enumerate_exceptional, or None; with the flag that the degree
-    cap was reached before the area bound ended the search (None then proves
-    nothing past the cap).  The flag is that of the enumeration over the
-    same bounds."""
+    E.x < 0, or None when there is none."""
     amb = x.ambient
     if amb != w.ambient:
         raise LatticeError("ambient mismatch")
@@ -204,20 +197,14 @@ def find_witness(
     bd = area_bound.denominator
     cap = area_bound.numerator * den
     if amb.kind == KIND_RULED:
-        # the exceptional classes are E_i and F - E_i
-        f, f_num = amb.basis_class("F"), nums[amb.fiber_index]
-        for i in amb.exc_indices:
-            ei = amb.basis_class(amb.names[i])
-            for num, e in ((nums[i], ei), (f_num - nums[i], f - ei)):
-                if 0 < num and num * bd <= cap and e != x and pair(e, x) < 0:
-                    return e, False
-        return None, False
+        return next((e for num, e in _ruled_classes(amb, nums)
+                     if 0 < num and num * bd <= cap and e != x and pair(e, x) < 0), None)
     if amb.kind != KIND_RATIONAL:
-        return None, False  # minimal kinds have no exceptional classes
-    return _rational_witness(x, nums, bd, cap, coeff_bound)
+        return None  # minimal kinds have no exceptional classes
+    return _rational_witness(x, nums, bd, cap)
 
 
-def _rational_witness(x, nums, bd, cap, coeff_bound):
+def _rational_witness(x, nums, bd, cap):
     """Branch and bound over E = (a; c_1..c_n) with a^2 + 1 = sum c_i^2 and
     sum c_i = 1 - 3a, as in the enumeration, with a second cut.  E.x < 0
     reads sum c_i x_i > a x_0; with `need` = a x_0 less the slots fixed so
@@ -232,8 +219,6 @@ def _rational_witness(x, nums, bd, cap, coeff_bound):
     for i in range(n - 1, -1, -1):
         suf[i] = suf[i + 1] + exc_nums[i] * exc_nums[i]
         xsuf[i] = xsuf[i + 1] + xs[i] * xs[i]
-    if h_num * h_num <= suf[0]:
-        raise EnumerationError("area vector has non-positive square; the search cannot terminate")
     bd2 = bd * bd
 
     def rec(i, sq, lin, num, need, head):
@@ -242,7 +227,6 @@ def _rational_witness(x, nums, bd, cap, coeff_bound):
             return None
         if need >= 0 and need * need >= sq * xsuf[i]:
             return None
-        r = min(math.isqrt(sq), coeff_bound)
         if i >= n - 2:
             if i == n - 1:
                 tails = [(lin,)] if lin * lin == sq else []
@@ -254,12 +238,13 @@ def _rational_witness(x, nums, bd, cap, coeff_bound):
                 tails = [((lin - s) // 2, (lin + s) // 2), ((lin + s) // 2, (lin - s) // 2)]
             for tail in tails:
                 leaf = num + sum(map(operator.mul, tail, exc_nums[i:]))
-                if (max(map(abs, tail)) <= r and 0 < leaf and leaf * bd <= cap
+                if (0 < leaf and leaf * bd <= cap
                         and sum(map(operator.mul, tail, xs[i:])) > need):
                     e = HomologyClass(amb, head + tail)
                     if e != x:
                         return e
             return None
+        r = math.isqrt(sq)
         for c in range(-r, r + 1):
             rem_sq, rem_lin = sq - c * c, lin - c
             if rem_lin * rem_lin > (n - i - 1) * rem_sq:
@@ -270,28 +255,17 @@ def _rational_witness(x, nums, bd, cap, coeff_bound):
                 return found
         return None
 
-    found, incomplete, a = None, False, 0
-    while True:
-        if a > coeff_bound:
-            incomplete = True
-            break
-        margin = a * h_num * bd - cap
-        if margin > 0 and margin * margin > (a * a + 1) * suf[0] * bd2:
-            break
-        if found is None:
-            found = rec(0, a * a + 1, 1 - 3 * a, a * h_num, a * x0, (a,))
-        a += 1
-    return found, incomplete
+    for a in range(_degree_bound(nums, bd, cap)):
+        found = rec(0, a * a + 1, 1 - 3 * a, a * h_num, a * x0, (a,))
+        if found is not None:
+            return found
+    return None
 
 
 def minimal_area(es: ExceptionalSet) -> list[HomologyClass]:
     """All classes of minimal area, deterministically ordered."""
     if not es.classes:
         raise EnumerationError("empty exceptional set")
-    if es.incomplete:
-        raise EnumerationError(
-            "enumeration hit its bounds; minimum within bounds is not certified"
-        )
     best = es.areas[0]  # the classes are sorted by area
     return [c for c, a in zip(es.classes, es.areas) if a == best]
 
@@ -326,7 +300,7 @@ def d_good(
     the exceptional classes being those of an enumeration: the reference
     for goodness decided by find_witness."""
     bad = next((e for e in es.classes if e != a and pair(a, e) < 0), None)
-    return goodness_checks(a, config, w, es.area_bound, es.coeff_bound, bad, es.incomplete)
+    return goodness_checks(a, config, w, es.area_bound, bad)
 
 
 def goodness_checks(
@@ -334,14 +308,12 @@ def goodness_checks(
     config: DivisorConfig,
     w: AreaVector,
     area_bound: Fraction,
-    coeff_bound: int,
     witness: HomologyClass | None,
-    incomplete: bool,
 ) -> list[Check]:
     """The four-condition goodness checklist, given the outcome of a search
     for an exceptional class E != a with 0 < area(E) <= area_bound and
-    E.a < 0: the witness found (None when there is none) and whether the
-    coefficient bound cut the search short."""
+    E.a < 0: the witness found, None when there is none.  On a rational
+    ambient the detail names the degree the area bound implies."""
     if a.is_zero():
         raise EnumerationError("the zero class is never good")
     out = [Check("sw-nonzero", sw_nonzero(a, w), f"I={sw_index(a)}")]
@@ -355,9 +327,12 @@ def goodness_checks(
         out.append(Check("primitive-if-null", True, "square nonzero"))
 
     verdict = f"negative pairing with {witness}" if witness else "no negative pairing"
-    detail = f"area <= {area_bound}, |coeff| <= {coeff_bound}: {verdict}"
-    if incomplete:
-        detail += "; search incomplete (conditional pass within bounds)"
+    searched = f"area <= {area_bound}"
+    if a.ambient.kind == KIND_RATIONAL:
+        nums, den = w.integer_form
+        degree = _degree_bound(nums, area_bound.denominator, area_bound.numerator * den) - 1
+        searched += f", degree <= {degree}"
+    detail = f"{searched}: {verdict}"
     out.append(Check("nonneg-on-exceptional", witness is None, detail))
 
     neg = [c.id for c in config.components if pair(a, c.cls) < 0]

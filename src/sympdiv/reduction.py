@@ -34,7 +34,6 @@ from .divisor import (
     validate,
 )
 from .exceptional import (
-    DEFAULT_COEFF_BOUND,
     ExceptionalSet,
     NormalizeError,
     enumerate_exceptional,
@@ -168,7 +167,6 @@ def _require_pipeline_input(config: DivisorConfig, w: AreaVector) -> None:
 def quasi_minimal_reduce(
     config: DivisorConfig,
     w: AreaVector,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
     """Contract minimal-area classes until the pair is quasi-minimal or
     b2 <= 2.  A quasi-minimal terminal's trace carries the KindInfo it was
@@ -180,7 +178,7 @@ def quasi_minimal_reduce(
         nonlocal info
         if cur.ambient.b2 <= 2:
             return "SmallB2"
-        es = enumerate_exceptional(cur.ambient, curw, coeff_bound=coeff_bound)
+        es = enumerate_exceptional(cur.ambient, curw)
         mins = minimal_area(es)
         d = total_class(cur)
         if any(pair(m, d) >= 2 for m in mins):
@@ -235,7 +233,6 @@ def partially_minimal_reduce(
     config: DivisorConfig,
     w: AreaVector,
     info: KindInfo,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
     """Remove toric (-1)-components and non-toric exceptional generators
     orthogonal to E_min until none remain.  info classifies config (the
@@ -253,9 +250,7 @@ def partially_minimal_reduce(
         if cur.ambient.b2 <= 2:
             return "SmallB2"
         if cur is not config:  # every pass after the first follows one blowdown
-            info = classify_kind(
-                cur, enumerate_exceptional(cur.ambient, curw, coeff_bound=coeff_bound)
-            )
+            info = classify_kind(cur, enumerate_exceptional(cur.ambient, curw))
             if info.kind != "first":
                 raise ReductionError("pair left the first-kind regime during reduction")
         emin = info.e_min
@@ -352,7 +347,6 @@ def second_kind_reduce(
     config: DivisorConfig,
     w: AreaVector,
     info: KindInfo,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
     """Greedy blowdowns (cheapest class first, toric before half-toric
     before non-toric before exterior) until b2 <= 2; info classifies config
@@ -368,7 +362,7 @@ def second_kind_reduce(
         if amb.b2 <= 2:
             return "SmallB2"
         bound = 4 * max(area(amb.basis_class(amb.names[i]), curw) for i in amb.exc_indices)
-        es = enumerate_exceptional(amb, curw, area_bound=bound, coeff_bound=coeff_bound)
+        es = enumerate_exceptional(amb, curw, area_bound=bound)
         ranked = []
         for e in es.classes:
             try:
@@ -384,7 +378,6 @@ def second_kind_reduce(
 def small_b2_reduce(
     config: DivisorConfig,
     w: AreaVector,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
     """A b2 <= 2 terminal outside the minimal-model table (a lone fiber
     sphere in the one-point blowup) contracts further: the first class that
@@ -392,7 +385,7 @@ def small_b2_reduce(
     steps: list[TraceStep] = []
     cur, curw = config, w
     while cur.ambient.b2 > 1 and classify_minimal_model(cur) is None:
-        es = enumerate_exceptional(cur.ambient, curw, coeff_bound=coeff_bound)
+        es = enumerate_exceptional(cur.ambient, curw)
         try:
             cur, curw = _attempt_candidates(cur, curw, es.classes, steps, "small-b2")
         except ReductionError:

@@ -4,10 +4,10 @@
   the exceptional-class enumeration, goodness over an enumeration and
   `certify_affine_ruled` made to raise, it still accepts every fixture's
   certificate.
-* Its one bounded search, `exceptional.find_witness`, gives the verdict and
-  the `incomplete` flag of `enumerate_exceptional` followed by the pairing
-  test.  Certify decides goodness by the same search, and on every goodness
-  call it makes the checks equal those of `d_good` over an enumeration.
+* Its one search, `exceptional.find_witness`, bounded by area alone, gives
+  the verdict of `enumerate_exceptional` followed by the pairing test.
+  Certify decides goodness by the same search, and on every goodness call it
+  makes the checks equal those of `d_good` over an enumeration.
 * It accepts what `certify` emits on every fixture and on the inputs of the
   two certify workloads of `perfbench/` at seeds 1, 3 and 5, which between
   them take all five routes.
@@ -71,7 +71,7 @@ def _check_exit(doc, tmp_path) -> int:
 
 
 def test_every_certifying_fixture_is_covered():
-    assert len(CERTIFICATES) == 10
+    assert len(CERTIFICATES) == 11
 
 
 # -- (a) the producer's search never runs ------------------------------------------
@@ -106,10 +106,9 @@ def test_check_runs_no_producer_search(name, doc, monkeypatch, tmp_path):
 # -- (b) the witness search against the enumeration --------------------------------
 
 
-def _enumerated_verdict(x, w, bound, coeff_bound):
-    es = enumerate_exceptional(x.ambient, w, area_bound=bound, coeff_bound=coeff_bound)
-    witnesses = [e for e in es.classes if e != x and pair(e, x) < 0]
-    return witnesses, es.incomplete
+def _enumerated_witnesses(x, w, bound):
+    es = enumerate_exceptional(x.ambient, w, area_bound=bound)
+    return [e for e in es.classes if e != x and pair(e, x) < 0]
 
 
 @st.composite
@@ -126,13 +125,13 @@ def witness_cases(draw):
     ))
     coeffs = st.integers(-3, 3)
     x = HomologyClass(amb, (draw(st.integers(-1, 4)), *(draw(coeffs) for _ in range(n))))
-    return x, w, bound, draw(st.integers(0, 12))
+    return x, w, bound
 
 
-def _case(values, x, bound, coeff_bound=12):
+def _case(values, x, bound):
     amb = AmbientLattice.rational_blowup(len(values) - 1)
     w = AreaVector(amb, tuple(Fraction(v) for v in values))
-    return HomologyClass(amb, tuple(x)), w, Fraction(bound), coeff_bound
+    return HomologyClass(amb, tuple(x)), w, Fraction(bound)
 
 
 @settings(max_examples=100, deadline=None)
@@ -147,14 +146,11 @@ def _case(values, x, bound, coeff_bound=12):
 @example(_case([1, "1/3", "1/4", "1/5"], [0, -1, 0, 0], "1/4"))
 # x itself exceptional: E.x = -1 for E = x, which is never a witness
 @example(_case([1, "1/3", "1/4", "1/5"], [0, 1, 0, 0], "1/3"))
-# coefficient bounds that end the degree loop before the area bound does
-@example(_case([1, "1/3", "1/4", "1/5"], [3, 2, 1, 1], "2", 1))
-@example(_case([1, "1/3", "1/4", "1/5"], [3, 2, 1, 1], "2", 0))
 def test_witness_search_matches_the_enumeration(case):
-    x, w, bound, coeff_bound = case
-    witnesses, incomplete = _enumerated_verdict(x, w, bound, coeff_bound)
-    found, flag = exceptional.find_witness(x, w, bound, coeff_bound)
-    assert (found is not None, flag) == (bool(witnesses), incomplete)
+    x, w, bound = case
+    witnesses = _enumerated_witnesses(x, w, bound)
+    found = exceptional.find_witness(x, w, bound)
+    assert (found is not None) == bool(witnesses)
     if found is not None:
         assert found in witnesses
 
@@ -164,23 +160,22 @@ def test_witness_search_on_ruled_and_minimal_ambients():
     w = AreaVector.from_values(amb, [5, 1, Fraction(1, 3), Fraction(1, 4)])
     x = amb.cls(F=1, E1=-1, E2=-1)
     for bound in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)):
-        witnesses, incomplete = _enumerated_verdict(x, w, bound, 12)
-        found, flag = exceptional.find_witness(x, w, bound, 12)
-        assert (found is not None, flag) == (bool(witnesses), incomplete)
+        found = exceptional.find_witness(x, w, bound)
+        assert (found is not None) == bool(_enumerated_witnesses(x, w, bound))
     pp = AmbientLattice.projective_plane()
-    assert exceptional.find_witness(pp.cls(H=1), AreaVector.from_values(pp, [1]), Fraction(5), 12) \
-        == (None, False)
+    assert exceptional.find_witness(pp.cls(H=1), AreaVector.from_values(pp, [1]), Fraction(5)) \
+        is None
 
 
 def _goodness_calls(monkeypatch, argvs):
-    """(class, configuration, areas, area bound, coefficient bound, checks)
-    of every goodness decision certify makes on argvs; every argv on which
-    certify succeeds makes at least one."""
+    """(class, configuration, areas, area bound, checks) of every goodness
+    decision certify makes on argvs; every argv on which certify succeeds
+    makes at least one."""
     calls, original = [], cusp.goodness_checks
 
-    def spy(a, cfg, w, bound, coeff_bound, witness, incomplete):
-        checks = original(a, cfg, w, bound, coeff_bound, witness, incomplete)
-        calls.append((a, cfg, w, bound, coeff_bound, tuple(checks)))
+    def spy(a, cfg, w, bound, witness):
+        checks = original(a, cfg, w, bound, witness)
+        calls.append((a, cfg, w, bound, tuple(checks)))
         return checks
 
     monkeypatch.setattr(cusp, "goodness_checks", spy)
@@ -192,7 +187,7 @@ def _goodness_calls(monkeypatch, argvs):
 
 def test_certify_goodness_matches_d_good(monkeypatch, tmp_path):
     workloads = _perfbench_module("workloads")
-    bounds = ([], ["--area-bound", "3"], ["--area-bound", "3", "--coeff-bound", "1"])
+    bounds = ([], ["--area-bound", "3"])
     argvs = [["certify", str(FIXTURES / name), *extra]
              for name, _ in CERTIFICATES for extra in bounds]
     for r in (3, 4, 5, 6):
@@ -200,15 +195,14 @@ def test_certify_goodness_matches_d_good(monkeypatch, tmp_path):
         path.write_text(json.dumps(workloads.cp2_13(Fraction(r))), encoding="utf-8")
         argvs += [["certify", str(path), "--area-bound", b] for b in ("2", "5/2", "3")]
     calls = _goodness_calls(monkeypatch, argvs)
-    incomplete = orthogonal = 0
-    for a, cfg, w, bound, coeff_bound, checks in calls:
-        es = enumerate_exceptional(cfg.ambient, w, area_bound=bound, coeff_bound=coeff_bound)
-        assert tuple(d_good(a, cfg, w, es)) == checks, (a, bound, coeff_bound)
-        incomplete += es.incomplete
+    orthogonal = 0
+    for a, cfg, w, bound, checks in calls:
+        es = enumerate_exceptional(cfg.ambient, w, area_bound=bound)
+        assert tuple(d_good(a, cfg, w, es)) == checks, (a, bound)
         orthogonal += any(e != a and pair(e, a) == 0 for e in es.classes)
-    # both boundaries are reached: a search the coefficient bound cuts short,
-    # and exceptional classes orthogonal to the class, which are no witness
-    assert incomplete and orthogonal
+    # the boundary of the pairing is reached: exceptional classes orthogonal
+    # to the class, which are no witness
+    assert orthogonal
 
 
 # -- (c) every producer certificate is accepted ------------------------------------

@@ -224,7 +224,7 @@ def check_every_blowdown(cfg, w, area_bound):
     """Contract every exceptional class of area <= area_bound that matches a
     pattern; the replay must give cfg back and the post classes and areas
     must be those of the dense route.  Returns the contractions made."""
-    es = enumerate_exceptional(cfg.ambient, w, area_bound=area_bound, coeff_bound=6)
+    es = enumerate_exceptional(cfg.ambient, w, area_bound=area_bound)
     made = []
     for e in es.classes:
         try:

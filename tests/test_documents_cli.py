@@ -158,44 +158,48 @@ def test_cli_parser_survives_usage_errors(capsys):
 
 # sha256 of `certify` stdout, pinned so that output drift between versions
 # shows; a change of any of them is a change of the certificate format.  The
-# digests are those of certificate v2 printed as canonical JSON; CHANGES.md
-# records the v1 digests they replaced.
+# digests are those of certificate v2 printed as canonical JSON, whose bounds
+# hold the area bound alone; CHANGES.md records the digests they replaced.
 GOLDEN_CERTIFY_SHA256 = [
     (("cp2_13_cusp.json",),
-     "85fe1d831c978e3cf46ce016afaca88f3f487f5d0794ac59266257f9e7710602"),
+     "09aecdd5004c624ba7707f2a6be0e746bdb37e4a7ee8c33ed1758b3d4b676c04"),
     (("cp2_13_cusp.json", "--area-bound", "3"),
-     "d664adad95b81ad39e8460202131454b1be1f05c7e8bfe003fb36410abf32ac3"),
+     "70d53bb0ad30165009b04c8f61b142561c9b4086dd24b07938e55d3474d6d23e"),
     (("ruled_comb_genus2.json",),
-     "7af6a2b646d015bf319d4da7414c2fdcb1799ab590a6cbc43daa3321058ad8ac"),
+     "841d2b945f8118130baa6d3de9757109a4338eb5cfc08fd60eaa0c1ae5edab63"),
     # second-kind trident: its greedy reduction tries classes that need a
     # nontrivial reflection word
     (("trident_cp2_4.json",),
-     "eef46364a11fb9c7da4b207d2ce6f0fcbca3a32e340e047907e3918e4f8c193b"),
+     "5b7c5106ba01efbeafbbcd3cf284fed3f1e2c6c371b059adcfe5bddf3beac51e"),
     # the last blowdown of the trace is the CP2#2 -> S2xS2 bridge
     (("product_spheres_5.json",),
-     "3121f484cd028ebc65630e421a96ef31fdfe99ef8c4f366813884827f46bfd69"),
+     "a4f73e05c53c9769253d99062621681012f5bf5d0b4c454db090582a2cfd0221"),
     # the first blowdown contracts 2H-E1-...-E5 through a word of length 2
     (("conic_cremona_cp2_6.json",),
-     "1c8cda3783db8c455f67a07d30ac4486d72b58c7e1b97f3b6b5ec60db416e218"),
+     "cf8d989ed822562325893dee05cd662411fb6b9431c5854c8fe6c60bca884e13"),
     # S2xS2 chain, route minimal-model:B1p: the resolution's first blowup
     # goes through H-E1-E2 with the new component id e.  Before blowups
     # became sections of the bridge, its resolution areas gave E1 the area
     # f2 - eps and E2 the area f1 - eps, which with f1 = H - E2 swaps the two
     # fiber areas; the digest of that output was ffc9f62a...1e31309b20f85
     (("product_spheres_chain.json",),
-     "c92d5472bb0ac078dfcb27a015c15a28a1339b4fb6cc1592d878acd9835c2740"),
+     "a868b0f7d23ead782367552ece9a87237cb0b686b4d7ceced7bb4dfc13f374a0"),
     # a single line in CP2, route A1p: the auxiliary-line chain
     (("cp2_line.json",),
-     "fd1b0f0a78fcfcc5b1bd943cafa9e1e2512a9157899fc708187206e412f10318"),
+     "56d8abfc4bb6a4d5750ea5236a0b4a2806670cf9d2f311f9a464fb5d4b7e12f7"),
     # a single conic in CP2, route a3-special
     (("cp2_conic.json",),
-     "7f8fa28c8da1b9a53a85657e1e6b6fbe0238c3e7002786b21469d27e5e08de15"),
+     "8b239f04f238927cc2570c4b82b708a11509aedd701ffa7888b192ac2e28a699"),
     # a ruled comb without a section: route comb with no resolution
     (("ruled_comb_sectionless.json",),
-     "387b070517c13062565aabe35386b4d061256921209f234c6bd841cebf8b1110"),
+     "e55777f67c8fd5223bef097ac993f11ee725d22d1868b0580ae80e669531faa1"),
     # a comb over the twisted bundle: the only fixture on its form
     (("ruled_comb_twisted.json",),
-     "e7158e76858f144189a0c80cd38089278fd5b80b33af7ff0d61b90026197c9f8"),
+     "687c11d6e3c9da949c01b59b529f7b12d73af172b80057feaeb094ad84cf0f7c"),
+    # CP2#9 near the boundary w.w = 0: the area bound has the first
+    # enumeration search degrees up to 17
+    (("near_boundary_cp2_9.json",),
+     "ce3b1823722bc7ad5c34943fec44d631a5d62860315764556c138ff2799d4628"),
 ]
 
 
@@ -235,31 +239,45 @@ def test_cli_check_malformed_certificate_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("option,value", [
     ("--area-bound", "0"), ("--area-bound", "-1"), ("--area-bound", "-1/2"),
-    ("--coeff-bound", "0"), ("--coeff-bound", "-1"),
 ])
 def test_cli_certify_refuses_empty_search_bounds(option, value, capsys):
-    """A bound under which no exceptional class is searched would make
-    goodness pass vacuously (area) or leave the reduction nothing (coeff)."""
+    """An area bound under which no exceptional class is searched would make
+    goodness pass vacuously."""
     rc = main(["certify", str(FIXTURES / "cp2_13_cusp.json"), f"{option}={value}"])
     captured = capsys.readouterr()
     assert rc == 2 and "input error" in captured.err and captured.out == ""
 
 
+def test_cli_certify_has_no_coefficient_bound(capsys):
+    """The area bound alone ends the search; a degree cap is an unknown
+    option."""
+    with pytest.raises(SystemExit) as err:
+        main(["certify", str(FIXTURES / "cp2_13_cusp.json"), "--coeff-bound", "1"])
+    assert err.value.code == 2 and "--coeff-bound" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bounds", [
+    # the bounds of a certificate from before the area bound alone ended
+    # the search: refused by name, never a replay mismatch
+    {"coeff_bound": 12, "area_bound": None},
     {"coeff_bound": 0, "area_bound": None},
-    {"coeff_bound": -1, "area_bound": None},
     {"coeff_bound": True, "area_bound": None},
-    {"coeff_bound": 12, "area_bound": "0"},
-    {"coeff_bound": 12, "area_bound": "-3"},
-    {"coeff_bound": 12, "area_bound": 0},
+    {"coeff_bound": 12, "area_bound": "3"},
+    {"area_bound": "0"},
+    {"area_bound": "-3"},
+    {"area_bound": 0},
 ])
 def test_cli_check_refuses_empty_search_bounds(bounds, tmp_path, capsys):
+    """`bounds` holds the area bound and nothing else: any other key is
+    malformed and named, and an empty area bound is refused."""
     main(["certify", str(FIXTURES / "cp2_13_cusp.json")])
     good = json.loads(capsys.readouterr().out)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(dict(good, bounds=bounds)))
     rc = main(["check", str(path)])
-    assert rc == 2 and "input error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert rc == 2 and "input error" in err
+    assert ("'coeff_bound'" in err) == ("coeff_bound" in bounds)
 
 
 @pytest.mark.parametrize("exc_type", [ValueError, ZeroDivisionError])

@@ -40,7 +40,6 @@ def test_enumerate_cp2_2():
         "E2": Fraction(1, 4),
         "H-E1-E2": Fraction(5, 12),
     }
-    assert not es.incomplete
     for c in es.classes:
         assert is_exceptional_class(c)
 
@@ -86,7 +85,7 @@ def test_enumeration_against_brute_force():
             and 0 < area(cls, w) <= bound
         ):
             expected.add(coeffs)
-    es = enumerate_exceptional(rb, w, area_bound=bound, coeff_bound=4)
+    es = enumerate_exceptional(rb, w, area_bound=bound)
     assert {c.coeffs for c in es.classes} == expected
     assert len(expected) >= 6
 

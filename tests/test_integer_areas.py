@@ -180,32 +180,26 @@ def test_transport_area_preserves_areas(case, data):
 # -- enumeration against the Fraction leaf test ---------------------------------------
 
 
-def reference_enumerate(ambient, w, area_bound, coeff_bound):
+def reference_enumerate(ambient, w, area_bound):
     """Exceptional classes of CP2#n by the same branch and bound, priced one
     Fraction sum per class: the leaf test of the enumerator before it moved
-    to the integer form.  Returns (classes sorted by (area, coeffs),
-    incomplete flag)."""
+    to the integer form.  Returns the classes sorted by (area, coeffs)."""
     n = ambient.n_exc
     w_h = w.areas[0]
     sq_sum = sum(w.areas[i] * w.areas[i] for i in ambient.exc_indices)
     found = []
-    incomplete = False
 
     def price(coeffs):
         return sum((c * v for c, v in zip(coeffs, w.areas)), Fraction(0))
 
     a = 0
     while True:
-        if a > coeff_bound:
-            incomplete = True
-            break
         margin = a * w_h - area_bound
         if margin > 0 and margin * margin > (a * a + 1) * sq_sum:
             break
         vec = [0] * n
 
         def rec(i, sq, lin):
-            nonlocal incomplete
             if i == n:
                 if sq == 0 and lin == 0:
                     coeffs = (a,) + tuple(vec)
@@ -214,9 +208,7 @@ def reference_enumerate(ambient, w, area_bound, coeff_bound):
                 return
             slots = n - i
             r = math.isqrt(sq)
-            if r > coeff_bound:
-                incomplete = True
-            for c in range(max(-r, -coeff_bound), min(r, coeff_bound) + 1):
+            for c in range(-r, r + 1):
                 rem_sq, rem_lin = sq - c * c, lin - c
                 if rem_lin * rem_lin > (slots - 1) * rem_sq if slots > 1 else (rem_sq or rem_lin):
                     continue
@@ -227,7 +219,7 @@ def reference_enumerate(ambient, w, area_bound, coeff_bound):
         rec(0, a * a + 1, 1 - 3 * a)
         a += 1
     found.sort(key=lambda coeffs: (price(coeffs), coeffs))
-    return found, incomplete
+    return found
 
 
 @st.composite
@@ -245,45 +237,27 @@ def cp2_blowups(draw):
         st.fractions(min_value=0, max_value=3 * head, max_denominator=37),
         st.sampled_from(exc),
     ))
-    return amb, w, bound, draw(st.integers(0, 5))
+    return amb, w, bound
 
 
 ZERO_AREA_CLASS = (  # H - E1 - E2 has area 0 here and is no exceptional sphere
     AmbientLattice.rational_blowup(2),
     AreaVector.from_values(AmbientLattice.rational_blowup(2), [1, Fraction(1, 2), Fraction(1, 2)]),
     Fraction(1),
-    12,
-)
-
-# at coeff_bound = 0 the per-slot clamp is what keeps E1 out: E1 fits the area
-# bound, but its coefficient 1 exceeds the coefficient bound
-E1_OVER_COEFF_BOUND = (
-    AmbientLattice.rational_blowup(1),
-    AreaVector.from_values(AmbientLattice.rational_blowup(1), [1, Fraction(1, 97)]),
-    Fraction(1, 97),
-    0,
 )
 
 
 @PROPERTY
 @given(cp2_blowups())
 @example(ZERO_AREA_CLASS)
-@example(E1_OVER_COEFF_BOUND)
 def test_enumeration_matches_fraction_leaf_test(case):
-    amb, w, bound, coeff_bound = case
+    amb, w, bound = case
     if textbook_square(w) <= 0:
         return  # both refuse to enumerate; covered in test_exceptional
-    expected, incomplete = reference_enumerate(amb, w, bound, coeff_bound)
-    es = enumerate_exceptional(amb, w, area_bound=bound, coeff_bound=coeff_bound)
+    expected = reference_enumerate(amb, w, bound)
+    es = enumerate_exceptional(amb, w, area_bound=bound)
     assert [c.coeffs for c in es.classes] == expected
-    assert es.incomplete == incomplete
     assert list(es.areas) == [area(c, w) for c in es.classes]
-
-
-def test_coeff_bound_zero_finds_nothing_and_says_so():
-    amb, w, bound, coeff_bound = E1_OVER_COEFF_BOUND
-    es = enumerate_exceptional(amb, w, area_bound=bound, coeff_bound=coeff_bound)
-    assert es.classes == () and es.incomplete
 
 
 def test_exceptional_set_areas_on_ruled_ambient():

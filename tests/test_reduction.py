@@ -432,7 +432,7 @@ def test_certify_enumerates_each_pair_once(fixture, stage, monkeypatch, capsys):
 
     def counted(*args, **kwargs):
         es = enumerate_exceptional(*args, **kwargs)
-        seen.append((es.ambient, es.w.areas, es.area_bound, es.coeff_bound))
+        seen.append((es.ambient, es.w.areas, es.area_bound))
         return es
 
     monkeypatch.setattr(reduction, "enumerate_exceptional", counted)
