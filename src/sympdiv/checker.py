@@ -9,9 +9,10 @@ exceptional classes.  From the recorded decisions alone it
     are orthogonal to K, the contracted class e has e.e = K.e = -1 and
     positive area, and the word takes e to the generator it drops (or e is
     the class of a bridge);
-  - replays the recorded blowups upward from the recorded terminal, which
-    must reproduce every pre-configuration and finally the input, with the
-    hypothesis on both sides of every step;
+  - replays the recorded blowups upward from the recorded terminal,
+    validating every configuration the replay makes; they must reproduce
+    every pre-configuration and finally the input, with the hypothesis on
+    both sides of every step;
   - searches, for every contracted e, for an exceptional E != e with
     0 < area(E) <= area(e) and E.e < 0 (exceptional.find_witness).  An e
     represented by an embedded sphere has none (positivity of
@@ -50,7 +51,7 @@ from .cusp import (
     resolved_route,
     total_transform,
 )
-from .divisor import DivisorError, adjoint_area, check_hypothesis, validate
+from .divisor import DivisorError, adjoint_area, check_hypothesis, require_valid, validate
 from .documents import DocumentError
 from .exceptional import EnumerationError, find_witness
 from .lattice import AreaVector, LatticeError, area, canonical, is_exceptional_class, pair
@@ -200,7 +201,7 @@ def _replay_traces(doc, config, w, out):
         replayed = []
         for con, move, sphere, pre_w, post_w in reversed(steps):
             bd = BlowdownStep(None, post, move.kind, move, con, sphere, post_w)
-            pre = replay_blowdown(bd)
+            pre = require_valid(replay_blowdown(bd))
             hyp_pre = check_hypothesis(pre, pre_w)
             replayed.append(TraceStep(replace(bd, pre_config=pre), pre.ambient.b2,
                                       post.ambient.b2, hyp_pre, hyp_post))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .lattice import (
@@ -61,6 +62,16 @@ class DivisorConfig:
         norm_edges = tuple(sorted(tuple(sorted((str(a), str(b)))) for a, b in edges))
         return DivisorConfig(ambient, tuple(comps), norm_edges)
 
+    @cached_property
+    def gram(self) -> list[list[int]]:
+        """pairings([K] + classes, classes) (row 0: K.c), read only, over the
+        classes before the first in another ambient.  Cached, not a field."""
+        amb = self.ambient
+        k = next((i for i, c in enumerate(self.components)
+                  if c.cls.ambient is not amb and c.cls.ambient != amb), len(self.components))
+        classes = [c.cls for c in self.components[:k]]
+        return pairings([canonical(amb)] + classes, classes)
+
     def component(self, cid: str) -> DivisorComponent:
         for c in self.components:
             if c.id == cid:
@@ -94,16 +105,16 @@ class DivisorConfig:
 
 
 def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
-    """Return the list of violated invariants; empty means valid.  All pairings
-    come from one `pairings` matrix: row 0 holds K.c, the diagonal c.c."""
-    comps, amb = config.components, config.ambient
+    """Return the list of violated invariants; empty means valid.  Genus must be
+    adjunction's, w.w > 0; pairings come from config.gram, so validating one
+    instance again only compares.  Callers validate what they make."""
+    comps = config.components
     if not comps:
         return ["configuration is empty"]
     problems: list[str] = []
-    k = next((i for i, c in enumerate(comps) if c.cls.ambient is not amb and c.cls.ambient != amb),
-             len(comps))
-    classes = [c.cls for c in comps[:k]]
-    gram = pairings([canonical(amb)] + classes, classes)
+    if w is not None and (sq := w.square()) <= 0:
+        problems.append(f"area vector has non-positive square {sq}")
+    gram, k = config.gram, len(config.gram[0])
     seen = set()
     for i, c in enumerate(comps):
         if c.id in seen:
@@ -146,10 +157,11 @@ def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
     return problems
 
 
-def require_valid(config: DivisorConfig, w: AreaVector | None = None) -> None:
+def require_valid(config: DivisorConfig, w: AreaVector | None = None) -> DivisorConfig:
     problems = validate(config, w)
     if problems:
         raise DivisorError("invalid configuration: " + "; ".join(problems))
+    return config
 
 
 # -- graph helpers -----------------------------------------------------------

@@ -22,7 +22,8 @@ generator, with an empty word (`blowup_contraction`).  One bridge changes
 the basis kind and carries explicit coordinates instead: CP2#2 -> S2xS2
 contracting H-E1-E2, which is also the blowup of S2xS2.  Blowup and the replay of a
 blowdown run one core: lift every class along the section, then apply the
-move with e as the new sphere.
+move with e as the new sphere.  The core validates nothing; blowup and the
+checker validate what it makes, verify_trace compares it with its input.
 """
 
 from __future__ import annotations
@@ -222,9 +223,9 @@ def _apply_move(
     move: BlowupMove,
     new_id: str,
 ) -> DivisorConfig:
-    """Shared core of blowup and replay_blowdown: lift every class of the
-    post configuration along the section of con, then rewrite the lifted
-    classes and edges by the move, con.e being the new exceptional sphere."""
+    """Shared core of blowup and replay_blowdown, which validates nothing:
+    lift every class of the post configuration along the section of con, then
+    rewrite the lifted classes and edges by the move, con.e the new sphere."""
     classes = {c.id: con.section(c.cls) for c in config.components}
     genus = {c.id: c.genus for c in config.components}  # a blowup keeps every genus
     genus[new_id] = 0
@@ -255,9 +256,7 @@ def _apply_move(
             classes[new_id] = ecls
     else:
         raise MoveError(f"unknown move {move!r}")
-    out = DivisorConfig.build(con.pre, [(i, c, genus[i]) for i, c in classes.items()], edges)
-    require_valid(out)
-    return out
+    return DivisorConfig.build(con.pre, [(i, c, genus[i]) for i, c in classes.items()], edges)
 
 
 def blowup(
@@ -266,12 +265,12 @@ def blowup(
     new_id: str | None = None,
 ) -> DivisorConfig:
     """Perform a blowup move on the section of the contraction undoing it;
-    the result validates by construction."""
+    the result is validated here, once, in full."""
     con, default_id = blowup_contraction(config.ambient)
     cid = new_id or default_id
     if config.has_component(cid):
         raise MoveError(f"component id {cid!r} already in use")
-    return _apply_move(con, config, move, cid)
+    return require_valid(_apply_move(con, config, move, cid))
 
 
 def area_after_blowup(
@@ -369,6 +368,7 @@ def blowdown(
     kind, move, removed, incident = detect_pattern(config, e)
 
     classes = {c.id: c.cls for c in config.components}
+    genus = {c.id: c.genus for c in config.components}  # a blowdown keeps every genus
     edges = list(config.edges)
     if removed is not None:
         del classes[removed]
@@ -389,14 +389,14 @@ def blowdown(
         if pairings(post, post) != pairings(pre, pre):
             raise MoveError("basis bridge failed to preserve the form")
     new_area = con.pull_back(w) if w is not None else None
-    out = DivisorConfig.build(con.post, list(post_classes.items()), edges)
-    require_valid(out)
-    return BlowdownStep(config, out, kind, move, con, removed, new_area)
+    out = DivisorConfig.build(con.post, [(i, c, genus[i]) for i, c in post_classes.items()], edges)
+    return BlowdownStep(config, require_valid(out), kind, move, con, removed, new_area)
 
 
 def replay_blowdown(step: BlowdownStep) -> DivisorConfig:
     """Reconstruct the pre-configuration by blowing the step back up.  Used
     to certify reduction traces: the result must equal step.pre_config.
+    Not validated here; the checker validates it.
 
     The move is linear in the classes, so it is applied on the sections of
     the post classes with the contracted class itself as the new sphere."""

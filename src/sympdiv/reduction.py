@@ -89,7 +89,8 @@ class ReductionTrace:
 
 
 def verify_trace(trace: ReductionTrace, initial: DivisorConfig) -> list[Check]:
-    """Replay every step as a blowup and compare with the recorded input."""
+    """Replay every step as a blowup and compare with the recorded input,
+    validated where it was made; equal configurations are equally valid."""
     out = []
     cur = initial
     for i, ts in enumerate(trace.steps):
@@ -130,7 +131,9 @@ def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step):
 
 def _attempt_candidates(cur, curw, candidates, steps, stage):
     """Contract the first candidate that blows down and record it as a trace
-    step; every step keeps the adjoint-area hypothesis."""
+    step; every step keeps the adjoint-area hypothesis, so a step after the
+    first starts from the previous step's hyp_after."""
+    hyp_before = steps[-1].hyp_after if steps else check_hypothesis(cur, curw)
     errors = []
     for cand in candidates:
         try:
@@ -139,9 +142,7 @@ def _attempt_candidates(cur, curw, candidates, steps, stage):
             errors.append(f"{cand}: {exc}")
             continue
         hyp_after = check_hypothesis(bd.config, bd.new_area)
-        steps.append(TraceStep(
-            bd, cur.ambient.b2, bd.config.ambient.b2, check_hypothesis(cur, curw), hyp_after
-        ))
+        steps.append(TraceStep(bd, cur.ambient.b2, bd.config.ambient.b2, hyp_before, hyp_after))
         if not hyp_after:
             raise ReductionError(f"blowdown of {bd.target} lost the adjoint-area hypothesis")
         return bd.config, bd.new_area

@@ -98,6 +98,16 @@ def test_cli_validate_edge_mismatch(capsys):
     assert "A" in out and "B" in out
 
 
+def test_non_positive_area_square_is_refused_by_validate(capsys):
+    # CP2#1 with w_H = 1, w_E1 = 3/2: w.w = -5/4, though the one component
+    # has positive area and the adjoint area is negative
+    path = str(FIXTURES / "bad_area_square.json")
+    assert main(["validate", path]) == 1
+    assert "invalid: area vector has non-positive square -5/4" in capsys.readouterr().out
+    assert main(["certify", path]) == 1
+    assert "failed at stage 'validate'" in capsys.readouterr().err
+
+
 def test_cli_validate_malformed_rational(capsys):
     rc = main(["validate", str(FIXTURES / "bad_rational.json")])
     assert rc == 2

@@ -198,6 +198,8 @@ def test_balanced_blowup_node_counts(case):
 # `sympdiv certify FILE --area-bound 3`.  Only the reduction enumerates:
 # goodness runs the witness search, so the area bound moves no pin.
 FIXTURE_NODES = {
+    # w.w = -5/4: refused by validate, before any search
+    "bad_area_square.json": ((0, 0), (0, 0)),
     "bad_edge_count.json": ((0, 0), (0, 0)),
     "bad_rational.json": ((0, 0), (0, 0)),
     "conic_cremona_cp2_6.json": ((5, 80), (5, 80)),
