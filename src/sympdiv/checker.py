@@ -18,11 +18,11 @@ exceptional classes.  From the recorded decisions alone it
     represented by an embedded sphere has none (positivity of
     intersections), and this search stands in for re-running the
     reduction's selection rules;
-  - rebuilds the route from the recorded chain labeling, resolution moves,
-    multiplicities and combination: the cusp identities, the resolution and
-    its identities, goodness of the resolution class by certify's own
-    `goodness_search` at the recorded area bound, the combination and the
-    transport to the input;
+  - rebuilds the route with certify's own `cusp.terminal_route` from the
+    recorded chain labeling, its one free choice: the cusp fixes the
+    resolution and the combination, which are recomputed, not read; goodness
+    of the resolution class is decided by certify's `goodness_search` at
+    the recorded area bound;
   - assembles the certificate as certify does, serializes it and requires
     the document given, canonically.
 """
@@ -36,27 +36,17 @@ from .checks import Check
 from .cusp import (
     CertifyError,
     CuspError,
-    ResolutionResult,
-    Route,
-    a1p_augmented,
-    a3_cusp,
-    a_tilde_checks,
     assemble_certificate,
     comb_route,
-    cusp_class,
-    fiber_route,
     goodness_search,
-    resolution_blowup,
-    resolution_checks,
-    resolved_route,
-    total_transform,
+    terminal_route,
 )
 from .divisor import DivisorError, adjoint_area, check_hypothesis, require_valid, validate
 from .documents import DocumentError
 from .exceptional import EnumerationError, find_witness
 from .lattice import AreaVector, LatticeError, area, canonical, is_exceptional_class, pair
 from .moves import BlowdownStep, MoveError, replay_blowdown
-from .reduction import ReductionTrace, TraceStep, classify_minimal_model, step_checks
+from .reduction import ReductionTrace, TraceStep, step_checks
 
 # (stage, terminal) of a trace -> the stage certify runs after it: the
 # stages after quasi-minimality must follow, a small-b2 trace is recorded
@@ -135,7 +125,10 @@ def _check(doc: dict, out: list[Check]) -> None:
         route = comb_route(config, w, goodness)
     else:
         traces, term, wt = _replay_traces(doc, config, w, out)
-        route = _rational_route(doc, term, wt, goodness, out)
+        cusp = _get(doc, "cusp", dict, "certificate")
+        chain, k = _get(cusp, "chain", list, "cusp"), _get(cusp, "k", int, "cusp")
+        route = terminal_route(term, wt, traces[-1].terminal == "SmallB2", goodness,
+                               lambda _: [(chain, k)] if k else [])
 
     trace_checks = []
     cur = config
@@ -188,8 +181,6 @@ def _replay_traces(doc, config, w, out):
         recorded.append((stage, terminal, steps))
     if expected not in (None, "small_b2"):
         raise DocumentError(f"traces: they end where certify runs {expected!r}")
-    if (recorded[-1][1] == "SmallB2") == (doc.get("route_tag") == "admissible-subchain"):
-        raise DocumentError(f"route {doc.get('route_tag')!r} after terminal {recorded[-1][1]!r}")
 
     term, wt = documents.parse_config(_get(doc, "terminal", dict, "certificate"))
     _need(out, Check("terminal areas are the input's, carried down", wt == cur_w, ""))
@@ -235,61 +226,3 @@ def _contraction_check(name: str, con, w: AreaVector) -> Check:
     if con.slot is not None and con.word.apply(e) != amb.basis_class(amb.names[con.slot]):
         problems.append(f"the word does not take {e} to {amb.names[con.slot]}")
     return Check(f"{name} contraction", not problems, "; ".join(problems))
-
-
-# -- the routes, rebuilt -----------------------------------------------------------
-
-
-def _rational_route(doc, term, wt, goodness, out) -> Route:
-    """The route the tag names on the terminal model, from the recorded
-    chain labeling, resolution moves and combination."""
-    tag = _get(doc, "route_tag", str, "certificate")
-    cusp_doc = _get(doc, "cusp", dict, "certificate")
-    res_doc = _get(doc, "resolution", dict, "certificate")
-    model = classify_minimal_model(term)
-    case = model.case if model else None
-    if tag == "a3-special" and case == "A3p":
-        cusp = a3_cusp(term)
-        res = _replay_resolution(term, res_doc, cusp.da, None, 4, 1, cusp.cls, weighted=False)
-        return resolved_route(tag, term, wt, cusp, res, {cusp.da: 1}, goodness)
-    if case is not None and tag == f"minimal-model:{case}":
-        if case == "A1p":
-            term = a1p_augmented(term)
-        elif _get(cusp_doc, "k", int, "cusp") == 0:
-            return fiber_route(term, wt, case, goodness)
-    elif tag != "admissible-subchain":
-        _need(out, Check("route", False, f"route tag {tag!r} does not fit the terminal model {case}"))
-    cusp = cusp_class(term, _get(cusp_doc, "chain", list, "cusp"), _get(cusp_doc, "k", int, "cusp"))
-    res = _replay_resolution(term, res_doc, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls)
-    comb = _get(doc, "combination", dict, "certificate")
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in comb.values()):
-        raise DocumentError("combination: expected integer coefficients")
-    return resolved_route(tag, term, wt, cusp, res, comb, goodness)
-
-
-def _replay_resolution(base, res_doc, da, db, p, q, a_cls, weighted=True) -> ResolutionResult:
-    """The recorded resolution blowups replayed on base, the resolution class
-    read off them with the recorded multiplicities, and its checks (with
-    those of the multiplicities when weighted)."""
-    cur, cons, ids, moves = base, [], [], []
-    for md in _get(res_doc, "moves", list, "resolution"):
-        move, sphere = documents.doc_to_move(md)
-        if sphere is None:
-            raise DocumentError("resolution: every blowup adds a sphere")
-        cur = resolution_blowup(cur, move, cons, ids, moves, sphere)
-    mult = tuple(_get(res_doc, "multiplicities", list, "resolution"))
-    if not all(isinstance(m, int) and not isinstance(m, bool) for m in mult):
-        raise DocumentError("resolution.multiplicities: expected integers")
-    if len(mult) != len(cons):
-        raise CuspError(f"{len(mult)} multiplicities for {len(cons)} blowups")
-    a_tilde = total_transform(cons, a_cls, mult)
-    if ids:
-        transverse = ids[-1]
-    else:  # a degenerate cusp: (1, 0) meets da, (0, 1) meets db
-        transverse = da if p == 1 else db
-    if weighted and ids:
-        checks = resolution_checks(cur, a_tilde, transverse, mult, p, q)
-    else:
-        checks = a_tilde_checks(cur, a_tilde, transverse)
-    return ResolutionResult(cur, da, db, p, q, mult, tuple(str(c.e) for c in cons), tuple(ids),
-                            a_tilde, transverse, tuple(checks), {}, tuple(cons), tuple(moves))

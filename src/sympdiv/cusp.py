@@ -10,8 +10,10 @@ that point yields a square-zero class checked against the total transform.
 certify_affine_ruled is the one entry point: it reduces a rational pair to
 a terminal model (a ruled comb is its own), takes the route that model
 allows and transports the cusp back to the input.  Every route returns one
-`Route` record and decides goodness by `goodness_search`; certify and the
-checker's replay both build the certificate with `assemble_certificate`.
+`Route` record and decides goodness by `goodness_search`.  The checker's
+replay builds the rational route with certify's `terminal_route`, on the
+chain labeling the certificate records, and both build the certificate with
+`assemble_certificate`.
 Resolution blowups record the `Contraction` undoing each; total transforms
 are read off those records, whatever the ambient kind.
 """
@@ -234,13 +236,13 @@ class ResolutionResult:
     moves: tuple[BlowupMove, ...] = ()  # the blowups, their spheres being exc_ids
 
 
-def resolution_blowup(cur, move, contractions, ids, moves, xid=None):
+def resolution_blowup(cur, move, contractions, ids, moves):
     """One blowup of a resolution; the contraction undoing it, the sphere
-    and the move are recorded.  The sphere is named xid, by default the id
-    blowup_contraction gives it, suffixed with x when a component has it."""
-    con, default_id = blowup_contraction(cur.ambient)
-    if xid is None:
-        xid = default_id + "x" if cur.has_component(default_id) else default_id
+    and the move are recorded.  The sphere takes the id blowup_contraction
+    gives it, suffixed with x when a component has it."""
+    con, xid = blowup_contraction(cur.ambient)
+    if cur.has_component(xid):
+        xid += "x"
     contractions.append(con)
     ids.append(xid)
     moves.append(move)
@@ -307,25 +309,19 @@ def resolve_pattern(
             break
 
     a_tilde = total_transform(cons, A, mult)
-    checks = resolution_checks(cur, a_tilde, ids[-1], tuple(mult), p, q)
+    weights = weight_sequence(p, q).weights
+    checks = [
+        Check("multiplicities are the weight sequence", tuple(mult) == weights,
+              f"{tuple(mult)} vs {weights}"),
+        Check("sum m_i^2 = pq", sum(m * m for m in mult) == p * q, ""),
+        Check("sum m_i = p+q-1", sum(mult) == p + q - 1, ""),
+        *a_tilde_checks(cur, a_tilde, ids[-1]),
+    ]
     _require_all(checks, "resolution")
     return ResolutionResult(
         cur, da, db, p, q, tuple(mult), tuple(str(c.e) for c in cons), tuple(ids),
         a_tilde, ids[-1], tuple(checks), pc, tuple(cons), tuple(moves),
     )
-
-
-def resolution_checks(config, a_tilde, transverse_id, mult, p, q) -> list[Check]:
-    """The multiplicities against the weight sequence of (p, q), and the
-    resolution class against the total transform."""
-    ws = weight_sequence(p, q)
-    checks = [
-        Check("multiplicities are the weight sequence", mult == ws.weights,
-              f"{mult} vs {ws.weights}"),
-        Check("sum m_i^2 = pq", sum(m * m for m in mult) == p * q, ""),
-        Check("sum m_i = p+q-1", sum(mult) == p + q - 1, ""),
-    ]
-    return checks + a_tilde_checks(config, a_tilde, transverse_id)
 
 
 def a_tilde_checks(config, a_tilde, transverse_id) -> list[Check]:
@@ -592,13 +588,28 @@ def _rational_route(config, w, goodness):
     elif tr.terminal == "QuasiMinimalSecondKind":
         term, wt, tr = _stage("second_kind", lambda: second_kind_reduce(term, wt, info))
         traces.append(tr)
-    if tr.terminal != "SmallB2":
-        route = _chain_route(term, wt, "admissible-subchain", goodness)
-        return traces, term, wt, route
-    term, wt, tr = _stage("small_b2", lambda: small_b2_reduce(term, wt))
-    if tr.steps:
-        traces.append(tr)
-    return traces, term, wt, _b2_route(term, wt, goodness)
+    small_b2 = tr.terminal == "SmallB2"
+    if small_b2:
+        term, wt, tr = _stage("small_b2", lambda: small_b2_reduce(term, wt))
+        if tr.steps:
+            traces.append(tr)
+    return traces, term, wt, terminal_route(term, wt, small_b2, goodness, _good_chains)
+
+
+def _good_chains(term):
+    """The good-chain labelings of term, best first, as (chain ids, k)."""
+    return [(gc.ids, gc.k) for gc in _stage("good_chain", lambda: good_chain_candidates(term))]
+
+
+def terminal_route(term, wt, small_b2, goodness, labelings) -> Route:
+    """The route on the terminal model term of a rational pair: through an
+    admissible subchain of a chain, or, when the reduction ended in b2 <= 2,
+    the route its minimal model allows.  labelings(cfg) gives the chain
+    labelings (ids, k) of cfg to try, in order; they are the one choice the
+    route leaves open, the cusp fixing its resolution and combination."""
+    if small_b2:
+        return _b2_route(term, wt, goodness, labelings)
+    return _chain_route(term, wt, "admissible-subchain", goodness, labelings)
 
 
 def resolution_areas(term_config, wt, res, cusp_area_hint) -> AreaVector:
@@ -612,20 +623,21 @@ def resolution_areas(term_config, wt, res, cusp_area_hint) -> AreaVector:
     return wt
 
 
-def _chain_route(term, wt, tag, goodness):
-    """Good chain -> admissible subchain -> cusp class -> resolution ->
-    goodness of the resolution class -> non-negative combination."""
-    candidates = _stage("good_chain", lambda: good_chain_candidates(term))
-    if not candidates:
+def _chain_route(term, wt, tag, goodness, labelings):
+    """Chain labeling -> admissible subchain -> cusp class -> resolution ->
+    goodness of the resolution class -> non-negative combination; a labeling
+    whose subchain is not admissible is skipped."""
+    chains = labelings(term)
+    if not chains:
         raise CertifyError("good_chain", "no good-chain labeling exists")
     last_err = None
-    for gc in candidates:
-        a = tuple(-s for s in gc.squares[: gc.k])
+    for ids, k in chains:
+        a = tuple(-pair(c.cls, c.cls) for c in map(term.component, ids[:k]))
         adm = admissible_check(a)
         if not adm.accepted:
             last_err = f"{a}: {adm.reason}"
             continue
-        cusp = _stage("cusp_class", lambda: cusp_class(term, gc.ids, gc.k))
+        cusp = _stage("cusp_class", lambda: cusp_class(term, ids, k))
         res = _stage(
             "resolution",
             lambda: resolve_pattern(term, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls),
@@ -673,7 +685,7 @@ def a1p_augmented(term: DivisorConfig) -> DivisorConfig:
     )
 
 
-def _b2_route(term, wt, goodness):
+def _b2_route(term, wt, goodness, labelings):
     """Terminal models with b2 <= 2: combs ride the fiber class, chains
     reuse the cusp machinery, the degree-two sphere in the plane gets its
     dedicated four-blowup pattern."""
@@ -686,10 +698,11 @@ def _b2_route(term, wt, goodness):
         return resolved_route("a3-special", term, wt, a3_cusp(term), res,
                               {term.components[0].id: 1}, goodness)
     if name == "A1p":
-        return _chain_route(a1p_augmented(term), wt, f"minimal-model:{name}", goodness)
+        return _chain_route(a1p_augmented(term), wt, f"minimal-model:{name}", goodness,
+                            labelings)
     if len(term.components) >= 2:
         try:
-            return _chain_route(term, wt, f"minimal-model:{name}", goodness)
+            return _chain_route(term, wt, f"minimal-model:{name}", goodness, labelings)
         except (CertifyError, ReductionError):
             pass
     return fiber_route(term, wt, name, goodness)
@@ -766,8 +779,6 @@ def a3_cusp(term: DivisorConfig) -> CuspData:
     return CuspData((), 0, (), (), 4, 1, d1.cls, d1.id, None,
                     (Check("A.A = pq", pair(d1.cls, d1.cls) == 4, ""),
                      Check("A.K = -p-q-1", pair(d1.cls, canonical(term.ambient)) == -6, "")))
-
-
 
 
 def transport_to_original(config, traces, cusp) -> OriginalTransport:

@@ -1,9 +1,9 @@
 """The certificate checker: what it runs, what it accepts and what it rejects.
 
 * `check` runs none of the producer's search: with the reduction stages,
-  the exceptional-class enumeration, goodness over an enumeration and
-  `certify_affine_ruled` made to raise, it still accepts every fixture's
-  certificate.
+  the good-chain search, the exceptional-class enumeration, goodness over an
+  enumeration and `certify_affine_ruled` made to raise, it still accepts
+  every fixture's certificate.
 * Its one search, `exceptional.find_witness`, bounded by area alone, gives
   the verdict of `enumerate_exceptional` followed by the pairing test.
   Certify decides goodness by the same search, and on every goodness call it
@@ -14,6 +14,9 @@
 * It rejects every certificate with one leaf changed.  No leaf is exempt:
   the free text (check names and details, assumptions, transport notes) is
   recomputed like everything else.
+* The fields it recomputes from the cusp, the resolution, the combination
+  and the route tag, are compared with the document and never parsed: no
+  value of them is an input error.
 * The perfbench oracle, loaded read-only, accepts every fixture's v2
   certificate.
 """
@@ -83,6 +86,7 @@ def _forbid_search(monkeypatch):
     targets = [(cusp, "certify_affine_ruled"), (exceptional, "enumerate_exceptional"),
                (exceptional, "d_good")]
     targets += [(reduction, name) for name in vars(reduction) if name.endswith("_reduce")]
+    targets.append((reduction, "good_chain_candidates"))
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "sympdiv"]
     for module, name in targets:
         original = getattr(module, name)
@@ -99,7 +103,7 @@ def _forbid_search(monkeypatch):
 
 @pytest.mark.parametrize("name,doc", CERTIFICATES, ids=[n for n, _ in CERTIFICATES])
 def test_check_runs_no_producer_search(name, doc, monkeypatch, tmp_path):
-    assert _forbid_search(monkeypatch) >= 7
+    assert _forbid_search(monkeypatch) >= 8
     assert _check_exit(doc, tmp_path) == 0
 
 
@@ -300,7 +304,31 @@ def test_a_wrong_type_or_a_missing_field_is_rejected_never_a_defect(name, tmp_pa
                 assert _check_exit(bad, tmp_path) in (1, 2), path
 
 
-# -- (e) the perfbench oracle ----------------------------------------------------------
+# -- (e) recomputed fields are compared, never parsed ------------------------------
+
+RESOLVED = [(name, doc) for name, doc in CERTIFICATES if doc["resolution"] is not None]
+
+
+@pytest.mark.parametrize("name,doc", RESOLVED, ids=[n for n, _ in RESOLVED])
+def test_recomputed_fields_are_compared_never_parsed(name, doc, tmp_path):
+    res = doc["resolution"]
+    bad = [("resolution", None), ("resolution", [])]
+    if res["moves"]:
+        moves = [dict(res["moves"][0], type="toric~"), *res["moves"][1:]]
+        bad.append(("resolution", dict(res, moves=moves)))
+    if doc["combination"] is not None:
+        bad.append(("combination", None))
+    chain_tag = "admissible-subchain"
+    bad.append(("route_tag", "minimal-model:A1p" if doc["route_tag"] == chain_tag else chain_tag))
+    path = tmp_path / "cert.json"
+    for key, value in bad:
+        path.write_text(json.dumps(dict(doc, **{key: value})), encoding="utf-8")
+        assert _run(["check", str(path)]) == (
+            1, f"failed: document equals its replay: '{key}' differs\ncertificate rejected\n"
+        ), (key, value)
+
+
+# -- (f) the perfbench oracle ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("name,doc", CERTIFICATES, ids=[n for n, _ in CERTIFICATES])
