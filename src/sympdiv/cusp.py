@@ -237,16 +237,16 @@ class ResolutionResult:
 
 
 def resolution_blowup(cur, move, contractions, ids, moves):
-    """One blowup of a resolution; the contraction undoing it, the sphere
-    and the move are recorded.  The sphere takes the id blowup_contraction
-    gives it, suffixed with x when a component has it."""
-    con, xid = blowup_contraction(cur.ambient)
+    """One blowup of a resolution, by blowup on the contraction built here,
+    which is recorded with the sphere and the move.  The sphere takes the id
+    blowup_contraction gives it, suffixed with x when a component has it."""
+    con, xid = built = blowup_contraction(cur.ambient)
     if cur.has_component(xid):
         xid += "x"
     contractions.append(con)
     ids.append(xid)
     moves.append(move)
-    return blowup(cur, move, new_id=xid)
+    return blowup(cur, move, new_id=xid, contraction=built)
 
 
 def total_transform(contractions, x, weights):

@@ -115,11 +115,14 @@ def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
     if w is not None and (sq := w.square()) <= 0:
         problems.append(f"area vector has non-positive square {sq}")
     gram, k = config.gram, len(config.gram[0])
-    seen = set()
+    if w is not None and k and w.ambient != config.ambient:
+        raise LatticeError("ambient mismatch")
+    nums = None if w is None else w.integer_form[0]  # area signs: the denominator is > 0
+    at: dict[str, list[int]] = {}  # the positions of each id
     for i, c in enumerate(comps):
-        if c.id in seen:
+        if c.id in at:
             problems.append(f"duplicate component id {c.id!r}")
-        seen.add(c.id)
+        at.setdefault(c.id, []).append(i)
         if i == k:
             problems.append(f"component {c.id}: class lives in a different ambient")
             return problems
@@ -127,29 +130,29 @@ def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
         if g < 0:
             problems.append(f"component {c.id}: class {c.cls} admits no embedded genus")
         elif g != c.genus:
-            problems.append(
-                f"component {c.id}: declared genus {c.genus} but adjunction forces {g}"
-            )
-        if w is not None and area(c.cls, w) <= 0:
+            problems.append(f"component {c.id}: declared genus {c.genus} but adjunction forces {g}")
+        if nums is not None and sum(map(operator.mul, c.cls.coeffs, nums)) <= 0:
             problems.append(f"component {c.id}: non-positive area {area(c.cls, w)}")
 
+    # expected[i][j] counts the edges equal to the sorted pair of ids, as
+    # edge_multiplicity does: an unsorted edge matches no pair
+    expected = [[0] * k for _ in range(k)]
     for a, b in config.edges:
         if a == b:
             problems.append(f"self-edge on component {a!r}")
         for cid in (a, b):
-            if cid not in seen:
+            if cid not in at:
                 problems.append(f"edge references unknown component {cid!r}")
                 return problems
-
-    # counts keyed like edge_multiplicity; only a row unlike its counts is walked
-    counts = {}
-    for e in config.edges:
-        counts[e] = counts.get(e, 0) + 1
+        for i in at[a] if a <= b else ():
+            for j in at[b]:
+                expected[i][j] += 1
+                if a != b:
+                    expected[j][i] += 1
     ids = [c.id for c in comps]
     for i, a in enumerate(ids):
-        expected = [counts.get((a, b) if a <= b else (b, a), 0) for b in ids[i + 1:]]
-        if gram[i + 1][i + 1:] != expected:
-            for b, p, m in zip(ids[i + 1:], gram[i + 1][i + 1:], expected):
+        if gram[i + 1][i + 1:] != expected[i][i + 1:]:
+            for b, p, m in zip(ids[i + 1:], gram[i + 1][i + 1:], expected[i][i + 1:]):
                 if p < 0:
                     problems.append(f"components {a},{b}: negative pairing {p}")
                 elif m != p:

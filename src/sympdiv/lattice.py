@@ -201,11 +201,14 @@ class AmbientLattice:
 
     @cached_property
     def fresh_exc_name(self) -> str:
-        top = 0
-        for name in self.names:
-            if name.startswith("E") and name[1:].isdigit():
-                top = max(top, int(name[1:]))
+        top = max((int(n[1:]) for n in self.names if n[:1] == "E" and n[1:].isdigit()), default=0)
         return f"E{top + 1}"
+
+    def with_fresh_exc(self, kind: str) -> "AmbientLattice":
+        """These names and fresh_exc_name, as `kind`; its fresh name is the next."""
+        out = AmbientLattice(kind, self.g, self.names + (self.fresh_exc_name,))
+        out.__dict__["fresh_exc_name"] = f"E{int(self.fresh_exc_name[1:]) + 1}"
+        return out
 
     def describe(self) -> str:
         return _FORMS[self.kind][2].format(g=self.g, n=self.n_exc)

@@ -208,8 +208,8 @@ def blowup_contraction(ambient: AmbientLattice) -> tuple[Contraction, str]:
     if ambient.kind not in (KIND_PP, KIND_RATIONAL, KIND_RULED):
         raise MoveError(f"blowup is not supported on ambient kind {ambient.kind}")
     kind = KIND_RATIONAL if ambient.kind == KIND_PP else ambient.kind
-    name = ambient.fresh_exc_name
-    pre = AmbientLattice(kind, ambient.g, ambient.names + (name,))
+    pre = ambient.with_fresh_exc(kind)
+    name = pre.names[-1]
     con = Contraction(pre, ambient, pre.basis_class(name), LatticeMap.identity(pre), ambient.dim)
     return con, name
 
@@ -263,10 +263,14 @@ def blowup(
     config: DivisorConfig,
     move: BlowupMove,
     new_id: str | None = None,
+    contraction: tuple[Contraction, str] | None = None,
 ) -> DivisorConfig:
-    """Perform a blowup move on the section of the contraction undoing it;
-    the result is validated here, once, in full."""
-    con, default_id = blowup_contraction(config.ambient)
+    """Perform a blowup move on the section of `contraction`, the pair
+    blowup_contraction returns, built here unless the caller has it; the
+    result is validated here, once, in full."""
+    con, default_id = contraction or blowup_contraction(config.ambient)
+    if con.post != config.ambient:
+        raise MoveError(f"the contraction does not undo a blowup of {config.ambient.describe()}")
     cid = new_id or default_id
     if config.has_component(cid):
         raise MoveError(f"component id {cid!r} already in use")

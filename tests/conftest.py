@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,15 @@ from sympdiv.moves import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def rebind(monkeypatch, original, replacement):
+    """Replace every binding of `original` in the sympdiv modules (its own
+    module's included, so a spy calls the original it closes over)."""
+    for m in [m for key, m in sys.modules.items() if key.split(".")[0] == "sympdiv"]:
+        for key, value in list(vars(m).items()):
+            if value is original:
+                monkeypatch.setattr(m, key, replacement)
 
 
 def decreasing_areas(amb: AmbientLattice, head=Fraction(1)) -> AreaVector:

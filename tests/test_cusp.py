@@ -12,12 +12,13 @@ from conftest import (
     FIXTURES,
     cp2_13_cusp,
     first_kind_cp2_8,
+    rebind,
     ruled_comb,
     sample_admissible,
     second_kind_cp2_4,
     synthetic_chain,
 )
-from sympdiv import cli
+from sympdiv import cli, moves
 from sympdiv.checks import all_passed
 from sympdiv.cusp import (
     CertifyError,
@@ -414,3 +415,26 @@ def test_resolution_areas_extend_terminal_areas(fixture):
     for con in reversed(cert.resolution.contractions):
         back = con.pull_back(back)
     assert back == cert.terminal_area
+
+
+def test_resolution_builds_one_contraction_per_blowup(monkeypatch):
+    """Each resolution blowup runs moves.blowup, so its span sees it, on the
+    contraction the resolution built for it: one contraction per blowup."""
+    contraction, blowup = moves.blowup_contraction, moves.blowup
+    calls = {"contraction": 0, "blowup": 0}
+
+    def spy_contraction(*args, **kwargs):
+        calls["contraction"] += 1
+        return contraction(*args, **kwargs)
+
+    def spy_blowup(*args, **kwargs):
+        calls["blowup"] += 1
+        return blowup(*args, **kwargs)
+
+    rebind(monkeypatch, contraction, spy_contraction)
+    rebind(monkeypatch, blowup, spy_blowup)
+    cfg, ids = synthetic_chain((3, -2))
+    cusp = cusp_class(cfg, ids, 2)
+    res = resolve_pattern(cfg, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls)
+    assert len(res.exc_ids) == 5
+    assert calls == {"contraction": 5, "blowup": 5}

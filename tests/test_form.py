@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -369,3 +370,36 @@ def test_validate_counts_edges_by_id_when_ids_repeat():
         "duplicate component id 'A'",
         "components A,L: 1 edges but pairing 0",
     ]
+
+
+def test_validate_area_sign_at_zero():
+    # H - E1 - E2 has area exactly 0 on H = 1, E1 = E2 = 1/2: reported as
+    # non-positive, while E1 of area 1/2 is not
+    amb = AmbientLattice.rational_blowup(2)
+    w = AreaVector.from_values(amb, [1, Fraction(1, 2), Fraction(1, 2)])
+    cfg = DivisorConfig.build(amb, [("A", amb.cls(E1=1)), ("L", amb.cls(H=1, E1=-1, E2=-1))],
+                              [("A", "L")])
+    assert validate(cfg, w) == reference_validate(cfg, w) == ["component L: non-positive area 0"]
+
+
+def test_validate_counts_a_self_edge_once_between_repeated_ids():
+    # the one stored edge (A, A) is the sorted pair of the two components A
+    amb = AmbientLattice.rational_blowup(2)
+    cfg = DivisorConfig(
+        amb,
+        (DivisorComponent("A", amb.cls(E1=1), 0), DivisorComponent("A", amb.cls(E2=1), 0)),
+        (("A", "A"),),
+    )
+    assert validate(cfg) == reference_validate(cfg) == [
+        "duplicate component id 'A'",
+        "self-edge on component 'A'",
+        "components A,A: 1 edges but pairing 0",
+    ]
+
+
+def test_validate_refuses_areas_of_another_ambient():
+    amb = AmbientLattice.rational_blowup(2)
+    cfg = DivisorConfig.build(amb, [("A", amb.cls(E1=1))], [])
+    w = AreaVector.from_values(AmbientLattice.rational_blowup(2, ("F1", "F2")), [3, 1, 1])
+    with pytest.raises(LatticeError, match="ambient mismatch"):
+        validate(cfg, w)

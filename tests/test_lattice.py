@@ -168,3 +168,16 @@ def test_repeated_generator_names_refused():
         with pytest.raises(LatticeError, match="repeated generator name"):
             AmbientLattice.ruled_trivial(1, 1, (clash,))
     assert AmbientLattice.rational_blowup(2, ("E2", "E1")).names == ("H", "E2", "E1")
+
+
+def test_fresh_name_of_an_appended_ambient_is_the_parsed_one():
+    # the ambient with_fresh_exc makes knows its next name without parsing;
+    # an equal ambient built from scratch parses its names to the same one
+    amb = AmbientLattice("rational_blowup", 0, ("H", "E10", "X3", "E2", "Ea", "E"))
+    for _ in range(3):
+        up = amb.with_fresh_exc("rational_blowup")
+        assert up.names[:-1] == amb.names and up.names[-1] == amb.fresh_exc_name
+        assert up.fresh_exc_name == AmbientLattice(up.kind, up.g, up.names).fresh_exc_name
+        amb = up
+    assert amb.names[-3:] == ("E11", "E12", "E13") and amb.fresh_exc_name == "E14"
+    assert AmbientLattice.projective_plane().with_fresh_exc("rational_blowup").names == ("H", "E1")

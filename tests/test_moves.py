@@ -257,6 +257,16 @@ def test_blowup_contraction_starts_on_the_blowup():
                               w, Fraction(1, 2))
 
 
+def test_blowup_refuses_a_contraction_of_another_ambient():
+    cfg = DivisorConfig.build(AmbientLattice.rational_blowup(2), [], [])
+    other = blowup_contraction(AmbientLattice.rational_blowup(3))
+    with pytest.raises(MoveError, match="does not undo a blowup"):
+        blowup(cfg, ExteriorBlowup(add_component=True), contraction=other)
+    given = blowup_contraction(cfg.ambient)
+    assert blowup(cfg, ExteriorBlowup(add_component=True), contraction=given) == blowup(
+        cfg, ExteriorBlowup(add_component=True))
+
+
 # -- toric blowup sequences -----------------------------------------------------
 
 

@@ -9,27 +9,17 @@ pairing matrix once, so validating the same object again builds none.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import replace
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, rebind
 from sympdiv import checker, divisor, lattice, moves
 from sympdiv.checks import all_passed
 from sympdiv.cusp import CertifyError, certify_affine_ruled
 from sympdiv.documents import DocumentError, canonical_json, certificate_to_doc, parse_config
 from sympdiv.moves import ExteriorBlowup, replay_blowdown
 from sympdiv.reduction import quasi_minimal_reduce, verify_trace
-
-
-def rebind(monkeypatch, original, replacement):
-    """Replace every binding of `original` in the sympdiv modules (its own
-    module's included, so a spy calls the original it closes over)."""
-    for m in [m for key, m in sys.modules.items() if key.split(".")[0] == "sympdiv"]:
-        for key, value in list(vars(m).items()):
-            if value is original:
-                monkeypatch.setattr(m, key, replacement)
 
 
 def _fixture(name):
