@@ -78,7 +78,7 @@ def cmd_validate(args) -> int:
         print(f"hypothesis area(K+[D]) < 0: {'yes' if hyp else 'no'}")
         if not hyp:
             problems.append("adjoint area is not negative")
-        if config.ambient.is_rational and not problems:
+        if not config.ambient.is_ruled and not problems:
             tree = check_tree_of_spheres(config, w)
             for p in tree:
                 print(f"tree-of-spheres: {p}")

@@ -38,8 +38,6 @@ from .exceptional import (
     goodness_checks,
 )
 from .lattice import (
-    KIND_RATIONAL,
-    KIND_S2S2,
     AreaVector,
     HomologyClass,
     area,
@@ -55,13 +53,14 @@ from .moves import (
     blowup_contraction,
 )
 from .reduction import (
+    MINIMAL_AMBIENTS,
     ReductionError,
     ReductionTrace,
     classify_minimal_model,
+    comb_shape_problems,
     good_chain_candidates,
     partially_minimal_reduce,
     quasi_minimal_reduce,
-    ruled_validate,
     second_kind_reduce,
     small_b2_reduce,
     verify_trace,
@@ -708,14 +707,6 @@ def _b2_route(term, wt, goodness, labelings):
     return fiber_route(term, wt, name, goodness)
 
 
-def fiber_candidates(amb):
-    if amb.kind == KIND_S2S2:
-        return [amb.basis_class("f1"), amb.basis_class("f2")]
-    if amb.kind == KIND_RATIONAL and amb.n_exc == 1:
-        return [amb.basis_class("H") - amb.basis_class(amb.names[1])]
-    return []
-
-
 def fiber_cusp(config, f, da, label):
     """The degenerate (1, 0) cusp of a square-zero class f (named `label` in
     the checks) meeting the section da once, its companion the first
@@ -733,8 +724,9 @@ def fiber_cusp(config, f, da, label):
 
 def fiber_route(term, wt, name, goodness):
     """(p, q) = (1, 0): a square-zero class meeting exactly one component
-    once foliates the complement."""
-    for f in fiber_candidates(term.ambient):
+    once foliates the complement: a fiber class of the minimal ambient."""
+    _, fibers = MINIMAL_AMBIENTS.get((term.ambient.kind, term.ambient.n_exc), (None, ()))
+    for f in map(term.ambient.from_coeffs, fibers):
         hot = [c.id for c in term.components if pair(f, c.cls) != 0]
         if len(hot) != 1 or pair(f, term.component(hot[0]).cls) != 1:
             continue
@@ -746,10 +738,10 @@ def fiber_route(term, wt, name, goodness):
 def comb_route(config, w, goodness):
     """Ruled ambients: the fiber class foliates the complement of a comb,
     with a degenerate cusp at the section when there is one."""
-    problems = ruled_validate(config)
+    problems = comb_shape_problems(config)
     if problems:
         raise CertifyError("ruled_validate", "; ".join(problems))
-    f = config.ambient.basis_class("F")
+    f = config.ambient.basis_class(config.ambient.record.fiber)
     sections = [c.id for c in config.components if pair(f, c.cls) == 1]
     cusp = res = None
     if sections:

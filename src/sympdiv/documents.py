@@ -12,11 +12,7 @@ from .cusp import AffineRuledCertificate
 from .divisor import DivisorConfig
 from .inflation import InflateNode, InflationPlan, SeedNode, ZigZagNode
 from .lattice import (
-    KIND_PP,
-    KIND_RATIONAL,
-    KIND_RULED,
-    KIND_S2S2,
-    KIND_TWISTED,
+    KINDS,
     AmbientLattice,
     AreaVector,
     HomologyClass,
@@ -114,15 +110,11 @@ def digest(obj) -> str:
 
 def ambient_to_doc(amb: AmbientLattice) -> dict:
     doc = {"kind": amb.kind}
-    if amb.kind == KIND_RATIONAL:
-        doc["n"] = amb.n_exc
-        doc["names"] = list(amb.names[1:])
-    elif amb.kind == KIND_RULED:
+    if amb.record.has_g:
         doc["g"] = amb.g
+    if amb.record.has_exc:
         doc["n"] = amb.n_exc
-        doc["names"] = list(amb.names[2:])
-    elif amb.kind == KIND_TWISTED:
-        doc["g"] = amb.g
+        doc["names"] = list(amb.names[amb.exc_start :])
     return doc
 
 
@@ -130,22 +122,15 @@ def doc_to_ambient(doc) -> AmbientLattice:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DocumentError("ambient: expected an object with a 'kind' field")
     kind = doc["kind"]
+    rec = KINDS.get(kind) if isinstance(kind, str) else None
+    if rec is None:
+        raise DocumentError(f"ambient: unknown kind {kind!r}")
     try:
-        if kind == KIND_PP:
-            return AmbientLattice.projective_plane()
-        if kind == KIND_S2S2:
-            return AmbientLattice.product_of_spheres()
-        if kind == KIND_RATIONAL:
-            n = _doc_int(doc["n"], "n")
-            return AmbientLattice.rational_blowup(n, _doc_names(doc))
-        if kind == KIND_RULED:
-            n = _doc_int(doc["n"], "n")
-            return AmbientLattice.ruled_trivial(_doc_int(doc["g"], "g"), n, _doc_names(doc))
-        if kind == KIND_TWISTED:
-            return AmbientLattice.ruled_twisted(_doc_int(doc["g"], "g"))
+        n = _doc_int(doc["n"], "n") if rec.has_exc else 0
+        g = _doc_int(doc["g"], "g") if rec.has_g else 0
+        return AmbientLattice.of(kind, g, n, _doc_names(doc) if rec.has_exc else None)
     except (KeyError, TypeError, ValueError, LatticeError) as exc:
         raise DocumentError(f"ambient: {exc}") from exc
-    raise DocumentError(f"ambient: unknown kind {kind!r}")
 
 
 # -- classes and configurations ---------------------------------------------------

@@ -24,7 +24,6 @@ from .checks import Check
 from .divisor import DivisorConfig
 from .lattice import (
     KIND_RATIONAL,
-    KIND_RULED,
     AmbientLattice,
     AreaVector,
     HomologyClass,
@@ -82,15 +81,14 @@ def _degree_bound(nums, bd, cap) -> int:
         a += 1
 
 
-def _ruled_classes(ambient, nums):
-    """(area numerator, class) of every exceptional class of a ruled
-    ambient.  Degree over the base is 0 for sphere classes, so the solutions
-    of e.e = K.e = -1, e.F = 0 are exactly E_i and F - E_i."""
-    f, f_num = ambient.basis_class("F"), nums[ambient.fiber_index]
-    for i in ambient.exc_indices:
+def _listed_classes(ambient, nums):
+    """(area numerator, class) of every exceptional class of a kind that lists
+    them.  Over an irrational base, degree over the base is 0 for sphere
+    classes, so the solutions of e.e = K.e = -1, e.F = 0 are E_i and F - E_i."""
+    for i in ambient.exc_indices:  # none on the minimal kinds
         ei = ambient.basis_class(ambient.names[i])
         yield nums[i], ei
-        yield f_num - nums[i], f - ei
+        yield nums[ambient.fiber_index] - nums[i], ambient.basis_class(ambient.record.fiber) - ei
 
 
 def enumerate_exceptional(
@@ -115,12 +113,11 @@ def enumerate_exceptional(
 
     found: list[tuple[int, HomologyClass]] = []  # (area numerator, class)
     nodes = 0
-    if ambient.kind == KIND_RULED:
-        found = [(num, c) for num, c in _ruled_classes(ambient, nums)
-                 if 0 < num and num * bd <= cap]
-    elif ambient.kind == KIND_RATIONAL:
+    if ambient.record.searched:
         nodes = _enumerate_rational(ambient, nums, bd, cap, found)
-    # minimal kinds (CP2, S2xS2, twisted bundle) have no exceptional classes
+    else:
+        found = [(num, c) for num, c in _listed_classes(ambient, nums)
+                 if 0 < num and num * bd <= cap]
 
     found.sort(key=lambda t: (t[0], t[1].coeffs))
     return ExceptionalSet(
@@ -196,11 +193,9 @@ def find_witness(x: HomologyClass, w: AreaVector, area_bound) -> HomologyClass |
     nums, den = w.integer_form
     bd = area_bound.denominator
     cap = area_bound.numerator * den
-    if amb.kind == KIND_RULED:
-        return next((e for num, e in _ruled_classes(amb, nums)
+    if not amb.record.searched:
+        return next((e for num, e in _listed_classes(amb, nums)
                      if 0 < num and num * bd <= cap and e != x and pair(e, x) < 0), None)
-    if amb.kind != KIND_RATIONAL:
-        return None  # minimal kinds have no exceptional classes
     return _rational_witness(x, nums, bd, cap)
 
 
@@ -277,15 +272,16 @@ def sw_nonzero(a: HomologyClass, w: AreaVector) -> bool:
     """Sufficient criterion for non-vanishing SW invariant; False means
     inconclusive, never 'SW = 0'."""
     amb = a.ambient
+    fiber = amb.record.fiber
     if is_exceptional_class(a) and area(a, w) > 0:
         return True
-    if amb.is_ruled and a == amb.basis_class("F"):
+    if fiber and a == amb.basis_class(fiber):
         return True
     if sw_index(a) < 0:
         return False
     if area(canonical(amb) - a, w) >= 0:
         return False
-    if amb.is_ruled and pair(a, amb.basis_class("F")) == -1:
+    if fiber and pair(a, amb.basis_class(fiber)) == -1:
         return False
     return True
 
@@ -328,7 +324,7 @@ def goodness_checks(
 
     verdict = f"negative pairing with {witness}" if witness else "no negative pairing"
     searched = f"area <= {area_bound}"
-    if a.ambient.kind == KIND_RATIONAL:
+    if a.ambient.record.searched:
         nums, den = w.integer_form
         degree = _degree_bound(nums, area_bound.denominator, area_bound.numerator * den) - 1
         searched += f", degree <= {degree}"

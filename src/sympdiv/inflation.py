@@ -234,15 +234,6 @@ class InflationPlan:
     target: tuple[Fraction, ...]
     nodes: tuple[PlanNode, ...]
 
-    def assumptions(self) -> list[str]:
-        out = []
-        for node in self.nodes:
-            if isinstance(node, SeedNode):
-                if node.base is not None:
-                    out.extend(node.base.assumptions())
-                out.append(node.assumption)
-        return list(dict.fromkeys(out))
-
 
 def verify_plan(plan: InflationPlan) -> list[Check]:
     """Replay the plan: the target in the region P_g of the plan's own genus,

@@ -1,22 +1,21 @@
 """Integer homology lattices of rational and ruled 4-manifolds.
 
-Five ambient families are supported, each with a fixed named basis,
-intersection form and canonical class:
-
-  projective_plane      (H)              H.H = 1,  K = -3H
-  product_of_spheres    (f1, f2)         f1.f2 = 1, K = -2f1 - 2f2
-  rational_blowup(n)    (H, E1..En)      diag(1, -1, ..., -1), K = -3H + sum(Ei)
-  ruled_trivial(g, n)   (B, F, E1..En)   B.F = 1, Ei.Ei = -1, K = -2B + (2g-2)F + sum(Ei)
-  ruled_twisted(g)      (B1, F)          B1.B1 = B1.F = 1, K = -2B1 + (2g-1)F
+Five ambient kinds are supported: projective_plane (CP2), product_of_spheres
+(S2xS2), rational_blowup (CP2#n), ruled_trivial ((S2 x Sigma_g)#n) and
+ruled_twisted (the twisted bundle over Sigma_g).  What a kind is sits in
+its `KindRecord` in `KINDS`, one table that every module reads instead of
+branching on the kind: its basis head, form and canonical class, what a
+document carries, the kinds a blowup and a last blowdown land in, its fiber
+generator and how its exceptional classes are found.
 
 Each form is a head block on the first `exc_start` generators and -1 on
 every exceptional generator after them, and each K is a head and +1 on every
 exceptional generator.  So pair(x, y) = h(x, y) - x.y, with x.y the dot
 product of the whole vectors and h the head block plus the identity:
 2 x0 y0 (CP2, CP2#n), (x0+x1)(y0+y1) (S2xS2, ruled_trivial) and
-(x0+x1)(y0+y1) + x0 y0 (ruled_twisted).  `_FORMS` holds h and the head of K
-for each kind; the canonical class is built once per ambient instance and
-cached on it.  `pairings` reads a matrix of pairings off a sparse index.
+(x0+x1)(y0+y1) + x0 y0 (ruled_twisted).  The canonical class is built once
+per ambient instance and cached on it.  `pairings` reads a matrix of
+pairings off a sparse index.
 
 Generator names are data: blowdowns may drop a middle generator and the
 surviving names keep their identity (E7 stays E7 after E5 is gone).
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -54,8 +54,7 @@ KIND_RATIONAL = "rational_blowup"
 KIND_RULED = "ruled_trivial"
 KIND_TWISTED = "ruled_twisted"
 
-RULED_KINDS = (KIND_RULED, KIND_TWISTED)
-RATIONAL_KINDS = (KIND_PP, KIND_S2S2, KIND_RATIONAL)
+BY_BRIDGE = "bridge"  # S2xS2 blows up to CP2#2 by the bridge contracting H - E1 - E2
 
 
 def _h_plane(x, y):
@@ -70,14 +69,32 @@ def _h_twisted(x, y):
     return (x[0] + x[1]) * (y[0] + y[1]) + x[0] * y[0]
 
 
-# kind -> (head term h, head of K as a function of g (its length is
-# exc_start), name template for describe)
-_FORMS = {
-    KIND_PP: (_h_plane, lambda g: (-3,), "CP2"),
-    KIND_S2S2: (_h_hyperbolic, lambda g: (-2, -2), "S2xS2"),
-    KIND_RATIONAL: (_h_plane, lambda g: (-3,), "CP2#{n}"),
-    KIND_RULED: (_h_hyperbolic, lambda g: (-2, 2 * g - 2), "(S2xSigma_{g})#{n}"),
-    KIND_TWISTED: (_h_twisted, lambda g: (-2, 2 * g - 1), "S2x~Sigma_{g}"),
+@dataclass(frozen=True, slots=True)
+class KindRecord:
+    """What an ambient kind is; a document carries g, n and names where it has them."""
+
+    h: Callable  # the head term of the form
+    k_head: Callable  # the head of K as a function of g
+    template: str  # describe's name, formatted with g and n
+    head: tuple[str, ...]  # the head generator names
+    has_g: bool = False  # a base genus g >= 1: an irrational ruled kind
+    has_exc: bool = False  # exceptional generators E1..En after the head
+    blowup: str | None = None  # the kind a one-point blowup lands in, BY_BRIDGE, or None
+    emptied: str | None = None  # the kind left when the last exceptional generator goes
+    fiber: str | None = None  # the fiber generator
+    searched: bool = False  # exceptional classes are searched for (else E_i, F - E_i)
+
+
+KINDS = {
+    KIND_PP: KindRecord(_h_plane, lambda g: (-3,), "CP2", ("H",), blowup=KIND_RATIONAL),
+    KIND_S2S2: KindRecord(_h_hyperbolic, lambda g: (-2, -2), "S2xS2", ("f1", "f2"),
+                          blowup=BY_BRIDGE),
+    KIND_RATIONAL: KindRecord(_h_plane, lambda g: (-3,), "CP2#{n}", ("H",), has_exc=True,
+                              blowup=KIND_RATIONAL, emptied=KIND_PP, searched=True),
+    KIND_RULED: KindRecord(_h_hyperbolic, lambda g: (-2, 2 * g - 2), "(S2xSigma_{g})#{n}",
+                           ("B", "F"), has_g=True, has_exc=True, blowup=KIND_RULED, fiber="F"),
+    KIND_TWISTED: KindRecord(_h_twisted, lambda g: (-2, 2 * g - 1), "S2x~Sigma_{g}",
+                             ("B1", "F"), has_g=True, fiber="F"),
 }
 
 
@@ -88,7 +105,7 @@ class AmbientLattice:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        if self.kind not in _FORMS:
+        if self.kind not in KINDS:
             raise LatticeError(f"unknown kind {self.kind}")
         if len(set(self.names)) != len(self.names):
             name = next(n for i, n in enumerate(self.names) if n in self.names[:i])
@@ -97,38 +114,40 @@ class AmbientLattice:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def of(kind: str, g: int = 0, n: int = 0,
+           names: tuple[str, ...] | None = None) -> "AmbientLattice":
+        """The ambient of `kind` with base genus g and n exceptional generators
+        where the kind has them, named E1..En unless names are given."""
+        rec = KINDS[kind]
+        if rec.has_g and g < 1:
+            raise LatticeError(f"{kind} needs base genus g >= 1")
+        least = 1 if rec.emptied else 0  # with none left it is the emptied kind
+        if n < least:
+            raise LatticeError(f"{kind} needs n >= {least}")
+        exc = names if names is not None else tuple(f"E{i}" for i in range(1, n + 1))
+        if len(exc) != n:
+            raise LatticeError("need exactly n exceptional names")
+        return AmbientLattice(kind, g, rec.head + exc)
+
+    @staticmethod
     def projective_plane() -> "AmbientLattice":
-        return AmbientLattice(KIND_PP, 0, ("H",))
+        return AmbientLattice.of(KIND_PP)
 
     @staticmethod
     def product_of_spheres() -> "AmbientLattice":
-        return AmbientLattice(KIND_S2S2, 0, ("f1", "f2"))
+        return AmbientLattice.of(KIND_S2S2)
 
     @staticmethod
     def rational_blowup(n: int, names: tuple[str, ...] | None = None) -> "AmbientLattice":
-        if n < 1:
-            raise LatticeError("rational_blowup needs n >= 1")
-        exc = names if names is not None else tuple(f"E{i}" for i in range(1, n + 1))
-        if len(exc) != n:
-            raise LatticeError("need exactly n exceptional names")
-        return AmbientLattice(KIND_RATIONAL, 0, ("H",) + exc)
+        return AmbientLattice.of(KIND_RATIONAL, 0, n, names)
 
     @staticmethod
     def ruled_trivial(g: int, n: int, names: tuple[str, ...] | None = None) -> "AmbientLattice":
-        if g < 1:
-            raise LatticeError("ruled_trivial needs base genus g >= 1")
-        if n < 0:
-            raise LatticeError("ruled_trivial needs n >= 0")
-        exc = names if names is not None else tuple(f"E{i}" for i in range(1, n + 1))
-        if len(exc) != n:
-            raise LatticeError("need exactly n exceptional names")
-        return AmbientLattice(KIND_RULED, g, ("B", "F") + exc)
+        return AmbientLattice.of(KIND_RULED, g, n, names)
 
     @staticmethod
     def ruled_twisted(g: int) -> "AmbientLattice":
-        if g < 1:
-            raise LatticeError("ruled_twisted needs base genus g >= 1")
-        return AmbientLattice(KIND_TWISTED, g, ("B1", "F"))
+        return AmbientLattice.of(KIND_TWISTED, g)
 
     # -- structure ---------------------------------------------------------
 
@@ -140,16 +159,20 @@ class AmbientLattice:
     def b2(self) -> int:
         return len(self.names)
 
+    @property
+    def record(self) -> KindRecord:
+        return KINDS[self.kind]
+
     @cached_property
     def exc_start(self) -> int:
         """Index of the first exceptional generator (== dim when none)."""
-        return len(_FORMS[self.kind][1](self.g))
+        return len(self.record.head)
 
     @cached_property
     def canonical_class(self) -> "HomologyClass":
         """The canonical class, built on first use and cached on the
         instance; not a field, so equality, hashing and repr are unaffected."""
-        return self.from_coeffs(_FORMS[self.kind][1](self.g) + (1,) * self.n_exc)
+        return self.from_coeffs(self.record.k_head(self.g) + (1,) * self.n_exc)
 
     @property
     def exc_indices(self) -> range:
@@ -159,19 +182,14 @@ class AmbientLattice:
     def n_exc(self) -> int:
         return self.dim - self.exc_start
 
-    @property
+    @cached_property
     def fiber_index(self) -> int | None:
-        if self.kind in RULED_KINDS:
-            return 1
-        return None
-
-    @property
-    def is_rational(self) -> bool:
-        return self.kind in RATIONAL_KINDS
+        fiber = self.record.fiber
+        return None if fiber is None else self.record.head.index(fiber)
 
     @property
     def is_ruled(self) -> bool:
-        return self.kind in RULED_KINDS
+        return self.record.has_g
 
     def index_of(self, name: str) -> int:
         try:
@@ -211,7 +229,7 @@ class AmbientLattice:
         return out
 
     def describe(self) -> str:
-        return _FORMS[self.kind][2].format(g=self.g, n=self.n_exc)
+        return self.record.template.format(g=self.g, n=self.n_exc)
 
 
 @dataclass(frozen=True)
@@ -242,13 +260,6 @@ class HomologyClass:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
-    def coeff(self, name: str) -> int:
-        return self.coeffs[self.ambient.index_of(name)]
-
-    @property
-    def square(self) -> int:
-        return pair(self, self)
-
     def __str__(self) -> str:
         terms = []
         for name, c in zip(self.ambient.names, self.coeffs):
@@ -270,7 +281,7 @@ def pair(a: HomologyClass, b: HomologyClass) -> int:
     kind's head term minus the dot product of the coefficient vectors."""
     _same_ambient(a, b)
     x, y = a.coeffs, b.coeffs
-    return _FORMS[a.ambient.kind][0](x, y) - sum(map(operator.mul, x, y))
+    return KINDS[a.ambient.kind].h(x, y) - sum(map(operator.mul, x, y))
 
 
 def pairings(left: list[HomologyClass], right: list[HomologyClass]) -> list[list[int]]:
@@ -283,7 +294,7 @@ def pairings(left: list[HomologyClass], right: list[HomologyClass]) -> list[list
     for c in (*left, *right):
         if c.ambient is not amb:
             _same_ambient(left[0], c)
-    h, units, gens = _FORMS[amb.kind][0], ((1, 0), (0, 1))[: amb.exc_start], range(amb.dim)
+    h, units, gens = KINDS[amb.kind].h, ((1, 0), (0, 1))[: amb.exc_start], range(amb.dim)
     columns = [[] for _ in gens]
     for j, b in enumerate(right):
         for t in compress(gens, b.coeffs):
@@ -327,11 +338,8 @@ def is_exceptional_class(e: HomologyClass) -> bool:
     over the base)."""
     if pair(e, e) != -1 or pair(canonical(e.ambient), e) != -1:
         return False
-    if e.ambient.is_ruled:
-        f = e.ambient.basis_class(e.ambient.names[1])
-        if pair(e, f) != 0:
-            return False
-    return True
+    fiber = e.ambient.record.fiber
+    return fiber is None or pair(e, e.ambient.basis_class(fiber)) == 0
 
 
 # -- areas -----------------------------------------------------------------
@@ -372,9 +380,6 @@ class AreaVector:
         denominators.  Cached on the instance; not a field, so equality,
         hashing and repr are unaffected."""
         return integer_form_of(self.areas)
-
-    def of(self, name: str) -> Fraction:
-        return self.areas[self.ambient.index_of(name)]
 
     def min_exc_area(self) -> Fraction | None:
         idx = list(self.ambient.exc_indices)
@@ -469,6 +474,6 @@ def _reflect(word, x: HomologyClass) -> HomologyClass:
 def _pairing_row(c: HomologyClass) -> tuple[int, ...]:
     """The row r with pair(x, c) = r . x: the head term of c against each
     head generator (h vanishes on the exceptional ones), minus c."""
-    h = _FORMS[c.ambient.kind][0]
+    h = KINDS[c.ambient.kind].h
     head = tuple(h(c.coeffs, unit) for unit in ((1, 0), (0, 1))[: c.ambient.exc_start])
     return tuple(a - b for a, b in zip(head + (0,) * c.ambient.n_exc, c.coeffs))

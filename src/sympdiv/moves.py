@@ -35,10 +35,8 @@ from fractions import Fraction
 from .divisor import DivisorConfig, require_valid
 from .exceptional import NormalizeError, normalize_to_basis
 from .lattice import (
-    KIND_PP,
+    BY_BRIDGE,
     KIND_RATIONAL,
-    KIND_RULED,
-    KIND_S2S2,
     AmbientLattice,
     AreaVector,
     HomologyClass,
@@ -203,11 +201,11 @@ def blowup_contraction(ambient: AmbientLattice) -> tuple[Contraction, str]:
     directly, with the default component id of the new sphere: out of
     S2xS2 the bridge from CP2#2 (the sphere H-E1-E2, named "e"), elsewhere
     a fresh generator appended."""
-    if ambient.kind == KIND_S2S2:
+    kind = ambient.record.blowup
+    if kind == BY_BRIDGE:
         return _bridge(AmbientLattice.rational_blowup(2).from_coeffs(_S2S2_BRIDGE[0])), "e"
-    if ambient.kind not in (KIND_PP, KIND_RATIONAL, KIND_RULED):
+    if kind is None:
         raise MoveError(f"blowup is not supported on ambient kind {ambient.kind}")
-    kind = KIND_RATIONAL if ambient.kind == KIND_PP else ambient.kind
     pre = ambient.with_fresh_exc(kind)
     name = pre.names[-1]
     con = Contraction(pre, ambient, pre.basis_class(name), LatticeMap.identity(pre), ambient.dim)
@@ -350,13 +348,8 @@ def detect_pattern(config: DivisorConfig, e: HomologyClass):
 
 def _drop_ambient(ambient: AmbientLattice, idx: int) -> AmbientLattice:
     names = ambient.names[:idx] + ambient.names[idx + 1 :]
-    if ambient.kind == KIND_RATIONAL:
-        if len(names) == 1:
-            return AmbientLattice.projective_plane()
-        return AmbientLattice(KIND_RATIONAL, 0, names)
-    if ambient.kind == KIND_RULED:
-        return AmbientLattice(KIND_RULED, ambient.g, names)
-    raise MoveError("cannot drop a generator from this ambient kind")
+    emptied = ambient.record.emptied if len(names) == ambient.exc_start else None
+    return AmbientLattice(emptied or ambient.kind, ambient.g, names)
 
 
 def blowdown(

@@ -43,7 +43,6 @@ from .lattice import (
     KIND_PP,
     KIND_RATIONAL,
     KIND_S2S2,
-    KIND_TWISTED,
     AreaVector,
     HomologyClass,
     area,
@@ -157,7 +156,7 @@ def _attempt_candidates(cur, curw, candidates, steps, stage):
 
 def _require_pipeline_input(config: DivisorConfig, w: AreaVector) -> None:
     require_valid(config, w)
-    if not config.ambient.is_rational:
+    if config.ambient.is_ruled:
         raise ReductionError("rational pipelines need a rational ambient")
     if not is_connected(config):
         raise ReductionError("configuration must be connected")
@@ -409,17 +408,12 @@ def classify_minimal_model(config: DivisorConfig) -> MinimalModelTag | None:
     if validate(config):
         return None
     amb = config.ambient
-    if amb.kind == KIND_PP:
-        return _classify_pp(config)
-    if amb.kind == KIND_S2S2:
-        return _classify_product(config)
-    if amb.kind == KIND_RATIONAL and amb.n_exc == 1:
-        return _classify_one_blowup(config)
     if amb.is_ruled:
-        if not ruled_validate(config):
+        if not comb_shape_problems(config):
             return MinimalModelTag("CombLike", {"components": len(config.components)})
         return None
-    return None
+    model = MINIMAL_AMBIENTS.get((amb.kind, amb.n_exc))
+    return model[0](config) if model else None
 
 
 def _classify_pp(config):
@@ -516,6 +510,15 @@ def _classify_one_blowup(config):
     return None
 
 
+# the minimal ambients of the model tables, by kind and number of exceptional
+# generators: the classifier of each and the coefficients of its fiber classes
+MINIMAL_AMBIENTS = {
+    (KIND_PP, 0): (_classify_pp, ()),
+    (KIND_S2S2, 0): (_classify_product, ((1, 0), (0, 1))),
+    (KIND_RATIONAL, 1): (_classify_one_blowup, ((1, -1),)),
+}
+
+
 # -- irrational ruled validation -------------------------------------------------------
 
 
@@ -523,31 +526,25 @@ def ruled_validate(config: DivisorConfig) -> list[str]:
     """Shape constraints for divisor components over an irrational base:
     spherical components are fiber-type F - sum(E) or exceptional-type
     E_l - sum(E); at most one section-type component of genus g."""
-    amb = config.ambient
     problems = validate(config)
     if problems:
         return problems
-    if not amb.is_ruled:
+    if not config.ambient.is_ruled:
         return ["ambient is not an irrational ruled lattice"]
+    return comb_shape_problems(config)
+
+
+def comb_shape_problems(config: DivisorConfig) -> list[str]:
+    """ruled_validate's shape constraints on a validated ruled configuration.
+    A section B + kF - sum(E) has adjunction genus g, so its genus needs no test."""
+    problems = []
     sections = 0
     for c in config.components:
         v = c.cls.coeffs
-        if amb.kind == KIND_TWISTED:
-            if v[0] == 1:
-                sections += 1
-                if c.genus != amb.g:
-                    problems.append(f"section {c.id} has genus {c.genus}, expected {amb.g}")
-            elif v[0] == 0 and v[1] == 1:
-                pass
-            else:
-                problems.append(f"component {c.id} class {c.cls} matches no allowed shape")
-            continue
         b, f = v[0], v[1]
         exc = v[2:]
         if b == 1 and all(x in (0, -1) for x in exc):
             sections += 1
-            if c.genus != amb.g:
-                problems.append(f"section {c.id} has genus {c.genus}, expected {amb.g}")
         elif b == 0 and f == 1 and all(x in (0, -1) for x in exc):
             pass
         elif (

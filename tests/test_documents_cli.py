@@ -17,7 +17,7 @@ from sympdiv.cusp import certify_affine_ruled
 from sympdiv.documents import DocumentError, parse_config
 from sympdiv.exceptional import EnumerationError
 from sympdiv.inflation import NormalizedVector, plan_kahler, verify_plan
-from sympdiv.lattice import LatticeError
+from sympdiv.lattice import AmbientLattice, LatticeError
 from sympdiv.moves import MoveError
 from sympdiv.checks import all_passed
 
@@ -704,3 +704,100 @@ def test_cli_non_string_component_id_exits_2(mutate, command, tmp_path, capsys):
     rc = main([command, str(path)])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("input error: ") and "string" in err
+
+
+# -- the ambient document contract ---------------------------------------------
+
+
+@pytest.mark.parametrize("amb,doc", [
+    (AmbientLattice.projective_plane(), {"kind": "projective_plane"}),
+    (AmbientLattice.product_of_spheres(), {"kind": "product_of_spheres"}),
+    (AmbientLattice.rational_blowup(2), {"kind": "rational_blowup", "n": 2, "names": ["E1", "E2"]}),
+    (AmbientLattice.rational_blowup(2, ("P", "Q")),
+     {"kind": "rational_blowup", "n": 2, "names": ["P", "Q"]}),
+    (AmbientLattice.rational_blowup(2, ("E1", "E3")),
+     {"kind": "rational_blowup", "n": 2, "names": ["E1", "E3"]}),
+    (AmbientLattice.ruled_trivial(2, 0), {"kind": "ruled_trivial", "g": 2, "n": 0, "names": []}),
+    (AmbientLattice.ruled_trivial(1, 2, ("E1", "E3")),
+     {"kind": "ruled_trivial", "g": 1, "n": 2, "names": ["E1", "E3"]}),
+    (AmbientLattice.ruled_trivial(3, 1, ("X",)),
+     {"kind": "ruled_trivial", "g": 3, "n": 1, "names": ["X"]}),
+    (AmbientLattice.ruled_twisted(2), {"kind": "ruled_twisted", "g": 2}),
+])
+def test_ambient_documents_round_trip(amb, doc):
+    assert documents.ambient_to_doc(amb) == doc
+    back = documents.doc_to_ambient(doc)
+    assert back == amb and back.names == amb.names
+    assert documents.ambient_to_doc(back) == doc
+
+
+def test_ambient_documents_without_generators_ignore_n_and_names():
+    extra = {"n": 3, "names": 5, "g": 4}
+    assert documents.doc_to_ambient({"kind": "projective_plane", **extra}) == \
+        AmbientLattice.projective_plane()
+    assert documents.doc_to_ambient({"kind": "product_of_spheres", **extra}) == \
+        AmbientLattice.product_of_spheres()
+    assert documents.doc_to_ambient({"kind": "ruled_twisted", **extra}) == \
+        AmbientLattice.ruled_twisted(4)
+    # a rational blowup carries no g: it is not read
+    assert documents.doc_to_ambient({"kind": "rational_blowup", "n": 1, "g": "x"}) == \
+        AmbientLattice.rational_blowup(1)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"kind": "rational_blowup"}, "ambient: 'n'"),
+    ({"kind": "rational_blowup", "n": 0}, "ambient: rational_blowup needs n >= 1"),
+    ({"kind": "rational_blowup", "n": -2}, "ambient: rational_blowup needs n >= 1"),
+    ({"kind": "rational_blowup", "n": True}, "ambient: n: expected an integer, got True"),
+    ({"kind": "rational_blowup", "n": 1, "names": "E1"},
+     "ambient: names: expected a list of strings, got 'E1'"),
+    # the names are read before n is checked
+    ({"kind": "rational_blowup", "n": 0, "names": "E1"},
+     "ambient: names: expected a list of strings, got 'E1'"),
+    ({"kind": "rational_blowup", "n": 2, "names": ["E1"]},
+     "ambient: need exactly n exceptional names"),
+    ({"kind": "rational_blowup", "n": 2, "names": ["E1", "E1"]},
+     "ambient: repeated generator name 'E1'"),
+    ({"kind": "rational_blowup", "n": 1, "names": ["H"]}, "ambient: repeated generator name 'H'"),
+    # n is read before g
+    ({"kind": "ruled_trivial", "n": 1}, "ambient: 'g'"),
+    ({"kind": "ruled_trivial", "g": 2}, "ambient: 'n'"),
+    ({"kind": "ruled_trivial", "g": 0, "n": 0}, "ambient: ruled_trivial needs base genus g >= 1"),
+    ({"kind": "ruled_trivial", "g": 0, "n": -1},
+     "ambient: ruled_trivial needs base genus g >= 1"),
+    ({"kind": "ruled_trivial", "g": 2, "n": -1}, "ambient: ruled_trivial needs n >= 0"),
+    ({"kind": "ruled_trivial", "g": 2, "n": 1, "names": ["F"]},
+     "ambient: repeated generator name 'F'"),
+    ({"kind": "ruled_trivial", "g": 2, "n": 2, "names": ["E1"]},
+     "ambient: need exactly n exceptional names"),
+    ({"kind": "ruled_twisted"}, "ambient: 'g'"),
+    ({"kind": "ruled_twisted", "g": 0}, "ambient: ruled_twisted needs base genus g >= 1"),
+    ({"kind": "ruled_twisted", "g": "1"}, "ambient: g: expected an integer, got '1'"),
+    ({"kind": "__init__"}, "ambient: unknown kind '__init__'"),
+    ({"kind": "cls"}, "ambient: unknown kind 'cls'"),
+    ({"kind": "names"}, "ambient: unknown kind 'names'"),
+    ({"kind": ["x"]}, "ambient: unknown kind ['x']"),
+    ({"kind": {}}, "ambient: unknown kind {}"),
+    ({"kind": None}, "ambient: unknown kind None"),
+    ({"kind": 3}, "ambient: unknown kind 3"),
+    ({}, "ambient: expected an object with a 'kind' field"),
+    (["rational_blowup"], "ambient: expected an object with a 'kind' field"),
+    (None, "ambient: expected an object with a 'kind' field"),
+])
+def test_malformed_ambient_documents(doc, message):
+    with pytest.raises(DocumentError) as err:
+        documents.doc_to_ambient(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("ambient,message", [
+    ({"kind": ["x"]}, "ambient: unknown kind ['x']"),
+    ({"kind": "rational_blowup", "n": 0}, "ambient: rational_blowup needs n >= 1"),
+])
+def test_cli_malformed_ambient_exits_2(ambient, message, tmp_path, capsys):
+    doc = json.loads((FIXTURES / "cp2_line.json").read_text())
+    doc["ambient"] = ambient
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"

@@ -27,11 +27,13 @@ from sympdiv.lattice import (
     AreaVector,
     HomologyClass,
     LatticeError,
+    adjunction_genus,
     area,
     canonical,
     pair,
     pairings,
 )
+from sympdiv.reduction import ruled_validate
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -338,6 +340,69 @@ def test_validate_matches_reference(seed, twisted, how, shuffle, with_areas):
         rng.shuffle(comps)
         bad = replace(bad, components=tuple(comps))
     assert validate(bad, w) == reference_validate(bad, w)
+
+
+def reference_twisted_shapes(config: DivisorConfig) -> list[str]:
+    """ruled_validate on a twisted bundle as it once was, with a rule of its
+    own: a section is B1 + kF, a fiber F, and nothing else is allowed."""
+    amb = config.ambient
+    problems = validate(config)
+    if problems:
+        return problems
+    sections = 0
+    for c in config.components:
+        v = c.cls.coeffs
+        if v[0] == 1:
+            sections += 1
+            if c.genus != amb.g:
+                problems.append(f"section {c.id} has genus {c.genus}, expected {amb.g}")
+        elif v[0] == 0 and v[1] == 1:
+            pass
+        else:
+            problems.append(f"component {c.id} class {c.cls} matches no allowed shape")
+    if sections > 1:
+        problems.append(f"{sections} section-type components, at most one allowed")
+    return problems
+
+
+@st.composite
+def twisted_off_shape_configs(draw):
+    """A twisted bundle configuration with up to three more components of
+    any small class bB1 + fF, most of them off the allowed shapes, a declared
+    genus that is sometimes not adjunction's, and the edges their pairings
+    ask for where those are not negative."""
+    cfg, _ = draw(twisted_bundle_configs())
+    amb = cfg.ambient
+    comps = [(c.id, c.cls, c.genus) for c in cfg.components]
+    for i, (b, f) in enumerate(draw(st.lists(st.tuples(st.integers(-1, 3), st.integers(-3, 3)),
+                                             max_size=3))):
+        cls = amb.cls(B1=b, F=f)
+        genus = adjunction_genus(cls)
+        if genus is not None:
+            comps.append((f"X{i}", cls, genus + draw(st.sampled_from((0, 0, 0, 1)))))
+    edges = [(a, b) for i, (a, x, _) in enumerate(comps) for b, y, _ in comps[i + 1:]
+             for _ in range(max(0, reference_pair(x, y)))]
+    return DivisorConfig.build(amb, comps, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(twisted_bundle_configs().map(lambda t: t[0]) | twisted_off_shape_configs())
+def test_ruled_validate_on_twisted_bundles_matches_reference(cfg):
+    assert ruled_validate(cfg) == reference_twisted_shapes(cfg)
+
+
+def test_ruled_validate_on_a_twisted_bundle_off_its_shapes():
+    amb = AmbientLattice.ruled_twisted(2)
+    comps = [("S", amb.cls(B1=1)), ("T", amb.cls(B1=1, F=1)), ("X", amb.cls(B1=2, F=-1)),
+             ("Z", amb.zero())]
+    edges = [(a, b) for i, (a, x) in enumerate(comps) for b, y in comps[i + 1:]
+             for _ in range(reference_pair(x, y))]
+    cfg = DivisorConfig.build(amb, comps, edges)
+    assert ruled_validate(cfg) == reference_twisted_shapes(cfg) == [
+        "component X class 2B1-F matches no allowed shape",
+        "component Z class 0 matches no allowed shape",
+        "2 section-type components, at most one allowed",
+    ]
 
 
 def test_validate_problem_order_on_a_fixed_case():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sympdiv
 from conftest import preserves_form
 from sympdiv.lattice import (
     AmbientLattice,
@@ -181,3 +184,19 @@ def test_fresh_name_of_an_appended_ambient_is_the_parsed_one():
         amb = up
     assert amb.names[-3:] == ("E11", "E12", "E13") and amb.fresh_exc_name == "E14"
     assert AmbientLattice.projective_plane().with_fresh_exc("rational_blowup").names == ("H", "E1")
+
+
+def _lines_outside_lattice(pattern):
+    """The lines of the package's modules, lattice.py left out, that match
+    pattern, as `grep -n` counts them."""
+    rx = re.compile(pattern)
+    src = Path(sympdiv.__file__).parent
+    return [f"{p.name}:{i}" for p in sorted(src.glob("*.py")) if p.name != "lattice.py"
+            for i, line in enumerate(p.read_text().splitlines(), 1) if rx.search(line)]
+
+
+def test_kind_branches_stay_few_outside_lattice():
+    # what a kind is sits in its record in lattice.KINDS; 33 and 8 lines
+    # matched before the callers read it
+    assert len(_lines_outside_lattice(r"\.kind ==|\.kind in|kind == KIND|is_ruled|is_rational")) <= 16
+    assert len(_lines_outside_lattice(r"\.kind !=|\.kind not in")) <= 8

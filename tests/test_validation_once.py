@@ -19,7 +19,7 @@ from sympdiv.checks import all_passed
 from sympdiv.cusp import CertifyError, certify_affine_ruled
 from sympdiv.documents import DocumentError, canonical_json, certificate_to_doc, parse_config
 from sympdiv.moves import ExteriorBlowup, replay_blowdown
-from sympdiv.reduction import quasi_minimal_reduce, verify_trace
+from sympdiv.reduction import classify_minimal_model, quasi_minimal_reduce, verify_trace
 
 
 def _fixture(name):
@@ -147,3 +147,28 @@ def test_blowdown_carries_every_genus_without_adjunction(monkeypatch):
         pre, post = ts.blowdown.pre_config, ts.blowdown.config
         assert all(c.genus == pre.component(c.id).genus for c in post.components)
     assert not any(adjunctions)
+
+
+@pytest.mark.parametrize("name", ["ruled_comb_genus2.json", "ruled_comb_sectionless.json",
+                                  "ruled_comb_twisted.json"])
+def test_a_ruled_configuration_is_validated_once(name, monkeypatch):
+    # certify, check and classify_minimal_model each validated a ruled comb
+    # twice while the comb shape rules validated it again
+    config, w = _fixture(name)
+    validate = divisor.validate
+    validated = []
+
+    def spy_validate(cfg, *args, **kwargs):
+        validated.append(cfg)
+        return validate(cfg, *args, **kwargs)
+
+    rebind(monkeypatch, validate, spy_validate)
+    cert = certify_affine_ruled(config, w)
+    assert validated == [config]
+    doc = json.loads(canonical_json(certificate_to_doc(cert)))
+    validated.clear()
+    assert all_passed(checker.check_certificate(doc))
+    assert validated == [config]
+    validated.clear()
+    tag = classify_minimal_model(config)
+    assert tag.case == "CombLike" and validated == [config]
