@@ -4,7 +4,8 @@ A configuration is a list of components (homology class + genus) together
 with a multiset of edges between component ids.  Edge multiplicity between
 two components must equal the intersection pairing of their classes, and
 all pairings must be non-negative.  Genus is forced by adjunction since
-components are embedded surfaces.
+components are embedded surfaces.  The pairings come from
+`lattice.sparse_gram`: a pair sharing no generator column pairs to 0.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from .lattice import (
     AreaVector,
     HomologyClass,
     LatticeError,
+    SparseGram,
     adjunction_genus,
     area,
     canonical,
     pair,
-    pairings,
+    sparse_gram,
 )
 
 
@@ -31,7 +33,7 @@ class DivisorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorComponent:
     id: str
     cls: HomologyClass
@@ -59,18 +61,18 @@ class DivisorConfig:
                 cid, cls, g = item
             comps.append(DivisorComponent(str(cid), cls, int(g)))
         comps.sort(key=lambda c: c.id)
-        norm_edges = tuple(sorted(tuple(sorted((str(a), str(b)))) for a, b in edges))
+        pairs = [(str(a), str(b)) for a, b in edges]
+        norm_edges = tuple(sorted([(a, b) if a <= b else (b, a) for a, b in pairs]))
         return DivisorConfig(ambient, tuple(comps), norm_edges)
 
     @cached_property
-    def gram(self) -> list[list[int]]:
-        """pairings([K] + classes, classes) (row 0: K.c), read only, over the
-        classes before the first in another ambient.  Cached, not a field."""
+    def gram(self) -> SparseGram:
+        """sparse_gram of the classes before the first in another ambient,
+        read only.  Cached, not a field."""
         amb = self.ambient
         k = next((i for i, c in enumerate(self.components)
                   if c.cls.ambient is not amb and c.cls.ambient != amb), len(self.components))
-        classes = [c.cls for c in self.components[:k]]
-        return pairings([canonical(amb)] + classes, classes)
+        return sparse_gram(amb, [c.cls for c in self.components[:k]])
 
     def component(self, cid: str) -> DivisorComponent:
         for c in self.components:
@@ -114,7 +116,7 @@ def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
     problems: list[str] = []
     if w is not None and (sq := w.square()) <= 0:
         problems.append(f"area vector has non-positive square {sq}")
-    gram, k = config.gram, len(config.gram[0])
+    gram, k = config.gram, len(config.gram.square)
     if w is not None and k and w.ambient != config.ambient:
         raise LatticeError("ambient mismatch")
     nums = None if w is None else w.integer_form[0]  # area signs: the denominator is > 0
@@ -126,7 +128,7 @@ def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
         if i == k:
             problems.append(f"component {c.id}: class lives in a different ambient")
             return problems
-        g = (gram[i + 1][i] + gram[0][i]) // 2 + 1
+        g = (gram.square[i] + gram.canonical[i]) // 2 + 1
         if g < 0:
             problems.append(f"component {c.id}: class {c.cls} admits no embedded genus")
         elif g != c.genus:
@@ -134,9 +136,9 @@ def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
         if nums is not None and sum(map(operator.mul, c.cls.coeffs, nums)) <= 0:
             problems.append(f"component {c.id}: non-positive area {area(c.cls, w)}")
 
-    # expected[i][j] counts the edges equal to the sorted pair of ids, as
-    # edge_multiplicity does: an unsorted edge matches no pair
-    expected = [[0] * k for _ in range(k)]
+    # each edge equal to the sorted pair of ids (as edge_multiplicity counts:
+    # an unsorted edge matches no pair) is taken off their pairing, leaving 0
+    excess = dict(gram.off)
     for a, b in config.edges:
         if a == b:
             problems.append(f"self-edge on component {a!r}")
@@ -146,17 +148,13 @@ def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
                 return problems
         for i in at[a] if a <= b else ():
             for j in at[b]:
-                expected[i][j] += 1
-                if a != b:
-                    expected[j][i] += 1
-    ids = [c.id for c in comps]
-    for i, a in enumerate(ids):
-        if gram[i + 1][i + 1:] != expected[i][i + 1:]:
-            for b, p, m in zip(ids[i + 1:], gram[i + 1][i + 1:], expected[i][i + 1:]):
-                if p < 0:
-                    problems.append(f"components {a},{b}: negative pairing {p}")
-                elif m != p:
-                    problems.append(f"components {a},{b}: {m} edges but pairing {p}")
+                if i < j or a != b:
+                    key = (i, j) if i < j else (j, i)
+                    excess[key] = excess.get(key, 0) - 1
+    for i, j in sorted([key for key, v in excess.items() if v]):
+        p = gram.off.get((i, j), 0)
+        what = f"negative pairing {p}" if p < 0 else f"{p - excess[i, j]} edges but pairing {p}"
+        problems.append(f"components {comps[i].id},{comps[j].id}: {what}")
     return problems
 
 

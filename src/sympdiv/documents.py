@@ -59,7 +59,7 @@ def _doc_names(doc) -> tuple[str, ...] | None:
 
 
 def parse_fraction(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise DocumentError(f"expected a rational string, got {s!r}")

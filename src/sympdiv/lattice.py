@@ -14,8 +14,9 @@ exceptional generator.  So pair(x, y) = h(x, y) - x.y, with x.y the dot
 product of the whole vectors and h the head block plus the identity:
 2 x0 y0 (CP2, CP2#n), (x0+x1)(y0+y1) (S2xS2, ruled_trivial) and
 (x0+x1)(y0+y1) + x0 y0 (ruled_twisted).  The canonical class is built once
-per ambient instance and cached on it.  `pairings` reads a matrix of
-pairings off a sparse index.
+per ambient instance and cached on it.  As a matrix the form is h minus the
+identity on the head block and -1 on each exceptional generator; `sparse_gram`
+sums it one generator column at a time, and `pairings` reads a matrix off it.
 
 Generator names are data: blowdowns may drop a middle generator and the
 surviving names keep their identity (E7 stays E7 after E5 is gone).
@@ -41,7 +42,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
+from typing import NamedTuple
 
 
 class LatticeError(ValueError):
@@ -98,11 +100,25 @@ KINDS = {
 }
 
 
+def _head_terms(rec: KindRecord) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row t of the head block of the form, h minus the identity, as its terms (u, G_tu) != 0."""
+    units = ((1, 0), (0, 1))[: len(rec.head)]
+    return tuple(tuple((u, v) for u, b in enumerate(units) if (v := rec.h(a, b) - (t == u)))
+                 for t, a in enumerate(units))
+
+
+_HEAD_TERMS = {kind: _head_terms(rec) for kind, rec in KINDS.items()}
+
+
 @dataclass(frozen=True)
 class AmbientLattice:
     kind: str
     g: int
     names: tuple[str, ...]
+
+    def __eq__(self, other):  # an ambient is most often compared with itself
+        return self is other or (type(other) is AmbientLattice and self.names == other.names
+                                 and self.kind == other.kind and self.g == other.g)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -172,7 +188,7 @@ class AmbientLattice:
     def canonical_class(self) -> "HomologyClass":
         """The canonical class, built on first use and cached on the
         instance; not a field, so equality, hashing and repr are unaffected."""
-        return self.from_coeffs(self.record.k_head(self.g) + (1,) * self.n_exc)
+        return HomologyClass(self, self.record.k_head(self.g) + (1,) * self.n_exc)
 
     @property
     def exc_indices(self) -> range:
@@ -232,28 +248,28 @@ class AmbientLattice:
         return self.record.template.format(g=self.g, n=self.n_exc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomologyClass:
     ambient: AmbientLattice
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.ambient.dim:
+        if len(self.coeffs) != len(self.ambient.names):
             raise LatticeError("coefficient length does not match basis")
 
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
         _same_ambient(self, other)
-        return HomologyClass(self.ambient, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return HomologyClass(self.ambient, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "HomologyClass") -> "HomologyClass":
         _same_ambient(self, other)
-        return HomologyClass(self.ambient, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return HomologyClass(self.ambient, tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "HomologyClass":
-        return HomologyClass(self.ambient, tuple(-a for a in self.coeffs))
+        return HomologyClass(self.ambient, tuple(map(operator.neg, self.coeffs)))
 
     def __mul__(self, k: int) -> "HomologyClass":
-        return HomologyClass(self.ambient, tuple(k * a for a in self.coeffs))
+        return HomologyClass(self.ambient, tuple(map(operator.mul, repeat(k), self.coeffs)))
 
     __rmul__ = __mul__
 
@@ -285,30 +301,53 @@ def pair(a: HomologyClass, b: HomologyClass) -> int:
 
 
 def pairings(left: list[HomologyClass], right: list[HomologyClass]) -> list[list[int]]:
-    """[[pair(a, b) for b in right] for a in left].  One index is built per
-    call: for each generator t, the pairs (j, t.right[j]), left out where zero
-    off the head.  Row a adds each nonzero coefficient of a times its pairs."""
+    """[[pair(a, b) for b in right] for a in left], read off sparse_gram."""
     if not left:
         return []
-    amb = left[0].ambient
-    for c in (*left, *right):
-        if c.ambient is not amb:
-            _same_ambient(left[0], c)
-    h, units, gens = KINDS[amb.kind].h, ((1, 0), (0, 1))[: amb.exc_start], range(amb.dim)
-    columns = [[] for _ in gens]
-    for j, b in enumerate(right):
-        for t in compress(gens, b.coeffs):
-            columns[t].append((j, -b.coeffs[t]))
-    for t, unit in enumerate(units):  # at a head generator t, t.b also has the head term
-        columns[t] = [(j, h(unit, b.coeffs) - b.coeffs[t]) for j, b in enumerate(right)]
-    rows = []
-    for a in left:
-        row = [0] * len(right)
-        for x, column in compress(zip(a.coeffs, columns), a.coeffs):
-            for j, c in column:
-                row[j] += x * c
-        rows.append(row)
-    return rows
+    off, n = sparse_gram(left[0].ambient, [*left, *right]).off, len(left)
+    return [[off.get((i, n + j), 0) for j in range(len(right))] for i in range(n)]
+
+
+class SparseGram(NamedTuple):
+    """K.c and c.c for each class, and pair(c_i, c_j) for the pairs i < j
+    sharing a column of the form; every other pair pairs to 0."""
+
+    canonical: list[int]
+    square: list[int]
+    off: dict[tuple[int, int], int]
+
+
+def sparse_gram(amb: AmbientLattice, classes: list[HomologyClass]) -> SparseGram:
+    """The pairings of `classes`, all in amb, one generator column at a time.
+    Column t holds (i, x) for each nonzero coefficient x of classes[i] at t,
+    and each term (u, G_tu) of the form pairs it with column u."""
+    columns = [[] for _ in amb.names]
+    gens = range(len(columns))
+    for i, c in enumerate(classes):
+        if c.ambient is not amb and c.ambient != amb:
+            raise LatticeError("ambient mismatch")
+        v = c.coeffs
+        for t in compress(gens, v):
+            columns[t].append((i, v[t]))
+    head, k_coeffs = _HEAD_TERMS[amb.kind], amb.canonical_class.coeffs
+    kc, cc, off = [0] * len(classes), [0] * len(classes), {}
+    for t, terms in enumerate(head):
+        r = sum(g * k_coeffs[u] for u, g in terms)  # K's pairing row at t
+        for i, x in columns[t]:
+            kc[i] += r * x
+            for u, g in terms:
+                for j, y in columns[u]:
+                    if i < j:
+                        off[i, j] = off.get((i, j), 0) + g * x * y
+                    elif i == j:
+                        cc[i] += g * x * y
+    for col in filter(None, columns[len(head):]):  # the term -1 at an exceptional t; K is 1
+        for n, (i, x) in enumerate(col):
+            kc[i] -= x
+            cc[i] -= x * x
+            for j, y in col[n + 1:]:
+                off[i, j] = off.get((i, j), 0) - x * y
+    return SparseGram(kc, cc, off)
 
 
 def canonical(ambient: AmbientLattice) -> HomologyClass:

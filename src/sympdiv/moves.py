@@ -123,6 +123,8 @@ class Contraction:
         v = y.coeffs
         if self.slot is None:
             v = _matvec(self.back, v)
+        elif self.slot == len(v) and not self.word.word:  # a blowup's fresh generator
+            return HomologyClass(self.pre, v + (0,))
         else:
             v = v[: self.slot] + (0,) + v[self.slot :]
         return self.word.apply_inverse(HomologyClass(self.pre, v))
@@ -185,14 +187,16 @@ def _contraction_for(e: HomologyClass) -> Contraction:
 
 def recorded_contraction(e: HomologyClass, word: LatticeMap, slot: int | None) -> Contraction:
     """The contraction of e as a certificate records it: the word and the
-    slot it drops, or, with slot None, the bridge whose class e is.  Nothing
-    is searched; that the word takes e to the generator at slot is left to
-    the caller to check."""
+    slot it drops, an exceptional generator, or, with slot None, the bridge
+    whose class e is.  Nothing is searched; that the word takes e to the
+    generator at slot is left to the caller to check."""
     if slot is None:
         con = _bridge(e)
         if con is None:
             raise MoveError(f"{e} is not the class of a bridge")
         return con
+    if slot not in e.ambient.exc_indices:
+        raise MoveError(f"slot {slot} is no exceptional generator of {e.ambient.describe()}")
     return Contraction(e.ambient, _drop_ambient(e.ambient, slot), e, word, slot)
 
 
@@ -207,9 +211,8 @@ def blowup_contraction(ambient: AmbientLattice) -> tuple[Contraction, str]:
     if kind is None:
         raise MoveError(f"blowup is not supported on ambient kind {ambient.kind}")
     pre = ambient.with_fresh_exc(kind)
-    name = pre.names[-1]
-    con = Contraction(pre, ambient, pre.basis_class(name), LatticeMap.identity(pre), ambient.dim)
-    return con, name
+    sphere = HomologyClass(pre, (0,) * ambient.dim + (1,))
+    return Contraction(pre, ambient, sphere, LatticeMap.identity(pre), ambient.dim), pre.names[-1]
 
 
 # -- blowup ---------------------------------------------------------------------

@@ -52,6 +52,9 @@ def test_fraction_parse():
         documents.parse_fraction("1/0")
     with pytest.raises(DocumentError):
         documents.parse_fraction("abc")
+    for flag in (True, False):  # a JSON boolean is no rational, though bool is an int
+        with pytest.raises(DocumentError, match="expected a rational"):
+            documents.parse_fraction(flag)
 
 
 def test_plan_roundtrip():
@@ -288,6 +291,28 @@ def test_cli_check_refuses_empty_search_bounds(bounds, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2 and "input error" in err
     assert ("'coeff_bound'" in err) == ("coeff_bound" in bounds)
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_cli_boolean_area_exits_2(command, tmp_path, capsys):
+    doc = json.loads((FIXTURES / "cp2_line.json").read_text())
+    doc["areas"]["H"] = True
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err.startswith("input error: ") and captured.out == ""
+    assert "expected a rational" in captured.err
+
+
+def test_cli_check_boolean_area_bound_exits_2(tmp_path, capsys):
+    main(["certify", str(FIXTURES / "cp2_13_cusp.json")])
+    good = json.loads(capsys.readouterr().out)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(good, bounds={"area_bound": True})))
+    rc = main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("input error: ") and "expected a rational" in err
 
 
 @pytest.mark.parametrize("exc_type", [ValueError, ZeroDivisionError])
@@ -533,8 +558,12 @@ def _non_integer_coefficient(doc):
     doc["nodes"][1]["class"][2] = 0.5
 
 
+def _boolean_t(doc):
+    doc["nodes"][-1]["t"] = True
+
+
 @pytest.mark.parametrize(
-    "mutate", [_shorten_class, _set_g_zero, _disagreeing_n, _non_integer_coefficient]
+    "mutate", [_shorten_class, _set_g_zero, _disagreeing_n, _non_integer_coefficient, _boolean_t]
 )
 def test_cli_check_malformed_plan_exits_2(mutate, tmp_path, capsys):
     rc = main(["inflate", "--n", "2", "--g", "1", "--target", "3/4,1/3,1/5"])

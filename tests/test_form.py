@@ -1,9 +1,10 @@
-"""The intersection form as a head term minus a dot product, the matrix of
-pairings read off a sparse column index, the cached canonical class, and
-`validate` on one matrix of pairings per call.  Each property is checked
-against references written out here from the `lattice` module docstring: a
-Gram matrix per ambient kind, the canonical class from its textbook formula,
-and `validate` as it was written with a per-pair edge scan."""
+"""The intersection form as a head term minus a dot product, the sparse
+pairings of validation summed one generator column at a time and the matrix
+of pairings read off them, the cached canonical class, and `validate` on
+those sparse pairings.  Each property is checked against references written
+out here from the `lattice` module docstring: a Gram matrix per ambient
+kind, the canonical class from its textbook formula, and `validate` as it
+was written with a per-pair edge scan."""
 
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from sympdiv.lattice import (
     canonical,
     pair,
     pairings,
+    sparse_gram,
 )
 from sympdiv.reduction import ruled_validate
 
@@ -173,6 +175,74 @@ def test_pairings_refuse_mixed_ambients():
         pairings([a.cls(H=1)], [a.cls(E1=1), other.cls(H=1)])
     with pytest.raises(LatticeError, match="ambient mismatch"):
         pairings([a.cls(H=1), other.cls(H=1)], [])
+
+
+# -- the sparse pairings of validation -------------------------------------------
+
+
+def reference_meets(classes) -> set[tuple[int, int]]:
+    """The pairs i < j with a nonzero Gram entry between a generator of
+    classes[i] and one of classes[j]: the pairs sparse_gram visits."""
+    if not classes:
+        return set()
+    m = gram(classes[0].ambient)
+    supports = [[t for t, x in enumerate(c.coeffs) if x] for c in classes]
+    return {(i, j) for i, a in enumerate(supports) for j, b in enumerate(supports)
+            if i < j and any(m[t][u] for t in a for u in b)}
+
+
+@st.composite
+def class_multisets(draw):
+    """Classes of one ambient, some of them repeated, with zero classes and
+    coefficients past 2**64 among them."""
+    amb = draw(ambients())
+    coeff = st.integers(-20, 20) | st.integers(-2**70, 2**70)
+    vec = st.lists(coeff, min_size=amb.dim, max_size=amb.dim)
+    distinct = draw(st.lists(st.builds(amb.from_coeffs, vec) | st.just(amb.zero()),
+                             min_size=1, max_size=5))
+    return amb, draw(st.lists(st.sampled_from(distinct), max_size=8))
+
+
+_WIDE = (_BIG.from_coeffs((2**65 + 3, -(2**64))), _BIG.from_coeffs((-(2**66), 2**64 + 1)))
+
+
+@PROPERTY
+@given(class_multisets())
+@example((_BIG, []))
+@example((_BIG, [_WIDE[0], _BIG.zero(), _WIDE[1], _WIDE[0]]))
+@example((AmbientLattice.rational_blowup(3), [AmbientLattice.rational_blowup(3).cls(E2=2**65)] * 3))
+def test_sparse_gram_equals_pair(case):
+    amb, classes = case
+    g = sparse_gram(amb, classes)
+    assert g.canonical == [pair(canonical(amb), c) for c in classes]
+    assert g.square == [pair(c, c) for c in classes]
+    every = {(i, j): pair(a, b) for i, a in enumerate(classes)
+             for j, b in enumerate(classes) if i < j}
+    assert {key: g.off.get(key, 0) for key in every} == every
+    assert set(g.off) == reference_meets(classes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_multisets(), st.lists(st.sampled_from("AB"), min_size=8, max_size=8))
+def test_gram_of_a_configuration_with_repeated_ids(case, ids):
+    # the pairings are by position: repeated ids change nothing
+    amb, classes = case
+    cfg = DivisorConfig(amb, tuple(DivisorComponent(cid, c, 0) for cid, c in zip(ids, classes)),
+                        ())
+    g = sparse_gram(amb, classes)
+    assert (cfg.gram.canonical, cfg.gram.square, cfg.gram.off) == (g.canonical, g.square, g.off)
+
+
+def test_sparse_gram_refuses_another_ambient():
+    a = AmbientLattice.rational_blowup(2)
+    other = AmbientLattice.rational_blowup(2, ("E1", "E7"))
+    with pytest.raises(LatticeError, match="ambient mismatch"):
+        sparse_gram(a, [a.cls(E1=1), other.cls(H=1)])
+    # a configuration pairs its classes up to the first in another ambient
+    cfg = DivisorConfig(a, (DivisorComponent("A", a.cls(E1=1), 0),
+                            DivisorComponent("B", other.cls(H=1), 0),
+                            DivisorComponent("C", a.cls(E1=1), 0)), ())
+    assert (cfg.gram.canonical, cfg.gram.square, cfg.gram.off) == ([-1], [-1], {})
 
 
 # -- the canonical class --------------------------------------------------------

@@ -204,6 +204,16 @@ def test_fiber_class_over_a_ruled_base_is_refused():
         recorded_contraction(e, LatticeMap.identity(rt), None)
 
 
+@pytest.mark.parametrize("amb", [AmbientLattice.rational_blowup(2),
+                                 AmbientLattice.projective_plane()], ids=["CP2#2", "CP2"])
+def test_recorded_contraction_refuses_a_head_slot(amb):
+    # dropping H would leave CP2#2 a rational_blowup named (E1, E2) and CP2
+    # an ambient with no generators
+    e = amb.basis_class(amb.names[-1])
+    with pytest.raises(MoveError, match="no exceptional generator"):
+        recorded_contraction(e, LatticeMap.identity(amb), 0)
+
+
 def test_hypothesis_preserved_by_blowdowns():
     rng = random.Random(99)
     for _ in range(60):

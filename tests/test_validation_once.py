@@ -3,7 +3,7 @@
 blowup and blowdown validate their results, the checker every configuration
 its replay makes; reduction.verify_trace validates nothing and compares each
 replay with the pre-configuration it must equal.  A configuration builds its
-pairing matrix once, so validating the same object again builds none.
+sparse pairings once, so validating the same object again builds none.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def test_certify_and_check_build_one_matrix_per_configuration(monkeypatch):
     # while every validate call built its own matrix and the producer's
     # replays were validated too, certify built 25 and check 17
     config, w = _fixture("cp2_13_cusp.json")
-    validate, pairings = divisor.validate, lattice.pairings
+    validate, sparse_gram = divisor.validate, lattice.sparse_gram
     validating, validated, built = [], [], []
 
     def spy_validate(cfg, *args, **kwargs):
@@ -52,12 +52,12 @@ def test_certify_and_check_build_one_matrix_per_configuration(monkeypatch):
         finally:
             validating.pop()
 
-    def spy_pairings(*args, **kwargs):
+    def spy_sparse_gram(*args, **kwargs):
         built.append(validating[-1] if validating else None)
-        return pairings(*args, **kwargs)
+        return sparse_gram(*args, **kwargs)
 
     rebind(monkeypatch, validate, spy_validate)
-    rebind(monkeypatch, pairings, spy_pairings)
+    rebind(monkeypatch, sparse_gram, spy_sparse_gram)
     cert = certify_affine_ruled(config, w)
     # the input, 9 blowdown results and 5 resolution blowups; the input is
     # validated twice, by certify and by the reduction's entry
@@ -74,6 +74,25 @@ def test_certify_and_check_build_one_matrix_per_configuration(monkeypatch):
     assert (len(built), len(validated)) == (16, 16)
     assert None not in built
     assert len({id(c) for c in built}) == len(built)
+
+
+def test_certify_visits_only_the_pairs_sharing_a_column(monkeypatch):
+    # a deterministic count of the kernel's work: of the 441 component pairs
+    # of the 15 configurations certify validates, 181 share a generator
+    # column, and only those are paired
+    config, w = _fixture("cp2_13_cusp.json")
+    validate, validated = divisor.validate, []
+
+    def spy_validate(cfg, *args, **kwargs):
+        validated.append(cfg)
+        return validate(cfg, *args, **kwargs)
+
+    rebind(monkeypatch, validate, spy_validate)
+    certify_affine_ruled(config, w)
+    configs = list({id(c): c for c in validated}.values())
+    sizes = [len(c.components) for c in configs]
+    assert (len(configs), sum(k * (k - 1) // 2 for k in sizes)) == (15, 441)
+    assert sum(len(c.gram.off) for c in configs) == 181
 
 
 def _tamper_move(bd):
