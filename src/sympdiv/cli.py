@@ -59,7 +59,7 @@ def _load_json(path: str):
 
 def _fraction_option(option: str, value: str) -> Fraction:
     try:
-        return Fraction(value)
+        return documents.read_fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"malformed {option} {value!r}: {exc}") from exc
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from .cusp import AffineRuledCertificate
@@ -58,16 +59,32 @@ def _doc_names(doc) -> tuple[str, ...] | None:
     return tuple(names)
 
 
+# the forms frac_str writes, "p" and "p/q", in ASCII digits
+_FRAC_STR = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def read_fraction(s: str) -> Fraction:
+    """Fraction(s), with the same value or the same error.  The forms
+    frac_str writes are read with int() as Fraction(s) reads them, digits
+    first and the sign after, so that a run past the int digit limit fails
+    with the same message; every other string goes to Fraction(s) itself."""
+    m = _FRAC_STR.fullmatch(s)
+    if m is None:
+        return Fraction(s)
+    sign, num, den = m.groups()
+    p, q = int(num), int(den) if den else 1
+    return Fraction(-p if sign else p, q)
+
+
 def parse_fraction(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise DocumentError(f"expected a rational string, got {s!r}")
     try:
-        f = Fraction(s)
+        return read_fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"malformed rational {s!r}: {exc}") from exc
-    return f
 
 
 def search_bounds(area_bound: Fraction | None) -> None:

@@ -10,6 +10,11 @@ bounded by area(Z) / (-Z.Z).  Plans are nested: a seed node carries the
 plan for the smaller manifold plus the small area given to the new
 exceptional sphere, and zig-zag nodes alternate two classes in N equal
 substeps so every intermediate stays inside the area constraints.
+
+The arithmetic runs on integer forms (nums, den): kernel states, region
+tests and the replay's seed checks compare integer numerators.  Fractions
+are built only for the fields a plan stores (targets, seed vectors,
+epsilons, step sizes) and for the normalized endpoint a replay reports.
 """
 
 from __future__ import annotations
@@ -48,8 +53,11 @@ class NormalizedVector:
     def __post_init__(self):
         if self.g < 1:
             raise PlanError("base genus must be >= 1")
-        if any(e <= 0 for e in self.entries):
-            raise PlanError("normalized vector entries must be positive")
+        for e in self.entries:
+            if not isinstance(e, (int, Fraction)):
+                raise PlanError(f"entry {e!r} is not exact: use an int or a Fraction")
+            if e.numerator <= 0:
+                raise PlanError("normalized vector entries must be positive")
 
     @property
     def n(self) -> int:
@@ -62,48 +70,26 @@ class NormalizedVector:
 
 def in_region(v: NormalizedVector, variant: str) -> bool:
     """Strict membership in the symplectic region ("P") or the region of
-    forms pairing negatively with the canonical class ("P_g")."""
-    d = v.entries
-    n = v.n
-    db, rest = d[0], d[1:]
+    forms pairing negatively with the canonical class ("P_g"), tested on
+    the integer form (db, *rest) / den of the entries."""
+    if variant not in ("P", "P_g"):
+        raise PlanError(f"unknown region variant {variant!r}")
+    (db, *rest), den = integer_form_of(v.entries)
+    if not rest:
+        return db > (0 if variant == "P" else v.g * den)
     if variant == "P":
-        if n == 0:
-            return db > 0
-        if n == 1:
-            return 2 * db - rest[0] ** 2 > 0 and rest[0] < 1
-        return (
-            2 * db - sum(x * x for x in rest) > 0
-            and rest[0] + rest[1] < 1
-            and all(rest[i] >= rest[i + 1] for i in range(n - 1))
-        )
-    if variant == "P_g":
-        g = v.g
-        if n == 0:
-            return db > g
-        if n == 1:
-            return 2 - 2 * g + 2 * db - rest[0] > 0 and rest[0] < 1
-        return (
-            2 - 2 * g + 2 * db - sum(rest) > 0
-            and rest[0] + rest[1] < 1
-            and all(rest[i] >= rest[i + 1] for i in range(n - 1))
-        )
-    raise PlanError(f"unknown region variant {variant!r}")
+        head = 2 * db * den - sum(x * x for x in rest)
+    else:
+        head = (2 - 2 * v.g) * den + 2 * db - sum(rest)
+    return head > 0 and sum(rest[:2]) < den and all(map(operator.ge, rest, rest[1:]))
 
 
 def region_slack(v: NormalizedVector) -> Fraction:
     """Smallest slack among the strict inequalities of P_g at g = 1."""
-    d = v.entries
-    n = v.n
-    slacks = []
-    if n == 0:
-        slacks.append(d[0] - 1)
-    elif n == 1:
-        slacks.append(2 * d[0] - d[1])
-        slacks.append(1 - d[1])
-    else:
-        slacks.append(2 * d[0] - sum(d[1:]))
-        slacks.append(1 - d[1] - d[2])
-    return min(slacks)
+    (db, *rest), den = integer_form_of(v.entries)
+    if not rest:
+        return Fraction(db - den, den)
+    return Fraction(min(2 * db - sum(rest), den - sum(rest[:2])), den)
 
 
 # -- states and the inflation step ------------------------------------------------
@@ -138,10 +124,10 @@ def _seed_state(g: int, entries, amb: AmbientLattice):
     """The kernel state of state_from_vector(g, entries) for positive
     entries, on amb itself when the lengths agree, so that the per-step
     ambient test is an identity test."""
-    entries = [Fraction(e) for e in entries]
+    entries = [e if type(e) is Fraction else Fraction(e) for e in entries]
     if len(entries) != amb.dim - 1:
         amb = plan_ambient(g, len(entries) - 1)
-    return amb, *integer_form_of((entries[0], Fraction(1), *entries[1:]))
+    return amb, *integer_form_of((entries[0], 1, *entries[1:]))
 
 
 def _step(state, z: HomologyClass, t: Fraction):
@@ -195,6 +181,16 @@ def _normalized(state) -> NormalizedVector:
 def normalize(a: AreaVector) -> NormalizedVector:
     """Divide by the fiber area; only meaningful on ruled ambients."""
     return _normalized((a.ambient, *a.integer_form))
+
+
+def _normalizes_to(state, entries) -> bool:
+    """Whether `entries` are the state's areas (B, E_1, ..) over its fiber
+    area, by cross-multiplying; an entry that is not exact never matches."""
+    _, (b, f, *rest), _ = state
+    return len(entries) == len(rest) + 1 and all(
+        isinstance(v, (int, Fraction)) and v.numerator * f == x * v.denominator
+        for v, x in zip(entries, (b, *rest))
+    )
 
 
 # -- plans -------------------------------------------------------------------------
@@ -272,12 +268,12 @@ def _replay(plan: InflationPlan, checks: list[Check], prefix: str):
         checks.extend(sub_checks)
         if sub_state is None:
             return None
-        sub_end = _normalized(sub_state)
         ok = (
             seed.epsilon is not None
             and seed.epsilon > 0
-            and seed.vector == sub_end.entries + (seed.epsilon,)
-            and sub_end.entries == seed.base.target
+            and seed.vector[-1:] == (seed.epsilon,)
+            and _normalizes_to(sub_state, seed.vector[:-1])
+            and _normalizes_to(sub_state, seed.base.target)
         )
         checks.append(
             Check(
@@ -398,8 +394,7 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
             None, None, (x, y),
             "classes near the unit-fiber ray on the one-point blowup are Kahler",
         )
-        b = amb.basis_class("B")
-        return InflationPlan(g, 1, d, (seed, InflateNode(b.coeffs, "B", t)))
+        return InflationPlan(g, 1, d, (seed, InflateNode((1, 0, 0), "B", t)))
 
     if n % 2 == 0:
         cap = min(d[n], region_slack(NormalizedVector(1, d))) * shrink / 4
@@ -413,17 +408,20 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
             base, eps, tuple(sub) + (eps,),
             "a sufficiently small blowup of a Kahler class stays Kahler",
         )
-        z = amb.basis_class("F") - amb.basis_class(f"E{n - 1}") - amb.basis_class(f"E{n}")
+        z = amb.cls(F=1, **{f"E{n - 1}": -1, f"E{n}": -1})
         return InflationPlan(g, n, d, (seed, InflateNode(z.coeffs, str(z), t)))
 
     # odd n = 2k - 1 >= 3
     k = (n + 1) // 2
     cap = Fraction(3, 4) * shrink * d[n] / (1 - d[n])
     t = simplest_in(cap / 2, cap)
-    eps = (1 + t) * d[n] - t
-    sub = [(1 + t) * d[0] - (k - 1) * t, (1 + t) * d[1]]
-    for j in range(2, n):
-        sub.append((1 + t) * d[j] - t)
+    p, q = t.numerator, t.denominator
+    # entry j of the seed is (1 + t) d_j - shift_j t, with t = p/q
+    shifts = (k - 1, 0) + (1,) * (n - 1)
+    *sub, eps = (
+        Fraction((q + p) * x.numerator - sh * p * x.denominator, q * x.denominator)
+        for x, sh in zip(d, shifts)
+    )
     base = _build(g, tuple(sub), shrink)
     seed = SeedNode(
         base, eps, tuple(sub) + (eps,),
@@ -432,25 +430,19 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
     nodes: list[PlanNode] = [seed]
     state = _seed_state(g, seed.vector, amb)
 
-    z1 = amb.basis_class("F") - amb.basis_class(f"E{n}")
+    z1 = amb.cls(F=1, **{f"E{n}": -1})
     nodes.append(InflateNode(z1.coeffs, str(z1), t))
     state = _step(state, z1, t)
 
     for el in range(2, k):
-        z_diag = (
-            amb.basis_class("F")
-            - amb.basis_class(f"E{2 * el - 1}")
-            - amb.basis_class(f"E{2 * el}")
-        )
-        z_down = amb.basis_class(f"E{2 * el}")
+        z_diag = amb.cls(F=1, **{f"E{2 * el - 1}": -1, f"E{2 * el}": -1})
+        z_down = amb.cls(**{f"E{2 * el}": 1})
         substeps, state = _zigzag_substeps(state, z_diag, z_down, t)
         nodes.append(
             ZigZagNode(z_diag.coeffs, z_down.coeffs, f"E{2 * el - 1}/E{2 * el}", t, substeps)
         )
 
-    zb = amb.basis_class("B")
-    for el in range(1, k):
-        zb = zb - amb.basis_class(f"E{2 * el}")
+    zb = amb.cls(B=1, **{f"E{j}": -1 for j in range(2, n, 2)})
     nodes.append(InflateNode(zb.coeffs, str(zb), t))
     return InflationPlan(g, n, d, tuple(nodes))
 

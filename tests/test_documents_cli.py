@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, cp2_13_cusp
 from sympdiv import documents
@@ -830,3 +834,63 @@ def test_cli_malformed_ambient_exits_2(ambient, message, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+# -- the rational reader against Fraction(str) ----------------------------------
+
+
+@st.composite
+def rational_strings(draw):
+    """Strings near the forms frac_str writes: signs, surrounding whitespace,
+    `_` separators, decimals and exponents, zero denominators, signed
+    denominators, non-ASCII digits, runs past the int digit limit, and junk."""
+    if draw(st.booleans()):
+        return draw(st.text("0123456789-+/._eE \t\n\u0663\U0001d7d9\u00b2\u2212x", max_size=12))
+    long = draw(st.booleans())
+
+    def digits():
+        if long and draw(st.booleans()):
+            return draw(st.sampled_from("19")) * draw(st.integers(4295, 4305))
+        return draw(st.sampled_from(("0", "00", "3", "12", "007", "1_000", "\u0663",
+                                     "2\U0001d7d9", "1.5", "5e0", "1E-2", ".5", "")))
+
+    s = draw(st.sampled_from(("", "-", "+", "\u2212"))) + digits()
+    if draw(st.booleans()):
+        s += "/" + draw(st.sampled_from(("", "-", "+"))) + digits()
+    pad = draw(st.sampled_from(("", " ", "\t", "\n ", "\u2003")))
+    return pad + s + draw(st.sampled_from(("", pad)))
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_strings())
+@example("3/-4")
+@example("-7/0")
+@example("1/00")
+@example(" -12/8 ")
+@example("1/5e0")
+@example("1" * 4300)
+@example("-" + "1" * 4301)
+@example("3/" + "7" * 4301)
+@example("1" * 4301 + "/" + "7" * 4302)
+def test_rational_reader_matches_fraction(s):
+    """parse_fraction and --target read what Fraction(s) reads and refuse,
+    with its message, exactly what it refuses."""
+    inflate = ["inflate", "--g", "1", f"--target={s}"]
+    try:
+        want = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(DocumentError) as got:
+            documents.parse_fraction(s)
+        assert str(got.value) == f"malformed rational {s!r}: {exc}"
+        assert _cli(inflate) == (2, "", f"input error: malformed --target entry {s!r}: {exc}\n")
+        return
+    got = documents.parse_fraction(s)
+    assert type(got) is Fraction and got == want
+    assert _cli(inflate) == _cli(["inflate", "--g", "1", f"--target={want}"])

@@ -5,7 +5,9 @@ replay as they were written on Fraction area vectors.  On random planner
 targets and on tampered copies of their plans, `verify_plan` must return the
 same checks (name, passed, detail) or raise the same error, and every kernel
 step taken on the way must end in the integer form of the area vector the
-Fraction step gives."""
+Fraction step gives.  `ref_in_region` and `ref_region_slack` are copies of
+the region tests as they were written on Fraction entries; the integer
+region tests must agree with them, on each boundary too."""
 
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from sympdiv.inflation import (
     inflate_step,
     plan_ambient,
     plan_kahler,
+    region_slack,
     state_from_vector,
     verify_plan,
 )
@@ -200,8 +203,9 @@ def targets(draw):
                          max_denominator=60)
     d = sorted((draw(entry) for _ in range(n)), reverse=True)
     margin = draw(st.fractions(min_value=Fraction(1, 20), max_value=3, max_denominator=20))
-    # inside P_g: d_B > g when n = 0, else 2 - 2g + 2 d_B - sum(d) > 0
-    return NormalizedVector(g, ((sum(d) + 2 * g - 2) / 2 + margin + (n == 0), *d))
+    # inside P_g: d_B > g when n = 0, else 2 - 2g + 2 d_B - sum(d) > 0; the
+    # halving is exact, since sum([]) is the int 0
+    return NormalizedVector(g, (Fraction(sum(d) + 2 * g - 2, 2) + margin + (n == 0), *d))
 
 
 def _levels(plan):
@@ -286,3 +290,130 @@ def test_zigzag_search_ends_where_its_count_replays():
     for _ in range(substeps):
         cur = inflate_step(inflate_step(cur, zd, total / substeps), ze, total / substeps)
     assert end == (amb, *cur.integer_form)
+
+
+# -- the region tests, as they were ------------------------------------------------
+
+
+def ref_in_region(v: NormalizedVector, variant: str) -> bool:
+    d = v.entries
+    n = v.n
+    db, rest = d[0], d[1:]
+    if variant == "P":
+        if n == 0:
+            return db > 0
+        if n == 1:
+            return 2 * db - rest[0] ** 2 > 0 and rest[0] < 1
+        return (
+            2 * db - sum(x * x for x in rest) > 0
+            and rest[0] + rest[1] < 1
+            and all(rest[i] >= rest[i + 1] for i in range(n - 1))
+        )
+    if variant == "P_g":
+        g = v.g
+        if n == 0:
+            return db > g
+        if n == 1:
+            return 2 - 2 * g + 2 * db - rest[0] > 0 and rest[0] < 1
+        return (
+            2 - 2 * g + 2 * db - sum(rest) > 0
+            and rest[0] + rest[1] < 1
+            and all(rest[i] >= rest[i + 1] for i in range(n - 1))
+        )
+    raise PlanError(f"unknown region variant {variant!r}")
+
+
+def ref_region_slack(v: NormalizedVector) -> Fraction:
+    d = v.entries
+    n = v.n
+    slacks = []
+    if n == 0:
+        slacks.append(d[0] - 1)
+    elif n == 1:
+        slacks.append(2 * d[0] - d[1])
+        slacks.append(1 - d[1])
+    else:
+        slacks.append(2 * d[0] - sum(d[1:]))
+        slacks.append(1 - d[1] - d[2])
+    return min(slacks)
+
+
+@st.composite
+def region_vectors(draw):
+    """Vectors near and on every boundary: entries of small denominators, at
+    most 1/2 or 11/12, so that ties and rest[0] + rest[1] = 1 are common, and
+    d_B on the boundary of the head inequality of P or P_g, of d_B > g, or
+    where both slacks of region_slack are equal, give or take a little."""
+    g = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 20))
+    top = draw(st.sampled_from((Fraction(1, 2), Fraction(11, 12))))
+    entry = st.fractions(min_value=Fraction(1, 12), max_value=top, max_denominator=12)
+    rest = [draw(entry) for _ in range(n)]
+    order = draw(st.sampled_from(("sorted", "ties", "any")))
+    if order != "any":
+        rest.sort(reverse=True)
+    if order == "ties" and n >= 2:
+        i = draw(st.integers(0, n - 2))
+        rest[i + 1] = rest[i]
+    if n >= 2 and draw(st.booleans()):
+        rest[1] = 1 - rest[0]  # on the boundary rest[0] + rest[1] = 1
+    if n == 1 and draw(st.booleans()):
+        rest[0] = Fraction(1)  # on the boundary rest[0] = 1
+    edge = draw(st.sampled_from(("P", "P_g", "slack", "free")))
+    if n == 0:
+        db = {"P": Fraction(g), "P_g": Fraction(g), "slack": Fraction(1)}.get(edge, Fraction(0))
+    elif edge == "P":
+        db = sum(x * x for x in rest) / 2
+    elif edge == "P_g":
+        db = Fraction(sum(rest) - 2 + 2 * g, 2)
+    elif edge == "slack":  # 2 d_B - sum(d) = 1 - d_1 - d_2: both slacks equal
+        db = (sum(rest) + 1 - sum(rest[:2])) / 2
+    else:
+        db = Fraction(0)
+    db += draw(st.sampled_from((0, 0, Fraction(1, 144), -Fraction(1, 144), Fraction(1, 2))))
+    if db <= 0:
+        db = draw(st.sampled_from((Fraction(1, 7), Fraction(5, 2), 3)))
+    return NormalizedVector(g, (db, *rest))
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_vectors())
+def test_integer_regions_match_the_fraction_regions(v):
+    for variant in ("P", "P_g"):
+        assert in_region(v, variant) is ref_in_region(v, variant), variant
+    slack = region_slack(v)
+    assert slack == ref_region_slack(v) and isinstance(slack, Fraction)
+
+
+@pytest.mark.parametrize("v", [
+    NormalizedVector(2, (2,)),  # d_B = g
+    NormalizedVector(1, (Fraction(1, 2), Fraction(1))),  # d_1 = 1
+    NormalizedVector(1, (Fraction(1, 8), Fraction(1, 2))),  # 2 d_B = d_1^2
+    NormalizedVector(3, (Fraction(17, 8), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))),
+    NormalizedVector(1, (3, Fraction(1, 3), Fraction(2, 3))),  # sum 1, out of order
+])
+def test_integer_regions_on_boundaries(v):
+    for variant in ("P", "P_g"):
+        assert in_region(v, variant) is ref_in_region(v, variant)
+    assert region_slack(v) == ref_region_slack(v)
+    with pytest.raises(PlanError, match="unknown region variant"):
+        in_region(v, "Q")
+
+
+# -- exact entries only ------------------------------------------------------------
+
+
+def test_normalized_vectors_refuse_inexact_entries():
+    with pytest.raises(PlanError, match="not exact"):
+        NormalizedVector(1, (1.05,))
+    with pytest.raises(PlanError, match="positive"):
+        NormalizedVector(1, (3, Fraction(-1, 2)))
+    assert NormalizedVector(1, (3, Fraction(1, 2))).entries == (3, Fraction(1, 2))
+
+
+def test_a_float_target_is_not_in_p_g():
+    plan = plan_kahler(NormalizedVector.of(2, ["3", "1/3", "1/4"]))
+    assert all(passed for _, passed, _ in _outcome(verify_plan, plan))
+    floats = replace(plan, target=tuple(float(x) for x in plan.target))
+    checks = verify_plan(floats)
+    assert checks[0].name == "target lies in P_g" and not checks[0].passed
