@@ -24,6 +24,7 @@ from .lattice import (
     adjunction_genus,
     area,
     canonical,
+    cone_violation,
     pair,
     sparse_gram,
 )
@@ -108,14 +109,17 @@ class DivisorConfig:
 
 def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
     """Return the list of violated invariants; empty means valid.  Genus must be
-    adjunction's, w.w > 0; pairings come from config.gram, so validating one
-    instance again only compares.  Callers validate what they make."""
+    adjunction's, w.w > 0, w in the symplectic cone; pairings come from
+    config.gram, so validating it again only compares.  Callers validate what they make."""
     comps = config.components
     if not comps:
         return ["configuration is empty"]
     problems: list[str] = []
     if w is not None and (sq := w.square()) <= 0:
         problems.append(f"area vector has non-positive square {sq}")
+    elif w is not None and (e := cone_violation(w)) is not None:
+        problems.append(f"area vector outside the symplectic cone: exceptional class {e} "
+                        f"has area {area(e, w)}")
     gram, k = config.gram, len(config.gram.square)
     if w is not None and k and w.ambient != config.ambient:
         raise LatticeError("ambient mismatch")

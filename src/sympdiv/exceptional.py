@@ -4,13 +4,15 @@ D-goodness, and normalization of an exceptional class to a basis generator
 by square(-2) reflections.
 
 On a b2+ = 1 ambient an exceptional class is one with e.e = -1 and
-K.e = -1 (plus e.F = 0 over an irrational ruled base).  Enumeration and
-witness search are complete below the area bound alone: on a rational
-ambient with w.w > 0 the least area an exceptional class of degree a can
-have grows with a, so the area bound implies a degree past which there is
-nothing to search, and at degree a every |c_i| is at most isqrt(a^2 + 1).
-The two searches are written apart, and `d_good`, goodness over an
-enumeration, is the reference the witness search is tested against.
+K.e = -1 (plus e.F = 0 over an irrational ruled base).  On a rational
+ambient, enumeration and the witness search run one branch and bound,
+`_search`, which is complete below the area bound alone: with w.w > 0 the
+least area an exceptional class of degree a can have grows with a, so the
+area bound implies a degree past which there is nothing to search, and at
+degree a every |c_i| is at most isqrt(a^2 + 1).  Given the class x of a
+witness search it also cuts on the pairing with x, and it stops at the
+first witness.  `d_good`, goodness over an enumeration, is the reference
+for goodness decided by the witness search.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .lattice import (
     area,
     canonical,
     is_exceptional_class,
+    listed_exceptional,
     pair,
     sw_index,
 )
@@ -81,16 +84,6 @@ def _degree_bound(nums, bd, cap) -> int:
         a += 1
 
 
-def _listed_classes(ambient, nums):
-    """(area numerator, class) of every exceptional class of a kind that lists
-    them.  Over an irrational base, degree over the base is 0 for sphere
-    classes, so the solutions of e.e = K.e = -1, e.F = 0 are E_i and F - E_i."""
-    for i in ambient.exc_indices:  # none on the minimal kinds
-        ei = ambient.basis_class(ambient.names[i])
-        yield nums[i], ei
-        yield nums[ambient.fiber_index] - nums[i], ambient.basis_class(ambient.record.fiber) - ei
-
-
 def enumerate_exceptional(
     ambient: AmbientLattice,
     w: AreaVector,
@@ -114,9 +107,9 @@ def enumerate_exceptional(
     found: list[tuple[int, HomologyClass]] = []  # (area numerator, class)
     nodes = 0
     if ambient.record.searched:
-        nodes = _enumerate_rational(ambient, nums, bd, cap, found)
+        nodes = _search(ambient, nums, bd, cap, None, found.append)
     else:
-        found = [(num, c) for num, c in _listed_classes(ambient, nums)
+        found = [(num, HomologyClass(ambient, c)) for num, c in listed_exceptional(ambient, nums)
                  if 0 < num and num * bd <= cap]
 
     found.sort(key=lambda t: (t[0], t[1].coeffs))
@@ -130,60 +123,6 @@ def enumerate_exceptional(
     )
 
 
-def _enumerate_rational(ambient, nums, bd, cap, out) -> int:
-    """Branch and bound over (a; c_1..c_n) with a^2 + 1 = sum c_i^2 and
-    sum c_i = 1 - 3a, for every degree a below `_degree_bound`.  Areas are
-    the numerators nums over a common den and the bound is cap / (bd * den).
-    A node with area numerator num so far and square budget sq left is cut
-    when no completion can come down to the bound: by Cauchy-Schwarz the
-    slots i.. lower num by at most sqrt(sq * suf[i]), with suf[i] the sum of
-    their nums squared.  The last one or two slots are solved in closed
-    form.  Appends (area numerator, class) pairs to out; returns the nodes
-    visited."""
-    n = ambient.n_exc
-    h_num = nums[0]
-    exc_nums = nums[1:]
-    suf = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suf[i] = suf[i + 1] + exc_nums[i] * exc_nums[i]
-    bd2 = bd * bd
-    nodes = 0
-
-    def rec(i, sq, lin, num, head):
-        nonlocal nodes
-        nodes += 1
-        m = num * bd - cap
-        if m > 0 and m * m > sq * bd2 * suf[i]:
-            return
-        if i >= n - 2:
-            if i == n - 1:
-                tails = [(lin,)] if lin * lin == sq else []
-            else:
-                # c + d = lin and c^2 + d^2 = sq: (c - d)^2 = 2 sq - lin^2, a
-                # square that has lin's parity whenever it is a square
-                t = 2 * sq - lin * lin
-                s = math.isqrt(t) if t >= 0 else 0
-                if s * s != t:
-                    return
-                tails = {((lin - s) // 2, (lin + s) // 2), ((lin + s) // 2, (lin - s) // 2)}
-            for tail in tails:
-                leaf = num + sum(map(operator.mul, tail, exc_nums[i:]))
-                if 0 < leaf and leaf * bd <= cap:
-                    out.append((leaf, HomologyClass(ambient, head + tail)))
-            return
-        r = math.isqrt(sq)
-        for c in range(-r, r + 1):
-            rem_sq = sq - c * c
-            rem_lin = lin - c
-            if rem_lin * rem_lin > (n - i - 1) * rem_sq:
-                continue
-            rec(i + 1, rem_sq, rem_lin, num + c * exc_nums[i], head + (c,))
-
-    for a in range(_degree_bound(nums, bd, cap)):
-        rec(0, a * a + 1, 1 - 3 * a, a * h_num, (a,))
-    return nodes
-
-
 def find_witness(x: HomologyClass, w: AreaVector, area_bound) -> HomologyClass | None:
     """An exceptional class E != x with 0 < area(E) <= area_bound and
     E.x < 0, or None when there is none."""
@@ -194,67 +133,78 @@ def find_witness(x: HomologyClass, w: AreaVector, area_bound) -> HomologyClass |
     bd = area_bound.denominator
     cap = area_bound.numerator * den
     if not amb.record.searched:
-        return next((e for num, e in _listed_classes(amb, nums)
-                     if 0 < num and num * bd <= cap and e != x and pair(e, x) < 0), None)
-    return _rational_witness(x, nums, bd, cap)
+        listed = (HomologyClass(amb, c) for num, c in listed_exceptional(amb, nums)
+                  if 0 < num and num * bd <= cap)
+        return next((e for e in listed if e != x and pair(e, x) < 0), None)
+    found = []  # emit keeps the first leaf E != x and ends the search
+    _search(amb, nums, bd, cap, x, lambda leaf: leaf[1] != x and not found.append(leaf[1]))
+    return found[0] if found else None
 
 
-def _rational_witness(x, nums, bd, cap):
+def _search(ambient, nums, bd, cap, x, emit) -> int:
     """Branch and bound over E = (a; c_1..c_n) with a^2 + 1 = sum c_i^2 and
-    sum c_i = 1 - 3a, as in the enumeration, with a second cut.  E.x < 0
-    reads sum c_i x_i > a x_0; with `need` = a x_0 less the slots fixed so
-    far, the slots i.. add at most sqrt(sq * xsuf[i]) (Cauchy-Schwarz, sq
-    the square budget left, xsuf[i] the sum of x_j^2 over them), so a node
-    with need >= 0 and need^2 >= sq * xsuf[i] has no witness below it."""
-    amb = x.ambient
-    n = amb.n_exc
+    sum c_i = 1 - 3a, for every degree a below `_degree_bound`.  Areas are
+    the numerators nums over a common den and the bound is cap / (bd * den).
+    A node with area numerator num so far and square budget sq left is cut
+    when no completion can come down to the bound: by Cauchy-Schwarz the
+    slots i.. lower num by at most sqrt(sq * suf[i]), with suf[i] the sum of
+    their nums squared.  Given a class x, E.x < 0 reads sum c_i x_i > a x_0;
+    with `need` = a x_0 less the slots fixed so far, the slots i.. add at
+    most sqrt(sq * xsuf[i]), so a node with need >= 0 and need^2 >= sq *
+    xsuf[i] is cut too.  Without x, need is -1 over a zero vector, so that
+    cut never fires.  The last one or two slots are solved in closed form,
+    (lo, hi) before (hi, lo).  Each leaf goes to emit((area numerator,
+    class)); a true return ends the search.  Returns the nodes visited."""
+    n = ambient.n_exc
     h_num, exc_nums = nums[0], nums[1:]
-    x0, xs = x.coeffs[0], x.coeffs[1:]
+    x0, xs, need0 = (0, (0,) * n, -1) if x is None else (x.coeffs[0], x.coeffs[1:], 0)
     suf, xsuf = [0] * (n + 1), [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suf[i] = suf[i + 1] + exc_nums[i] * exc_nums[i]
         xsuf[i] = xsuf[i + 1] + xs[i] * xs[i]
     bd2 = bd * bd
+    nodes = 0
 
     def rec(i, sq, lin, num, need, head):
+        nonlocal nodes
+        nodes += 1
         m = num * bd - cap
         if m > 0 and m * m > sq * bd2 * suf[i]:
-            return None
+            return False
         if need >= 0 and need * need >= sq * xsuf[i]:
-            return None
+            return False
         if i >= n - 2:
             if i == n - 1:
                 tails = [(lin,)] if lin * lin == sq else []
             else:
+                # c + d = lin and c^2 + d^2 = sq: (c - d)^2 = 2 sq - lin^2, a
+                # square that has lin's parity whenever it is a square
                 t = 2 * sq - lin * lin
                 s = math.isqrt(t) if t >= 0 else 0
                 if s * s != t:
-                    return None
-                tails = [((lin - s) // 2, (lin + s) // 2), ((lin + s) // 2, (lin - s) // 2)]
+                    return False
+                lo, hi = (lin - s) // 2, (lin + s) // 2
+                tails = [(lo, hi), (hi, lo)] if s else [(lo, hi)]
             for tail in tails:
                 leaf = num + sum(map(operator.mul, tail, exc_nums[i:]))
                 if (0 < leaf and leaf * bd <= cap
-                        and sum(map(operator.mul, tail, xs[i:])) > need):
-                    e = HomologyClass(amb, head + tail)
-                    if e != x:
-                        return e
-            return None
-        r = math.isqrt(sq)
+                        and sum(map(operator.mul, tail, xs[i:])) > need
+                        and emit((leaf, HomologyClass(ambient, head + tail)))):
+                    return True
+            return False
+        r, left, wi, xi = math.isqrt(sq), n - i - 1, exc_nums[i], xs[i]
         for c in range(-r, r + 1):
             rem_sq, rem_lin = sq - c * c, lin - c
-            if rem_lin * rem_lin > (n - i - 1) * rem_sq:
+            if rem_lin * rem_lin > left * rem_sq:
                 continue
-            found = rec(i + 1, rem_sq, rem_lin, num + c * exc_nums[i], need - c * xs[i],
-                        head + (c,))
-            if found is not None:
-                return found
-        return None
+            if rec(i + 1, rem_sq, rem_lin, num + c * wi, need - c * xi, head + (c,)):
+                return True
+        return False
 
     for a in range(_degree_bound(nums, bd, cap)):
-        found = rec(0, a * a + 1, 1 - 3 * a, a * h_num, a * x0, (a,))
-        if found is not None:
-            return found
-    return None
+        if rec(0, a * a + 1, 1 - 3 * a, a * h_num, a * x0 + need0, (a,)):
+            break
+    return nodes
 
 
 def minimal_area(es: ExceptionalSet) -> list[HomologyClass]:

@@ -6,7 +6,8 @@ ruled_twisted (the twisted bundle over Sigma_g).  What a kind is sits in
 its `KindRecord` in `KINDS`, one table that every module reads instead of
 branching on the kind: its basis head, form and canonical class, what a
 document carries, the kinds a blowup and a last blowdown land in, its fiber
-generator and how its exceptional classes are found.
+generator and how its exceptional classes are found.  Beside it,
+`cone_violation` tells whether an area vector lies in the symplectic cone.
 
 Each form is a head block on the first `exc_start` generators and -1 on
 every exceptional generator after them, and each K is a head and +1 on every
@@ -108,6 +109,48 @@ def _head_terms(rec: KindRecord) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 _HEAD_TERMS = {kind: _head_terms(rec) for kind, rec in KINDS.items()}
+
+
+def listed_exceptional(amb: AmbientLattice, nums):
+    """(area numerator, coefficients) of every exceptional class of a kind that
+    lists them, on an integer form nums.  Over an irrational base, degree over
+    the base is 0 for sphere classes, so the solutions of e.e = K.e = -1,
+    e.F = 0 are E_i and F - E_i."""
+    f = amb.fiber_index
+    for i in amb.exc_indices:  # none on the minimal kinds
+        e = [int(j == i) for j in range(amb.dim)]
+        yield nums[i], tuple(e)
+        e[i], e[f] = -1, 1
+        yield nums[f] - nums[i], tuple(e)
+
+
+def cone_violation(w: AreaVector) -> HomologyClass | None:
+    """An exceptional class of non-positive area under w, or None: for w.w > 0,
+    None puts w in the symplectic cone.  Kinds that list their exceptional
+    classes check the list.  CP2#n is Cremona-reduced on the integer form
+    (Li-Li; Karshon-Kessler), each slot holding the class whose area it
+    carries: sort the E-slots downward and, while w_H < w_1 + w_2 + w_3,
+    reflect in H - E_1 - E_2 - E_3, which lowers w_H.  w is in the cone
+    exactly when no E-slot goes <= 0 (nor, at n = 2, H - E_1 - E_2)."""
+    amb, nums, dim = w.ambient, w.integer_form[0], w.ambient.dim
+    if not amb.record.searched:
+        return next((HomologyClass(amb, e) for num, e in listed_exceptional(amb, nums)
+                     if num <= 0), None)
+    h = (nums[0], (1,) + (0,) * (dim - 1))
+    exc = [(nums[i], (0,) * i + (1,) + (0,) * (dim - 1 - i)) for i in amb.exc_indices]
+    while True:
+        exc.sort(key=operator.itemgetter(0), reverse=True)  # stable: ties keep their order
+        if exc and exc[-1][0] <= 0:
+            return HomologyClass(amb, exc[-1][1])
+        top = exc[:3]
+        d = h[0] - sum(a for a, _ in top)  # the area of c = H - E_1 - E_2 (- E_3)
+        if len(top) < 2 or d > 0 or d == 0 and len(top) == 3:  # reduced, or n <= 1
+            return None
+        c = tuple(x - sum(v) for x, *v in zip(h[1], *(v for _, v in top)))
+        if len(top) == 2:  # at n = 2, c is exceptional
+            return HomologyClass(amb, c)
+        h = (h[0] + d, tuple(map(operator.add, h[1], c)))
+        exc[:3] = [(a + d, tuple(map(operator.add, v, c))) for a, v in top]
 
 
 @dataclass(frozen=True)

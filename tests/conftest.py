@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import math
+import operator
 import random
 import sys
+from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from sympdiv.divisor import DivisorConfig, adjoint_area, validate
+from sympdiv.exceptional import EnumerationError
 from sympdiv.lattice import AmbientLattice, AreaVector, LatticeMap, pairings
 from sympdiv.moves import (
     ExteriorBlowup,
@@ -286,3 +291,71 @@ def preserves_form(t: LatticeMap) -> bool:
     basis = [t.ambient.basis_class(name) for name in t.ambient.names]
     images = [t.apply(b) for b in basis]
     return pairings(images, images) == pairings(basis, basis)
+
+
+# -- exceptional classes of CP2#n, independently of the search ------------------------
+
+
+def weyl_orbit(seed):
+    """The orbit of seed under the reflections in Ei - Ej and H - Ei - Ej - Ek,
+    by breadth-first search.  For n <= 8 the orbit of E1 is every exceptional
+    class of CP2#n but at n = 2, where H - E1 - E2 is an orbit of its own
+    (Manin, Cubic Forms)."""
+    amb = seed.ambient
+    h = amb.basis_class("H")
+    e = [amb.basis_class(name) for name in amb.names[1:]]
+    roots = [a - b for a, b in combinations(e, 2)]
+    roots += [h - a - b - c for a, b, c in combinations(e, 3)]
+    reflections = [LatticeMap.reflection(r) for r in roots]
+    orbit, queue = {seed}, deque([seed])
+    while queue:
+        x = queue.popleft()
+        for t in reflections:
+            y = t.apply(x)
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return orbit
+
+
+def leaf_test_search(ambient, nums, bd, cap, out):
+    """The exceptional-class search of CP2#n as it was before it cut on area
+    at every node, an oracle sharing no code with `exceptional`'s search: it
+    prunes on the square and linear budgets only, prices each class at its
+    leaf and appends (area numerator, coefficients) to out."""
+    n = ambient.n_exc
+    h_num = nums[0]
+    exc_nums = nums[1:]
+    sq_num = sum(v * v for v in exc_nums)
+
+    if h_num * h_num <= sq_num:
+        raise EnumerationError("area vector has non-positive square")
+
+    a = 0
+    while True:
+        margin = a * h_num * bd - cap
+        if margin > 0 and margin * margin > (a * a + 1) * sq_num * bd * bd:
+            break
+        vec = [0] * n
+        deg_num = a * h_num
+
+        def rec(i, sq, lin):
+            if i == n:
+                if sq == 0 and lin == 0:
+                    num = deg_num + sum(map(operator.mul, vec, exc_nums))
+                    if 0 < num and num * bd <= cap:
+                        out.append((num, (a,) + tuple(vec)))
+                return
+            slots = n - i
+            r = math.isqrt(sq)
+            for c in range(-r, r + 1):
+                rem_sq = sq - c * c
+                rem_lin = lin - c
+                if rem_lin * rem_lin > (slots - 1) * rem_sq if slots > 1 else (rem_sq or rem_lin):
+                    continue
+                vec[i] = c
+                rec(i + 1, rem_sq, rem_lin)
+            vec[i] = 0
+
+        rec(0, a * a + 1, 1 - 3 * a)
+        a += 1

@@ -5,7 +5,9 @@
   enumeration and `certify_affine_ruled` made to raise, it still accepts
   every fixture's certificate.
 * Its one search, `exceptional.find_witness`, bounded by area alone, gives
-  the verdict of `enumerate_exceptional` followed by the pairing test.
+  the verdict of an oracle that shares no code with it, the leaf-test search
+  of `conftest` followed by the pairing test, and the witness it names is
+  pinned.
   Certify decides goodness by the same search, and on every goodness call it
   makes the checks equal those of `d_good` over an enumeration.
 * It accepts what `certify` emits on every fixture and on the inputs of the
@@ -36,7 +38,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, leaf_test_search
 from sympdiv import checker, cli, cusp, exceptional, reduction
 from sympdiv.checks import all_passed, failures
 from sympdiv.exceptional import d_good, enumerate_exceptional
@@ -107,12 +109,18 @@ def test_check_runs_no_producer_search(name, doc, monkeypatch, tmp_path):
     assert _check_exit(doc, tmp_path) == 0
 
 
-# -- (b) the witness search against the enumeration --------------------------------
+# -- (b) the witness search against an independent oracle --------------------------
 
 
-def _enumerated_witnesses(x, w, bound):
-    es = enumerate_exceptional(x.ambient, w, area_bound=bound)
-    return [e for e in es.classes if e != x and pair(e, x) < 0]
+def _oracle_witnesses(x, w, bound):
+    """The witnesses for x by the leaf-test search, which shares no code with
+    find_witness: every exceptional E != x with 0 < area(E) <= bound and
+    E.x < 0."""
+    nums, den = w.integer_form
+    found = []
+    leaf_test_search(x.ambient, nums, bound.denominator, bound.numerator * den, found)
+    classes = (HomologyClass(x.ambient, coeffs) for _, coeffs in found)
+    return [e for e in classes if e != x and pair(e, x) < 0]
 
 
 @st.composite
@@ -150,22 +158,40 @@ def _case(values, x, bound):
 @example(_case([1, "1/3", "1/4", "1/5"], [0, -1, 0, 0], "1/4"))
 # x itself exceptional: E.x = -1 for E = x, which is never a witness
 @example(_case([1, "1/3", "1/4", "1/5"], [0, 1, 0, 0], "1/3"))
-def test_witness_search_matches_the_enumeration(case):
+def test_witness_search_matches_the_leaf_test_oracle(case):
     x, w, bound = case
-    witnesses = _enumerated_witnesses(x, w, bound)
+    witnesses = _oracle_witnesses(x, w, bound)
     found = exceptional.find_witness(x, w, bound)
     assert (found is not None) == bool(witnesses)
     if found is not None:
         assert found in witnesses
 
 
+# the witness each search names: the first in search order, the last two
+# slots taken (lo, hi) before (hi, lo).  On the first case E2 is a witness
+# too; on the last, 3H - E1 - ... - E6 - 2E7 is, and a set of the two tails
+# yields (-1, -2) before (-2, -1)
+@pytest.mark.parametrize("case,named", [
+    (_case([1, "1/30", "1/5", "1/5"], [1, -1, 1, 1], "2/3"), "E3"),
+    (_case([1, "1/4", "1/4"], [-1, 0, 0], "1/2"), "H-E1-E2"),
+    (_case([1] + ["1/5"] * 5 + ["1/4", "1/4"], [-1] + [0] * 7, "1/2"), "H-E6-E7"),
+    (_case([1] + ["7/20"] * 7, [2, 0, 0, 0, 0, 0, -3, -3], "1/5"), "3H-E1-E2-E3-E4-E5-2E6-E7"),
+], ids=["cp2_3", "cp2_2", "cp2_7", "cp2_7_cubic"])
+def test_the_named_witness_is_pinned(case, named):
+    x, w, bound = case
+    assert str(exceptional.find_witness(x, w, bound)) == named
+
+
 def test_witness_search_on_ruled_and_minimal_ambients():
     amb = AmbientLattice.ruled_trivial(2, 2)
     w = AreaVector.from_values(amb, [5, 1, Fraction(1, 3), Fraction(1, 4)])
     x = amb.cls(F=1, E1=-1, E2=-1)
-    for bound in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)):
-        found = exceptional.find_witness(x, w, bound)
-        assert (found is not None) == bool(_enumerated_witnesses(x, w, bound))
+    # the exceptional classes are E1, E2, F - E1 and F - E2, of areas 1/3,
+    # 1/4, 2/3 and 3/4; F - E1 and F - E2 pair to -1 with x, E1 and E2 to 1
+    first = amb.cls(F=1, E1=-1)
+    for bound, witness in ((Fraction(1, 4), None), (Fraction(1, 3), None),
+                           (Fraction(2, 3), first), (Fraction(3, 4), first)):
+        assert exceptional.find_witness(x, w, bound) == witness
     pp = AmbientLattice.projective_plane()
     assert exceptional.find_witness(pp.cls(H=1), AreaVector.from_values(pp, [1]), Fraction(5)) \
         is None

@@ -2,50 +2,30 @@
 work pinned in nodes visited.
 
 * For n <= 8 the exceptional classes are the Weyl orbit of E1 (Manin, Cubic
-  Forms), generated here by breadth-first search over the reflections in
-  Ei - Ej and H - Ei - Ej - Ek.
+  Forms), generated by breadth-first search over the reflections in
+  Ei - Ej and H - Ei - Ej - Ek (`conftest.weyl_orbit`).
 * For n = 7..10 the search is compared with a copy of the search as it was
-  before it cut on area at every node, which tests the area at the leaves only.
+  before it cut on area at every node, which tests the area at the leaves
+  only (`conftest.leaf_test_search`).
 * Node counts are deterministic, so they are pinned; seconds never are.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
-from collections import deque
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, leaf_test_search, weyl_orbit
 from sympdiv import cli
-from sympdiv.exceptional import EnumerationError, enumerate_exceptional
-from sympdiv.lattice import AmbientLattice, AreaVector, LatticeMap, area
+from sympdiv.exceptional import enumerate_exceptional
+from sympdiv.lattice import AmbientLattice, AreaVector, area
 
 # -- the Weyl orbit oracle -------------------------------------------------------
-
-
-def weyl_orbit(seed):
-    amb = seed.ambient
-    h = amb.basis_class("H")
-    e = [amb.basis_class(name) for name in amb.names[1:]]
-    roots = [a - b for a, b in combinations(e, 2)]
-    roots += [h - a - b - c for a, b, c in combinations(e, 3)]
-    reflections = [LatticeMap.reflection(r) for r in roots]
-    orbit, queue = {seed}, deque([seed])
-    while queue:
-        x = queue.popleft()
-        for t in reflections:
-            y = t.apply(x)
-            if y not in orbit:
-                orbit.add(y)
-                queue.append(y)
-    return orbit
 
 
 EXCEPTIONAL_COUNTS = (1, 3, 6, 10, 16, 27, 56, 240)  # CP2#1 .. CP2#8
@@ -68,47 +48,6 @@ def test_exceptional_classes_are_the_weyl_orbit(n):
 
 
 # -- the leaf-test search as an oracle -----------------------------------------------
-
-
-def leaf_test_search(ambient, nums, bd, cap, out):
-    """The search before it cut on area at every node: it prunes on the
-    square and linear budgets only and prices each class at its leaf."""
-    n = ambient.n_exc
-    h_num = nums[0]
-    exc_nums = nums[1:]
-    sq_num = sum(v * v for v in exc_nums)
-
-    if h_num * h_num <= sq_num:
-        raise EnumerationError("area vector has non-positive square")
-
-    a = 0
-    while True:
-        margin = a * h_num * bd - cap
-        if margin > 0 and margin * margin > (a * a + 1) * sq_num * bd * bd:
-            break
-        vec = [0] * n
-        deg_num = a * h_num
-
-        def rec(i, sq, lin):
-            if i == n:
-                if sq == 0 and lin == 0:
-                    num = deg_num + sum(map(operator.mul, vec, exc_nums))
-                    if 0 < num and num * bd <= cap:
-                        out.append((num, (a,) + tuple(vec)))
-                return
-            slots = n - i
-            r = math.isqrt(sq)
-            for c in range(-r, r + 1):
-                rem_sq = sq - c * c
-                rem_lin = lin - c
-                if rem_lin * rem_lin > (slots - 1) * rem_sq if slots > 1 else (rem_sq or rem_lin):
-                    continue
-                vec[i] = c
-                rec(i + 1, rem_sq, rem_lin)
-            vec[i] = 0
-
-        rec(0, a * a + 1, 1 - 3 * a)
-        a += 1
 
 
 @st.composite
@@ -202,6 +141,10 @@ FIXTURE_NODES = {
     "bad_area_square.json": ((0, 0), (0, 0)),
     "bad_edge_count.json": ((0, 0), (0, 0)),
     "bad_rational.json": ((0, 0), (0, 0)),
+    # outside the symplectic cone: refused by validate, before any search
+    "cone_cp2_2.json": ((0, 0), (0, 0)),
+    "cone_cp2_3.json": ((0, 0), (0, 0)),
+    "cone_ruled_trivial.json": ((0, 0), (0, 0)),
     "conic_cremona_cp2_6.json": ((5, 80), (5, 80)),
     "cp2_13_cusp.json": ((10, 140), (10, 140)),
     "cp2_conic.json": ((0, 0), (0, 0)),

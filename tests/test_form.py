@@ -508,12 +508,14 @@ def test_validate_counts_edges_by_id_when_ids_repeat():
 
 
 def test_validate_area_sign_at_zero():
-    # H - E1 - E2 has area exactly 0 on H = 1, E1 = E2 = 1/2: reported as
-    # non-positive, while E1 of area 1/2 is not
-    amb = AmbientLattice.rational_blowup(2)
-    w = AreaVector.from_values(amb, [1, Fraction(1, 2), Fraction(1, 2)])
-    cfg = DivisorConfig.build(amb, [("A", amb.cls(E1=1)), ("L", amb.cls(H=1, E1=-1, E2=-1))],
-                              [("A", "L")])
+    # H - E1 - E2 - E3 has area exactly 0 on H = 1, E1 = 1/2, E2 = E3 = 1/4:
+    # reported as non-positive, while E1 of area 1/2 is not.  H - E1 - E2 - E3
+    # is no exceptional class and w is Cremona-reduced, so it lies in the
+    # symplectic cone and validate reports nothing more
+    amb = AmbientLattice.rational_blowup(3)
+    w = AreaVector.from_values(amb, [1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+    cfg = DivisorConfig.build(amb, [("A", amb.cls(E1=1)),
+                                    ("L", amb.cls(H=1, E1=-1, E2=-1, E3=-1))], [("A", "L")])
     assert validate(cfg, w) == reference_validate(cfg, w) == ["component L: non-positive area 0"]
 
 
