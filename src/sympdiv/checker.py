@@ -6,9 +6,9 @@ exceptional classes.  From the recorded decisions alone it
   - validates the input and its adjoint-area hypothesis;
   - carries the input's areas down through the recorded contractions,
     checking each: the classes of its reflection word have square -2 and
-    are orthogonal to K, the contracted class e has e.e = K.e = -1 and
-    positive area, and the word takes e to the generator it drops (or e is
-    the class of a bridge);
+    are orthogonal to K, the contracted class e is exceptional (in the
+    Cremona orbit on CP2#n, n >= 3) of positive area, and the word takes e
+    to the generator it drops (or e is the class of a bridge);
   - replays the recorded blowups upward from the recorded terminal,
     validating every configuration the replay makes; they must reproduce
     every pre-configuration and finally the input, with the hypothesis on
@@ -18,13 +18,16 @@ exceptional classes.  From the recorded decisions alone it
     represented by an embedded sphere has none (positivity of
     intersections), and this search stands in for re-running the
     reduction's selection rules;
-  - rebuilds the route with certify's own `cusp.terminal_route` from the
-    recorded chain labeling, its one free choice: the cusp fixes the
-    resolution and the combination, which are recomputed, not read; goodness
-    of the resolution class is decided by certify's `goodness_search` at
-    the recorded area bound;
-  - assembles the certificate as certify does, serializes it and requires
-    the document given, canonically.
+  - hands this replay, as the reduction, to certify's own driver
+    `cusp.build_certificate`, with the recorded chain labeling, the route's
+    one free choice: the cusp fixes the resolution and the combination,
+    which are recomputed, not read; goodness of the resolution class is
+    decided by certify's `goodness_search` at the recorded area bound;
+  - serializes the certificate the driver builds and requires the document
+    given, canonically.
+
+The recorded traces must walk `reduction.NEXT_STAGE`, the stage order
+certify walks.
 """
 
 from __future__ import annotations
@@ -33,33 +36,13 @@ from dataclasses import replace
 
 from . import documents
 from .checks import Check
-from .cusp import (
-    CertifyError,
-    CuspError,
-    assemble_certificate,
-    comb_route,
-    goodness_search,
-    terminal_route,
-)
-from .divisor import DivisorError, adjoint_area, check_hypothesis, require_valid, validate
+from .cusp import CertifyError, CuspError, adjoint_check, build_certificate
+from .divisor import DivisorError, check_hypothesis, require_valid, validate
 from .documents import DocumentError
 from .exceptional import EnumerationError, find_witness
 from .lattice import AreaVector, LatticeError, area, canonical, is_exceptional_class, pair
 from .moves import BlowdownStep, MoveError, replay_blowdown
-from .reduction import ReductionTrace, TraceStep, step_checks
-
-# (stage, terminal) of a trace -> the stage certify runs after it: the
-# stages after quasi-minimality must follow, a small-b2 trace is recorded
-# only when it contracts something, and None ends the reduction
-_NEXT_STAGE = {
-    ("quasi_minimal", "QuasiMinimalFirstKind"): "partially_minimal",
-    ("quasi_minimal", "QuasiMinimalSecondKind"): "second_kind",
-    ("quasi_minimal", "SmallB2"): "small_b2",
-    ("partially_minimal", "QuasiMinimalFirstKind"): None,
-    ("partially_minimal", "SmallB2"): "small_b2",
-    ("second_kind", "SmallB2"): "small_b2",
-    ("small_b2", "SmallB2"): None,
-}
+from .reduction import NEXT_STAGE, ReductionTrace, TraceStep, step_checks
 
 # what a document that does not replay raises inside the library
 _REPLAY_ERRORS = (CertifyError, CuspError, DivisorError, EnumerationError, LatticeError, MoveError)
@@ -115,29 +98,10 @@ def _check(doc: dict, out: list[Check]) -> None:
     area_bound = documents.doc_bounds(doc)
     problems = validate(config, w)
     _need(out, Check("input is valid", not problems, "; ".join(problems)))
-    hyp = adjoint_area(config, w)
-    hypothesis = Check("adjoint area negative", hyp < 0, str(hyp))
+    hypothesis = adjoint_check(config, w)
     _need(out, hypothesis)
-
-    goodness = goodness_search(area_bound)
-    if config.ambient.is_ruled:
-        traces, term, wt = [], config, w
-        route = comb_route(config, w, goodness)
-    else:
-        traces, term, wt = _replay_traces(doc, config, w, out)
-        cusp = _get(doc, "cusp", dict, "certificate")
-        chain, k = _get(cusp, "chain", list, "cusp"), _get(cusp, "k", int, "cusp")
-        route = terminal_route(term, wt, traces[-1].terminal == "SmallB2", goodness,
-                               lambda _: [(chain, k)] if k else [])
-
-    trace_checks = []
-    cur = config
-    for tr in traces:
-        for i, ts in enumerate(tr.steps):
-            trace_checks.extend(step_checks(tr.stage, i, ts, ts.blowdown.pre_config == cur, True))
-            cur = ts.blowdown.config
-    cert = assemble_certificate(config, w, hypothesis, traces, trace_checks, term, wt, route,
-                                area_bound)
+    cert = build_certificate(config, w, hypothesis, area_bound,
+                             lambda cfg, cw: _replay_traces(doc, cfg, cw, out))
     out.extend(cert.all_checks()[1:])  # the hypothesis is already in
     rebuilt = documents.certificate_to_doc(cert)
     same = documents.canonical_json(rebuilt) == documents.canonical_json(doc)
@@ -153,19 +117,21 @@ def _check(doc: dict, out: list[Check]) -> None:
 
 
 def _replay_traces(doc, config, w, out):
-    """The traces rebuilt by replay, with the terminal configuration and
-    its areas.  Areas go down from the input, configurations up from the
-    terminal; the stage and terminal labels must come in the order certify
-    runs the stages, and are not otherwise re-derived."""
+    """The reduction of build_certificate, by replay: the traces, their
+    checks, the terminal configuration with its areas, and the chain
+    labeling the document records.  Areas go down from the input,
+    configurations up from the terminal, so the traces chain and replay by
+    construction; the stage and terminal labels must walk NEXT_STAGE, and
+    are not otherwise re-derived."""
     recorded = []  # (stage, terminal, [(contraction, move, sphere, pre areas, post areas)])
     amb, cur_w, expected = config.ambient, w, "quasi_minimal"
     for t, tr in enumerate(_get(doc, "traces", list, "certificate")):
         where = f"traces[{t}]"
         stage, terminal = _get(tr, "stage", str, where), _get(tr, "terminal", str, where)
-        if stage != expected or (stage, terminal) not in _NEXT_STAGE:
+        if stage != expected or (stage, terminal) not in NEXT_STAGE:
             raise DocumentError(f"{where}: a {stage!r} trace ending in {terminal!r} where "
                                 f"certify runs {expected!r}")
-        expected = _NEXT_STAGE[stage, terminal]
+        expected = NEXT_STAGE[stage, terminal]
         if stage == "small_b2" and not tr.get("steps"):
             raise DocumentError(f"{where}: a small_b2 trace without steps")
         steps = []
@@ -210,7 +176,10 @@ def _replay_traces(doc, config, w, out):
         detail = (f"{witness} pairs negatively with {e} within its area" if witness
                   else f"no other exceptional class within area({e}) pairs negatively with it")
         _need(out, Check(f"{stage}[{i}] has no witness", witness is None, detail))
-    return traces, term, wt
+    cusp = _get(doc, "cusp", dict, "certificate")
+    chain, k = _get(cusp, "chain", list, "cusp"), _get(cusp, "k", int, "cusp")
+    checks = [c for stage, i, ts in steps for c in step_checks(stage, i, ts, True, True)]
+    return traces, checks, term, wt, lambda _: [(chain, k)] if k else []
 
 
 def _contraction_check(name: str, con, w: AreaVector) -> Check:

@@ -10,10 +10,11 @@ that point yields a square-zero class checked against the total transform.
 certify_affine_ruled is the one entry point: it reduces a rational pair to
 a terminal model (a ruled comb is its own), takes the route that model
 allows and transports the cusp back to the input.  Every route returns one
-`Route` record and decides goodness by `goodness_search`.  The checker's
-replay builds the rational route with certify's `terminal_route`, on the
-chain labeling the certificate records, and both build the certificate with
-`assemble_certificate`.
+`Route` record and decides goodness by `goodness_search`.  One driver,
+`build_certificate`, builds the certificate for certify and for the
+checker; they differ only in the reduction handed to it, which certify
+runs by search along `reduction.NEXT_STAGE` and the checker by replaying
+the document, with the chain labeling it records.
 Resolution blowups record the `Contraction` undoing each; total transforms
 are read off those records, whatever the ambient kind.
 """
@@ -54,6 +55,7 @@ from .moves import (
 )
 from .reduction import (
     MINIMAL_AMBIENTS,
+    NEXT_STAGE,
     ReductionError,
     ReductionTrace,
     classify_minimal_model,
@@ -498,47 +500,35 @@ def certify_affine_ruled(
     problems = validate(config, w)
     if problems:
         raise CertifyError("validate", "; ".join(problems))
-    hyp_val = adjoint_area(config, w)
-    hypothesis = Check("adjoint area negative", hyp_val < 0, str(hyp_val))
+    hypothesis = adjoint_check(config, w)
     if not hypothesis.passed:
-        raise CertifyError("hypothesis", f"area(K + [D]) = {hyp_val} is not negative")
+        raise CertifyError("hypothesis", f"area(K + [D]) = {hypothesis.detail} is not negative")
+    return build_certificate(config, w, hypothesis, area_bound, _reduce)
 
+
+def adjoint_check(config: DivisorConfig, w: AreaVector) -> Check:
+    """The hypothesis: the adjoint area area(K + [D]) is negative."""
+    hyp = adjoint_area(config, w)
+    return Check("adjoint area negative", hyp < 0, str(hyp))
+
+
+def build_certificate(config, w, hypothesis, area_bound, reduce) -> AffineRuledCertificate:
+    """The certificate of a valid pair with its hypothesis check: the comb
+    route on a ruled ambient, else reduce(config, w) gives the traces, their
+    checks, the terminal model, its areas and the chain labelings (ids, k)
+    of a configuration, and the terminal takes the b2 <= 2 route or the
+    chain route.  certify reduces by search, the checker by replay."""
     goodness = goodness_search(area_bound)
-    if config.ambient.is_ruled:
-        traces, term, wt = [], config, w
+    ruled = config.ambient.is_ruled
+    if ruled:
+        traces, trace_checks, term, wt = (), (), config, w
         route = comb_route(config, w, goodness)
     else:
-        traces, term, wt, route = _rational_route(config, w, goodness)
-    trace_checks = []
-    cur = config
-    for tr in traces:
-        trace_checks.extend(verify_trace(tr, cur))
-        cur = tr.steps[-1].blowdown.config if tr.steps else cur
-    return assemble_certificate(config, w, hypothesis, traces, trace_checks, term, wt, route,
-                                area_bound)
-
-
-def goodness_search(area_bound: Fraction | None):
-    """Goodness of a class a against cfg on areas w, as the routes take it:
-    one witness search at area_bound (by default the area of the cheapest
-    exceptional generator of w), run as the "enumerate" stage, and its
-    checklist as the "dgood" stage."""
-
-    def goodness(a, cfg, w):
-        bound = area_bound if area_bound is not None else default_area_bound(w)
-        witness = _stage("enumerate", lambda: find_witness(a, w, bound))
-        return tuple(_stage("dgood", lambda: goodness_checks(a, cfg, w, bound, witness)))
-
-    return goodness
-
-
-def assemble_certificate(config, w, hypothesis, traces, trace_checks, term, wt, route,
-                         area_bound) -> AffineRuledCertificate:
-    """The certificate of a route taken on the terminal model term, with
-    areas wt, that traces reach from the input config, with areas w: the
-    route kind, the cusp carried back to the input, the assumptions and the
-    area bound."""
-    ruled = config.ambient.is_ruled
+        traces, trace_checks, term, wt, labelings = reduce(config, w)
+        if traces[-1].terminal == "SmallB2":
+            route = _b2_route(term, wt, goodness, labelings)
+        else:
+            route = _chain_route(term, wt, "admissible-subchain", goodness, labelings)
     return AffineRuledCertificate(
         route="ruled" if ruled else "rational",
         route_tag=route.tag,
@@ -562,6 +552,20 @@ def assemble_certificate(config, w, hypothesis, traces, trace_checks, term, wt, 
     )
 
 
+def goodness_search(area_bound: Fraction | None):
+    """Goodness of a class a against cfg on areas w, as the routes take it:
+    one witness search at area_bound (by default the area of the cheapest
+    exceptional generator of w), run as the "enumerate" stage, and its
+    checklist as the "dgood" stage."""
+
+    def goodness(a, cfg, w):
+        bound = area_bound if area_bound is not None else default_area_bound(w)
+        witness = _stage("enumerate", lambda: find_witness(a, w, bound))
+        return tuple(_stage("dgood", lambda: goodness_checks(a, cfg, w, bound, witness)))
+
+    return goodness
+
+
 def _stage(stage, fn):
     """Run one stage, reporting its domain failures (a cusp, reduction or
     search failure) as a failed certification at that stage; any other
@@ -572,43 +576,32 @@ def _stage(stage, fn):
         raise CertifyError(stage, str(exc)) from exc
 
 
-def _rational_route(config, w, goodness):
-    """Reduce to a quasi-minimal pair, then, from the classification its
-    trace carries, to a chain (first kind) or to b2 <= 2; returns the
-    traces, the terminal model and its route."""
+def _reduce(config, w):
+    """certify's reduction along NEXT_STAGE, each stage given the previous
+    trace's classification; a trace is kept, and rechecked by verify_trace,
+    as it ends, unless it is a small-b2 trace that contracts nothing."""
     if not is_connected(config):
         raise CertifyError("validate", "rational pipelines need a connected divisor")
-    term, wt, tr = _stage("quasi_minimal", lambda: quasi_minimal_reduce(config, w))
-    traces, info = [tr], tr.classification
-    if tr.terminal == "QuasiMinimalFirstKind":
-        term, wt, tr = _stage("partially_minimal",
-                              lambda: partially_minimal_reduce(term, wt, info))
-        traces.append(tr)
-    elif tr.terminal == "QuasiMinimalSecondKind":
-        term, wt, tr = _stage("second_kind", lambda: second_kind_reduce(term, wt, info))
-        traces.append(tr)
-    small_b2 = tr.terminal == "SmallB2"
-    if small_b2:
-        term, wt, tr = _stage("small_b2", lambda: small_b2_reduce(term, wt))
-        if tr.steps:
+    run = {  # built per call, so that a stage function rebound by a tracer is the one run
+        "quasi_minimal": lambda cfg, cw, _: quasi_minimal_reduce(cfg, cw),
+        "partially_minimal": partially_minimal_reduce,
+        "second_kind": second_kind_reduce,
+        "small_b2": lambda cfg, cw, _: small_b2_reduce(cfg, cw),
+    }
+    traces, checks, term, wt, info, stage = [], [], config, w, None, "quasi_minimal"
+    while stage is not None:
+        pre = term
+        term, wt, tr = _stage(stage, lambda: run[stage](term, wt, info))
+        if tr.steps or stage != "small_b2":
             traces.append(tr)
-    return traces, term, wt, terminal_route(term, wt, small_b2, goodness, _good_chains)
+            checks.extend(verify_trace(tr, pre))
+        stage, info = NEXT_STAGE[stage, tr.terminal], tr.classification
+    return traces, checks, term, wt, _good_chains
 
 
 def _good_chains(term):
     """The good-chain labelings of term, best first, as (chain ids, k)."""
     return [(gc.ids, gc.k) for gc in _stage("good_chain", lambda: good_chain_candidates(term))]
-
-
-def terminal_route(term, wt, small_b2, goodness, labelings) -> Route:
-    """The route on the terminal model term of a rational pair: through an
-    admissible subchain of a chain, or, when the reduction ended in b2 <= 2,
-    the route its minimal model allows.  labelings(cfg) gives the chain
-    labelings (ids, k) of cfg to try, in order; they are the one choice the
-    route leaves open, the cusp fixing its resolution and combination."""
-    if small_b2:
-        return _b2_route(term, wt, goodness, labelings)
-    return _chain_route(term, wt, "admissible-subchain", goodness, labelings)
 
 
 def resolution_areas(term_config, wt, res, cusp_area_hint) -> AreaVector:

@@ -109,14 +109,18 @@ class DivisorConfig:
 
 def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
     """Return the list of violated invariants; empty means valid.  Genus must be
-    adjunction's, w.w > 0, w in the symplectic cone; pairings come from
-    config.gram, so validating it again only compares.  Callers validate what they make."""
+    adjunction's, w.w > 0, w in the symplectic cone and not its negative;
+    pairings come from config.gram, so validating it again only compares.
+    Callers validate what they make."""
     comps = config.components
     if not comps:
         return ["configuration is empty"]
     problems: list[str] = []
     if w is not None and (sq := w.square()) <= 0:
         problems.append(f"area vector has non-positive square {sq}")
+    elif w is not None and w.areas[0] <= 0:  # w.w > 0 holds for -w too
+        problems.append(f"area vector outside the symplectic cone: {w.ambient.names[0]} "
+                        f"has area {w.areas[0]}")
     elif w is not None and (e := cone_violation(w)) is not None:
         problems.append(f"area vector outside the symplectic cone: exceptional class {e} "
                         f"has area {area(e, w)}")

@@ -1,18 +1,20 @@
 """Exceptional classes: bounded enumeration, the witness search that
 decides goodness, minimal-area selection, numerical SW predicates,
 D-goodness, and normalization of an exceptional class to a basis generator
-by square(-2) reflections.
+by the square(-2) reflections of `lattice.cremona_descent`.
 
 On a b2+ = 1 ambient an exceptional class is one with e.e = -1 and
-K.e = -1 (plus e.F = 0 over an irrational ruled base).  On a rational
-ambient, enumeration and the witness search run one branch and bound,
-`_search`, which is complete below the area bound alone: with w.w > 0 the
-least area an exceptional class of degree a can have grows with a, so the
-area bound implies a degree past which there is nothing to search, and at
-degree a every |c_i| is at most isqrt(a^2 + 1).  Given the class x of a
-witness search it also cuts on the pairing with x, and it stops at the
-first witness.  `d_good`, goodness over an enumeration, is the reference
-for goodness decided by the witness search.
+K.e = -1, plus e.F = 0 over an irrational ruled base and membership of the
+Cremona orbit of E1 on CP2#n, n >= 3 (`lattice.is_exceptional_class`).  On
+a rational ambient, enumeration and the witness search run one branch and
+bound, `_search`, which is complete below the area bound alone: with
+w.w > 0 the least area an exceptional class of degree a can have grows with
+a, so the area bound implies a degree past which there is nothing to
+search, and at degree a every |c_i| is at most isqrt(a^2 + 1).  Its one
+leaf test keeps orbit classes only.  Given the class x of a witness search
+it also cuts on the pairing with x, and it stops at the first witness.
+`d_good`, goodness over an enumeration, is the reference for goodness
+decided by the witness search.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .lattice import (
     LatticeMap,
     area,
     canonical,
+    cremona_descent,
     is_exceptional_class,
     listed_exceptional,
     pair,
@@ -89,7 +92,7 @@ def enumerate_exceptional(
     w: AreaVector,
     area_bound: Fraction | None = None,
 ) -> ExceptionalSet:
-    """All classes with e.e = K.e = -1 and 0 < area(e) <= area_bound.
+    """All exceptional classes with 0 < area(e) <= area_bound.
     area_bound defaults to the cheapest exceptional basis generator (an
     upper bound for the minimum).
 
@@ -153,8 +156,9 @@ def _search(ambient, nums, bd, cap, x, emit) -> int:
     most sqrt(sq * xsuf[i]), so a node with need >= 0 and need^2 >= sq *
     xsuf[i] is cut too.  Without x, need is -1 over a zero vector, so that
     cut never fires.  The last one or two slots are solved in closed form,
-    (lo, hi) before (hi, lo).  Each leaf goes to emit((area numerator,
-    class)); a true return ends the search.  Returns the nodes visited."""
+    (lo, hi) before (hi, lo).  Each leaf in the Cremona orbit (every leaf at
+    n <= 2) goes to emit((area numerator, class)); a true return ends the
+    search.  Returns the nodes visited."""
     n = ambient.n_exc
     h_num, exc_nums = nums[0], nums[1:]
     x0, xs, need0 = (0, (0,) * n, -1) if x is None else (x.coeffs[0], x.coeffs[1:], 0)
@@ -189,6 +193,7 @@ def _search(ambient, nums, bd, cap, x, emit) -> int:
                 leaf = num + sum(map(operator.mul, tail, exc_nums[i:]))
                 if (0 < leaf and leaf * bd <= cap
                         and sum(map(operator.mul, tail, xs[i:])) > need
+                        and (n < 3 or cremona_descent(head + tail) is not None)
                         and emit((leaf, HomologyClass(ambient, head + tail)))):
                     return True
             return False
@@ -298,43 +303,24 @@ def goodness_checks(
 def normalize_to_basis(e: HomologyClass) -> tuple[LatticeMap, int]:
     """A word of canonical-class-preserving reflections taking the
     exceptional class e to a basis generator; returns (map, generator index).
-    On a rational ambient each Cremona step appends a reflection in
-    H - Ei - Ej - Ek (needs n >= 3 unless e is already a generator) and
-    strictly lowers the degree; on other kinds only a generator normalizes,
-    by the empty word."""
+    On CP2#n, n >= 3, the word reflects in H - Ei - Ej - Ek for each triple
+    of `cremona_descent`, and a class it takes to a generator is exceptional
+    (the reflections keep the form and K); elsewhere only a generator
+    normalizes, by the empty word."""
     amb = e.ambient
-    if not is_exceptional_class(e):
-        raise NormalizeError(f"{e} is not an exceptional class")
-
     gi = _generator_index(e)
     if gi is not None:
         return LatticeMap.identity(amb), gi
 
-    if amb.kind != KIND_RATIONAL:
-        raise NormalizeError(f"no normalization moves on ambient kind {amb.kind}")
+    descends = amb.kind == KIND_RATIONAL and amb.n_exc >= 3
+    triples = cremona_descent(e.coeffs) if descends else None
+    if triples is None:
+        raise NormalizeError(f"{e} normalizes to no generator of {amb.describe()}")
 
-    if amb.n_exc < 3:
-        raise NormalizeError("Cremona reflections need at least three exceptional generators")
-
-    h = amb.basis_class("H")
-    t = LatticeMap.identity(amb)
-    cur = e
-    while True:
-        gi = _generator_index(cur)
-        if gi is not None:
-            return t, gi
-        a = cur.coeffs[0]
-        if a <= 0:
-            raise NormalizeError(f"descent stalled at {cur}")
-        order = sorted(amb.exc_indices, key=lambda i: cur.coeffs[i])
-        i, j, k = order[0], order[1], order[2]
-        c = h - amb.basis_class(amb.names[i]) - amb.basis_class(amb.names[j]) - amb.basis_class(amb.names[k])
-        refl = LatticeMap.reflection(c)
-        nxt = refl.apply(cur)
-        if nxt.coeffs[0] >= a:
-            raise NormalizeError(f"Cremona descent failed to reduce degree at {cur}")
-        cur = nxt
-        t = t.then(refl)
+    slots = range(1, amb.dim)
+    t = LatticeMap(amb, tuple(HomologyClass(amb, (1,) + tuple(-(m in ijk) for m in slots))
+                              for ijk in triples))
+    return t, _generator_index(t.apply(e))
 
 
 def _generator_index(e: HomologyClass) -> int | None:

@@ -7,7 +7,9 @@ its `KindRecord` in `KINDS`, one table that every module reads instead of
 branching on the kind: its basis head, form and canonical class, what a
 document carries, the kinds a blowup and a last blowdown land in, its fiber
 generator and how its exceptional classes are found.  Beside it,
-`cone_violation` tells whether an area vector lies in the symplectic cone.
+`cone_violation` tells whether an area vector lies in the symplectic cone,
+and `cremona_descent` whether a class of CP2#n, n >= 3, is exceptional: in
+the Cremona orbit of E1.
 
 Each form is a head block on the first `exc_start` generators and -1 on
 every exceptional generator after them, and each K is a head and +1 on every
@@ -86,6 +88,7 @@ class KindRecord:
     emptied: str | None = None  # the kind left when the last exceptional generator goes
     fiber: str | None = None  # the fiber generator
     searched: bool = False  # exceptional classes are searched for (else E_i, F - E_i)
+    h_inverse: Callable | None = None  # the head term of the inverse form, if not h
 
 
 KINDS = {
@@ -97,7 +100,8 @@ KINDS = {
     KIND_RULED: KindRecord(_h_hyperbolic, lambda g: (-2, 2 * g - 2), "(S2xSigma_{g})#{n}",
                            ("B", "F"), has_g=True, has_exc=True, blowup=KIND_RULED, fiber="F"),
     KIND_TWISTED: KindRecord(_h_twisted, lambda g: (-2, 2 * g - 1), "S2x~Sigma_{g}",
-                             ("B1", "F"), has_g=True, fiber="F"),
+                             ("B1", "F"), has_g=True, fiber="F",
+                             h_inverse=lambda x, y: (x[0] + x[1]) * (y[0] + y[1]) - x[1] * y[1]),
 }
 
 
@@ -417,11 +421,35 @@ def sw_index(e: HomologyClass) -> int:
 def is_exceptional_class(e: HomologyClass) -> bool:
     """Square -1 and canonical pairing -1; over an irrational ruled base the
     class must also be disjoint from the fiber (sphere classes have degree 0
-    over the base)."""
-    if pair(e, e) != -1 or pair(canonical(e.ambient), e) != -1:
+    over the base).  On CP2#n, n >= 3, it must be in the Cremona orbit of
+    E1, which from n = 10 on the two numbers alone do not imply; at n <= 2
+    they do (H - E1 - E2 on CP2#2 is an orbit of its own)."""
+    amb = e.ambient
+    if pair(e, e) != -1 or pair(canonical(amb), e) != -1:
         return False
-    fiber = e.ambient.record.fiber
-    return fiber is None or pair(e, e.ambient.basis_class(fiber)) == 0
+    if amb.record.searched and amb.n_exc >= 3:
+        return cremona_descent(e.coeffs) is not None
+    return amb.record.fiber is None or pair(e, amb.basis_class(amb.record.fiber)) == 0
+
+
+def cremona_descent(v) -> list[tuple[int, int, int]] | None:
+    """The descent of a class (a; c_1..c_n) of CP2#n, n >= 3, on integer
+    coefficients: while a > 0 and d = a + c_i + c_j + c_k < 0, with c_i,
+    c_j, c_k the three most negative (ties by index), reflect in
+    H - E_i - E_j - E_k, which adds d to a and -d to c_i, c_j, c_k.  The
+    index triples reflected in, in order, when it ends at a generator E_m;
+    None otherwise.  A class with e.e = K.e = -1 is in the Cremona orbit of
+    E1 exactly when it descends to a generator."""
+    v, word, slots = list(v), [], range(1, len(v))
+    while v[0] > 0:
+        i, j, k = sorted(slots, key=v.__getitem__)[:3]
+        d = v[0] + v[i] + v[j] + v[k]
+        if d >= 0:
+            return None
+        v[0] += d
+        v[i], v[j], v[k] = v[i] - d, v[j] - d, v[k] - d
+        word.append((i, j, k))
+    return word if v[0] == 0 and v.count(1) == 1 and v.count(0) == len(v) - 1 else None
 
 
 # -- areas -----------------------------------------------------------------
@@ -470,12 +498,13 @@ class AreaVector:
         return min(self.areas[i] for i in idx)
 
     def square(self) -> Fraction:
-        """Self-pairing of the area functional; > 0 on the symplectic cone.
-        The numerators are paired as an integer vector under the ambient's
-        form and divided by den^2."""
+        """The volume w.Q^-1.w of a form with these areas, Q the ambient's
+        form; > 0 on the symplectic cone.  Q is its own inverse on every kind
+        but ruled_twisted, whose record gives the head of Q^-1.  The
+        numerators are paired as an integer vector and divided by den^2."""
         nums, den = self.integer_form
-        v = HomologyClass(self.ambient, nums)
-        return Fraction(pair(v, v), den * den)
+        rec = self.ambient.record
+        return Fraction((rec.h_inverse or rec.h)(nums, nums) - sum(v * v for v in nums), den * den)
 
     def pull_back(self, ambient: AmbientLattice, rows) -> "AreaVector":
         """The area vector on `ambient` giving each class y the area this

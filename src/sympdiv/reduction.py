@@ -17,6 +17,8 @@ candidate that blows down is contracted.  No class is blown down to rank it.
 
 Every trace step stores the full blowdown data so that replaying the trace
 as blowups from the terminal configuration reproduces the input exactly.
+`NEXT_STAGE` states the order of the stages once: certify walks it, and the
+checker validates the recorded traces against it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,20 @@ class ReductionError(ValueError):
 
 class ClassifyError(ReductionError):
     pass
+
+
+# (stage, terminal) of a trace -> the stage certify runs after it: the
+# stages after quasi-minimality must follow, a small-b2 trace is recorded
+# only when it contracts something, and None ends the reduction
+NEXT_STAGE = {
+    ("quasi_minimal", "QuasiMinimalFirstKind"): "partially_minimal",
+    ("quasi_minimal", "QuasiMinimalSecondKind"): "second_kind",
+    ("quasi_minimal", "SmallB2"): "small_b2",
+    ("partially_minimal", "QuasiMinimalFirstKind"): None,
+    ("partially_minimal", "SmallB2"): "small_b2",
+    ("second_kind", "SmallB2"): "small_b2",
+    ("small_b2", "SmallB2"): None,
+}
 
 
 @dataclass(frozen=True)

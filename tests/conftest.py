@@ -11,7 +11,7 @@ from pathlib import Path
 
 from sympdiv.divisor import DivisorConfig, adjoint_area, validate
 from sympdiv.exceptional import EnumerationError
-from sympdiv.lattice import AmbientLattice, AreaVector, LatticeMap, pairings
+from sympdiv.lattice import AmbientLattice, AreaVector, LatticeMap, cremona_descent, pairings
 from sympdiv.moves import (
     ExteriorBlowup,
     HalfToricBlowup,
@@ -316,6 +316,15 @@ def weyl_orbit(seed):
                 orbit.add(y)
                 queue.append(y)
     return orbit
+
+
+def in_orbit(coeffs) -> bool:
+    """Whether a class (a; c_1..c_n) of CP2#n with e.e = K.e = -1 is in the
+    Cremona orbit of E1 (with H - E1 - E2 at n = 2): always at n <= 2, and
+    else when lattice.cremona_descent takes it to a generator, which
+    test_orbit checks against weyl_orbit.  From n = 10 on, leaf_test_search
+    also lists classes outside the orbit."""
+    return len(coeffs) < 4 or cremona_descent(coeffs) is not None
 
 
 def leaf_test_search(ambient, nums, bd, cap, out):

@@ -6,13 +6,14 @@
   every fixture's certificate.
 * Its one search, `exceptional.find_witness`, bounded by area alone, gives
   the verdict of an oracle that shares no code with it, the leaf-test search
-  of `conftest` followed by the pairing test, and the witness it names is
-  pinned.
+  of `conftest` restricted to the Cremona orbit and followed by the pairing
+  test, and the witness it names is pinned.
   Certify decides goodness by the same search, and on every goodness call it
   makes the checks equal those of `d_good` over an enumeration.
 * It accepts what `certify` emits on every fixture and on the inputs of the
   two certify workloads of `perfbench/` at seeds 1, 3 and 5, which between
-  them take all five routes.
+  them take all five routes, and the traces of each walk
+  `reduction.NEXT_STAGE`.
 * It rejects every certificate with one leaf changed.  No leaf is exempt:
   the free text (check names and details, assumptions, transport notes) is
   recomputed like everything else.
@@ -38,7 +39,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, leaf_test_search
+from conftest import FIXTURES, in_orbit, leaf_test_search
 from sympdiv import checker, cli, cusp, exceptional, reduction
 from sympdiv.checks import all_passed, failures
 from sympdiv.exceptional import d_good, enumerate_exceptional
@@ -114,12 +115,12 @@ def test_check_runs_no_producer_search(name, doc, monkeypatch, tmp_path):
 
 def _oracle_witnesses(x, w, bound):
     """The witnesses for x by the leaf-test search, which shares no code with
-    find_witness: every exceptional E != x with 0 < area(E) <= bound and
-    E.x < 0."""
+    find_witness, restricted to the Cremona orbit: every exceptional E != x
+    with 0 < area(E) <= bound and E.x < 0."""
     nums, den = w.integer_form
     found = []
     leaf_test_search(x.ambient, nums, bound.denominator, bound.numerator * den, found)
-    classes = (HomologyClass(x.ambient, coeffs) for _, coeffs in found)
+    classes = (HomologyClass(x.ambient, coeffs) for _, coeffs in found if in_orbit(coeffs))
     return [e for e in classes if e != x and pair(e, x) < 0]
 
 
@@ -253,6 +254,21 @@ def _perfbench_module(name):
         sys.path.remove(str(PERFBENCH))
 
 
+def _assert_walks_the_stage_table(doc):
+    """The traces of a rational pair start at quasi_minimal, each stage is
+    the table's successor of the previous (stage, terminal), the walk ends
+    where the table gives None or small_b2, and a small_b2 trace has steps;
+    a ruled pair records none."""
+    traces = doc["traces"]
+    assert bool(traces) == (doc["route"] == "rational")
+    expected = "quasi_minimal" if traces else None
+    for tr in traces:
+        assert tr["stage"] == expected, traces
+        assert tr["stage"] != "small_b2" or tr["steps"], traces
+        expected = reduction.NEXT_STAGE[tr["stage"], tr["terminal"]]
+    assert expected in (None, "small_b2"), traces
+
+
 def test_checker_accepts_every_fixture_and_workload_certificate(tmp_path):
     workloads = _perfbench_module("workloads")
     docs = [doc for _, doc in CERTIFICATES]
@@ -267,6 +283,7 @@ def test_checker_accepts_every_fixture_and_workload_certificate(tmp_path):
         checks = checker.check_certificate(doc)
         assert all_passed(checks), (doc["input"], failures(checks))
         routes.add(_route(doc))
+        _assert_walks_the_stage_table(doc)
     assert routes == {"admissible-subchain", "minimal-model chain", "minimal-model fiber",
                       "a3-special", "comb"}
 

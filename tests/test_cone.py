@@ -7,6 +7,15 @@
   positive component areas, yet an exceptional class of negative area:
   `validate` and `certify` refuse them (exit 1, stage `validate`), and so
   does `check` on a certificate whose input areas were replaced by theirs.
+* w and -w have the same square, so w.w > 0 does not tell the cone from its
+  negative: `validate` refuses areas whose first head generator has
+  non-positive area.
+* The square of w is the volume w.Q^-1.w of a form with areas w.  The
+  twisted bundle's form is not its own inverse, and there the volume is
+  F (2 B1 - F).
+* The three fixtures of these two cases are refused by `validate` and
+  `certify` (exit 1, stage `validate`); they used to pass `validate` and
+  stop at the hypothesis.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, weyl_orbit
 from sympdiv.cli import main
+from sympdiv.divisor import DivisorConfig, validate
 from sympdiv.lattice import AmbientLattice, AreaVector, area, cone_violation
 
 @functools.cache
@@ -103,3 +113,47 @@ def test_cone_fixtures_are_refused(name, tmp_path, capsys):
     bad.write_text(json.dumps(cert), encoding="utf-8")
     assert main(["check", str(bad)]) == 1
     assert f"failed: input is valid: area vector {message}" in capsys.readouterr().out
+
+
+def _one_component(amb, cls, areas):
+    config = DivisorConfig.build(amb, [("D", amb.cls(**cls))], [])
+    return config, AreaVector.from_values(amb, areas)
+
+
+@pytest.mark.parametrize("config,w,message", [
+    (*_one_component(AmbientLattice.rational_blowup(1), {"E1": 1}, [-2, 1]), "H has area -2"),
+    (*_one_component(AmbientLattice.product_of_spheres(), {"f1": -1}, [-1, -2]), "f1 has area -1"),
+    (*_one_component(AmbientLattice.ruled_twisted(1), {"F": 1}, [-3, 1]), None),
+], ids=["cp2_1", "s2s2", "twisted"])
+def test_areas_of_the_negative_cone_are_refused(config, w, message):
+    # w.w > 0 and every component has positive area, but -w is in the cone
+    assert w.areas[0] < 0 and all(area(c.cls, w) > 0 for c in config.components)
+    problems = validate(config, w)
+    if message is None:  # the volume is F (2 B1 - F) = -7 here
+        assert problems == ["area vector has non-positive square -7"]
+    else:
+        assert problems == [f"area vector outside the symplectic cone: {message}"]
+
+
+def test_the_twisted_square_is_the_volume():
+    twisted = AmbientLattice.ruled_twisted(2)
+    assert AreaVector.from_values(twisted, [7, 1]).square() == 13  # w.Q.w read 63
+    assert AreaVector.from_values(twisted, ["1/3", 1]).square() == Fraction(-1, 3)  # read 7/9
+    assert AreaVector.from_values(twisted, ["1/2", 1]).square() == 0  # B1 = F/2: no volume
+
+
+BACKWARD_FIXTURES = {
+    "cone_cp2_1_backward.json": "area vector outside the symplectic cone: H has area -2",
+    "cone_s2s2_backward.json": "area vector outside the symplectic cone: f1 has area -1",
+    "cone_twisted.json": "area vector has non-positive square -1/3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACKWARD_FIXTURES))
+def test_backward_and_twisted_fixtures_are_refused(name, capsys):
+    path = FIXTURES / name
+    assert main(["validate", str(path)]) == 1
+    assert f"invalid: {BACKWARD_FIXTURES[name]}\n" in capsys.readouterr().out
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"certification failed at stage 'validate': [validate] {BACKWARD_FIXTURES[name]}\n")

@@ -6,7 +6,8 @@ work pinned in nodes visited.
   Ei - Ej and H - Ei - Ej - Ek (`conftest.weyl_orbit`).
 * For n = 7..10 the search is compared with a copy of the search as it was
   before it cut on area at every node, which tests the area at the leaves
-  only (`conftest.leaf_test_search`).
+  only (`conftest.leaf_test_search`), restricted to the Cremona orbit
+  (`conftest.in_orbit`; see test_orbit).
 * Node counts are deterministic, so they are pinned; seconds never are.
 """
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, leaf_test_search, weyl_orbit
+from conftest import FIXTURES, in_orbit, leaf_test_search, weyl_orbit
 from sympdiv import cli
 from sympdiv.exceptional import enumerate_exceptional
 from sympdiv.lattice import AmbientLattice, AreaVector, area
@@ -80,7 +81,7 @@ def test_search_matches_the_leaf_test(case):
     nums, den = w.integer_form
     expected = []
     leaf_test_search(amb, nums, bound.denominator, bound.numerator * den, expected)
-    expected.sort()
+    expected = sorted(t for t in expected if in_orbit(t[1]))
     es = enumerate_exceptional(amb, w, area_bound=bound)
     assert [c.coeffs for c in es.classes] == [coeffs for _, coeffs in expected]
     assert list(es.areas) == [Fraction(num, den) for num, _ in expected]
@@ -142,9 +143,12 @@ FIXTURE_NODES = {
     "bad_edge_count.json": ((0, 0), (0, 0)),
     "bad_rational.json": ((0, 0), (0, 0)),
     # outside the symplectic cone: refused by validate, before any search
+    "cone_cp2_1_backward.json": ((0, 0), (0, 0)),
     "cone_cp2_2.json": ((0, 0), (0, 0)),
     "cone_cp2_3.json": ((0, 0), (0, 0)),
     "cone_ruled_trivial.json": ((0, 0), (0, 0)),
+    "cone_s2s2_backward.json": ((0, 0), (0, 0)),
+    "cone_twisted.json": ((0, 0), (0, 0)),
     "conic_cremona_cp2_6.json": ((5, 80), (5, 80)),
     "cp2_13_cusp.json": ((10, 140), (10, 140)),
     "cp2_conic.json": ((0, 0), (0, 0)),

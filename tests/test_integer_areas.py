@@ -80,7 +80,9 @@ def textbook_square(w: AreaVector) -> Fraction:
         return x[0] * x[0] - exc
     if amb.kind == KIND_RULED:
         return 2 * x[0] * x[1] - exc
-    return x[0] * x[0] + 2 * x[0] * x[1]
+    # the twisted bundle's form [[1, 1], [1, 0]] is not its own inverse: the
+    # volume of a form with areas (B1, F) is F (2 B1 - F), not w.Q.w
+    return 2 * x[0] * x[1] - x[1] * x[1]
 
 
 # -- the integer form and exact input ---------------------------------------------
