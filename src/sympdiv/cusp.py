@@ -14,7 +14,9 @@ allows and transports the cusp back to the input.  Every route returns one
 `build_certificate`, builds the certificate for certify and for the
 checker; they differ only in the reduction handed to it, which certify
 runs by search along `reduction.NEXT_STAGE` and the checker by replaying
-the document, with the chain labeling it records.
+the document, with the chain labeling it records.  Its callers check the
+pair's validity and hypothesis, and it refuses a disconnected divisor on a
+rational ambient: each precondition of the reduction is checked once.
 Resolution blowups record the `Contraction` undoing each; total transforms
 are read off those records, whatever the ambient kind.
 """
@@ -462,11 +464,11 @@ _MODEL_NOTES = {
 }
 
 
-def certificate_assumptions(traces, route: Route, term: DivisorConfig) -> tuple[str, ...]:
+def certificate_assumptions(traces, route: Route, model) -> tuple[str, ...]:
     """The named assumptions of a certificate: those every one rests on, the
     contraction of minimal-class components with fewer than two neighbours
     when the first trace makes one, and those of the route taken on the
-    terminal model."""
+    terminal model, whose minimal-model tag is model on the b2 <= 2 route."""
     out = list(_BASE_ASSUMPTIONS)
     if traces and any(s.kind in ("half_toric", "exterior") and s.blowdown.removed_component
                       is not None for s in traces[0].steps):
@@ -480,7 +482,6 @@ def certificate_assumptions(traces, route: Route, term: DivisorConfig) -> tuple[
         if route.cusp is None:
             out.append("an auxiliary section of the ruling closes up the fibration")
     elif route.tag != "admissible-subchain":
-        model = classify_minimal_model(term)
         out.append(f"terminal minimal model: {model.case} {model.params}")
         if model.case in _MODEL_NOTES:
             out.append(_MODEL_NOTES[model.case])
@@ -514,19 +515,23 @@ def adjoint_check(config: DivisorConfig, w: AreaVector) -> Check:
 
 def build_certificate(config, w, hypothesis, area_bound, reduce) -> AffineRuledCertificate:
     """The certificate of a valid pair with its hypothesis check: the comb
-    route on a ruled ambient, else reduce(config, w) gives the traces, their
-    checks, the terminal model, its areas and the chain labelings (ids, k)
-    of a configuration, and the terminal takes the b2 <= 2 route or the
-    chain route.  certify reduces by search, the checker by replay."""
+    route on a ruled ambient; else a connected divisor, which
+    reduce(config, w) takes to the traces, their checks, the terminal model,
+    its areas and the chain labelings (ids, k) of a configuration, and the
+    terminal takes the b2 <= 2 route, classified once, or the chain route.
+    certify reduces by search, the checker by replay."""
     goodness = goodness_search(area_bound)
-    ruled = config.ambient.is_ruled
+    ruled, model = config.ambient.is_ruled, None
     if ruled:
         traces, trace_checks, term, wt = (), (), config, w
         route = comb_route(config, w, goodness)
+    elif not is_connected(config):
+        raise CertifyError("validate", "rational pipelines need a connected divisor")
     else:
         traces, trace_checks, term, wt, labelings = reduce(config, w)
         if traces[-1].terminal == "SmallB2":
-            route = _b2_route(term, wt, goodness, labelings)
+            model = classify_minimal_model(term)
+            route = _b2_route(term, wt, model, goodness, labelings)
         else:
             route = _chain_route(term, wt, "admissible-subchain", goodness, labelings)
     return AffineRuledCertificate(
@@ -545,7 +550,7 @@ def build_certificate(config, w, hypothesis, area_bound, reduce) -> AffineRuledC
         combination_check=route.combination_check,
         original=(transport_to_original(config, traces, route.cusp)
                   if route.cusp and not ruled else None),
-        assumptions=certificate_assumptions(traces, route, term),
+        assumptions=certificate_assumptions(traces, route, model),
         input_config=config,
         input_area=w,
         area_bound=area_bound,
@@ -580,8 +585,6 @@ def _reduce(config, w):
     """certify's reduction along NEXT_STAGE, each stage given the previous
     trace's classification; a trace is kept, and rechecked by verify_trace,
     as it ends, unless it is a small-b2 trace that contracts nothing."""
-    if not is_connected(config):
-        raise CertifyError("validate", "rational pipelines need a connected divisor")
     run = {  # built per call, so that a stage function rebound by a tracer is the one run
         "quasi_minimal": lambda cfg, cw, _: quasi_minimal_reduce(cfg, cw),
         "partially_minimal": partially_minimal_reduce,
@@ -677,11 +680,10 @@ def a1p_augmented(term: DivisorConfig) -> DivisorConfig:
     )
 
 
-def _b2_route(term, wt, goodness, labelings):
-    """Terminal models with b2 <= 2: combs ride the fiber class, chains
-    reuse the cusp machinery, the degree-two sphere in the plane gets its
-    dedicated four-blowup pattern."""
-    tag = classify_minimal_model(term)
+def _b2_route(term, wt, tag, goodness, labelings):
+    """Terminal models with b2 <= 2, of minimal-model tag `tag`: combs ride
+    the fiber class, chains reuse the cusp machinery, the degree-two sphere
+    in the plane gets its dedicated four-blowup pattern."""
     if tag is None:
         raise CertifyError("minimal_model", f"no minimal-model case matches {term.ambient.describe()}")
     name = tag.case

@@ -67,10 +67,14 @@ def read_fraction(s: str) -> Fraction:
     """Fraction(s), with the same value or the same error.  The forms
     frac_str writes are read with int() as Fraction(s) reads them, digits
     first and the sign after, so that a run past the int digit limit fails
-    with the same message; every other string goes to Fraction(s) itself."""
+    with the same message; every other string goes to Fraction(s) itself,
+    and is refused, with int()'s message, when its numerator or denominator
+    has more digits than int() writes, as 1E5000 has: no document holds it."""
     m = _FRAC_STR.fullmatch(s)
     if m is None:
-        return Fraction(s)
+        f = Fraction(s)
+        str(f.numerator), str(f.denominator)  # a ValueError past the digit limit
+        return f
     sign, num, den = m.groups()
     p, q = int(num), int(den) if den else 1
     return Fraction(-p if sign else p, q)

@@ -338,18 +338,14 @@ def plan_kahler(target: NormalizedVector) -> InflationPlan:
 
 def _verified_plan(target: NormalizedVector) -> tuple[InflationPlan, list[Check]]:
     """The plan for `target` with the checks of the replay that accepted
-    it; the step sizes shrink on each retry."""
+    it; a plan the replay rejects is a PlanError."""
     if not in_region(target, "P_g"):
         raise PlanError(f"target {tuple(map(str, target.entries))} is outside the region")
-    last = None
-    for attempt in range(6):
-        shrink = Fraction(1, 4**attempt)
-        plan = _build(target.g, target.entries, shrink)
-        checks = verify_plan(plan)
-        if all_passed(checks):
-            return plan, checks
-        last = [c for c in checks if not c.passed]
-    raise PlanError(f"planner failed after retries: {last}")
+    plan = _build(target.g, target.entries)
+    checks = verify_plan(plan)
+    if not all_passed(checks):
+        raise PlanError(f"the replay rejects the plan: {[c for c in checks if not c.passed]}")
+    return plan, checks
 
 
 def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
@@ -372,7 +368,7 @@ def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
         lo_open, hi_open = hi_open, lo_open
 
 
-def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
+def _build(g: int, d: tuple[Fraction, ...]) -> InflationPlan:
     n = len(d) - 1
     amb = plan_ambient(g, n)
     if n == 0:
@@ -385,7 +381,7 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
     if n == 1:
         db, d1 = d
         s = db / d1 - Fraction(1, 2)
-        cap = min(1 - d1, s / (s + Fraction(1, 2))) * shrink / 4
+        cap = min(1 - d1, s / (s + Fraction(1, 2))) / 4
         eps = simplest_in(cap / 2, cap)
         y = 1 - eps
         t = y / d1 - 1
@@ -397,13 +393,13 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
         return InflationPlan(g, 1, d, (seed, InflateNode((1, 0, 0), "B", t)))
 
     if n % 2 == 0:
-        cap = min(d[n], region_slack(NormalizedVector(1, d))) * shrink / 4
+        cap = min(d[n], region_slack(NormalizedVector(1, d))) / 4
         eps = simplest_in(cap / 2, cap)
         t = d[n] - eps
         sub = list(d[:-1])
         sub[0] = d[0] - t
         sub[n - 1] = d[n - 1] - t
-        base = _build(g, tuple(sub), shrink)
+        base = _build(g, tuple(sub))
         seed = SeedNode(
             base, eps, tuple(sub) + (eps,),
             "a sufficiently small blowup of a Kahler class stays Kahler",
@@ -413,7 +409,7 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
 
     # odd n = 2k - 1 >= 3
     k = (n + 1) // 2
-    cap = Fraction(3, 4) * shrink * d[n] / (1 - d[n])
+    cap = Fraction(3, 4) * d[n] / (1 - d[n])
     t = simplest_in(cap / 2, cap)
     p, q = t.numerator, t.denominator
     # entry j of the seed is (1 + t) d_j - shift_j t, with t = p/q
@@ -422,7 +418,7 @@ def _build(g: int, d: tuple[Fraction, ...], shrink: Fraction) -> InflationPlan:
         Fraction((q + p) * x.numerator - sh * p * x.denominator, q * x.denominator)
         for x, sh in zip(d, shifts)
     )
-    base = _build(g, tuple(sub), shrink)
+    base = _build(g, tuple(sub))
     seed = SeedNode(
         base, eps, tuple(sub) + (eps,),
         "a sufficiently small blowup of a Kahler class stays Kahler",

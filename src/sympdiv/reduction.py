@@ -8,8 +8,9 @@ first kind admits a further partially-minimal reduction to a chain, the
 second kind a greedy reduction to b2 <= 2.  Both start from the
 classification the quasi-minimal stage hands over on its trace.
 
-Irrational ruled ambients are not reduced: `ruled_validate` checks the
-shape of their combs.
+Irrational ruled ambients are not reduced (see `comb_shape_problems`).
+The stages assume a valid connected pair on a rational ambient with
+negative adjoint area, checked once on `cusp.build_certificate`'s path.
 
 Every stage but the small-b2 cleanup runs one contraction loop: the stage
 names its ordered candidates, or the terminal that ends it, and the first
@@ -30,8 +31,6 @@ from .divisor import (
     DivisorConfig,
     DivisorError,
     check_hypothesis,
-    is_connected,
-    require_valid,
     total_class,
     validate,
 )
@@ -170,16 +169,6 @@ def _attempt_candidates(cur, curw, candidates, steps, stage):
 # -- quasi-minimal reduction ----------------------------------------------------
 
 
-def _require_pipeline_input(config: DivisorConfig, w: AreaVector) -> None:
-    require_valid(config, w)
-    if config.ambient.is_ruled:
-        raise ReductionError("rational pipelines need a rational ambient")
-    if not is_connected(config):
-        raise ReductionError("configuration must be connected")
-    if not check_hypothesis(config, w):
-        raise ReductionError("adjoint area is not negative; hypothesis rejected up front")
-
-
 def quasi_minimal_reduce(
     config: DivisorConfig,
     w: AreaVector,
@@ -187,7 +176,6 @@ def quasi_minimal_reduce(
     """Contract minimal-area classes until the pair is quasi-minimal or
     b2 <= 2.  A quasi-minimal terminal's trace carries the KindInfo it was
     classified with, which the next stage starts from."""
-    _require_pipeline_input(config, w)
     info = None
 
     def next_step(cur, curw):
@@ -419,16 +407,11 @@ class MinimalModelTag:
 
 
 def classify_minimal_model(config: DivisorConfig) -> MinimalModelTag | None:
-    """Match b2 <= 2 configurations (and ruled combs) against the minimal
-    model tables; None when nothing matches."""
+    """Match b2 <= 2 configurations against the minimal model tables; None
+    when nothing matches."""
     if validate(config):
         return None
-    amb = config.ambient
-    if amb.is_ruled:
-        if not comb_shape_problems(config):
-            return MinimalModelTag("CombLike", {"components": len(config.components)})
-        return None
-    model = MINIMAL_AMBIENTS.get((amb.kind, amb.n_exc))
+    model = MINIMAL_AMBIENTS.get((config.ambient.kind, config.ambient.n_exc))
     return model[0](config) if model else None
 
 
@@ -535,24 +518,13 @@ MINIMAL_AMBIENTS = {
 }
 
 
-# -- irrational ruled validation -------------------------------------------------------
-
-
-def ruled_validate(config: DivisorConfig) -> list[str]:
-    """Shape constraints for divisor components over an irrational base:
-    spherical components are fiber-type F - sum(E) or exceptional-type
-    E_l - sum(E); at most one section-type component of genus g."""
-    problems = validate(config)
-    if problems:
-        return problems
-    if not config.ambient.is_ruled:
-        return ["ambient is not an irrational ruled lattice"]
-    return comb_shape_problems(config)
+# -- irrational ruled combs ------------------------------------------------------------
 
 
 def comb_shape_problems(config: DivisorConfig) -> list[str]:
-    """ruled_validate's shape constraints on a validated ruled configuration.
-    A section B + kF - sum(E) has adjunction genus g, so its genus needs no test."""
+    """The comb route's shape rules on a validated ruled configuration: spheres
+    of fiber type F - sum(E) or exceptional type E_l - sum(E), and at most
+    one section B + kF - sum(E), whose adjunction genus g needs no test."""
     problems = []
     sections = 0
     for c in config.components:

@@ -22,6 +22,9 @@
   value of them is an input error.
 * The perfbench oracle, loaded read-only, accepts every fixture's v2
   certificate.
+* It refuses a disconnected input as `certify` does, in the
+  `cusp.build_certificate` both run, even given the certificate `certify`
+  would write without that test.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, in_orbit, leaf_test_search
 from sympdiv import checker, cli, cusp, exceptional, reduction
 from sympdiv.checks import all_passed, failures
+from sympdiv.documents import parse_config
 from sympdiv.exceptional import d_good, enumerate_exceptional
 from sympdiv.lattice import AmbientLattice, AreaVector, HomologyClass, pair
 
@@ -378,3 +382,23 @@ def test_recomputed_fields_are_compared_never_parsed(name, doc, tmp_path):
 def test_perfbench_oracle_accepts_v2_certificates(name, doc):
     oracles = _perfbench_module("oracles")
     assert oracles.certificate_failures(json.dumps(doc)) == []
+
+
+def test_check_refuses_the_disconnected_input_certify_refuses(capsys):
+    # the forged certificate is what certify writes for the fixture, trident_cp2_4
+    # with an isolated sphere Z = E5, when every is_connected binding returns
+    # True; check verified it while only certify's reduction tested connectivity
+    fixture = FIXTURES / "disconnected_cp2_5.json"
+    forged = Path(__file__).parent / "data" / "disconnected_cp2_5.forged.cert.json"
+    assert cli.main(["certify", str(fixture)]) == 1
+    assert capsys.readouterr().err == ("certification failed at stage 'validate': [validate] "
+                                       "rational pipelines need a connected divisor\n")
+    doc = json.loads(forged.read_text())
+    assert parse_config(doc["input"]) == parse_config(json.loads(fixture.read_text()))
+    assert [(t["stage"], [s["move"]["type"] for s in t["steps"]]) for t in doc["traces"]] == [
+        ("quasi_minimal", ["exterior"]), ("second_kind", ["non_toric"] * 3)]
+    assert [(c.name, c.detail) for c in failures(checker.check_certificate(doc))] == [
+        ("replay", "CertifyError: [validate] rational pipelines need a connected divisor")]
+    assert cli.main(["check", str(forged)]) == 1
+    assert capsys.readouterr().out == ("failed: replay: CertifyError: [validate] rational "
+                                       "pipelines need a connected divisor\ncertificate rejected\n")

@@ -442,7 +442,7 @@ def test_plan_outside_its_own_p_g_is_rejected_on_replay(tmp_path, capsys):
     # the built plan must refuse it too
     from sympdiv.inflation import _build
 
-    plan = _build(2, (Fraction(1), Fraction(3, 10)), Fraction(1))
+    plan = _build(2, (Fraction(1), Fraction(3, 10)))
     checks = verify_plan(plan)
     assert [c.name for c in checks if not c.passed] == ["target lies in P_g"]
     path = tmp_path / "plan.json"
@@ -879,12 +879,19 @@ def _cli(argv):
 @example("-" + "1" * 4301)
 @example("3/" + "7" * 4301)
 @example("1" * 4301 + "/" + "7" * 4302)
+@example("1E5000")
 def test_rational_reader_matches_fraction(s):
     """parse_fraction and --target read what Fraction(s) reads and refuse,
-    with its message, exactly what it refuses."""
+    with its message, exactly what it refuses; they also refuse, with the
+    message of int() past its digit limit, a value whose numerator or
+    denominator has more digits than int() writes (1E5000 has 5001)."""
     inflate = ["inflate", "--g", "1", f"--target={s}"]
+    limit = sys.get_int_max_str_digits()
     try:
         want = Fraction(s)
+        if limit and max(abs(want.numerator), want.denominator) >= 10**limit:
+            raise ValueError(f"Exceeds the limit ({limit} digits) for integer string "
+                             "conversion; use sys.set_int_max_str_digits() to increase the limit")
     except (ValueError, ZeroDivisionError) as exc:
         with pytest.raises(DocumentError) as got:
             documents.parse_fraction(s)

@@ -154,6 +154,8 @@ FIXTURE_NODES = {
     "cp2_conic.json": ((0, 0), (0, 0)),
     "cp2_cubic.json": ((0, 0), (0, 0)),
     "cp2_line.json": ((0, 0), (0, 0)),
+    # a disconnected divisor: refused by build_certificate, before any search
+    "disconnected_cp2_5.json": ((0, 0), (0, 0)),
     "near_boundary_cp2_9.json": ((8, 11225), (8, 11225)),
     "product_spheres_5.json": ((5, 26), (5, 26)),
     "product_spheres_chain.json": ((0, 0), (0, 0)),

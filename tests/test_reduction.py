@@ -26,10 +26,10 @@ from sympdiv.reduction import (
     ReductionError,
     classify_kind,
     classify_minimal_model,
+    comb_shape_problems,
     good_chain_candidates,
     partially_minimal_reduce,
     quasi_minimal_reduce,
-    ruled_validate,
     second_kind_reduce,
     verify_trace,
 )
@@ -67,14 +67,6 @@ def test_quasi_minimal_small_b2():
     w = AreaVector.from_values(pp, [1])
     term, wt, tr = quasi_minimal_reduce(cfg, w)
     assert tr.terminal == "SmallB2" and tr.steps == ()
-
-
-def test_input_validation_rejects_bad_hypothesis():
-    pp = AmbientLattice.projective_plane()
-    cubic = DivisorConfig.build(pp, [("A", pp.cls(H=3))], [])
-    w = AreaVector.from_values(pp, [1])
-    with pytest.raises(ReductionError):
-        quasi_minimal_reduce(cubic, w)
 
 
 def test_classify_kind():
@@ -322,12 +314,16 @@ def test_near_misses_classify_as_none():
     assert checked >= 20
 
 
-# -- ruled -----------------------------------------------------------------------
+# -- ruled: validate, then the comb route's shape rules --------------------------
+
+
+def ruled_problems(cfg):
+    return validate(cfg) or comb_shape_problems(cfg)
 
 
 def test_ruled_validate_comb():
     cfg, w = ruled_comb()
-    assert ruled_validate(cfg) == []
+    assert ruled_problems(cfg) == []
 
 
 def test_ruled_validate_two_sections():
@@ -335,21 +331,21 @@ def test_ruled_validate_two_sections():
     cfg = DivisorConfig.build(
         rt, [("S1", rt.cls(B=1)), ("S2", rt.cls(B=1, F=-0))], []
     )
-    problems = ruled_validate(cfg)
+    problems = ruled_problems(cfg)
     assert any("at most one" in p for p in problems)
 
 
 def test_ruled_validate_single_fiber():
     rt = AmbientLattice.ruled_trivial(1, 0)
     cfg = DivisorConfig.build(rt, [("X", rt.cls(F=1))], [])
-    assert ruled_validate(cfg) == []
+    assert ruled_problems(cfg) == []
 
 
 def test_ruled_validate_bad_shape():
     rt = AmbientLattice.ruled_trivial(1, 1)
     # a sphere class whose section coefficient is 1 but with a +1 on E1
     cfg = DivisorConfig.build(rt, [("X", rt.cls(B=1, F=1, E1=1))], [])
-    problems = ruled_validate(cfg)
+    problems = ruled_problems(cfg)
     assert any("shape" in p or "genus" in p for p in problems)
 
 

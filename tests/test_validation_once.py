@@ -59,9 +59,9 @@ def test_certify_and_check_build_one_matrix_per_configuration(monkeypatch):
     rebind(monkeypatch, validate, spy_validate)
     rebind(monkeypatch, sparse_gram, spy_sparse_gram)
     cert = certify_affine_ruled(config, w)
-    # the input, 9 blowdown results and 5 resolution blowups; the input is
-    # validated twice, by certify and by the reduction's entry
-    assert (len(built), len(validated)) == (15, 16)
+    # the input, 9 blowdown results and 5 resolution blowups; while the
+    # reduction's entry checked its input again, the input was validated twice
+    assert (len(built), len(validated)) == (15, 15)
     assert None not in built
     assert len({id(c) for c in built}) == len(built)  # `built` keeps each alive
     doc = json.loads(canonical_json(certificate_to_doc(cert)))
@@ -171,8 +171,8 @@ def test_blowdown_carries_every_genus_without_adjunction(monkeypatch):
 @pytest.mark.parametrize("name", ["ruled_comb_genus2.json", "ruled_comb_sectionless.json",
                                   "ruled_comb_twisted.json"])
 def test_a_ruled_configuration_is_validated_once(name, monkeypatch):
-    # certify, check and classify_minimal_model each validated a ruled comb
-    # twice while the comb shape rules validated it again
+    # certify and check each validated a ruled comb twice while the comb
+    # shape rules validated it again
     config, w = _fixture(name)
     validate = divisor.validate
     validated = []
@@ -188,6 +188,34 @@ def test_a_ruled_configuration_is_validated_once(name, monkeypatch):
     validated.clear()
     assert all_passed(checker.check_certificate(doc))
     assert validated == [config]
-    validated.clear()
-    tag = classify_minimal_model(config)
-    assert tag.case == "CombLike" and validated == [config]
+
+
+# fixture -> (classify_minimal_model calls in certify, in check) on the b2 <= 2
+# route, each call validating: certify's small-b2 stage classifies as it loops,
+# and build_certificate once for the route and the assumptions together.  While
+# those two each classified the terminal, the pins were (2, 2), (2, 2), (3, 2),
+# (3, 2)
+SMALL_B2_CLASSIFICATIONS = {
+    "cp2_conic.json": (1, 1),
+    "cp2_line.json": (1, 1),
+    "product_spheres_chain.json": (2, 1),
+    "trident_cp2_4.json": (2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_B2_CLASSIFICATIONS))
+def test_a_small_b2_terminal_is_classified_once_by_build_certificate(name, monkeypatch):
+    config, w = _fixture(name)
+    calls = []
+
+    def spy_classify(cfg):
+        calls.append(cfg)
+        return classify_minimal_model(cfg)
+
+    rebind(monkeypatch, classify_minimal_model, spy_classify)
+    cert = certify_affine_ruled(config, w)
+    certified = len(calls)
+    doc = json.loads(canonical_json(certificate_to_doc(cert)))
+    calls.clear()
+    assert all_passed(checker.check_certificate(doc))
+    assert (certified, len(calls)) == SMALL_B2_CLASSIFICATIONS[name]
