@@ -4,9 +4,11 @@ stay exact and language-neutral; emission is deterministic."""
 
 from __future__ import annotations
 
+import fractions
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .cusp import AffineRuledCertificate
@@ -69,15 +71,27 @@ def read_fraction(s: str) -> Fraction:
     first and the sign after, so that a run past the int digit limit fails
     with the same message; every other string goes to Fraction(s) itself,
     and is refused, with int()'s message, when its numerator or denominator
-    has more digits than int() writes, as 1E5000 has: no document holds it."""
+    has more digits than int() writes, as 1E5000 has: no document holds it.
+    An exponent form reads as 0, or is refused, before 10**exp is built."""
     m = _FRAC_STR.fullmatch(s)
-    if m is None:
-        f = Fraction(s)
-        str(f.numerator), str(f.denominator)  # a ValueError past the digit limit
-        return f
-    sign, num, den = m.groups()
-    p, q = int(num), int(den) if den else 1
-    return Fraction(-p if sign else p, q)
+    if m is not None:
+        sign, num, den = m.groups()
+        p, q = int(num), int(den) if den else 1
+        return Fraction(-p if sign else p, q)
+    e = fractions._RATIONAL_FORMAT.match(s)  # the grammar of Fraction(s)
+    if e and e["exp"]:  # int() on each part in Fraction(s)'s order, so each fails alike
+        whole, dec = e["num"] or "0", (e["decimal"] or "").replace("_", "")
+        mant = int(whole) * 10 ** len(dec) + (int(dec) if dec else 0)
+        exp, digits = int(e["exp"]) - len(dec), len(whole) + len(dec)
+        if mant == 0:
+            return Fraction(0)
+        # mant < 10**digits: the numerator is mant * 10**exp, the denominator >= 10**-exp / mant
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and max(exp, -exp - digits) >= limit:
+            str(10**limit)  # raises int()'s own ValueError: the value is past the limit
+    f = Fraction(s)
+    str(f.numerator), str(f.denominator)  # a ValueError past the digit limit
+    return f
 
 
 def parse_fraction(s) -> Fraction:

@@ -9,7 +9,7 @@ class Z adds t * (Z . x) to every area; for Z.Z < 0 the step size is
 bounded by area(Z) / (-Z.Z).  Plans are nested: a seed node carries the
 plan for the smaller manifold plus the small area given to the new
 exceptional sphere, and zig-zag nodes alternate two classes in N equal
-substeps so every intermediate stays inside the area constraints.
+substeps, N in closed form, so every intermediate stays inside the bounds.
 
 The arithmetic runs on integer forms (nums, den): kernel states, region
 tests and the replay's seed checks compare integer numerators.  Fractions
@@ -263,9 +263,11 @@ def _replay(plan: InflationPlan, checks: list[Check], prefix: str):
         return None
     seed = plan.nodes[0]
     if seed.base is not None:
-        sub_checks: list[Check] = []
-        sub_state = _replay(seed.base, sub_checks, prefix=prefix + "  ")
-        checks.extend(sub_checks)
+        if seed.base.g != plan.g:
+            detail = f"base g = {seed.base.g}, plan g = {plan.g}"
+            checks.append(Check(f"{prefix}seed base has the plan's genus", False, detail))
+            return None
+        sub_state = _replay(seed.base, checks, prefix=prefix + "  ")
         if sub_state is None:
             return None
         ok = (
@@ -275,13 +277,8 @@ def _replay(plan: InflationPlan, checks: list[Check], prefix: str):
             and _normalizes_to(sub_state, seed.vector[:-1])
             and _normalizes_to(sub_state, seed.base.target)
         )
-        checks.append(
-            Check(
-                f"{prefix}seed extends the base plan by a positive area",
-                bool(ok),
-                f"epsilon = {seed.epsilon}",
-            )
-        )
+        name = f"{prefix}seed extends the base plan by a positive area"
+        checks.append(Check(name, bool(ok), f"epsilon = {seed.epsilon}"))
         if not ok:
             return None
     else:
@@ -311,13 +308,8 @@ def _replay(plan: InflationPlan, checks: list[Check], prefix: str):
                     state = _step(state, zd, s)
                     name = f"{prefix}zigzag {node.label} down {i}"
                     state = _step(state, ze, s)
-                checks.append(
-                    Check(
-                        f"{prefix}zigzag {node.label} ({node.substeps} substeps)",
-                        True,
-                        f"total {node.total}",
-                    )
-                )
+                name = f"{prefix}zigzag {node.label} ({node.substeps} substeps)"
+                checks.append(Check(name, True, f"total {node.total}"))
             else:
                 checks.append(Check(f"{prefix}node", False, f"unexpected node {node!r}"))
                 return None
@@ -444,38 +436,25 @@ def _build(g: int, d: tuple[Fraction, ...]) -> InflationPlan:
 
 
 def _zigzag_substeps(state, z_diag, z_down, total):
-    """A substep count whose alternating replay from the kernel state stays
-    in bounds, with the state that replay ends in.  The count is found by
-    doubling, then bisecting below the first feasible power of two; that
-    finds the smallest count only if feasibility is monotone in the count,
-    which is not proven, and verify_plan replays every substep again."""
-    if total == 0:
-        return 1, state
+    """The least substep count whose alternating replay from the kernel
+    state stays in bounds, with the state that replay ends in.
 
-    def attempt(nsub):
-        cur = state
-        s = total / nsub
-        try:
-            for _ in range(nsub):
-                cur = _step(cur, z_diag, s)
-                cur = _step(cur, z_down, s)
-        except PlanError:
-            return None
-        return cur
-
-    n = 1
-    end = attempt(n)
-    while end is None:
-        n *= 2
-        if n > MAX_SUBSTEPS:
-            raise PlanError("zig-zag substep search exhausted")
-        end = attempt(n)
-    lo, hi = max(1, n // 2), n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        mid_end = attempt(mid)
-        if mid_end is not None:
-            hi, end = mid, mid_end
-        else:
-            lo = mid + 1
-    return hi, end
+    The planner passes z_diag = F - E_a - E_b and z_down = E_b.  A diag
+    substep of size s adds s to B, E_a and E_b (its pairing row is 1 at B,
+    a and b) and a down substep takes s back from E_b, so after i pairs
+    E_a = e_a + i*s, E_b = e_b, F is unchanged, every area is positive,
+    every down bound s < e_b + s holds and area(z_diag) = A - i*s.  The
+    diag bound 2s < A - i*s binds last, at the N-th pair: (N + 1)*s < A
+    with s = total/N.  So N = floor(total / (A - total)) + 1 is the least
+    count when A > total (on integer forms, p*den // room + 1 below), and
+    no count works otherwise: feasibility is monotone in N."""
+    _, nums, den = state
+    p, q = total.numerator, total.denominator
+    room = sum(map(operator.mul, z_diag.coeffs, nums)) * q - p * den
+    n = p * den // room + 1 if room > 0 else MAX_SUBSTEPS + 1
+    if n > MAX_SUBSTEPS:
+        raise PlanError("zig-zag substep search exhausted")
+    s = total / n
+    for _ in range(n):
+        state = _step(_step(state, z_diag, s), z_down, s)
+    return n, state

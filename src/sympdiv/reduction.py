@@ -12,9 +12,9 @@ Irrational ruled ambients are not reduced (see `comb_shape_problems`).
 The stages assume a valid connected pair on a rational ambient with
 negative adjoint area, checked once on `cusp.build_certificate`'s path.
 
-Every stage but the small-b2 cleanup runs one contraction loop: the stage
-names its ordered candidates, or the terminal that ends it, and the first
-candidate that blows down is contracted.  No class is blown down to rank it.
+Every stage runs one contraction loop: the stage names its ordered
+candidates, or the terminal that ends it, and the first candidate that
+blows down is contracted.  No class is blown down to rank it.
 
 Every trace step stores the full blowdown data so that replaying the trace
 as blowups from the terminal configuration reproduces the input exactly.
@@ -129,10 +129,12 @@ def step_checks(stage: str, i: int, ts: TraceStep, chains: bool, replays: bool) 
 
 
 def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step):
-    """The contraction loop of every stage but small-b2.  next_step(cur, curw)
-    returns the terminal name that ends the stage, or the ordered candidates
-    with the label naming them in the error; the first candidate that blows
-    down is contracted."""
+    """The contraction loop of every stage.  next_step(cur, curw) returns the
+    terminal name that ends the stage, or the ordered candidates with the
+    label naming them in the error.  The first candidate that blows down is
+    contracted and recorded as a trace step; every step keeps the
+    adjoint-area hypothesis, so a step after the first starts from the
+    previous step's hyp_after."""
     steps: list[TraceStep] = []
     cur, curw = config, w
     while True:
@@ -140,30 +142,24 @@ def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step):
         if isinstance(nxt, str):
             return cur, curw, ReductionTrace(stage, tuple(steps), nxt)
         candidates, label = nxt
-        cur, curw = _attempt_candidates(cur, curw, candidates, steps, label)
-
-
-def _attempt_candidates(cur, curw, candidates, steps, stage):
-    """Contract the first candidate that blows down and record it as a trace
-    step; every step keeps the adjoint-area hypothesis, so a step after the
-    first starts from the previous step's hyp_after."""
-    hyp_before = steps[-1].hyp_after if steps else check_hypothesis(cur, curw)
-    errors = []
-    for cand in candidates:
-        try:
-            bd = blowdown(cur, cand, curw)
-        except (MoveError, NormalizeError, DivisorError) as exc:
-            errors.append(f"{cand}: {exc}")
-            continue
+        hyp_before = steps[-1].hyp_after if steps else check_hypothesis(cur, curw)
+        errors = []
+        for cand in candidates:
+            try:
+                bd = blowdown(cur, cand, curw)
+                break
+            except (MoveError, NormalizeError, DivisorError) as exc:
+                errors.append(f"{cand}: {exc}")
+        else:
+            raise ReductionError(
+                f"stuck in {label} reduction on {cur.ambient.describe()}; "
+                f"tried {len(candidates)} candidates: " + " | ".join(errors)
+            )
         hyp_after = check_hypothesis(bd.config, bd.new_area)
         steps.append(TraceStep(bd, cur.ambient.b2, bd.config.ambient.b2, hyp_before, hyp_after))
         if not hyp_after:
             raise ReductionError(f"blowdown of {bd.target} lost the adjoint-area hypothesis")
-        return bd.config, bd.new_area
-    raise ReductionError(
-        f"stuck in {stage} reduction on {cur.ambient.describe()}; "
-        f"tried {len(candidates)} candidates: " + " | ".join(errors)
-    )
+        cur, curw = bd.config, bd.new_area
 
 
 # -- quasi-minimal reduction ----------------------------------------------------
@@ -385,16 +381,14 @@ def small_b2_reduce(
 ) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
     """A b2 <= 2 terminal outside the minimal-model table (a lone fiber
     sphere in the one-point blowup) contracts further: the first class that
-    blows down, until a table case appears or none does."""
-    steps: list[TraceStep] = []
-    cur, curw = config, w
-    while cur.ambient.b2 > 1 and classify_minimal_model(cur) is None:
-        es = enumerate_exceptional(cur.ambient, curw)
-        try:
-            cur, curw = _attempt_candidates(cur, curw, es.classes, steps, "small-b2")
-        except ReductionError:
-            break
-    return cur, curw, ReductionTrace("small_b2", tuple(steps), "SmallB2")
+    blows down, until a table case appears or b2 = 1."""
+
+    def next_step(cur, curw):
+        if cur.ambient.b2 <= 1 or classify_minimal_model(cur) is not None:
+            return "SmallB2"
+        return enumerate_exceptional(cur.ambient, curw).classes, "small-b2"
+
+    return _reduce("small_b2", config, w, next_step)
 
 
 # -- minimal model classification ----------------------------------------------------

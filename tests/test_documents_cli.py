@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -597,6 +598,16 @@ def test_cli_deeply_nested_document_exits_2(command, tmp_path, capsys):
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+def _past_the_limit() -> str:
+    """The message of int()'s ValueError for a value past its digit limit, as
+    this interpreter words it: 3.11 writes "(4300 digits)", 3.10 "(4300)"."""
+    try:
+        str(10**_DIGIT_LIMIT)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("no int digit limit")
+
+
 @pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="this interpreter has no int digit limit")
 @pytest.mark.parametrize("command", ["validate", "certify", "check"])
 def test_cli_integer_past_the_digit_limit_exits_2(command, tmp_path, capsys):
@@ -885,13 +896,38 @@ def test_rational_reader_matches_fraction(s):
     with its message, exactly what it refuses; they also refuse, with the
     message of int() past its digit limit, a value whose numerator or
     denominator has more digits than int() writes (1E5000 has 5001)."""
+    _reads_like_fraction(s)
+
+
+@st.composite
+def exponent_strings(draw):
+    """Exponent forms whose numerator or denominator has about as many digits
+    as the int digit limit allows, either side of it, with mantissas of zero,
+    leading and trailing zeros, factors of 2 and 5, and `_` separators."""
+    whole = draw(st.sampled_from(("", "0", "1", "25", "0008", "1_6", "640", "3" * 40)))
+    dec = draw(st.sampled_from(("", ".5", ".0625", ".000", ".1_2", ".")))
+    exp = draw(st.sampled_from((1, -1))) * (_DIGIT_LIMIT + draw(st.integers(-45, 45)))
+    return f"{whole}{dec}{draw(st.sampled_from('eE'))}{exp}"
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="this interpreter has no int digit limit")
+@settings(max_examples=100, deadline=None)
+@given(exponent_strings())
+@example("1E4300")
+@example("1E4299")
+@example("5E-4301")
+@example("0.0E99999")
+def test_exponent_forms_near_the_digit_limit_read_as_fraction(s):
+    _reads_like_fraction(s)
+
+
+def _reads_like_fraction(s):
     inflate = ["inflate", "--g", "1", f"--target={s}"]
     limit = sys.get_int_max_str_digits()
     try:
         want = Fraction(s)
         if limit and max(abs(want.numerator), want.denominator) >= 10**limit:
-            raise ValueError(f"Exceeds the limit ({limit} digits) for integer string "
-                             "conversion; use sys.set_int_max_str_digits() to increase the limit")
+            raise ValueError(_past_the_limit())
     except (ValueError, ZeroDivisionError) as exc:
         with pytest.raises(DocumentError) as got:
             documents.parse_fraction(s)
@@ -901,3 +937,24 @@ def test_rational_reader_matches_fraction(s):
     got = documents.parse_fraction(s)
     assert type(got) is Fraction and got == want
     assert _cli(inflate) == _cli(["inflate", "--g", "1", f"--target={want}"])
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="this interpreter has no int digit limit")
+@pytest.mark.parametrize("s", ["1E1000000000", "-2.5e1000000000", " 7E-1000000000 ", "1E" + "9" * 60])
+def test_an_exponent_past_the_digit_limit_is_refused_at_once(s):
+    start = time.perf_counter()
+    with pytest.raises(DocumentError) as got:
+        documents.parse_fraction(s)
+    assert time.perf_counter() - start < 0.1
+    message = _past_the_limit()
+    assert str(got.value) == f"malformed rational {s!r}: {message}"
+    assert _cli(["inflate", "--g", "1", f"--target={s}"]) == (
+        2, "", f"input error: malformed --target entry {s!r}: {message}\n")
+
+
+@pytest.mark.parametrize("s", ["0E1000000000", "-0.000e1000000000", "0E-1000000000", ".0E" + "9" * 60])
+def test_a_zero_mantissa_reads_as_zero_whatever_its_exponent(s):
+    start = time.perf_counter()
+    got = documents.parse_fraction(s)
+    assert time.perf_counter() - start < 0.1
+    assert type(got) is Fraction and got == 0

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from sympdiv.checks import all_passed, failures
+from sympdiv.cli import main
 from sympdiv.inflation import (
     InflateNode,
     InflationPlan,
@@ -206,3 +208,23 @@ def test_random_targets_all_n(capsys):
         assert end == target.entries
         done += 1
     assert rejected > 0
+
+
+@pytest.mark.parametrize("depth,genus", [(0, 7), (1, 9)])
+def test_replay_refuses_a_base_plan_of_another_genus(depth, genus, tmp_path, capsys):
+    # the replay's numbers do not depend on g, so only the seed check sees it
+    assert main(["inflate", "--n", "3", "--g", "1", "--target", "2,1/2,2/5,1/5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    base = doc["nodes"][0]["base"]
+    for _ in range(depth):
+        base = base["nodes"][0]["base"]
+    base["g"] = genus
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == "plan rejected\n"
+    assert main(["inflate", "--verify-only", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"failed: {'  ' * depth}seed base has the plan's genus: base g = {genus}, plan g = 1\n"
+        "plan rejected\n"
+    )

@@ -7,10 +7,14 @@ same checks (name, passed, detail) or raise the same error, and every kernel
 step taken on the way must end in the integer form of the area vector the
 Fraction step gives.  `ref_in_region` and `ref_region_slack` are copies of
 the region tests as they were written on Fraction entries; the integer
-region tests must agree with them, on each boundary too."""
+region tests must agree with them, on each boundary too.
+`ref_zigzag_substeps` is the doubling-and-bisection search the closed-form
+substep count replaced; on random states of the planner's zig-zag shape the
+count and the end state must be the same."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -37,7 +41,7 @@ from sympdiv.inflation import (
     state_from_vector,
     verify_plan,
 )
-from sympdiv.lattice import KIND_RULED, AreaVector, LatticeError, area
+from sympdiv.lattice import KIND_RULED, AreaVector, LatticeError, area, integer_form_of
 
 PROPERTY = settings(max_examples=60, deadline=None, report_multiple_bugs=False)
 
@@ -290,6 +294,98 @@ def test_zigzag_search_ends_where_its_count_replays():
     for _ in range(substeps):
         cur = inflate_step(inflate_step(cur, zd, total / substeps), ze, total / substeps)
     assert end == (amb, *cur.integer_form)
+
+
+# -- the zig-zag substep search, as it was --------------------------------------------
+
+
+def ref_zigzag_substeps(state, z_diag, z_down, total):
+    """The search the closed form replaced: double a trial count until its
+    replay stays in bounds, then bisect below that power of two."""
+    if total == 0:
+        return 1, state
+
+    def attempt(nsub):
+        cur = state
+        s = total / nsub
+        try:
+            for _ in range(nsub):
+                cur = _kernel_step(cur, z_diag, s)
+                cur = _kernel_step(cur, z_down, s)
+        except PlanError:
+            return None
+        return cur
+
+    n = 1
+    end = attempt(n)
+    while end is None:
+        n *= 2
+        if n > MAX_SUBSTEPS:
+            raise PlanError("zig-zag substep search exhausted")
+        end = attempt(n)
+    lo, hi = max(1, n // 2), n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        mid_end = attempt(mid)
+        if mid_end is not None:
+            hi, end = mid, mid_end
+        else:
+            lo = mid + 1
+    return hi, end
+
+
+@st.composite
+def zigzag_states(draw):
+    """A kernel state with the planner's zig-zag classes z_diag = F - E_a - E_b
+    and z_down = E_b, and a total below area(z_diag) that needs at most 200
+    substeps: total = r * area(z_diag) with r / (1 - r) < 200, often exactly
+    k / (k + 1), where the strict diag bound decides the count."""
+    n = draw(st.integers(2, 6))
+    a, b = draw(st.permutations(range(1, n + 1)))[:2]
+    pos = st.fractions(min_value=Fraction(1, 50), max_value=3, max_denominator=60)
+    amb = plan_ambient(draw(st.integers(1, 3)), n)
+    areas = [draw(pos) for _ in range(n + 2)]  # B, F, E_1..E_n
+    room = draw(pos)
+    areas[1] = areas[a + 1] + areas[b + 1] + room  # area(z_diag) = room
+    z_diag, z_down = amb.cls(F=1, **{f"E{a}": -1, f"E{b}": -1}), amb.cls(**{f"E{b}": 1})
+    k = draw(st.integers(1, 199))
+    r = draw(st.one_of(st.just(Fraction(k, k + 1)),
+                       st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(199, 200),
+                                    max_denominator=10**4)))
+    return (amb, *integer_form_of(areas)), z_diag, z_down, r * room
+
+
+@settings(max_examples=60, deadline=None)
+@given(zigzag_states())
+def test_zigzag_closed_form_matches_the_search(case):
+    assert inflation._zigzag_substeps(*case) == ref_zigzag_substeps(*case)
+
+
+def _substep_lists(plan):
+    """The substep counts of every zig-zag node, innermost base plan first."""
+    return [nd.substeps for level in reversed(_levels(plan)) for nd in level.nodes
+            if isinstance(nd, ZigZagNode)]
+
+
+@pytest.mark.parametrize("n,d,want", [(5, "9/20", [4]),
+                                      (9, "499/1000", [1, 1, 1, 167, 167, 167])])
+def test_near_boundary_substeps_are_pinned(n, d, want):
+    assert _substep_lists(plan_kahler(NormalizedVector.of(1, [4] + [d] * n))) == want
+
+
+@pytest.mark.parametrize("total", [
+    Fraction(1, 2),  # area(z_diag): no count works
+    Fraction(7, 5),
+    Fraction(1, 2) - Fraction(1, 2**22),  # needs 2**21 substeps, past MAX_SUBSTEPS
+])
+def test_zigzag_refusal_is_immediate(total):
+    st_ = state_from_vector(1, [3, Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)])
+    amb = st_.ambient
+    zd, ze = amb.cls(F=1, E2=-1, E3=-1), amb.cls(E3=1)
+    start = time.perf_counter()
+    with pytest.raises(PlanError, match="^zig-zag substep search exhausted$"):
+        inflation._zigzag_substeps((amb, *st_.integer_form), zd, ze, total)
+    assert time.perf_counter() - start < 0.1
 
 
 # -- the region tests, as they were ------------------------------------------------
