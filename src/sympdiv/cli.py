@@ -15,7 +15,9 @@ search per step instead.  It prints a `failed:` line per failed check and
 "certificate rejected", or "certificate verified (re-derived identically)",
 the wording of the first certificate version, which scripts compare; it still
 holds, as the replay rebuilds the whole document and compares it
-canonically.  A plan is replayed step by step.
+canonically.  A plan is replayed step by step; `check` and
+`inflate --verify-only` print a `failed:` line per failed check, then
+"plan ok" or "plan rejected".
 
 Exit codes: 0 clean, 1 failed checks, 2 malformed input (a document or an
 option value that cannot be parsed, a search bound under which nothing is
@@ -121,19 +123,27 @@ def cmd_cusp(args) -> int:
     return 0 if (sq == args.p * args.q and sm == args.p + args.q - 1) else 1
 
 
+def _report(checks, ok: str, rejected: str) -> int:
+    """A `failed: name: detail` line per failed check, then the verdict."""
+    for c in failures(checks):
+        print(f"failed: {c.name}: {c.detail}")
+    print(ok if all_passed(checks) else rejected)
+    return 0 if all_passed(checks) else 1
+
+
+def _report_plan(doc) -> int:
+    return _report(verify_plan(documents.doc_to_plan(doc)), "plan ok", "plan rejected")
+
+
 def cmd_inflate(args) -> int:
     if args.verify_only:
-        plan = documents.doc_to_plan(_load_json(args.verify_only))
-        checks = verify_plan(plan)
-        for c in checks:
-            if not c.passed:
-                print(f"failed: {c.name}: {c.detail}")
-        print("plan ok" if all_passed(checks) else "plan rejected")
-        return 0 if all_passed(checks) else 1
+        return _report_plan(_load_json(args.verify_only))
     if args.target is None:
         print("--target is required unless --verify-only is given", file=sys.stderr)
         return EXIT_INPUT
-    entries = [_fraction_option("--target entry", x) for x in args.target.split(",")]
+    # argparse (Python 3.11 at least) parses `--target=--` as []
+    target = "--" if args.target == [] else args.target
+    entries = [_fraction_option("--target entry", x) for x in target.split(",")]
     if args.n is not None and len(entries) != args.n + 1:
         raise DocumentError(f"target needs n+1 = {args.n + 1} entries")
     if args.g < 1:
@@ -153,15 +163,9 @@ def cmd_inflate(args) -> int:
 def cmd_check(args) -> int:
     doc = _load_json(args.path)
     if isinstance(doc, dict) and doc.get("schema") == documents.PLAN_SCHEMA:
-        ok = all_passed(verify_plan(documents.doc_to_plan(doc)))
-        print("plan ok" if ok else "plan rejected")
-        return 0 if ok else 1
-    checks = check_certificate(doc)
-    for c in failures(checks):
-        print(f"failed: {c.name}: {c.detail}")
-    ok = all_passed(checks)
-    print("certificate verified (re-derived identically)" if ok else "certificate rejected")
-    return 0 if ok else 1
+        return _report_plan(doc)
+    return _report(check_certificate(doc), "certificate verified (re-derived identically)",
+                   "certificate rejected")
 
 
 def build_parser() -> argparse.ArgumentParser:

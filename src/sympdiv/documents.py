@@ -495,6 +495,21 @@ def _plan_list(v, length: int, where: str) -> list:
 
 
 def doc_to_plan(doc) -> InflationPlan:
+    """The plan a document holds.  Each distinct rational string in it is
+    read once: a base plan's target repeats its parent's seed vector."""
+    seen: dict[str, Fraction] = {}
+
+    def frac(s) -> Fraction:
+        if type(s) is not str:
+            return parse_fraction(s)
+        if s not in seen:
+            seen[s] = parse_fraction(s)
+        return seen[s]
+
+    return _doc_to_plan(doc, frac)
+
+
+def _doc_to_plan(doc, frac) -> InflationPlan:
     if not isinstance(doc, dict) or doc.get("schema") != PLAN_SCHEMA:
         raise DocumentError("not an inflation plan document")
     try:
@@ -502,45 +517,29 @@ def doc_to_plan(doc) -> InflationPlan:
         n = _doc_int(doc["n"], "n")
         if g < 1 or n < 0:
             raise DocumentError(f"a plan needs g >= 1 and n >= 0, got g = {g}, n = {n}")
-        target = tuple(parse_fraction(v) for v in _plan_list(doc["target"], n + 1, "target"))
+        target = tuple(map(frac, _plan_list(doc["target"], n + 1, "target")))
 
-        def cls(v, where):
-            return tuple(_doc_int(c, where) for c in _plan_list(v, n + 2, where))
+        def cls(v, where):  # _doc_int only words the error
+            v = _plan_list(v, n + 2, where)
+            return tuple(v if all(type(c) is int for c in v) else (_doc_int(c, where) for c in v))
 
         nodes = []
         for i, nd in enumerate(doc["nodes"]):
             t = nd["type"]
             where = f"nodes[{i}]"
             if t == "seed":
-                base = doc_to_plan(nd["base"]) if nd.get("base") is not None else None
-                eps = parse_fraction(nd["epsilon"]) if nd.get("epsilon") is not None else None
+                base = _doc_to_plan(nd["base"], frac) if nd.get("base") is not None else None
+                eps = frac(nd["epsilon"]) if nd.get("epsilon") is not None else None
                 vector = _plan_list(nd["vector"], n + 1, f"{where}.vector")
-                nodes.append(
-                    SeedNode(
-                        base,
-                        eps,
-                        tuple(parse_fraction(v) for v in vector),
-                        nd.get("assumption", ""),
-                    )
-                )
+                nodes.append(SeedNode(base, eps, tuple(map(frac, vector)),
+                                      nd.get("assumption", "")))
             elif t == "inflate":
-                nodes.append(
-                    InflateNode(
-                        cls(nd["class"], f"{where}.class"),
-                        nd.get("label", ""),
-                        parse_fraction(nd["t"]),
-                    )
-                )
+                z = cls(nd["class"], f"{where}.class")
+                nodes.append(InflateNode(z, nd.get("label", ""), frac(nd["t"])))
             elif t == "zigzag":
-                nodes.append(
-                    ZigZagNode(
-                        cls(nd["diag"], f"{where}.diag"),
-                        cls(nd["down"], f"{where}.down"),
-                        nd.get("label", ""),
-                        parse_fraction(nd["total"]),
-                        _doc_int(nd["substeps"], f"{where}.substeps"),
-                    )
-                )
+                zd, ze = cls(nd["diag"], f"{where}.diag"), cls(nd["down"], f"{where}.down")
+                nodes.append(ZigZagNode(zd, ze, nd.get("label", ""), frac(nd["total"]),
+                                        _doc_int(nd["substeps"], f"{where}.substeps")))
             else:
                 raise DocumentError(f"{where}: unknown node type {t!r}")
     except (KeyError, TypeError, ValueError) as exc:

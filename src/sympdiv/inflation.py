@@ -12,8 +12,10 @@ exceptional sphere, and zig-zag nodes alternate two classes in N equal
 substeps, N in closed form, so every intermediate stays inside the bounds.
 
 The arithmetic runs on integer forms (nums, den): kernel states, region
-tests and the replay's seed checks compare integer numerators.  Fractions
-are built only for the fields a plan stores (targets, seed vectors,
+tests and the replay's seed checks compare integer numerators.  The replay
+steps on each class's coefficient tuple, and a seed with a base plan takes
+its state from the base plan's end state and epsilon by integer scaling.
+Fractions are built only for the fields a plan stores (targets, seed vectors,
 epsilons, step sizes) and for the normalized endpoint a replay reports.
 """
 
@@ -120,41 +122,39 @@ def lam_bound(a: AreaVector, z: HomologyClass) -> Fraction | None:
 # objects are built only for callers of the public inflate_step.
 
 
-def _seed_state(g: int, entries, amb: AmbientLattice):
-    """The kernel state of state_from_vector(g, entries) for positive
-    entries, on amb itself when the lengths agree, so that the per-step
-    ambient test is an identity test."""
+def _seed_state(entries, amb: AmbientLattice):
+    """The kernel state of state_from_vector(amb.g, entries), on amb, for
+    positive entries."""
     entries = [e if type(e) is Fraction else Fraction(e) for e in entries]
-    if len(entries) != amb.dim - 1:
-        amb = plan_ambient(g, len(entries) - 1)
     return amb, *integer_form_of((entries[0], 1, *entries[1:]))
 
 
-def _step(state, z: HomologyClass, t: Fraction):
-    """One inflation step x -> area(x) + t * (z . x) on a kernel state.
+def _step(state, c: tuple[int, ...], t: Fraction):
+    """One inflation step x -> area(x) + t * (z . x) on a kernel state, for
+    the class z with coefficient tuple c in the state's ambient.
 
     z . (B, F, E_i) = (z_F, z_B, -z_Ei), so with t = p/q the new numerators
     over den*q are nums[i]*q + p*den*row[i]; the bound t < area(z) / -z.z
     is tested by cross-multiplying, and one gcd reduces the result back to
-    the integer form of its areas."""
+    the integer form of its areas.  The class is built only to word an
+    error."""
     amb, nums, den = state
     p, q = t.numerator, t.denominator
+    if not len(c) == len(nums) == len(amb.names):
+        raise LatticeError("coefficient length does not match basis")
     if p < 0:
         raise PlanError("negative inflation parameter")
     if amb.kind != KIND_RULED:
         raise PlanError("inflation steps run on trivial ruled ambients")
-    if z.ambient is not amb and z.ambient != amb:
-        raise LatticeError("ambient mismatch")
-    c = z.coeffs
     az = sum(map(operator.mul, c, nums))
     if az <= 0:
-        raise PlanError(f"class {z} has non-positive area")
+        raise PlanError(f"class {amb.from_coeffs(c)} has non-positive area")
     row = (c[1], c[0], *map(operator.neg, c[2:]))
     sq = sum(map(operator.mul, c, row))
     pd = p * den
     if sq < 0 and pd * -sq >= az * q:
         lam = Fraction(az, den * -sq)
-        raise PlanError(f"t = {t} exceeds the inflation bound {lam} along {z}")
+        raise PlanError(f"t = {t} exceeds the inflation bound {lam} along {amb.from_coeffs(c)}")
     out = [x * q + pd * r for x, r in zip(nums, row)]
     if min(out) <= 0:
         raise PlanError("inflation made a generator area non-positive")
@@ -166,7 +166,9 @@ def _step(state, z: HomologyClass, t: Fraction):
 def inflate_step(a: AreaVector, z: HomologyClass, t: Fraction) -> AreaVector:
     """New areas x -> area(x) + t * (z . x); t must respect the bound and
     every generator area must stay positive."""
-    _, nums, den = _step((a.ambient, *a.integer_form), z, Fraction(t))
+    if z.ambient is not a.ambient and z.ambient != a.ambient:
+        raise LatticeError("ambient mismatch")
+    _, nums, den = _step((a.ambient, *a.integer_form), z.coeffs, Fraction(t))
     return AreaVector(a.ambient, tuple(Fraction(x, den) for x in nums))
 
 
@@ -274,46 +276,51 @@ def _replay(plan: InflationPlan, checks: list[Check], prefix: str):
             seed.epsilon is not None
             and seed.epsilon > 0
             and seed.vector[-1:] == (seed.epsilon,)
-            and _normalizes_to(sub_state, seed.vector[:-1])
+            and seed.vector[:-1] == seed.base.target
             and _normalizes_to(sub_state, seed.base.target)
         )
         name = f"{prefix}seed extends the base plan by a positive area"
         checks.append(Check(name, bool(ok), f"epsilon = {seed.epsilon}"))
         if not ok:
             return None
+        # the seed's areas (b/f, 1, e_i/f, p/q) over f*q, reduced by one gcd
+        (b, f, *rest), p, q = sub_state[1], seed.epsilon.numerator, seed.epsilon.denominator
+        nums = (b * q, f * q, *(x * q for x in rest), p * f)
+        d = math.gcd(*nums)
+        state = amb, tuple(x // d for x in nums), f * q // d
     else:
         ok = all(v > 0 for v in seed.vector)
         checks.append(Check(f"{prefix}primitive seed is positive", ok, seed.assumption))
         if not ok:
             return None
-    state = _seed_state(plan.g, seed.vector, amb)
+        state = _seed_state(seed.vector, amb)
 
     try:
         for node in plan.nodes[1:]:
             if isinstance(node, InflateNode):
                 name = f"{prefix}inflate {node.label}"
-                z = amb.from_coeffs(node.z)
-                t = Fraction(node.t)
-                state = _step(state, z, t)
-                checks.append(Check(name, True, f"t = {t}"))
+                state = _step(state, tuple(map(int, node.z)), node.t)
+                checks.append(Check(name, True, f"t = {node.t}"))
             elif isinstance(node, ZigZagNode):
-                zd = amb.from_coeffs(node.z_diag)
-                ze = amb.from_coeffs(node.z_down)
+                zd, ze = tuple(map(int, node.z_diag)), tuple(map(int, node.z_down))
+                name = f"{prefix}zigzag {node.label}"
                 if not 1 <= node.substeps <= MAX_SUBSTEPS or node.total < 0:
-                    checks.append(Check(f"{prefix}zigzag {node.label}", False, "bad substep data"))
+                    checks.append(Check(name, False, "bad substep data"))
                     return None
                 s = Fraction(node.total) / node.substeps
                 for i in range(node.substeps):
-                    name = f"{prefix}zigzag {node.label} diag {i}"
+                    half = "diag"
                     state = _step(state, zd, s)
-                    name = f"{prefix}zigzag {node.label} down {i}"
+                    half = "down"
                     state = _step(state, ze, s)
-                name = f"{prefix}zigzag {node.label} ({node.substeps} substeps)"
+                name = f"{name} ({node.substeps} substeps)"
                 checks.append(Check(name, True, f"total {node.total}"))
             else:
                 checks.append(Check(f"{prefix}node", False, f"unexpected node {node!r}"))
                 return None
     except PlanError as exc:
+        if isinstance(node, ZigZagNode):
+            name = f"{name} {half} {i}"
         checks.append(Check(name, False, str(exc)))
         return None
     return state
@@ -416,11 +423,11 @@ def _build(g: int, d: tuple[Fraction, ...]) -> InflationPlan:
         "a sufficiently small blowup of a Kahler class stays Kahler",
     )
     nodes: list[PlanNode] = [seed]
-    state = _seed_state(g, seed.vector, amb)
+    state = _seed_state(seed.vector, amb)
 
     z1 = amb.cls(F=1, **{f"E{n}": -1})
     nodes.append(InflateNode(z1.coeffs, str(z1), t))
-    state = _step(state, z1, t)
+    state = _step(state, z1.coeffs, t)
 
     for el in range(2, k):
         z_diag = amb.cls(F=1, **{f"E{2 * el - 1}": -1, f"E{2 * el}": -1})
@@ -456,5 +463,5 @@ def _zigzag_substeps(state, z_diag, z_down, total):
         raise PlanError("zig-zag substep search exhausted")
     s = total / n
     for _ in range(n):
-        state = _step(_step(state, z_diag, s), z_down, s)
+        state = _step(_step(state, z_diag.coeffs, s), z_down.coeffs, s)
     return n, state

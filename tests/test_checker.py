@@ -21,7 +21,8 @@
   and the route tag, are compared with the document and never parsed: no
   value of them is an input error.
 * The perfbench oracle, loaded read-only, accepts every fixture's v2
-  certificate.
+  certificate, and `check` accepts a plan of the inflate workload with one
+  numeric leaf changed exactly when the oracle does.
 * It refuses a disconnected input as `certify` does, in the
   `cusp.build_certificate` both run, even given the certificate `certify`
   would write without that test.
@@ -34,6 +35,7 @@ import importlib
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -402,3 +404,38 @@ def test_check_refuses_the_disconnected_input_certify_refuses(capsys):
     assert cli.main(["check", str(forged)]) == 1
     assert capsys.readouterr().out == ("failed: replay: CertifyError: [validate] rational "
                                        "pipelines need a connected divisor\ncertificate rejected\n")
+
+
+def _plan_tampers(doc):
+    """Copies of a plan document with one numeric leaf changed, every leaf in
+    turn but g and n: a rational string times 101/100 and plus 10^-6, an
+    integer plus and minus 1."""
+    for path, value in _nodes(doc):
+        if isinstance(value, bool) or (path and path[-1] in ("g", "n")):
+            continue
+        if isinstance(value, int):
+            news = (value + 1, value - 1)
+        elif isinstance(value, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+            x = Fraction(value)
+            news = (str(x * Fraction(101, 100)), str(x + Fraction(1, 10**6)))
+        else:
+            continue
+        for new in news:
+            yield path, _set(doc, path, new)
+
+
+def test_check_on_tampered_plans_agrees_with_the_perfbench_oracle(tmp_path):
+    # the seed-1 inflate workload's plans at n = 3, 5 and 8; the oracle
+    # replays each document with its own lattice and Fraction arithmetic
+    oracles, workloads = _perfbench_module("oracles"), _perfbench_module("workloads")
+    ops = {op.label: op for op in workloads.inflate(random.Random(1), tmp_path, None)}
+    verdicts = []
+    for label in ("plan3", "plan5", "plan8"):
+        code, text = _run(ops[label].produce_argv)
+        assert code == 0 and oracles.plan_failures(text) == [], label
+        for path, doc in _plan_tampers(json.loads(text)):
+            ok = oracles.plan_failures(json.dumps(doc)) == []
+            assert (_check_exit(doc, tmp_path) == 0) == ok, (label, path)
+            verdicts.append(ok)
+    # 760 tampers; a few (one more zig-zag substep) still replay exactly
+    assert len(verdicts) == 760 and 0 < sum(verdicts) < 20

@@ -448,10 +448,9 @@ def test_plan_outside_its_own_p_g_is_rejected_on_replay(tmp_path, capsys):
     assert [c.name for c in checks if not c.passed] == ["target lies in P_g"]
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(documents.plan_to_doc(plan)))
-    assert main(["inflate", "--verify-only", str(path)]) == 1
-    assert capsys.readouterr().out == "failed: target lies in P_g: g = 2\nplan rejected\n"
-    assert main(["check", str(path)]) == 1
-    assert capsys.readouterr().out == "plan rejected\n"
+    for argv in (["inflate", "--verify-only", str(path)], ["check", str(path)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().out == "failed: target lies in P_g: g = 2\nplan rejected\n"
 
 
 def test_cli_inflate_target_outside_region_at_higher_genus_exits_1(capsys):
@@ -512,28 +511,22 @@ def _zigzag_down_class_negative(doc):
     zigzag["down"] = [0, 0] + [-1] * (len(zigzag["down"]) - 2)
 
 
-_PLAN_OK = "9f1d34ead660a340ad42a07c4a121634a61ed70140219ece61fc2b45ee1c4634"
-_PLAN_REJECTED = "47bfffcf2d31f28fd3a23d9ccf92b3039f7420bbeaf034c7eb7c6b08317129ba"
-
-
-# sha256 of `inflate --verify-only` and `check` stdout on the n = 9, g = 2
-# plan above and on three tampered copies, so that the `failed:` lines (the
-# endpoint, a zig-zag diag substep over its bound, a zig-zag down substep
-# along a class of negative area) are pinned
+# sha256 of the stdout of both `inflate --verify-only` and `check` on the
+# n = 9, g = 2 plan above and on three tampered copies, so that the `failed:`
+# lines (the endpoint, a zig-zag diag substep over its bound, a zig-zag down
+# substep along a class of negative area) are pinned
 @pytest.mark.parametrize(
-    "mutate,verify_digest,check_digest",
+    "mutate,digest",
     [
-        (None, _PLAN_OK, _PLAN_OK),
-        (_last_t_doubled,
-         "eb4070301c4f6c6840703a84d553fbb892cacf4894e0cf69bf8121e96db12c04", _PLAN_REJECTED),
+        (None, "9f1d34ead660a340ad42a07c4a121634a61ed70140219ece61fc2b45ee1c4634"),
+        (_last_t_doubled, "eb4070301c4f6c6840703a84d553fbb892cacf4894e0cf69bf8121e96db12c04"),
         (_zigzag_total_times_four,
-         "7feea168415582a35a5b8ae4b58c87b28ebf3cc1a62e78c5cd6b83864e5124cc", _PLAN_REJECTED),
+         "7feea168415582a35a5b8ae4b58c87b28ebf3cc1a62e78c5cd6b83864e5124cc"),
         (_zigzag_down_class_negative,
-         "e586b94c71c66627638487ecf430853da8a22a243fad572c229a9d23dd23df4a", _PLAN_REJECTED),
+         "e586b94c71c66627638487ecf430853da8a22a243fad572c229a9d23dd23df4a"),
     ],
 )
-def test_cli_plan_verification_golden_bytes(mutate, verify_digest, check_digest, tmp_path,
-                                            capsys):
+def test_cli_plan_verification_golden_bytes(mutate, digest, tmp_path, capsys):
     assert main(["inflate", "--n", "9", "--g", "2", "--target", _golden_target(9, 2)]) == 0
     doc = json.loads(capsys.readouterr().out)
     if mutate is not None:
@@ -541,10 +534,38 @@ def test_cli_plan_verification_golden_bytes(mutate, verify_digest, check_digest,
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(doc))
     rc = 0 if mutate is None else 1
-    for argv, digest in ((["inflate", "--verify-only"], verify_digest), (["check"], check_digest)):
+    for argv in (["inflate", "--verify-only"], ["check"]):
         assert main([*argv, str(path)]) == rc
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _plan_rationals(doc):
+    """Every rational string of a plan document, its base plans' included."""
+    for nd in doc["nodes"]:
+        if nd["type"] == "seed":
+            if nd["base"] is not None:
+                yield from _plan_rationals(nd["base"])
+            yield from ([nd["epsilon"]] if nd["epsilon"] is not None else [])
+            yield from nd["vector"]
+        else:
+            yield nd["t"] if nd["type"] == "inflate" else nd["total"]
+    yield from doc["target"]
+
+
+def test_a_plan_document_reads_each_rational_string_once(monkeypatch, capsys):
+    assert main(["inflate", "--n", "16", "--g", "2", "--target", _golden_target(16, 2)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    reads = []
+    read_fraction = documents.read_fraction
+    monkeypatch.setattr(documents, "read_fraction", lambda s: reads.append(s) or read_fraction(s))
+    plan = documents.doc_to_plan(doc)
+    written = list(_plan_rationals(doc))
+    assert sorted(reads) == sorted(set(written))
+    # a base plan's target repeats its parent's seed vector, and equal
+    # entries repeat within a vector: 363 strings, 128 distinct
+    assert (len(written), len(reads)) == (363, 128)
+    assert documents.plan_to_doc(plan) == {k: v for k, v in doc.items() if k != "verification"}
 
 
 def _shorten_class(doc):
@@ -891,6 +912,7 @@ def _cli(argv):
 @example("3/" + "7" * 4301)
 @example("1" * 4301 + "/" + "7" * 4302)
 @example("1E5000")
+@example("--")  # argparse parsed --target=-- as [], which had no split()
 def test_rational_reader_matches_fraction(s):
     """parse_fraction and --target read what Fraction(s) reads and refuse,
     with its message, exactly what it refuses; they also refuse, with the

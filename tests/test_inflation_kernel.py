@@ -168,21 +168,22 @@ def _ref_checked_step(state, z, t, name):
 _kernel_step = inflation._step
 
 
-def _checked_kernel_step(state, z, t):
-    """The kernel step, asserting that its input and output states are the
-    integer forms of the Fraction area vectors of the reference step."""
+def _checked_kernel_step(state, c, t):
+    """The kernel step on the coefficient tuple c, asserting that its input
+    and output states are the integer forms of the Fraction area vectors of
+    the reference step on the class with those coefficients."""
     amb, nums, den = state
     before = AreaVector(amb, tuple(Fraction(x, den) for x in nums))
     assert before.integer_form == (nums, den)
     try:
-        want = ref_inflate_step(before, z, t)
+        want = ref_inflate_step(before, amb.from_coeffs(c), t)
     except (PlanError, LatticeError) as exc:
         with pytest.raises(type(exc)) as got:
-            _kernel_step(state, z, t)
+            _kernel_step(state, c, t)
         assert str(got.value) == str(exc)
         raise
     try:
-        out = _kernel_step(state, z, t)
+        out = _kernel_step(state, c, t)
     except (PlanError, LatticeError) as exc:
         raise AssertionError(f"the kernel refuses a step the Fraction step takes: {exc}")
     assert out[0] is amb and out[1:] == want.integer_form
@@ -274,6 +275,63 @@ def test_verify_plan_matches_the_fraction_replay(target, data):
         assert all(passed for _, passed, _ in want)
 
 
+def _steps_of(level):
+    """The kernel steps a level of a plan takes after its seed."""
+    return sum(1 if isinstance(nd, InflateNode) else 2 * nd.substeps for nd in level.nodes[1:])
+
+
+@PROPERTY
+@given(targets())
+def test_seed_states_carried_up_equal_the_fraction_seed_states(target):
+    # the replay steps the deepest level first, so the first step of each
+    # level starts from the state its seed gave
+    plan = plan_kahler(target)
+    starts = []
+
+    def recording_step(state, c, t):
+        starts.append(state)
+        return _kernel_step(state, c, t)
+
+    with mock.patch.object(inflation, "_step", recording_step), \
+            mock.patch.object(inflation, "_seed_state", wraps=inflation._seed_state) as seeds:
+        assert all(c.passed for c in verify_plan(plan))
+    # only the primitive seed at the bottom is built from its Fractions
+    assert seeds.call_count == 1
+    i = 0
+    for level in reversed(_levels(plan)):
+        if _steps_of(level):
+            amb = plan_ambient(level.g, level.n)
+            assert starts[i] == inflation._seed_state(level.nodes[0].vector, amb)
+        i += _steps_of(level)
+    assert i == len(starts)
+
+
+_PLAN5 = NormalizedVector.of(1, ["4", "2/5", "9/25", "81/250", "729/2500", "6561/25000"])
+
+
+@pytest.mark.parametrize("field", ["z", "z_diag", "z_down"])
+@pytest.mark.parametrize("extra", [(0,), ()])
+def test_a_hand_built_class_of_another_length_is_a_lattice_error(field, extra):
+    plan = plan_kahler(_PLAN5)
+    kind = InflateNode if field == "z" else ZigZagNode
+    i, node = next((i, nd) for i, nd in enumerate(plan.nodes) if isinstance(nd, kind))
+    coeffs = getattr(node, field)
+    nodes = list(plan.nodes)
+    nodes[i] = replace(node, **{field: coeffs[:-1] + extra + extra})
+    with pytest.raises(LatticeError, match="^coefficient length does not match basis$"):
+        verify_plan(replace(plan, nodes=tuple(nodes)))
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_a_hand_built_plan_whose_n_disagrees_with_its_vectors_is_a_lattice_error(depth):
+    # its states have n + 2 areas and its classes n + 2 coefficients, but the
+    # plan's ambient has n + 3 generators
+    levels = _levels(plan_kahler(_PLAN5))
+    level = replace(levels[depth], n=levels[depth].n + 1)
+    with pytest.raises(LatticeError, match="^coefficient length does not match basis$"):
+        verify_plan(_rebuild(levels, depth, level))
+
+
 @pytest.mark.parametrize("g,n", [(1, 3), (2, 2)])
 def test_step_refuses_a_class_of_another_ambient(g, n):
     a = state_from_vector(1, [3, Fraction(1, 3), Fraction(1, 4)])
@@ -310,8 +368,8 @@ def ref_zigzag_substeps(state, z_diag, z_down, total):
         s = total / nsub
         try:
             for _ in range(nsub):
-                cur = _kernel_step(cur, z_diag, s)
-                cur = _kernel_step(cur, z_down, s)
+                cur = _kernel_step(cur, z_diag.coeffs, s)
+                cur = _kernel_step(cur, z_down.coeffs, s)
         except PlanError:
             return None
         return cur

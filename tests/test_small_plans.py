@@ -151,7 +151,8 @@ def test_cli_check_rejects_huge_substeps(tmp_path, capsys):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(doc))
     assert main(["check", str(path)]) == 1
-    assert capsys.readouterr().out == "plan rejected\n"
+    assert capsys.readouterr().out == (f"failed: zigzag {zigzag['label']}: bad substep data\n"
+                                       "plan rejected\n")
 
 
 # -- bit-lengths on long targets -------------------------------------------------------
