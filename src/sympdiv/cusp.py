@@ -17,8 +17,9 @@ runs by search along `reduction.NEXT_STAGE` and the checker by replaying
 the document, with the chain labeling it records.  Its callers check the
 pair's validity and hypothesis, and it refuses a disconnected divisor on a
 rational ambient: each precondition of the reduction is checked once.
-Resolution blowups record the `Contraction` undoing each; total transforms
-are read off those records, whatever the ambient kind.
+A resolution collects its blowups as steps, each with the `Contraction`
+undoing it, and makes its configuration by one `blowups` call; total
+transforms are read off the contractions, whatever the ambient kind.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from .moves import (
     Contraction,
     HalfToricBlowup,
     ToricBlowup,
-    blowup,
     blowup_contraction,
+    blowups,
 )
 from .reduction import (
     MINIMAL_AMBIENTS,
@@ -239,17 +240,16 @@ class ResolutionResult:
     moves: tuple[BlowupMove, ...] = ()  # the blowups, their spheres being exc_ids
 
 
-def resolution_blowup(cur, move, contractions, ids, moves):
-    """One blowup of a resolution, by blowup on the contraction built here,
-    which is recorded with the sphere and the move.  The sphere takes the id
-    blowup_contraction gives it, suffixed with x when a component has it."""
-    con, xid = built = blowup_contraction(cur.ambient)
-    if cur.has_component(xid):
+def resolution_step(config, steps, move) -> str:
+    """Collect one blowup of a resolution of config, on the contraction built
+    for the ambient the steps reach; its sphere takes the default id, suffixed
+    with x while a component or an earlier sphere has it, and returns it."""
+    con, xid = blowup_contraction(steps[-1][0].pre if steps else config.ambient)
+    used = {*config.ids(), *(cid for _, _, cid in steps)}
+    while xid in used:
         xid += "x"
-    contractions.append(con)
-    ids.append(xid)
-    moves.append(move)
-    return blowup(cur, move, new_id=xid, contraction=built)
+    steps.append((con, move, xid))
+    return xid
 
 
 def total_transform(contractions, x, weights):
@@ -286,18 +286,14 @@ def resolve_pattern(
     if db is None or config.edge_multiplicity(da, db) < 1:
         raise CuspError(f"no intersection point between {da!r} and {db!r}")
 
-    cur = config
     u, v, cp, cq = da, db, p, q
     pc_contact, pc_mu = p, q
     mult: list[int] = []
-    ids: list[str] = []
-    cons: list[Contraction] = []
-    moves: list[BlowupMove] = []
+    steps: list[tuple[Contraction, BlowupMove, str]] = []
     pc: dict[str, int] = {}
     while True:
         mult.append(min(cp, cq))
-        cur = resolution_blowup(cur, ToricBlowup(u, v), cons, ids, moves)
-        xid = ids[-1]
+        xid = resolution_step(config, steps, ToricBlowup(u, v))
         if pc_contact < pc_mu:
             pc[xid] = pc.get(xid, 0) + (pc_mu - pc_contact)
             pc_mu = pc_mu - pc_contact
@@ -311,6 +307,8 @@ def resolve_pattern(
         else:
             break
 
+    cur = blowups(config, steps)
+    cons, moves, ids = zip(*steps)
     a_tilde = total_transform(cons, A, mult)
     weights = weight_sequence(p, q).weights
     checks = [
@@ -322,8 +320,8 @@ def resolve_pattern(
     ]
     _require_all(checks, "resolution")
     return ResolutionResult(
-        cur, da, db, p, q, tuple(mult), tuple(str(c.e) for c in cons), tuple(ids),
-        a_tilde, ids[-1], tuple(checks), pc, tuple(cons), tuple(moves),
+        cur, da, db, p, q, tuple(mult), tuple(str(c.e) for c in cons), ids,
+        a_tilde, ids[-1], tuple(checks), pc, cons, moves,
     )
 
 
@@ -748,16 +746,16 @@ def _a3_resolution(term) -> ResolutionResult:
     """Half-toric plus three toric blowups on the degree-two sphere; the
     foliating class 2h - e1 - e2 - e3 - e4 has a (4, 1) tangency."""
     d1 = term.components[0].id
-    cur, ids, cons, moves = term, [], [], []
+    steps, xid = [], None
     for i in range(4):
-        move = HalfToricBlowup(d1) if i == 0 else ToricBlowup(d1, ids[-1])
-        cur = resolution_blowup(cur, move, cons, ids, moves)
+        xid = resolution_step(term, steps, HalfToricBlowup(d1) if i == 0 else ToricBlowup(d1, xid))
+    cur = blowups(term, steps)
+    cons, moves, ids = zip(*steps)
     a_cls = total_transform(cons, term.components[0].cls, (1, 1, 1, 1))
     checks = a_tilde_checks(cur, a_cls, ids[-1])
     _require_all(checks, "a3-pattern")
     return ResolutionResult(cur, d1, None, 4, 1, (1, 1, 1, 1), tuple(str(c.e) for c in cons),
-                            tuple(ids), a_cls, ids[-1], tuple(checks), {d1: 1}, tuple(cons),
-                            tuple(moves))
+                            ids, a_cls, ids[-1], tuple(checks), {d1: 1}, cons, moves)
 
 
 def a3_cusp(term: DivisorConfig) -> CuspData:

@@ -20,10 +20,13 @@ reflections (exceptional.normalize_to_basis) and drops that generator's
 slot.  A blowup is the section of a contraction built directly for a fresh
 generator, with an empty word (`blowup_contraction`).  One bridge changes
 the basis kind and carries explicit coordinates instead: CP2#2 -> S2xS2
-contracting H-E1-E2, which is also the blowup of S2xS2.  Blowup and the replay of a
-blowdown run one core: lift every class along the section, then apply the
-move with e as the new sphere.  The core validates nothing; blowup and the
-checker validate what it makes, verify_trace compares it with its input.
+contracting H-E1-E2, which is also the blowup of S2xS2.  A sequence of
+blowups (`blowups`; `blowup` is its one-step call) and the replay of a
+blowdown run one core over (contraction, move, sphere id) steps: for each,
+lift every class along the section, then apply the move with e as the new
+sphere; one configuration is built, after the last step.  The core
+validates nothing; blowups validates what it makes, once, in full, and the
+checker each replay, which verify_trace compares with its input.
 """
 
 from __future__ import annotations
@@ -218,64 +221,62 @@ def blowup_contraction(ambient: AmbientLattice) -> tuple[Contraction, str]:
 # -- blowup ---------------------------------------------------------------------
 
 
-def _apply_move(
-    con: Contraction,
-    config: DivisorConfig,
-    move: BlowupMove,
-    new_id: str,
-) -> DivisorConfig:
-    """Shared core of blowup and replay_blowdown, which validates nothing:
-    lift every class of the post configuration along the section of con, then
-    rewrite the lifted classes and edges by the move, con.e the new sphere."""
-    classes = {c.id: con.section(c.cls) for c in config.components}
+def _apply_moves(config: DivisorConfig, steps) -> DivisorConfig:
+    """Shared core of blowups and replay_blowdown, which validates nothing:
+    for each (contraction, move, sphere id) step, lift every class along the
+    section of the contraction, then rewrite the lifted classes and edges by
+    the move, the contracted class the new sphere.  One configuration is
+    built, after the last step."""
+    classes = {c.id: c.cls for c in config.components}
     genus = {c.id: c.genus for c in config.components}  # a blowup keeps every genus
-    genus[new_id] = 0
-    edges = list(config.edges)
-    ecls = con.e
-    if isinstance(move, ToricBlowup):
-        key = tuple(sorted((move.a, move.b)))
-        if key not in edges:
-            raise MoveError(f"no edge between {move.a!r} and {move.b!r}")
-        edges.remove(key)
-        classes[move.a] = classes[move.a] - ecls
-        classes[move.b] = classes[move.b] - ecls
-        classes[new_id] = ecls
-        edges.append(tuple(sorted((move.a, new_id))))
-        edges.append(tuple(sorted((move.b, new_id))))
-    elif isinstance(move, NonToricBlowup):
-        if move.comp not in classes:
-            raise MoveError(f"no component {move.comp!r}")
-        classes[move.comp] = classes[move.comp] - ecls
-    elif isinstance(move, HalfToricBlowup):
-        if move.comp not in classes:
-            raise MoveError(f"no component {move.comp!r}")
-        classes[move.comp] = classes[move.comp] - ecls
-        classes[new_id] = ecls
-        edges.append(tuple(sorted((move.comp, new_id))))
-    elif isinstance(move, ExteriorBlowup):
-        if move.add_component:
-            classes[new_id] = ecls
-    else:
-        raise MoveError(f"unknown move {move!r}")
-    return DivisorConfig.build(con.pre, [(i, c, genus[i]) for i, c in classes.items()], edges)
+    edges, ambient = list(config.edges), config.ambient
+    for con, move, new_id in steps:
+        classes = {cid: con.section(x) for cid, x in classes.items()}
+        if isinstance(move, ToricBlowup):
+            key = tuple(sorted((move.a, move.b)))
+            if key not in edges:
+                raise MoveError(f"no edge between {move.a!r} and {move.b!r}")
+            edges.remove(key)
+            hit, sphere = key, True
+        elif isinstance(move, (NonToricBlowup, HalfToricBlowup)):
+            hit, sphere = (move.comp,), isinstance(move, HalfToricBlowup)
+        elif isinstance(move, ExteriorBlowup):
+            hit, sphere = (), move.add_component
+        else:
+            raise MoveError(f"unknown move {move!r}")
+        for cid in hit:
+            if cid not in classes:
+                raise MoveError(f"no component {cid!r}")
+            classes[cid] = classes[cid] - con.e
+        if sphere:
+            classes[new_id], genus[new_id] = con.e, 0
+            edges.extend(tuple(sorted((cid, new_id))) for cid in hit)
+        ambient = con.pre
+    return DivisorConfig.build(ambient, [(i, c, genus[i]) for i, c in classes.items()], edges)
 
 
-def blowup(
-    config: DivisorConfig,
-    move: BlowupMove,
-    new_id: str | None = None,
-    contraction: tuple[Contraction, str] | None = None,
-) -> DivisorConfig:
-    """Perform a blowup move on the section of `contraction`, the pair
-    blowup_contraction returns, built here unless the caller has it; the
-    result is validated here, once, in full."""
-    con, default_id = contraction or blowup_contraction(config.ambient)
-    if con.post != config.ambient:
-        raise MoveError(f"the contraction does not undo a blowup of {config.ambient.describe()}")
-    cid = new_id or default_id
-    if config.has_component(cid):
-        raise MoveError(f"component id {cid!r} already in use")
-    return require_valid(_apply_move(con, config, move, cid))
+def blowups(config: DivisorConfig, steps) -> DivisorConfig:
+    """Blowup moves, each step (contraction, move, sphere id) on a blowup of
+    the ambient before it, with an id no component nor earlier step has; one
+    configuration is made and validated here, once, in full.  A blowup's
+    section is an isometry onto the complement of its sphere, of square -1,
+    so that is valid exactly when every configuration between would be."""
+    ambient, used = config.ambient, set(config.ids())
+    for con, move, cid in steps:
+        if con.post != ambient:
+            raise MoveError(f"the contraction does not undo a blowup of {ambient.describe()}")
+        if cid in used:
+            raise MoveError(f"component id {cid!r} already in use")
+        used.add(cid)
+        ambient = con.pre
+    return require_valid(_apply_moves(config, steps))
+
+
+def blowup(config: DivisorConfig, move: BlowupMove, new_id: str | None = None) -> DivisorConfig:
+    """One blowup move, by blowups, on the section of the contraction
+    blowup_contraction builds, the sphere taking its default id unless given."""
+    con, default_id = blowup_contraction(config.ambient)
+    return blowups(config, [(con, move, new_id or default_id)])
 
 
 def area_after_blowup(
@@ -401,7 +402,7 @@ def replay_blowdown(step: BlowdownStep) -> DivisorConfig:
     The move is linear in the classes, so it is applied on the sections of
     the post classes with the contracted class itself as the new sphere."""
     new_id = step.removed_component or "replayed"
-    return _apply_move(step.contraction, step.config, step.move, new_id)
+    return _apply_moves(step.config, [(step.contraction, step.move, new_id)])
 
 
 # -- toric blowup sequences -----------------------------------------------------

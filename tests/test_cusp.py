@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,12 @@ from conftest import (
     second_kind_cp2_4,
     synthetic_chain,
 )
-from sympdiv import cli, moves
+from sympdiv import cli, divisor, moves
 from sympdiv.checks import all_passed
 from sympdiv.cusp import (
     CertifyError,
     CuspError,
+    _a3_resolution,
     admissible_check,
     associated_sequence,
     certify_affine_ruled,
@@ -31,7 +33,7 @@ from sympdiv.cusp import (
     resolve_pattern,
     weight_sequence,
 )
-from sympdiv.divisor import DivisorConfig
+from sympdiv.divisor import DivisorConfig, DivisorError
 from sympdiv.documents import certificate_to_doc, parse_config
 from sympdiv.lattice import AmbientLattice, AreaVector, canonical, pair
 
@@ -402,6 +404,51 @@ def test_resolve_pattern_product_of_spheres_golden_digest():
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_PRODUCT_RESOLUTION_SHA256
 
 
+def _resolution_inputs():
+    """(configuration, its resolution) for every chain of _golden_chains(),
+    60 sample_admissible chains, the S2xS2 chains of _product_chain(k),
+    k = 1..6, and the a3 pattern on the conic in the plane."""
+    rng = random.Random(11)
+    out = []
+    for a in _golden_chains() + [sample_admissible(rng) for _ in range(60)]:
+        cfg, ids = synthetic_chain(a)
+        out.append((cfg, cusp_class(cfg, ids, len(a))))
+    out += [(cfg, cusp_class(cfg, ids, 1)) for cfg, ids in map(_product_chain, range(1, 7))]
+    out = [(cfg, resolve_pattern(cfg, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls))
+           for cfg, cusp in out]
+    conic, _ = parse_config(json.loads((FIXTURES / "cp2_conic.json").read_text()))
+    return out + [(conic, _a3_resolution(conic))]
+
+
+def _one_blowup_at_a_time(config, steps):
+    """The oracle: moves.blowup on each step's move and id, which builds its
+    own contraction and validates every configuration it makes."""
+    for _, move, cid in steps:
+        config = moves.blowup(config, move, new_id=cid)
+    return config
+
+
+def test_blowups_equal_one_validated_blowup_at_a_time():
+    """A resolution's one blowups call makes the configuration the blowups
+    one at a time make, and refuses an input with one edge too many or one
+    genus wrong, as the first of those blowups does."""
+    inputs = _resolution_inputs()
+    assert len(inputs) > 100
+    for cfg, res in inputs:
+        steps = list(zip(res.contractions, res.moves, res.exc_ids))
+        assert moves.blowups(cfg, steps) == _one_blowup_at_a_time(cfg, steps) == res.config
+        first = cfg.components[0]
+        tampered = [replace(cfg, components=(replace(first, genus=first.genus + 1),
+                                             *cfg.components[1:]))]
+        if cfg.edges:
+            tampered.append(replace(cfg, edges=tuple(sorted(cfg.edges + cfg.edges[:1]))))
+        for bad in tampered:
+            with pytest.raises(DivisorError):
+                moves.blowups(bad, steps)
+            with pytest.raises(DivisorError):
+                _one_blowup_at_a_time(bad, steps)
+
+
 @pytest.mark.parametrize(
     "fixture", ["product_spheres_chain.json", "cp2_13_cusp.json", "cp2_conic.json"]
 )
@@ -418,23 +465,24 @@ def test_resolution_areas_extend_terminal_areas(fixture):
 
 
 def test_resolution_builds_one_contraction_per_blowup(monkeypatch):
-    """Each resolution blowup runs moves.blowup, so its span sees it, on the
-    contraction the resolution built for it: one contraction per blowup."""
-    contraction, blowup = moves.blowup_contraction, moves.blowup
-    calls = {"contraction": 0, "blowup": 0}
+    """Each resolution blowup gets its own contraction, and the resolution
+    makes one configuration by one moves.blowups call, validated once: while
+    each blowup ran moves.blowup, the pins were 5 blowup calls and 5
+    validated configurations."""
+    spied = {"contraction": moves.blowup_contraction, "blowup": moves.blowup,
+             "blowups": moves.blowups, "validate": divisor.validate}
+    calls = dict.fromkeys(spied, 0)
 
-    def spy_contraction(*args, **kwargs):
-        calls["contraction"] += 1
-        return contraction(*args, **kwargs)
+    def spy(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return spied[name](*args, **kwargs)
+        return call
 
-    def spy_blowup(*args, **kwargs):
-        calls["blowup"] += 1
-        return blowup(*args, **kwargs)
-
-    rebind(monkeypatch, contraction, spy_contraction)
-    rebind(monkeypatch, blowup, spy_blowup)
+    for name, original in spied.items():
+        rebind(monkeypatch, original, spy(name))
     cfg, ids = synthetic_chain((3, -2))
     cusp = cusp_class(cfg, ids, 2)
     res = resolve_pattern(cfg, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls)
     assert len(res.exc_ids) == 5
-    assert calls == {"contraction": 5, "blowup": 5}
+    assert calls == {"contraction": 5, "blowup": 0, "blowups": 1, "validate": 1}

@@ -384,6 +384,19 @@ def test_cli_check_roundtrip(tmp_path, capsys):
     assert rc == 1
 
 
+def test_cli_certify_and_check_with_sphere_ids_taken_twice(tmp_path, capsys):
+    # cp2_13_cusp with P1 renamed E8 and P2 renamed E8x: the first resolution
+    # sphere's default id E8 and E8x are both taken, so it is E8xx.  While
+    # the suffix was added once, certify exited 3 on a MoveError
+    rc = main(["certify", str(Path(__file__).parent / "data" / "cp2_13_sphere_ids.json")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert json.loads(out)["resolution"]["moves"][0]["sphere"] == "E8xx"
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(out)
+    assert main(["check", str(cert_path)]) == 0
+
+
 def test_cli_cusp(capsys):
     rc = main(["cusp", "5", "2"])
     out = capsys.readouterr().out

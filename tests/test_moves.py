@@ -20,6 +20,7 @@ from sympdiv.moves import (
     blowdown,
     blowup,
     blowup_contraction,
+    blowups,
     is_toric_blowup_seq,
     recorded_contraction,
     replay_blowdown,
@@ -97,6 +98,18 @@ def test_blowdown_types_roundtrip():
         assert step.config == cfg
         assert replay_blowdown(step) == up
         assert step.kind == move.kind
+
+
+def test_replay_without_a_sphere_keeps_the_genus_of_a_component_named_replayed():
+    # a non-toric replay adds no sphere; while its core gave the sphere's id
+    # "replayed" genus 0 whatever the move, it made this cubic a sphere
+    rb = AmbientLattice.rational_blowup(1)
+    cfg = DivisorConfig.build(
+        rb, [("replayed", rb.cls(H=3)), ("L", rb.cls(H=1, E1=-1))], [("L", "replayed")] * 3
+    )
+    step = blowdown(cfg, rb.basis_class("E1"))
+    assert step.kind == "non_toric" and cfg.component("replayed").genus == 1
+    assert replay_blowdown(step) == cfg
 
 
 def test_blowdown_area_transport():
@@ -269,12 +282,29 @@ def test_blowup_contraction_starts_on_the_blowup():
 
 def test_blowup_refuses_a_contraction_of_another_ambient():
     cfg = DivisorConfig.build(AmbientLattice.rational_blowup(2), [], [])
-    other = blowup_contraction(AmbientLattice.rational_blowup(3))
+    other, oid = blowup_contraction(AmbientLattice.rational_blowup(3))
     with pytest.raises(MoveError, match="does not undo a blowup"):
-        blowup(cfg, ExteriorBlowup(add_component=True), contraction=other)
-    given = blowup_contraction(cfg.ambient)
-    assert blowup(cfg, ExteriorBlowup(add_component=True), contraction=given) == blowup(
+        blowups(cfg, [(other, ExteriorBlowup(add_component=True), oid)])
+    given, gid = blowup_contraction(cfg.ambient)
+    assert blowups(cfg, [(given, ExteriorBlowup(add_component=True), gid)]) == blowup(
         cfg, ExteriorBlowup(add_component=True))
+
+
+def test_blowups_checks_each_step_against_the_steps_before():
+    cfg = two_lines()
+    first, _ = blowup_contraction(cfg.ambient)
+    second, _ = blowup_contraction(first.pre)
+    steps = [(first, ToricBlowup("A", "B"), "e"), (second, ToricBlowup("A", "e"), "f")]
+    assert blowups(cfg, steps) == blowup(blowup(cfg, ToricBlowup("A", "B"), "e"),
+                                         ToricBlowup("A", "e"), "f")
+    with pytest.raises(MoveError, match="does not undo a blowup"):
+        blowups(cfg, steps[::-1])
+    with pytest.raises(MoveError, match="does not undo a blowup"):
+        blowups(cfg, [steps[0], (first, ToricBlowup("A", "e"), "f")])
+    with pytest.raises(MoveError, match="'e' already in use"):
+        blowups(cfg, [steps[0], (second, ToricBlowup("A", "e"), "e")])
+    with pytest.raises(MoveError, match="'B' already in use"):
+        blowups(cfg, [(first, NonToricBlowup("A"), "B")])
 
 
 # -- toric blowup sequences -----------------------------------------------------

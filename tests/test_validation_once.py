@@ -1,9 +1,11 @@
 """Every configuration is validated once, in full, where it is made.
 
-blowup and blowdown validate their results, the checker every configuration
-its replay makes; reduction.verify_trace validates nothing and compares each
-replay with the pre-configuration it must equal.  A configuration builds its
-sparse pairings once, so validating the same object again builds none.
+blowups (and blowup, its one-step call) and blowdown validate their results,
+the checker every configuration its replay makes; reduction.verify_trace
+validates nothing and compares each replay with the pre-configuration it must
+equal.  A resolution is one blowups call: it makes one configuration, not one
+per blowup.  A configuration builds its sparse pairings once, so validating
+the same object again builds none.
 """
 
 from __future__ import annotations
@@ -59,27 +61,30 @@ def test_certify_and_check_build_one_matrix_per_configuration(monkeypatch):
     rebind(monkeypatch, validate, spy_validate)
     rebind(monkeypatch, sparse_gram, spy_sparse_gram)
     cert = certify_affine_ruled(config, w)
-    # the input, 9 blowdown results and 5 resolution blowups; while the
-    # reduction's entry checked its input again, the input was validated twice
-    assert (len(built), len(validated)) == (15, 15)
+    # the input, 9 blowdown results and the resolution; while the reduction's
+    # entry checked its input again, the input was validated twice, and while
+    # each of the 5 resolution blowups made a configuration, the pin was
+    # (15, 15)
+    assert (len(built), len(validated)) == (11, 11)
     assert None not in built
     assert len({id(c) for c in built}) == len(built)  # `built` keeps each alive
     doc = json.loads(canonical_json(certificate_to_doc(cert)))
     built.clear()
     validated.clear()
     assert all_passed(checker.check_certificate(doc))
-    # the input, the terminal, 9 replays and 5 resolution blowups; on the
+    # the input, the terminal, 9 replays and the resolution; on the
     # admissible-subchain route the terminal is not classified, so none is
-    # validated twice
-    assert (len(built), len(validated)) == (16, 16)
+    # validated twice; with a configuration per resolution blowup, (16, 16)
+    assert (len(built), len(validated)) == (12, 12)
     assert None not in built
     assert len({id(c) for c in built}) == len(built)
 
 
 def test_certify_visits_only_the_pairs_sharing_a_column(monkeypatch):
-    # a deterministic count of the kernel's work: of the 441 component pairs
-    # of the 15 configurations certify validates, 181 share a generator
-    # column, and only those are paired
+    # a deterministic count of the kernel's work: of the 341 component pairs
+    # of the 11 configurations certify validates, 133 share a generator
+    # column, and only those are paired; with a configuration per resolution
+    # blowup, 181 of 441 pairs in 15 configurations
     config, w = _fixture("cp2_13_cusp.json")
     validate, validated = divisor.validate, []
 
@@ -91,8 +96,8 @@ def test_certify_visits_only_the_pairs_sharing_a_column(monkeypatch):
     certify_affine_ruled(config, w)
     configs = list({id(c): c for c in validated}.values())
     sizes = [len(c.components) for c in configs]
-    assert (len(configs), sum(k * (k - 1) // 2 for k in sizes)) == (15, 441)
-    assert sum(len(c.gram.off) for c in configs) == 181
+    assert (len(configs), sum(k * (k - 1) // 2 for k in sizes)) == (11, 341)
+    assert sum(len(c.gram.off) for c in configs) == 133
 
 
 def _tamper_move(bd):
