@@ -190,8 +190,8 @@ def _contraction_check(name: str, con, w: AreaVector) -> Check:
                 for c in con.word.word if pair(c, c) != -2 or pair(c, k) != 0]
     if not is_exceptional_class(e):
         problems.append(f"{e} is not exceptional")
-    elif area(e, w) <= 0:
-        problems.append(f"{e} has non-positive area {area(e, w)}")
+    elif (a := area(e, w)).numerator <= 0:
+        problems.append(f"{e} has non-positive area {a}")
     if con.slot is not None and con.word.apply(e) != amb.basis_class(amb.names[con.slot]):
         problems.append(f"the word does not take {e} to {amb.names[con.slot]}")
     return Check(f"{name} contraction", not problems, "; ".join(problems))

@@ -46,6 +46,9 @@ from .lattice import (
     HomologyClass,
     area,
     canonical,
+    add_multiple,
+    coeffs_in,
+    combination,
     pair,
 )
 from .moves import (
@@ -187,23 +190,16 @@ def cusp_class(config: DivisorConfig, chain_ids, k: int) -> CuspData:
     if not adm.accepted:
         raise CuspError(f"subchain {a} not admissible: {adm.reason}")
     A = combination_class(config, dict(zip(order[:k], adm.c)))
-
+    p, q, kk = adm.p, adm.q, pair(A, canonical(config.ambient))
+    dp, dq, sq = pair(A, comps[k - 1].cls), pair(A, comps[k].cls), pair(A, A)
+    stray = [c.id for j, c in enumerate(comps) if j not in (k - 1, k) and pair(A, c.cls) != 0]
     checks = [
-        Check("A.D_k = p", pair(A, comps[k - 1].cls) == adm.p,
-              f"{pair(A, comps[k - 1].cls)} vs {adm.p}"),
-        Check("A.D_k+1 = q", pair(A, comps[k].cls) == adm.q,
-              f"{pair(A, comps[k].cls)} vs {adm.q}"),
+        Check("A.D_k = p", dp == p, f"{dp} vs {p}"),
+        Check("A.D_k+1 = q", dq == q, f"{dq} vs {q}"),
+        Check("A orthogonal to other components", not stray, ", ".join(stray)),
+        Check("A.A = pq", sq == p * q, f"{sq} vs {p * q}"),
+        Check("A.K = -p-q-1", kk == -p - q - 1, f"{kk} vs {-p - q - 1}"),
     ]
-    stray = [
-        comps[j].id for j in range(len(comps))
-        if j not in (k - 1, k) and pair(A, comps[j].cls) != 0
-    ]
-    checks.append(Check("A orthogonal to other components", not stray, ", ".join(stray)))
-    checks.append(Check("A.A = pq", pair(A, A) == adm.p * adm.q,
-                        f"{pair(A, A)} vs {adm.p * adm.q}"))
-    kk = pair(A, canonical(config.ambient))
-    checks.append(Check("A.K = -p-q-1", kk == -adm.p - adm.q - 1,
-                        f"{kk} vs {-adm.p - adm.q - 1}"))
     bad = failures(checks)
     if bad:
         raise CuspError("cusp class identities failed: " + "; ".join(c.name for c in bad))
@@ -213,10 +209,8 @@ def cusp_class(config: DivisorConfig, chain_ids, k: int) -> CuspData:
 
 def combination_class(config: DivisorConfig, coeffs: dict) -> HomologyClass:
     """The class sum(coeffs[id] [D_id]) over components of config."""
-    total = config.ambient.zero()
-    for cid, c in coeffs.items():
-        total = total + c * config.component(cid).cls
-    return total
+    return combination(config.ambient,
+                       ((c, config.component(cid).cls) for cid, c in coeffs.items()))
 
 
 # -- normal crossing resolution ----------------------------------------------------
@@ -254,10 +248,12 @@ def resolution_step(config, steps, move) -> str:
 
 def total_transform(contractions, x, weights):
     """The total transform of x through the blowups that `contractions`
-    undo, less weights[i] times the i-th exceptional class."""
+    undo, less weights[i] times the i-th exceptional class; each contraction
+    starts where the one before ends, so only x's ambient is checked."""
+    v = coeffs_in(x, contractions[0].post) if contractions else x.coeffs
     for con, m in zip(contractions, weights, strict=True):
-        x = con.section(x) - m * con.e
-    return x
+        v = add_multiple(con.lift(v), -m, con.e.coeffs)
+    return HomologyClass(contractions[-1].pre, v) if contractions else x
 
 
 def resolve_pattern(
@@ -326,26 +322,16 @@ def resolve_pattern(
 
 
 def a_tilde_checks(config, a_tilde, transverse_id) -> list[Check]:
-    amb = config.ambient
-    out = [
-        Check("Atilde^2 = 0", pair(a_tilde, a_tilde) == 0, str(pair(a_tilde, a_tilde))),
-        Check(
-            "Atilde.K = -2",
-            pair(a_tilde, canonical(amb)) == -2,
-            str(pair(a_tilde, canonical(amb))),
-        ),
-        Check(
-            "Atilde meets the transverse component once",
-            pair(a_tilde, config.component(transverse_id).cls) == 1,
-            transverse_id,
-        ),
+    sq, kc = pair(a_tilde, a_tilde), pair(a_tilde, canonical(config.ambient))
+    once = pair(a_tilde, config.component(transverse_id).cls) == 1
+    stray = [c.id for c in config.components
+             if c.id != transverse_id and pair(a_tilde, c.cls) != 0]
+    return [
+        Check("Atilde^2 = 0", sq == 0, str(sq)),
+        Check("Atilde.K = -2", kc == -2, str(kc)),
+        Check("Atilde meets the transverse component once", once, transverse_id),
+        Check("Atilde orthogonal to all other components", not stray, ", ".join(stray)),
     ]
-    stray = [
-        c.id for c in config.components
-        if c.id != transverse_id and pair(a_tilde, c.cls) != 0
-    ]
-    out.append(Check("Atilde orthogonal to all other components", not stray, ", ".join(stray)))
-    return out
 
 
 def _require_all(checks, stage):
@@ -362,11 +348,10 @@ def positive_combination(
     q([D_a] - [proper transform of D_a]) - sum(m_i E_i), all non-negative."""
     if not res.multiplicities:
         return {}, Check("positive combination", True, "empty weight sequence, zero class")
-    target = (
-        total_transform(res.contractions, res.q * config_before.component(res.da).cls,
-                         res.multiplicities)
-        - res.q * res.config.component(res.da).cls
-    )
+    lifted = total_transform(res.contractions, res.q * config_before.component(res.da).cls,
+                             res.multiplicities)
+    target = combination(res.config.ambient,
+                         ((1, lifted), (-res.q, res.config.component(res.da).cls)))
     neg = [cid for cid, coeff in res.pc.items() if coeff < 0]
     if neg:
         raise CuspError(f"negative combination coefficient on {neg[0]}")
@@ -508,7 +493,7 @@ def certify_affine_ruled(
 def adjoint_check(config: DivisorConfig, w: AreaVector) -> Check:
     """The hypothesis: the adjoint area area(K + [D]) is negative."""
     hyp = adjoint_area(config, w)
-    return Check("adjoint area negative", hyp < 0, str(hyp))
+    return Check("adjoint area negative", hyp.numerator < 0, str(hyp))
 
 
 def build_certificate(config, w, hypothesis, area_bound, reduce) -> AffineRuledCertificate:
@@ -768,42 +753,27 @@ def a3_cusp(term: DivisorConfig) -> CuspData:
 
 def transport_to_original(config, traces, cusp) -> OriginalTransport:
     """Walk the reduction backwards, lifting A through each blowup; a toric
-    blowup at the cusp corner shortens the cusp by one Euclid step."""
-    steps = [s for tr in traces for s in tr.steps]
-    a_cur, p, q = cusp.cls, cusp.p, cusp.q
+    blowup at the cusp corner shortens the cusp by one Euclid step, and its
+    exceptional class is taken off A with the multiplicity min(p, q)."""
+    steps = [s.blowdown for tr in reversed(traces) for s in reversed(tr.steps)]
+    p, q = cusp.p, cusp.q
     da, db = cusp.da, cusp.db
-    notes = []
-    for st in reversed(steps):
-        bd = st.blowdown
-        lifted = bd.contraction.section(a_cur)
-        move = bd.move
-        if (
-            isinstance(move, ToricBlowup)
-            and db is not None
-            and {move.a, move.b} == {da, db}
-            and p >= 1
-            and q >= 1
-        ):
+    notes, weights = [], []
+    for bd in steps:
+        move, m1 = bd.move, 0
+        if (isinstance(move, ToricBlowup) and db is not None and {move.a, move.b} == {da, db}
+                and p >= 1 and q >= 1):
             m1 = min(p, q)
-            lifted = lifted - m1 * bd.target
-            ecomp = bd.removed_component
-            if p > q:
-                da, db = ecomp, da
-            else:
-                da, db = ecomp, db
+            da, db = bd.removed_component, (da if p > q else db)
             p, q = m1, abs(p - q)
-            notes.append(
-                f"toric step at the cusp corner: lifted pair becomes ({p}, {q})"
-            )
-        a_cur = lifted
+            notes.append(f"toric step at the cusp corner: lifted pair becomes ({p}, {q})")
+        weights.append(m1)
+    a_cur = total_transform([bd.contraction for bd in steps], cusp.cls, weights)
 
-    amb = config.ambient
+    sq, kk = pair(a_cur, a_cur), pair(a_cur, canonical(config.ambient))
     checks = [
-        Check("original A.A = pq", pair(a_cur, a_cur) == p * q,
-              f"{pair(a_cur, a_cur)} vs {p * q}"),
-        Check("original A.K = -p-q-1",
-              pair(a_cur, canonical(amb)) == -p - q - 1,
-              str(pair(a_cur, canonical(amb)))),
+        Check("original A.A = pq", sq == p * q, f"{sq} vs {p * q}"),
+        Check("original A.K = -p-q-1", kk == -p - q - 1, str(kk)),
     ]
     ids = config.ids()
     if da in ids:
@@ -814,10 +784,7 @@ def transport_to_original(config, traces, cusp) -> OriginalTransport:
     if db is not None and db in ids:
         checks.append(Check("original A meets D_b with multiplicity q",
                             pair(a_cur, config.component(db).cls) == q, db))
-    stray = [
-        c.id for c in config.components
-        if c.id not in (da, db) and pair(a_cur, c.cls) != 0
-    ]
+    stray = [c.id for c in config.components if c.id not in (da, db) and pair(a_cur, c.cls) != 0]
     checks.append(Check("original A orthogonal to the other components",
                         not stray, ", ".join(stray)))
     return OriginalTransport(a_cur, p, q, da, db, tuple(checks), tuple(notes))

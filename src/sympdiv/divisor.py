@@ -24,6 +24,7 @@ from .lattice import (
     adjunction_genus,
     area,
     canonical,
+    combination,
     cone_violation,
     pair,
     sparse_gram,
@@ -116,9 +117,9 @@ def validate(config: DivisorConfig, w: AreaVector | None = None) -> list[str]:
     if not comps:
         return ["configuration is empty"]
     problems: list[str] = []
-    if w is not None and (sq := w.square()) <= 0:
+    if w is not None and (sq := w.square()).numerator <= 0:
         problems.append(f"area vector has non-positive square {sq}")
-    elif w is not None and w.areas[0] <= 0:  # w.w > 0 holds for -w too
+    elif w is not None and w.areas[0].numerator <= 0:  # w.w > 0 holds for -w too
         problems.append(f"area vector outside the symplectic cone: {w.ambient.names[0]} "
                         f"has area {w.areas[0]}")
     elif w is not None and (e := cone_violation(w)) is not None:
@@ -209,10 +210,7 @@ def first_betti(config: DivisorConfig) -> int:
 
 
 def total_class(config: DivisorConfig) -> HomologyClass:
-    out = config.ambient.zero()
-    for c in config.components:
-        out = out + c.cls
-    return out
+    return combination(config.ambient, ((1, c.cls) for c in config.components))
 
 
 def total_genus_parts(config: DivisorConfig) -> tuple[int, int]:
@@ -253,19 +251,10 @@ def smooth_all(config: DivisorConfig) -> list[SmoothedSurface]:
     cycle rank of that sub-graph."""
     out = []
     for group in connected_components(config):
-        ids = set(group)
-        cls = config.ambient.zero()
-        genus_sum = 0
-        n_edges = 0
-        for c in config.components:
-            if c.id in ids:
-                cls = cls + c.cls
-                genus_sum += c.genus
-        for a, b in config.edges:
-            if a in ids:
-                n_edges += 1
-        b1 = n_edges - len(group) + 1
-        out.append(SmoothedSurface(cls, genus_sum + b1, tuple(group)))
+        comps = [c for c in config.components if c.id in group]
+        cls = combination(config.ambient, ((1, c.cls) for c in comps))
+        b1 = sum(1 for a, _ in config.edges if a in group) - len(group) + 1
+        out.append(SmoothedSurface(cls, sum(c.genus for c in comps) + b1, tuple(group)))
     return out
 
 
@@ -284,7 +273,7 @@ def adjoint_area(config: DivisorConfig, w: AreaVector) -> Fraction:
 
 def check_hypothesis(config: DivisorConfig, w: AreaVector) -> bool:
     """Strict negativity of the adjoint class area, exactly."""
-    return adjoint_area(config, w) < 0
+    return adjoint_area(config, w).numerator < 0
 
 
 def check_tree_of_spheres(config: DivisorConfig, w: AreaVector) -> list[str]:

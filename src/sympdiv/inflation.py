@@ -34,6 +34,7 @@ from .lattice import (
     HomologyClass,
     LatticeError,
     area,
+    coeffs_in,
     integer_form_of,
     pair,
 )
@@ -166,9 +167,7 @@ def _step(state, c: tuple[int, ...], t: Fraction):
 def inflate_step(a: AreaVector, z: HomologyClass, t: Fraction) -> AreaVector:
     """New areas x -> area(x) + t * (z . x); t must respect the bound and
     every generator area must stay positive."""
-    if z.ambient is not a.ambient and z.ambient != a.ambient:
-        raise LatticeError("ambient mismatch")
-    _, nums, den = _step((a.ambient, *a.integer_form), z.coeffs, Fraction(t))
+    _, nums, den = _step((a.ambient, *a.integer_form), coeffs_in(z, a.ambient), Fraction(t))
     return AreaVector(a.ambient, tuple(Fraction(x, den) for x in nums))
 
 

@@ -32,9 +32,12 @@ integer dot products on it, with a single division at the end.
 Lattice self-maps are words of reflections r_c(x) = x + (x.c) c in classes
 of square -2, applied in order; r_c is an involution, so a word's inverse is
 the reversed word, composition is concatenation and the identity is the
-empty word.  Applying a word of length k costs O(n k).  Areas move along a
-map T as w o T^-1, pulled back one reflection at a time in word order by
-w o r_c = w + w(c) q_c, where q_c is the pairing row of c (q_c . x = x.c).
+empty word.  Applying a word of length k costs O(n k): the fold runs on
+coefficient tuples (`apply_coeffs`), x.c read as h(x, c) minus the dot
+product, and `apply` builds one class, for the result, as `combination`
+does for a sum of classes.  Areas move along a map T as w o T^-1, pulled
+back one reflection at a time in word order by w o r_c = w + w(c) q_c,
+where q_c is the pairing row of c (q_c . x = x.c).
 """
 
 from __future__ import annotations
@@ -305,12 +308,12 @@ class HomologyClass:
             raise LatticeError("coefficient length does not match basis")
 
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
-        _same_ambient(self, other)
-        return HomologyClass(self.ambient, tuple(map(operator.add, self.coeffs, other.coeffs)))
+        y = coeffs_in(other, self.ambient)
+        return HomologyClass(self.ambient, tuple(map(operator.add, self.coeffs, y)))
 
     def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        _same_ambient(self, other)
-        return HomologyClass(self.ambient, tuple(map(operator.sub, self.coeffs, other.coeffs)))
+        y = coeffs_in(other, self.ambient)
+        return HomologyClass(self.ambient, tuple(map(operator.sub, self.coeffs, y)))
 
     def __neg__(self) -> "HomologyClass":
         return HomologyClass(self.ambient, tuple(map(operator.neg, self.coeffs)))
@@ -334,16 +337,35 @@ class HomologyClass:
         return "".join(terms) if terms else "0"
 
 
-def _same_ambient(a: HomologyClass, b: HomologyClass) -> None:
-    if a.ambient is not b.ambient and a.ambient != b.ambient:
+def coeffs_in(x: HomologyClass, amb: AmbientLattice) -> tuple[int, ...]:
+    """The coefficients of x, a class of amb; a class of another ambient,
+    even one of the same length, is refused."""
+    if x.ambient is not amb and x.ambient != amb:
         raise LatticeError("ambient mismatch")
+    return x.coeffs
+
+
+def combination(amb: AmbientLattice, terms) -> HomologyClass:
+    """sum(k * x for k, x in terms), each x a class of amb, summed on the
+    coefficients and built as one class."""
+    total = (0,) * amb.dim
+    for k, x in terms:
+        total = add_multiple(total, k, coeffs_in(x, amb))
+    return HomologyClass(amb, total)
+
+
+def add_multiple(v: tuple[int, ...], k: int, c: tuple[int, ...]) -> tuple[int, ...]:
+    """v + k c on coefficient tuples, in a pass over the nonzero entries of c."""
+    out = list(v)
+    for i in compress(range(len(c)), c):
+        out[i] += k * c[i]
+    return tuple(out)
 
 
 def pair(a: HomologyClass, b: HomologyClass) -> int:
     """Intersection pairing under the ambient's fixed bilinear form: the
     kind's head term minus the dot product of the coefficient vectors."""
-    _same_ambient(a, b)
-    x, y = a.coeffs, b.coeffs
+    x, y = a.coeffs, coeffs_in(b, a.ambient)
     return KINDS[a.ambient.kind].h(x, y) - sum(map(operator.mul, x, y))
 
 
@@ -371,9 +393,7 @@ def sparse_gram(amb: AmbientLattice, classes: list[HomologyClass]) -> SparseGram
     columns = [[] for _ in amb.names]
     gens = range(len(columns))
     for i, c in enumerate(classes):
-        if c.ambient is not amb and c.ambient != amb:
-            raise LatticeError("ambient mismatch")
-        v = c.coeffs
+        v = coeffs_in(c, amb)
         for t in compress(gens, v):
             columns[t].append((i, v[t]))
     head, k_coeffs = _HEAD_TERMS[amb.kind], amb.canonical_class.coeffs
@@ -473,11 +493,11 @@ class AreaVector:
         for v in self.areas:
             if not isinstance(v, (int, Fraction)):
                 raise LatticeError(f"area {v!r} is not exact: use an int or a Fraction")
-        for i in self.ambient.exc_indices:
-            if self.areas[i] <= 0:
+        for i in self.ambient.exc_indices:  # signs off numerators: an int has one too
+            if self.areas[i].numerator <= 0:
                 raise LatticeError(f"area of {self.ambient.names[i]} must be > 0")
         fi = self.ambient.fiber_index
-        if fi is not None and self.areas[fi] <= 0:
+        if fi is not None and self.areas[fi].numerator <= 0:
             raise LatticeError("fiber area must be > 0")
 
     @staticmethod
@@ -520,10 +540,8 @@ class AreaVector:
 def area(a: HomologyClass, w: AreaVector) -> Fraction:
     """Linear extension of the generator areas: an integer dot product with
     the numerators of w's integer form, divided once by its denominator."""
-    if a.ambient != w.ambient:
-        raise LatticeError("ambient mismatch")
     nums, den = w.integer_form
-    return Fraction(sum(map(operator.mul, a.coeffs, nums)), den)
+    return Fraction(sum(map(operator.mul, coeffs_in(a, w.ambient), nums)), den)
 
 
 # -- lattice self-maps -------------------------------------------------------
@@ -555,10 +573,22 @@ class LatticeMap:
         return LatticeMap(self.ambient, self.word + second.word)
 
     def apply(self, x: HomologyClass) -> HomologyClass:
-        return _reflect(self.word, x)
+        return self._on_class(self.apply_coeffs, x)
 
     def apply_inverse(self, x: HomologyClass) -> HomologyClass:
-        return _reflect(reversed(self.word), x)
+        return self._on_class(self.apply_inverse_coeffs, x)
+
+    def apply_coeffs(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """apply on the coefficients v of a class of the ambient."""
+        return _reflect(self.ambient, self.word, v)
+
+    def apply_inverse_coeffs(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        return _reflect(self.ambient, self.word[::-1], v)
+
+    def _on_class(self, fold, x: HomologyClass) -> HomologyClass:
+        if not self.word:
+            return x
+        return HomologyClass(self.ambient, fold(coeffs_in(x, self.ambient)))
 
     def transport_area(self, w: AreaVector) -> AreaVector:
         """Area vector w' with w'(T x) = w(x) for all classes x, that is
@@ -571,18 +601,24 @@ class LatticeMap:
         nums, den = w.integer_form
         for c in self.word:
             wc = sum(map(operator.mul, c.coeffs, nums))
-            nums = tuple(a + wc * b for a, b in zip(nums, _pairing_row(c)))
+            nums = tuple(a + wc * b for a, b in zip(nums, pairing_row(c)))
         return AreaVector(self.ambient, tuple(Fraction(v, den) for v in nums))
 
 
-def _reflect(word, x: HomologyClass) -> HomologyClass:
-    """Fold the reflections of `word` over x, in the order given."""
+def _reflect(amb: AmbientLattice, word, v: tuple[int, ...]) -> tuple[int, ...]:
+    """Fold the reflections of `word` over the coefficients v, in the order
+    given: v + (v.c) c, the pairing v.c read as h(v, c) minus the dot
+    product of v and c."""
+    if not word:
+        return v
+    h = KINDS[amb.kind].h
     for c in word:
-        x = x + pair(x, c) * c
-    return x
+        c = coeffs_in(c, amb)
+        v = add_multiple(v, h(v, c) - sum(map(operator.mul, v, c)), c)
+    return v
 
 
-def _pairing_row(c: HomologyClass) -> tuple[int, ...]:
+def pairing_row(c: HomologyClass) -> tuple[int, ...]:
     """The row r with pair(x, c) = r . x: the head term of c against each
     head generator (h vanishes on the exceptional ones), minus c."""
     h = KINDS[c.ambient.kind].h

@@ -13,20 +13,22 @@ exceptional sphere e:
 Both directions share one lattice record, the `Contraction` from the
 blown-up ambient (pre) to the other (post): the contracted class e,
 `forward` on classes orthogonal to e, its `section` back (the total
-transform), `pull_back` of areas along the section and `extend`, which
-gives e an area and every other class the area of its image.  Blowdown
-normalizes a general exceptional class to a basis generator by a word of
-reflections (exceptional.normalize_to_basis) and drops that generator's
-slot.  A blowup is the section of a contraction built directly for a fresh
-generator, with an empty word (`blowup_contraction`).  One bridge changes
-the basis kind and carries explicit coordinates instead: CP2#2 -> S2xS2
-contracting H-E1-E2, which is also the blowup of S2xS2.  A sequence of
-blowups (`blowups`; `blowup` is its one-step call) and the replay of a
-blowdown run one core over (contraction, move, sphere id) steps: for each,
-lift every class along the section, then apply the move with e as the new
-sphere; one configuration is built, after the last step.  The core
-validates nothing; blowups validates what it makes, once, in full, and the
-checker each replay, which verify_trace compares with its input.
+transform), `pull_back` of areas along the section and `extend`, which gives
+e an area and every other class the area of its image.  `forward` and
+`section` check a class's ambient and wrap `drop` and `lift`, the same maps
+on coefficient tuples.  Blowdown normalizes a general exceptional class to a
+basis generator by a word of reflections (exceptional.normalize_to_basis)
+and drops that generator's slot.  A blowup is the section of a contraction
+built directly for a fresh generator, with an empty word
+(`blowup_contraction`).  One bridge changes the basis kind and carries
+explicit coordinates instead: CP2#2 -> S2xS2 contracting H-E1-E2, which is
+also the blowup of S2xS2.  A sequence of blowups (`blowups`; `blowup` is its
+one-step call) and the replay of a blowdown run one core over (contraction,
+move, sphere id) steps: for each, lift every class's coefficients along the
+section, then apply the move with e as the new sphere; the classes and one
+configuration are built after the last step.  The core validates nothing;
+blowups validates what it makes, once, in full, and the checker each replay,
+which verify_trace compares with its input.
 """
 
 from __future__ import annotations
@@ -44,9 +46,12 @@ from .lattice import (
     AreaVector,
     HomologyClass,
     LatticeMap,
+    add_multiple,
     area,
+    coeffs_in,
     is_exceptional_class,
     pair,
+    pairing_row,
     pairings,
 )
 
@@ -113,24 +118,26 @@ class Contraction:
 
     def forward(self, x: HomologyClass) -> HomologyClass:
         """Image of a pre class orthogonal to the contracted class."""
-        v = self.word.apply(x).coeffs
-        if self.slot is None:
-            return self.post.from_coeffs(_matvec(self.fwd, v))
-        if v[self.slot] != 0:
-            raise MoveError(f"{x} still meets the contracted generator")
-        return HomologyClass(self.post, v[: self.slot] + v[self.slot + 1 :])
+        return HomologyClass(self.post, self.drop(coeffs_in(x, self.pre)))
 
     def section(self, y: HomologyClass) -> HomologyClass:
         """The pre class orthogonal to the contracted class mapping to y:
         the total transform of y under the blowup."""
-        v = y.coeffs
+        return HomologyClass(self.pre, self.lift(coeffs_in(y, self.post)))
+
+    def drop(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """forward on the coefficients v of a pre class."""
+        u = self.word.apply_coeffs(v)
         if self.slot is None:
-            v = _matvec(self.back, v)
-        elif self.slot == len(v) and not self.word.word:  # a blowup's fresh generator
-            return HomologyClass(self.pre, v + (0,))
-        else:
-            v = v[: self.slot] + (0,) + v[self.slot :]
-        return self.word.apply_inverse(HomologyClass(self.pre, v))
+            return _matvec(self.fwd, u)
+        if u[self.slot] != 0:
+            raise MoveError(f"{HomologyClass(self.pre, v)} still meets the contracted generator")
+        return u[: self.slot] + u[self.slot + 1 :]
+
+    def lift(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """section on the coefficients v of a post class."""
+        u = _matvec(self.back, v) if self.slot is None else v[: self.slot] + (0,) + v[self.slot :]
+        return self.word.apply_inverse_coeffs(u)
 
     def pull_back(self, w: AreaVector) -> AreaVector:
         """Areas on post giving y the area w gives section(y)."""
@@ -146,7 +153,7 @@ class Contraction:
         if self.slot is None:
             # fwd extends forward to all of pre and kills e
             wf = w.pull_back(self.pre, self.fwd).areas
-            row = (pair(self.pre.basis_class(n), self.e) for n in self.pre.names)
+            row = pairing_row(self.e)  # pair(x, e) = row . x
             return AreaVector(self.pre, tuple(a - k * value for a, k in zip(wf, row)))
         # the word takes e to the generator at slot, which gets `value`
         u = AreaVector(self.pre, w.areas[: self.slot] + (value,) + w.areas[self.slot :])
@@ -225,13 +232,15 @@ def _apply_moves(config: DivisorConfig, steps) -> DivisorConfig:
     """Shared core of blowups and replay_blowdown, which validates nothing:
     for each (contraction, move, sphere id) step, lift every class along the
     section of the contraction, then rewrite the lifted classes and edges by
-    the move, the contracted class the new sphere.  One configuration is
-    built, after the last step."""
-    classes = {c.id: c.cls for c in config.components}
+    the move, the contracted class the new sphere.  Classes travel as
+    coefficient tuples, each in the ambient the first step starts from; one
+    configuration is built, after the last step."""
+    ambient = steps[0][0].post if steps else config.ambient
+    classes = {c.id: coeffs_in(c.cls, ambient) for c in config.components}
     genus = {c.id: c.genus for c in config.components}  # a blowup keeps every genus
-    edges, ambient = list(config.edges), config.ambient
+    edges = list(config.edges)
     for con, move, new_id in steps:
-        classes = {cid: con.section(x) for cid, x in classes.items()}
+        classes = {cid: con.lift(v) for cid, v in classes.items()}
         if isinstance(move, ToricBlowup):
             key = tuple(sorted((move.a, move.b)))
             if key not in edges:
@@ -247,12 +256,13 @@ def _apply_moves(config: DivisorConfig, steps) -> DivisorConfig:
         for cid in hit:
             if cid not in classes:
                 raise MoveError(f"no component {cid!r}")
-            classes[cid] = classes[cid] - con.e
+            classes[cid] = add_multiple(classes[cid], -1, con.e.coeffs)
         if sphere:
-            classes[new_id], genus[new_id] = con.e, 0
+            classes[new_id], genus[new_id] = con.e.coeffs, 0
             edges.extend(tuple(sorted((cid, new_id))) for cid in hit)
         ambient = con.pre
-    return DivisorConfig.build(ambient, [(i, c, genus[i]) for i, c in classes.items()], edges)
+    return DivisorConfig.build(
+        ambient, [(i, HomologyClass(ambient, v), genus[i]) for i, v in classes.items()], edges)
 
 
 def blowups(config: DivisorConfig, steps) -> DivisorConfig:
@@ -364,8 +374,8 @@ def blowdown(
     """Contract the exceptional class e; the incidence pattern fixes the type."""
     if not is_exceptional_class(e):
         raise MoveError(f"{e} is not an exceptional class")
-    if w is not None and area(e, w) <= 0:
-        raise MoveError(f"{e} has non-positive area {area(e, w)}")
+    if w is not None and (a := area(e, w)).numerator <= 0:
+        raise MoveError(f"{e} has non-positive area {a}")
     kind, move, removed, incident = detect_pattern(config, e)
 
     classes = {c.id: c.cls for c in config.components}

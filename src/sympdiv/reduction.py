@@ -206,7 +206,7 @@ def classify_kind(config: DivisorConfig, es: ExceptionalSet) -> KindInfo:
     cand = -(d + canonical(config.ambient))
     if not is_exceptional_class(cand):
         raise ClassifyError(f"-[D]-K = {cand} is not an exceptional class")
-    if area(cand, es.w) <= 0:
+    if area(cand, es.w).numerator <= 0:
         raise ClassifyError(f"-[D]-K = {cand} has non-positive area")
     mins = minimal_area(es)
     if mins != [cand]:
