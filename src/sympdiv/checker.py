@@ -9,10 +9,10 @@ exceptional classes.  From the recorded decisions alone it
     are orthogonal to K, the contracted class e is exceptional (in the
     Cremona orbit on CP2#n, n >= 3) of positive area, and the word takes e
     to the generator it drops (or e is the class of a bridge);
-  - replays the recorded blowups upward from the recorded terminal,
-    validating every configuration the replay makes; they must reproduce
-    every pre-configuration and finally the input, with the hypothesis on
-    both sides of every step;
+  - replays the recorded blowups up from the recorded terminal in one pass
+    on coefficient tuples, checked as blowups checks them, with the
+    hypothesis on both sides of each step read off the tuples, and validates
+    the one configuration it makes, where it ends, which must be the input;
   - searches, for every contracted e, for an exceptional E != e with
     0 < area(E) <= area(e) and E.e < 0 (exceptional.find_witness).  An e
     represented by an embedded sphere has none (positivity of
@@ -32,16 +32,14 @@ certify walks.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import documents
 from .checks import Check
 from .cusp import CertifyError, CuspError, adjoint_check, build_certificate
-from .divisor import DivisorError, check_hypothesis, require_valid, validate
+from .divisor import DivisorError, adjoint_area_of, require_valid, validate
 from .documents import DocumentError
 from .exceptional import EnumerationError, find_witness
 from .lattice import AreaVector, LatticeError, area, canonical, is_exceptional_class, pair
-from .moves import BlowdownStep, MoveError, replay_blowdown
+from .moves import BlowdownStep, MoveError, blowup_states
 from .reduction import NEXT_STAGE, ReductionTrace, TraceStep, step_checks
 
 # what a document that does not replay raises inside the library
@@ -153,24 +151,23 @@ def _replay_traces(doc, config, w, out):
     problems = validate(term, wt)
     _need(out, Check("terminal is valid", not problems, "; ".join(problems)))
 
-    traces, areas_before, post, hyp_post = [], [], term, check_hypothesis(term, wt)
+    flat = [step for _, _, steps in recorded for step in steps]
+    states = blowup_states(term, [(con, move, sphere) for con, move, sphere, _, _ in flat[::-1]])
+    state = next(states)
+    traces, hyp_post = [], adjoint_area_of(state.classes.values(), wt) < 0
     for stage, terminal, steps in reversed(recorded):
         replayed = []
-        for con, move, sphere, pre_w, post_w in reversed(steps):
-            bd = BlowdownStep(None, post, move.kind, move, con, sphere, post_w)
-            pre = require_valid(replay_blowdown(bd))
-            hyp_pre = check_hypothesis(pre, pre_w)
-            replayed.append(TraceStep(replace(bd, pre_config=pre), pre.ambient.b2,
-                                      post.ambient.b2, hyp_pre, hyp_post))
-            areas_before.append(pre_w)
-            post, hyp_post = pre, hyp_pre
+        for (con, move, sphere, pre_w, post_w), state in zip(reversed(steps), states):
+            hyp_pre = adjoint_area_of(state.classes.values(), pre_w) < 0
+            bd = BlowdownStep(None, None, move.kind, move, con, sphere, post_w)
+            replayed.append(TraceStep(bd, con.pre.b2, con.post.b2, hyp_pre, hyp_post))
+            hyp_post = hyp_pre
         traces.append(ReductionTrace(stage, tuple(reversed(replayed)), terminal))
     traces.reverse()
-    areas_before.reverse()
-    _need(out, Check("replay reaches the input", post == config, ""))
+    _need(out, Check("replay reaches the input", require_valid(state.config()) == config, ""))
 
     steps = [(tr.stage, i, ts) for tr in traces for i, ts in enumerate(tr.steps)]
-    for (stage, i, ts), pre_w in zip(steps, areas_before):
+    for (stage, i, ts), (_, _, _, pre_w, _) in zip(steps, flat):
         e = ts.target
         witness = find_witness(e, pre_w, area(e, pre_w))
         detail = (f"{witness} pairs negatively with {e} within its area" if witness

@@ -263,11 +263,15 @@ def smooth_all(config: DivisorConfig) -> list[SmoothedSurface]:
 
 def adjoint_area(config: DivisorConfig, w: AreaVector) -> Fraction:
     """area(K + [D]), summed on w's integer form with one division."""
-    amb = w.ambient
-    if config.ambient != amb or any(c.cls.ambient != amb for c in config.components):
+    if config.ambient != w.ambient or any(c.cls.ambient != w.ambient for c in config.components):
         raise LatticeError("ambient mismatch")
+    return adjoint_area_of([c.cls.coeffs for c in config.components], w)
+
+
+def adjoint_area_of(vecs, w: AreaVector) -> Fraction:
+    """adjoint_area of the classes with coefficient tuples vecs in w's ambient."""
     nums, den = w.integer_form
-    vecs = [canonical(amb).coeffs] + [c.cls.coeffs for c in config.components]
+    vecs = [canonical(w.ambient).coeffs, *vecs]
     return Fraction(sum(sum(map(operator.mul, v, nums)) for v in vecs), den)
 
 

@@ -22,13 +22,13 @@ and drops that generator's slot.  A blowup is the section of a contraction
 built directly for a fresh generator, with an empty word
 (`blowup_contraction`).  One bridge changes the basis kind and carries
 explicit coordinates instead: CP2#2 -> S2xS2 contracting H-E1-E2, which is
-also the blowup of S2xS2.  A sequence of blowups (`blowups`; `blowup` is its
-one-step call) and the replay of a blowdown run one core over (contraction,
-move, sphere id) steps: for each, lift every class's coefficients along the
-section, then apply the move with e as the new sphere; the classes and one
-configuration are built after the last step.  The core validates nothing;
-blowups validates what it makes, once, in full, and the checker each replay,
-which verify_trace compares with its input.
+also the blowup of S2xS2.  Blowups (`blowups`; `blowup` is its one-step
+call), the replay of a blowdown and the checker's replay of a reduction run
+one core over (contraction, move, sphere id) steps: for each, lift every
+class's coefficients along the section, then apply the move with e as the
+new sphere; only the state a caller asks for becomes a configuration.  The
+core validates nothing: blowups and the checker validate the one they make,
+and verify_trace compares each replay with its input.
 """
 
 from __future__ import annotations
@@ -228,19 +228,35 @@ def blowup_contraction(ambient: AmbientLattice) -> tuple[Contraction, str]:
 # -- blowup ---------------------------------------------------------------------
 
 
-def _apply_moves(config: DivisorConfig, steps) -> DivisorConfig:
-    """Shared core of blowups and replay_blowdown, which validates nothing:
-    for each (contraction, move, sphere id) step, lift every class along the
-    section of the contraction, then rewrite the lifted classes and edges by
-    the move, the contracted class the new sphere.  Classes travel as
-    coefficient tuples, each in the ambient the first step starts from; one
-    configuration is built, after the last step."""
-    ambient = steps[0][0].post if steps else config.ambient
-    classes = {c.id: coeffs_in(c.cls, ambient) for c in config.components}
-    genus = {c.id: c.genus for c in config.components}  # a blowup keeps every genus
-    edges = list(config.edges)
+@dataclass(slots=True)
+class MoveState:
+    """A configuration as the blowup core carries it, classes as coefficient tuples."""
+    ambient: AmbientLattice
+    classes: dict[str, tuple[int, ...]]
+    genus: dict[str, int]
+    edges: list[tuple[str, str]]
+
+    def config(self) -> DivisorConfig:
+        return DivisorConfig.build(self.ambient, [(i, HomologyClass(self.ambient, v), self.genus[i])
+                                                  for i, v in self.classes.items()], self.edges)
+
+
+def _apply_moves(config: DivisorConfig, steps):
+    """Shared core of blowups, replay_blowdown and the checker's replay,
+    which validates nothing: for each (contraction, move, sphere id) step on
+    a blowup of the ambient before it, lift every class along the section,
+    then rewrite the classes and edges by the move, the contracted class the
+    new sphere.  Yields its one MoveState, updated in place, before the first
+    step and after each."""
+    amb, comps = config.ambient, config.components
+    state = MoveState(amb, {c.id: coeffs_in(c.cls, amb) for c in comps},
+                      {c.id: c.genus for c in comps}, list(config.edges))
+    genus, edges = state.genus, state.edges  # a blowup keeps every genus
+    yield state
     for con, move, new_id in steps:
-        classes = {cid: con.lift(v) for cid, v in classes.items()}
+        if con.post != state.ambient:
+            raise MoveError(f"the contraction does not undo a blowup of {state.ambient.describe()}")
+        classes = {cid: con.lift(v) for cid, v in state.classes.items()}
         if isinstance(move, ToricBlowup):
             key = tuple(sorted((move.a, move.b)))
             if key not in edges:
@@ -260,26 +276,25 @@ def _apply_moves(config: DivisorConfig, steps) -> DivisorConfig:
         if sphere:
             classes[new_id], genus[new_id] = con.e.coeffs, 0
             edges.extend(tuple(sorted((cid, new_id))) for cid in hit)
-        ambient = con.pre
-    return DivisorConfig.build(
-        ambient, [(i, HomologyClass(ambient, v), genus[i]) for i, v in classes.items()], edges)
+        state.ambient, state.classes = con.pre, classes
+        yield state
+
+
+def blowup_states(config: DivisorConfig, steps):
+    """_apply_moves, each sphere id first checked to be no component's nor an earlier step's."""
+    used = set(config.ids())
+    for _, _, cid in steps:
+        if cid is not None and cid in used:
+            raise MoveError(f"component id {cid!r} already in use")
+        used.add(cid)
+    return _apply_moves(config, steps)
 
 
 def blowups(config: DivisorConfig, steps) -> DivisorConfig:
-    """Blowup moves, each step (contraction, move, sphere id) on a blowup of
-    the ambient before it, with an id no component nor earlier step has; one
-    configuration is made and validated here, once, in full.  A blowup's
-    section is an isometry onto the complement of its sphere, of square -1,
-    so that is valid exactly when every configuration between would be."""
-    ambient, used = config.ambient, set(config.ids())
-    for con, move, cid in steps:
-        if con.post != ambient:
-            raise MoveError(f"the contraction does not undo a blowup of {ambient.describe()}")
-        if cid in used:
-            raise MoveError(f"component id {cid!r} already in use")
-        used.add(cid)
-        ambient = con.pre
-    return require_valid(_apply_moves(config, steps))
+    """One validated configuration from blowup moves: a blowup's section is an isometry onto
+    the complement of its sphere, so it is valid exactly when every one between would be."""
+    *_, state = blowup_states(config, steps)
+    return require_valid(state.config())
 
 
 def blowup(config: DivisorConfig, move: BlowupMove, new_id: str | None = None) -> DivisorConfig:
@@ -405,14 +420,12 @@ def blowdown(
 
 
 def replay_blowdown(step: BlowdownStep) -> DivisorConfig:
-    """Reconstruct the pre-configuration by blowing the step back up.  Used
-    to certify reduction traces: the result must equal step.pre_config.
-    Not validated here; the checker validates it.
-
-    The move is linear in the classes, so it is applied on the sections of
-    the post classes with the contracted class itself as the new sphere."""
+    """The pre-configuration, by blowing the step back up, unvalidated, for verify_trace to
+    compare with step.pre_config.  The move is linear in the classes, so it is applied on the
+    sections of the post classes with the contracted class itself as the new sphere."""
     new_id = step.removed_component or "replayed"
-    return _apply_moves(step.config, [(step.contraction, step.move, new_id)])
+    *_, state = _apply_moves(step.config, [(step.contraction, step.move, new_id)])
+    return state.config()
 
 
 # -- toric blowup sequences -----------------------------------------------------

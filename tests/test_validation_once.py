@@ -1,11 +1,11 @@
 """Every configuration is validated once, in full, where it is made.
 
-blowups (and blowup, its one-step call) and blowdown validate their results,
-the checker every configuration its replay makes; reduction.verify_trace
-validates nothing and compares each replay with the pre-configuration it must
-equal.  A resolution is one blowups call: it makes one configuration, not one
-per blowup.  A configuration builds its sparse pairings once, so validating
-the same object again builds none.
+blowups (and blowup, its one-step call) and blowdown validate their results;
+reduction.verify_trace validates nothing and compares each replay with the
+pre-configuration it must equal.  A resolution is one blowups call, and the
+checker's replay of a reduction one pass: each makes one configuration, not
+one per blowup, and validates it.  A configuration builds its sparse
+pairings once, so validating the same object again builds none.
 """
 
 from __future__ import annotations
@@ -72,10 +72,12 @@ def test_certify_and_check_build_one_matrix_per_configuration(monkeypatch):
     built.clear()
     validated.clear()
     assert all_passed(checker.check_certificate(doc))
-    # the input, the terminal, 9 replays and the resolution; on the
-    # admissible-subchain route the terminal is not classified, so none is
-    # validated twice; with a configuration per resolution blowup, (16, 16)
-    assert (len(built), len(validated)) == (12, 12)
+    # the input, the terminal, the one configuration the replay ends in and
+    # the resolution; on the admissible-subchain route the terminal is not
+    # classified, so none is validated twice.  While the replay made and
+    # validated a configuration per step, (12, 12), and with a configuration
+    # per resolution blowup too, (16, 16)
+    assert (len(built), len(validated)) == (4, 4)
     assert None not in built
     assert len({id(c) for c in built}) == len(built)
 
@@ -125,25 +127,33 @@ def test_verify_trace_reports_a_tampered_step_without_raising(tamper):
     assert [c.name for c in checks if not c.passed] == [f"quasi_minimal[{i}] replay"]
 
 
-def test_check_validates_every_configuration_its_replay_makes(monkeypatch):
+def test_check_makes_one_configuration_per_replay_and_validates_it(monkeypatch):
+    # while the checker replayed one step at a time, it made and validated
+    # one configuration per step, 9 here
     config, w = _fixture("cp2_13_cusp.json")
     doc = json.loads(canonical_json(certificate_to_doc(certify_affine_ruled(config, w))))
-    validate = divisor.validate
-    replayed, validated = [], []
+    validate, config_of = divisor.validate, moves.MoveState.config
+    made, validated = [], []
 
-    def spy_replay(step):
-        replayed.append(replay_blowdown(step))
-        return replayed[-1]
+    def spy_config(state):
+        made.append(config_of(state))
+        return made[-1]
 
     def spy_validate(cfg, *args, **kwargs):
         validated.append(cfg)
         return validate(cfg, *args, **kwargs)
 
-    rebind(monkeypatch, replay_blowdown, spy_replay)
+    def no_step_replay(step):
+        raise AssertionError("check replayed a single step")
+
+    monkeypatch.setattr(moves.MoveState, "config", spy_config)
+    rebind(monkeypatch, replay_blowdown, no_step_replay)
     rebind(monkeypatch, validate, spy_validate)
     assert all_passed(checker.check_certificate(doc))
-    assert len(replayed) == 9
-    assert all(any(v is r for v in validated) for r in replayed)
+    # the replay's configuration, then the resolution's
+    assert len(made) == 2
+    assert made[0] == parse_config(doc["input"])[0]
+    assert all(any(v is m for v in validated) for m in made)
 
 
 def test_blowdown_carries_every_genus_without_adjunction(monkeypatch):
