@@ -28,7 +28,8 @@ one core over (contraction, move, sphere id) steps: for each, lift every
 class's coefficients along the section, then apply the move with e as the
 new sphere; only the state a caller asks for becomes a configuration.  The
 core validates nothing: blowups and the checker validate the one they make,
-and verify_trace compares each replay with its input.
+and verify_trace compares each replay with its input.  Blowdown, on
+coefficient tuples, validates nothing either (see `blowdown`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .lattice import (
     area,
     coeffs_in,
     is_exceptional_class,
-    pair,
     pairing_row,
     pairings,
 )
@@ -240,9 +240,17 @@ class MoveState:
         return DivisorConfig.build(self.ambient, [(i, HomologyClass(self.ambient, v), self.genus[i])
                                                   for i, v in self.classes.items()], self.edges)
 
+    def matches(self, config: DivisorConfig) -> bool:
+        """Whether config == self.config(), without building it."""
+        amb, comps = self.ambient, config.components
+        return (config.ambient == amb and [c.id for c in comps] == sorted(self.classes)
+                and all(c.cls.ambient == amb and c.cls.coeffs == self.classes[c.id]
+                        and c.genus == self.genus[c.id] for c in comps)
+                and config.edges == tuple(sorted(self.edges)))
+
 
 def _apply_moves(config: DivisorConfig, steps):
-    """Shared core of blowups, replay_blowdown and the checker's replay,
+    """Shared core of blowups, replay_state and the checker's replay,
     which validates nothing: for each (contraction, move, sphere id) step on
     a blowup of the ambient before it, lift every class along the section,
     then rewrite the classes and edges by the move, the contracted class the
@@ -281,12 +289,15 @@ def _apply_moves(config: DivisorConfig, steps):
 
 
 def blowup_states(config: DivisorConfig, steps):
-    """_apply_moves, each sphere id first checked to be no component's nor an earlier step's."""
+    """_apply_moves, the id of each sphere a step adds first checked to be no
+    component's nor an earlier step's; a move that adds none uses no id."""
     used = set(config.ids())
-    for _, _, cid in steps:
-        if cid is not None and cid in used:
-            raise MoveError(f"component id {cid!r} already in use")
-        used.add(cid)
+    for _, move, cid in steps:
+        if isinstance(move, (ToricBlowup, HalfToricBlowup)) or (
+                isinstance(move, ExteriorBlowup) and move.add_component):
+            if cid in used:
+                raise MoveError(f"component id {cid!r} already in use")
+            used.add(cid)
     return _apply_moves(config, steps)
 
 
@@ -339,30 +350,29 @@ class BlowdownStep:
         return self.contraction.e
 
 
-def detect_pattern(config: DivisorConfig, e: HomologyClass):
-    """Classify the contraction type from incidence with e.
+def detect_pattern(config: DivisorConfig, e: HomologyClass, row: tuple[int, ...] | None = None):
+    """Classify the contraction type from incidence with e, the pairings read
+    off row, e's pairing_row (computed here unless given).
 
     Returns (kind, move, removed_id, incident_ids)."""
-    carriers = [c for c in config.components if c.cls == e]
+    carriers = [c for c in config.components if c.cls.coeffs == e.coeffs and c.cls == e]
     if len(carriers) > 1:
         raise MoveError("two components share the exceptional class")
     if carriers:
-        cid = carriers[0].id
-        nbrs = config.neighbors(cid)
+        cid, nbrs = carriers[0].id, config.neighbors(carriers[0].id)
         if len(nbrs) == 2:
             if nbrs[0] == nbrs[1]:
-                raise MoveError(
-                    "toric contraction needs edges to two distinct components"
-                )
+                raise MoveError("toric contraction needs edges to two distinct components")
             return "toric", ToricBlowup(nbrs[0], nbrs[1]), cid, nbrs
         if len(nbrs) == 1:
             return "half_toric", HalfToricBlowup(nbrs[0]), cid, nbrs
         if len(nbrs) == 0:
             return "exterior", ExteriorBlowup(add_component=True), cid, []
         raise MoveError(f"component {cid} in class {e} has {len(nbrs)} edges")
-    pairings = [(c.id, pair(c.cls, e)) for c in config.components]
-    neg = [cid for cid, p in pairings if p < 0]
-    if neg:
+    row = pairing_row(e) if row is None else row
+    pairings = [(c.id, sum(map(operator.mul, row, coeffs_in(c.cls, e.ambient))))
+                for c in config.components]
+    if neg := [cid for cid, p in pairings if p < 0]:
         raise MoveError(f"class {e} pairs negatively with component {neg[0]}")
     hot = [cid for cid, p in pairings if p > 0]
     total = sum(p for _, p in pairings)
@@ -370,9 +380,7 @@ def detect_pattern(config: DivisorConfig, e: HomologyClass):
         return "exterior", ExteriorBlowup(add_component=False), None, []
     if total == 1 and len(hot) == 1:
         return "non_toric", NonToricBlowup(hot[0]), None, hot
-    raise MoveError(
-        f"no blowdown pattern matches class {e}: pairing {total} spread over {hot}"
-    )
+    raise MoveError(f"no blowdown pattern matches class {e}: pairing {total} spread over {hot}")
 
 
 def _drop_ambient(ambient: AmbientLattice, idx: int) -> AmbientLattice:
@@ -381,51 +389,56 @@ def _drop_ambient(ambient: AmbientLattice, idx: int) -> AmbientLattice:
     return AmbientLattice(emptied or ambient.kind, ambient.g, names)
 
 
-def blowdown(
-    config: DivisorConfig,
-    e: HomologyClass,
-    w: AreaVector | None = None,
-) -> BlowdownStep:
-    """Contract the exceptional class e; the incidence pattern fixes the type."""
+def blowdown(config: DivisorConfig, e: HomologyClass, w: AreaVector | None = None) -> BlowdownStep:
+    """Contract the exceptional class e of a valid configuration; the incidence pattern fixes
+    the type.  The result is not validated: the section is an isometry onto e's complement with
+    K' = pi*K + e, so the result is valid exactly when its blowup, the input, is.  certify
+    validates its input and verify_trace shows each step's blowup to be the step's input, so
+    validity carries down the trace; only an empty result, which that leaves open, is refused."""
     if not is_exceptional_class(e):
         raise MoveError(f"{e} is not an exceptional class")
     if w is not None and (a := area(e, w)).numerator <= 0:
         raise MoveError(f"{e} has non-positive area {a}")
-    kind, move, removed, incident = detect_pattern(config, e)
-
-    classes = {c.id: c.cls for c in config.components}
-    genus = {c.id: c.genus for c in config.components}  # a blowdown keeps every genus
-    edges = list(config.edges)
-    if removed is not None:
-        del classes[removed]
-        edges = [edge for edge in edges if removed not in edge]
-    for cid in incident:
-        classes[cid] = classes[cid] + e
+    amb, ec, row = config.ambient, coeffs_in(e, config.ambient), pairing_row(e)
+    kind, move, removed, incident = detect_pattern(config, e, row)
+    classes, genus = {}, {}  # a blowdown keeps every genus
+    for c in config.components:
+        if c.id == removed:
+            continue
+        v = coeffs_in(c.cls, amb)
+        if c.id in incident:
+            v = add_multiple(v, 1, ec)
+        if sum(map(operator.mul, row, v)):
+            raise MoveError(f"component {c.id} not orthogonal after adjustment")
+        classes[c.id], genus[c.id] = v, c.genus
+    edges = [edge for edge in config.edges if removed not in edge]
     if kind == "toric":
         edges.append(tuple(sorted((incident[0], incident[1]))))
 
-    for cid, cls in classes.items():
-        if pair(cls, e) != 0:
-            raise MoveError(f"component {cid} not orthogonal after adjustment")
-
     con = _contraction_for(e)
-    post_classes = {cid: con.forward(cls) for cid, cls in classes.items()}
+    post = {cid: HomologyClass(con.post, con.drop(v)) for cid, v in classes.items()}
     if con.slot is None:
-        pre, post = list(classes.values()), list(post_classes.values())
-        if pairings(post, post) != pairings(pre, pre):
+        pre, after = [HomologyClass(amb, v) for v in classes.values()], list(post.values())
+        if pairings(after, after) != pairings(pre, pre):
             raise MoveError("basis bridge failed to preserve the form")
+    if not post:
+        raise MoveError("invalid configuration: configuration is empty")
     new_area = con.pull_back(w) if w is not None else None
-    out = DivisorConfig.build(con.post, [(i, c, genus[i]) for i, c in post_classes.items()], edges)
-    return BlowdownStep(config, require_valid(out), kind, move, con, removed, new_area)
+    out = DivisorConfig.build(con.post, [(i, c, genus[i]) for i, c in post.items()], edges)
+    return BlowdownStep(config, out, kind, move, con, removed, new_area)
+
+
+def replay_state(step: BlowdownStep) -> MoveState:
+    """The pre-configuration, by blowing the step back up (the move on the sections of the post
+    classes, the contracted class the new sphere), for verify_trace to compare."""
+    new_id = step.removed_component or "replayed"
+    *_, state = _apply_moves(step.config, [(step.contraction, step.move, new_id)])
+    return state
 
 
 def replay_blowdown(step: BlowdownStep) -> DivisorConfig:
-    """The pre-configuration, by blowing the step back up, unvalidated, for verify_trace to
-    compare with step.pre_config.  The move is linear in the classes, so it is applied on the
-    sections of the post classes with the contracted class itself as the new sphere."""
-    new_id = step.removed_component or "replayed"
-    *_, state = _apply_moves(step.config, [(step.contraction, step.move, new_id)])
-    return state.config()
+    """replay_state's configuration, unvalidated."""
+    return replay_state(step).config()
 
 
 # -- toric blowup sequences -----------------------------------------------------

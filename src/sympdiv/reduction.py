@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from .checks import Check
 from .divisor import (
     DivisorConfig,
-    DivisorError,
     check_hypothesis,
     total_class,
     validate,
@@ -51,7 +50,7 @@ from .lattice import (
     is_exceptional_class,
     pair,
 )
-from .moves import BlowdownStep, MoveError, blowdown, detect_pattern, replay_blowdown
+from .moves import BlowdownStep, MoveError, blowdown, detect_pattern, replay_state
 
 
 class ReductionError(ValueError):
@@ -102,15 +101,19 @@ class ReductionTrace:
     classification: KindInfo | None = None
 
 
+# what every stage returns: its terminal configuration, the areas there, and its trace
+Staged = tuple[DivisorConfig, AreaVector, ReductionTrace]
+
+
 def verify_trace(trace: ReductionTrace, initial: DivisorConfig) -> list[Check]:
-    """Replay every step as a blowup and compare with the recorded input,
-    validated where it was made; equal configurations are equally valid."""
-    out = []
-    cur = initial
+    """Replay every step as a blowup on coefficient tuples and compare it with the step's input,
+    building no configuration.  blowdown validates nothing, so this carries the validity of the
+    first input down the trace (see moves.blowdown): a forged step fails its replay."""
+    out, cur = [], initial
     for i, ts in enumerate(trace.steps):
-        replayed = replay_blowdown(ts.blowdown)
-        out.extend(step_checks(trace.stage, i, ts, ts.blowdown.pre_config == cur,
-                               replayed == ts.blowdown.pre_config))
+        pre = ts.blowdown.pre_config
+        replays = replay_state(ts.blowdown).matches(pre)
+        out.extend(step_checks(trace.stage, i, ts, pre == cur, replays))
         cur = ts.blowdown.config
     return out
 
@@ -128,7 +131,7 @@ def step_checks(stage: str, i: int, ts: TraceStep, chains: bool, replays: bool) 
     ]
 
 
-def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step):
+def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step) -> Staged:
     """The contraction loop of every stage.  next_step(cur, curw) returns the
     terminal name that ends the stage, or the ordered candidates with the
     label naming them in the error.  The first candidate that blows down is
@@ -148,13 +151,11 @@ def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step):
             try:
                 bd = blowdown(cur, cand, curw)
                 break
-            except (MoveError, NormalizeError, DivisorError) as exc:
+            except (MoveError, NormalizeError) as exc:
                 errors.append(f"{cand}: {exc}")
         else:
-            raise ReductionError(
-                f"stuck in {label} reduction on {cur.ambient.describe()}; "
-                f"tried {len(candidates)} candidates: " + " | ".join(errors)
-            )
+            raise ReductionError(f"stuck in {label} reduction on {cur.ambient.describe()}; tried "
+                                 f"{len(candidates)} candidates: " + " | ".join(errors))
         hyp_after = check_hypothesis(bd.config, bd.new_area)
         steps.append(TraceStep(bd, cur.ambient.b2, bd.config.ambient.b2, hyp_before, hyp_after))
         if not hyp_after:
@@ -165,10 +166,7 @@ def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step):
 # -- quasi-minimal reduction ----------------------------------------------------
 
 
-def quasi_minimal_reduce(
-    config: DivisorConfig,
-    w: AreaVector,
-) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
+def quasi_minimal_reduce(config: DivisorConfig, w: AreaVector) -> Staged:
     """Contract minimal-area classes until the pair is quasi-minimal or
     b2 <= 2.  A quasi-minimal terminal's trace carries the KindInfo it was
     classified with, which the next stage starts from."""
@@ -229,11 +227,7 @@ def classify_kind(config: DivisorConfig, es: ExceptionalSet) -> KindInfo:
 # -- partially minimal reduction -------------------------------------------------
 
 
-def partially_minimal_reduce(
-    config: DivisorConfig,
-    w: AreaVector,
-    info: KindInfo,
-) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
+def partially_minimal_reduce(config: DivisorConfig, w: AreaVector, info: KindInfo) -> Staged:
     """Remove toric (-1)-components and non-toric exceptional generators
     orthogonal to E_min until none remain.  info classifies config (the
     quasi-minimal trace carries it); every later pass reclassifies.
@@ -343,11 +337,7 @@ def good_chain_candidates(config: DivisorConfig) -> list[GoodChain]:
 _TYPE_RANK = {"toric": 0, "half_toric": 1, "non_toric": 2, "exterior": 3}
 
 
-def second_kind_reduce(
-    config: DivisorConfig,
-    w: AreaVector,
-    info: KindInfo,
-) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
+def second_kind_reduce(config: DivisorConfig, w: AreaVector, info: KindInfo) -> Staged:
     """Greedy blowdowns (cheapest class first, toric before half-toric
     before non-toric before exterior) until b2 <= 2; info classifies config
     (the quasi-minimal trace carries it).  The incidence pattern
@@ -375,10 +365,7 @@ def second_kind_reduce(
     return _reduce("second_kind", config, w, next_step)
 
 
-def small_b2_reduce(
-    config: DivisorConfig,
-    w: AreaVector,
-) -> tuple[DivisorConfig, AreaVector, ReductionTrace]:
+def small_b2_reduce(config: DivisorConfig, w: AreaVector) -> Staged:
     """A b2 <= 2 terminal outside the minimal-model table (a lone fiber
     sphere in the one-point blowup) contracts further: the first class that
     blows down, until a table case appears or b2 = 1."""

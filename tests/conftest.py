@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 import operator
 import random
@@ -22,6 +23,16 @@ from sympdiv.moves import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name):
+    """A module of perfbench/, imported read-only."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
 def rebind(monkeypatch, original, replacement):

@@ -31,7 +31,6 @@
 from __future__ import annotations
 
 import contextlib
-import importlib
 import io
 import json
 import random
@@ -44,14 +43,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, in_orbit, leaf_test_search
+from conftest import FIXTURES, in_orbit, leaf_test_search, perfbench_module
 from sympdiv import checker, cli, cusp, exceptional, reduction
 from sympdiv.checks import all_passed, failures
 from sympdiv.documents import parse_config
 from sympdiv.exceptional import d_good, enumerate_exceptional
 from sympdiv.lattice import AmbientLattice, AreaVector, HomologyClass, pair
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _certificates():
@@ -223,7 +220,7 @@ def _goodness_calls(monkeypatch, argvs):
 
 
 def test_certify_goodness_matches_d_good(monkeypatch, tmp_path):
-    workloads = _perfbench_module("workloads")
+    workloads = perfbench_module("workloads")
     bounds = ([], ["--area-bound", "3"])
     argvs = [["certify", str(FIXTURES / name), *extra]
              for name, _ in CERTIFICATES for extra in bounds]
@@ -252,14 +249,6 @@ def _route(doc) -> str:
     return tag
 
 
-def _perfbench_module(name):
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-
-
 def _assert_walks_the_stage_table(doc):
     """The traces of a rational pair start at quasi_minimal, each stage is
     the table's successor of the previous (stage, terminal), the walk ends
@@ -276,7 +265,7 @@ def _assert_walks_the_stage_table(doc):
 
 
 def test_checker_accepts_every_fixture_and_workload_certificate(tmp_path):
-    workloads = _perfbench_module("workloads")
+    workloads = perfbench_module("workloads")
     docs = [doc for _, doc in CERTIFICATES]
     for seed in (1, 3, 5):
         for make in (workloads.certify_mixed, workloads.certify_wide):
@@ -382,7 +371,7 @@ def test_recomputed_fields_are_compared_never_parsed(name, doc, tmp_path):
 
 @pytest.mark.parametrize("name,doc", CERTIFICATES, ids=[n for n, _ in CERTIFICATES])
 def test_perfbench_oracle_accepts_v2_certificates(name, doc):
-    oracles = _perfbench_module("oracles")
+    oracles = perfbench_module("oracles")
     assert oracles.certificate_failures(json.dumps(doc)) == []
 
 
@@ -427,7 +416,7 @@ def _plan_tampers(doc):
 def test_check_on_tampered_plans_agrees_with_the_perfbench_oracle(tmp_path):
     # the seed-1 inflate workload's plans at n = 3, 5 and 8; the oracle
     # replays each document with its own lattice and Fraction arithmetic
-    oracles, workloads = _perfbench_module("oracles"), _perfbench_module("workloads")
+    oracles, workloads = perfbench_module("oracles"), perfbench_module("workloads")
     ops = {op.label: op for op in workloads.inflate(random.Random(1), tmp_path, None)}
     verdicts = []
     for label in ("plan3", "plan5", "plan8"):

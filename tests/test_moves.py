@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_blowup_config
 from sympdiv import moves
-from sympdiv.divisor import DivisorConfig, adjoint_area
+from sympdiv.divisor import DivisorConfig, adjoint_area, validate
 from sympdiv.exceptional import NormalizeError
 from sympdiv.lattice import AmbientLattice, AreaVector, LatticeMap, area, pair
 from sympdiv.moves import (
@@ -303,8 +303,26 @@ def test_blowups_checks_each_step_against_the_steps_before():
         blowups(cfg, [steps[0], (first, ToricBlowup("A", "e"), "f")])
     with pytest.raises(MoveError, match="'e' already in use"):
         blowups(cfg, [steps[0], (second, ToricBlowup("A", "e"), "e")])
+    # a move that adds no sphere uses no id, so one in use is no conflict;
+    # while every step's id was checked, this raised "'B' already in use"
+    assert blowups(cfg, [(first, NonToricBlowup("A"), "B")]) == blowup(cfg, NonToricBlowup("A"))
     with pytest.raises(MoveError, match="'B' already in use"):
-        blowups(cfg, [(first, NonToricBlowup("A"), "B")])
+        blowups(cfg, [(first, HalfToricBlowup("A"), "B")])
+
+
+def test_a_move_that_adds_no_sphere_leaves_its_default_id_free():
+    # the default id of CP2#1's new sphere is "E2", here already a component's;
+    # a non-toric blowup adds no sphere, so it is no conflict (it raised
+    # "component id 'E2' already in use" while every step's id was checked)
+    rb = AmbientLattice.rational_blowup(1)
+    cfg = DivisorConfig.build(rb, [("L", rb.cls(H=1)), ("E2", rb.cls(E1=1))], [])
+    up = blowup(cfg, NonToricBlowup("L"))
+    assert {c.id: str(c.cls) for c in up.components} == {"L": "H-E2", "E2": "E1"}
+    assert not validate(up)
+    for move in (HalfToricBlowup("L"), ExteriorBlowup(add_component=True)):
+        with pytest.raises(MoveError, match="'E2' already in use"):
+            blowup(cfg, move)
+    assert blowup(cfg, ExteriorBlowup()).ids() == ["E2", "L"]
 
 
 # -- toric blowup sequences -----------------------------------------------------

@@ -1,11 +1,15 @@
-"""Every configuration is validated once, in full, where it is made.
+"""Every configuration is validated once, in full, where validation adds
+information.
 
-blowups (and blowup, its one-step call) and blowdown validate their results;
-reduction.verify_trace validates nothing and compares each replay with the
-pre-configuration it must equal.  A resolution is one blowups call, and the
-checker's replay of a reduction one pass: each makes one configuration, not
-one per blowup, and validates it.  A configuration builds its sparse
-pairings once, so validating the same object again builds none.
+certify validates its input, and blowups (and blowup, its one-step call)
+validate their results.  blowdown validates nothing: a blowup's section is
+an isometry onto the complement of its sphere, so a blowdown's result is
+valid exactly when its blowup is, and reduction.verify_trace compares each
+step's blowup with the step's input, on coefficient tuples.  A resolution is
+one blowups call, and the checker's replay of a reduction one pass: each
+makes one configuration, not one per blowup, and validates it.  A
+configuration builds its sparse pairings once, so validating the same object
+again builds none.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from conftest import FIXTURES, rebind
 from sympdiv import checker, divisor, lattice, moves
 from sympdiv.checks import all_passed
 from sympdiv.cusp import CertifyError, certify_affine_ruled
+from sympdiv.divisor import DivisorConfig
 from sympdiv.documents import DocumentError, canonical_json, certificate_to_doc, parse_config
 from sympdiv.moves import ExteriorBlowup, replay_blowdown
 from sympdiv.reduction import classify_minimal_model, quasi_minimal_reduce, verify_trace
@@ -61,11 +66,11 @@ def test_certify_and_check_build_one_matrix_per_configuration(monkeypatch):
     rebind(monkeypatch, validate, spy_validate)
     rebind(monkeypatch, sparse_gram, spy_sparse_gram)
     cert = certify_affine_ruled(config, w)
-    # the input, 9 blowdown results and the resolution; while the reduction's
-    # entry checked its input again, the input was validated twice, and while
-    # each of the 5 resolution blowups made a configuration, the pin was
-    # (15, 15)
-    assert (len(built), len(validated)) == (11, 11)
+    # the input and the resolution; while blowdown validated each of its 9
+    # results, (11, 11), while the reduction's entry checked its input again,
+    # the input was validated twice, and while each of the 5 resolution
+    # blowups made a configuration, the pin was (15, 15)
+    assert (len(built), len(validated)) == (2, 2)
     assert None not in built
     assert len({id(c) for c in built}) == len(built)  # `built` keeps each alive
     doc = json.loads(canonical_json(certificate_to_doc(cert)))
@@ -83,10 +88,11 @@ def test_certify_and_check_build_one_matrix_per_configuration(monkeypatch):
 
 
 def test_certify_visits_only_the_pairs_sharing_a_column(monkeypatch):
-    # a deterministic count of the kernel's work: of the 341 component pairs
-    # of the 11 configurations certify validates, 133 share a generator
-    # column, and only those are paired; with a configuration per resolution
-    # blowup, 181 of 441 pairs in 15 configurations
+    # a deterministic count of the kernel's work: of the 100 component pairs
+    # of the 2 configurations certify validates, 33 share a generator
+    # column, and only those are paired; while blowdown validated its results,
+    # 133 of 341 pairs in 11 configurations, and with a configuration per
+    # resolution blowup too, 181 of 441 pairs in 15 configurations
     config, w = _fixture("cp2_13_cusp.json")
     validate, validated = divisor.validate, []
 
@@ -98,8 +104,8 @@ def test_certify_visits_only_the_pairs_sharing_a_column(monkeypatch):
     certify_affine_ruled(config, w)
     configs = list({id(c): c for c in validated}.values())
     sizes = [len(c.components) for c in configs]
-    assert (len(configs), sum(k * (k - 1) // 2 for k in sizes)) == (11, 341)
-    assert sum(len(c.gram.off) for c in configs) == 133
+    assert (len(configs), sum(k * (k - 1) // 2 for k in sizes)) == (2, 100)
+    assert sum(len(c.gram.off) for c in configs) == 33
 
 
 def _tamper_move(bd):
@@ -125,6 +131,84 @@ def test_verify_trace_reports_a_tampered_step_without_raising(tamper):
     steps = trace.steps[:i] + (bad,) + trace.steps[i + 1:]
     checks = verify_trace(replace(trace, steps=steps), config)
     assert [c.name for c in checks if not c.passed] == [f"quasi_minimal[{i}] replay"]
+
+
+def test_verify_trace_refuses_a_step_whose_result_is_invalid():
+    # blowdown no longer validates its result, so a step whose recorded result
+    # is no valid configuration must fail its replay: the last step of the
+    # trace, so that no later step starts from it, with one class changed
+    config, w = _fixture("cp2_13_cusp.json")
+    _, _, trace = quasi_minimal_reduce(config, w)
+    i = len(trace.steps) - 1
+    ts = trace.steps[i]
+    post = ts.blowdown.config
+    head = post.ambient.basis_class(post.ambient.names[0])
+    forged = DivisorConfig.build(post.ambient, [
+        (c.id, c.cls + head if k == 0 else c.cls, c.genus) for k, c in enumerate(post.components)
+    ], post.edges)
+    assert divisor.validate(forged)
+    steps = trace.steps[:i] + (replace(ts, blowdown=replace(ts.blowdown, config=forged)),)
+    checks = verify_trace(replace(trace, steps=steps), config)
+    assert [c.name for c in checks if not c.passed] == [f"quasi_minimal[{i}] replay"]
+
+
+def _near_misses(cfg):
+    """cfg and configurations that differ from it in one respect each."""
+    amb, comps, edges = cfg.ambient, cfg.components, cfg.edges
+    renamed = lattice.AmbientLattice(amb.kind, amb.g, amb.names[:-1] + ("Z",))
+    head = amb.basis_class(amb.names[0])
+
+    def rebuilt(change=lambda k, c: (c.id, c.cls, c.genus), keep=edges):
+        return DivisorConfig.build(amb, [change(k, c) for k, c in enumerate(comps)], keep)
+
+    return [
+        cfg,
+        rebuilt(lambda k, c: (c.id, c.cls, c.genus + (k == 0))),
+        rebuilt(lambda k, c: (c.id, c.cls + head if k == 0 else c.cls, c.genus)),
+        rebuilt(lambda k, c: (c.id, lattice.HomologyClass(renamed, c.cls.coeffs) if k == 0
+                              else c.cls, c.genus)),
+        rebuilt(keep=edges[1:]),
+        rebuilt(keep=edges + edges[:1]),
+        DivisorConfig.build(amb, [(c.id, c.cls, c.genus) for c in comps[1:]],
+                            [e for e in edges if comps[0].id not in e]),
+        replace(cfg, ambient=renamed),
+        replace(cfg, components=comps[::-1]),
+        replace(cfg, components=comps[:1] + comps[:-1]),
+    ]
+
+
+def test_the_replay_comparison_is_configuration_equality():
+    # verify_trace compares the replayed MoveState with the step's input
+    # without building the configuration; it must agree with building it
+    config, w = _fixture("cp2_13_cusp.json")
+    _, _, trace = quasi_minimal_reduce(config, w)
+    for ts in trace.steps:
+        state = moves.replay_state(ts.blowdown)
+        misses = _near_misses(ts.blowdown.pre_config)
+        assert [state.matches(m) for m in misses] == [state.config() == m for m in misses]
+        assert [state.matches(m) for m in misses] == [True] + [False] * (len(misses) - 1)
+
+
+def test_certify_builds_a_pinned_number_of_classes_and_configurations(monkeypatch):
+    # a deterministic count of the producer's work on cp2_13: while blowdown
+    # built a class per incident adjustment and per forward, validated its
+    # result, and verify_trace built a configuration per replay, (231, 19)
+    config, w = _fixture("cp2_13_cusp.json")
+    built = {"classes": 0, "configurations": 0}
+    post_init, init = lattice.HomologyClass.__post_init__, DivisorConfig.__init__
+
+    def count_class(self):
+        built["classes"] += 1
+        post_init(self)
+
+    def count_config(self, *args, **kwargs):
+        built["configurations"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lattice.HomologyClass, "__post_init__", count_class)
+    monkeypatch.setattr(DivisorConfig, "__init__", count_config)
+    certify_affine_ruled(config, w)
+    assert built == {"classes": 146, "configurations": 10}
 
 
 def test_check_makes_one_configuration_per_replay_and_validates_it(monkeypatch):
