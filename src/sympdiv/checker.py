@@ -11,8 +11,8 @@ exceptional classes.  From the recorded decisions alone it
     to the generator it drops (or e is the class of a bridge);
   - replays the recorded blowups up from the recorded terminal in one pass
     on coefficient tuples, checked as blowups checks them, with the
-    hypothesis on both sides of each step read off the tuples, and validates
-    the one configuration it makes, where it ends, which must be the input;
+    hypothesis on both sides of each step read off the tuples, and compares
+    where it ends with the validated input, which it must equal;
   - searches, for every contracted e, for an exceptional E != e with
     0 < area(E) <= area(e) and E.e < 0 (exceptional.find_witness).  An e
     represented by an embedded sphere has none (positivity of
@@ -24,7 +24,7 @@ exceptional classes.  From the recorded decisions alone it
     which are recomputed, not read; goodness of the resolution class is
     decided by certify's `goodness_search` at the recorded area bound;
   - serializes the certificate the driver builds and requires the document
-    given, canonically.
+    given, as the text it was read from if given, else canonically.
 
 The recorded traces must walk `reduction.NEXT_STAGE`, the stage order
 certify walks.
@@ -32,13 +32,15 @@ certify walks.
 
 from __future__ import annotations
 
+import operator
+
 from . import documents
 from .checks import Check
 from .cusp import CertifyError, CuspError, adjoint_check, build_certificate
-from .divisor import DivisorError, adjoint_area_of, require_valid, validate
+from .divisor import DivisorError, adjoint_area_of, validate
 from .documents import DocumentError
 from .exceptional import EnumerationError, find_witness
-from .lattice import AreaVector, LatticeError, area, canonical, is_exceptional_class, pair
+from .lattice import AreaVector, LatticeError, area, is_exceptional_class, pairing_row
 from .moves import BlowdownStep, MoveError, blowup_states
 from .reduction import NEXT_STAGE, ReductionTrace, TraceStep, step_checks
 
@@ -50,10 +52,13 @@ class _Rejected(Exception):
     """Ends a check at its first failed step."""
 
 
-def check_certificate(doc) -> list[Check]:
+def check_certificate(doc, text: str | None = None) -> list[Check]:
     """The checks of a certificate document, recomputed; all of them pass
     exactly when the document is a certificate the replay reproduces.  A
-    document that cannot be read as a certificate raises DocumentError."""
+    document that cannot be read as a certificate raises DocumentError.
+    text, if given, must be exactly the JSON text doc was parsed from: the
+    document passes its last check when that text is the rebuilt document's
+    canonical encoding, so a doc changed after parsing could pass with it."""
     if not isinstance(doc, dict):
         raise DocumentError("expected a JSON object")
     if doc.get("schema") == documents.CERTIFICATE_SCHEMA_V1:
@@ -67,7 +72,7 @@ def check_certificate(doc) -> list[Check]:
         raise DocumentError("certificate lacks its 'input' configuration")
     out: list[Check] = []
     try:
-        _check(doc, out)
+        _check(doc, out, text)
     except _Rejected:
         pass
     except _REPLAY_ERRORS as exc:
@@ -89,7 +94,7 @@ def _get(obj, key: str, kind: type, where: str):
     return v
 
 
-def _check(doc: dict, out: list[Check]) -> None:
+def _check(doc: dict, out: list[Check], text: str | None) -> None:
     config, w = documents.parse_config(doc["input"])
     if w is None:
         raise DocumentError("certificate input lacks areas")
@@ -102,7 +107,8 @@ def _check(doc: dict, out: list[Check]) -> None:
                              lambda cfg, cw: _replay_traces(doc, cfg, cw, out))
     out.extend(cert.all_checks()[1:])  # the hypothesis is already in
     rebuilt = documents.certificate_to_doc(cert)
-    same = documents.canonical_json(rebuilt) == documents.canonical_json(doc)
+    c = documents.canonical_json(rebuilt)  # no floats: a text equal to c is canonical
+    same = text is not None and c == text.strip() or c == documents.canonical_json(doc)
     differs = "" if same else next(
         k for k in sorted(set(rebuilt) | set(doc))
         if k not in rebuilt or k not in doc
@@ -164,7 +170,7 @@ def _replay_traces(doc, config, w, out):
             hyp_post = hyp_pre
         traces.append(ReductionTrace(stage, tuple(reversed(replayed)), terminal))
     traces.reverse()
-    _need(out, Check("replay reaches the input", require_valid(state.config()) == config, ""))
+    _need(out, Check("replay reaches the input", state.matches(config), ""))
 
     steps = [(tr.stage, i, ts) for tr in traces for i, ts in enumerate(tr.steps)]
     for (stage, i, ts), (_, _, _, pre_w, _) in zip(steps, flat):
@@ -182,13 +188,14 @@ def _replay_traces(doc, config, w, out):
 def _contraction_check(name: str, con, w: AreaVector) -> Check:
     """The recorded contraction of a step is legal on the areas w before it."""
     e, amb = con.e, con.pre
-    k = canonical(amb)
-    problems = [f"word class {c} is not a square -2 class orthogonal to K"
-                for c in con.word.word if pair(c, c) != -2 or pair(c, k) != 0]
+    k, rows = amb.canonical_class.coeffs, [(c, pairing_row(c)) for c in con.word.word]
+    problems = [f"word class {c} is not a square -2 class orthogonal to K" for c, r in rows
+                if sum(map(operator.mul, r, c.coeffs)) != -2 or sum(map(operator.mul, r, k))]
     if not is_exceptional_class(e):
         problems.append(f"{e} is not exceptional")
     elif (a := area(e, w)).numerator <= 0:
         problems.append(f"{e} has non-positive area {a}")
-    if con.slot is not None and con.word.apply(e) != amb.basis_class(amb.names[con.slot]):
+    if con.slot is not None and con.word.apply_coeffs(e.coeffs) != tuple(
+            int(j == con.slot) for j in range(amb.dim)):
         problems.append(f"the word does not take {e} to {amb.names[con.slot]}")
     return Check(f"{name} contraction", not problems, "; ".join(problems))

@@ -14,10 +14,10 @@ rules, and checks the legality of each recorded contraction and a witness
 search per step instead.  It prints a `failed:` line per failed check and
 "certificate rejected", or "certificate verified (re-derived identically)",
 the wording of the first certificate version, which scripts compare; it still
-holds, as the replay rebuilds the whole document and compares it
-canonically.  A plan is replayed step by step; `check` and
-`inflate --verify-only` print a `failed:` line per failed check, then
-"plan ok" or "plan rejected".
+holds, as the replay rebuilds the whole document and compares it with the
+file's text first, then canonically.  A plan is replayed step by step;
+`check` and `inflate --verify-only` print a `failed:` line per failed check,
+then "plan ok" or "plan rejected".
 
 Exit codes: 0 clean, 1 failed checks, 2 malformed input (a document or an
 option value that cannot be parsed, a search bound under which nothing is
@@ -45,10 +45,12 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _load_json(path: str):
+def _read_json(path: str):
+    """The text of the file at path and the JSON value it parses to."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        return text, json.loads(text)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -71,7 +73,7 @@ def _emit(doc) -> None:
 
 
 def cmd_validate(args) -> int:
-    config, w = documents.parse_config(_load_json(args.path))
+    config, w = documents.parse_config(_read_json(args.path)[1])
     problems = validate(config, w)
     for p in problems:
         print(f"invalid: {p}")
@@ -91,7 +93,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    config, w = documents.parse_config(_load_json(args.path))
+    config, w = documents.parse_config(_read_json(args.path)[1])
     if w is None:
         raise DocumentError("certification needs an 'areas' entry")
     area_bound = _fraction_option("--area-bound", args.area_bound) if args.area_bound else None
@@ -137,7 +139,7 @@ def _report_plan(doc) -> int:
 
 def cmd_inflate(args) -> int:
     if args.verify_only:
-        return _report_plan(_load_json(args.verify_only))
+        return _report_plan(_read_json(args.verify_only)[1])
     if args.target is None:
         print("--target is required unless --verify-only is given", file=sys.stderr)
         return EXIT_INPUT
@@ -161,10 +163,10 @@ def cmd_inflate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    doc = _load_json(args.path)
+    text, doc = _read_json(args.path)
     if isinstance(doc, dict) and doc.get("schema") == documents.PLAN_SCHEMA:
         return _report_plan(doc)
-    return _report(check_certificate(doc), "certificate verified (re-derived identically)",
+    return _report(check_certificate(doc, text), "certificate verified (re-derived identically)",
                    "certificate rejected")
 
 

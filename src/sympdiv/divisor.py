@@ -269,10 +269,11 @@ def adjoint_area(config: DivisorConfig, w: AreaVector) -> Fraction:
 
 
 def adjoint_area_of(vecs, w: AreaVector) -> Fraction:
-    """adjoint_area of the classes with coefficient tuples vecs in w's ambient."""
+    """adjoint_area of the classes with coefficient tuples vecs in w's ambient:
+    K + [D] summed first, then one dot product."""
     nums, den = w.integer_form
-    vecs = [canonical(w.ambient).coeffs, *vecs]
-    return Fraction(sum(sum(map(operator.mul, v, nums)) for v in vecs), den)
+    total = map(sum, zip(canonical(w.ambient).coeffs, *vecs))
+    return Fraction(sum(map(operator.mul, total, nums)), den)
 
 
 def check_hypothesis(config: DivisorConfig, w: AreaVector) -> bool:

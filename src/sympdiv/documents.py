@@ -178,12 +178,12 @@ def class_to_doc(cls: HomologyClass) -> dict:
 def doc_to_class(doc, amb: AmbientLattice, where: str) -> HomologyClass:
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: class must be an object of name -> coefficient")
-    vec = [0] * amb.dim
+    vec, index = [0] * amb.dim, amb.name_index
     for name, c in doc.items():
-        if name not in amb.names:
+        if name not in index:
             raise DocumentError(f"{where}: unknown generator {name!r}")
-        vec[amb.index_of(name)] = _doc_int(c, f"{where}: coefficient of {name}")
-    return amb.from_coeffs(vec)
+        vec[index[name]] = _doc_int(c, f"{where}: coefficient of {name}")
+    return HomologyClass(amb, tuple(vec))
 
 
 def config_to_doc(config: DivisorConfig, w: AreaVector | None = None) -> dict:

@@ -166,7 +166,7 @@ def _search(ambient, nums, bd, cap, x, emit) -> int:
     for i in range(n - 1, -1, -1):
         suf[i] = suf[i + 1] + exc_nums[i] * exc_nums[i]
         xsuf[i] = xsuf[i + 1] + xs[i] * xs[i]
-    bd2 = bd * bd
+    bd2, top = bd * bd, _degree_bound(nums, bd, cap)  # raises before rec exists
     nodes = 0
 
     def rec(i, sq, lin, num, need, head):
@@ -206,9 +206,10 @@ def _search(ambient, nums, bd, cap, x, emit) -> int:
                 return True
         return False
 
-    for a in range(_degree_bound(nums, bd, cap)):
+    for a in range(top):
         if rec(0, a * a + 1, 1 - 3 * a, a * h_num, a * x0 + need0, (a,)):
             break
+    rec = None  # rec calls itself through this cell: end the cycle, leave no garbage
     return nodes
 
 

@@ -240,6 +240,11 @@ class AmbientLattice:
         instance; not a field, so equality, hashing and repr are unaffected."""
         return HomologyClass(self, self.record.k_head(self.g) + (1,) * self.n_exc)
 
+    @cached_property
+    def name_index(self) -> dict[str, int]:
+        """Each generator's index by name; computed once per instance."""
+        return {name: i for i, name in enumerate(self.names)}
+
     @property
     def exc_indices(self) -> range:
         return range(self.exc_start, self.dim)
@@ -259,8 +264,8 @@ class AmbientLattice:
 
     def index_of(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self.name_index[name]
+        except KeyError:
             raise LatticeError(f"no generator named {name!r} in {self.kind}")
 
     def basis_class(self, name: str) -> "HomologyClass":

@@ -11,25 +11,24 @@ exceptional sphere e:
   half-toric ball centered on one component, sphere added with one edge
 
 Both directions share one lattice record, the `Contraction` from the
-blown-up ambient (pre) to the other (post): the contracted class e,
-`forward` on classes orthogonal to e, its `section` back (the total
-transform), `pull_back` of areas along the section and `extend`, which gives
-e an area and every other class the area of its image.  `forward` and
-`section` check a class's ambient and wrap `drop` and `lift`, the same maps
-on coefficient tuples.  Blowdown normalizes a general exceptional class to a
-basis generator by a word of reflections (exceptional.normalize_to_basis)
-and drops that generator's slot.  A blowup is the section of a contraction
-built directly for a fresh generator, with an empty word
-(`blowup_contraction`).  One bridge changes the basis kind and carries
-explicit coordinates instead: CP2#2 -> S2xS2 contracting H-E1-E2, which is
-also the blowup of S2xS2.  Blowups (`blowups`; `blowup` is its one-step
-call), the replay of a blowdown and the checker's replay of a reduction run
-one core over (contraction, move, sphere id) steps: for each, lift every
-class's coefficients along the section, then apply the move with e as the
-new sphere; only the state a caller asks for becomes a configuration.  The
-core validates nothing: blowups and the checker validate the one they make,
-and verify_trace compares each replay with its input.  Blowdown, on
-coefficient tuples, validates nothing either (see `blowdown`).
+blown-up ambient (pre) to the other (post): the contracted class e, `drop`
+on the coefficients of classes orthogonal to e, its section `lift` back (the
+total transform), `pull_back` of areas along the section and `extend`, which
+gives e an area and every other class the area of its image.  Blowdown
+normalizes a general exceptional class to a basis generator by a word of
+reflections (exceptional.normalize_to_basis) and drops that generator's
+slot.  A blowup is the section of a contraction built directly for a fresh
+generator, with an empty word (`blowup_contraction`).  One bridge changes
+the basis kind and carries explicit coordinates instead: CP2#2 -> S2xS2
+contracting H-E1-E2, which is also the blowup of S2xS2.  Blowups
+(`blowups`; `blowup` is its one-step call), the replay of a blowdown and the
+checker's replay of a reduction run one core over (contraction, move, sphere
+id) steps: for each, lift every class's coefficients along the section,
+then apply the move with e as the new sphere; only the state a caller asks
+for becomes a configuration.  The core validates nothing: blowups validate
+the one they make, and verify_trace and the checker compare each replay
+with the validated configuration it must equal.  Blowdown, on coefficient
+tuples, validates nothing either (see `blowdown`).
 """
 
 from __future__ import annotations
@@ -116,17 +115,9 @@ class Contraction:
     fwd: tuple[tuple[int, ...], ...] = ()  # post coords of an e-orthogonal pre class
     back: tuple[tuple[int, ...], ...] = ()  # pre coords of a post class
 
-    def forward(self, x: HomologyClass) -> HomologyClass:
-        """Image of a pre class orthogonal to the contracted class."""
-        return HomologyClass(self.post, self.drop(coeffs_in(x, self.pre)))
-
-    def section(self, y: HomologyClass) -> HomologyClass:
-        """The pre class orthogonal to the contracted class mapping to y:
-        the total transform of y under the blowup."""
-        return HomologyClass(self.pre, self.lift(coeffs_in(y, self.post)))
-
     def drop(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        """forward on the coefficients v of a pre class."""
+        """The image of the coefficients v of a pre class orthogonal to the
+        contracted class."""
         u = self.word.apply_coeffs(v)
         if self.slot is None:
             return _matvec(self.fwd, u)
@@ -135,12 +126,13 @@ class Contraction:
         return u[: self.slot] + u[self.slot + 1 :]
 
     def lift(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        """section on the coefficients v of a post class."""
+        """The coefficients of the pre class orthogonal to the contracted
+        class that drop takes to v, a post class's: the total transform."""
         u = _matvec(self.back, v) if self.slot is None else v[: self.slot] + (0,) + v[self.slot :]
         return self.word.apply_inverse_coeffs(u)
 
     def pull_back(self, w: AreaVector) -> AreaVector:
-        """Areas on post giving y the area w gives section(y)."""
+        """Areas on post giving y the area w gives lift(y)."""
         tw = self.word.transport_area(w)
         if self.slot is None:
             return tw.pull_back(self.post, self.back)
@@ -149,9 +141,9 @@ class Contraction:
     def extend(self, w: AreaVector, value: Fraction) -> AreaVector:
         """Areas on pre giving e the area `value` and every class orthogonal
         to e the area w gives its image, so pull_back(extend(w, v)) == w: a
-        pre class x gets w(forward(x + (x.e) e)) - (x.e) value."""
+        pre class x gets w(drop(x + (x.e) e)) - (x.e) value."""
         if self.slot is None:
-            # fwd extends forward to all of pre and kills e
+            # fwd extends drop to all of pre and kills e
             wf = w.pull_back(self.pre, self.fwd).areas
             row = pairing_row(self.e)  # pair(x, e) = row . x
             return AreaVector(self.pre, tuple(a - k * value for a, k in zip(wf, row)))

@@ -180,7 +180,7 @@ def quasi_minimal_reduce(config: DivisorConfig, w: AreaVector) -> Staged:
         mins = minimal_area(es)
         d = total_class(cur)
         if any(pair(m, d) >= 2 for m in mins):
-            info = classify_kind(cur, es)
+            info = classify_kind(cur, es, d)
             return "QuasiMinimalFirstKind" if info.kind == "first" else "QuasiMinimalSecondKind"
         return mins, "quasi-minimal"
 
@@ -195,12 +195,12 @@ class KindInfo:
     carrier: str | None
 
 
-def classify_kind(config: DivisorConfig, es: ExceptionalSet) -> KindInfo:
+def classify_kind(config: DivisorConfig, es: ExceptionalSet, d: HomologyClass) -> KindInfo:
     """Certify -[D]-K as the unique minimal-area exceptional class meeting
     [D] twice, and split by whether a component carries it.  es is the
     enumeration of config's ambient at its areas under the default area
-    bound, which the caller has already made."""
-    d = total_class(config)
+    bound and d the total class [D] of config, which the caller has already
+    made."""
     cand = -(d + canonical(config.ambient))
     if not is_exceptional_class(cand):
         raise ClassifyError(f"-[D]-K = {cand} is not an exceptional class")
@@ -243,12 +243,12 @@ def partially_minimal_reduce(config: DivisorConfig, w: AreaVector, info: KindInf
         nonlocal info
         if cur.ambient.b2 <= 2:
             return "SmallB2"
+        d = total_class(cur)
         if cur is not config:  # every pass after the first follows one blowdown
-            info = classify_kind(cur, enumerate_exceptional(cur.ambient, curw))
+            info = classify_kind(cur, enumerate_exceptional(cur.ambient, curw), d)
             if info.kind != "first":
                 raise ReductionError("pair left the first-kind regime during reduction")
         emin = info.e_min
-        d = total_class(cur)
 
         toric = [
             c for c in cur.components

@@ -27,7 +27,15 @@ from sympdiv.cusp import CertifyError, certify_affine_ruled
 from sympdiv.divisor import DivisorConfig, DivisorError, require_valid, validate
 from sympdiv.documents import DocumentError, parse_config
 from sympdiv.exceptional import NormalizeError
-from sympdiv.lattice import AmbientLattice, area, is_exceptional_class, pair, pairings
+from sympdiv.lattice import (
+    AmbientLattice,
+    HomologyClass,
+    area,
+    coeffs_in,
+    is_exceptional_class,
+    pair,
+    pairings,
+)
 from sympdiv.moves import (
     BlowdownStep,
     ExteriorBlowup,
@@ -89,7 +97,8 @@ def validating_blowdown(config, e, w=None) -> BlowdownStep:
         if pair(cls, e) != 0:
             raise MoveError(f"component {cid} not orthogonal after adjustment")
     con = moves._contraction_for(e)
-    post_classes = {cid: con.forward(cls) for cid, cls in classes.items()}
+    post_classes = {cid: HomologyClass(con.post, con.drop(coeffs_in(cls, config.ambient)))
+                    for cid, cls in classes.items()}
     if con.slot is None:
         pre, post = list(classes.values()), list(post_classes.values())
         if pairings(post, post) != pairings(pre, pre):

@@ -31,6 +31,7 @@ from sympdiv.lattice import (
     HomologyClass,
     LatticeError,
     LatticeMap,
+    coeffs_in,
     pair,
     pairing_row,
 )
@@ -54,6 +55,16 @@ def oracle_fold(word, x):
     for c in word:
         x = x + pair(x, c) * c
     return x
+
+
+def section(con, y):
+    """The total transform of the class y, by lift on its coefficients."""
+    return HomologyClass(con.pre, con.lift(coeffs_in(y, con.post)))
+
+
+def forward(con, x):
+    """The image of the class x, orthogonal to e, by drop on its coefficients."""
+    return HomologyClass(con.post, con.drop(coeffs_in(x, con.pre)))
 
 
 def _matvec(rows, vec):
@@ -144,19 +155,19 @@ def assert_each_step_matches(cons, x, data):
     """lift, section, drop and forward against the oracle at every step."""
     for con in cons:
         y = x
-        x = con.section(y)
+        x = section(con, y)
         assert x == oracle_section(con, y)
         assert con.lift(y.coeffs) == x.coeffs
-        assert con.forward(x) == y
+        assert forward(con, x) == y
         assert con.drop(x.coeffs) == y.coeffs
         z = draw_class(data.draw, con.pre)
         z_perp = z + pair(z, con.e) * con.e  # orthogonal to e, whose square is -1
-        assert con.forward(z_perp) == oracle_forward(con, z_perp)
+        assert forward(con, z_perp) == oracle_forward(con, z_perp)
         if pair(z, con.e) == 0 or con.slot is None:  # the bridge's fwd takes any class
-            assert con.forward(z) == oracle_forward(con, z)
+            assert forward(con, z) == oracle_forward(con, z)
         else:
             with pytest.raises(MoveError) as got:
-                con.forward(z)
+                forward(con, z)
             with pytest.raises(MoveError) as want:
                 oracle_forward(con, z)
             assert str(got.value) == str(want.value)
@@ -192,8 +203,8 @@ def test_every_cremona_word_of_cp2_6_lifts_as_the_class_fold():
         lengths.add(len(word.word))
         for _ in range(4):
             y = con.post.from_coeffs([rng.randint(-6, 6) for _ in con.post.names])
-            x = con.section(y)
-            assert x == oracle_section(con, y) and con.forward(x) == y
+            x = section(con, y)
+            assert x == oracle_section(con, y) and forward(con, x) == y
             assert total_transform([con], y, [2]) == oracle_total_transform([con], y, [2])
     assert max(lengths) >= 2  # words of several reflections are among them
 
@@ -208,8 +219,8 @@ def test_the_bridge_lifts_as_the_class_fold():
         for a in range(-3, 4):
             for b in range(-3, 4):
                 y = con.post.from_coeffs((a, b))
-                assert con.section(y) == oracle_section(con, y)
-                assert con.forward(con.section(y)) == y
+                assert section(con, y) == oracle_section(con, y)
+                assert forward(con, section(con, y)) == y
                 assert total_transform([con], y, [a]) == oracle_total_transform([con], y, [a])
 
 
@@ -222,7 +233,7 @@ def test_section_refuses_a_class_of_another_ambient_of_the_same_length():
     con, _ = blowup_contraction(AmbientLattice.rational_blowup(2))
     y = AmbientLattice.ruled_trivial(1, 1).cls(B=1, F=2, E1=-1)
     with pytest.raises(LatticeError, match="ambient mismatch"):
-        con.section(y)
+        section(con, y)
     with pytest.raises(LatticeError, match="ambient mismatch"):
         total_transform([con], y, [1])
 
@@ -232,8 +243,8 @@ def test_forward_refuses_a_class_of_another_ambient_of_the_same_length():
     con, _ = blowup_contraction(AmbientLattice.rational_blowup(2))
     x = AmbientLattice.rational_blowup(3, ("E7", "E8", "E9")).basis_class("H")
     with pytest.raises(LatticeError, match="ambient mismatch"):
-        con.forward(x)
-    assert con.forward(con.pre.basis_class("H")) == con.post.basis_class("H")
+        forward(con, x)
+    assert forward(con, con.pre.basis_class("H")) == con.post.basis_class("H")
 
 
 def test_a_word_of_another_ambient_is_refused():

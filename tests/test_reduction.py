@@ -71,13 +71,13 @@ def test_quasi_minimal_small_b2():
 
 def test_classify_kind():
     cfg, w = first_kind_cp2_8()
-    info = classify_kind(cfg, enumerate_exceptional(cfg.ambient, w))
+    info = classify_kind(cfg, enumerate_exceptional(cfg.ambient, w), total_class(cfg))
     assert info.kind == "first"
     assert info.e_min == cfg.ambient.cls(E8=1)
     assert info.e_min == -(total_class(cfg) + canonical(cfg.ambient))
 
     cfg2, w2 = second_kind_cp2_4()
-    info2 = classify_kind(cfg2, enumerate_exceptional(cfg2.ambient, w2))
+    info2 = classify_kind(cfg2, enumerate_exceptional(cfg2.ambient, w2), total_class(cfg2))
     assert info2.kind == "second" and info2.carrier == "D0"
 
 
@@ -87,7 +87,7 @@ def test_classify_kind_negative_control():
     cfg = DivisorConfig.build(rb, [("A", rb.cls(H=1)), ("B", rb.cls(H=1))], [("A", "B")])
     w = decreasing_areas(rb)
     with pytest.raises(ClassifyError):
-        classify_kind(cfg, enumerate_exceptional(rb, w))
+        classify_kind(cfg, enumerate_exceptional(rb, w), total_class(cfg))
 
 
 def test_partially_minimal_cp2_13():
@@ -113,7 +113,7 @@ def test_partially_minimal_cp2_13():
 
 def test_partially_minimal_first_kind_example_terminal():
     cfg, w = first_kind_cp2_8()
-    info = classify_kind(cfg, enumerate_exceptional(cfg.ambient, w))
+    info = classify_kind(cfg, enumerate_exceptional(cfg.ambient, w), total_class(cfg))
     term, wt, tr = partially_minimal_reduce(cfg, w, info)
     assert tr.terminal == "SmallB2"
     assert term.ambient.describe() == "CP2#1"

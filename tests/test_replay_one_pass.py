@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from sympdiv import checker, cli
+from sympdiv import checker, cli, moves
 from sympdiv.checks import all_passed
 from sympdiv.divisor import adjoint_area, check_hypothesis, validate
 from sympdiv.documents import doc_to_class, doc_to_contraction, doc_to_move, parse_config
@@ -93,19 +93,20 @@ def _reference(doc):
 
 
 def test_one_pass_replay_equals_the_per_step_replay(documents, monkeypatch):
-    adjoint_area_of, require_valid = checker.adjoint_area_of, checker.require_valid
+    adjoint_area_of, matches = checker.adjoint_area_of, moves.MoveState.matches
     areas, ended = [], []
 
     def spy_adjoint(vecs, w):
         areas.append(adjoint_area_of(vecs, w))
         return areas[-1]
 
-    def spy_require_valid(cfg, *args):
-        ended.append(cfg)
-        return require_valid(cfg, *args)
+    def spy_matches(state, cfg):
+        # the end of the replay is compared with the input, not validated
+        ended.append(state.config())
+        return matches(state, cfg)
 
     monkeypatch.setattr(checker, "adjoint_area_of", spy_adjoint)
-    monkeypatch.setattr(checker, "require_valid", spy_require_valid)
+    monkeypatch.setattr(moves.MoveState, "matches", spy_matches)
     replayed = steps = 0
     for doc in documents:
         if doc["route"] != "rational":

@@ -6,8 +6,9 @@ validate their results.  blowdown validates nothing: a blowup's section is
 an isometry onto the complement of its sphere, so a blowdown's result is
 valid exactly when its blowup is, and reduction.verify_trace compares each
 step's blowup with the step's input, on coefficient tuples.  A resolution is
-one blowups call, and the checker's replay of a reduction one pass: each
-makes one configuration, not one per blowup, and validates it.  A
+one blowups call: it makes one configuration, not one per blowup, and
+validates it.  The checker's replay of a reduction is one pass that makes
+none: where it ends is compared with the validated input.  A
 configuration builds its sparse pairings once, so validating the same object
 again builds none.
 """
@@ -77,12 +78,13 @@ def test_certify_and_check_build_one_matrix_per_configuration(monkeypatch):
     built.clear()
     validated.clear()
     assert all_passed(checker.check_certificate(doc))
-    # the input, the terminal, the one configuration the replay ends in and
-    # the resolution; on the admissible-subchain route the terminal is not
-    # classified, so none is validated twice.  While the replay made and
-    # validated a configuration per step, (12, 12), and with a configuration
-    # per resolution blowup too, (16, 16)
-    assert (len(built), len(validated)) == (4, 4)
+    # the input, the terminal and the resolution; on the admissible-subchain
+    # route the terminal is not classified, so none is validated twice.  The
+    # replay's end is compared with the validated input, not made and
+    # validated: while it was, (4, 4); while the replay made and validated a
+    # configuration per step, (12, 12), and with a configuration per
+    # resolution blowup too, (16, 16)
+    assert (len(built), len(validated)) == (3, 3)
     assert None not in built
     assert len({id(c) for c in built}) == len(built)
 
@@ -192,7 +194,9 @@ def test_the_replay_comparison_is_configuration_equality():
 def test_certify_builds_a_pinned_number_of_classes_and_configurations(monkeypatch):
     # a deterministic count of the producer's work on cp2_13: while blowdown
     # built a class per incident adjustment and per forward, validated its
-    # result, and verify_trace built a configuration per replay, (231, 19)
+    # result, and verify_trace built a configuration per replay, (231, 19);
+    # while the partially minimal stage summed [D] for classify_kind and
+    # again for its candidates, (146, 10)
     config, w = _fixture("cp2_13_cusp.json")
     built = {"classes": 0, "configurations": 0}
     post_init, init = lattice.HomologyClass.__post_init__, DivisorConfig.__init__
@@ -208,12 +212,13 @@ def test_certify_builds_a_pinned_number_of_classes_and_configurations(monkeypatc
     monkeypatch.setattr(lattice.HomologyClass, "__post_init__", count_class)
     monkeypatch.setattr(DivisorConfig, "__init__", count_config)
     certify_affine_ruled(config, w)
-    assert built == {"classes": 146, "configurations": 10}
+    assert built == {"classes": 142, "configurations": 10}
 
 
-def test_check_makes_one_configuration_per_replay_and_validates_it(monkeypatch):
+def test_check_makes_no_configuration_for_its_replay(monkeypatch):
     # while the checker replayed one step at a time, it made and validated
-    # one configuration per step, 9 here
+    # one configuration per step, 9 here; while its one pass made and
+    # validated the configuration it ends in, 1
     config, w = _fixture("cp2_13_cusp.json")
     doc = json.loads(canonical_json(certificate_to_doc(certify_affine_ruled(config, w))))
     validate, config_of = divisor.validate, moves.MoveState.config
@@ -234,9 +239,9 @@ def test_check_makes_one_configuration_per_replay_and_validates_it(monkeypatch):
     rebind(monkeypatch, replay_blowdown, no_step_replay)
     rebind(monkeypatch, validate, spy_validate)
     assert all_passed(checker.check_certificate(doc))
-    # the replay's configuration, then the resolution's
-    assert len(made) == 2
-    assert made[0] == parse_config(doc["input"])[0]
+    # the resolution's alone: the replay's end is compared with the input
+    assert len(made) == 1
+    assert made[0] == parse_config(doc["resolution"]["total_transform"])[0]
     assert all(any(v is m for v in validated) for m in made)
 
 
