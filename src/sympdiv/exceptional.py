@@ -6,13 +6,15 @@ by the square(-2) reflections of `lattice.cremona_descent`.
 On a b2+ = 1 ambient an exceptional class is one with e.e = -1 and
 K.e = -1, plus e.F = 0 over an irrational ruled base and membership of the
 Cremona orbit of E1 on CP2#n, n >= 3 (`lattice.is_exceptional_class`).  On
-a rational ambient, enumeration and the witness search run one branch and
-bound, `_search`, which is complete below the area bound alone: with
-w.w > 0 the least area an exceptional class of degree a can have grows with
-a, so the area bound implies a degree past which there is nothing to
-search, and at degree a every |c_i| is at most isqrt(a^2 + 1).  Its one
-leaf test keeps orbit classes only.  Given the class x of a witness search
-it also cuts on the pairing with x, and it stops at the first witness.
+a rational ambient, enumeration and the witness search run one search,
+`_search`, which is complete below the area bound alone: with w.w > 0 the
+least area an exceptional class of degree a can have grows with a, so the
+area bound implies a degree past which there is nothing to search.  Degree
+0 holds the generators E_i only, and the search tries them in closed form,
+one node per slot; every degree a >= 1 runs a branch and bound, in which
+every |c_i| is at most isqrt(a^2 + 1).  Its one leaf test keeps orbit
+classes only.  Given the class x of a witness search it also cuts on the
+pairing with x, and it stops at the first witness.
 `d_good`, goodness over an enumeration, is the reference for goodness
 decided by the witness search.
 """
@@ -64,8 +66,8 @@ class ExceptionalSet:
 def default_area_bound(w: AreaVector) -> Fraction:
     """The area of the cheapest exceptional basis generator (0 when there is
     none): an upper bound for the least exceptional area."""
-    m = w.min_exc_area()
-    return m if m is not None else Fraction(0)
+    nums, den = w.integer_form
+    return Fraction(min((nums[i] for i in w.ambient.exc_indices), default=0), den)
 
 
 def _degree_bound(nums, bd, cap) -> int:
@@ -145,29 +147,42 @@ def find_witness(x: HomologyClass, w: AreaVector, area_bound) -> HomologyClass |
 
 
 def _search(ambient, nums, bd, cap, x, emit) -> int:
-    """Branch and bound over E = (a; c_1..c_n) with a^2 + 1 = sum c_i^2 and
+    """Search over E = (a; c_1..c_n) with a^2 + 1 = sum c_i^2 and
     sum c_i = 1 - 3a, for every degree a below `_degree_bound`.  Areas are
     the numerators nums over a common den and the bound is cap / (bd * den).
-    A node with area numerator num so far and square budget sq left is cut
-    when no completion can come down to the bound: by Cauchy-Schwarz the
-    slots i.. lower num by at most sqrt(sq * suf[i]), with suf[i] the sum of
-    their nums squared.  Given a class x, E.x < 0 reads sum c_i x_i > a x_0;
-    with `need` = a x_0 less the slots fixed so far, the slots i.. add at
-    most sqrt(sq * xsuf[i]), so a node with need >= 0 and need^2 >= sq *
-    xsuf[i] is cut too.  Without x, need is -1 over a zero vector, so that
-    cut never fires.  The last one or two slots are solved in closed form,
-    (lo, hi) before (hi, lo).  Each leaf in the Cremona orbit (every leaf at
-    n <= 2) goes to emit((area numerator, class)); a true return ends the
-    search.  Returns the nodes visited."""
+    Given a class x, E.x < 0 reads sum c_i x_i > a x_0; without x, `need`
+    is -1 over a zero vector, so that test always passes.  Degree 0 is
+    solved in closed form, like the last two slots: sum c_i^2 = 1 and
+    sum c_i = 1 force E = E_i, tried last slot first (the order the
+    recursion met them in), one node per slot.  Degrees a >= 1 run a branch
+    and bound.  A node with area numerator num so far and square budget sq
+    left is cut when no completion can come down to the bound: by
+    Cauchy-Schwarz the slots i.. lower num by at most sqrt(sq * suf[i]),
+    with suf[i] the sum of their nums squared.  With `need` = a x_0 less the
+    slots fixed so far, the slots i.. add at most sqrt(sq * xsuf[i]), so a
+    node with need >= 0 and need^2 >= sq * xsuf[i] is cut too.  The last one
+    or two slots are solved in closed form, (lo, hi) before (hi, lo).  Each
+    leaf in the Cremona orbit (every leaf at n <= 2) goes to emit((area
+    numerator, class)); a true return ends the search.  Returns the nodes
+    visited."""
     n = ambient.n_exc
     h_num, exc_nums = nums[0], nums[1:]
     x0, xs, need0 = (0, (0,) * n, -1) if x is None else (x.coeffs[0], x.coeffs[1:], 0)
+    top = _degree_bound(nums, bd, cap)
+    if top == 0:
+        return 0
+    for i in range(n - 1, -1, -1):  # degree 0: E_i, whose area AreaVector keeps > 0
+        num = exc_nums[i]
+        if (num * bd <= cap and xs[i] > need0
+                and emit((num, HomologyClass(ambient, (0,) * (i + 1) + (1,) + (0,) * (n - 1 - i))))):
+            return n - i
+    if top == 1:
+        return n
     suf, xsuf = [0] * (n + 1), [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suf[i] = suf[i + 1] + exc_nums[i] * exc_nums[i]
         xsuf[i] = xsuf[i + 1] + xs[i] * xs[i]
-    bd2, top = bd * bd, _degree_bound(nums, bd, cap)  # raises before rec exists
-    nodes = 0
+    bd2, nodes = bd * bd, n
 
     def rec(i, sq, lin, num, need, head):
         nonlocal nodes
@@ -206,7 +221,7 @@ def _search(ambient, nums, bd, cap, x, emit) -> int:
                 return True
         return False
 
-    for a in range(top):
+    for a in range(1, top):
         if rec(0, a * a + 1, 1 - 3 * a, a * h_num, a * x0 + need0, (a,)):
             break
     rec = None  # rec calls itself through this cell: end the cycle, leave no garbage

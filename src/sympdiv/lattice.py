@@ -516,12 +516,6 @@ class AreaVector:
         hashing and repr are unaffected."""
         return integer_form_of(self.areas)
 
-    def min_exc_area(self) -> Fraction | None:
-        idx = list(self.ambient.exc_indices)
-        if not idx:
-            return None
-        return min(self.areas[i] for i in idx)
-
     def square(self) -> Fraction:
         """The volume w.Q^-1.w of a form with these areas, Q the ambient's
         form; > 0 on the symplectic cone.  Q is its own inverse on every kind

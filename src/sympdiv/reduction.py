@@ -250,9 +250,9 @@ def partially_minimal_reduce(config: DivisorConfig, w: AreaVector, info: KindInf
                 raise ReductionError("pair left the first-kind regime during reduction")
         emin = info.e_min
 
-        toric = [
+        toric = [  # c.c = -1 and c.([D] - c) = 2
             c for c in cur.components
-            if pair(c.cls, c.cls) == -1 and pair(c.cls, d - c.cls) == 2
+            if pair(c.cls, c.cls) == -1 and pair(c.cls, d) == 1
         ]
         for c in toric:
             if pair(c.cls, emin) != 0:
@@ -263,15 +263,11 @@ def partially_minimal_reduce(config: DivisorConfig, w: AreaVector, info: KindInf
         if toric:
             return [c.cls for c in toric], "partially-minimal(toric)"
 
-        gens = [
-            cur.ambient.basis_class(cur.ambient.names[i]) for i in cur.ambient.exc_indices
-        ]
-        nontoric = [
-            g for g in gens
-            if pair(g, emin) == 0
-            and all(pair(g, c.cls) >= 0 for c in cur.components)
-            and not any(c.cls == g for c in cur.components)
-        ]
+        # the generators E_i read on coefficients, E_i.x = -x_i: E_i.E_min = 0 and E_i.c >= 0
+        # for every component c, which E_i.E_i = -1 keeps from being a component
+        cls = [c.cls.coeffs for c in cur.components]
+        nontoric = [cur.ambient.basis_class(cur.ambient.names[i]) for i in cur.ambient.exc_indices
+                    if emin.coeffs[i] == 0 and all(v[i] <= 0 for v in cls)]
         for g in nontoric:
             if pair(g, d) != 1:
                 raise ClassifyError(f"non-toric candidate {g} pairs {pair(g, d)} with [D]")

@@ -11,8 +11,15 @@ from itertools import combinations
 from pathlib import Path
 
 from sympdiv.divisor import DivisorConfig, adjoint_area, validate
-from sympdiv.exceptional import EnumerationError
-from sympdiv.lattice import AmbientLattice, AreaVector, LatticeMap, cremona_descent, pairings
+from sympdiv.exceptional import EnumerationError, _degree_bound
+from sympdiv.lattice import (
+    AmbientLattice,
+    AreaVector,
+    HomologyClass,
+    LatticeMap,
+    cremona_descent,
+    pairings,
+)
 from sympdiv.moves import (
     ExteriorBlowup,
     HalfToricBlowup,
@@ -379,3 +386,62 @@ def leaf_test_search(ambient, nums, bd, cap, out):
 
         rec(0, a * a + 1, 1 - 3 * a)
         a += 1
+
+
+def reference_search(ambient, nums, bd, cap, x, emit) -> int:
+    """`exceptional._search` as it was while its branch and bound walked
+    degree 0 too, node by node: the reference for the leaves the search
+    emits, and their order.  Same arguments and emit protocol; returns the
+    nodes it visited, which differ from the search's own count."""
+    n = ambient.n_exc
+    h_num, exc_nums = nums[0], nums[1:]
+    x0, xs, need0 = (0, (0,) * n, -1) if x is None else (x.coeffs[0], x.coeffs[1:], 0)
+    suf, xsuf = [0] * (n + 1), [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suf[i] = suf[i + 1] + exc_nums[i] * exc_nums[i]
+        xsuf[i] = xsuf[i + 1] + xs[i] * xs[i]
+    bd2, top = bd * bd, _degree_bound(nums, bd, cap)  # raises before rec exists
+    nodes = 0
+
+    def rec(i, sq, lin, num, need, head):
+        nonlocal nodes
+        nodes += 1
+        m = num * bd - cap
+        if m > 0 and m * m > sq * bd2 * suf[i]:
+            return False
+        if need >= 0 and need * need >= sq * xsuf[i]:
+            return False
+        if i >= n - 2:
+            if i == n - 1:
+                tails = [(lin,)] if lin * lin == sq else []
+            else:
+                # c + d = lin and c^2 + d^2 = sq: (c - d)^2 = 2 sq - lin^2, a
+                # square that has lin's parity whenever it is a square
+                t = 2 * sq - lin * lin
+                s = math.isqrt(t) if t >= 0 else 0
+                if s * s != t:
+                    return False
+                lo, hi = (lin - s) // 2, (lin + s) // 2
+                tails = [(lo, hi), (hi, lo)] if s else [(lo, hi)]
+            for tail in tails:
+                leaf = num + sum(map(operator.mul, tail, exc_nums[i:]))
+                if (0 < leaf and leaf * bd <= cap
+                        and sum(map(operator.mul, tail, xs[i:])) > need
+                        and (n < 3 or cremona_descent(head + tail) is not None)
+                        and emit((leaf, HomologyClass(ambient, head + tail)))):
+                    return True
+            return False
+        r, left, wi, xi = math.isqrt(sq), n - i - 1, exc_nums[i], xs[i]
+        for c in range(-r, r + 1):
+            rem_sq, rem_lin = sq - c * c, lin - c
+            if rem_lin * rem_lin > left * rem_sq:
+                continue
+            if rec(i + 1, rem_sq, rem_lin, num + c * wi, need - c * xi, head + (c,)):
+                return True
+        return False
+
+    for a in range(top):
+        if rec(0, a * a + 1, 1 - 3 * a, a * h_num, a * x0 + need0, (a,)):
+            break
+    rec = None  # rec calls itself through this cell: end the cycle, leave no garbage
+    return nodes

@@ -30,7 +30,12 @@ from conftest import FIXTURES
 from sympdiv import checker, documents
 from sympdiv.checks import Check
 from sympdiv.documents import DocumentError, canonical_json, parse_config
-from sympdiv.exceptional import enumerate_exceptional, find_witness, normalize_to_basis
+from sympdiv.exceptional import (
+    _degree_bound,
+    enumerate_exceptional,
+    find_witness,
+    normalize_to_basis,
+)
 from sympdiv.lattice import (
     AmbientLattice,
     AreaVector,
@@ -232,5 +237,10 @@ def test_a_search_on_an_existing_ambient_leaves_no_garbage():
     es = enumerate_exceptional(config.ambient, w)
     x = es.classes[0]
     assert es.nodes > 0
-    assert _garbage(lambda: enumerate_exceptional(config.ambient, w)) == []
-    assert _garbage(lambda: find_witness(x, w, Fraction(3))) == []
+    # the default bound searches degree 0 alone, in closed form; 3 runs the branch and bound
+    nums, den = w.integer_form
+    bounds = (es.area_bound, Fraction(3))
+    assert [_degree_bound(nums, b.denominator, b.numerator * den) for b in bounds] == [1, 5]
+    for bound in bounds:
+        assert _garbage(lambda bound=bound: enumerate_exceptional(config.ambient, w, bound)) == []
+        assert _garbage(lambda bound=bound: find_witness(x, w, bound)) == []

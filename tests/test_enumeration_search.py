@@ -112,18 +112,22 @@ def near_boundary(eps):
 # 10915, 92348, 586304, 783628, 3169453 and 12026412 nodes.  Near the
 # boundary w.w -> 0 the work grows fast: near_boundary_cp2_9.json is the
 # eps = 1/50 input with one component E1 - E2, and certify on it takes
-# milliseconds at eps = 1/50 but seconds at eps = 1/300.
+# milliseconds at eps = 1/50 but seconds at eps = 1/300.  Degree 0 counts one
+# node per slot tried; while the branch and bound walked it, it counted
+# n(n - 1)/2 there when no cut fired, so the CP2#n pins were higher by
+# n(n - 3)/2 (495 at n = 8), and the area cut's pruning there left the
+# eps = 1/100 pin only 6 higher (110996).
 BALANCED_NODES = {
     **{str(n): (balanced(n), pin) for n, pin in (
-        (8, (495, 240)),
-        (9, (1355, 171)),
-        (10, (1864, 55)),
-        (11, (2407, 66)),
-        (12, (2883, 78)),
-        (13, (2327, 13)),
-        (14, (2524, 14)),
+        (8, (475, 240)),
+        (9, (1328, 171)),
+        (10, (1829, 55)),
+        (11, (2363, 66)),
+        (12, (2829, 78)),
+        (13, (2262, 13)),
+        (14, (2447, 14)),
     )},
-    "eps=1/100": (near_boundary(Fraction(1, 100)), (110996, 1)),
+    "eps=1/100": (near_boundary(Fraction(1, 100)), (110990, 1)),
 }
 
 
@@ -149,20 +153,20 @@ FIXTURE_NODES = {
     "cone_ruled_trivial.json": ((0, 0), (0, 0)),
     "cone_s2s2_backward.json": ((0, 0), (0, 0)),
     "cone_twisted.json": ((0, 0), (0, 0)),
-    "conic_cremona_cp2_6.json": ((5, 80), (5, 80)),
-    "cp2_13_cusp.json": ((10, 140), (10, 140)),
+    "conic_cremona_cp2_6.json": ((5, 74), (5, 74)),
+    "cp2_13_cusp.json": ((10, 85), (10, 85)),
     "cp2_conic.json": ((0, 0), (0, 0)),
     "cp2_cubic.json": ((0, 0), (0, 0)),
     "cp2_line.json": ((0, 0), (0, 0)),
     # a disconnected divisor: refused by build_certificate, before any search
     "disconnected_cp2_5.json": ((0, 0), (0, 0)),
-    "near_boundary_cp2_9.json": ((8, 11225), (8, 11225)),
-    "product_spheres_5.json": ((5, 26), (5, 26)),
+    "near_boundary_cp2_9.json": ((8, 11205), (8, 11205)),
+    "product_spheres_5.json": ((5, 21), (5, 21)),
     "product_spheres_chain.json": ((0, 0), (0, 0)),
     "ruled_comb_genus2.json": ((0, 0), (0, 0)),
     "ruled_comb_sectionless.json": ((0, 0), (0, 0)),
     "ruled_comb_twisted.json": ((0, 0), (0, 0)),
-    "trident_cp2_4.json": ((4, 26), (4, 26)),
+    "trident_cp2_4.json": ((4, 24), (4, 24)),
 }
 
 
