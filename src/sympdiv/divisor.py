@@ -82,9 +82,6 @@ class DivisorConfig:
                 return c
         raise DivisorError(f"no component with id {cid!r}")
 
-    def has_component(self, cid: str) -> bool:
-        return any(c.id == cid for c in self.components)
-
     def ids(self) -> list[str]:
         return [c.id for c in self.components]
 

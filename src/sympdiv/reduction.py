@@ -12,9 +12,9 @@ Irrational ruled ambients are not reduced (see `comb_shape_problems`).
 The stages assume a valid connected pair on a rational ambient with
 negative adjoint area, checked once on `cusp.build_certificate`'s path.
 
-Every stage runs one contraction loop: the stage names its ordered
-candidates, or the terminal that ends it, and the first candidate that
-blows down is contracted.  No class is blown down to rank it.
+Every stage runs one contraction loop: the stage names the one class it
+contracts, or the terminal that ends it, and `_reduce` says why that class
+blows down.  No class is blown down to choose it.
 
 Every trace step stores the full blowdown data so that replaying the trace
 as blowups from the terminal configuration reproduces the input exactly.
@@ -133,29 +133,35 @@ def step_checks(stage: str, i: int, ts: TraceStep, chains: bool, replays: bool) 
 
 def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step) -> Staged:
     """The contraction loop of every stage.  next_step(cur, curw) returns the
-    terminal name that ends the stage, or the ordered candidates with the
-    label naming them in the error.  The first candidate that blows down is
-    contracted and recorded as a trace step; every step keeps the
-    adjoint-area hypothesis, so a step after the first starts from the
-    previous step's hyp_after."""
+    terminal name that ends the stage, the class it contracts, or None.  The
+    class is blown down and recorded as a trace step; every step keeps the
+    adjoint-area hypothesis, so a later step starts from the last hyp_after.
+
+    Why it blows down.  D is a tree of spheres: were D0 a component of genus
+    >= 1 or a cycle of components, L = K + [D0] would have L.L - K.L =
+    2 p_a(D0) - 2 >= 0, so L or -[D0] = K - L is J-effective (b+ = 1, b1 = 0:
+    Li-Liu), making area(K + [D]) >= area(L) >= 0.  Zhang's curve cone theorem
+    makes a least-area class E an embedded J-sphere for a tamed J keeping D
+    J-holomorphic, so E is a component or meets each one non-negatively; with
+    E.[D] <= 1, and distinct neighbours by the tree, that is one of the four
+    patterns.  Quasi-minimal skips the lone component's class, whose blowdown
+    leaves no divisor.  Partially-minimal (a (-1)-sphere component with two
+    neighbours, or a generator meeting one component once), second-kind (a
+    class detect_pattern matches) and small-b2 (E1) by construction."""
     steps: list[TraceStep] = []
     cur, curw = config, w
     while True:
-        nxt = next_step(cur, curw)
-        if isinstance(nxt, str):
-            return cur, curw, ReductionTrace(stage, tuple(steps), nxt)
-        candidates, label = nxt
+        e = next_step(cur, curw)
+        if isinstance(e, str):
+            return cur, curw, ReductionTrace(stage, tuple(steps), e)
+        where = f"{stage} reduction on {cur.ambient.describe()}"
+        if e is None:
+            raise ReductionError(f"{where}: no class to contract")
         hyp_before = steps[-1].hyp_after if steps else check_hypothesis(cur, curw)
-        errors = []
-        for cand in candidates:
-            try:
-                bd = blowdown(cur, cand, curw)
-                break
-            except (MoveError, NormalizeError) as exc:
-                errors.append(f"{cand}: {exc}")
-        else:
-            raise ReductionError(f"stuck in {label} reduction on {cur.ambient.describe()}; tried "
-                                 f"{len(candidates)} candidates: " + " | ".join(errors))
+        try:
+            bd = blowdown(cur, e, curw)
+        except (MoveError, NormalizeError) as exc:
+            raise ReductionError(f"{where}: {e} does not blow down: {exc}") from exc
         hyp_after = check_hypothesis(bd.config, bd.new_area)
         steps.append(TraceStep(bd, cur.ambient.b2, bd.config.ambient.b2, hyp_before, hyp_after))
         if not hyp_after:
@@ -182,7 +188,9 @@ def quasi_minimal_reduce(config: DivisorConfig, w: AreaVector) -> Staged:
         if any(pair(m, d) >= 2 for m in mins):
             info = classify_kind(cur, es, d)
             return "QuasiMinimalFirstKind" if info.kind == "first" else "QuasiMinimalSecondKind"
-        return mins, "quasi-minimal"
+        # the lone component's class has no blowdown: it would leave no divisor
+        lone = cur.components[0].cls if len(cur.components) == 1 else None
+        return next((m for m in mins if m != lone), None)
 
     cur, curw, trace = _reduce("quasi_minimal", config, w, next_step)
     return cur, curw, replace(trace, classification=info)
@@ -213,15 +221,12 @@ def classify_kind(config: DivisorConfig, es: ExceptionalSet, d: HomologyClass) -
         )
     if pair(cand, d) != 2:
         raise ClassifyError(f"E_min.[D] = {pair(cand, d)}, expected 2")
-    carriers = [c.id for c in config.components if c.cls == cand]
-    if carriers:
-        cid = carriers[0]
-        if config.degree(cid) != 3:
-            raise ClassifyError(
-                f"second-kind carrier {cid} meets {config.degree(cid)} components, expected 3"
-            )
-        return KindInfo("second", cand, cid)
-    return KindInfo("first", cand, None)
+    # the component carrying -[D]-K, if any: a valid pair has one at most
+    cid = next((c.id for c in config.components if c.cls == cand), None)
+    if cid is not None and config.degree(cid) != 3:
+        raise ClassifyError(f"second-kind carrier {cid} meets {config.degree(cid)} components, "
+                            "expected 3")
+    return KindInfo("first" if cid is None else "second", cand, cid)
 
 
 # -- partially minimal reduction -------------------------------------------------
@@ -259,9 +264,8 @@ def partially_minimal_reduce(config: DivisorConfig, w: AreaVector, info: KindInf
                 raise ClassifyError(
                     f"toric candidate {c.id} meets E_min; quasi-minimality violated"
                 )
-        toric.sort(key=lambda c: (area(c.cls, curw), c.id))
         if toric:
-            return [c.cls for c in toric], "partially-minimal(toric)"
+            return min(toric, key=lambda c: (area(c.cls, curw), c.id)).cls
 
         # the generators E_i read on coefficients, E_i.x = -x_i: E_i.E_min = 0 and E_i.c >= 0
         # for every component c, which E_i.E_i = -1 keeps from being a component
@@ -271,9 +275,8 @@ def partially_minimal_reduce(config: DivisorConfig, w: AreaVector, info: KindInf
         for g in nontoric:
             if pair(g, d) != 1:
                 raise ClassifyError(f"non-toric candidate {g} pairs {pair(g, d)} with [D]")
-        nontoric.sort(key=lambda g: (area(g, curw), g.coeffs))
         if nontoric:
-            return nontoric, "partially-minimal(non-toric)"
+            return min(nontoric, key=lambda g: (area(g, curw), g.coeffs))
         return "QuasiMinimalFirstKind"
 
     return _reduce("partially_minimal", config, w, next_step)
@@ -334,12 +337,11 @@ _TYPE_RANK = {"toric": 0, "half_toric": 1, "non_toric": 2, "exterior": 3}
 
 
 def second_kind_reduce(config: DivisorConfig, w: AreaVector, info: KindInfo) -> Staged:
-    """Greedy blowdowns (cheapest class first, toric before half-toric
-    before non-toric before exterior) until b2 <= 2; info classifies config
-    (the quasi-minimal trace carries it).  The incidence pattern
-    ranks a class without blowing it down; a class no pattern matches is
-    dropped, and since (area, rank, coefficients) is a total order the
-    first class that blows down is the least one that does."""
+    """Greedy blowdowns until b2 <= 2, each of the least class by (area, type,
+    coefficients), toric before half-toric before non-toric before exterior;
+    info classifies config (the quasi-minimal trace carries it).  The
+    incidence pattern ranks a class without blowing it down; a class no
+    pattern matches is not ranked."""
     if info.kind != "second":
         raise ReductionError("second-kind reduction expects a second-kind pair")
 
@@ -356,20 +358,20 @@ def second_kind_reduce(config: DivisorConfig, w: AreaVector, info: KindInfo) -> 
             except MoveError:
                 continue
             ranked.append((area(e, curw), _TYPE_RANK[kind], e.coeffs, e))
-        return [t[-1] for t in sorted(ranked)], "second-kind"
+        return min(ranked)[-1] if ranked else None
 
     return _reduce("second_kind", config, w, next_step)
 
 
 def small_b2_reduce(config: DivisorConfig, w: AreaVector) -> Staged:
     """A b2 <= 2 terminal outside the minimal-model table (a lone fiber
-    sphere in the one-point blowup) contracts further: the first class that
-    blows down, until a table case appears or b2 = 1."""
+    sphere in the one-point blowup) contracts the first exceptional class,
+    E1, until a table case appears or b2 = 1."""
 
     def next_step(cur, curw):
         if cur.ambient.b2 <= 1 or classify_minimal_model(cur) is not None:
             return "SmallB2"
-        return enumerate_exceptional(cur.ambient, curw).classes, "small-b2"
+        return next(iter(enumerate_exceptional(cur.ambient, curw).classes), None)
 
     return _reduce("small_b2", config, w, next_step)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +17,10 @@ from conftest import (
 from sympdiv import reduction
 from sympdiv.checks import all_passed
 from sympdiv.cli import main
-from sympdiv.divisor import DivisorConfig, DivisorError, total_class, validate
+from sympdiv.cusp import CertifyError, certify_affine_ruled
+from sympdiv.divisor import DivisorConfig, DivisorError, adjoint_area, total_class, validate
 from sympdiv.documents import parse_config
-from sympdiv.exceptional import NormalizeError, enumerate_exceptional
+from sympdiv.exceptional import NormalizeError, enumerate_exceptional, minimal_area
 from sympdiv.lattice import AmbientLattice, AreaVector, area, canonical
 from sympdiv.moves import MoveError, blowdown
 from sympdiv.reduction import (
@@ -448,3 +450,68 @@ def test_stages_refuse_the_wrong_kind():
     assert tr1.classification.kind == "second"
     with pytest.raises(ReductionError, match="expects a first-kind pair"):
         partially_minimal_reduce(t1, w1, tr1.classification)
+
+
+# -- one class per step -------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def _data(name):
+    return parse_config(json.loads((DATA / name).read_text()))
+
+
+def test_the_lone_component_class_gives_way_to_a_tied_class():
+    # D is the lone exceptional sphere E2, tied in area with E1 and listed
+    # first.  Its blowdown would leave no divisor, so the quasi-minimal
+    # stage contracts E1 instead, as the candidate loop it replaced did
+    # after E2 failed.
+    cfg, w = _data("lone_exceptional_tie_cp2_2.json")
+    e1, e2 = cfg.ambient.cls(E1=1), cfg.ambient.cls(E2=1)
+    assert minimal_area(enumerate_exceptional(cfg.ambient, w)) == [e2, e1]
+    _, _, tr = quasi_minimal_reduce(cfg, w)
+    assert [(s.target, s.kind, s.blowdown.removed_component) for s in tr.steps] == [
+        (e1, "exterior", None)]
+    assert certify_affine_ruled(cfg, w).route_tag == "minimal-model:C1p"
+
+
+def test_a_lone_component_of_least_area_leaves_the_stage_no_class():
+    cfg, _ = _data("lone_exceptional_tie_cp2_2.json")
+    w = AreaVector.from_values(cfg.ambient, [1, Fraction(1, 3), Fraction(1, 4)])
+    with pytest.raises(ReductionError, match="^quasi_minimal reduction on CP2#2: no class to "
+                                             "contract$"):
+        quasi_minimal_reduce(cfg, w)
+
+
+def test_a_class_that_does_not_blow_down_fails_certify_naming_stage_and_class(
+        monkeypatch, capsys):
+    tried = []
+
+    def refuse_once(cfg, e, w=None):
+        tried.append(e)
+        if len(tried) == 1:
+            raise MoveError("refused by the test")
+        return blowdown(cfg, e, w)
+
+    monkeypatch.setattr(reduction, "blowdown", refuse_once)
+    assert main(["certify", str(FIXTURES / "cp2_13_cusp.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("certification failed at stage 'quasi_minimal': ")
+    assert (f"quasi_minimal reduction on CP2#13: {tried[0]} does not blow down: "
+            "refused by the test") in err
+    assert "Traceback" not in err and len(tried) == 1
+
+
+def test_the_area_tie_input_is_valid_and_certifies_off_the_tie():
+    cfg, w = _data("area_tie_cp2_3.json")
+    assert not validate(cfg, w) and adjoint_area(cfg, w) == Fraction(-1, 8)
+    for e1 in (Fraction(127, 256), Fraction(129, 256)):
+        certify_affine_ruled(cfg, AreaVector(cfg.ambient, (w.areas[0], e1, *w.areas[2:])))
+
+
+@pytest.mark.xfail(strict=True, raises=CertifyError, reason=(
+    "ROADMAP item 7: once E3 is contracted, E2 and H-E1-E2 tie at the least area "
+    "1/4, and classify_kind refuses -[D]-K = H-E1-E2 as not the unique "
+    "minimal-area class, although the pair is valid with negative adjoint area"))
+def test_an_area_tie_at_quasi_minimality_certifies():
+    certify_affine_ruled(*_data("area_tie_cp2_3.json"))
