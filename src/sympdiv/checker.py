@@ -10,7 +10,7 @@ exceptional classes.  From the recorded decisions alone it
     Cremona orbit on CP2#n, n >= 3) of positive area, and the word takes e
     to the generator it drops (or e is the class of a bridge);
   - replays the recorded blowups up from the recorded terminal in one pass
-    on coefficient tuples, checked as blowups checks them, with the
+    on coefficient tuples, each step checked by moves.blowup_states, with the
     hypothesis on both sides of each step read off the tuples, and compares
     where it ends with the validated input, which it must equal;
   - searches, for every contracted e, for an exceptional E != e with

@@ -17,9 +17,10 @@ runs by search along `reduction.NEXT_STAGE` and the checker by replaying
 the document, with the chain labeling it records.  Its callers check the
 pair's validity and hypothesis, and it refuses a disconnected divisor on a
 rational ambient: each precondition of the reduction is checked once.
-A resolution collects its blowups as steps, each with the `Contraction`
-undoing it, and makes its configuration by one `blowups` call; total
-transforms are read off the contractions, whatever the ambient kind.
+A resolution blows up at fresh points in one ambient (`moves.FreshBlowups`):
+each class and the cusp class are lifted once, each move and multiplicity
+is taken off at its sphere's slots, and one configuration is validated;
+total transforms and areas read the same extension, whatever the kind.
 """
 
 from __future__ import annotations
@@ -53,11 +54,9 @@ from .lattice import (
 )
 from .moves import (
     BlowupMove,
-    Contraction,
+    FreshBlowups,
     HalfToricBlowup,
     ToricBlowup,
-    blowup_contraction,
-    blowups,
 )
 from .reduction import (
     MINIMAL_AMBIENTS,
@@ -230,20 +229,21 @@ class ResolutionResult:
     transverse_id: str
     checks: tuple[Check, ...]
     pc: dict
-    contractions: tuple[Contraction, ...] = ()  # one per blowup, each undoing it
+    fresh: FreshBlowups | None = None  # the lattice side of the blowups, if any
     moves: tuple[BlowupMove, ...] = ()  # the blowups, their spheres being exc_ids
 
 
-def resolution_step(config, steps, move) -> str:
-    """Collect one blowup of a resolution of config, on the contraction built
-    for the ambient the steps reach; its sphere takes the default id, suffixed
-    with x while a component or an earlier sphere has it, and returns it."""
-    con, xid = blowup_contraction(steps[-1][0].pre if steps else config.ambient)
-    used = {*config.ids(), *(cid for _, _, cid in steps)}
-    while xid in used:
-        xid += "x"
-    steps.append((con, move, xid))
-    return xid
+def _spheres(config, fresh) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names and the ids of the spheres fresh blows up on config: each
+    takes its default id, suffixed with x while a component or an earlier
+    sphere has it."""
+    (names, defaults), used, ids = fresh.names(), set(config.ids()), []
+    for xid in defaults:
+        while xid in used:
+            xid += "x"
+        used.add(xid)
+        ids.append(xid)
+    return names, tuple(ids)
 
 
 def total_transform(contractions, x, weights):
@@ -282,14 +282,15 @@ def resolve_pattern(
     if db is None or config.edge_multiplicity(da, db) < 1:
         raise CuspError(f"no intersection point between {da!r} and {db!r}")
 
+    weights = weight_sequence(p, q).weights  # the same recursion: one blowup per weight
+    fresh = FreshBlowups.of(config.ambient, len(weights))
+    names, ids = _spheres(config, fresh)
     u, v, cp, cq = da, db, p, q
     pc_contact, pc_mu = p, q
-    mult: list[int] = []
-    steps: list[tuple[Contraction, BlowupMove, str]] = []
-    pc: dict[str, int] = {}
-    while True:
+    mult, moves, pc = [], [], {}
+    for xid in ids:
         mult.append(min(cp, cq))
-        xid = resolution_step(config, steps, ToricBlowup(u, v))
+        moves.append(ToricBlowup(u, v))
         if pc_contact < pc_mu:
             pc[xid] = pc.get(xid, 0) + (pc_mu - pc_contact)
             pc_mu = pc_mu - pc_contact
@@ -303,10 +304,8 @@ def resolve_pattern(
         else:
             break
 
-    cur = blowups(config, steps)
-    cons, moves, ids = zip(*steps)
-    a_tilde = total_transform(cons, A, mult)
-    weights = weight_sequence(p, q).weights
+    cur = fresh.blow_up(config, moves, ids)
+    a_tilde = fresh.total_transform(A, mult)
     checks = [
         Check("multiplicities are the weight sequence", tuple(mult) == weights,
               f"{tuple(mult)} vs {weights}"),
@@ -316,8 +315,8 @@ def resolve_pattern(
     ]
     _require_all(checks, "resolution")
     return ResolutionResult(
-        cur, da, db, p, q, tuple(mult), tuple(str(c.e) for c in cons), ids,
-        a_tilde, ids[-1], tuple(checks), pc, cons, moves,
+        cur, da, db, p, q, tuple(mult), names, ids, a_tilde, ids[-1], tuple(checks), pc, fresh,
+        tuple(moves),
     )
 
 
@@ -348,8 +347,8 @@ def positive_combination(
     q([D_a] - [proper transform of D_a]) - sum(m_i E_i), all non-negative."""
     if not res.multiplicities:
         return {}, Check("positive combination", True, "empty weight sequence, zero class")
-    lifted = total_transform(res.contractions, res.q * config_before.component(res.da).cls,
-                             res.multiplicities)
+    lifted = res.fresh.total_transform(res.q * config_before.component(res.da).cls,
+                                       res.multiplicities)
     target = combination(res.config.ambient,
                          ((1, lifted), (-res.q, res.config.component(res.da).cls)))
     neg = [cid for cid, coeff in res.pc.items() if coeff < 0]
@@ -596,9 +595,8 @@ def resolution_areas(term_config, wt, res, cusp_area_hint) -> AreaVector:
     i-th exceptional sphere gets base / ((p + q) 4^i)."""
     neg_k = -area(canonical(term_config.ambient), wt)
     base = min([neg_k, cusp_area_hint] + list(wt.areas)) / 2
-    for i, con in enumerate(res.contractions, start=1):
-        wt = con.extend(wt, base / ((res.p + res.q) * 4**i))
-    return wt
+    values = [base / ((res.p + res.q) * 4**i) for i in range(1, len(res.moves) + 1)]
+    return res.fresh.extend(wt, values) if res.fresh else wt
 
 
 def _chain_route(term, wt, tag, goodness, labelings):
@@ -730,17 +728,15 @@ def comb_route(config, w, goodness):
 def _a3_resolution(term) -> ResolutionResult:
     """Half-toric plus three toric blowups on the degree-two sphere; the
     foliating class 2h - e1 - e2 - e3 - e4 has a (4, 1) tangency."""
-    d1 = term.components[0].id
-    steps, xid = [], None
-    for i in range(4):
-        xid = resolution_step(term, steps, HalfToricBlowup(d1) if i == 0 else ToricBlowup(d1, xid))
-    cur = blowups(term, steps)
-    cons, moves, ids = zip(*steps)
-    a_cls = total_transform(cons, term.components[0].cls, (1, 1, 1, 1))
+    d1, fresh = term.components[0].id, FreshBlowups.of(term.ambient, 4)
+    names, ids = _spheres(term, fresh)
+    moves = (HalfToricBlowup(d1), *(ToricBlowup(d1, xid) for xid in ids[:3]))
+    cur = fresh.blow_up(term, moves, ids)
+    a_cls = fresh.total_transform(term.components[0].cls, (1, 1, 1, 1))
     checks = a_tilde_checks(cur, a_cls, ids[-1])
     _require_all(checks, "a3-pattern")
-    return ResolutionResult(cur, d1, None, 4, 1, (1, 1, 1, 1), tuple(str(c.e) for c in cons),
-                            ids, a_cls, ids[-1], tuple(checks), {d1: 1}, cons, moves)
+    return ResolutionResult(cur, d1, None, 4, 1, (1, 1, 1, 1), names, ids, a_cls, ids[-1],
+                            tuple(checks), {d1: 1}, fresh, moves)
 
 
 def a3_cusp(term: DivisorConfig) -> CuspData:

@@ -293,10 +293,12 @@ class AmbientLattice:
         top = max((int(n[1:]) for n in self.names if n[:1] == "E" and n[1:].isdigit()), default=0)
         return f"E{top + 1}"
 
-    def with_fresh_exc(self, kind: str) -> "AmbientLattice":
-        """These names and fresh_exc_name, as `kind`; its fresh name is the next."""
-        out = AmbientLattice(kind, self.g, self.names + (self.fresh_exc_name,))
-        out.__dict__["fresh_exc_name"] = f"E{int(self.fresh_exc_name[1:]) + 1}"
+    def with_fresh_exc(self, kind: str, n: int) -> "AmbientLattice":
+        """These names and n fresh ones from fresh_exc_name on, as `kind`; its
+        fresh name is the next."""
+        top = int(self.fresh_exc_name[1:])
+        out = AmbientLattice(kind, self.g, self.names + tuple(f"E{top + i}" for i in range(n)))
+        out.__dict__["fresh_exc_name"] = f"E{top + n}"
         return out
 
     def describe(self) -> str:

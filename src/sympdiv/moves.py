@@ -20,15 +20,16 @@ reflections (exceptional.normalize_to_basis) and drops that generator's
 slot.  A blowup is the section of a contraction built directly for a fresh
 generator, with an empty word (`blowup_contraction`).  One bridge changes
 the basis kind and carries explicit coordinates instead: CP2#2 -> S2xS2
-contracting H-E1-E2, which is also the blowup of S2xS2.  Blowups
-(`blowups`; `blowup` is its one-step call), the replay of a blowdown and the
-checker's replay of a reduction run one core over (contraction, move, sphere
-id) steps: for each, lift every class's coefficients along the section,
-then apply the move with e as the new sphere; only the state a caller asks
-for becomes a configuration.  The core validates nothing: blowups validate
-the one they make, and verify_trace and the checker compare each replay
-with the validated configuration it must equal.  Blowdown, on coefficient
-tuples, validates nothing either (see `blowdown`).
+contracting H-E1-E2, which is also the blowup of S2xS2.  Blowups at fresh
+points (`FreshBlowups`; `blowup` is its one-move call) lift each class once,
+along the first one's section and then by zero padding, and take each
+sphere off at its slots; the replays of a blowdown and of a reduction, whose
+contractions carry words, lift along each step's section (`blowup_states`).
+Both `_rewrite` the classes and edges by each move, which checks nothing of
+validity but the sphere's id: `FreshBlowups.blow_up` validates what it
+makes, and verify_trace and the checker compare each replay with the
+validated configuration it must equal.  Blowdown, on coefficient tuples,
+validates nothing either (see `blowdown`).
 """
 
 from __future__ import annotations
@@ -162,13 +163,12 @@ def _matvec(rows, vec):
 _S2S2_BRIDGE = ((1, -1, -1), ((1, 1, 0), (1, 0, 1)), ((1, 1), (0, -1), (-1, 0)))
 
 
-def _bridge(e: HomologyClass) -> Contraction | None:
-    """The bridge onto S2xS2, if e is H-E1-E2 in CP2#2."""
+def _bridge(e: HomologyClass, post: AmbientLattice) -> Contraction | None:
+    """The bridge onto post, S2xS2, if e is H-E1-E2 in CP2#2."""
     amb = e.ambient
     coeffs, fwd, back = _S2S2_BRIDGE
     if amb.kind != KIND_RATIONAL or e.coeffs != coeffs:
         return None
-    post = AmbientLattice.product_of_spheres()
     return Contraction(amb, post, e, LatticeMap.identity(amb), None, fwd, back)
 
 
@@ -181,7 +181,7 @@ def _contraction_for(e: HomologyClass) -> Contraction:
         return Contraction(amb, _drop_ambient(amb, idx), e, t, idx)
     except NormalizeError:
         pass
-    con = _bridge(e)
+    con = _bridge(e, AmbientLattice.product_of_spheres())
     if con is None:
         raise NormalizeError(f"no contraction available for {e} in {amb.describe()}")
     return con
@@ -193,7 +193,7 @@ def recorded_contraction(e: HomologyClass, word: LatticeMap, slot: int | None) -
     whose class e is.  Nothing is searched; that the word takes e to the
     generator at slot is left to the caller to check."""
     if slot is None:
-        con = _bridge(e)
+        con = _bridge(e, AmbientLattice.product_of_spheres())
         if con is None:
             raise MoveError(f"{e} is not the class of a bridge")
         return con
@@ -209,12 +209,83 @@ def blowup_contraction(ambient: AmbientLattice) -> tuple[Contraction, str]:
     a fresh generator appended."""
     kind = ambient.record.blowup
     if kind == BY_BRIDGE:
-        return _bridge(AmbientLattice.rational_blowup(2).from_coeffs(_S2S2_BRIDGE[0])), "e"
+        return _bridge(AmbientLattice.rational_blowup(2).from_coeffs(_S2S2_BRIDGE[0]), ambient), "e"
     if kind is None:
         raise MoveError(f"blowup is not supported on ambient kind {ambient.kind}")
-    pre = ambient.with_fresh_exc(kind)
+    pre = ambient.with_fresh_exc(kind, 1)
     sphere = HomologyClass(pre, (0,) * ambient.dim + (1,))
     return Contraction(pre, ambient, sphere, LatticeMap.identity(pre), ambient.dim), pre.names[-1]
+
+
+@dataclass(frozen=True)
+class FreshBlowups:
+    """The lattice side of n blowups of post at fresh points, landing in pre.
+    Out of S2xS2 the first is the bridge; every other one appends a
+    generator, from fresh_exc_name on.  So the section is the bridge's lift,
+    if any, then zero padding, and blowup i's sphere is the generator at slot
+    post.dim + i, or the bridge's H-E1-E2."""
+
+    post: AmbientLattice
+    pre: AmbientLattice
+    bridge: Contraction | None = None
+
+    @staticmethod
+    def of(post: AmbientLattice, n: int) -> "FreshBlowups":
+        kind = post.record.blowup
+        if kind not in (None, BY_BRIDGE):
+            return FreshBlowups(post, post.with_fresh_exc(kind, n))
+        con, _ = blowup_contraction(post)  # the bridge, or the kind refused
+        pre = con.pre.with_fresh_exc(KIND_RATIONAL, n - 1) if n > 1 else con.pre
+        return FreshBlowups(post, pre, con)
+
+    def names(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The names of the spheres' classes and their default component ids:
+        the bridge's H-E1-E2, if any, with id e, then the generators appended."""
+        tail = self.pre.names[self.post.dim + bool(self.bridge):]
+        return ((str(self.bridge.e), *tail), ("e", *tail)) if self.bridge else (tail, tail)
+
+    def take(self, i: int, v: list[int], m: int = 1) -> list[int]:
+        """v less m times blowup i's sphere, in place: the bridge's H-E1-E2,
+        or the generator at slot post.dim + i."""
+        if i == 0 and self.bridge:
+            for j, c in enumerate(self.bridge.e.coeffs):
+                v[j] -= m * c
+        else:
+            v[self.post.dim + i] -= m
+        return v
+
+    def lift(self, x: HomologyClass, weights=()) -> list[int]:
+        """The total transform of x, a class of post, less weights[i] times
+        blowup i's sphere, as a list of coefficients."""
+        v = coeffs_in(x, self.post)
+        v = list(self.bridge.lift(v) if self.bridge else v)
+        v += [0] * (self.pre.dim - len(v))
+        for i, m in enumerate(weights):
+            self.take(i, v, m)
+        return v
+
+    def total_transform(self, x: HomologyClass, weights) -> HomologyClass:
+        """lift(x, weights) as a class of pre."""
+        return HomologyClass(self.pre, tuple(self.lift(x, weights)))
+
+    def extend(self, w: AreaVector, values) -> AreaVector:
+        """Areas on pre giving blowup i's sphere values[i] and every lifted
+        class the area w gives it: the bridge's extend, then appended areas."""
+        if self.bridge:
+            w, values = self.bridge.extend(w, values[0]), values[1:]
+        return AreaVector(self.pre, w.areas + tuple(values))
+
+    def blow_up(self, config: DivisorConfig, moves, ids) -> DivisorConfig:
+        """config blown up by moves, blowup i's sphere taking the id ids[i],
+        validated once: each class lifted once, then each move rewritten at
+        its sphere's slots."""
+        state = MoveState(self.pre, {c.id: self.lift(c.cls) for c in config.components},
+                          {c.id: c.genus for c in config.components}, list(config.edges))
+        for i, (move, xid) in enumerate(zip(moves, ids, strict=True)):
+            sphere = self.take(i, [0] * self.pre.dim, -1)
+            _rewrite(state, move, xid, lambda v: self.take(i, v), sphere)
+        state.classes = {cid: tuple(v) for cid, v in state.classes.items()}
+        return require_valid(state.config())
 
 
 # -- blowup ---------------------------------------------------------------------
@@ -241,70 +312,61 @@ class MoveState:
                 and config.edges == tuple(sorted(self.edges)))
 
 
-def _apply_moves(config: DivisorConfig, steps):
-    """Shared core of blowups, replay_state and the checker's replay,
-    which validates nothing: for each (contraction, move, sphere id) step on
-    a blowup of the ambient before it, lift every class along the section,
-    then rewrite the classes and edges by the move, the contracted class the
-    new sphere.  Yields its one MoveState, updated in place, before the first
-    step and after each."""
+def _rewrite(state: MoveState, move: BlowupMove, new_id: str, take, sphere) -> None:
+    """Rewrite state in place by one blowup move: a toric move swaps its edge
+    for two through the new sphere new_id, take(v) is each class v the move
+    hits less the sphere's class, and a move that adds the sphere gives it
+    the class `sphere`, genus 0 and an edge to each component hit; new_id
+    must then be no component's."""
+    classes, edges = state.classes, state.edges
+    if isinstance(move, ToricBlowup):
+        key = tuple(sorted((move.a, move.b)))
+        if key not in edges:
+            raise MoveError(f"no edge between {move.a!r} and {move.b!r}")
+        edges.remove(key)
+        hit, adds = key, True
+    elif isinstance(move, (NonToricBlowup, HalfToricBlowup)):
+        hit, adds = (move.comp,), isinstance(move, HalfToricBlowup)
+    elif isinstance(move, ExteriorBlowup):
+        hit, adds = (), move.add_component
+    else:
+        raise MoveError(f"unknown move {move!r}")
+    if adds and new_id in classes:
+        raise MoveError(f"component id {new_id!r} already in use")
+    for cid in hit:
+        if cid not in classes:
+            raise MoveError(f"no component {cid!r}")
+        classes[cid] = take(classes[cid])
+    if adds:
+        classes[new_id], state.genus[new_id] = sphere, 0
+        edges.extend(tuple(sorted((cid, new_id))) for cid in hit)
+
+
+def blowup_states(config: DivisorConfig, steps):
+    """Shared core of replay_state and the checker's replay, which validates
+    nothing: for each (contraction, move, sphere id) step on a blowup of the
+    ambient before it, lift every class along the section, then rewrite the
+    classes and edges by the move, the contracted class the new sphere.
+    Yields its one MoveState, updated in place, before the first step and
+    after each."""
     amb, comps = config.ambient, config.components
     state = MoveState(amb, {c.id: coeffs_in(c.cls, amb) for c in comps},
                       {c.id: c.genus for c in comps}, list(config.edges))
-    genus, edges = state.genus, state.edges  # a blowup keeps every genus
     yield state
     for con, move, new_id in steps:
         if con.post != state.ambient:
             raise MoveError(f"the contraction does not undo a blowup of {state.ambient.describe()}")
-        classes = {cid: con.lift(v) for cid, v in state.classes.items()}
-        if isinstance(move, ToricBlowup):
-            key = tuple(sorted((move.a, move.b)))
-            if key not in edges:
-                raise MoveError(f"no edge between {move.a!r} and {move.b!r}")
-            edges.remove(key)
-            hit, sphere = key, True
-        elif isinstance(move, (NonToricBlowup, HalfToricBlowup)):
-            hit, sphere = (move.comp,), isinstance(move, HalfToricBlowup)
-        elif isinstance(move, ExteriorBlowup):
-            hit, sphere = (), move.add_component
-        else:
-            raise MoveError(f"unknown move {move!r}")
-        for cid in hit:
-            if cid not in classes:
-                raise MoveError(f"no component {cid!r}")
-            classes[cid] = add_multiple(classes[cid], -1, con.e.coeffs)
-        if sphere:
-            classes[new_id], genus[new_id] = con.e.coeffs, 0
-            edges.extend(tuple(sorted((cid, new_id))) for cid in hit)
-        state.ambient, state.classes = con.pre, classes
+        e, state.ambient = con.e.coeffs, con.pre
+        state.classes = {cid: con.lift(v) for cid, v in state.classes.items()}
+        _rewrite(state, move, new_id, lambda v: add_multiple(v, -1, e), e)
         yield state
 
 
-def blowup_states(config: DivisorConfig, steps):
-    """_apply_moves, the id of each sphere a step adds first checked to be no
-    component's nor an earlier step's; a move that adds none uses no id."""
-    used = set(config.ids())
-    for _, move, cid in steps:
-        if isinstance(move, (ToricBlowup, HalfToricBlowup)) or (
-                isinstance(move, ExteriorBlowup) and move.add_component):
-            if cid in used:
-                raise MoveError(f"component id {cid!r} already in use")
-            used.add(cid)
-    return _apply_moves(config, steps)
-
-
-def blowups(config: DivisorConfig, steps) -> DivisorConfig:
-    """One validated configuration from blowup moves: a blowup's section is an isometry onto
-    the complement of its sphere, so it is valid exactly when every one between would be."""
-    *_, state = blowup_states(config, steps)
-    return require_valid(state.config())
-
-
 def blowup(config: DivisorConfig, move: BlowupMove, new_id: str | None = None) -> DivisorConfig:
-    """One blowup move, by blowups, on the section of the contraction
-    blowup_contraction builds, the sphere taking its default id unless given."""
-    con, default_id = blowup_contraction(config.ambient)
-    return blowups(config, [(con, move, new_id or default_id)])
+    """One blowup move at a fresh point, validated, the sphere taking its
+    default id unless given."""
+    fresh = FreshBlowups.of(config.ambient, 1)
+    return fresh.blow_up(config, [move], [new_id or fresh.names()[1][0]])
 
 
 def area_after_blowup(
@@ -424,7 +486,7 @@ def replay_state(step: BlowdownStep) -> MoveState:
     """The pre-configuration, by blowing the step back up (the move on the sections of the post
     classes, the contracted class the new sphere), for verify_trace to compare."""
     new_id = step.removed_component or "replayed"
-    *_, state = _apply_moves(step.config, [(step.contraction, step.move, new_id)])
+    *_, state = blowup_states(step.config, [(step.contraction, step.move, new_id)])
     return state
 
 

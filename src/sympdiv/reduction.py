@@ -108,11 +108,15 @@ Staged = tuple[DivisorConfig, AreaVector, ReductionTrace]
 def verify_trace(trace: ReductionTrace, initial: DivisorConfig) -> list[Check]:
     """Replay every step as a blowup on coefficient tuples and compare it with the step's input,
     building no configuration.  blowdown validates nothing, so this carries the validity of the
-    first input down the trace (see moves.blowdown): a forged step fails its replay."""
+    first input down the trace (see moves.blowdown): a forged step fails its replay, also where
+    its move cannot be replayed."""
     out, cur = [], initial
     for i, ts in enumerate(trace.steps):
         pre = ts.blowdown.pre_config
-        replays = replay_state(ts.blowdown).matches(pre)
+        try:
+            replays = replay_state(ts.blowdown).matches(pre)
+        except MoveError:
+            replays = False
         out.extend(step_checks(trace.stage, i, ts, pre == cur, replays))
         cur = ts.blowdown.config
     return out

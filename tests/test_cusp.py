@@ -28,14 +28,16 @@ from sympdiv.cusp import (
     admissible_check,
     associated_sequence,
     certify_affine_ruled,
+    combination_class,
     cusp_class,
     positive_combination,
     resolve_pattern,
+    total_transform,
     weight_sequence,
 )
 from sympdiv.divisor import DivisorConfig, DivisorError
 from sympdiv.documents import certificate_to_doc, parse_config
-from sympdiv.lattice import AmbientLattice, AreaVector, canonical, pair
+from sympdiv.lattice import AmbientLattice, AreaVector, area, canonical, pair
 
 
 def _check_round_trip(cert, tmp_path) -> int:
@@ -405,38 +407,60 @@ def test_resolve_pattern_product_of_spheres_golden_digest():
 
 
 def _resolution_inputs():
-    """(configuration, its resolution) for every chain of _golden_chains(),
-    60 sample_admissible chains, the S2xS2 chains of _product_chain(k),
-    k = 1..6, and the a3 pattern on the conic in the plane."""
+    """(configuration, its cusp class, its resolution) for every chain of
+    _golden_chains(), 60 sample_admissible chains, the S2xS2 chains of
+    _product_chain(k), k = 1..6, and last the a3 pattern on the conic in the
+    plane."""
     rng = random.Random(11)
     out = []
     for a in _golden_chains() + [sample_admissible(rng) for _ in range(60)]:
         cfg, ids = synthetic_chain(a)
         out.append((cfg, cusp_class(cfg, ids, len(a))))
     out += [(cfg, cusp_class(cfg, ids, 1)) for cfg, ids in map(_product_chain, range(1, 7))]
-    out = [(cfg, resolve_pattern(cfg, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls))
+    out = [(cfg, cusp.cls, resolve_pattern(cfg, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls))
            for cfg, cusp in out]
     conic, _ = parse_config(json.loads((FIXTURES / "cp2_conic.json").read_text()))
-    return out + [(conic, _a3_resolution(conic))]
+    return out + [(conic, conic.components[0].cls, _a3_resolution(conic))]
 
 
-def _one_blowup_at_a_time(config, steps):
-    """The oracle: moves.blowup on each step's move and id, which builds its
-    own contraction and validates every configuration it makes."""
-    for _, move, cid in steps:
+def _one_blowup_at_a_time(config, res):
+    """The reference configuration: moves.blowup on each recorded move and
+    sphere id, which builds its own contraction and validates every
+    configuration it makes."""
+    for move, cid in zip(res.moves, res.exc_ids, strict=True):
         config = moves.blowup(config, move, new_id=cid)
     return config
 
 
-def test_blowups_equal_one_validated_blowup_at_a_time():
-    """A resolution's one blowups call makes the configuration the blowups
-    one at a time make, and refuses an input with one edge too many or one
-    genus wrong, as the first of those blowups does."""
+def _contraction_chain(base, n):
+    """n contractions built by blowup_contraction, the first out of base and
+    each later one out of the ambient the one before it lands in."""
+    chain = []
+    for _ in range(n):
+        chain.append(moves.blowup_contraction(chain[-1].pre if chain else base)[0])
+    return chain
+
+
+def test_resolution_equals_one_validated_blowup_at_a_time():
+    """A resolution, which lifts each class once into the resolved ambient,
+    makes the configuration one validated moves.blowup per recorded move
+    makes.  Its class, and the target its combination must reproduce, are
+    total transforms through a chain of one blowup_contraction per blowup.
+    It refuses an input with one edge too many or one genus wrong, as the
+    first of those blowups does."""
     inputs = _resolution_inputs()
     assert len(inputs) > 100
-    for cfg, res in inputs:
-        steps = list(zip(res.contractions, res.moves, res.exc_ids))
-        assert moves.blowups(cfg, steps) == _one_blowup_at_a_time(cfg, steps) == res.config
+    for cfg, a, res in inputs:
+        chain = _contraction_chain(cfg.ambient, len(res.moves))
+        assert chain[-1].pre == res.config.ambient
+        assert res.config == _one_blowup_at_a_time(cfg, res)
+        assert res.a_tilde == total_transform(chain, a, res.multiplicities)
+        if res.db is not None:  # the a3 pattern has no combination to check
+            _, check = positive_combination(res, cfg)
+            lifted = total_transform(chain, res.q * cfg.component(res.da).cls,
+                                     res.multiplicities)
+            target = lifted - res.q * res.config.component(res.da).cls
+            assert check.passed and combination_class(res.config, res.pc) == target
         first = cfg.components[0]
         tampered = [replace(cfg, components=(replace(first, genus=first.genus + 1),
                                              *cfg.components[1:]))]
@@ -444,33 +468,45 @@ def test_blowups_equal_one_validated_blowup_at_a_time():
             tampered.append(replace(cfg, edges=tuple(sorted(cfg.edges + cfg.edges[:1]))))
         for bad in tampered:
             with pytest.raises(DivisorError):
-                moves.blowups(bad, steps)
+                res.fresh.blow_up(bad, res.moves, res.exc_ids)
             with pytest.raises(DivisorError):
-                _one_blowup_at_a_time(bad, steps)
+                _one_blowup_at_a_time(bad, res)
 
 
 @pytest.mark.parametrize(
     "fixture", ["product_spheres_chain.json", "cp2_13_cusp.json", "cp2_conic.json"]
 )
 def test_resolution_areas_extend_terminal_areas(fixture):
-    """Each resolution blowup keeps the area of every class it does not
-    touch: pulled back through the contractions, the resolution areas are
-    the terminal areas, also out of S2xS2 with unequal fiber areas."""
+    """The resolution areas are the terminal areas extended one blowup at a
+    time, through a chain of one blowup_contraction per blowup, the i-th
+    sphere getting base / ((p + q) 4^i); so each blowup keeps the area of
+    every class it does not touch, also out of S2xS2 with unequal fiber
+    areas."""
     cfg, w = parse_config(json.loads((FIXTURES / fixture).read_text()))
     cert = certify_affine_ruled(cfg, w)
+    res, wt = cert.resolution, cert.terminal_area
+    chain = _contraction_chain(wt.ambient, len(res.moves))
+    base = min([-area(canonical(wt.ambient), wt), area(cert.cusp.cls, wt), *wt.areas]) / 2
+    ref = wt
+    for i, con in enumerate(chain, start=1):
+        ref = con.extend(ref, base / ((res.p + res.q) * 4**i))
+    assert cert.resolution_area == ref
     back = cert.resolution_area
-    for con in reversed(cert.resolution.contractions):
+    for con in reversed(chain):
         back = con.pull_back(back)
-    assert back == cert.terminal_area
+    assert back == wt
 
 
-def test_resolution_builds_one_contraction_per_blowup(monkeypatch):
-    """Each resolution blowup gets its own contraction, and the resolution
-    makes one configuration by one moves.blowups call, validated once: while
-    each blowup ran moves.blowup, the pins were 5 blowup calls and 5
-    validated configurations."""
+def test_a_resolution_makes_at_most_two_ambients_and_one_configuration(monkeypatch):
+    """Whatever its number of blowups, a resolution makes one ambient, the
+    resolved one, and two through the S2xS2 bridge (CP2#2 first), makes no
+    contraction but the bridge's and no blowup call, and validates one
+    configuration.  While
+    each blowup built its own contraction the pins were one ambient and one
+    contraction per blowup (5 each on the chain (3, -2)), and while each
+    blowup ran moves.blowup, 5 validated configurations there."""
     spied = {"contraction": moves.blowup_contraction, "blowup": moves.blowup,
-             "blowups": moves.blowups, "validate": divisor.validate}
+             "validate": divisor.validate}
     calls = dict.fromkeys(spied, 0)
 
     def spy(name):
@@ -481,8 +517,31 @@ def test_resolution_builds_one_contraction_per_blowup(monkeypatch):
 
     for name, original in spied.items():
         rebind(monkeypatch, original, spy(name))
-    cfg, ids = synthetic_chain((3, -2))
-    cusp = cusp_class(cfg, ids, 2)
-    res = resolve_pattern(cfg, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls)
-    assert len(res.exc_ids) == 5
-    assert calls == {"contraction": 5, "blowup": 0, "blowups": 1, "validate": 1}
+    post_init, ambients = AmbientLattice.__post_init__, [0]
+
+    def count_ambient(self):
+        ambients[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(AmbientLattice, "__post_init__", count_ambient)
+
+    def counted(resolve):
+        calls.update(dict.fromkeys(spied, 0))
+        ambients[0] = 0
+        res = resolve()
+        return len(res.moves), ambients[0], calls
+
+    once = {"contraction": 0, "blowup": 0, "validate": 1}
+    chains = [synthetic_chain(a) + (len(a),) for a in _golden_chains()]
+    chains += [_product_chain(k) + (1,) for k in range(1, 7)]
+    lengths = set()
+    for cfg, ids, k in chains:
+        cusp = cusp_class(cfg, ids, k)
+        n, made, seen = counted(
+            lambda: resolve_pattern(cfg, cusp.da, cusp.db, cusp.p, cusp.q, cusp.cls))
+        lengths.add(n)
+        bridge = cfg.ambient.kind == "product_of_spheres"
+        assert (made, seen) == (1 + bridge, {**once, "contraction": int(bridge)})
+    assert lengths == set(range(1, 16))  # the S2xS2 chains resolve in 2, 4, .., 12
+    conic, _ = parse_config(json.loads((FIXTURES / "cp2_conic.json").read_text()))
+    assert counted(lambda: _a3_resolution(conic)) == (4, 1, once)

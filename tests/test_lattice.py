@@ -176,14 +176,17 @@ def test_repeated_generator_names_refused():
 def test_fresh_name_of_an_appended_ambient_is_the_parsed_one():
     # the ambient with_fresh_exc makes knows its next name without parsing;
     # an equal ambient built from scratch parses its names to the same one
-    amb = AmbientLattice("rational_blowup", 0, ("H", "E10", "X3", "E2", "Ea", "E"))
+    amb = start = AmbientLattice("rational_blowup", 0, ("H", "E10", "X3", "E2", "Ea", "E"))
     for _ in range(3):
-        up = amb.with_fresh_exc("rational_blowup")
+        up = amb.with_fresh_exc("rational_blowup", 1)
         assert up.names[:-1] == amb.names and up.names[-1] == amb.fresh_exc_name
         assert up.fresh_exc_name == AmbientLattice(up.kind, up.g, up.names).fresh_exc_name
         amb = up
     assert amb.names[-3:] == ("E11", "E12", "E13") and amb.fresh_exc_name == "E14"
-    assert AmbientLattice.projective_plane().with_fresh_exc("rational_blowup").names == ("H", "E1")
+    # n fresh names at once are the names of n calls, and so is the next one
+    at_once = start.with_fresh_exc("rational_blowup", 3)
+    assert at_once == amb and at_once.fresh_exc_name == "E14"
+    assert AmbientLattice.projective_plane().with_fresh_exc("rational_blowup", 1).names == ("H", "E1")
 
 
 def _lines_outside_lattice(pattern):

@@ -20,7 +20,7 @@ from sympdiv.moves import (
     blowdown,
     blowup,
     blowup_contraction,
-    blowups,
+    blowup_states,
     is_toric_blowup_seq,
     recorded_contraction,
     replay_blowdown,
@@ -280,34 +280,81 @@ def test_blowup_contraction_starts_on_the_blowup():
                               w, Fraction(1, 2))
 
 
+def blown_up(cfg, steps):
+    """The configuration blowup_states ends in, unvalidated."""
+    *_, state = blowup_states(cfg, steps)
+    return state.config()
+
+
 def test_blowup_refuses_a_contraction_of_another_ambient():
     cfg = DivisorConfig.build(AmbientLattice.rational_blowup(2), [], [])
     other, oid = blowup_contraction(AmbientLattice.rational_blowup(3))
     with pytest.raises(MoveError, match="does not undo a blowup"):
-        blowups(cfg, [(other, ExteriorBlowup(add_component=True), oid)])
+        blown_up(cfg, [(other, ExteriorBlowup(add_component=True), oid)])
     given, gid = blowup_contraction(cfg.ambient)
-    assert blowups(cfg, [(given, ExteriorBlowup(add_component=True), gid)]) == blowup(
+    assert blown_up(cfg, [(given, ExteriorBlowup(add_component=True), gid)]) == blowup(
         cfg, ExteriorBlowup(add_component=True))
 
 
-def test_blowups_checks_each_step_against_the_steps_before():
+def test_blowup_states_check_each_step_against_the_steps_before():
     cfg = two_lines()
     first, _ = blowup_contraction(cfg.ambient)
     second, _ = blowup_contraction(first.pre)
     steps = [(first, ToricBlowup("A", "B"), "e"), (second, ToricBlowup("A", "e"), "f")]
-    assert blowups(cfg, steps) == blowup(blowup(cfg, ToricBlowup("A", "B"), "e"),
-                                         ToricBlowup("A", "e"), "f")
+    assert blown_up(cfg, steps) == blowup(blowup(cfg, ToricBlowup("A", "B"), "e"),
+                                          ToricBlowup("A", "e"), "f")
     with pytest.raises(MoveError, match="does not undo a blowup"):
-        blowups(cfg, steps[::-1])
+        blown_up(cfg, steps[::-1])
     with pytest.raises(MoveError, match="does not undo a blowup"):
-        blowups(cfg, [steps[0], (first, ToricBlowup("A", "e"), "f")])
+        blown_up(cfg, [steps[0], (first, ToricBlowup("A", "e"), "f")])
     with pytest.raises(MoveError, match="'e' already in use"):
-        blowups(cfg, [steps[0], (second, ToricBlowup("A", "e"), "e")])
+        blown_up(cfg, [steps[0], (second, ToricBlowup("A", "e"), "e")])
     # a move that adds no sphere uses no id, so one in use is no conflict;
     # while every step's id was checked, this raised "'B' already in use"
-    assert blowups(cfg, [(first, NonToricBlowup("A"), "B")]) == blowup(cfg, NonToricBlowup("A"))
+    assert blown_up(cfg, [(first, NonToricBlowup("A"), "B")]) == blowup(cfg, NonToricBlowup("A"))
     with pytest.raises(MoveError, match="'B' already in use"):
-        blowups(cfg, [(first, HalfToricBlowup("A"), "B")])
+        blown_up(cfg, [(first, HalfToricBlowup("A"), "B")])
+
+
+def test_fresh_blowups_make_what_contraction_steps_make():
+    """FreshBlowups.blow_up, the path of blowup and of a resolution, which
+    lifts each class once, makes what blowup_states makes on a chain of
+    blowup_contraction steps, one lift each: each move type, on each kind
+    that blows up (S2xS2 through the bridge, with n = 1 and n = 2), and one
+    blowup or two, the second at a corner of the first's sphere.  The
+    spheres' names and default ids are the contractions'."""
+    s2s2, ruled = AmbientLattice.product_of_spheres(), AmbientLattice.ruled_trivial(1, 0)
+    configs = [two_lines(),
+               DivisorConfig.build(s2s2, [("A", s2s2.cls(f1=1)), ("B", s2s2.cls(f2=1))],
+                                   [("A", "B")]),
+               DivisorConfig.build(ruled, [("A", ruled.cls(B=1)), ("B", ruled.cls(F=1))],
+                                   [("A", "B")])]
+    firsts = [ExteriorBlowup(), ExteriorBlowup(add_component=True), ToricBlowup("A", "B"),
+              NonToricBlowup("A"), HalfToricBlowup("B")]
+    for cfg in configs:
+        one, two = moves.FreshBlowups.of(cfg.ambient, 1), moves.FreshBlowups.of(cfg.ambient, 2)
+        first, fid = blowup_contraction(cfg.ambient)
+        second, sid = blowup_contraction(first.pre)
+        assert two.names() == ((str(first.e), str(second.e)), (fid, sid))
+        assert one.names() == ((str(first.e),), (fid,)) and two.pre == second.pre
+        for move in firsts:
+            assert one.blow_up(cfg, [move], [fid]) == blown_up(cfg, [(first, move, fid)])
+        corner = [ToricBlowup("A", "B"), ToricBlowup("A", fid)]
+        assert two.blow_up(cfg, corner, [fid, sid]) == blown_up(
+            cfg, [(first, corner[0], fid), (second, corner[1], sid)])
+
+
+def test_fresh_blowups_refuse_a_sphere_id_in_use():
+    """A sphere taking a component's id, or an earlier sphere's, is refused,
+    not written over it; a move that adds no sphere uses no id."""
+    cfg = two_lines()
+    fresh = moves.FreshBlowups.of(cfg.ambient, 2)
+    for move in (ToricBlowup("A", "B"), HalfToricBlowup("A"), ExteriorBlowup(add_component=True)):
+        with pytest.raises(MoveError, match="'B' already in use"):
+            fresh.blow_up(cfg, [move, ExteriorBlowup()], ["B", "f"])
+    with pytest.raises(MoveError, match="'e' already in use"):
+        fresh.blow_up(cfg, [ToricBlowup("A", "B"), ToricBlowup("A", "e")], ["e", "e"])
+    assert fresh.blow_up(cfg, [NonToricBlowup("A"), ExteriorBlowup()], ["B", "A"]).ids() == ["A", "B"]
 
 
 def test_a_move_that_adds_no_sphere_leaves_its_default_id_free():

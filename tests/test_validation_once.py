@@ -1,16 +1,15 @@
 """Every configuration is validated once, in full, where validation adds
 information.
 
-certify validates its input, and blowups (and blowup, its one-step call)
-validate their results.  blowdown validates nothing: a blowup's section is
-an isometry onto the complement of its sphere, so a blowdown's result is
-valid exactly when its blowup is, and reduction.verify_trace compares each
-step's blowup with the step's input, on coefficient tuples.  A resolution is
-one blowups call: it makes one configuration, not one per blowup, and
-validates it.  The checker's replay of a reduction is one pass that makes
-none: where it ends is compared with the validated input.  A
-configuration builds its sparse pairings once, so validating the same object
-again builds none.
+certify validates its input, and blowup and a resolution validate their
+results.  blowdown validates nothing: a blowup's section is an isometry onto
+the complement of its sphere, so a blowdown's result is valid exactly when
+its blowup is, and reduction.verify_trace compares each step's blowup with
+the step's input, on coefficient tuples.  A resolution blows up in one
+ambient: it makes one configuration, not one per blowup, and validates it.
+The checker's replay of a reduction is one pass that makes none: where it
+ends is compared with the validated input.  A configuration builds its
+sparse pairings once, so validating the same object again builds none.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from sympdiv.checks import all_passed
 from sympdiv.cusp import CertifyError, certify_affine_ruled
 from sympdiv.divisor import DivisorConfig
 from sympdiv.documents import DocumentError, canonical_json, certificate_to_doc, parse_config
-from sympdiv.moves import ExteriorBlowup, replay_blowdown
+from sympdiv.moves import ExteriorBlowup, MoveError, replay_blowdown
 from sympdiv.reduction import classify_minimal_model, quasi_minimal_reduce, verify_trace
 
 
@@ -116,7 +115,8 @@ def _tamper_move(bd):
 
 def _tamper_sphere_onto_a_component(bd):
     # the replayed sphere takes the id of a component that keeps its edges:
-    # the replay is no valid configuration
+    # the replay refuses it (while it overwrote the component, the replay was
+    # no valid configuration)
     other = next(c.id for c in bd.config.components if bd.config.neighbors(c.id))
     return replace(bd, removed_component=other)
 
@@ -129,7 +129,8 @@ def test_verify_trace_reports_a_tampered_step_without_raising(tamper):
     ts = trace.steps[i]
     bad = replace(ts, blowdown=tamper(ts.blowdown))
     if tamper is _tamper_sphere_onto_a_component:
-        assert divisor.validate(replay_blowdown(bad.blowdown))
+        with pytest.raises(MoveError, match="already in use"):
+            replay_blowdown(bad.blowdown)
     steps = trace.steps[:i] + (bad,) + trace.steps[i + 1:]
     checks = verify_trace(replace(trace, steps=steps), config)
     assert [c.name for c in checks if not c.passed] == [f"quasi_minimal[{i}] replay"]
@@ -197,7 +198,8 @@ def test_certify_builds_a_pinned_number_of_classes_and_configurations(monkeypatc
     # result, and verify_trace built a configuration per replay, (231, 19);
     # while the partially minimal stage summed [D] for classify_kind and
     # again for its candidates, (146, 10); while it built every exceptional
-    # generator to scan for non-toric candidates, (142, 10)
+    # generator to scan for non-toric candidates, (142, 10); while each of the
+    # 5 resolution blowups built a contraction and its sphere's class, (132, 10)
     config, w = _fixture("cp2_13_cusp.json")
     built = {"classes": 0, "configurations": 0}
     post_init, init = lattice.HomologyClass.__post_init__, DivisorConfig.__init__
@@ -213,7 +215,7 @@ def test_certify_builds_a_pinned_number_of_classes_and_configurations(monkeypatc
     monkeypatch.setattr(lattice.HomologyClass, "__post_init__", count_class)
     monkeypatch.setattr(DivisorConfig, "__init__", count_config)
     certify_affine_ruled(config, w)
-    assert built == {"classes": 132, "configurations": 10}
+    assert built == {"classes": 127, "configurations": 10}
 
 
 def test_check_makes_no_configuration_for_its_replay(monkeypatch):
@@ -240,7 +242,8 @@ def test_check_makes_no_configuration_for_its_replay(monkeypatch):
     rebind(monkeypatch, replay_blowdown, no_step_replay)
     rebind(monkeypatch, validate, spy_validate)
     assert all_passed(checker.check_certificate(doc))
-    # the resolution's alone: the replay's end is compared with the input
+    # the resolution's alone (FreshBlowups.blow_up builds it by MoveState.config):
+    # the replay's end is compared with the input
     assert len(made) == 1
     assert made[0] == parse_config(doc["resolution"]["total_transform"])[0]
     assert all(any(v is m for v in validated) for m in made)
