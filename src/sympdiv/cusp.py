@@ -28,10 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .checks import Check, failures
 from .divisor import (
     DivisorConfig,
+    DivisorError,
     adjoint_area,
     is_connected,
     validate,
@@ -188,7 +190,7 @@ def cusp_class(config: DivisorConfig, chain_ids, k: int) -> CuspData:
     adm = admissible_check(a)
     if not adm.accepted:
         raise CuspError(f"subchain {a} not admissible: {adm.reason}")
-    A = combination_class(config, dict(zip(order[:k], adm.c)))
+    A = combination(config.ambient, zip(adm.c, (c.cls for c in comps[:k])))
     p, q, kk = adm.p, adm.q, pair(A, canonical(config.ambient))
     dp, dq, sq = pair(A, comps[k - 1].cls), pair(A, comps[k].cls), pair(A, A)
     stray = [c.id for j, c in enumerate(comps) if j not in (k - 1, k) and pair(A, c.cls) != 0]
@@ -204,12 +206,6 @@ def cusp_class(config: DivisorConfig, chain_ids, k: int) -> CuspData:
         raise CuspError("cusp class identities failed: " + "; ".join(c.name for c in bad))
     return CuspData(tuple(order), k, a, adm.c, adm.p, adm.q, A,
                     comps[k - 1].id, comps[k].id, tuple(checks))
-
-
-def combination_class(config: DivisorConfig, coeffs: dict) -> HomologyClass:
-    """The class sum(coeffs[id] [D_id]) over components of config."""
-    return combination(config.ambient,
-                       ((c, config.component(cid).cls) for cid, c in coeffs.items()))
 
 
 # -- normal crossing resolution ----------------------------------------------------
@@ -343,23 +339,34 @@ def positive_combination(
     res: ResolutionResult,
     config_before: DivisorConfig,
 ) -> tuple[dict, Check]:
-    """Coefficients over total-transform components reproducing
-    q([D_a] - [proper transform of D_a]) - sum(m_i E_i), all non-negative."""
+    """Non-negative coefficients pc over total-transform components that zero, on one list,
+    the residual q lift(D_a) - sum(m_i E_i) - q [proper transform of D_a] - sum(pc[x] [x]),
+    each E_i taken off at its slots (out of S2xS2, E_1 is the bridge's H - E1 - E2)."""
     if not res.multiplicities:
         return {}, Check("positive combination", True, "empty weight sequence, zero class")
-    lifted = res.fresh.total_transform(res.q * config_before.component(res.da).cls,
-                                       res.multiplicities)
-    target = combination(res.config.ambient,
-                         ((1, lifted), (-res.q, res.config.component(res.da).cls)))
+    r = [res.q * x for x in res.fresh.lift(config_before.component(res.da).cls)]
+    for i, m in enumerate(res.multiplicities):
+        res.fresh.take(i, r, m)
     neg = [cid for cid, coeff in res.pc.items() if coeff < 0]
     if neg:
         raise CuspError(f"negative combination coefficient on {neg[0]}")
-    ok = combination_class(res.config, res.pc) == target
-    check = Check("positive combination", ok,
-                  f"{ {k: v for k, v in sorted(res.pc.items())} }")
+    ok = _reproduces(r, res.fresh.pre, res.config, [(res.da, res.q), *res.pc.items()])
+    check = Check("positive combination", ok, f"{ {k: v for k, v in sorted(res.pc.items())} }")
     if not ok:
         raise CuspError("combination does not reproduce its target class")
     return dict(res.pc), check
+
+
+def _reproduces(v: list[int], amb, config: DivisorConfig, terms) -> bool:
+    """Whether v, coefficients on amb, is sum(k [D_id] for id, k in terms): each
+    term is taken off v in place, over the nonzero entries of D_id's tuple."""
+    comps = {c.id: coeffs_in(c.cls, amb) for c in config.components}
+    for cid, k in terms:
+        if (c := comps.get(cid)) is None:
+            raise DivisorError(f"no component with id {cid!r}")
+        for i in compress(range(len(c)), c):
+            v[i] -= k * c[i]
+    return not any(v)
 
 
 # -- the certificate ------------------------------------------------------------------
@@ -641,7 +648,7 @@ def resolved_route(tag, base, wt, cusp, res, comb, goodness) -> Route:
     else:
         check = Check(
             "Atilde is a non-negative combination of total-transform components",
-            combination_class(res.config, comb) == res.a_tilde
+            _reproduces(list(res.a_tilde.coeffs), res.a_tilde.ambient, res.config, comb.items())
             and all(v >= 0 for v in comb.values()),
             str({k: v for k, v in sorted(comb.items()) if v}),
         )

@@ -272,9 +272,6 @@ class AmbientLattice:
         i = self.index_of(name)
         return HomologyClass(self, tuple(1 if j == i else 0 for j in range(self.dim)))
 
-    def zero(self) -> "HomologyClass":
-        return HomologyClass(self, (0,) * self.dim)
-
     def cls(self, **coeffs: int) -> "HomologyClass":
         """Build a class from named coefficients, e.g. amb.cls(H=3, E1=-1)."""
         vec = [0] * self.dim
@@ -568,10 +565,6 @@ class LatticeMap:
         if pair(c, c) != -2:
             raise LatticeError("reflection class must have square -2")
         return LatticeMap(c.ambient, (c,))
-
-    def then(self, second: "LatticeMap") -> "LatticeMap":
-        """Composite applying self first, then second."""
-        return LatticeMap(self.ambient, self.word + second.word)
 
     def apply(self, x: HomologyClass) -> HomologyClass:
         return self._on_class(self.apply_coeffs, x)

@@ -28,7 +28,6 @@ from sympdiv.cusp import (
     admissible_check,
     associated_sequence,
     certify_affine_ruled,
-    combination_class,
     cusp_class,
     positive_combination,
     resolve_pattern,
@@ -37,7 +36,15 @@ from sympdiv.cusp import (
 )
 from sympdiv.divisor import DivisorConfig, DivisorError
 from sympdiv.documents import certificate_to_doc, parse_config
-from sympdiv.lattice import AmbientLattice, AreaVector, area, canonical, pair
+from sympdiv.lattice import (
+    AmbientLattice,
+    AreaVector,
+    LatticeError,
+    area,
+    canonical,
+    combination,
+    pair,
+)
 
 
 def _check_round_trip(cert, tmp_path) -> int:
@@ -471,6 +478,73 @@ def test_resolution_equals_one_validated_blowup_at_a_time():
                 res.fresh.blow_up(bad, res.moves, res.exc_ids)
             with pytest.raises(DivisorError):
                 _one_blowup_at_a_time(bad, res)
+
+
+def combination_class(config, coeffs):
+    """The dense reference sum: the class sum(coeffs[id] [D_id]) over
+    components of config, one class summed on whole coefficient tuples."""
+    return combination(config.ambient,
+                       ((c, config.component(cid).cls) for cid, c in coeffs.items()))
+
+
+def _dense_reproduces(res, cfg):
+    """The reference verdict on res.pc: the target q([D_a] - [D~_a]) -
+    sum(m_i E_i) and the combination built as classes and compared."""
+    lifted = res.fresh.total_transform(res.q * cfg.component(res.da).cls, res.multiplicities)
+    target = lifted - res.q * res.config.component(res.da).cls
+    return combination_class(res.config, res.pc) == target
+
+
+def _verdict(res, cfg):
+    """positive_combination's verdict: its check, or False when it refuses
+    the combination as not reproducing its target."""
+    try:
+        return positive_combination(res, cfg)[1].passed
+    except CuspError as exc:
+        assert str(exc) == "combination does not reproduce its target class"
+        return False
+
+
+def _forged(res):
+    """res with one pc coefficient +1 and -1, a coefficient moved to another
+    sphere, and one multiplicity +1."""
+    out = []
+    for cid, c in res.pc.items():
+        out += [replace(res, pc={**res.pc, cid: c + d}) for d in (1, -1)]
+        other = next(x for x in res.exc_ids if x != cid)
+        moved = {**res.pc, cid: 0}
+        moved[other] = moved.get(other, 0) + c
+        out.append(replace(res, pc=moved))
+    for i in range(len(res.multiplicities)):
+        mult = (*res.multiplicities[:i], res.multiplicities[i] + 1, *res.multiplicities[i + 1:])
+        out.append(replace(res, multiplicities=mult))
+    return out
+
+
+def test_positive_combination_matches_dense_class_sums():
+    """The residual on one coefficient list gives the verdict the dense
+    class sums give, on the real combination and on forged ones, on every
+    resolution input (the a3 pattern's {d1: 1} reproduces no target, in
+    both); an id that is no component is a DivisorError in both, a negative
+    coefficient is refused and a configuration of another ambient is a
+    LatticeError."""
+    forged = 0
+    for cfg, _, res in _resolution_inputs():
+        assert _verdict(res, cfg) == _dense_reproduces(res, cfg) == (res.db is not None)
+        for bad in _forged(res):
+            assert _verdict(bad, cfg) == _dense_reproduces(bad, cfg)
+            forged += 1
+        stray = replace(res, pc={**res.pc, "no_such_id": 1})
+        with pytest.raises(DivisorError):
+            positive_combination(stray, cfg)
+        with pytest.raises(DivisorError):
+            _dense_reproduces(stray, cfg)
+        with pytest.raises(LatticeError):
+            positive_combination(res, res.config)
+        if res.pc:
+            with pytest.raises(CuspError, match="negative combination coefficient"):
+                positive_combination(replace(res, pc={**res.pc, res.exc_ids[0]: -1}), cfg)
+    assert forged > 500
 
 
 @pytest.mark.parametrize(

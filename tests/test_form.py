@@ -150,7 +150,7 @@ def class_lists(draw):
     amb = draw(ambients())
     coeff = st.integers(-20, 20) | st.integers(-2**70, 2**70)
     vec = st.lists(coeff, min_size=amb.dim, max_size=amb.dim)
-    classes = st.lists(st.builds(amb.from_coeffs, vec) | st.just(amb.zero()), max_size=6)
+    classes = st.lists(st.builds(amb.from_coeffs, vec) | st.just(amb.cls()), max_size=6)
     return draw(classes), draw(classes)
 
 
@@ -160,9 +160,9 @@ _BIG = AmbientLattice.ruled_twisted(2)
 @PROPERTY
 @given(class_lists())
 @example(([], [_BIG.from_coeffs((1, 0))]))
-@example(([_BIG.zero()], []))
+@example(([_BIG.cls()], []))
 @example(([_BIG.from_coeffs((2**65 + 3, -(2**64)))],
-          [_BIG.zero(), _BIG.from_coeffs((-(2**66), 2**64 + 1))]))
+          [_BIG.cls(), _BIG.from_coeffs((-(2**66), 2**64 + 1))]))
 def test_pairings_equal_the_matrix_of_pair(case):
     left, right = case
     assert pairings(left, right) == [[pair(a, b) for b in right] for a in left]
@@ -198,7 +198,7 @@ def class_multisets(draw):
     amb = draw(ambients())
     coeff = st.integers(-20, 20) | st.integers(-2**70, 2**70)
     vec = st.lists(coeff, min_size=amb.dim, max_size=amb.dim)
-    distinct = draw(st.lists(st.builds(amb.from_coeffs, vec) | st.just(amb.zero()),
+    distinct = draw(st.lists(st.builds(amb.from_coeffs, vec) | st.just(amb.cls()),
                              min_size=1, max_size=5))
     return amb, draw(st.lists(st.sampled_from(distinct), max_size=8))
 
@@ -209,7 +209,7 @@ _WIDE = (_BIG.from_coeffs((2**65 + 3, -(2**64))), _BIG.from_coeffs((-(2**66), 2*
 @PROPERTY
 @given(class_multisets())
 @example((_BIG, []))
-@example((_BIG, [_WIDE[0], _BIG.zero(), _WIDE[1], _WIDE[0]]))
+@example((_BIG, [_WIDE[0], _BIG.cls(), _WIDE[1], _WIDE[0]]))
 @example((AmbientLattice.rational_blowup(3), [AmbientLattice.rational_blowup(3).cls(E2=2**65)] * 3))
 def test_sparse_gram_equals_pair(case):
     amb, classes = case
@@ -465,7 +465,7 @@ def test_ruled_validate_on_twisted_bundles_matches_reference(cfg):
 def test_ruled_validate_on_a_twisted_bundle_off_its_shapes():
     amb = AmbientLattice.ruled_twisted(2)
     comps = [("S", amb.cls(B1=1)), ("T", amb.cls(B1=1, F=1)), ("X", amb.cls(B1=2, F=-1)),
-             ("Z", amb.zero())]
+             ("Z", amb.cls())]
     edges = [(a, b) for i, (a, x) in enumerate(comps) for b, y in comps[i + 1:]
              for _ in range(reference_pair(x, y))]
     cfg = DivisorConfig.build(amb, comps, edges)

@@ -130,7 +130,7 @@ def test_area_linear():
     rb = AmbientLattice.rational_blowup(1)
     w = AreaVector.from_values(rb, [1, Fraction(1, 3)])
     assert area(rb.cls(H=1, E1=-1), w) == Fraction(2, 3)
-    assert area(rb.zero(), w) == 0
+    assert area(rb.cls(), w) == 0
 
 
 def test_area_vector_positivity():
@@ -158,7 +158,7 @@ def test_reflection_map_preserves_structure():
 def test_class_formatting():
     rb = AmbientLattice.rational_blowup(2)
     assert str(rb.cls(H=3, E1=-1, E2=-2)) == "3H-E1-2E2"
-    assert str(rb.zero()) == "0"
+    assert str(rb.cls()) == "0"
 
 
 def test_repeated_generator_names_refused():
