@@ -19,7 +19,7 @@ product of the whole vectors and h the head block plus the identity:
 (x0+x1)(y0+y1) + x0 y0 (ruled_twisted).  The canonical class is built once
 per ambient instance and cached on it.  As a matrix the form is h minus the
 identity on the head block and -1 on each exceptional generator; `sparse_gram`
-sums it one generator column at a time, and `pairings` reads a matrix off it.
+sums it one generator column at a time.
 
 Generator names are data: blowdowns may drop a middle generator and the
 surviving names keep their identity (E7 stays E7 after E5 is gone).
@@ -371,14 +371,6 @@ def pair(a: HomologyClass, b: HomologyClass) -> int:
     kind's head term minus the dot product of the coefficient vectors."""
     x, y = a.coeffs, coeffs_in(b, a.ambient)
     return KINDS[a.ambient.kind].h(x, y) - sum(map(operator.mul, x, y))
-
-
-def pairings(left: list[HomologyClass], right: list[HomologyClass]) -> list[list[int]]:
-    """[[pair(a, b) for b in right] for a in left], read off sparse_gram."""
-    if not left:
-        return []
-    off, n = sparse_gram(left[0].ambient, [*left, *right]).off, len(left)
-    return [[off.get((i, n + j), 0) for j in range(len(right))] for i in range(n)]
 
 
 class SparseGram(NamedTuple):

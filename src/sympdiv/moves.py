@@ -52,7 +52,6 @@ from .lattice import (
     coeffs_in,
     is_exceptional_class,
     pairing_row,
-    pairings,
 )
 
 
@@ -157,9 +156,9 @@ def _matvec(rows, vec):
     return tuple(sum(map(operator.mul, r, vec)) for r in rows)
 
 
-# The kind-changing bridge CP2#2 -> S2xS2 contracts H-E1-E2, with
-# f1 = H - E2 and f2 = H - E1: the contracted class and the `fwd` and `back`
-# coordinates of its Contraction.
+# The kind-changing bridge CP2#2 -> S2xS2 contracts H-E1-E2, with f1 = H - E2 and
+# f2 = H - E1, an isometry of its complement: the contracted class and the `fwd`
+# and `back` coordinates of its Contraction.
 _S2S2_BRIDGE = ((1, -1, -1), ((1, 1, 0), (1, 0, 1)), ((1, 1), (0, -1), (-1, 0)))
 
 
@@ -471,10 +470,6 @@ def blowdown(config: DivisorConfig, e: HomologyClass, w: AreaVector | None = Non
 
     con = _contraction_for(e)
     post = {cid: HomologyClass(con.post, con.drop(v)) for cid, v in classes.items()}
-    if con.slot is None:
-        pre, after = [HomologyClass(amb, v) for v in classes.values()], list(post.values())
-        if pairings(after, after) != pairings(pre, pre):
-            raise MoveError("basis bridge failed to preserve the form")
     if not post:
         raise MoveError("invalid configuration: configuration is empty")
     new_area = con.pull_back(w) if w is not None else None

@@ -368,12 +368,13 @@ def second_kind_reduce(config: DivisorConfig, w: AreaVector, info: KindInfo) -> 
 
 
 def small_b2_reduce(config: DivisorConfig, w: AreaVector) -> Staged:
-    """A b2 <= 2 terminal outside the minimal-model table (a lone fiber
-    sphere in the one-point blowup) contracts the first exceptional class,
-    E1, until a table case appears or b2 = 1."""
+    """A b2 <= 2 terminal outside the minimal-model table (a lone fiber sphere in
+    the one-point blowup) contracts the first exceptional class, E1, until a table
+    case appears or b2 = 1.  Blowdown results are valid when the input is (see
+    moves.blowdown), so the table is read without validating them."""
 
     def next_step(cur, curw):
-        if cur.ambient.b2 <= 1 or classify_minimal_model(cur) is not None:
+        if cur.ambient.b2 <= 1 or _minimal_model(cur) is not None:
             return "SmallB2"
         return next(iter(enumerate_exceptional(cur.ambient, curw).classes), None)
 
@@ -392,112 +393,68 @@ class MinimalModelTag:
 def classify_minimal_model(config: DivisorConfig) -> MinimalModelTag | None:
     """Match b2 <= 2 configurations against the minimal model tables; None
     when nothing matches."""
-    if validate(config):
-        return None
+    return None if validate(config) else _minimal_model(config)
+
+
+def _minimal_model(config: DivisorConfig) -> MinimalModelTag | None:
     model = MINIMAL_AMBIENTS.get((config.ambient.kind, config.ambient.n_exc))
     return model[0](config) if model else None
 
 
+# CP2: the sorted degrees of the components -> the case
+_PP_CASES = {(1, 2): "A1", (1, 1, 1): "A2", (1,): "A1p", (1, 1): "A2p", (2,): "A3p"}
+
+
 def _classify_pp(config):
-    degrees = sorted(c.cls.coeffs[0] for c in config.components)
-    if degrees == [1, 2]:
-        return MinimalModelTag("A1", {})
-    if degrees == [1, 1, 1]:
-        return MinimalModelTag("A2", {})
-    if degrees == [1]:
-        return MinimalModelTag("A1p", {})
-    if degrees == [1, 1]:
-        return MinimalModelTag("A2p", {})
-    if degrees == [2]:
-        return MinimalModelTag("A3p", {})
-    return None
+    case = _PP_CASES.get(tuple(sorted(c.cls.coeffs[0] for c in config.components)))
+    return MinimalModelTag(case, {}) if case else None
 
 
-def _classify_product(config):
-    coords = [tuple(c.cls.coeffs) for c in config.components]
-    for swap in (False, True):
-        pts = [(b, a) if swap else (a, b) for a, b in coords]
-        tag = _match_product(sorted(pts))
-        if tag is not None:
-            return tag
-    return None
+def _classify_hirzebruch(config):
+    """S2xS2 and CP2#1 are the Hirzebruch surfaces F_0 and F_1, read by one table of
+    (fiber, section) coefficients whose twist s.s lowers each target sum.  CP2#1 has
+    fiber f = H - E and section s = H, so aH + eE reads (-e, a + e).  S2xS2 is read
+    with fiber f2 first, then f1: four configurations match a "p" case in each
+    reading, and the f2 reading keeps the tags certificates have always recorded:
+    {f2, f1+f2} B1p {k: 1, n: 2} (not B3p {k: 0}), {f1, f1+f2} B3p {k: 0} (not B1p
+    {k: 1, n: 2}), {f2, f2, f1} B1p {k: 0, n: 3} (not B2p {k: 0}) and {f2, f1, f1}
+    B2p {k: 0} (not B1p {k: 0, n: 3})."""
+    coeffs = [c.cls.coeffs for c in config.components]
+    if config.ambient.kind == KIND_S2S2:
+        return _hirzebruch([(b, a) for a, b in coeffs], 0) or _hirzebruch(coeffs, 0)
+    return _hirzebruch([(-e, a + e) for a, e in coeffs], 1)
 
 
-def _match_product(pts):
-    # log Calabi-Yau cycles
-    if len(pts) == 2 and all(b == 1 for _, b in pts) and pts[0][0] + pts[1][0] == 2:
-        return MinimalModelTag("B1", {"k": max(p[0] for p in pts)})
-    if len(pts) == 3 and (1, 0) in pts:
-        rest = [p for p in pts if p != (1, 0)]
-        if len(rest) == 2 and all(b == 1 for _, b in rest) and rest[0][0] + rest[1][0] == 1:
-            return MinimalModelTag("B2", {"k": max(p[0] for p in rest)})
-    if len(pts) == 4 and pts.count((1, 0)) == 2:
-        rest = [p for p in pts if p != (1, 0)]
-        if len(rest) == 2 and all(b == 1 for _, b in rest) and rest[0][0] + rest[1][0] == 0:
-            return MinimalModelTag("B3", {"k": max(p[0] for p in rest)})
-    # strictly negative adjoint area shapes
-    head = [p for p in pts if p != (0, 1)]
-    if len(head) == 1 and head[0][0] == 1 and len(pts) - 1 == pts.count((0, 1)):
-        return MinimalModelTag("B1p", {"k": head[0][1], "n": len(pts)})
-    if len(pts) == 3 and (0, 1) in pts:
-        rest = [p for p in pts if p != (0, 1)]
-        if (
-            len(rest) == 2
-            and all(p[0] == 1 for p in rest)
-            and rest[0][1] + rest[1][1] == 0
-            and max(r[1] for r in rest) >= 0
-        ):
-            return MinimalModelTag("B2p", {"k": max(r[1] for r in rest)})
-    if len(pts) == 2 and all(p[0] == 1 for p in pts) and pts[0][1] + pts[1][1] == 1:
-        k = max(pts[0][1], pts[1][1]) - 1
-        if k >= 0:
-            return MinimalModelTag("B3p", {"k": k})
-    return None
-
-
-def _fs_coords(config):
-    # (a, c) -> alpha*f + beta*s with f = H - E, s = H
-    out = []
-    for c in config.components:
-        a, e = c.cls.coeffs
-        out.append((-e, a + e))
-    return sorted(out)
-
-
-def _classify_one_blowup(config):
-    pts = _fs_coords(config)
-    if len(pts) == 2 and all(b == 1 for _, b in pts) and pts[0][0] + pts[1][0] == 1:
-        return MinimalModelTag("C1", {"k": max(p[0] for p in pts)})
-    if sorted(pts) == sorted([(0, 2), (1, 0)]):
+def _hirzebruch(pts, twist):
+    """The B (twist 0) or C (twist 1) case of (fiber, section) points on F_twist,
+    sections (x, 1) and fibers (1, 0): cases 1 to 3 are log Calabi-Yau, two sections
+    and 0 to 2 fibers, and the "p" cases have strictly negative adjoint area."""
+    row = "BC"[twist]
+    fibers = pts.count((1, 0))
+    secs = [x for x, y in pts if y == 1]
+    if len(secs) == 1 and fibers == len(pts) - 1:
+        return MinimalModelTag(f"{row}1p", {"k": secs[0], "n": len(pts)})
+    if twist and sorted(pts) == [(0, 2), (1, 0)]:
         return MinimalModelTag("C1", {"k": None, "variant": "2s+f"})
-    if len(pts) == 3 and (1, 0) in pts:
-        rest = [p for p in pts if p != (1, 0)]
-        if len(rest) == 2 and all(b == 1 for _, b in rest):
-            ks = sorted(r[0] for r in rest)
-            if ks[0] + ks[1] == 0:
-                return MinimalModelTag("C2", {"k": ks[1]})
-            if ks[0] + ks[1] == -1 and ks[1] >= 0:
-                return MinimalModelTag("C2p", {"k": ks[1]})
-    if len(pts) == 4 and pts.count((1, 0)) == 2:
-        rest = [p for p in pts if p != (1, 0)]
-        if len(rest) == 2 and all(b == 1 for _, b in rest) and rest[0][0] + rest[1][0] == -1:
-            return MinimalModelTag("C3", {"k": max(r[0] for r in rest)})
-    head = [p for p in pts if p != (1, 0)]
-    if len(head) == 1 and head[0][1] == 1 and len(pts) - 1 == pts.count((1, 0)):
-        return MinimalModelTag("C1p", {"k": head[0][0], "n": len(pts)})
-    if len(pts) == 2 and all(b == 1 for _, b in pts) and pts[0][0] + pts[1][0] == 0:
-        k = max(p[0] for p in pts)
-        if k >= 0:
-            return MinimalModelTag("C3p", {"k": k})
+    if len(secs) != 2 or fibers != len(pts) - 2 or fibers > 2:
+        return None
+    total, k = sum(secs), max(secs)
+    if total == 2 - fibers - twist:
+        return MinimalModelTag(f"{row}{fibers + 1}", {"k": k})
+    if fibers == 1 and total == -twist and k >= 0:
+        return MinimalModelTag(f"{row}2p", {"k": k})
+    if fibers == 0 and total == 1 - twist and k - 1 + twist >= 0:
+        return MinimalModelTag(f"{row}3p", {"k": k - 1 + twist})
     return None
 
 
-# the minimal ambients of the model tables, by kind and number of exceptional
-# generators: the classifier of each and the coefficients of its fiber classes
+# the minimal ambients by kind and number of exceptional generators: the classifier of each
+# (CP2 by degrees, S2xS2 and CP2#1 as F_0 and F_1) and the coefficients of its fiber classes,
+# which cusp.fiber_route reads
 MINIMAL_AMBIENTS = {
     (KIND_PP, 0): (_classify_pp, ()),
-    (KIND_S2S2, 0): (_classify_product, ((1, 0), (0, 1))),
-    (KIND_RATIONAL, 1): (_classify_one_blowup, ((1, -1),)),
+    (KIND_S2S2, 0): (_classify_hirzebruch, ((1, 0), (0, 1))),
+    (KIND_RATIONAL, 1): (_classify_hirzebruch, ((1, -1),)),
 }
 
 

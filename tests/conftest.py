@@ -18,7 +18,7 @@ from sympdiv.lattice import (
     HomologyClass,
     LatticeMap,
     cremona_descent,
-    pairings,
+    pair,
 )
 from sympdiv.moves import (
     ExteriorBlowup,
@@ -301,6 +301,11 @@ def swap(amb: AmbientLattice, i: int, j: int) -> LatticeMap:
     """Exchange the exceptional generators at i and j: the reflection in
     Ei - Ej."""
     return LatticeMap.reflection(amb.basis_class(amb.names[i]) - amb.basis_class(amb.names[j]))
+
+
+def pairings(left: list[HomologyClass], right: list[HomologyClass]) -> list[list[int]]:
+    """The matrix of pairings of left against right."""
+    return [[pair(a, b) for b in right] for a in left]
 
 
 def preserves_form(t: LatticeMap) -> bool:

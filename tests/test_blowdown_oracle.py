@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, perfbench_module
+from conftest import FIXTURES, pairings, perfbench_module
 from sympdiv import cli, moves, reduction
 from sympdiv.cusp import CertifyError, certify_affine_ruled
 from sympdiv.divisor import DivisorConfig, DivisorError, require_valid, validate
@@ -35,7 +35,6 @@ from sympdiv.lattice import (
     coeffs_in,
     is_exceptional_class,
     pair,
-    pairings,
 )
 from sympdiv.moves import (
     BlowdownStep,

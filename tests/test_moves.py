@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_blowup_config
+from conftest import pairings, random_blowup_config
 from sympdiv import moves
 from sympdiv.divisor import DivisorConfig, adjoint_area, validate
 from sympdiv.exceptional import NormalizeError
-from sympdiv.lattice import AmbientLattice, AreaVector, LatticeMap, area, pair
+from sympdiv.lattice import AmbientLattice, AreaVector, LatticeMap, area, canonical, pair
 from sympdiv.moves import (
     ExteriorBlowup,
     HalfToricBlowup,
@@ -170,18 +171,24 @@ def test_product_blowup_and_bridge_roundtrip():
     assert replay_blowdown(step) == up
 
 
-def test_bridge_that_breaks_the_form_is_refused(monkeypatch):
-    # a forward map sending H - E2 to f1 - f2 (square -2, not 0) is caught by
-    # comparing the pairings of the classes before and after the bridge
-    ps = AmbientLattice.product_of_spheres()
-    cfg = DivisorConfig.build(
-        ps, [("A", ps.cls(f1=1)), ("B", ps.cls(f2=1))], [("A", "B")]
-    )
-    up = blowup(cfg, ToricBlowup("A", "B"), new_id="e")
-    coeffs, _, back = moves._S2S2_BRIDGE
-    monkeypatch.setattr(moves, "_S2S2_BRIDGE", (coeffs, ((1, 1, 0), (0, 0, 1)), back))
-    with pytest.raises(MoveError, match="basis bridge failed to preserve the form"):
-        blowdown(up, up.ambient.cls(H=1, E1=-1, E2=-1))
+def test_the_bridge_is_an_isometry_of_the_complement_of_its_class():
+    """The bridge contracts e = H - E1 - E2 of CP2#2 onto S2xS2.  Its fwd sends
+    H - E1 to f2 and H - E2 to f1, a basis of e's complement with pairings 0,
+    0 and 1 on both sides, so a blowdown through it keeps the form of every
+    class orthogonal to e.  drop undoes lift, and lift(K) + e is K of CP2#2."""
+    ps, cp2_2 = AmbientLattice.product_of_spheres(), AmbientLattice.rational_blowup(2)
+    con, _ = moves.blowup_contraction(ps)
+    e = cp2_2.cls(H=1, E1=-1, E2=-1)
+    assert (con.pre, con.post, con.e, con.slot) == (cp2_2, ps, e, None)
+    basis = [cp2_2.cls(H=1, E1=-1), cp2_2.cls(H=1, E2=-1)]
+    images = [ps.from_coeffs(con.drop(b.coeffs)) for b in basis]
+    assert [pair(b, e) for b in basis] == [0, 0]
+    assert images == [ps.cls(f2=1), ps.cls(f1=1)]
+    assert pairings(images, images) == pairings(basis, basis) == [[0, 1], [1, 0]]
+    for v in itertools.product(range(-3, 4), repeat=2):
+        assert con.drop(con.lift(v)) == v
+        assert pair(cp2_2.from_coeffs(con.lift(v)), e) == 0
+    assert cp2_2.from_coeffs(con.lift(canonical(ps).coeffs)) + e == canonical(cp2_2)
 
 
 def test_product_blowup_keeps_fiber_areas():

@@ -515,3 +515,20 @@ def test_the_area_tie_input_is_valid_and_certifies_off_the_tie():
     "minimal-area class, although the pair is valid with negative adjoint area"))
 def test_an_area_tie_at_quasi_minimality_certifies():
     certify_affine_ruled(*_data("area_tie_cp2_3.json"))
+
+
+# -- the S2xS2 reading order, end to end -------------------------------------------
+
+
+@pytest.mark.parametrize("name, model", [
+    ("s2s2_tie_b1p_b3p.json", "B1p {'k': 1, 'n': 2}"),
+    ("s2s2_tie_b1p_b2p.json", "B1p {'k': 0, 'n': 3}"),
+])
+def test_an_s2s2_tie_is_read_with_fiber_f2_first(name, model, tmp_path, capsys):
+    # each terminal matches a "p" case in both readings of S2xS2; the
+    # reading with fiber f2 decides the case the certificate records
+    assert main(["certify", str(DATA / name)]) == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert f"terminal minimal model: {model}" in json.loads(cert.read_text())["assumptions"]
+    assert main(["check", str(cert)]) == 0

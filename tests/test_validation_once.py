@@ -300,15 +300,16 @@ def test_a_ruled_configuration_is_validated_once(name, monkeypatch):
 
 
 # fixture -> (classify_minimal_model calls in certify, in check) on the b2 <= 2
-# route, each call validating: certify's small-b2 stage classifies as it loops,
-# and build_certificate once for the route and the assumptions together.  While
-# those two each classified the terminal, the pins were (2, 2), (2, 2), (3, 2),
-# (3, 2)
+# route, each call validating: build_certificate classifies once for the route
+# and the assumptions together.  While those two each classified the terminal,
+# the pins were (2, 2), (2, 2), (3, 2), (3, 2); while certify's small-b2 stage
+# also called it as it looped, they were (1, 1), (1, 1), (2, 1), (2, 1) (the
+# stage now reads the table without validating its blowdown results)
 SMALL_B2_CLASSIFICATIONS = {
     "cp2_conic.json": (1, 1),
     "cp2_line.json": (1, 1),
-    "product_spheres_chain.json": (2, 1),
-    "trident_cp2_4.json": (2, 1),
+    "product_spheres_chain.json": (1, 1),
+    "trident_cp2_4.json": (1, 1),
 }
 
 
