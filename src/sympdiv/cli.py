@@ -15,7 +15,7 @@ search per step instead.  It prints a `failed:` line per failed check and
 "certificate rejected", or "certificate verified (re-derived identically)",
 the wording of the first certificate version, which scripts compare; it still
 holds, as the replay rebuilds the whole document and compares it with the
-file's text first, then canonically.  A plan is replayed step by step;
+file's text first, then canonically.  A plan is replayed node by node;
 `check` and `inflate --verify-only` print a `failed:` line per failed check,
 then "plan ok" or "plan rejected".
 

@@ -8,8 +8,32 @@ B, E_1, .., E_n with the fiber normalized to area 1.  Inflating along a
 class Z adds t * (Z . x) to every area; for Z.Z < 0 the step size is
 bounded by area(Z) / (-Z.Z).  Plans are nested: a seed node carries the
 plan for the smaller manifold plus the small area given to the new
-exceptional sphere, and zig-zag nodes alternate two classes in N equal
-substeps, N in closed form, so every intermediate stays inside the bounds.
+exceptional sphere, and zig-zag nodes alternate z_diag = F - E_a - E_b and
+z_down = E_b in N equal substeps.
+
+At odd n = 2k - 1 >= 3 the step is t = simplest_in(cap/2, cap) with
+cap = min((3/4) d_n / (1 - d_n), (1 - d_3 - d_4) / 2), the second term
+(k >= 3) half the least gap 1 - d_a - d_b of the zig-zag pairs
+(2l - 1, 2l), l = 2..k-1, as the entries of a P_g vector do not increase.
+- The base stays in P_g for any 0 < t < d_n / (1 - d_n): its entries are
+  (1 + t) d_B - (k - 1) t, (1 + t) d_1 and (1 + t) d_j - t (j = 2..n-1), and
+  the new sphere's eps = (1 + t) d_n - t > 0.  With h > 0 the target's head
+  2 - 2g + 2 d_B - sum d_j, the base's head is (1 + t) h + eps + (2g - 2) t;
+  its first pair sums to (1 + t)(d_1 + d_2) - t < 1; the order is kept; and
+  every entry is at least eps or follows from the head.
+- Every zig-zag node needs one substep.  At the node of (a, b) the fiber has
+  area 1 and E_a, E_b are still the seed's, so area(z_diag) is
+  A = (1 + t)(1 - d_a - d_b) + t, and the least count floor(t / (A - t)) + 1
+  is 1 as t <= (1 - d_a - d_b) / 2.  The planner emits its nodes from the
+  seed entries and steps nothing; the replay checks them.
+
+The replay checks a zig-zag node in closed form, in O(n) whatever its N.
+With s = total / N, each pair of substeps adds s to B and E_a and leaves
+every other area, so all stay positive, every down bound s < e_b + s holds,
+and after i pairs area(z_diag) = A - i*s.  The diag bound 2s < A - i*s
+binds last: (N + 1) * total < N * A, tested on integer forms.  As (N + 1)/N
+falls with N, a node accepted at N is accepted at every larger N up to
+MAX_SUBSTEPS: the count buys no work.
 
 The arithmetic runs on integer forms (nums, den): kernel states, region
 tests and the replay's seed checks compare integer numerators.  The replay
@@ -33,10 +57,8 @@ from .lattice import (
     AreaVector,
     HomologyClass,
     LatticeError,
-    area,
     coeffs_in,
     integer_form_of,
-    pair,
 )
 
 
@@ -44,7 +66,7 @@ class PlanError(ValueError):
     pass
 
 
-# the most substeps a zig-zag node may take, in the planner and in a replay
+# the most substeps a zig-zag node may take in a replay
 MAX_SUBSTEPS = 2**20
 
 
@@ -102,30 +124,15 @@ def plan_ambient(g: int, n: int) -> AmbientLattice:
     return AmbientLattice.ruled_trivial(g, n)
 
 
-def state_from_vector(g: int, entries) -> AreaVector:
-    """Area vector (B, F, E..) with fiber area 1 from (d_B, d_1, ..)."""
-    entries = tuple(Fraction(e) for e in entries)
-    amb = plan_ambient(g, len(entries) - 1)
-    return AreaVector(amb, (entries[0], Fraction(1)) + entries[1:])
-
-
-def lam_bound(a: AreaVector, z: HomologyClass) -> Fraction | None:
-    """Inflation range along z: None means unbounded (z.z >= 0)."""
-    sq = pair(z, z)
-    if sq >= 0:
-        return None
-    return area(z, a) / (-sq)
-
-
 # A kernel state (ambient, nums, den) is the integer form of an area vector:
 # area i is nums[i] / den with gcd(den, *nums) == 1, as in
-# AreaVector.integer_form.  Planner and replay step on states; AreaVector
+# AreaVector.integer_form.  The replay steps on states; AreaVector
 # objects are built only for callers of the public inflate_step.
 
 
 def _seed_state(entries, amb: AmbientLattice):
-    """The kernel state of state_from_vector(amb.g, entries), on amb, for
-    positive entries."""
+    """The kernel state of the areas (B, F, E_1, ..) = (d_B, 1, d_1, ..) on
+    amb, for positive entries."""
     entries = [e if type(e) is Fraction else Fraction(e) for e in entries]
     return amb, *integer_form_of((entries[0], 1, *entries[1:]))
 
@@ -164,6 +171,36 @@ def _step(state, c: tuple[int, ...], t: Fraction):
     return amb, tuple(x // d for x in out), den // d
 
 
+def _zigzag(state, zd: tuple[int, ...], ze: tuple[int, ...], total: Fraction, substeps: int):
+    """The kernel state a zig-zag node ends in, checked in closed form (module
+    docstring): B and E_a gain total, and one gcd reduces the result."""
+    amb, nums, den = state
+    if not len(zd) == len(ze) == len(nums) == len(amb.names):
+        raise LatticeError("coefficient length does not match basis")
+    if amb.kind != KIND_RULED:
+        raise PlanError("inflation steps run on trivial ruled ambients")
+    ex = [i for i in range(2, len(zd)) if zd[i]]
+    b = ze.index(1) if 1 in ze else None
+    if not (zd[:2] == (0, 1) and len(ex) == 2 and zd[ex[0]] == zd[ex[1]] == -1
+            and b in ex and ze.count(0) == len(ze) - 1):
+        raise PlanError(f"{amb.from_coeffs(zd)}, {amb.from_coeffs(ze)} are not F-Ea-Eb and Eb")
+    a = ex[0] + ex[1] - b
+    az = nums[1] - nums[a] - nums[b]
+    if az <= 0:
+        raise PlanError(f"class {amb.from_coeffs(zd)} has non-positive area")
+    p, q = total.numerator, total.denominator
+    pd = p * den
+    if (substeps + 1) * pd >= substeps * az * q:
+        raise PlanError(f"{substeps} substeps of total {total} break the last diag bound "
+                        f"along {amb.from_coeffs(zd)}")
+    out = [x * q for x in nums]
+    out[0] += pd
+    out[a] += pd
+    den *= q
+    d = math.gcd(den, *out)
+    return amb, tuple(x // d for x in out), den // d
+
+
 def inflate_step(a: AreaVector, z: HomologyClass, t: Fraction) -> AreaVector:
     """New areas x -> area(x) + t * (z . x); t must respect the bound and
     every generator area must stay positive."""
@@ -177,11 +214,6 @@ def _normalized(state) -> NormalizedVector:
     if f <= 0:
         raise PlanError("fiber area must be positive")
     return NormalizedVector(amb.g, (Fraction(nums[0], f), *(Fraction(x, f) for x in nums[2:])))
-
-
-def normalize(a: AreaVector) -> NormalizedVector:
-    """Divide by the fiber area; only meaningful on ruled ambients."""
-    return _normalized((a.ambient, *a.integer_form))
 
 
 def _normalizes_to(state, entries) -> bool:
@@ -306,20 +338,13 @@ def _replay(plan: InflationPlan, checks: list[Check], prefix: str):
                 if not 1 <= node.substeps <= MAX_SUBSTEPS or node.total < 0:
                     checks.append(Check(name, False, "bad substep data"))
                     return None
-                s = Fraction(node.total) / node.substeps
-                for i in range(node.substeps):
-                    half = "diag"
-                    state = _step(state, zd, s)
-                    half = "down"
-                    state = _step(state, ze, s)
-                name = f"{name} ({node.substeps} substeps)"
-                checks.append(Check(name, True, f"total {node.total}"))
+                state = _zigzag(state, zd, ze, node.total, node.substeps)
+                checks.append(Check(f"{name} ({node.substeps} substeps)", True,
+                                    f"total {node.total}"))
             else:
                 checks.append(Check(f"{prefix}node", False, f"unexpected node {node!r}"))
                 return None
     except PlanError as exc:
-        if isinstance(node, ZigZagNode):
-            name = f"{name} {half} {i}"
         checks.append(Check(name, False, str(exc)))
         return None
     return state
@@ -352,17 +377,19 @@ def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
     A Stern-Brocot descent by continued fractions: while no integer lies in
     the interval, take its common integer part n and pass to the reciprocal
     interval of x - n, whose ends swap (and swap between open and closed).
+    The interval is (a/b, c/d) on integers, d = 0 meaning +infinity, and
     (p1, q1, p0, q0) carry x = (p1*y + p0) / (q1*y + q0) in the current
-    variable y; hi None means +infinity."""
+    variable y; one Fraction is built, at the end."""
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     p1, q1, p0, q0 = 1, 0, 0, 1
     lo_open, hi_open = True, False
     while True:
-        n = math.floor(lo)
-        k = n if (n == lo and not lo_open) else n + 1
-        if hi is None or k < hi or (k == hi and not hi_open):
+        n, r = divmod(a, b)
+        k = n if (r == 0 and not lo_open) else n + 1
+        if d == 0 or k * d < c or (k * d == c and not hi_open):
             return Fraction(p1 * k + p0, q1 * k + q0)
         p1, q1, p0, q0 = p1 * n + p0, q1 * n + q0, p1, q1
-        lo, hi = 1 / (hi - n), (None if lo == n else 1 / (lo - n))
+        a, b, c, d = d, c - n * d, b, r
         lo_open, hi_open = hi_open, lo_open
 
 
@@ -405,9 +432,11 @@ def _build(g: int, d: tuple[Fraction, ...]) -> InflationPlan:
         z = amb.cls(F=1, **{f"E{n - 1}": -1, f"E{n}": -1})
         return InflationPlan(g, n, d, (seed, InflateNode(z.coeffs, str(z), t)))
 
-    # odd n = 2k - 1 >= 3
+    # odd n = 2k - 1 >= 3, with the cap of the module docstring
     k = (n + 1) // 2
     cap = Fraction(3, 4) * d[n] / (1 - d[n])
+    if k > 2:
+        cap = min(cap, (1 - d[3] - d[4]) / 2)
     t = simplest_in(cap / 2, cap)
     p, q = t.numerator, t.denominator
     # entry j of the seed is (1 + t) d_j - shift_j t, with t = p/q
@@ -421,46 +450,14 @@ def _build(g: int, d: tuple[Fraction, ...]) -> InflationPlan:
         base, eps, tuple(sub) + (eps,),
         "a sufficiently small blowup of a Kahler class stays Kahler",
     )
-    nodes: list[PlanNode] = [seed]
-    state = _seed_state(seed.vector, amb)
-
     z1 = amb.cls(F=1, **{f"E{n}": -1})
-    nodes.append(InflateNode(z1.coeffs, str(z1), t))
-    state = _step(state, z1.coeffs, t)
-
+    nodes: list[PlanNode] = [seed, InflateNode(z1.coeffs, str(z1), t)]
     for el in range(2, k):
         z_diag = amb.cls(F=1, **{f"E{2 * el - 1}": -1, f"E{2 * el}": -1})
         z_down = amb.cls(**{f"E{2 * el}": 1})
-        substeps, state = _zigzag_substeps(state, z_diag, z_down, t)
-        nodes.append(
-            ZigZagNode(z_diag.coeffs, z_down.coeffs, f"E{2 * el - 1}/E{2 * el}", t, substeps)
-        )
+        nodes.append(ZigZagNode(z_diag.coeffs, z_down.coeffs, f"E{2 * el - 1}/E{2 * el}", t, 1))
 
     zb = amb.cls(B=1, **{f"E{j}": -1 for j in range(2, n, 2)})
     nodes.append(InflateNode(zb.coeffs, str(zb), t))
     return InflationPlan(g, n, d, tuple(nodes))
 
-
-def _zigzag_substeps(state, z_diag, z_down, total):
-    """The least substep count whose alternating replay from the kernel
-    state stays in bounds, with the state that replay ends in.
-
-    The planner passes z_diag = F - E_a - E_b and z_down = E_b.  A diag
-    substep of size s adds s to B, E_a and E_b (its pairing row is 1 at B,
-    a and b) and a down substep takes s back from E_b, so after i pairs
-    E_a = e_a + i*s, E_b = e_b, F is unchanged, every area is positive,
-    every down bound s < e_b + s holds and area(z_diag) = A - i*s.  The
-    diag bound 2s < A - i*s binds last, at the N-th pair: (N + 1)*s < A
-    with s = total/N.  So N = floor(total / (A - total)) + 1 is the least
-    count when A > total (on integer forms, p*den // room + 1 below), and
-    no count works otherwise: feasibility is monotone in N."""
-    _, nums, den = state
-    p, q = total.numerator, total.denominator
-    room = sum(map(operator.mul, z_diag.coeffs, nums)) * q - p * den
-    n = p * den // room + 1 if room > 0 else MAX_SUBSTEPS + 1
-    if n > MAX_SUBSTEPS:
-        raise PlanError("zig-zag substep search exhausted")
-    s = total / n
-    for _ in range(n):
-        state = _step(_step(state, z_diag.coeffs, s), z_down.coeffs, s)
-    return n, state

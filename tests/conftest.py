@@ -12,11 +12,13 @@ from pathlib import Path
 
 from sympdiv.divisor import DivisorConfig, adjoint_area, validate
 from sympdiv.exceptional import EnumerationError, _degree_bound
+from sympdiv.inflation import NormalizedVector, PlanError
 from sympdiv.lattice import (
     AmbientLattice,
     AreaVector,
     HomologyClass,
     LatticeMap,
+    area,
     cremona_descent,
     pair,
 )
@@ -450,3 +452,29 @@ def reference_search(ambient, nums, bd, cap, x, emit) -> int:
             break
     rec = None  # rec calls itself through this cell: end the cycle, leave no garbage
     return nodes
+
+
+# -- inflation states as area vectors ----------------------------------------------
+
+
+def state_from_vector(g: int, entries) -> AreaVector:
+    """Area vector (B, F, E..) with fiber area 1 from (d_B, d_1, ..)."""
+    entries = tuple(Fraction(e) for e in entries)
+    amb = AmbientLattice.ruled_trivial(g, len(entries) - 1)
+    return AreaVector(amb, (entries[0], Fraction(1)) + entries[1:])
+
+
+def lam_bound(a: AreaVector, z: HomologyClass) -> Fraction | None:
+    """Inflation range along z: None means unbounded (z.z >= 0)."""
+    sq = pair(z, z)
+    if sq >= 0:
+        return None
+    return area(z, a) / (-sq)
+
+
+def normalize(a: AreaVector) -> NormalizedVector:
+    """Divide by the fiber area; only meaningful on ruled ambients."""
+    f = a.areas[1]
+    if f <= 0:
+        raise PlanError("fiber area must be positive")
+    return NormalizedVector(a.ambient.g, (a.areas[0] / f, *(v / f for v in a.areas[2:])))

@@ -526,17 +526,17 @@ def _zigzag_down_class_negative(doc):
 
 # sha256 of the stdout of both `inflate --verify-only` and `check` on the
 # n = 9, g = 2 plan above and on three tampered copies, so that the `failed:`
-# lines (the endpoint, a zig-zag diag substep over its bound, a zig-zag down
-# substep along a class of negative area) are pinned
+# lines (the endpoint, a zig-zag total over the node's last diag bound, a
+# zig-zag down class not of the planner's shape) are pinned
 @pytest.mark.parametrize(
     "mutate,digest",
     [
         (None, "9f1d34ead660a340ad42a07c4a121634a61ed70140219ece61fc2b45ee1c4634"),
         (_last_t_doubled, "eb4070301c4f6c6840703a84d553fbb892cacf4894e0cf69bf8121e96db12c04"),
         (_zigzag_total_times_four,
-         "7feea168415582a35a5b8ae4b58c87b28ebf3cc1a62e78c5cd6b83864e5124cc"),
+         "a44439bf89a3d4933ef97e2ef2070ebac254a2e575424f0a4befb822b427a128"),
         (_zigzag_down_class_negative,
-         "e586b94c71c66627638487ecf430853da8a22a243fad572c229a9d23dd23df4a"),
+         "38c9f988bf48611526ebcb53994b3f3efbfae34e8df2813fd2f475334d38f2be"),
     ],
 )
 def test_cli_plan_verification_golden_bytes(mutate, digest, tmp_path, capsys):

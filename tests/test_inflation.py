@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import lam_bound, normalize, state_from_vector
 from sympdiv.checks import all_passed, failures
 from sympdiv.cli import main
 from sympdiv.inflation import (
@@ -17,11 +18,8 @@ from sympdiv.inflation import (
     ZigZagNode,
     in_region,
     inflate_step,
-    lam_bound,
-    normalize,
     plan_ambient,
     plan_kahler,
-    state_from_vector,
     verify_plan,
 )
 from sympdiv.lattice import AreaVector

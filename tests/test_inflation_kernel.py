@@ -8,13 +8,15 @@ step taken on the way must end in the integer form of the area vector the
 Fraction step gives.  `ref_in_region` and `ref_region_slack` are copies of
 the region tests as they were written on Fraction entries; the integer
 region tests must agree with them, on each boundary too.
-`ref_zigzag_substeps` is the doubling-and-bisection search the closed-form
-substep count replaced; on random states of the planner's zig-zag shape the
-count and the end state must be the same."""
+The replay checks a zig-zag node in closed form where the reference steps
+it: the two must agree on every verdict, a failed zig-zag node compared by
+the node it names (tests/test_zigzag_nodes.py compares the node check itself
+with the stepwise one), and a node whose classes are not of the planner's
+shape must be refused where it stands."""
 
 from __future__ import annotations
 
-import time
+import re
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import state_from_vector
 from sympdiv import inflation
 from sympdiv.checks import Check
 from sympdiv.inflation import (
@@ -38,10 +41,9 @@ from sympdiv.inflation import (
     plan_ambient,
     plan_kahler,
     region_slack,
-    state_from_vector,
     verify_plan,
 )
-from sympdiv.lattice import KIND_RULED, AreaVector, LatticeError, area, integer_form_of
+from sympdiv.lattice import KIND_RULED, AreaVector, LatticeError, area
 
 PROPERTY = settings(max_examples=60, deadline=None, report_multiple_bugs=False)
 
@@ -197,6 +199,17 @@ def _outcome(verify, plan):
         return type(exc), str(exc)
 
 
+def _by_node(outcome):
+    """The outcome with each failed zig-zag check named by its node alone
+    and its detail dropped: the reference names the substep that broke its
+    bound, the closed form the node and the one bound that binds."""
+    if not isinstance(outcome, list):
+        return outcome
+    return [(re.sub(r" (diag|down) \d+$", "", name), False, None)
+            if not passed and name.lstrip().startswith("zigzag ") else (name, passed, detail)
+            for name, passed, detail in outcome]
+
+
 # -- random targets and tampered plans ---------------------------------------------
 
 
@@ -230,14 +243,15 @@ def _rebuild(levels, depth, level):
 
 
 def _tamper(plan, draw):
-    """One change to one node of one level of the plan, or none."""
+    """One change to one node of one level of the plan, or none, and whether
+    it changed a coefficient of a zig-zag class (a node of another shape)."""
     kind = draw(st.sampled_from(("none", "t", "substeps", "class", "ambient")))
     levels = _levels(plan)
     depth = draw(st.integers(0, len(levels) - 1))
     level = levels[depth]
     steps = [i for i, nd in enumerate(level.nodes) if not isinstance(nd, SeedNode)]
     if kind == "none" or not steps:
-        return plan
+        return plan, False
     i = draw(st.sampled_from(steps))
     node = level.nodes[i]
     if kind == "t":
@@ -246,7 +260,7 @@ def _tamper(plan, draw):
                 else replace(node, total=node.total * scale))
     elif kind == "substeps":
         if not isinstance(node, ZigZagNode):
-            return plan
+            return plan, False
         node = replace(node, substeps=draw(st.sampled_from((0, 1, 2, 3, 2 * node.substeps))))
     else:
         field = "z" if isinstance(node, InflateNode) else draw(st.sampled_from(("z_diag",
@@ -260,7 +274,8 @@ def _tamper(plan, draw):
         node = replace(node, **{field: tuple(coeffs)})
     nodes = list(level.nodes)
     nodes[i] = node
-    return _rebuild(levels, depth, replace(level, nodes=tuple(nodes)))
+    reshaped = kind == "class" and isinstance(node, ZigZagNode)
+    return _rebuild(levels, depth, replace(level, nodes=tuple(nodes))), reshaped
 
 
 @PROPERTY
@@ -268,16 +283,24 @@ def _tamper(plan, draw):
 def test_verify_plan_matches_the_fraction_replay(target, data):
     with mock.patch.object(inflation, "_step", _checked_kernel_step):
         plan = plan_kahler(target)
-        tampered = _tamper(plan, data.draw)
-        want = _outcome(ref_verify_plan, tampered)
-        assert _outcome(verify_plan, tampered) == want
+        tampered, reshaped = _tamper(plan, data.draw)
+        want = _by_node(_outcome(ref_verify_plan, tampered))
+        got = _by_node(_outcome(verify_plan, tampered))
+    if reshaped:
+        # refused at the reshaped node, where the reference may step on
+        *before, (name, passed, _) = got
+        assert name.lstrip().startswith("zigzag ") and not passed
+        assert before == want[:len(before)] and not all(passed for _, passed, _ in want)
+    else:
+        assert got == want
     if tampered is plan:
         assert all(passed for _, passed, _ in want)
 
 
 def _steps_of(level):
-    """The kernel steps a level of a plan takes after its seed."""
-    return sum(1 if isinstance(nd, InflateNode) else 2 * nd.substeps for nd in level.nodes[1:])
+    """The kernel steps a level of a plan takes after its seed: one per
+    inflate node, as a zig-zag node is checked in closed form."""
+    return sum(isinstance(nd, InflateNode) for nd in level.nodes[1:])
 
 
 @PROPERTY
@@ -339,111 +362,6 @@ def test_step_refuses_a_class_of_another_ambient(g, n):
     for step in (ref_inflate_step, inflate_step):
         with pytest.raises(LatticeError, match="ambient mismatch"):
             step(a, z, Fraction(1, 10))
-
-
-def test_zigzag_search_ends_where_its_count_replays():
-    st_ = state_from_vector(1, [3, Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 6)])
-    amb = st_.ambient
-    zd, ze = amb.cls(F=1, E3=-1, E4=-1), amb.cls(E4=1)
-    total = Fraction(3, 5)  # doubling stops at 32, bisecting at 19
-    substeps, end = inflation._zigzag_substeps((amb, *st_.integer_form), zd, ze, total)
-    assert substeps == 19
-    cur = st_
-    for _ in range(substeps):
-        cur = inflate_step(inflate_step(cur, zd, total / substeps), ze, total / substeps)
-    assert end == (amb, *cur.integer_form)
-
-
-# -- the zig-zag substep search, as it was --------------------------------------------
-
-
-def ref_zigzag_substeps(state, z_diag, z_down, total):
-    """The search the closed form replaced: double a trial count until its
-    replay stays in bounds, then bisect below that power of two."""
-    if total == 0:
-        return 1, state
-
-    def attempt(nsub):
-        cur = state
-        s = total / nsub
-        try:
-            for _ in range(nsub):
-                cur = _kernel_step(cur, z_diag.coeffs, s)
-                cur = _kernel_step(cur, z_down.coeffs, s)
-        except PlanError:
-            return None
-        return cur
-
-    n = 1
-    end = attempt(n)
-    while end is None:
-        n *= 2
-        if n > MAX_SUBSTEPS:
-            raise PlanError("zig-zag substep search exhausted")
-        end = attempt(n)
-    lo, hi = max(1, n // 2), n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        mid_end = attempt(mid)
-        if mid_end is not None:
-            hi, end = mid, mid_end
-        else:
-            lo = mid + 1
-    return hi, end
-
-
-@st.composite
-def zigzag_states(draw):
-    """A kernel state with the planner's zig-zag classes z_diag = F - E_a - E_b
-    and z_down = E_b, and a total below area(z_diag) that needs at most 200
-    substeps: total = r * area(z_diag) with r / (1 - r) < 200, often exactly
-    k / (k + 1), where the strict diag bound decides the count."""
-    n = draw(st.integers(2, 6))
-    a, b = draw(st.permutations(range(1, n + 1)))[:2]
-    pos = st.fractions(min_value=Fraction(1, 50), max_value=3, max_denominator=60)
-    amb = plan_ambient(draw(st.integers(1, 3)), n)
-    areas = [draw(pos) for _ in range(n + 2)]  # B, F, E_1..E_n
-    room = draw(pos)
-    areas[1] = areas[a + 1] + areas[b + 1] + room  # area(z_diag) = room
-    z_diag, z_down = amb.cls(F=1, **{f"E{a}": -1, f"E{b}": -1}), amb.cls(**{f"E{b}": 1})
-    k = draw(st.integers(1, 199))
-    r = draw(st.one_of(st.just(Fraction(k, k + 1)),
-                       st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(199, 200),
-                                    max_denominator=10**4)))
-    return (amb, *integer_form_of(areas)), z_diag, z_down, r * room
-
-
-@settings(max_examples=60, deadline=None)
-@given(zigzag_states())
-def test_zigzag_closed_form_matches_the_search(case):
-    assert inflation._zigzag_substeps(*case) == ref_zigzag_substeps(*case)
-
-
-def _substep_lists(plan):
-    """The substep counts of every zig-zag node, innermost base plan first."""
-    return [nd.substeps for level in reversed(_levels(plan)) for nd in level.nodes
-            if isinstance(nd, ZigZagNode)]
-
-
-@pytest.mark.parametrize("n,d,want", [(5, "9/20", [4]),
-                                      (9, "499/1000", [1, 1, 1, 167, 167, 167])])
-def test_near_boundary_substeps_are_pinned(n, d, want):
-    assert _substep_lists(plan_kahler(NormalizedVector.of(1, [4] + [d] * n))) == want
-
-
-@pytest.mark.parametrize("total", [
-    Fraction(1, 2),  # area(z_diag): no count works
-    Fraction(7, 5),
-    Fraction(1, 2) - Fraction(1, 2**22),  # needs 2**21 substeps, past MAX_SUBSTEPS
-])
-def test_zigzag_refusal_is_immediate(total):
-    st_ = state_from_vector(1, [3, Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)])
-    amb = st_.ambient
-    zd, ze = amb.cls(F=1, E2=-1, E3=-1), amb.cls(E3=1)
-    start = time.perf_counter()
-    with pytest.raises(PlanError, match="^zig-zag substep search exhausted$"):
-        inflation._zigzag_substeps((amb, *st_.integer_form), zd, ze, total)
-    assert time.perf_counter() - start < 0.1
 
 
 # -- the region tests, as they were ------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import lam_bound
 from sympdiv.checks import all_passed
 from sympdiv.cli import main
 from sympdiv.inflation import (
@@ -22,7 +23,6 @@ from sympdiv.inflation import (
     PlanError,
     ZigZagNode,
     inflate_step,
-    lam_bound,
     plan_ambient,
     plan_kahler,
     simplest_in,
