@@ -572,23 +572,21 @@ def _stage(stage, fn):
 
 def _reduce(config, w):
     """certify's reduction along NEXT_STAGE, each stage given the previous
-    trace's classification; a trace is kept, and rechecked by verify_trace,
-    as it ends, unless it is a small-b2 trace that contracts nothing."""
+    trace's classification; a trace is kept unless it is a small-b2 trace
+    that contracts nothing, and verify_trace rechecks them all after the last."""
     run = {  # built per call, so that a stage function rebound by a tracer is the one run
         "quasi_minimal": lambda cfg, cw, _: quasi_minimal_reduce(cfg, cw),
         "partially_minimal": partially_minimal_reduce,
         "second_kind": second_kind_reduce,
         "small_b2": lambda cfg, cw, _: small_b2_reduce(cfg, cw),
     }
-    traces, checks, term, wt, info, stage = [], [], config, w, None, "quasi_minimal"
+    traces, term, wt, info, stage = [], config, w, None, "quasi_minimal"
     while stage is not None:
-        pre = term
         term, wt, tr = _stage(stage, lambda: run[stage](term, wt, info))
         if tr.steps or stage != "small_b2":
             traces.append(tr)
-            checks.extend(verify_trace(tr, pre))
         stage, info = NEXT_STAGE[stage, tr.terminal], tr.classification
-    return traces, checks, term, wt, _good_chains
+    return traces, verify_trace(traces, config), term, wt, _good_chains
 
 
 def _good_chains(term):

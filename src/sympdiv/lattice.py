@@ -551,18 +551,10 @@ class LatticeMap:
     def identity(ambient: AmbientLattice) -> "LatticeMap":
         return LatticeMap(ambient)
 
-    @staticmethod
-    def reflection(c: HomologyClass) -> "LatticeMap":
-        """x -> x + (x.c) c; an involution exactly when c.c = -2."""
-        if pair(c, c) != -2:
-            raise LatticeError("reflection class must have square -2")
-        return LatticeMap(c.ambient, (c,))
-
     def apply(self, x: HomologyClass) -> HomologyClass:
-        return self._on_class(self.apply_coeffs, x)
-
-    def apply_inverse(self, x: HomologyClass) -> HomologyClass:
-        return self._on_class(self.apply_inverse_coeffs, x)
+        if not self.word:
+            return x
+        return HomologyClass(self.ambient, self.apply_coeffs(coeffs_in(x, self.ambient)))
 
     def apply_coeffs(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """apply on the coefficients v of a class of the ambient."""
@@ -570,11 +562,6 @@ class LatticeMap:
 
     def apply_inverse_coeffs(self, v: tuple[int, ...]) -> tuple[int, ...]:
         return _reflect(self.ambient, self.word[::-1], v)
-
-    def _on_class(self, fold, x: HomologyClass) -> HomologyClass:
-        if not self.word:
-            return x
-        return HomologyClass(self.ambient, fold(coeffs_in(x, self.ambient)))
 
     def transport_area(self, w: AreaVector) -> AreaVector:
         """Area vector w' with w'(T x) = w(x) for all classes x, that is

@@ -34,11 +34,12 @@ validates nothing either (see `blowdown`).
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisor import DivisorConfig, require_valid
+from .divisor import DivisorComponent, DivisorConfig, require_valid
 from .exceptional import NormalizeError, normalize_to_basis
 from .lattice import (
     BY_BRIDGE,
@@ -342,12 +343,12 @@ def _rewrite(state: MoveState, move: BlowupMove, new_id: str, take, sphere) -> N
 
 
 def blowup_states(config: DivisorConfig, steps):
-    """Shared core of replay_state and the checker's replay, which validates
-    nothing: for each (contraction, move, sphere id) step on a blowup of the
-    ambient before it, lift every class along the section, then rewrite the
-    classes and edges by the move, the contracted class the new sphere.
-    Yields its one MoveState, updated in place, before the first step and
-    after each."""
+    """Shared core of replay_blowdown, verify_trace and the checker's replay,
+    which validates nothing: for each (contraction, move, sphere id) step on a
+    blowup of the ambient before it, lift every class along the section, then
+    rewrite the classes and edges by the move, the contracted class the new
+    sphere.  Yields its one MoveState, updated in place, before the first step
+    and after each."""
     amb, comps = config.ambient, config.components
     state = MoveState(amb, {c.id: coeffs_in(c.cls, amb) for c in comps},
                       {c.id: c.genus for c in comps}, list(config.edges))
@@ -447,14 +448,16 @@ def blowdown(config: DivisorConfig, e: HomologyClass, w: AreaVector | None = Non
     the type.  The result is not validated: the section is an isometry onto e's complement with
     K' = pi*K + e, so the result is valid exactly when its blowup, the input, is.  certify
     validates its input and verify_trace shows each step's blowup to be the step's input, so
-    validity carries down the trace; only an empty result, which that leaves open, is refused."""
+    validity carries down the trace; only an empty result, which that leaves open, is refused.
+    DivisorConfig.build sorts every configuration's components by id and its edges, so the
+    result keeps the input's order, the toric edge inserted in it, and is built directly."""
     if not is_exceptional_class(e):
         raise MoveError(f"{e} is not an exceptional class")
     if w is not None and (a := area(e, w)).numerator <= 0:
         raise MoveError(f"{e} has non-positive area {a}")
     amb, ec, row = config.ambient, coeffs_in(e, config.ambient), pairing_row(e)
     kind, move, removed, incident = detect_pattern(config, e, row)
-    classes, genus = {}, {}  # a blowdown keeps every genus
+    kept = []  # (component, adjusted coefficients); a blowdown keeps every genus
     for c in config.components:
         if c.id == removed:
             continue
@@ -463,31 +466,27 @@ def blowdown(config: DivisorConfig, e: HomologyClass, w: AreaVector | None = Non
             v = add_multiple(v, 1, ec)
         if sum(map(operator.mul, row, v)):
             raise MoveError(f"component {c.id} not orthogonal after adjustment")
-        classes[c.id], genus[c.id] = v, c.genus
+        kept.append((c, v))
     edges = [edge for edge in config.edges if removed not in edge]
     if kind == "toric":
-        edges.append(tuple(sorted((incident[0], incident[1]))))
+        bisect.insort(edges, tuple(sorted((incident[0], incident[1]))))
 
     con = _contraction_for(e)
-    post = {cid: HomologyClass(con.post, con.drop(v)) for cid, v in classes.items()}
-    if not post:
+    comps = tuple(DivisorComponent(c.id, HomologyClass(con.post, con.drop(v)), c.genus)
+                  for c, v in kept)
+    if not comps:
         raise MoveError("invalid configuration: configuration is empty")
     new_area = con.pull_back(w) if w is not None else None
-    out = DivisorConfig.build(con.post, [(i, c, genus[i]) for i, c in post.items()], edges)
+    out = DivisorConfig(con.post, comps, tuple(edges))
     return BlowdownStep(config, out, kind, move, con, removed, new_area)
 
 
-def replay_state(step: BlowdownStep) -> MoveState:
-    """The pre-configuration, by blowing the step back up (the move on the sections of the post
-    classes, the contracted class the new sphere), for verify_trace to compare."""
+def replay_blowdown(step: BlowdownStep) -> DivisorConfig:
+    """The pre-configuration, unvalidated, by blowing the step back up (the move on the sections
+    of the post classes, the contracted class the new sphere)."""
     new_id = step.removed_component or "replayed"
     *_, state = blowup_states(step.config, [(step.contraction, step.move, new_id)])
-    return state
-
-
-def replay_blowdown(step: BlowdownStep) -> DivisorConfig:
-    """replay_state's configuration, unvalidated."""
-    return replay_state(step).config()
+    return state.config()
 
 
 # -- toric blowup sequences -----------------------------------------------------

@@ -24,12 +24,14 @@ checker validates the recorded traces against it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .checks import Check
 from .divisor import (
     DivisorConfig,
-    check_hypothesis,
+    adjoint_area,
     total_class,
     validate,
 )
@@ -45,12 +47,14 @@ from .lattice import (
     KIND_S2S2,
     AreaVector,
     HomologyClass,
+    add_multiple,
     area,
     canonical,
     is_exceptional_class,
     pair,
+    pairing_row,
 )
-from .moves import BlowdownStep, MoveError, blowdown, detect_pattern, replay_state
+from .moves import BlowdownStep, MoveError, blowdown, blowup_states, detect_pattern
 
 
 class ReductionError(ValueError):
@@ -105,20 +109,27 @@ class ReductionTrace:
 Staged = tuple[DivisorConfig, AreaVector, ReductionTrace]
 
 
-def verify_trace(trace: ReductionTrace, initial: DivisorConfig) -> list[Check]:
-    """Replay every step as a blowup on coefficient tuples and compare it with the step's input,
-    building no configuration.  blowdown validates nothing, so this carries the validity of the
-    first input down the trace (see moves.blowdown): a forged step fails its replay, also where
-    its move cannot be replayed."""
-    out, cur = [], initial
-    for i, ts in enumerate(trace.steps):
-        pre = ts.blowdown.pre_config
+def verify_trace(traces: list[ReductionTrace], initial: DivisorConfig) -> list[Check]:
+    """The step checks of traces, which start at initial, in trace order, from one pass up:
+    moves.blowup_states, on coefficient tuples, blows the last terminal up through every step
+    and compares each state with the step's input.  blowdown validates nothing, so this carries
+    initial's validity down the traces (see moves.blowdown).  After a step that fails, the pass
+    starts again from the recorded result of the step before it: each failure names its step."""
+    steps = [(tr.stage, i, ts.blowdown, ts) for tr in traces for i, ts in enumerate(tr.steps)]
+    out, states = [], None
+    for j in reversed(range(len(steps))):
+        stage, i, bd, ts = steps[j]
+        if states is None:
+            states = blowup_states(bd.config, [(s.contraction, s.move, s.removed_component
+                                                or "replayed") for _, _, s, _ in steps[j::-1]])
+            next(states)
         try:
-            replays = replay_state(ts.blowdown).matches(pre)
+            replays = next(states).matches(bd.pre_config)
         except MoveError:
             replays = False
-        out.extend(step_checks(trace.stage, i, ts, pre == cur, replays))
-        cur = ts.blowdown.config
+        chains = bd.pre_config == (steps[j - 1][2].config if j else initial)
+        out[:0] = step_checks(stage, i, ts, chains, replays)
+        states = states if chains and replays else None
     return out
 
 
@@ -135,11 +146,33 @@ def step_checks(stage: str, i: int, ts: TraceStep, chains: bool, replays: bool) 
     ]
 
 
+# k = e.[D] by (blowdown pattern, whether the sphere is a component): [D] + k e = pi*[D']
+ADJOINT_K = {("toric", True): 1, ("non_toric", False): 1, ("half_toric", True): 0,
+             ("exterior", False): 0, ("exterior", True): -1}
+
+
+def carry_adjoint(bd: BlowdownStep, d: tuple[int, ...], adj: Fraction,
+                  w: AreaVector) -> tuple[tuple[int, ...], Fraction]:
+    """[D'] and area(K' + [D']) after bd from [D] and area(K + [D]) on w, the areas before it:
+    [D'] = drop([D] + k e), and the area falls by (1 - k) area(e) (see _reduce)."""
+    con = bd.contraction
+    k = ADJOINT_K[bd.kind, bd.removed_component is not None]
+    if k != 1:
+        adj -= (1 - k) * area(con.e, w)
+    return con.drop(add_multiple(d, k, con.e.coeffs)), adj
+
+
 def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step) -> Staged:
-    """The contraction loop of every stage.  next_step(cur, curw) returns the
-    terminal name that ends the stage, the class it contracts, or None.  The
-    class is blown down and recorded as a trace step; every step keeps the
-    adjoint-area hypothesis, so a later step starts from the last hyp_after.
+    """The contraction loop of every stage.  next_step(cur, curw, d) returns the
+    terminal name that ends the stage, the class it contracts, or None; d is
+    cur's [D] as coefficients.  The class is blown down and recorded as a step.
+
+    [D] and area(K + [D]) are summed once, here, and carried (carry_adjoint):
+    across the blowdown of e, K + [D] = pi*(K' + [D']) + (1 - k) e, where k = e.[D]
+    is fixed by the pattern (ADJOINT_K): 1 toric or non-toric, 0 half-toric or
+    exterior, -1 an exterior sphere that is a component.  area(e) > 0 and k <= 1,
+    so the adjoint area never rises: a stage that starts with it negative keeps
+    the hypothesis on both sides of every step.
 
     Why it blows down.  D is a tree of spheres: were D0 a component of genus
     >= 1 or a cycle of components, L = K + [D0] would have L.L - K.L =
@@ -154,23 +187,26 @@ def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step) -> Stag
     class detect_pattern matches) and small-b2 (E1) by construction."""
     steps: list[TraceStep] = []
     cur, curw = config, w
+    d, adj = total_class(config).coeffs, adjoint_area(config, w)
     while True:
-        e = next_step(cur, curw)
+        e = next_step(cur, curw, d)
         if isinstance(e, str):
             return cur, curw, ReductionTrace(stage, tuple(steps), e)
         where = f"{stage} reduction on {cur.ambient.describe()}"
         if e is None:
             raise ReductionError(f"{where}: no class to contract")
-        hyp_before = steps[-1].hyp_after if steps else check_hypothesis(cur, curw)
         try:
             bd = blowdown(cur, e, curw)
         except (MoveError, NormalizeError) as exc:
             raise ReductionError(f"{where}: {e} does not blow down: {exc}") from exc
-        hyp_after = check_hypothesis(bd.config, bd.new_area)
-        steps.append(TraceStep(bd, cur.ambient.b2, bd.config.ambient.b2, hyp_before, hyp_after))
-        if not hyp_after:
-            raise ReductionError(f"blowdown of {bd.target} lost the adjoint-area hypothesis")
-        cur, curw = bd.config, bd.new_area
+        d, after = carry_adjoint(bd, d, adj, curw)
+        steps.append(TraceStep(bd, cur.ambient.b2, bd.config.ambient.b2, adj < 0, after < 0))
+        cur, curw, adj = bd.config, bd.new_area, after
+
+
+def _meets(x: HomologyClass, d: tuple[int, ...]) -> int:
+    """x.[D], [D] given by its coefficients in x's ambient."""
+    return sum(map(operator.mul, pairing_row(x), d))
 
 
 # -- quasi-minimal reduction ----------------------------------------------------
@@ -182,14 +218,13 @@ def quasi_minimal_reduce(config: DivisorConfig, w: AreaVector) -> Staged:
     classified with, which the next stage starts from."""
     info = None
 
-    def next_step(cur, curw):
+    def next_step(cur, curw, d):
         nonlocal info
         if cur.ambient.b2 <= 2:
             return "SmallB2"
         es = enumerate_exceptional(cur.ambient, curw)
         mins = minimal_area(es)
-        d = total_class(cur)
-        if any(pair(m, d) >= 2 for m in mins):
+        if any(_meets(m, d) >= 2 for m in mins):
             info = classify_kind(cur, es, d)
             return "QuasiMinimalFirstKind" if info.kind == "first" else "QuasiMinimalSecondKind"
         # the lone component's class has no blowdown: it would leave no divisor
@@ -207,13 +242,13 @@ class KindInfo:
     carrier: str | None
 
 
-def classify_kind(config: DivisorConfig, es: ExceptionalSet, d: HomologyClass) -> KindInfo:
+def classify_kind(config: DivisorConfig, es: ExceptionalSet, d: tuple[int, ...]) -> KindInfo:
     """Certify -[D]-K as the unique minimal-area exceptional class meeting
     [D] twice, and split by whether a component carries it.  es is the
     enumeration of config's ambient at its areas under the default area
-    bound and d the total class [D] of config, which the caller has already
-    made."""
-    cand = -(d + canonical(config.ambient))
+    bound and d the coefficients of config's [D], which the caller carries."""
+    k = canonical(config.ambient).coeffs
+    cand = HomologyClass(config.ambient, tuple(-x - y for x, y in zip(d, k)))
     if not is_exceptional_class(cand):
         raise ClassifyError(f"-[D]-K = {cand} is not an exceptional class")
     if area(cand, es.w).numerator <= 0:
@@ -223,8 +258,8 @@ def classify_kind(config: DivisorConfig, es: ExceptionalSet, d: HomologyClass) -
         raise ClassifyError(
             f"-[D]-K = {cand} is not the unique minimal-area class (got {mins})"
         )
-    if pair(cand, d) != 2:
-        raise ClassifyError(f"E_min.[D] = {pair(cand, d)}, expected 2")
+    if (meets := _meets(cand, d)) != 2:
+        raise ClassifyError(f"E_min.[D] = {meets}, expected 2")
     # the component carrying -[D]-K, if any: a valid pair has one at most
     cid = next((c.id for c in config.components if c.cls == cand), None)
     if cid is not None and config.degree(cid) != 3:
@@ -248,11 +283,10 @@ def partially_minimal_reduce(config: DivisorConfig, w: AreaVector, info: KindInf
     if info.kind != "first":
         raise ReductionError("partially minimal reduction expects a first-kind pair")
 
-    def next_step(cur, curw):
+    def next_step(cur, curw, d):
         nonlocal info
         if cur.ambient.b2 <= 2:
             return "SmallB2"
-        d = total_class(cur)
         if cur is not config:  # every pass after the first follows one blowdown
             info = classify_kind(cur, enumerate_exceptional(cur.ambient, curw), d)
             if info.kind != "first":
@@ -261,7 +295,7 @@ def partially_minimal_reduce(config: DivisorConfig, w: AreaVector, info: KindInf
 
         toric = [  # c.c = -1 and c.([D] - c) = 2
             c for c in cur.components
-            if pair(c.cls, c.cls) == -1 and pair(c.cls, d) == 1
+            if pair(c.cls, c.cls) == -1 and _meets(c.cls, d) == 1
         ]
         for c in toric:
             if pair(c.cls, emin) != 0:
@@ -277,8 +311,8 @@ def partially_minimal_reduce(config: DivisorConfig, w: AreaVector, info: KindInf
         nontoric = [cur.ambient.basis_class(cur.ambient.names[i]) for i in cur.ambient.exc_indices
                     if emin.coeffs[i] == 0 and all(v[i] <= 0 for v in cls)]
         for g in nontoric:
-            if pair(g, d) != 1:
-                raise ClassifyError(f"non-toric candidate {g} pairs {pair(g, d)} with [D]")
+            if (meets := _meets(g, d)) != 1:
+                raise ClassifyError(f"non-toric candidate {g} pairs {meets} with [D]")
         if nontoric:
             return min(nontoric, key=lambda g: (area(g, curw), g.coeffs))
         return "QuasiMinimalFirstKind"
@@ -349,7 +383,7 @@ def second_kind_reduce(config: DivisorConfig, w: AreaVector, info: KindInfo) -> 
     if info.kind != "second":
         raise ReductionError("second-kind reduction expects a second-kind pair")
 
-    def next_step(cur, curw):
+    def next_step(cur, curw, _):
         amb = cur.ambient
         if amb.b2 <= 2:
             return "SmallB2"
@@ -373,7 +407,7 @@ def small_b2_reduce(config: DivisorConfig, w: AreaVector) -> Staged:
     case appears or b2 = 1.  Blowdown results are valid when the input is (see
     moves.blowdown), so the table is read without validating them."""
 
-    def next_step(cur, curw):
+    def next_step(cur, curw, _):
         if cur.ambient.b2 <= 1 or _minimal_model(cur) is not None:
             return "SmallB2"
         return next(iter(enumerate_exceptional(cur.ambient, curw).classes), None)

@@ -17,8 +17,10 @@ from sympdiv.lattice import (
     AmbientLattice,
     AreaVector,
     HomologyClass,
+    LatticeError,
     LatticeMap,
     area,
+    coeffs_in,
     cremona_descent,
     pair,
 )
@@ -299,10 +301,24 @@ def random_blowup_config(rng: random.Random, max_moves=8):
 # -- lattice maps ----------------------------------------------------------------
 
 
+def reflection(c: HomologyClass) -> LatticeMap:
+    """The one-letter word x -> x + (x.c) c; an involution exactly when c.c = -2."""
+    if pair(c, c) != -2:
+        raise LatticeError("reflection class must have square -2")
+    return LatticeMap(c.ambient, (c,))
+
+
+def apply_inverse(t: LatticeMap, x: HomologyClass) -> HomologyClass:
+    """t^-1 x: the word of t run backwards over the class x."""
+    if not t.word:
+        return x
+    return HomologyClass(t.ambient, t.apply_inverse_coeffs(coeffs_in(x, t.ambient)))
+
+
 def swap(amb: AmbientLattice, i: int, j: int) -> LatticeMap:
     """Exchange the exceptional generators at i and j: the reflection in
     Ei - Ej."""
-    return LatticeMap.reflection(amb.basis_class(amb.names[i]) - amb.basis_class(amb.names[j]))
+    return reflection(amb.basis_class(amb.names[i]) - amb.basis_class(amb.names[j]))
 
 
 def pairings(left: list[HomologyClass], right: list[HomologyClass]) -> list[list[int]]:
@@ -331,7 +347,7 @@ def weyl_orbit(seed):
     e = [amb.basis_class(name) for name in amb.names[1:]]
     roots = [a - b for a, b in combinations(e, 2)]
     roots += [h - a - b - c for a, b, c in combinations(e, 3)]
-    reflections = [LatticeMap.reflection(r) for r in roots]
+    reflections = [reflection(r) for r in roots]
     orbit, queue = {seed}, deque([seed])
     while queue:
         x = queue.popleft()

@@ -116,8 +116,8 @@ def _candidates_tried(monkeypatch, tmp_path):
     reduce, tried = reduction._reduce, {}
 
     def spy_reduce(stage, config, w, next_step):
-        def spy_next(cur, curw):
-            nxt = next_step(cur, curw)
+        def spy_next(cur, curw, d):
+            nxt = next_step(cur, curw, d)
             if not isinstance(nxt, str):
                 amb = cur.ambient
                 more = [c.cls for c in cur.components]

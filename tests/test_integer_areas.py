@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import swap
+from conftest import reflection, swap
 from sympdiv.exceptional import enumerate_exceptional
 from sympdiv.lattice import (
     KIND_PP,
@@ -22,7 +22,6 @@ from sympdiv.lattice import (
     AmbientLattice,
     AreaVector,
     LatticeError,
-    LatticeMap,
     area,
 )
 
@@ -162,10 +161,10 @@ def maps_and_areas(draw):
     if choice == "swap":
         return swap(amb, picked[0], picked[1]), w
     if choice == "difference":
-        return LatticeMap.reflection(e[0] - e[1]), w
+        return reflection(e[0] - e[1]), w
     if ruled:
-        return LatticeMap.reflection(amb.basis_class("F") - e[0] - e[1]), w
-    return LatticeMap.reflection(amb.basis_class("H") - e[0] - e[1] - e[2]), w
+        return reflection(amb.basis_class("F") - e[0] - e[1]), w
+    return reflection(amb.basis_class("H") - e[0] - e[1] - e[2]), w
 
 
 @PROPERTY

@@ -8,12 +8,11 @@ from pathlib import Path
 import pytest
 
 import sympdiv
-from conftest import preserves_form
+from conftest import preserves_form, reflection
 from sympdiv.lattice import (
     AmbientLattice,
     AreaVector,
     LatticeError,
-    LatticeMap,
     adjunction_genus,
     area,
     canonical,
@@ -145,7 +144,7 @@ def test_area_vector_positivity():
 def test_reflection_map_preserves_structure():
     rb = AmbientLattice.rational_blowup(3)
     c = rb.cls(H=1, E1=-1, E2=-1, E3=-1)
-    t = LatticeMap.reflection(c)
+    t = reflection(c)
     assert preserves_form(t)
     assert t.apply(canonical(rb)) == canonical(rb)
     x = rb.cls(H=2, E1=-1)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import weyl_orbit
+from conftest import reflection, weyl_orbit
 from sympdiv import checker, exceptional
 from sympdiv.exceptional import enumerate_exceptional, normalize_to_basis
 from sympdiv.lattice import (
@@ -116,7 +116,7 @@ def test_contraction_check_refuses_k_minus_e1_on_cp2_11():
     c = amb.from_coeffs((3, 1) + (-1,) * 10)  # 3H + E1 - E2 - ... - E11
     assert pair(c, c) == -2 and pair(c, canonical(amb)) == 0
     assert pair(e, e) == pair(e, canonical(amb)) == -1
-    word = LatticeMap.reflection(c)
+    word = reflection(c)
     assert word.apply(e) == amb.cls(E1=1)
     # areas in the cone on which K - E1 has positive area 1/100
     w = AreaVector.from_values(amb, [1] + ["301/1000"] * 11)

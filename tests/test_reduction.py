@@ -49,7 +49,7 @@ def test_quasi_minimal_reduce_cp2_13_trace():
         ("half_toric", "E9"),
         ("non_toric", "E8"),
     ]
-    assert all_passed(verify_trace(tr, cfg))
+    assert all_passed(verify_trace([tr], cfg))
     assert all(s.hyp_before and s.hyp_after for s in tr.steps)
     assert total_class(term) == term.ambient.cls(
         H=3, E1=-1, E2=-1, E3=-1, E4=-1, E5=-1, E6=-1, E7=-2
@@ -73,13 +73,13 @@ def test_quasi_minimal_small_b2():
 
 def test_classify_kind():
     cfg, w = first_kind_cp2_8()
-    info = classify_kind(cfg, enumerate_exceptional(cfg.ambient, w), total_class(cfg))
+    info = classify_kind(cfg, enumerate_exceptional(cfg.ambient, w), total_class(cfg).coeffs)
     assert info.kind == "first"
     assert info.e_min == cfg.ambient.cls(E8=1)
     assert info.e_min == -(total_class(cfg) + canonical(cfg.ambient))
 
     cfg2, w2 = second_kind_cp2_4()
-    info2 = classify_kind(cfg2, enumerate_exceptional(cfg2.ambient, w2), total_class(cfg2))
+    info2 = classify_kind(cfg2, enumerate_exceptional(cfg2.ambient, w2), total_class(cfg2).coeffs)
     assert info2.kind == "second" and info2.carrier == "D0"
 
 
@@ -89,7 +89,7 @@ def test_classify_kind_negative_control():
     cfg = DivisorConfig.build(rb, [("A", rb.cls(H=1)), ("B", rb.cls(H=1))], [("A", "B")])
     w = decreasing_areas(rb)
     with pytest.raises(ClassifyError):
-        classify_kind(cfg, enumerate_exceptional(rb, w), total_class(cfg))
+        classify_kind(cfg, enumerate_exceptional(rb, w), total_class(cfg).coeffs)
 
 
 def test_partially_minimal_cp2_13():
@@ -110,12 +110,12 @@ def test_partially_minimal_cp2_13():
         "P4": "H-E1",
         "P5": "E1-E2-E3-E7",
     }
-    assert all_passed(verify_trace(tr2, t1))
+    assert all_passed(verify_trace([tr2], t1))
 
 
 def test_partially_minimal_first_kind_example_terminal():
     cfg, w = first_kind_cp2_8()
-    info = classify_kind(cfg, enumerate_exceptional(cfg.ambient, w), total_class(cfg))
+    info = classify_kind(cfg, enumerate_exceptional(cfg.ambient, w), total_class(cfg).coeffs)
     term, wt, tr = partially_minimal_reduce(cfg, w, info)
     assert tr.terminal == "SmallB2"
     assert term.ambient.describe() == "CP2#1"
@@ -154,7 +154,7 @@ def test_second_kind_reduce():
     t2, w2, tr2 = second_kind_reduce(t1, w1, tr1.classification)
     assert t2.ambient.b2 <= 2
     assert all(s.kind == "non_toric" for s in tr2.steps)
-    assert all_passed(verify_trace(tr2, t1))
+    assert all_passed(verify_trace([tr2], t1))
     tag = classify_minimal_model(t2)
     assert tag is not None and tag.case == "C1p"
 

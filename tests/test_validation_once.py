@@ -132,7 +132,7 @@ def test_verify_trace_reports_a_tampered_step_without_raising(tamper):
         with pytest.raises(MoveError, match="already in use"):
             replay_blowdown(bad.blowdown)
     steps = trace.steps[:i] + (bad,) + trace.steps[i + 1:]
-    checks = verify_trace(replace(trace, steps=steps), config)
+    checks = verify_trace([replace(trace, steps=steps)], config)
     assert [c.name for c in checks if not c.passed] == [f"quasi_minimal[{i}] replay"]
 
 
@@ -151,7 +151,7 @@ def test_verify_trace_refuses_a_step_whose_result_is_invalid():
     ], post.edges)
     assert divisor.validate(forged)
     steps = trace.steps[:i] + (replace(ts, blowdown=replace(ts.blowdown, config=forged)),)
-    checks = verify_trace(replace(trace, steps=steps), config)
+    checks = verify_trace([replace(trace, steps=steps)], config)
     assert [c.name for c in checks if not c.passed] == [f"quasi_minimal[{i}] replay"]
 
 
@@ -181,13 +181,16 @@ def _near_misses(cfg):
 
 
 def test_the_replay_comparison_is_configuration_equality():
-    # verify_trace compares the replayed MoveState with the step's input
-    # without building the configuration; it must agree with building it
+    # verify_trace compares each MoveState of its one pass up with the step's
+    # input without building the configuration; it must agree with building it
     config, w = _fixture("cp2_13_cusp.json")
     _, _, trace = quasi_minimal_reduce(config, w)
-    for ts in trace.steps:
-        state = moves.replay_state(ts.blowdown)
-        misses = _near_misses(ts.blowdown.pre_config)
+    bds = [ts.blowdown for ts in trace.steps][::-1]
+    states = moves.blowup_states(bds[0].config, [(bd.contraction, bd.move,
+                                                  bd.removed_component or "replayed") for bd in bds])
+    next(states)
+    for bd, state in zip(bds, states):
+        misses = _near_misses(bd.pre_config)
         assert [state.matches(m) for m in misses] == [state.config() == m for m in misses]
         assert [state.matches(m) for m in misses] == [True] + [False] * (len(misses) - 1)
 
@@ -200,7 +203,9 @@ def test_certify_builds_a_pinned_number_of_classes_and_configurations(monkeypatc
     # again for its candidates, (146, 10); while it built every exceptional
     # generator to scan for non-toric candidates, (142, 10); while each of the
     # 5 resolution blowups built a contraction and its sphere's class, (132, 10);
-    # while the two combination checks summed classes to compare, (127, 10)
+    # while the two combination checks summed classes to compare, (127, 10);
+    # while the reduction summed [D] from every component at every step and
+    # classify_kind built [D] + K and its negative, (122, 10)
     config, w = _fixture("cp2_13_cusp.json")
     built = {"classes": 0, "configurations": 0}
     post_init, init = lattice.HomologyClass.__post_init__, DivisorConfig.__init__
@@ -216,7 +221,25 @@ def test_certify_builds_a_pinned_number_of_classes_and_configurations(monkeypatc
     monkeypatch.setattr(lattice.HomologyClass, "__post_init__", count_class)
     monkeypatch.setattr(DivisorConfig, "__init__", count_config)
     certify_affine_ruled(config, w)
-    assert built == {"classes": 122, "configurations": 10}
+    assert built == {"classes": 109, "configurations": 10}
+
+
+def test_the_reduction_sums_k_plus_d_once_per_stage(monkeypatch):
+    # certify's reduction of cp2_13 runs two stages and 9 blowdowns: each stage
+    # sums [D] and area(K + [D]) at its start and carries both through each
+    # blowdown, and certify's hypothesis check is the third adjoint-area sum.
+    # While every step re-summed both, 12 adjoint_area sums, 11 total_class
+    # sums and 11 check_hypothesis calls
+    config, w = _fixture("cp2_13_cusp.json")
+    calls = dict.fromkeys(["adjoint_area", "total_class", "check_hypothesis"], 0)
+    for name in calls:
+        def spy(*args, _name=name, _original=getattr(divisor, name)):
+            calls[_name] += 1
+            return _original(*args)
+        rebind(monkeypatch, getattr(divisor, name), spy)
+    cert = certify_affine_ruled(config, w)
+    assert sum(len(tr.steps) for tr in cert.traces) == 9
+    assert calls == {"adjoint_area": 3, "total_class": 2, "check_hypothesis": 0}
 
 
 def test_check_makes_no_configuration_for_its_replay(monkeypatch):
