@@ -132,8 +132,13 @@ def frac_str(f: Fraction) -> str:
     return str(f)
 
 
+# documents are trees, so the one encoder skips the cycle check
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """json.dumps(obj, sort_keys=True, separators=(",", ":")) on one encoder."""
+    return _CANONICAL.encode(obj)
 
 
 def digest(obj) -> str:
@@ -446,16 +451,20 @@ def certificate_dot(cert: AffineRuledCertificate) -> str:
 # -- plans ---------------------------------------------------------------------
 
 
-def plan_to_doc(plan: InflationPlan) -> dict:
+def plan_to_doc(plan: InflationPlan, target: list[str] | None = None) -> dict:
+    """The plan's document; `target`, if given, is the text of plan.target."""
     nodes = []
     for node in plan.nodes:
         if isinstance(node, SeedNode):
+            vector, base = [frac_str(v) for v in node.vector], node.base
+            if base is not None:
+                base = plan_to_doc(base, vector[:-1] if node.vector[:-1] == base.target else None)
             nodes.append(
                 {
                     "type": "seed",
-                    "base": plan_to_doc(node.base) if node.base is not None else None,
+                    "base": base,
                     "epsilon": frac_str(node.epsilon) if node.epsilon is not None else None,
-                    "vector": [frac_str(v) for v in node.vector],
+                    "vector": vector,
                     "assumption": node.assumption,
                 }
             )
@@ -483,7 +492,7 @@ def plan_to_doc(plan: InflationPlan) -> dict:
         "schema": PLAN_SCHEMA,
         "g": plan.g,
         "n": plan.n,
-        "target": [frac_str(v) for v in plan.target],
+        "target": target if target is not None else [frac_str(v) for v in plan.target],
         "nodes": nodes,
     }
 

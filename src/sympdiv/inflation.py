@@ -109,9 +109,9 @@ def in_region(v: NormalizedVector, variant: str) -> bool:
     return head > 0 and sum(rest[:2]) < den and all(map(operator.ge, rest, rest[1:]))
 
 
-def region_slack(v: NormalizedVector) -> Fraction:
-    """Smallest slack among the strict inequalities of P_g at g = 1."""
-    (db, *rest), den = integer_form_of(v.entries)
+def region_slack(entries: tuple[Fraction, ...]) -> Fraction:
+    """Smallest slack of the strict inequalities of P_g at g = 1 on entries (d_B, d_1, ..)."""
+    (db, *rest), den = integer_form_of(entries)
     if not rest:
         return Fraction(db - den, den)
     return Fraction(min(2 * db - sum(rest), den - sum(rest[:2])), den)
@@ -287,10 +287,11 @@ def verify_plan(plan: InflationPlan) -> list[Check]:
     return checks
 
 
-def _replay(plan: InflationPlan, checks: list[Check], prefix: str):
+def _replay(plan: InflationPlan, checks: list[Check], prefix: str, amb=None):
     """The kernel state the plan ends in, or None after appending the
-    failed check that stopped the replay."""
-    amb = plan_ambient(plan.g, plan.n)
+    failed check that stopped the replay.  A base plan of the plan's (g, n - 1)
+    is replayed on the plan's ambient less E_n; any other gets its own."""
+    amb = amb or plan_ambient(plan.g, plan.n)
     if not plan.nodes or not isinstance(plan.nodes[0], SeedNode):
         checks.append(Check(f"{prefix}seed first", False, "plan must start with a seed node"))
         return None
@@ -300,7 +301,8 @@ def _replay(plan: InflationPlan, checks: list[Check], prefix: str):
             detail = f"base g = {seed.base.g}, plan g = {plan.g}"
             checks.append(Check(f"{prefix}seed base has the plan's genus", False, detail))
             return None
-        sub_state = _replay(seed.base, checks, prefix=prefix + "  ")
+        below = amb.without(amb.dim - 1) if seed.base.n == plan.n - 1 >= 0 else None
+        sub_state = _replay(seed.base, checks, prefix + "  ", below)
         if sub_state is None:
             return None
         ok = (
@@ -394,8 +396,9 @@ def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _build(g: int, d: tuple[Fraction, ...]) -> InflationPlan:
+    """The plan for d.  Its classes are coefficient tuples on (B, F, E_1, .., E_n),
+    E_j at index j + 1, and each label is the text str(HomologyClass) gives."""
     n = len(d) - 1
-    amb = plan_ambient(g, n)
     if n == 0:
         seed = SeedNode(
             None, None, d,
@@ -418,7 +421,7 @@ def _build(g: int, d: tuple[Fraction, ...]) -> InflationPlan:
         return InflationPlan(g, 1, d, (seed, InflateNode((1, 0, 0), "B", t)))
 
     if n % 2 == 0:
-        cap = min(d[n], region_slack(NormalizedVector(1, d))) / 4
+        cap = min(d[n], region_slack(d)) / 4
         eps = simplest_in(cap / 2, cap)
         t = d[n] - eps
         sub = list(d[:-1])
@@ -429,8 +432,8 @@ def _build(g: int, d: tuple[Fraction, ...]) -> InflationPlan:
             base, eps, tuple(sub) + (eps,),
             "a sufficiently small blowup of a Kahler class stays Kahler",
         )
-        z = amb.cls(F=1, **{f"E{n - 1}": -1, f"E{n}": -1})
-        return InflationPlan(g, n, d, (seed, InflateNode(z.coeffs, str(z), t)))
+        z = (0, 1) + (0,) * (n - 2) + (-1, -1)
+        return InflationPlan(g, n, d, (seed, InflateNode(z, f"F-E{n - 1}-E{n}", t)))
 
     # odd n = 2k - 1 >= 3, with the cap of the module docstring
     k = (n + 1) // 2
@@ -450,14 +453,12 @@ def _build(g: int, d: tuple[Fraction, ...]) -> InflationPlan:
         base, eps, tuple(sub) + (eps,),
         "a sufficiently small blowup of a Kahler class stays Kahler",
     )
-    z1 = amb.cls(F=1, **{f"E{n}": -1})
-    nodes: list[PlanNode] = [seed, InflateNode(z1.coeffs, str(z1), t)]
-    for el in range(2, k):
-        z_diag = amb.cls(F=1, **{f"E{2 * el - 1}": -1, f"E{2 * el}": -1})
-        z_down = amb.cls(**{f"E{2 * el}": 1})
-        nodes.append(ZigZagNode(z_diag.coeffs, z_down.coeffs, f"E{2 * el - 1}/E{2 * el}", t, 1))
-
-    zb = amb.cls(B=1, **{f"E{j}": -1 for j in range(2, n, 2)})
-    nodes.append(InflateNode(zb.coeffs, str(zb), t))
+    nodes: list[PlanNode] = [seed, InflateNode((0, 1) + (0,) * (n - 1) + (-1,), f"F-E{n}", t)]
+    for el in range(2, k):  # E_{2l-1}, E_{2l} at indices 2l, 2l + 1
+        head, tail = (0,) * (2 * el - 2), (0,) * (n - 2 * el)
+        nodes.append(ZigZagNode((0, 1, *head, -1, -1, *tail), (0, 0, *head, 0, 1, *tail),
+                                f"E{2 * el - 1}/E{2 * el}", t, 1))
+    zb = (1, 0, *((0, -1) * k)[:n])  # B - E_2 - E_4 - .. - E_{n-1}
+    nodes.append(InflateNode(zb, "B" + "".join(f"-E{j}" for j in range(2, n, 2)), t))
     return InflationPlan(g, n, d, tuple(nodes))
 

@@ -298,6 +298,12 @@ class AmbientLattice:
         out.__dict__["fresh_exc_name"] = f"E{top + n}"
         return out
 
+    def without(self, idx: int) -> "AmbientLattice":
+        """These names less the one at idx, as the emptied kind when no exceptional is left."""
+        names = self.names[:idx] + self.names[idx + 1 :]
+        emptied = self.record.emptied if len(names) == self.exc_start else None
+        return AmbientLattice(emptied or self.kind, self.g, names)
+
     def describe(self) -> str:
         return self.record.template.format(g=self.g, n=self.n_exc)
 

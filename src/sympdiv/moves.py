@@ -178,7 +178,7 @@ def _contraction_for(e: HomologyClass) -> Contraction:
     amb = e.ambient
     try:
         t, idx = normalize_to_basis(e)
-        return Contraction(amb, _drop_ambient(amb, idx), e, t, idx)
+        return Contraction(amb, amb.without(idx), e, t, idx)
     except NormalizeError:
         pass
     con = _bridge(e, AmbientLattice.product_of_spheres())
@@ -199,7 +199,7 @@ def recorded_contraction(e: HomologyClass, word: LatticeMap, slot: int | None) -
         return con
     if slot not in e.ambient.exc_indices:
         raise MoveError(f"slot {slot} is no exceptional generator of {e.ambient.describe()}")
-    return Contraction(e.ambient, _drop_ambient(e.ambient, slot), e, word, slot)
+    return Contraction(e.ambient, e.ambient.without(slot), e, word, slot)
 
 
 def blowup_contraction(ambient: AmbientLattice) -> tuple[Contraction, str]:
@@ -435,12 +435,6 @@ def detect_pattern(config: DivisorConfig, e: HomologyClass, row: tuple[int, ...]
     if total == 1 and len(hot) == 1:
         return "non_toric", NonToricBlowup(hot[0]), None, hot
     raise MoveError(f"no blowdown pattern matches class {e}: pairing {total} spread over {hot}")
-
-
-def _drop_ambient(ambient: AmbientLattice, idx: int) -> AmbientLattice:
-    names = ambient.names[:idx] + ambient.names[idx + 1 :]
-    emptied = ambient.record.emptied if len(names) == ambient.exc_start else None
-    return AmbientLattice(emptied or ambient.kind, ambient.g, names)
 
 
 def blowdown(config: DivisorConfig, e: HomologyClass, w: AreaVector | None = None) -> BlowdownStep:

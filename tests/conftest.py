@@ -12,7 +12,7 @@ from pathlib import Path
 
 from sympdiv.divisor import DivisorConfig, adjoint_area, validate
 from sympdiv.exceptional import EnumerationError, _degree_bound
-from sympdiv.inflation import NormalizedVector, PlanError
+from sympdiv.inflation import NormalizedVector, PlanError, plan_ambient
 from sympdiv.lattice import (
     AmbientLattice,
     AreaVector,
@@ -494,3 +494,37 @@ def normalize(a: AreaVector) -> NormalizedVector:
     if f <= 0:
         raise PlanError("fiber area must be positive")
     return NormalizedVector(a.ambient.g, (a.areas[0] / f, *(v / f for v in a.areas[2:])))
+
+
+# -- plan levels built by name -----------------------------------------------------
+
+
+def recipe_target(g: int, n: int, s=Fraction(3, 2)) -> NormalizedVector:
+    """The inflate workload's family: d_i = (2/5)(9/10)^(i-1) and
+    d_B = (sum d_i + 2g - 2)/2 + s, inside P_g for every n >= 0 when s > 1."""
+    d = [Fraction(2, 5) * Fraction(9, 10) ** (i - 1) for i in range(1, n + 1)]
+    return NormalizedVector(g, ((sum(d, Fraction(0)) + 2 * g - 2) / 2 + s, *d))
+
+
+def by_name_nodes(g: int, n: int) -> list[tuple]:
+    """The nodes after the seed of a planner level of (g, n), as the planner
+    built them by generator name on plan_ambient(g, n): (z, label) for an
+    inflate node and (z_diag, z_down, label) for a zig-zag node."""
+    amb = plan_ambient(g, n)
+    if n == 0:
+        return []
+    if n == 1:
+        z = amb.cls(B=1)
+        return [(z.coeffs, str(z))]
+    if n % 2 == 0:
+        z = amb.cls(F=1, **{f"E{n - 1}": -1, f"E{n}": -1})
+        return [(z.coeffs, str(z))]
+    z1 = amb.cls(F=1, **{f"E{n}": -1})
+    out = [(z1.coeffs, str(z1))]
+    for el in range(2, (n + 1) // 2):
+        z_diag = amb.cls(F=1, **{f"E{2 * el - 1}": -1, f"E{2 * el}": -1})
+        z_down = amb.cls(**{f"E{2 * el}": 1})
+        out.append((z_diag.coeffs, z_down.coeffs, f"E{2 * el - 1}/E{2 * el}"))
+    zb = amb.cls(B=1, **{f"E{j}": -1 for j in range(2, n, 2)})
+    out.append((zb.coeffs, str(zb)))
+    return out

@@ -7,26 +7,30 @@
   same given the canonical text, a pretty-printed text or no text.  Every
   one-leaf change of a canonically written certificate is rejected, so the
   byte comparison is never the only thing between a tampered leaf and exit 0.
+* The one module-level encoder of `canonical_json` writes what
+  json.dumps(obj, sort_keys=True, separators=(",", ":")) writes, on every
+  fixture certificate, every tests/data document and the plans for n = 0..31.
 * The contraction check on coefficient tuples equals the class-level one it
   replaced, kept here as the reference, messages included: on every recorded
   contraction of the fixture certificates and on forged words.
 * Cyclic garbage is pinned, collected with the collector off after a
   warm-up run: a search leaves none, and what certify and check leave is the
   ambients they make, each of which its cached canonical class points back
-  at, and nothing else.
+  at, and nothing else; `inflate` and `check` of a plan leave nothing.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, perfbench_module, recipe_target
 from sympdiv import checker, documents
 from sympdiv.checks import Check
 from sympdiv.documents import DocumentError, canonical_json, parse_config
@@ -36,6 +40,7 @@ from sympdiv.exceptional import (
     find_witness,
     normalize_to_basis,
 )
+from sympdiv.inflation import plan_kahler
 from sympdiv.lattice import (
     AmbientLattice,
     AreaVector,
@@ -86,6 +91,16 @@ def test_the_checks_do_not_depend_on_the_text_given(name, doc, monkeypatch):
         # the document given is encoded only when its text is not the
         # rebuilt document's encoding
         assert (n_canon, n_pretty, n_none) == (0, 1, 1)
+
+
+def test_the_one_encoder_writes_what_json_dumps_writes():
+    # canonical_json reuses one encoder without the cycle check
+    plans = [documents.plan_to_doc(plan_kahler(recipe_target(g, n)))
+             for g in (1, 2, 3) for n in range(32)]
+    docs = [doc for _, doc in _documents()] + plans
+    assert len(docs) == len(CERTIFICATES) + len(list(DATA.glob("*.json"))) + 96
+    for doc in docs:
+        assert canonical_json(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("name", ["trident_cp2_4.json", "cp2_line.json"])
@@ -210,7 +225,11 @@ def _ambients_left(left: list) -> int:
 # and validated the configuration its replay ends in, the searches' cells,
 # closures and lists were left too: 310 objects per certify on cp2_13 against
 # 55 after, on Python 3.11
+#
+# "plan16" is the n = 16 plan of the inflate workload at seed 1, per (inflate,
+# check): a plan's ambients never build a canonical class, so none is left
 AMBIENTS_LEFT = {
+    "plan16": (0, 0),
     "cp2_13_cusp.json": (11, 11),
     "trident_cp2_4.json": (4, 4),
     "near_boundary_cp2_9.json": (9, 9),
@@ -222,13 +241,17 @@ AMBIENTS_LEFT = {
 
 @pytest.mark.parametrize("name", sorted(AMBIENTS_LEFT))
 def test_certify_and_check_leave_only_the_ambients_they_make(name, tmp_path):
-    source = str(FIXTURES / name)
-    code, text = _run(["certify", source])
+    if name == "plan16":
+        ops = perfbench_module("workloads").inflate(random.Random(1), tmp_path, None)
+        produce = ops[-1].produce_argv
+    else:
+        produce = ["certify", str(FIXTURES / name)]
+    code, text = _run(produce)
     assert code == 0
     cert = tmp_path / "cert.json"
     cert.write_text(text, encoding="utf-8")
     counts = tuple(_ambients_left(_garbage(lambda argv=argv: _run(argv))) for argv in
-                   (["certify", source], ["check", str(cert)]))
+                   (produce, ["check", str(cert)]))
     assert counts == AMBIENTS_LEFT[name]
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -579,6 +580,22 @@ def test_a_plan_document_reads_each_rational_string_once(monkeypatch, capsys):
     # entries repeat within a vector: 363 strings, 128 distinct
     assert (len(written), len(reads)) == (363, 128)
     assert documents.plan_to_doc(plan) == {k: v for k, v in doc.items() if k != "verification"}
+
+
+def test_a_plan_document_writes_each_rational_once(monkeypatch):
+    # a base plan's target is its parent seed's vector less the last entry and
+    # is written from that vector's strings: of the 363 strings, the 135 of the
+    # 15 base targets are not written again
+    plan = plan_kahler(NormalizedVector.of(2, _golden_target(16, 2).split(",")))
+    writes, frac_str = [], documents.frac_str
+    monkeypatch.setattr(documents, "frac_str", lambda f: writes.append(f) or frac_str(f))
+    doc = documents.plan_to_doc(plan)
+    assert (len(list(_plan_rationals(doc))), len(writes)) == (363, 228)
+    # a hand-built base whose target is not its parent's seed vector writes its own
+    base = plan.nodes[0].base
+    seed = replace(plan.nodes[0], base=replace(base, target=base.target[::-1]))
+    doc = documents.plan_to_doc(replace(plan, nodes=(seed, *plan.nodes[1:])))
+    assert doc["nodes"][0]["base"]["target"] == [str(x) for x in base.target[::-1]]
 
 
 def _shorten_class(doc):

@@ -208,10 +208,12 @@ def test_random_targets_all_n(capsys):
     assert rejected > 0
 
 
-@pytest.mark.parametrize("depth,genus", [(0, 7), (1, 9)])
+@pytest.mark.parametrize("depth,genus", [(0, 7), (1, 9), (2, 5)])
 def test_replay_refuses_a_base_plan_of_another_genus(depth, genus, tmp_path, capsys):
-    # the replay's numbers do not depend on g, so only the seed check sees it
-    assert main(["inflate", "--n", "3", "--g", "1", "--target", "2,1/2,2/5,1/5"]) == 0
+    # the replay's numbers do not depend on g, so only the seed check sees it;
+    # the n = 5 plan has base plans three deep
+    target = "2,1/2,2/5,1/5" if depth < 2 else "4,2/5,9/25,81/250,729/2500,6561/25000"
+    assert main(["inflate", "--n", str(target.count(",")), "--g", "1", "--target", target]) == 0
     doc = json.loads(capsys.readouterr().out)
     base = doc["nodes"][0]["base"]
     for _ in range(depth):

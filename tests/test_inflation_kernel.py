@@ -345,14 +345,39 @@ def test_a_hand_built_class_of_another_length_is_a_lattice_error(field, extra):
         verify_plan(replace(plan, nodes=tuple(nodes)))
 
 
-@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("depth", [0, 1, 2])
 def test_a_hand_built_plan_whose_n_disagrees_with_its_vectors_is_a_lattice_error(depth):
     # its states have n + 2 areas and its classes n + 2 coefficients, but the
-    # plan's ambient has n + 3 generators
+    # plan's ambient has n + 3 generators; below the top, its n is its
+    # parent's, so it is no base of its parent's (g, n - 1) and builds its own
     levels = _levels(plan_kahler(_PLAN5))
     level = replace(levels[depth], n=levels[depth].n + 1)
     with pytest.raises(LatticeError, match="^coefficient length does not match basis$"):
         verify_plan(_rebuild(levels, depth, level))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_hand_built_levels_all_one_too_large_are_a_lattice_error(depth):
+    # every level from `depth` down has n one too large, so each base below it
+    # is its parent's (g, n - 1) and takes the ambient from the level above:
+    # one generator too many, as plan_ambient(g, n) has
+    levels = _levels(plan_kahler(_PLAN5))
+    level = None
+    for lv in reversed(levels[depth:]):
+        if level is not None:
+            lv = replace(lv, nodes=(replace(lv.nodes[0], base=level), *lv.nodes[1:]))
+        level = replace(lv, n=lv.n + 1)
+    with pytest.raises(LatticeError, match="^coefficient length does not match basis$"):
+        verify_plan(_rebuild(levels, depth, level))
+
+
+def test_a_hand_built_base_of_n_minus_1_is_a_lattice_error():
+    # a base of its parent's (g, n - 1) takes the ambient from above, but
+    # below n = 0 there is none to take: plan_ambient refuses n = -1
+    plan = plan_kahler(NormalizedVector.of(1, [3]))
+    seed = replace(plan.nodes[0], base=replace(plan, n=-1))
+    with pytest.raises(LatticeError, match="^ruled_trivial needs n >= 0$"):
+        verify_plan(replace(plan, nodes=(seed,)))
 
 
 @pytest.mark.parametrize("g,n", [(1, 3), (2, 2)])
@@ -453,7 +478,7 @@ def region_vectors(draw):
 def test_integer_regions_match_the_fraction_regions(v):
     for variant in ("P", "P_g"):
         assert in_region(v, variant) is ref_in_region(v, variant), variant
-    slack = region_slack(v)
+    slack = region_slack(v.entries)
     assert slack == ref_region_slack(v) and isinstance(slack, Fraction)
 
 
@@ -467,7 +492,7 @@ def test_integer_regions_match_the_fraction_regions(v):
 def test_integer_regions_on_boundaries(v):
     for variant in ("P", "P_g"):
         assert in_region(v, variant) is ref_in_region(v, variant)
-    assert region_slack(v) == ref_region_slack(v)
+    assert region_slack(v.entries) == ref_region_slack(v)
     with pytest.raises(PlanError, match="unknown region variant"):
         in_region(v, "Q")
 

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perfbench_module, state_from_vector
-from sympdiv import documents, inflation
+from sympdiv import documents, inflation, lattice
 from sympdiv.checks import all_passed
 from sympdiv.cli import main
 from sympdiv.inflation import (
@@ -266,10 +266,14 @@ def test_near_boundary_substeps_are_pinned(n, d, want):
     assert _substep_lists(plan_kahler(NormalizedVector.of(1, [4] + [d] * n))) == want
 
 
+def _recipe_ops(seed, workdir=Path()):
+    """The operations of the inflate workload at `seed`, n = 2..16."""
+    return perfbench_module("workloads").inflate(random.Random(seed), workdir, None)
+
+
 def _recipe_targets(seed):
     """The targets of the inflate workload at `seed`, n = 2..16."""
-    ops = perfbench_module("workloads").inflate(random.Random(seed), Path(), None)
-    for op in ops:
+    for op in _recipe_ops(seed):
         argv = op.produce_argv
         g, target = argv[argv.index("--g") + 1], argv[argv.index("--target") + 1]
         yield NormalizedVector.of(int(g), target.split(","))
@@ -301,6 +305,33 @@ def test_the_n16_recipe_plan_steps_nothing_in_the_planner():
         assert (steps.call_count, nodes.call_count) == (0, 0)
         assert all_passed(verify_plan(plan))
         assert (steps.call_count, nodes.call_count) == (23, 21)
+
+
+def test_the_n16_recipe_plan_builds_a_pinned_number_of_ambients_and_classes(
+        monkeypatch, tmp_path, capsys):
+    # (plan_ambient calls, ambients, classes) built by `inflate` and by `check`
+    # of that plan.  While every level built plan_ambient(g, n), in the planner
+    # and again in the replay, and the planner built each node's classes by
+    # generator name: (32, 32, 64) and (16, 16, 0)
+    op = _recipe_ops(1, tmp_path)[-1]
+    built = {"plan_ambient": 0, "ambients": 0, "classes": 0}
+
+    def counting(key, f):
+        def spy(*args):
+            built[key] += 1
+            return f(*args)
+        return spy
+
+    monkeypatch.setattr(inflation, "plan_ambient", counting("plan_ambient", plan_ambient))
+    for cls, key in ((lattice.AmbientLattice, "ambients"), (lattice.HomologyClass, "classes")):
+        monkeypatch.setattr(cls, "__post_init__", counting(key, cls.__post_init__))
+    assert main(op.produce_argv) == 0
+    produced = tuple(built.values())
+    Path(op.out_path).write_text(capsys.readouterr().out, encoding="utf-8")
+    built.update(dict.fromkeys(built, 0))
+    assert main(["check", op.out_path]) == 0
+    assert capsys.readouterr().out == "plan ok\n"
+    assert (produced, tuple(built.values())) == ((1, 16, 0), (1, 16, 0))
 
 
 # -- targets near every face of P_g ---------------------------------------------------
