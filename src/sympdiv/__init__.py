@@ -11,7 +11,7 @@ from .lattice import (
     pair,
     sw_index,
 )
-from .divisor import DivisorConfig, check_hypothesis, smooth_all, total_class, total_genus, validate
+from .divisor import DivisorConfig, check_hypothesis, smooth_all, total_class, validate
 
 __all__ = [
     "AmbientLattice",
@@ -27,6 +27,5 @@ __all__ = [
     "check_hypothesis",
     "smooth_all",
     "total_class",
-    "total_genus",
     "validate",
 ]

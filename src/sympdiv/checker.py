@@ -22,7 +22,9 @@ exceptional classes.  From the recorded decisions alone it
     `cusp.build_certificate`, with the recorded chain labeling, the route's
     one free choice: the cusp fixes the resolution and the combination,
     which are recomputed, not read; goodness of the resolution class is
-    decided by certify's `goodness_search` at the recorded area bound;
+    decided by certify's `goodness_search` at the recorded area bound.  On
+    a b2 <= 2 terminal the rule of `cusp._b2_route`, not the document,
+    picks the chain or the fiber route;
   - serializes the certificate the driver builds and requires the document
     given, as the text it was read from if given, else canonically.
 

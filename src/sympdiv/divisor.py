@@ -223,15 +223,6 @@ def total_genus_parts(config: DivisorConfig) -> tuple[int, int]:
     return closed, graph
 
 
-def total_genus(config: DivisorConfig) -> int:
-    closed, graph = total_genus_parts(config)
-    if closed != graph:
-        raise DivisorError(
-            f"total genus disagreement: adjunction gives {closed}, graph gives {graph}"
-        )
-    return closed
-
-
 # -- smoothing ----------------------------------------------------------------
 
 

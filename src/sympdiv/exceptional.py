@@ -331,7 +331,7 @@ def normalize_to_basis(e: HomologyClass) -> tuple[LatticeMap, int]:
     descends = amb.kind == KIND_RATIONAL and amb.n_exc >= 3
     triples = cremona_descent(e.coeffs) if descends else None
     if triples is None:
-        raise NormalizeError(f"{e} normalizes to no generator of {amb.describe()}")
+        raise NormalizeError(f"no contraction available for {e} in {amb.describe()}")
 
     slots = range(1, amb.dim)
     t = LatticeMap(amb, tuple(HomologyClass(amb, (1,) + tuple(-(m in ijk) for m in slots))

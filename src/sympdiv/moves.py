@@ -14,22 +14,22 @@ Both directions share one lattice record, the `Contraction` from the
 blown-up ambient (pre) to the other (post): the contracted class e, `drop`
 on the coefficients of classes orthogonal to e, its section `lift` back (the
 total transform), `pull_back` of areas along the section and `extend`, which
-gives e an area and every other class the area of its image.  Blowdown
-normalizes a general exceptional class to a basis generator by a word of
-reflections (exceptional.normalize_to_basis) and drops that generator's
-slot.  A blowup is the section of a contraction built directly for a fresh
-generator, with an empty word (`blowup_contraction`).  One bridge changes
-the basis kind and carries explicit coordinates instead: CP2#2 -> S2xS2
-contracting H-E1-E2, which is also the blowup of S2xS2.  Blowups at fresh
-points (`FreshBlowups`; `blowup` is its one-move call) lift each class once,
-along the first one's section and then by zero padding, and take each
-sphere off at its slots; the replays of a blowdown and of a reduction, whose
-contractions carry words, lift along each step's section (`blowup_states`).
-Both `_rewrite` the classes and edges by each move, which checks nothing of
-validity but the sphere's id: `FreshBlowups.blow_up` validates what it
-makes, and verify_trace and the checker compare each replay with the
-validated configuration it must equal.  Blowdown, on coefficient tuples,
-validates nothing either (see `blowdown`).
+gives e an area and every other class the area of its image.  One bridge
+changes the basis kind and carries explicit coordinates: CP2#2 -> S2xS2
+contracting H-E1-E2, which is also the blowup of S2xS2.  Blowdown takes it
+when e is its class and otherwise normalizes e to a basis generator by a
+word of reflections (exceptional.normalize_to_basis) and drops that
+generator's slot; no class has both.  A blowup is the section of a
+contraction built directly for a fresh generator, with an empty word
+(`blowup_contraction`).  Blowups at fresh points (`FreshBlowups`; `blowup`
+is its one-move call) lift each class once, along the first one's section
+and then by zero padding, and take each sphere off at its slots; the replays
+of a blowdown and of a reduction, whose contractions carry words, lift along
+each step's section (`blowup_states`).  Both `_rewrite` the classes and
+edges by each move, which checks nothing of validity but the sphere's id:
+`FreshBlowups.blow_up` validates what it makes, and verify_trace and the
+checker compare each replay with the validated configuration it must equal.
+Blowdown, on coefficient tuples, validates nothing either (see `blowdown`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisor import DivisorComponent, DivisorConfig, require_valid
-from .exceptional import NormalizeError, normalize_to_basis
+from .exceptional import normalize_to_basis
 from .lattice import (
     BY_BRIDGE,
     KIND_RATIONAL,
@@ -163,28 +163,23 @@ def _matvec(rows, vec):
 _S2S2_BRIDGE = ((1, -1, -1), ((1, 1, 0), (1, 0, 1)), ((1, 1), (0, -1), (-1, 0)))
 
 
-def _bridge(e: HomologyClass, post: AmbientLattice) -> Contraction | None:
-    """The bridge onto post, S2xS2, if e is H-E1-E2 in CP2#2."""
+def _bridge(e: HomologyClass, post: AmbientLattice | None = None) -> Contraction | None:
+    """The bridge onto post (by default S2xS2, built only then) if e is H-E1-E2 in CP2#2."""
     amb = e.ambient
     coeffs, fwd, back = _S2S2_BRIDGE
     if amb.kind != KIND_RATIONAL or e.coeffs != coeffs:
         return None
+    post = post or AmbientLattice.product_of_spheres()
     return Contraction(amb, post, e, LatticeMap.identity(amb), None, fwd, back)
 
 
 def _contraction_for(e: HomologyClass) -> Contraction:
-    """Normalize e to a generator and drop it; where no normalization exists,
-    the bridge onto S2xS2."""
-    amb = e.ambient
-    try:
-        t, idx = normalize_to_basis(e)
-        return Contraction(amb, amb.without(idx), e, t, idx)
-    except NormalizeError:
-        pass
-    con = _bridge(e, AmbientLattice.product_of_spheres())
-    if con is None:
-        raise NormalizeError(f"no contraction available for {e} in {amb.describe()}")
-    return con
+    """The bridge onto S2xS2 if e is its class, H-E1-E2 in CP2#2; else e
+    normalized to a generator and dropped, or refused by normalize_to_basis."""
+    if (con := _bridge(e)) is not None:
+        return con
+    t, idx = normalize_to_basis(e)
+    return Contraction(e.ambient, e.ambient.without(idx), e, t, idx)
 
 
 def recorded_contraction(e: HomologyClass, word: LatticeMap, slot: int | None) -> Contraction:
@@ -193,8 +188,7 @@ def recorded_contraction(e: HomologyClass, word: LatticeMap, slot: int | None) -
     whose class e is.  Nothing is searched; that the word takes e to the
     generator at slot is left to the caller to check."""
     if slot is None:
-        con = _bridge(e, AmbientLattice.product_of_spheres())
-        if con is None:
+        if (con := _bridge(e)) is None:
             raise MoveError(f"{e} is not the class of a bridge")
         return con
     if slot not in e.ambient.exc_indices:

@@ -10,7 +10,14 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from sympdiv.divisor import DivisorConfig, adjoint_area, validate
+from sympdiv import cusp
+from sympdiv.divisor import (
+    DivisorConfig,
+    DivisorError,
+    adjoint_area,
+    total_genus_parts,
+    validate,
+)
 from sympdiv.exceptional import EnumerationError, _degree_bound
 from sympdiv.inflation import NormalizedVector, PlanError, plan_ambient
 from sympdiv.lattice import (
@@ -32,6 +39,7 @@ from sympdiv.moves import (
     area_after_blowup,
     blowup,
 )
+from sympdiv.reduction import ReductionError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -236,6 +244,43 @@ def sample_admissible(rng: random.Random):
         adm = admissible_check(a)
         if adm.accepted and max(abs(x) for x in a) <= 6 and adm.p + adm.q <= 300:
             return a
+
+
+# -- divisors and routes, as the library had them ----------------------------------
+
+
+def total_genus(config: DivisorConfig) -> int:
+    """The genus of the smoothed divisor, by the closed adjunction formula,
+    which must agree with the graph formula."""
+    closed, graph = total_genus_parts(config)
+    if closed != graph:
+        raise DivisorError(
+            f"total genus disagreement: adjunction gives {closed}, graph gives {graph}"
+        )
+    return closed
+
+
+def reference_b2_route(term, wt, tag, goodness, labelings):
+    """`cusp._b2_route` as it was before it followed its rule: every terminal
+    of two or more components tries the chain route, and any CertifyError or
+    ReductionError of it falls back to the fiber route."""
+    if tag is None:
+        raise cusp.CertifyError("minimal_model",
+                                f"no minimal-model case matches {term.ambient.describe()}")
+    name = tag.case
+    if name == "A3p":
+        res = cusp._stage("resolution", lambda: cusp._a3_resolution(term))
+        return cusp.resolved_route("a3-special", term, wt, cusp.a3_cusp(term), res,
+                                   {term.components[0].id: 1}, goodness)
+    if name == "A1p":
+        return cusp._chain_route(cusp.a1p_augmented(term), wt, f"minimal-model:{name}",
+                                 goodness, labelings)
+    if len(term.components) >= 2:
+        try:
+            return cusp._chain_route(term, wt, f"minimal-model:{name}", goodness, labelings)
+        except (cusp.CertifyError, ReductionError):
+            pass
+    return cusp.fiber_route(term, wt, name, goodness)
 
 
 # -- random configurations -------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import cp2_13_cusp, random_blowup_config
+from conftest import cp2_13_cusp, random_blowup_config, total_genus
 from sympdiv.divisor import (
     DivisorConfig,
     DivisorError,
@@ -15,7 +15,6 @@ from sympdiv.divisor import (
     first_betti,
     smooth_all,
     total_class,
-    total_genus,
     total_genus_parts,
     validate,
 )
