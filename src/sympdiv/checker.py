@@ -9,10 +9,10 @@ exceptional classes.  From the recorded decisions alone it
     are orthogonal to K, the contracted class e is exceptional (in the
     Cremona orbit on CP2#n, n >= 3) of positive area, and the word takes e
     to the generator it drops (or e is the class of a bridge);
-  - replays the recorded blowups up from the recorded terminal in one pass
-    on coefficient tuples, each step checked by moves.blowup_states, with the
-    hypothesis on both sides of each step read off the tuples, and compares
-    where it ends with the validated input, which it must equal;
+  - replays the recorded blowups up from the recorded terminal by
+    `reduction.verify_trace`, the replay certify runs on its own traces: one
+    pass on coefficient tuples, with the hypothesis on both sides of each step
+    read off the tuples, which must end at the validated input;
   - searches, for every contracted e, for an exceptional E != e with
     0 < area(E) <= area(e) and E.e < 0 (exceptional.find_witness).  An e
     represented by an embedded sphere has none (positivity of
@@ -39,12 +39,12 @@ import operator
 from . import documents
 from .checks import Check
 from .cusp import CertifyError, CuspError, adjoint_check, build_certificate
-from .divisor import DivisorError, adjoint_area_of, validate
+from .divisor import DivisorError, validate
 from .documents import DocumentError
 from .exceptional import EnumerationError, find_witness
 from .lattice import AreaVector, LatticeError, area, is_exceptional_class, pairing_row
-from .moves import BlowdownStep, MoveError, blowup_states
-from .reduction import NEXT_STAGE, ReductionTrace, TraceStep, step_checks
+from .moves import BlowdownStep, MoveError
+from .reduction import NEXT_STAGE, ReductionTrace, verify_trace
 
 # what a document that does not replay raises inside the library
 _REPLAY_ERRORS = (CertifyError, CuspError, DivisorError, EnumerationError, LatticeError, MoveError)
@@ -123,14 +123,13 @@ def _check(doc: dict, out: list[Check], text: str | None) -> None:
 
 
 def _replay_traces(doc, config, w, out):
-    """The reduction of build_certificate, by replay: the traces, their
-    checks, the terminal configuration with its areas, and the chain
-    labeling the document records.  Areas go down from the input,
-    configurations up from the terminal, so the traces chain and replay by
-    construction; the stage and terminal labels must walk NEXT_STAGE, and
-    are not otherwise re-derived."""
-    recorded = []  # (stage, terminal, [(contraction, move, sphere, pre areas, post areas)])
-    amb, cur_w, expected = config.ambient, w, "quasi_minimal"
+    """The reduction of build_certificate, by replay: the traces and their
+    checks from reduction.verify_trace, the terminal configuration with its
+    areas, and the chain labeling the document records.  Each recorded
+    contraction is checked on the areas carried down from the input, and each
+    contracted class searched for a witness; the stage and terminal labels
+    must walk NEXT_STAGE, and are not otherwise re-derived."""
+    traces, amb, cur_w, expected = [], config.ambient, w, "quasi_minimal"
     for t, tr in enumerate(_get(doc, "traces", list, "certificate")):
         where = f"traces[{t}]"
         stage, terminal = _get(tr, "stage", str, where), _get(tr, "terminal", str, where)
@@ -147,10 +146,10 @@ def _replay_traces(doc, config, w, out):
             con = documents.doc_to_contraction(st.get("contraction"), e)
             move, sphere = documents.doc_to_move(st.get("move"))
             _need(out, _contraction_check(f"{stage}[{i}]", con, cur_w))
-            post_w = con.pull_back(cur_w)
-            steps.append((con, move, sphere, cur_w, post_w))
-            amb, cur_w = con.post, post_w
-        recorded.append((stage, terminal, steps))
+            steps.append(BlowdownStep(None, None, move.kind, move, con, sphere,
+                                      con.pull_back(cur_w)))
+            amb, cur_w = con.post, steps[-1].new_area
+        traces.append(ReductionTrace(stage, tuple(steps), terminal))
     if expected not in (None, "small_b2"):
         raise DocumentError(f"traces: they end where certify runs {expected!r}")
 
@@ -158,32 +157,18 @@ def _replay_traces(doc, config, w, out):
     _need(out, Check("terminal areas are the input's, carried down", wt == cur_w, ""))
     problems = validate(term, wt)
     _need(out, Check("terminal is valid", not problems, "; ".join(problems)))
-
-    flat = [step for _, _, steps in recorded for step in steps]
-    states = blowup_states(term, [(con, move, sphere) for con, move, sphere, _, _ in flat[::-1]])
-    state = next(states)
-    traces, hyp_post = [], adjoint_area_of(state.classes.values(), wt) < 0
-    for stage, terminal, steps in reversed(recorded):
-        replayed = []
-        for (con, move, sphere, pre_w, post_w), state in zip(reversed(steps), states):
-            hyp_pre = adjoint_area_of(state.classes.values(), pre_w) < 0
-            bd = BlowdownStep(None, None, move.kind, move, con, sphere, post_w)
-            replayed.append(TraceStep(bd, con.pre.b2, con.post.b2, hyp_pre, hyp_post))
-            hyp_post = hyp_pre
-        traces.append(ReductionTrace(stage, tuple(reversed(replayed)), terminal))
-    traces.reverse()
-    _need(out, Check("replay reaches the input", state.matches(config), ""))
-
-    steps = [(tr.stage, i, ts) for tr in traces for i, ts in enumerate(tr.steps)]
-    for (stage, i, ts), (_, _, _, pre_w, _) in zip(steps, flat):
-        e = ts.target
-        witness = find_witness(e, pre_w, area(e, pre_w))
-        detail = (f"{witness} pairs negatively with {e} within its area" if witness
-                  else f"no other exceptional class within area({e}) pairs negatively with it")
-        _need(out, Check(f"{stage}[{i}] has no witness", witness is None, detail))
+    traces, checks = verify_trace(traces, term, config, w)
+    pre_w = w
+    for tr in traces:
+        for i, ts in enumerate(tr.steps):
+            e = ts.target
+            witness = find_witness(e, pre_w, area(e, pre_w))
+            detail = (f"{witness} pairs negatively with {e} within its area" if witness
+                      else f"no other exceptional class within area({e}) pairs negatively with it")
+            _need(out, Check(f"{tr.stage}[{i}] has no witness", witness is None, detail))
+            pre_w = ts.blowdown.new_area
     cusp = _get(doc, "cusp", dict, "certificate")
     chain, k = _get(cusp, "chain", list, "cusp"), _get(cusp, "k", int, "cusp")
-    checks = [c for stage, i, ts in steps for c in step_checks(stage, i, ts, True, True)]
     return traces, checks, term, wt, lambda _: [(chain, k)] if k else []
 
 

@@ -573,7 +573,7 @@ def _stage(stage, fn):
 def _reduce(config, w):
     """certify's reduction along NEXT_STAGE, each stage given the previous
     trace's classification; a trace is kept unless it is a small-b2 trace
-    that contracts nothing, and verify_trace rechecks them all after the last."""
+    that contracts nothing, and verify_trace replays them all after the last."""
     run = {  # built per call, so that a stage function rebound by a tracer is the one run
         "quasi_minimal": lambda cfg, cw, _: quasi_minimal_reduce(cfg, cw),
         "partially_minimal": partially_minimal_reduce,
@@ -586,7 +586,7 @@ def _reduce(config, w):
         if tr.steps or stage != "small_b2":
             traces.append(tr)
         stage, info = NEXT_STAGE[stage, tr.terminal], tr.classification
-    return traces, verify_trace(traces, config), term, wt, _good_chains
+    return *verify_trace(traces, term, config, w), term, wt, _good_chains
 
 
 def _good_chains(term):

@@ -253,14 +253,14 @@ def adjoint_area(config: DivisorConfig, w: AreaVector) -> Fraction:
     """area(K + [D]), summed on w's integer form with one division."""
     if config.ambient != w.ambient or any(c.cls.ambient != w.ambient for c in config.components):
         raise LatticeError("ambient mismatch")
-    return adjoint_area_of([c.cls.coeffs for c in config.components], w)
+    return adjoint_area_of(config.ambient, [c.cls.coeffs for c in config.components], w)
 
 
-def adjoint_area_of(vecs, w: AreaVector) -> Fraction:
-    """adjoint_area of the classes with coefficient tuples vecs in w's ambient:
-    K + [D] summed first, then one dot product."""
+def adjoint_area_of(ambient, vecs, w: AreaVector) -> Fraction:
+    """adjoint_area of the classes with coefficient tuples vecs in ambient, on areas w of an
+    equal ambient: K + [D] summed first (K is ambient's, cached on it), then one dot product."""
     nums, den = w.integer_form
-    total = map(sum, zip(canonical(w.ambient).coeffs, *vecs))
+    total = map(sum, zip(canonical(ambient).coeffs, *vecs))
     return Fraction(sum(map(operator.mul, total, nums)), den)
 
 

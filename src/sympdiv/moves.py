@@ -27,8 +27,9 @@ and then by zero padding, and take each sphere off at its slots; the replays
 of a blowdown and of a reduction, whose contractions carry words, lift along
 each step's section (`blowup_states`).  Both `_rewrite` the classes and
 edges by each move, which checks nothing of validity but the sphere's id:
-`FreshBlowups.blow_up` validates what it makes, and verify_trace and the
-checker compare each replay with the validated configuration it must equal.
+`FreshBlowups.blow_up` validates what it makes, and reduction.verify_trace,
+the one replay of a reduction for certify and check, compares where it ends
+with the validated configuration it must equal.
 Blowdown, on coefficient tuples, validates nothing either (see `blowdown`).
 """
 
@@ -337,12 +338,11 @@ def _rewrite(state: MoveState, move: BlowupMove, new_id: str, take, sphere) -> N
 
 
 def blowup_states(config: DivisorConfig, steps):
-    """Shared core of replay_blowdown, verify_trace and the checker's replay,
-    which validates nothing: for each (contraction, move, sphere id) step on a
-    blowup of the ambient before it, lift every class along the section, then
-    rewrite the classes and edges by the move, the contracted class the new
-    sphere.  Yields its one MoveState, updated in place, before the first step
-    and after each."""
+    """Shared core of replay_blowdown and verify_trace, which validates nothing:
+    for each (contraction, move, sphere id) step on a blowup of the ambient
+    before it, lift every class along the section, then rewrite the classes
+    and edges by the move, the contracted class the new sphere.  Yields its
+    one MoveState, updated in place, before the first step and after each."""
     amb, comps = config.ambient, config.components
     state = MoveState(amb, {c.id: coeffs_in(c.cls, amb) for c in comps},
                       {c.id: c.genus for c in comps}, list(config.edges))
@@ -435,8 +435,8 @@ def blowdown(config: DivisorConfig, e: HomologyClass, w: AreaVector | None = Non
     """Contract the exceptional class e of a valid configuration; the incidence pattern fixes
     the type.  The result is not validated: the section is an isometry onto e's complement with
     K' = pi*K + e, so the result is valid exactly when its blowup, the input, is.  certify
-    validates its input and verify_trace shows each step's blowup to be the step's input, so
-    validity carries down the trace; only an empty result, which that leaves open, is refused.
+    validates its input and verify_trace shows the steps' blowup of the terminal to be the input,
+    so validity carries down the trace; only an empty result, which that leaves open, is refused.
     DivisorConfig.build sorts every configuration's components by id and its edges, so the
     result keeps the input's order, the toric edge inserted in it, and is built directly."""
     if not is_exceptional_class(e):

@@ -26,15 +26,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .checks import Check
-from .divisor import (
-    DivisorConfig,
-    adjoint_area,
-    total_class,
-    validate,
-)
+from .divisor import DivisorConfig, adjoint_area, adjoint_area_of, total_class, validate
 from .exceptional import (
     ExceptionalSet,
     NormalizeError,
@@ -54,7 +48,7 @@ from .lattice import (
     pair,
     pairing_row,
 )
-from .moves import BlowdownStep, MoveError, blowdown, blowup_states, detect_pattern
+from .moves import BlowdownStep, MoveError, blowdown, blowup_states, detect_pattern, replay_blowdown
 
 
 class ReductionError(ValueError):
@@ -99,7 +93,8 @@ class TraceStep:
 @dataclass(frozen=True)
 class ReductionTrace:
     stage: str
-    steps: tuple[TraceStep, ...]
+    # BlowdownSteps as a stage or a document records them; TraceSteps once verify_trace replays them
+    steps: tuple
     terminal: str
     # how a quasi-minimal terminal was classified; None on every other trace
     classification: KindInfo | None = None
@@ -109,41 +104,57 @@ class ReductionTrace:
 Staged = tuple[DivisorConfig, AreaVector, ReductionTrace]
 
 
-def verify_trace(traces: list[ReductionTrace], initial: DivisorConfig) -> list[Check]:
-    """The step checks of traces, which start at initial, in trace order, from one pass up:
-    moves.blowup_states, on coefficient tuples, blows the last terminal up through every step
-    and compares each state with the step's input.  blowdown validates nothing, so this carries
-    initial's validity down the traces (see moves.blowdown).  After a step that fails, the pass
-    starts again from the recorded result of the step before it: each failure names its step."""
-    steps = [(tr.stage, i, ts.blowdown, ts) for tr in traces for i, ts in enumerate(tr.steps)]
-    out, states = [], None
-    for j in reversed(range(len(steps))):
-        stage, i, bd, ts = steps[j]
-        if states is None:
-            states = blowup_states(bd.config, [(s.contraction, s.move, s.removed_component
-                                                or "replayed") for _, _, s, _ in steps[j::-1]])
-            next(states)
-        try:
-            replays = next(states).matches(bd.pre_config)
-        except MoveError:
-            replays = False
-        chains = bd.pre_config == (steps[j - 1][2].config if j else initial)
-        out[:0] = step_checks(stage, i, ts, chains, replays)
-        states = states if chains and replays else None
-    return out
+def verify_trace(traces: list[ReductionTrace], term: DivisorConfig, initial: DivisorConfig,
+                 w: AreaVector) -> tuple[list[ReductionTrace], list[Check]]:
+    """traces, their BlowdownSteps made TraceSteps, and their step checks in trace order.  The
+    traces start at initial, with areas w, and end at term; their steps are a stage's, or a
+    document's, which records no configurations.  One pass up: moves.blowup_states blows term
+    up through every step on coefficient tuples, the hypothesis on each side of a step is read
+    off its state, and the pass must end at initial.  blowdown validates nothing, so this
+    carries initial's validity down to term (see moves.blowdown).  Only where the pass fails is
+    each step that records its configurations replayed alone, from where the next one starts
+    (replay_blowdown), so that each failure names its step; a document's MoveError propagates."""
+    bds = [bd for tr in traces for bd in tr.steps]
+    areas = [w, *(bd.new_area for bd in bds)]
+    ups = [(bd.contraction, bd.move, bd.removed_component or "replayed") for bd in bds[::-1]]
+    hyps = []
+    try:
+        for state, a in zip(blowup_states(term, ups), areas[::-1]):
+            hyps.insert(0, adjoint_area_of(state.ambient, state.classes.values(), a) < 0)
+        if not state.matches(initial):
+            raise MoveError("the replay does not reach the input")
+        chains = replays = [True] * len(bds)
+    except MoveError:
+        if not bds or bds[0].pre_config is None:
+            raise
+        ins = [bd.pre_config for bd in bds] + [term]
+        hyps = [adjoint_area(c, a) < 0 for c, a in zip(ins, areas)]
+        chains = [bd.pre_config == (bds[j - 1].config if j else initial) for j, bd in enumerate(bds)]
+        replays = [_replays(bd, post) for bd, post in zip(bds, ins[1:])]
+    out, checks, j = [], [], 0
+    for tr in traces:
+        steps = []
+        for i, bd in enumerate(tr.steps):
+            ts = TraceStep(bd, bd.contraction.pre.b2, bd.contraction.post.b2, hyps[j], hyps[j + 1])
+            steps.append(ts)
+            checks += [
+                Check(f"{tr.stage}[{i}] chains", chains[j], f"step {ts.kind} {ts.target}"),
+                Check(f"{tr.stage}[{i}] replay", replays[j],
+                      "blowup of the contracted configuration reproduces the input"),
+                Check(f"{tr.stage}[{i}] hypothesis", ts.hyp_before and ts.hyp_after,
+                      "adjoint area stays negative"),
+            ]
+            j += 1
+        out.append(replace(tr, steps=tuple(steps)))
+    return out, checks
 
 
-def step_checks(stage: str, i: int, ts: TraceStep, chains: bool, replays: bool) -> list[Check]:
-    """The three checks of the i-th step of a trace: it starts where the
-    previous step ended, its blowup reproduces its input, and the adjoint
-    area is negative on both sides."""
-    return [
-        Check(f"{stage}[{i}] chains", chains, f"step {ts.kind} {ts.target}"),
-        Check(f"{stage}[{i}] replay", replays,
-              "blowup of the contracted configuration reproduces the input"),
-        Check(f"{stage}[{i}] hypothesis", ts.hyp_before and ts.hyp_after,
-              "adjoint area stays negative"),
-    ]
+def _replays(bd: BlowdownStep, post: DivisorConfig) -> bool:
+    """Whether bd's blowup of post, where the next step starts, is bd's recorded input."""
+    try:
+        return replay_blowdown(replace(bd, config=post)) == bd.pre_config
+    except MoveError:
+        return False
 
 
 # k = e.[D] by (blowdown pattern, whether the sphere is a component): [D] + k e = pi*[D']
@@ -151,15 +162,11 @@ ADJOINT_K = {("toric", True): 1, ("non_toric", False): 1, ("half_toric", True): 
              ("exterior", False): 0, ("exterior", True): -1}
 
 
-def carry_adjoint(bd: BlowdownStep, d: tuple[int, ...], adj: Fraction,
-                  w: AreaVector) -> tuple[tuple[int, ...], Fraction]:
-    """[D'] and area(K' + [D']) after bd from [D] and area(K + [D]) on w, the areas before it:
-    [D'] = drop([D] + k e), and the area falls by (1 - k) area(e) (see _reduce)."""
+def carry_class(bd: BlowdownStep, d: tuple[int, ...]) -> tuple[int, ...]:
+    """[D'] after bd from [D], both as coefficients: drop([D] + k e) (see _reduce)."""
     con = bd.contraction
-    k = ADJOINT_K[bd.kind, bd.removed_component is not None]
-    if k != 1:
-        adj -= (1 - k) * area(con.e, w)
-    return con.drop(add_multiple(d, k, con.e.coeffs)), adj
+    return con.drop(add_multiple(d, ADJOINT_K[bd.kind, bd.removed_component is not None],
+                                 con.e.coeffs))
 
 
 def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step) -> Staged:
@@ -167,12 +174,12 @@ def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step) -> Stag
     terminal name that ends the stage, the class it contracts, or None; d is
     cur's [D] as coefficients.  The class is blown down and recorded as a step.
 
-    [D] and area(K + [D]) are summed once, here, and carried (carry_adjoint):
-    across the blowdown of e, K + [D] = pi*(K' + [D']) + (1 - k) e, where k = e.[D]
-    is fixed by the pattern (ADJOINT_K): 1 toric or non-toric, 0 half-toric or
-    exterior, -1 an exterior sphere that is a component.  area(e) > 0 and k <= 1,
-    so the adjoint area never rises: a stage that starts with it negative keeps
-    the hypothesis on both sides of every step.
+    [D] is summed once, here, and carried (carry_class): across the blowdown of
+    e, K + [D] = pi*(K' + [D']) + (1 - k) e, where k = e.[D] is fixed by the
+    pattern (ADJOINT_K): 1 toric or non-toric, 0 half-toric or exterior, -1 an
+    exterior sphere that is a component.  area(e) > 0 and k <= 1, so the adjoint
+    area never rises: a stage that starts with it negative keeps the hypothesis
+    on both sides of every step, which verify_trace reads off its replay.
 
     Why it blows down.  D is a tree of spheres: were D0 a component of genus
     >= 1 or a cycle of components, L = K + [D0] would have L.L - K.L =
@@ -185,9 +192,8 @@ def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step) -> Stag
     leaves no divisor.  Partially-minimal (a (-1)-sphere component with two
     neighbours, or a generator meeting one component once), second-kind (a
     class detect_pattern matches) and small-b2 (E1) by construction."""
-    steps: list[TraceStep] = []
-    cur, curw = config, w
-    d, adj = total_class(config).coeffs, adjoint_area(config, w)
+    steps: list[BlowdownStep] = []
+    cur, curw, d = config, w, total_class(config).coeffs
     while True:
         e = next_step(cur, curw, d)
         if isinstance(e, str):
@@ -199,9 +205,8 @@ def _reduce(stage: str, config: DivisorConfig, w: AreaVector, next_step) -> Stag
             bd = blowdown(cur, e, curw)
         except (MoveError, NormalizeError) as exc:
             raise ReductionError(f"{where}: {e} does not blow down: {exc}") from exc
-        d, after = carry_adjoint(bd, d, adj, curw)
-        steps.append(TraceStep(bd, cur.ambient.b2, bd.config.ambient.b2, adj < 0, after < 0))
-        cur, curw, adj = bd.config, bd.new_area, after
+        steps.append(bd)
+        cur, curw, d = bd.config, bd.new_area, carry_class(bd, d)
 
 
 def _meets(x: HomologyClass, d: tuple[int, ...]) -> int:

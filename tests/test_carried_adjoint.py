@@ -1,13 +1,16 @@
-"""The reduction carries [D] and area(K + [D]) through each blowdown.
+"""The reduction carries [D] through each blowdown, and its replay reads the
+hypothesis off each state.
 
 Across the blowdown of e, K + [D] = pi*(K' + [D']) + (1 - k) e with k = e.[D]
 fixed by the incidence pattern (`reduction.ADJOINT_K`), so [D'] =
 drop([D] + k e) and the adjoint area falls by (1 - k) area(e).  Each stage sums
-both once, at its start (`reduction._reduce`), and `reduction.carry_adjoint`
-carries them.  Here every carried value is compared with the sum from
-scratch, `total_class` and `adjoint_area`, at every step of every stage: over
-every fixture, every input under tests/data, and a seeded sample of both
-generators of tests/hunt_reduction_head.py.
+[D] once, at its start (`reduction._reduce`), and `reduction.carry_class`
+carries it; `reduction.verify_trace` reads area(K + [D]) off each state of its
+one pass up.  Here every carried [D] is compared with `total_class` from
+scratch at every step of every stage, and every replayed hypothesis with
+`adjoint_area` from scratch on the step's recorded configurations: over every
+fixture, every input under tests/data, and a seeded sample of both generators
+of tests/hunt_reduction_head.py.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def _inputs():
 
 
 def test_every_carried_class_and_adjoint_area_equals_the_sum_from_scratch(monkeypatch):
-    reduce, carry = reduction._reduce, reduction.carry_adjoint
+    reduce, carry = reduction._reduce, reduction.carry_class
     steps, patterns, stage = Counter(), Counter(), [None]
 
     def spy_reduce(name, config, w, next_step):
@@ -81,16 +84,16 @@ def test_every_carried_class_and_adjoint_area_equals_the_sum_from_scratch(monkey
 
         return reduce(name, config, w, spy_next)
 
-    def spy_carry(bd, d, adj, w):
-        assert (d, adj) == (total_class(bd.pre_config).coeffs, adjoint_area(bd.pre_config, w))
-        got = carry(bd, d, adj, w)
-        assert got == (total_class(bd.config).coeffs, adjoint_area(bd.config, bd.new_area))
+    def spy_carry(bd, d):
+        assert d == total_class(bd.pre_config).coeffs
+        got = carry(bd, d)
+        assert got == total_class(bd.config).coeffs
         steps[stage[0]] += 1
         patterns[bd.kind, bd.removed_component is not None] += 1
         return got
 
     monkeypatch.setattr(reduction, "_reduce", spy_reduce)
-    monkeypatch.setattr(reduction, "carry_adjoint", spy_carry)
+    monkeypatch.setattr(reduction, "carry_class", spy_carry)
     certified = 0
     for label, config, w in _inputs():
         try:
@@ -98,7 +101,13 @@ def test_every_carried_class_and_adjoint_area_equals_the_sum_from_scratch(monkey
         except CertifyError:
             continue
         certified += 1
-        assert all(s.hyp_before and s.hyp_after for tr in cert.traces for s in tr.steps), label
+        pre_w = w
+        for ts in (ts for tr in cert.traces for ts in tr.steps):
+            bd = ts.blowdown
+            assert (ts.hyp_before, ts.hyp_after) == (adjoint_area(bd.pre_config, pre_w) < 0,
+                                                     adjoint_area(bd.config, bd.new_area) < 0)
+            assert ts.hyp_before and ts.hyp_after, label
+            pre_w = bd.new_area
     assert certified > 100
     assert set(steps) == {"quasi_minimal", "partially_minimal", "second_kind", "small_b2"}
     assert sum(steps.values()) > 500
@@ -127,6 +136,7 @@ def test_the_k_table_is_e_dot_d_for_each_blowdown_pattern(move, key, k):
     bd = blowdown(up, e, wu)
     assert (bd.kind, bd.removed_component is not None) == key
     assert reduction.ADJOINT_K[key] == k == pair(e, total_class(up))
-    d, adj = reduction.carry_adjoint(bd, total_class(up).coeffs, adjoint_area(up, wu), wu)
+    d = reduction.carry_class(bd, total_class(up).coeffs)
     assert d == total_class(bd.config).coeffs == total_class(cfg).coeffs
-    assert adj == adjoint_area(cfg, w) == adjoint_area(up, wu) - Fraction(1 - k, 4)
+    assert adjoint_area(bd.config, bd.new_area) == adjoint_area(cfg, w) == (
+        adjoint_area(up, wu) - Fraction(1 - k, 4))

@@ -49,8 +49,9 @@ def test_quasi_minimal_reduce_cp2_13_trace():
         ("half_toric", "E9"),
         ("non_toric", "E8"),
     ]
-    assert all_passed(verify_trace([tr], cfg))
-    assert all(s.hyp_before and s.hyp_after for s in tr.steps)
+    traces, checks = verify_trace([tr], term, cfg, w)
+    assert all_passed(checks)
+    assert all(s.hyp_before and s.hyp_after for s in traces[0].steps)
     assert total_class(term) == term.ambient.cls(
         H=3, E1=-1, E2=-1, E3=-1, E4=-1, E5=-1, E6=-1, E7=-2
     )
@@ -110,7 +111,7 @@ def test_partially_minimal_cp2_13():
         "P4": "H-E1",
         "P5": "E1-E2-E3-E7",
     }
-    assert all_passed(verify_trace([tr2], t1))
+    assert all_passed(verify_trace([tr2], t2, t1, w1)[1])
 
 
 def test_partially_minimal_first_kind_example_terminal():
@@ -121,7 +122,7 @@ def test_partially_minimal_first_kind_example_terminal():
     assert term.ambient.describe() == "CP2#1"
     got = sorted(str(c.cls) for c in term.components)
     assert got == ["2H-E8", "H-E8"]
-    assert all(s.hyp_after for s in tr.steps)
+    assert all(s.hyp_after for s in verify_trace([tr], term, cfg, w)[0][0].steps)
 
 
 def test_good_chain_cp2_13():
@@ -154,7 +155,7 @@ def test_second_kind_reduce():
     t2, w2, tr2 = second_kind_reduce(t1, w1, tr1.classification)
     assert t2.ambient.b2 <= 2
     assert all(s.kind == "non_toric" for s in tr2.steps)
-    assert all_passed(verify_trace([tr2], t1))
+    assert all_passed(verify_trace([tr2], t2, t1, w1)[1])
     tag = classify_minimal_model(t2)
     assert tag is not None and tag.case == "C1p"
 
@@ -470,7 +471,7 @@ def test_the_lone_component_class_gives_way_to_a_tied_class():
     e1, e2 = cfg.ambient.cls(E1=1), cfg.ambient.cls(E2=1)
     assert minimal_area(enumerate_exceptional(cfg.ambient, w)) == [e2, e1]
     _, _, tr = quasi_minimal_reduce(cfg, w)
-    assert [(s.target, s.kind, s.blowdown.removed_component) for s in tr.steps] == [
+    assert [(s.target, s.kind, s.removed_component) for s in tr.steps] == [
         (e1, "exterior", None)]
     assert certify_affine_ruled(cfg, w).route_tag == "minimal-model:C1p"
 

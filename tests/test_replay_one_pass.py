@@ -1,5 +1,5 @@
-"""The checker's one-pass replay of a reduction against the per-step replay
-it replaced.
+"""The one-pass replay of a reduction, `reduction.verify_trace`, which certify
+and check share, against the per-step replay it replaced.
 
 * The reference kept here is that per-step path: from the recorded
   terminal, every recorded step is blown back up by `moves.replay_blowdown`,
@@ -11,6 +11,9 @@ it replaced.
   same final configuration, the input.  That every configuration between
   validates is the isometry argument the one pass rests on, checked here
   rather than assumed.
+* certify and check each replay a reduction once: one `verify_trace` call and
+  one `moves.blowup_states` pass per certificate on the rational route, and
+  the producer's replayed steps equal the checker's.
 * A forged certificate that validating every step used to stop still makes
   `check` exit 1: a recorded sphere id taken by a live component, a toric
   move on an absent edge, a half-toric move on an unknown component.
@@ -28,12 +31,20 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
-from sympdiv import checker, cli, moves
+from conftest import FIXTURES, rebind
+from sympdiv import checker, cli, moves, reduction
 from sympdiv.checks import all_passed
+from sympdiv.cusp import certify_affine_ruled
 from sympdiv.divisor import adjoint_area, check_hypothesis, validate
-from sympdiv.documents import doc_to_class, doc_to_contraction, doc_to_move, parse_config
-from sympdiv.moves import BlowdownStep, replay_blowdown
+from sympdiv.documents import (
+    doc_bounds,
+    doc_to_class,
+    doc_to_contraction,
+    doc_to_move,
+    parse_config,
+)
+from sympdiv.moves import BlowdownStep, blowup_states, replay_blowdown
+from sympdiv.reduction import verify_trace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -92,12 +103,18 @@ def _reference(doc):
     return areas, steps[::-1], post
 
 
+def _steps(traces):
+    """(hyp_before, hyp_after, b2_before, b2_after) of every replayed step."""
+    return [(ts.hyp_before, ts.hyp_after, ts.b2_before, ts.b2_after)
+            for tr in traces for ts in tr.steps]
+
+
 def test_one_pass_replay_equals_the_per_step_replay(documents, monkeypatch):
-    adjoint_area_of, matches = checker.adjoint_area_of, moves.MoveState.matches
+    adjoint_area_of, matches = reduction.adjoint_area_of, moves.MoveState.matches
     areas, ended = [], []
 
-    def spy_adjoint(vecs, w):
-        areas.append(adjoint_area_of(vecs, w))
+    def spy_adjoint(ambient, vecs, w):
+        areas.append(adjoint_area_of(ambient, vecs, w))
         return areas[-1]
 
     def spy_matches(state, cfg):
@@ -105,7 +122,7 @@ def test_one_pass_replay_equals_the_per_step_replay(documents, monkeypatch):
         ended.append(state.config())
         return matches(state, cfg)
 
-    monkeypatch.setattr(checker, "adjoint_area_of", spy_adjoint)
+    monkeypatch.setattr(reduction, "adjoint_area_of", spy_adjoint)
     monkeypatch.setattr(moves.MoveState, "matches", spy_matches)
     replayed = steps = 0
     for doc in documents:
@@ -119,14 +136,39 @@ def test_one_pass_replay_equals_the_per_step_replay(documents, monkeypatch):
         assert all_passed(out), doc["input"]
         ref_areas, ref_steps, ref_end = _reference(doc)
         assert areas == ref_areas
-        assert [(ts.hyp_before, ts.hyp_after, ts.b2_before, ts.b2_after)
-                for tr in traces for ts in tr.steps] == ref_steps
+        assert _steps(traces) == ref_steps
         assert ended == [ref_end] == [config]
         replayed += 1
         steps += len(ref_steps)
     # 8 of the 11 fixture certificates, 75 of the 100 certify-mixed and all
     # 16 certify-wide ones take the rational route: 30, 447 and 144 steps
     assert (replayed, steps) == (99, 621)
+
+
+def test_certify_and_check_replay_once_and_alike(documents, monkeypatch):
+    # while check replayed a document by its own pass, it called verify_trace
+    # not at all, and certify's replay restarted after a failed step
+    calls = {"verify_trace": 0, "blowup_states": 0}
+    for fn in (verify_trace, blowup_states):
+        def spy(*args, _fn=fn):
+            calls[_fn.__name__] += 1
+            return _fn(*args)
+        rebind(monkeypatch, fn, spy)
+    certified = 0
+    for doc in documents:
+        config, w = parse_config(doc["input"])
+        expected = dict.fromkeys(calls, int(doc["route"] == "rational"))
+        calls.update(dict.fromkeys(calls, 0))
+        produced = certify_affine_ruled(config, w, doc_bounds(doc)).traces
+        assert calls == expected
+        calls.update(dict.fromkeys(calls, 0))
+        assert all_passed(checker.check_certificate(doc))
+        assert calls == expected
+        certified += 1
+        if doc["route"] == "rational":
+            checked = checker._replay_traces(doc, config, w, [])[0]
+            assert _steps(produced) == _steps(checked), doc["input"]
+    assert certified == 11 + 100 + 16
 
 
 # -- forgeries the replay must refuse ----------------------------------------------

@@ -4,11 +4,11 @@ information.
 certify validates its input, and blowup and a resolution validate their
 results.  blowdown validates nothing: a blowup's section is an isometry onto
 the complement of its sphere, so a blowdown's result is valid exactly when
-its blowup is, and reduction.verify_trace compares each step's blowup with
-the step's input, on coefficient tuples.  A resolution blows up in one
-ambient: it makes one configuration, not one per blowup, and validates it.
-The checker's replay of a reduction is one pass that makes none: where it
-ends is compared with the validated input.  A configuration builds its
+its blowup is, and reduction.verify_trace blows the terminal up through every
+step, on coefficient tuples, to the validated input.  A resolution blows up in
+one ambient: it makes one configuration, not one per blowup, and validates it.
+certify and check replay a reduction by that one pass, which makes no
+configuration: where it ends is compared with the validated input.  A configuration builds its
 sparse pairings once, so validating the same object again builds none.
 """
 
@@ -123,36 +123,38 @@ def _tamper_sphere_onto_a_component(bd):
 
 @pytest.mark.parametrize("tamper", [_tamper_move, _tamper_sphere_onto_a_component])
 def test_verify_trace_reports_a_tampered_step_without_raising(tamper):
+    # the one pass up fails, so each step is replayed alone from where the
+    # next one starts, and only the tampered step fails
     config, w = _fixture("cp2_13_cusp.json")
-    _, _, trace = quasi_minimal_reduce(config, w)
-    i = next(i for i, ts in enumerate(trace.steps) if ts.kind == "toric")
-    ts = trace.steps[i]
-    bad = replace(ts, blowdown=tamper(ts.blowdown))
+    term, _, trace = quasi_minimal_reduce(config, w)
+    i = next(i for i, bd in enumerate(trace.steps) if bd.kind == "toric")
+    bad = tamper(trace.steps[i])
     if tamper is _tamper_sphere_onto_a_component:
         with pytest.raises(MoveError, match="already in use"):
-            replay_blowdown(bad.blowdown)
+            replay_blowdown(bad)
     steps = trace.steps[:i] + (bad,) + trace.steps[i + 1:]
-    checks = verify_trace([replace(trace, steps=steps)], config)
+    _, checks = verify_trace([replace(trace, steps=steps)], term, config, w)
     assert [c.name for c in checks if not c.passed] == [f"quasi_minimal[{i}] replay"]
 
 
 def test_verify_trace_refuses_a_step_whose_result_is_invalid():
     # blowdown no longer validates its result, so a step whose recorded result
     # is no valid configuration must fail its replay: the last step of the
-    # trace, so that no later step starts from it, with one class changed
+    # trace, whose result is the terminal the replay starts from, with one
+    # class changed.  H added to a class raises the adjoint area of the forged
+    # terminal to 16383/16384, so the step's hypothesis fails too
     config, w = _fixture("cp2_13_cusp.json")
-    _, _, trace = quasi_minimal_reduce(config, w)
+    term, _, trace = quasi_minimal_reduce(config, w)
     i = len(trace.steps) - 1
-    ts = trace.steps[i]
-    post = ts.blowdown.config
-    head = post.ambient.basis_class(post.ambient.names[0])
-    forged = DivisorConfig.build(post.ambient, [
-        (c.id, c.cls + head if k == 0 else c.cls, c.genus) for k, c in enumerate(post.components)
-    ], post.edges)
+    head = term.ambient.basis_class(term.ambient.names[0])
+    forged = DivisorConfig.build(term.ambient, [
+        (c.id, c.cls + head if k == 0 else c.cls, c.genus) for k, c in enumerate(term.components)
+    ], term.edges)
     assert divisor.validate(forged)
-    steps = trace.steps[:i] + (replace(ts, blowdown=replace(ts.blowdown, config=forged)),)
-    checks = verify_trace([replace(trace, steps=steps)], config)
-    assert [c.name for c in checks if not c.passed] == [f"quasi_minimal[{i}] replay"]
+    steps = trace.steps[:i] + (replace(trace.steps[i], config=forged),)
+    _, checks = verify_trace([replace(trace, steps=steps)], forged, config, w)
+    assert [c.name for c in checks if not c.passed] == [f"quasi_minimal[{i}] replay",
+                                                         f"quasi_minimal[{i}] hypothesis"]
 
 
 def _near_misses(cfg):
@@ -181,11 +183,12 @@ def _near_misses(cfg):
 
 
 def test_the_replay_comparison_is_configuration_equality():
-    # verify_trace compares each MoveState of its one pass up with the step's
-    # input without building the configuration; it must agree with building it
+    # verify_trace compares the MoveState its one pass up ends in with the
+    # input without building the configuration; it must agree with building
+    # it, here on the state after every step
     config, w = _fixture("cp2_13_cusp.json")
     _, _, trace = quasi_minimal_reduce(config, w)
-    bds = [ts.blowdown for ts in trace.steps][::-1]
+    bds = trace.steps[::-1]
     states = moves.blowup_states(bds[0].config, [(bd.contraction, bd.move,
                                                   bd.removed_component or "replayed") for bd in bds])
     next(states)
@@ -226,12 +229,16 @@ def test_certify_builds_a_pinned_number_of_classes_and_configurations(monkeypatc
 
 def test_the_reduction_sums_k_plus_d_once_per_stage(monkeypatch):
     # certify's reduction of cp2_13 runs two stages and 9 blowdowns: each stage
-    # sums [D] and area(K + [D]) at its start and carries both through each
-    # blowdown, and certify's hypothesis check is the third adjoint-area sum.
-    # While every step re-summed both, 12 adjoint_area sums, 11 total_class
+    # sums [D] at its start and carries it through each blowdown, certify's
+    # hypothesis check is the one adjoint_area sum, and verify_trace's pass up
+    # sums K + [D] on each of its 10 states by adjoint_area_of, the 11th call
+    # being the hypothesis check's.  While each stage summed area(K + [D]) at
+    # its start too and carried it, 3 adjoint_area sums and 2 total_class sums;
+    # while every step re-summed both, 12 adjoint_area sums, 11 total_class
     # sums and 11 check_hypothesis calls
     config, w = _fixture("cp2_13_cusp.json")
-    calls = dict.fromkeys(["adjoint_area", "total_class", "check_hypothesis"], 0)
+    calls = dict.fromkeys(["adjoint_area", "adjoint_area_of", "total_class",
+                           "check_hypothesis"], 0)
     for name in calls:
         def spy(*args, _name=name, _original=getattr(divisor, name)):
             calls[_name] += 1
@@ -239,7 +246,8 @@ def test_the_reduction_sums_k_plus_d_once_per_stage(monkeypatch):
         rebind(monkeypatch, getattr(divisor, name), spy)
     cert = certify_affine_ruled(config, w)
     assert sum(len(tr.steps) for tr in cert.traces) == 9
-    assert calls == {"adjoint_area": 3, "total_class": 2, "check_hypothesis": 0}
+    assert calls == {"adjoint_area": 1, "adjoint_area_of": 11, "total_class": 2,
+                     "check_hypothesis": 0}
 
 
 def test_check_makes_no_configuration_for_its_replay(monkeypatch):
